@@ -16,6 +16,7 @@ every intermediate step.
 """
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -30,14 +31,49 @@ from .errors import (
     NotIsostatic,
     TooFewVertices,
 )
-from .graphs import C3Action, Edge, Graph, SymGraph, count_fixed, edge, relabel_symgraph
-from .pebble import laman_check, pebble_sparsity
+from .graphs import (
+    C3Action,
+    Edge,
+    Graph,
+    SymGraph,
+    count_fixed,
+    edge,
+    edge_orbit,
+    relabel_symgraph,
+)
+from .pebble import SparsityReport, laman_check, pebble_sparsity
 
 VERTEX_ADDITION = "VertexAddition"
 EDGE_SPLIT = "EdgeSplit"
 DELTA_EXTENSION = "DeltaExtension"
 
-_KINDS = (VERTEX_ADDITION, EDGE_SPLIT, DELTA_EXTENSION)
+Spokes = tuple[tuple[int, tuple[int, ...]], ...]
+
+
+@dataclass(frozen=True)
+class MoveShape:
+    """One row of the move table.
+
+    A move adds the orbit (v, gamma v, gamma^2 v) of a new vertex v. Its new
+    edges are the rotation orbits of a few representative edges (v, x):
+    ``spokes(anchors, v)`` lists each x with the tree offsets o the three-tree
+    partition may give that edge (tree l + o + j receives its j-th image; the
+    first offset that fits is used). An edge split also deletes the edge
+    orbit of its first two anchors.
+    """
+
+    arity: int
+    spokes: Callable[[tuple[int, ...], int], Spokes]
+    splits_edge: bool = False
+
+
+MOVE_TABLE = {
+    VERTEX_ADDITION: MoveShape(2, lambda a, v: ((a[0], (0,)), (a[1], (1,)))),
+    EDGE_SPLIT: MoveShape(
+        3, lambda a, v: ((a[0], (0,)), (a[1], (0,)), (a[2], (1, 2))), splits_edge=True
+    ),
+    DELTA_EXTENSION: MoveShape(1, lambda a, v: ((a[0], (0,)), (v + 1, (0,)))),
+}
 
 
 @dataclass(frozen=True)
@@ -49,8 +85,13 @@ class Move:
     new_vertices: tuple[int, int, int]
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in MOVE_TABLE:
             raise InvalidAnchor(f"unknown move kind {self.kind!r}")
+        arity = MOVE_TABLE[self.kind].arity
+        if len(self.anchors) != arity:
+            raise InvalidAnchor(
+                f"{self.kind} takes {arity} anchors, got {len(self.anchors)}"
+            )
 
     def as_json_dict(self) -> dict:
         return {
@@ -74,7 +115,11 @@ def check_c3_isostatic(sg: SymGraph) -> C3Verdict:
     act = sg.require_action()
     if sg.graph.n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {sg.graph.n}")
-    report = pebble_sparsity(sg.graph)
+    return _c3_verdict(act, pebble_sparsity(sg.graph))
+
+
+def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
+    """The verdict from the graph's sparsity report and its rotation."""
     reasons: list[str] = []
     witness: tuple[int, ...] | int | None = None
     if report.edge_count != report.target:
@@ -90,91 +135,75 @@ def check_c3_isostatic(sg: SymGraph) -> C3Verdict:
     return C3Verdict(isostatic=not reasons, reasons=tuple(reasons), witness=witness)
 
 
-def _extend_action(act: C3Action) -> C3Action:
-    n = act.n
-    return C3Action(act.gamma + (n + 1, n + 2, n))
+def _require_isostatic(sg: SymGraph) -> None:
+    verdict = check_c3_isostatic(sg)
+    if not verdict.isostatic:
+        raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}")
 
 
-def apply_vertex_addition(sg: SymGraph, v1: int, v2: int) -> SymGraph:
-    """Hang a new orbit of valence-2 vertices on the anchor pair (v1, v2)."""
-    act = sg.require_action()
-    n = sg.graph.n
-    if not (0 <= v1 < n and 0 <= v2 < n):
-        raise InvalidAnchor(f"anchors ({v1}, {v2}) out of range")
-    if v1 == v2:
-        raise InvalidAnchor("anchor vertices must be distinct")
-    v, w, z = n, n + 1, n + 2
-    gamma, gamma2 = act.gamma, act.gamma2
-    new_edges = {
-        edge(v, v1),
-        edge(v, v2),
-        edge(w, gamma[v1]),
-        edge(w, gamma[v2]),
-        edge(z, gamma2[v1]),
-        edge(z, gamma2[v2]),
-    }
-    if len(new_edges) != 6:
-        raise DegenerateMove("the six new edges are not pairwise distinct")
-    graph = Graph(n + 3, sg.graph.edges | frozenset(new_edges))
-    return SymGraph(graph, _extend_action(act))
+def move_spokes(
+    move: Move, gamma: Sequence[int], has_edge: Callable[[Edge], bool]
+) -> tuple[Spokes, Edge | None]:
+    """Check a move against the graph it extends; return its spokes and split edge.
 
-
-def apply_edge_split(sg: SymGraph, v1: int, v2: int, v3: int) -> SymGraph:
-    """Remove the edge orbit of {v1, v2}; join a new orbit to v1, v2, v3."""
-    act = sg.require_action()
-    n = sg.graph.n
-    if not all(0 <= x < n for x in (v1, v2, v3)):
-        raise InvalidAnchor(f"anchors ({v1}, {v2}, {v3}) out of range")
-    if not sg.graph.has_edge(v1, v2):
-        raise MissingEdge(f"({v1}, {v2}) is not an edge")
-    if v3 == v1 or v3 == v2:
-        raise InvalidAnchor("the third anchor must differ from the split edge")
-    gamma, gamma2 = act.gamma, act.gamma2
-    removed = {edge(v1, v2), edge(gamma[v1], gamma[v2]), edge(gamma2[v1], gamma2[v2])}
-    if len(removed) != 3:
-        raise DegenerateMove("the split edge is fixed by the rotation")
-    v, w, z = n, n + 1, n + 2
-    added = set()
-    for i in (v1, v2, v3):
-        added.add(edge(v, i))
-        added.add(edge(w, gamma[i]))
-        added.add(edge(z, gamma2[i]))
-    graph = Graph(n + 3, (sg.graph.edges - frozenset(removed)) | frozenset(added))
-    return SymGraph(graph, _extend_action(act))
-
-
-def apply_delta_extension(sg: SymGraph, v0: int) -> SymGraph:
-    """Attach a new triangle orbit by one spoke to each vertex of v0's orbit."""
-    act = sg.require_action()
-    n = sg.graph.n
-    if not 0 <= v0 < n:
-        raise InvalidAnchor(f"anchor {v0} out of range")
-    if act.gamma[v0] == v0:
-        raise FixedAnchor(f"vertex {v0} is fixed by the rotation")
-    v, w, z = n, n + 1, n + 2
-    added = {
-        edge(v, w),
-        edge(w, z),
-        edge(z, v),
-        edge(v, v0),
-        edge(w, act.gamma[v0]),
-        edge(z, act.gamma2[v0]),
-    }
-    graph = Graph(n + 3, sg.graph.edges | frozenset(added))
-    return SymGraph(graph, _extend_action(act))
-
-
-def apply_move(sg: SymGraph, move: Move) -> SymGraph:
-    n = sg.graph.n
+    ``gamma`` is the graph's rotation in one-line form and ``has_edge`` tests
+    membership in its edge set. Raises what ``apply_move`` raises for a move
+    that does not fit.
+    """
+    n = len(gamma)
     if move.new_vertices != (n, n + 1, n + 2):
         raise InvalidAnchor(
             f"move expects new vertices {move.new_vertices}, graph has {n} vertices"
         )
-    if move.kind == VERTEX_ADDITION:
-        return apply_vertex_addition(sg, *move.anchors)
-    if move.kind == EDGE_SPLIT:
-        return apply_edge_split(sg, *move.anchors)
-    return apply_delta_extension(sg, *move.anchors)
+    anchors = move.anchors
+    if not all(0 <= x < n for x in anchors):
+        raise InvalidAnchor(f"anchors {anchors} out of range")
+    split = None
+    if MOVE_TABLE[move.kind].splits_edge:
+        split = edge(anchors[0], anchors[1])
+        if not has_edge(split):
+            raise MissingEdge(f"({anchors[0]}, {anchors[1]}) is not an edge")
+    if len(set(anchors)) != len(anchors):
+        raise InvalidAnchor("anchor vertices must be distinct")
+    if split is not None and edge_orbit(split, gamma)[1] == split:
+        raise DegenerateMove("the split edge is fixed by the rotation")
+    if move.kind == DELTA_EXTENSION and gamma[anchors[0]] == anchors[0]:
+        raise FixedAnchor(f"vertex {anchors[0]} is fixed by the rotation")
+    return MOVE_TABLE[move.kind].spokes(anchors, n), split
+
+
+def apply_move(sg: SymGraph, move: Move) -> SymGraph:
+    """Add the move's vertex orbit and edge orbits; remove the split edge orbit."""
+    act = sg.require_action()
+    g = sg.graph
+    spokes, split = move_spokes(move, act.gamma, g.edges.__contains__)
+    n = g.n
+    gamma = act.gamma + (n + 1, n + 2, n)
+    edges = g.edges
+    if split is not None:
+        edges = edges - frozenset(edge_orbit(split, gamma))
+    added = frozenset(e for x, _ in spokes for e in edge_orbit((n, x), gamma))
+    return SymGraph(Graph(n + 3, edges | added), C3Action(gamma))
+
+
+def _new_orbit(sg: SymGraph) -> tuple[int, int, int]:
+    n = sg.graph.n
+    return (n, n + 1, n + 2)
+
+
+def apply_vertex_addition(sg: SymGraph, v1: int, v2: int) -> SymGraph:
+    """Hang a new orbit of valence-2 vertices on the anchor pair (v1, v2)."""
+    return apply_move(sg, Move(VERTEX_ADDITION, (v1, v2), _new_orbit(sg)))
+
+
+def apply_edge_split(sg: SymGraph, v1: int, v2: int, v3: int) -> SymGraph:
+    """Remove the edge orbit of {v1, v2}; join a new orbit to v1, v2, v3."""
+    return apply_move(sg, Move(EDGE_SPLIT, (v1, v2, v3), _new_orbit(sg)))
+
+
+def apply_delta_extension(sg: SymGraph, v0: int) -> SymGraph:
+    """Attach a new triangle orbit by one spoke to each vertex of v0's orbit."""
+    return apply_move(sg, Move(DELTA_EXTENSION, (v0,), _new_orbit(sg)))
 
 
 def canonical_base() -> SymGraph:
@@ -266,10 +295,8 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
     Returns the reduced graph, the forward move that rebuilds the input from
     it, and the vertex map from the rebuilt labels back to the input labels
     (survivors first in order, then the removed orbit in rotation order).
+    The input must already be known isostatic.
     """
-    verdict = check_c3_isostatic(sg)
-    if not verdict.isostatic:
-        raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}")
     g = sg.graph
     act = sg.action
     n = g.n
@@ -288,7 +315,7 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         v1, v2 = sorted(adj[v])
         reduced, down, survivors = _compact(sg, orbit, set())
         move = Move(VERTEX_ADDITION, (down[v1], down[v2]), (n - 3, n - 2, n - 1))
-        return _finish_reduction(sg, reduced, move, survivors, orbit)
+        return _finish_reduction(reduced, move, survivors, orbit)
 
     low3 = [x for x in range(n) if deg[x] == 3]
     if not low3:
@@ -306,15 +333,11 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         v0 = rest[0]
         reduced, down, survivors = _compact(sg, orbit, set())
         move = Move(DELTA_EXTENSION, (down[v0],), (n - 3, n - 2, n - 1))
-        return _finish_reduction(sg, reduced, move, survivors, orbit)
+        return _finish_reduction(reduced, move, survivors, orbit)
 
     rep = neighbors[0]
     rep_orbit = {rep, gamma[rep], gamma2[rep]}
-    triangle = {
-        edge(rep, gamma[rep]),
-        edge(gamma[rep], gamma2[rep]),
-        edge(gamma2[rep], rep),
-    }
+    triangle = set(edge_orbit((rep, gamma[rep]), gamma))
     if set(neighbors) == rep_orbit and not (triangle & g.edges):
         # The whole neighborhood is one orbit: undo an edge split whose
         # removed orbit is the triangle on that orbit. A tight graph can
@@ -323,7 +346,7 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         reduced, down, survivors = _compact(sg, orbit, triangle)
         a, b = sorted((down[rep], down[gamma[rep]]))
         move = Move(EDGE_SPLIT, (a, b, down[gamma2[rep]]), (n - 3, n - 2, n - 1))
-        return _finish_reduction(sg, reduced, move, survivors, orbit)
+        return _finish_reduction(reduced, move, survivors, orbit)
 
     # Tried-pair reduction: find the first anchor pair whose re-knit of the
     # single-vertex deletion is tight, then remove the whole orbit and add
@@ -339,15 +362,15 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         raise InternalInvariantBroken("no anchor pair re-knits the deletion")
     a, b = chosen
     c = next(x for x in neighbors if x not in chosen)
-    pair_orbit = {edge(a, b), edge(gamma[a], gamma[b]), edge(gamma2[a], gamma2[b])}
-    if len(pair_orbit) != 3 or (pair_orbit & (g.edges - _orbit_edges(g, act, orbit))):
+    pair_orbit = set(edge_orbit((a, b), gamma))
+    if len(pair_orbit) != 3 or (pair_orbit & (g.edges - _orbit_edges(g, orbit))):
         raise InternalInvariantBroken("chosen pair orbit collides with the graph")
     reduced, down, survivors = _compact(sg, orbit, pair_orbit)
     move = Move(EDGE_SPLIT, (down[a], down[b], down[c]), (n - 3, n - 2, n - 1))
-    return _finish_reduction(sg, reduced, move, survivors, orbit)
+    return _finish_reduction(reduced, move, survivors, orbit)
 
 
-def _orbit_edges(g: Graph, act: C3Action, orbit: tuple[int, int, int]) -> frozenset[Edge]:
+def _orbit_edges(g: Graph, orbit: tuple[int, int, int]) -> frozenset[Edge]:
     gone = set(orbit)
     return frozenset(e for e in g.edges if e[0] in gone or e[1] in gone)
 
@@ -365,7 +388,7 @@ def _tight_after_revertex(g: Graph, v: int, a: int, b: int) -> bool:
     return laman_check(Graph(g.n - 1, frozenset(kept)))
 
 
-def _finish_reduction(sg, reduced, move, survivors, orbit):
+def _finish_reduction(reduced, move, survivors, orbit):
     if not check_c3_isostatic(reduced).isostatic:
         raise InternalInvariantBroken("reduction lost isostaticity")
     iso = tuple(survivors) + tuple(orbit)
@@ -374,6 +397,7 @@ def _finish_reduction(sg, reduced, move, survivors, orbit):
 
 def reduce_once(sg: SymGraph) -> tuple[SymGraph, Move]:
     """Peel off one orbit; returns the smaller graph and the forward move."""
+    _require_isostatic(sg)
     reduced, move, _ = _reduce_step(sg)
     return reduced, move
 
@@ -382,9 +406,7 @@ def extract_sequence(sg: SymGraph) -> ConstructionSequence:
     """Reduce to the triangle, reverse the moves, verify the round trip."""
     steps = []
     cur = sg
-    verdict = check_c3_isostatic(cur)
-    if not verdict.isostatic:
-        raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}")
+    _require_isostatic(cur)
     while cur.graph.n > 3:
         cur, move, iso = _reduce_step(cur)
         steps.append((move, iso))

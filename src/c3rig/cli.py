@@ -14,7 +14,12 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certify import check_c3_isostatic, extract_sequence, replay_sequence
+from .certify import (
+    ConstructionSequence,
+    _c3_verdict,
+    check_c3_isostatic,
+    extract_sequence,
+)
 from .errors import C3RigError, NotIsostatic
 from .geometry import (
     Placement,
@@ -24,10 +29,15 @@ from .geometry import (
     pull_apart_fully,
     symmetric_generic_positions,
 )
-from .graphs import SymGraph, count_fixed, parse_graph, relabel_symgraph
+from .graphs import SymGraph, count_fixed, parse_graph
 from .pebble import brute_force_laman, laman_check, pebble_sparsity
 from .render import render_svg
-from .trees import build_tree_partition, relabel_partition, verify_tree_partition
+from .trees import (
+    TreePartition,
+    build_tree_partition,
+    relabel_partition,
+    verify_tree_partition,
+)
 
 
 def _dump(report: dict) -> str:
@@ -93,7 +103,7 @@ def cmd_check(args) -> int:
     report["sparsity"] = _sparsity_json(sparsity)
     if sg.action is not None:
         fixed = count_fixed(sg)
-        verdict = check_c3_isostatic(sg)
+        verdict = _c3_verdict(sg.action, sparsity)
         report["fixed_counts"] = {"j": fixed.j, "b": fixed.b}
         report["c3_verdict"] = _verdict_json(verdict)
         isostatic = verdict.isostatic
@@ -112,23 +122,25 @@ def cmd_certify(args) -> int:
     if not verdict.isostatic:
         _emit(report, args.json, f"not isostatic: {', '.join(verdict.reasons)}")
         return 1
-    seq = extract_sequence(sg)
-    replayed = replay_sequence(seq)
-    round_trip = relabel_symgraph(replayed, seq.relabeling) == sg
-    partition = relabel_partition(build_tree_partition(seq), seq.relabeling)
+    seq, partition = _certificates(sg)
     checks = verify_tree_partition(sg, partition)
     report["sequence"] = seq.as_json_dict()
     report["partition"] = partition.as_json_dict()
     report["partition_checks"] = checks.as_json_dict()
-    report["round_trip"] = round_trip
+    # extract_sequence has verified the replay round trip or raised.
+    report["round_trip"] = True
     _emit(
         report,
         args.json,
         f"certified: {len(seq.moves)} moves, partition ok: {checks.ok}",
     )
-    if not (round_trip and checks.ok):
-        return 2
-    return 0
+    return 0 if checks.ok else 2
+
+
+def _certificates(sg: SymGraph) -> tuple[ConstructionSequence, TreePartition]:
+    """The construction sequence and its partition in the input's labels."""
+    seq = extract_sequence(sg)
+    return seq, relabel_partition(build_tree_partition(seq), seq.relabeling)
 
 
 def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, dict]:
@@ -136,8 +148,7 @@ def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, dict]:
     if method == "generic":
         placement = symmetric_generic_positions(sg, seed)
     else:
-        seq = extract_sequence(sg)
-        partition = relabel_partition(build_tree_partition(seq), seq.relabeling)
+        _, partition = _certificates(sg)
         frame = frame_from_partition(sg, partition)
         frame, rounds = pull_apart_fully(sg, partition, frame)
         placement = framework_from_frame(sg, frame)
@@ -177,9 +188,8 @@ def cmd_render(args) -> int:
     data = Path(args.file).read_bytes()
     sg = parse_graph(data.decode("utf-8"))
     report = _base_report("render", data)
-    seq = extract_sequence(sg)
+    _, partition = _certificates(sg)
     placement, _ = _realize(sg, "generic", args.seed)
-    partition = relabel_partition(build_tree_partition(seq), seq.relabeling)
     svg = render_svg(sg, placement, partition)
     Path(args.out).write_text(svg, encoding="utf-8")
     report["out"] = args.out

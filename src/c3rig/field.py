@@ -87,9 +87,6 @@ class QSqrt3:
     def __neg__(self):
         return QSqrt3(-self.a, -self.b)
 
-    def conjugate(self) -> "QSqrt3":
-        return QSqrt3(self.a, -self.b)
-
     # -- predicates and views --------------------------------------------
 
     @property
@@ -141,13 +138,6 @@ class ExactMatrix:
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         return cls(nrows, ncols, tuple(tuple(r) for r in rows))
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            self.cols,
-            self.rows,
-            tuple(tuple(self.entries[r][c] for r in range(self.rows)) for c in range(self.cols)),
-        )
 
 
 def _integer_rows(m: ExactMatrix) -> list[list[tuple[int, int]]]:

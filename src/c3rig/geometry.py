@@ -17,6 +17,7 @@ is an equation, not an approximation. Two realization routes are provided.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -142,20 +143,24 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
     raise ExhaustedRetries("100 draws all produced a coincident edge")
 
 
-def rigidity_matrix(g: Graph, placement: Placement) -> ExactMatrix:
-    """One row per edge: the coordinate difference at each endpoint's columns."""
-    pos = placement.positions
+def _edge_matrix(g: Graph, vectors: Iterable[Vec2]) -> ExactMatrix:
+    """One row per sorted edge (u, v): its vector at u's columns, negated at v's."""
     n = g.n
     rows = []
-    for u, v in g.sorted_edges:
-        d = v_sub(pos[u], pos[v])
+    for (u, v), d in zip(g.sorted_edges, vectors):
         row = [Q_ZERO] * (2 * n)
         row[2 * u] = d[0]
         row[2 * u + 1] = d[1]
         row[2 * v] = -d[0]
         row[2 * v + 1] = -d[1]
-        rows.append(row)
-    return ExactMatrix(g.m, 2 * n, tuple(tuple(r) for r in rows))
+        rows.append(tuple(row))
+    return ExactMatrix(g.m, 2 * n, tuple(rows))
+
+
+def rigidity_matrix(g: Graph, placement: Placement) -> ExactMatrix:
+    """One row per edge: the coordinate difference at each endpoint's columns."""
+    pos = placement.positions
+    return _edge_matrix(g, (v_sub(pos[u], pos[v]) for u, v in g.sorted_edges))
 
 
 @dataclass(frozen=True)
@@ -268,19 +273,10 @@ def _missing_tree(tp: TreePartition, n: int) -> list[int]:
 
 def generalized_rigidity_matrix(g: Graph, frame: Frame) -> ExactMatrix:
     """One row per edge: the direction at the lower endpoint, negated at the other."""
-    n = g.n
-    rows = []
-    for i, (u, v) in enumerate(g.sorted_edges):
-        q = frame.directions[i]
+    for (u, v), q in zip(g.sorted_edges, frame.directions):
         if v_is_zero(q):
             raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
-        row = [Q_ZERO] * (2 * n)
-        row[2 * u] = q[0]
-        row[2 * u + 1] = q[1]
-        row[2 * v] = -q[0]
-        row[2 * v + 1] = -q[1]
-        rows.append(row)
-    return ExactMatrix(g.m, 2 * n, tuple(tuple(r) for r in rows))
+    return _edge_matrix(g, frame.directions)
 
 
 def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]:

@@ -9,6 +9,7 @@ single generator, so only homomorphic type assignments are representable.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -27,6 +28,13 @@ Edge = tuple[int, int]
 def edge(u: int, v: int) -> Edge:
     """Normalize an unordered vertex pair to a sorted tuple."""
     return (u, v) if u < v else (v, u)
+
+
+def edge_orbit(e: Edge, gamma: Sequence[int]) -> tuple[Edge, Edge, Edge]:
+    """The images (e, gamma e, gamma^2 e) of an edge, gamma in one-line form."""
+    u, v = e
+    u1, v1 = gamma[u], gamma[v]
+    return (edge(u, v), edge(u1, v1), edge(gamma[u1], gamma[v1]))
 
 
 @dataclass(frozen=True)

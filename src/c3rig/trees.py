@@ -2,7 +2,7 @@
 
 The certificate dual to a construction sequence is a partition of the edge
 set into three trees with every vertex in exactly two of them, cyclically
-permuted by the rotation. It is built by replaying the sequence and updating
+permuted by the rotation. It is built by walking the sequence and updating
 the three trees after each move; the update rules place the new orbit's
 edges so that both the tree property and the rotation equivariance survive.
 """
@@ -11,14 +11,9 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .certify import (
-    EDGE_SPLIT,
-    VERTEX_ADDITION,
-    ConstructionSequence,
-    apply_move,
-)
+from .certify import ConstructionSequence, Move, Spokes, move_spokes
 from .errors import InternalInvariantBroken
-from .graphs import Edge, SymGraph, edge
+from .graphs import Edge, SymGraph, edge, edge_orbit
 from .pebble import pebble_sparsity
 
 
@@ -138,93 +133,68 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
 
 
 def build_tree_partition(seq: ConstructionSequence) -> TreePartition:
-    """Replay the sequence, carrying the three trees through each move.
+    """Carry the three trees through each move of the sequence.
+
+    Each move is read from the move table: for the first tree index l that
+    fits the anchors, tree l + o + j receives the j-th rotation image of
+    every representative edge with tree offset o, and an edge split takes
+    the j-th image of its split edge out of tree l + j. On replay labels
+    the rotation is fixed (x -> 3 floor(x/3) + (x+1) mod 3), so it grows by
+    one orbit per move and no graph is rebuilt. A move that does not fit
+    raises what ``replay_sequence`` raises.
 
     The result partitions the replayed graph; compose with the sequence's
     relabeling to certify the graph the sequence was extracted from.
     """
-    sg = seq.base
     trees: list[set[Edge]] = [{(0, 1)}, {(1, 2)}, {(0, 2)}]
+    # Splitting edge (v1, v2) out of a tree leaves v1 and v2 in it, as their
+    # new spokes join the same tree, so vertex sets only ever grow.
+    vsets: list[set[int]] = [{0, 1}, {1, 2}, {0, 2}]
+    gamma = [1, 2, 0]
 
     for move in seq.moves:
-        act = sg.action
-        gamma, gamma2 = act.gamma, act.gamma2
-        v, w, z = move.new_vertices
-        vsets = [{x for e in t for x in e} for t in trees]
-
-        if move.kind == VERTEX_ADDITION:
-            v1, v2 = move.anchors
-            for l in range(3):
-                if v1 in vsets[l] and v2 in vsets[(l + 1) % 3]:
-                    break
-            else:
-                raise InternalInvariantBroken("no tree index fits the anchor pair")
-            trees[l] |= {edge(v, v1), edge(z, gamma2[v2])}
-            trees[(l + 1) % 3] |= {edge(v, v2), edge(w, gamma[v1])}
-            trees[(l + 2) % 3] |= {edge(w, gamma[v2]), edge(z, gamma2[v1])}
-
-        elif move.kind == EDGE_SPLIT:
-            v1, v2, v3 = move.anchors
-            base_edge = edge(v1, v2)
-            for a in range(3):
-                if base_edge in trees[a]:
-                    break
-            else:
-                raise InternalInvariantBroken("split edge missing from every tree")
-            b, c = (a + 1) % 3, (a + 2) % 3
-            eb = edge(gamma[v1], gamma[v2])
-            ec = edge(gamma2[v1], gamma2[v2])
-            if eb not in trees[b] or ec not in trees[c]:
+        spokes, split = move_spokes(move, gamma, lambda e: any(e in t for t in trees))
+        v = len(gamma)
+        gamma += (v + 1, v + 2, v)
+        l, offsets = _fit(move, spokes, split, trees, vsets)
+        if split is not None:
+            images = edge_orbit(split, gamma)
+            if any(images[j] not in trees[(l + j) % 3] for j in (1, 2)):
                 raise InternalInvariantBroken("edge orbit not spread over the trees")
-            if v3 in vsets[b]:
-                trees[a] = (trees[a] - {base_edge}) | {
-                    edge(v, v1),
-                    edge(v, v2),
-                    edge(z, gamma2[v3]),
-                }
-                trees[b] = (trees[b] - {eb}) | {
-                    edge(w, gamma[v1]),
-                    edge(w, gamma[v2]),
-                    edge(v, v3),
-                }
-                trees[c] = (trees[c] - {ec}) | {
-                    edge(z, gamma2[v1]),
-                    edge(z, gamma2[v2]),
-                    edge(w, gamma[v3]),
-                }
-            elif v3 in vsets[c]:
-                trees[a] = (trees[a] - {base_edge}) | {
-                    edge(v, v1),
-                    edge(v, v2),
-                    edge(w, gamma[v3]),
-                }
-                trees[b] = (trees[b] - {eb}) | {
-                    edge(w, gamma[v1]),
-                    edge(w, gamma[v2]),
-                    edge(z, gamma2[v3]),
-                }
-                trees[c] = (trees[c] - {ec}) | {
-                    edge(z, gamma2[v1]),
-                    edge(z, gamma2[v2]),
-                    edge(v, v3),
-                }
-            else:
-                raise InternalInvariantBroken("third anchor sits in no usable tree")
-
-        else:  # delta extension
-            (v0,) = move.anchors
-            for l in range(3):
-                if v0 in vsets[l]:
-                    break
-            else:
-                raise InternalInvariantBroken("delta anchor sits in no tree")
-            trees[l] |= {edge(v, v0), edge(v, w)}
-            trees[(l + 1) % 3] |= {edge(w, gamma[v0]), edge(w, z)}
-            trees[(l + 2) % 3] |= {edge(z, gamma2[v0]), edge(z, v)}
-
-        sg = apply_move(sg, move)
+            for j in range(3):
+                trees[(l + j) % 3].remove(images[j])
+        for (x, _), o in zip(spokes, offsets):
+            for j, e in enumerate(edge_orbit((v, x), gamma)):
+                t = (l + o + j) % 3
+                trees[t].add(e)
+                vsets[t].update(e)
 
     return TreePartition((frozenset(trees[0]), frozenset(trees[1]), frozenset(trees[2])))
+
+
+def _fit(
+    move: Move,
+    spokes: Spokes,
+    split: Edge | None,
+    trees: list[set[Edge]],
+    vsets: list[set[int]],
+) -> tuple[int, list[int]]:
+    """The first tree index l that fits the move, with each spoke's offset.
+
+    l fits when it holds the split edge (if any) and every spoke to an old
+    vertex x has an allowed offset o with x in tree l + o.
+    """
+    v = move.new_vertices[0]
+    for l in range(3):
+        if split is not None and split not in trees[l]:
+            continue
+        offsets = [
+            next((o for o in allowed if x >= v or x in vsets[(l + o) % 3]), None)
+            for x, allowed in spokes
+        ]
+        if None not in offsets:
+            return l, offsets
+    raise InternalInvariantBroken(f"no tree index fits the {move.kind} anchors")
 
 
 def relabel_partition(tp: TreePartition, perm: tuple[int, ...]) -> TreePartition:

@@ -9,6 +9,7 @@ from c3rig import (
     ConstructionSequence,
     Move,
     apply_vertex_addition,
+    build_tree_partition,
     canonical_base,
     check_c3_isostatic,
     count_fixed,
@@ -244,3 +245,24 @@ def test_replay_propagates_move_errors():
     )
     with pytest.raises(MissingEdge):
         replay_sequence(missing)
+
+
+@pytest.mark.parametrize(
+    "moves, error",
+    [
+        (lambda: (Move(VERTEX_ADDITION, (0,), (3, 4, 5)),), InvalidAnchor),
+        (lambda: (Move(EDGE_SPLIT, (0, 1, 7), (3, 4, 5)),), InvalidAnchor),
+        (
+            lambda: (
+                Move(VERTEX_ADDITION, (0, 1), (3, 4, 5)),
+                Move(EDGE_SPLIT, (3, 4, 0), (6, 7, 8)),
+            ),
+            MissingEdge,
+        ),
+    ],
+    ids=["arity", "out_of_range", "missing_split_edge"],
+)
+def test_bad_sequence_fails_alike_in_replay_and_partition(moves, error):
+    for consume in (replay_sequence, build_tree_partition):
+        with pytest.raises(error):
+            consume(ConstructionSequence(canonical_base(), moves()))

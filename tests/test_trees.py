@@ -1,14 +1,18 @@
 import random
 
+import pytest
+
 from c3rig import (
     TreePartition,
     build_tree_partition,
     extract_sequence,
+    frame_from_partition,
     relabel_partition,
     relabel_symgraph,
     replay_sequence,
     verify_tree_partition,
 )
+from c3rig.errors import InvalidPartition
 from tests.corpus import k3, k33, perturb_edge_swap, prism, random_tight_symgraph
 
 PRISM_PARTITION = TreePartition(
@@ -49,16 +53,26 @@ def test_k33_partition():
     assert verify_tree_partition(k33(), relabeled).ok
 
 
-def test_swapped_spokes_break_equivariance():
-    trees = (
+# The prism partition with the spokes (0, 3) and (1, 4) swapped.
+SWAPPED_SPOKES = TreePartition(
+    (
         frozenset({(0, 1), (1, 4), (3, 4)}),
         frozenset({(1, 2), (0, 3), (4, 5)}),
         frozenset({(0, 2), (2, 5), (3, 5)}),
     )
-    report = verify_tree_partition(prism(), TreePartition(trees))
+)
+
+
+def test_swapped_spokes_break_equivariance():
+    report = verify_tree_partition(prism(), SWAPPED_SPOKES)
     assert report.partitions_edges
     assert not report.rotation_cycles_trees
     assert not report.ok
+
+
+def test_frame_rejects_swapped_spokes():
+    with pytest.raises(InvalidPartition, match="rotation_cycles_trees"):
+        frame_from_partition(prism(), SWAPPED_SPOKES)
 
 
 def test_missing_edge_breaks_partition():
