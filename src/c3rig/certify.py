@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import (
-    AtBaseCase,
+    C3RigError,
     DegenerateMove,
     FixedAnchor,
     IntermediateNotTight,
@@ -133,12 +133,6 @@ def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
         if witness is None:
             witness = fixed[0]
     return C3Verdict(isostatic=not reasons, reasons=tuple(reasons), witness=witness)
-
-
-def _require_isostatic(sg: SymGraph) -> None:
-    verdict = check_c3_isostatic(sg)
-    if not verdict.isostatic:
-        raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}")
 
 
 def move_spokes(
@@ -262,11 +256,12 @@ def replay_sequence(seq: ConstructionSequence) -> SymGraph:
 
 def _compact(
     sg: SymGraph, removed: tuple[int, int, int], added_edges: set[Edge]
-) -> tuple[SymGraph, list[int], list[int]]:
+) -> tuple[SymGraph, list[int], tuple[int, ...]]:
     """Drop an orbit, renumber the survivors, splice in replacement edges.
 
     Returns the reduced graph, the old->new map (only meaningful on
-    survivors) and the survivor list in ascending order.
+    survivors) and the map from rebuilt labels back to these: the survivors
+    in ascending order, then the removed orbit.
     """
     g = sg.graph
     act = sg.action
@@ -286,7 +281,7 @@ def _compact(
     for old in survivors:
         gamma[down[old]] = down[act.gamma[old]]
     reduced = SymGraph(Graph(len(survivors), frozenset(kept)), C3Action(tuple(gamma)))
-    return reduced, down, survivors
+    return reduced, down, tuple(survivors) + removed
 
 
 def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
@@ -295,13 +290,12 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
     Returns the reduced graph, the forward move that rebuilds the input from
     it, and the vertex map from the rebuilt labels back to the input labels
     (survivors first in order, then the removed orbit in rotation order).
-    The input must already be known isostatic.
+    The input must have more than three vertices. Nothing here proves the
+    reduced graph isostatic: the round trip in ``extract_sequence`` does.
     """
     g = sg.graph
     act = sg.action
     n = g.n
-    if n == 3:
-        raise AtBaseCase("the triangle base cannot be reduced")
     gamma, gamma2 = act.gamma, act.gamma2
     deg = g.degrees()
     adj = g.adjacency()
@@ -313,9 +307,9 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         if any(g.has_edge(a, b) for a, b in combinations(orbit, 2)):
             raise InternalInvariantBroken("valence-2 orbit is not independent")
         v1, v2 = sorted(adj[v])
-        reduced, down, survivors = _compact(sg, orbit, set())
+        reduced, down, iso = _compact(sg, orbit, set())
         move = Move(VERTEX_ADDITION, (down[v1], down[v2]), (n - 3, n - 2, n - 1))
-        return _finish_reduction(reduced, move, survivors, orbit)
+        return reduced, move, iso
 
     low3 = [x for x in range(n) if deg[x] == 3]
     if not low3:
@@ -331,9 +325,9 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         if len(rest) != 1:
             raise InternalInvariantBroken("triangle orbit with malformed spokes")
         v0 = rest[0]
-        reduced, down, survivors = _compact(sg, orbit, set())
+        reduced, down, iso = _compact(sg, orbit, set())
         move = Move(DELTA_EXTENSION, (down[v0],), (n - 3, n - 2, n - 1))
-        return _finish_reduction(reduced, move, survivors, orbit)
+        return reduced, move, iso
 
     rep = neighbors[0]
     rep_orbit = {rep, gamma[rep], gamma2[rep]}
@@ -343,10 +337,10 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         # removed orbit is the triangle on that orbit. A tight graph can
         # never already hold one of the triangle edges here, but if it did
         # the tried-pair reduction below still applies, so fall through.
-        reduced, down, survivors = _compact(sg, orbit, triangle)
+        reduced, down, iso = _compact(sg, orbit, triangle)
         a, b = sorted((down[rep], down[gamma[rep]]))
         move = Move(EDGE_SPLIT, (a, b, down[gamma2[rep]]), (n - 3, n - 2, n - 1))
-        return _finish_reduction(reduced, move, survivors, orbit)
+        return reduced, move, iso
 
     # Tried-pair reduction: find the first anchor pair whose re-knit of the
     # single-vertex deletion is tight, then remove the whole orbit and add
@@ -365,9 +359,9 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
     pair_orbit = set(edge_orbit((a, b), gamma))
     if len(pair_orbit) != 3 or (pair_orbit & (g.edges - _orbit_edges(g, orbit))):
         raise InternalInvariantBroken("chosen pair orbit collides with the graph")
-    reduced, down, survivors = _compact(sg, orbit, pair_orbit)
+    reduced, down, iso = _compact(sg, orbit, pair_orbit)
     move = Move(EDGE_SPLIT, (down[a], down[b], down[c]), (n - 3, n - 2, n - 1))
-    return _finish_reduction(reduced, move, survivors, orbit)
+    return reduced, move, iso
 
 
 def _orbit_edges(g: Graph, orbit: tuple[int, int, int]) -> frozenset[Edge]:
@@ -388,25 +382,19 @@ def _tight_after_revertex(g: Graph, v: int, a: int, b: int) -> bool:
     return laman_check(Graph(g.n - 1, frozenset(kept)))
 
 
-def _finish_reduction(reduced, move, survivors, orbit):
-    if not check_c3_isostatic(reduced).isostatic:
-        raise InternalInvariantBroken("reduction lost isostaticity")
-    iso = tuple(survivors) + tuple(orbit)
-    return reduced, move, iso
-
-
-def reduce_once(sg: SymGraph) -> tuple[SymGraph, Move]:
-    """Peel off one orbit; returns the smaller graph and the forward move."""
-    _require_isostatic(sg)
-    reduced, move, _ = _reduce_step(sg)
-    return reduced, move
-
-
 def extract_sequence(sg: SymGraph) -> ConstructionSequence:
-    """Reduce to the triangle, reverse the moves, verify the round trip."""
+    """Reduce to the triangle, reverse the moves, verify the round trip.
+
+    The input's verdict is the one pebble game on it; ``NotIsostatic``
+    carries that verdict. The reduced graphs are not checked one by one:
+    they are the replay's intermediates relabeled, and the replay checks
+    each of them before the relabeled result is compared with the input.
+    """
+    verdict = check_c3_isostatic(sg)
+    if not verdict.isostatic:
+        raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}", verdict)
     steps = []
     cur = sg
-    _require_isostatic(cur)
     while cur.graph.n > 3:
         cur, move, iso = _reduce_step(cur)
         steps.append((move, iso))
@@ -427,6 +415,10 @@ def extract_sequence(sg: SymGraph) -> ConstructionSequence:
         psi = [iso[y] for y in psi] + [iso[k], iso[k + 1], iso[k + 2]]
 
     seq = ConstructionSequence(canonical_base(), tuple(moves), tuple(psi))
-    if relabel_symgraph(replay_sequence(seq), seq.relabeling) != sg:
+    try:
+        rebuilt = relabel_symgraph(replay_sequence(seq), seq.relabeling)
+    except C3RigError as exc:
+        raise InternalInvariantBroken(f"round trip fails: {exc}") from exc
+    if rebuilt != sg:
         raise InternalInvariantBroken("round trip does not reproduce the input")
     return seq

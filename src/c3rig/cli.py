@@ -14,12 +14,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certify import (
-    ConstructionSequence,
-    _c3_verdict,
-    check_c3_isostatic,
-    extract_sequence,
-)
+from .certify import C3Verdict, ConstructionSequence, _c3_verdict, extract_sequence
 from .errors import C3RigError, NotIsostatic
 from .geometry import (
     Placement,
@@ -117,12 +112,13 @@ def cmd_certify(args) -> int:
     data = Path(args.file).read_bytes()
     sg = parse_graph(data.decode("utf-8"))
     report = _base_report("certify", data)
-    verdict = check_c3_isostatic(sg)
-    report["c3_verdict"] = _verdict_json(verdict)
-    if not verdict.isostatic:
-        _emit(report, args.json, f"not isostatic: {', '.join(verdict.reasons)}")
+    try:
+        seq, partition = _certificates(sg)
+    except NotIsostatic as exc:
+        report["c3_verdict"] = _verdict_json(exc.verdict)
+        _emit(report, args.json, f"not isostatic: {', '.join(exc.verdict.reasons)}")
         return 1
-    seq, partition = _certificates(sg)
+    report["c3_verdict"] = _verdict_json(C3Verdict(True, (), None))
     checks = verify_tree_partition(sg, partition)
     report["sequence"] = seq.as_json_dict()
     report["partition"] = partition.as_json_dict()

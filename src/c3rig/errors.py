@@ -68,9 +68,9 @@ class DegenerateMove(C3RigError):
 class NotIsostatic(C3RigError):
     """The graph fails the symmetric isostaticity test."""
 
-
-class AtBaseCase(C3RigError):
-    """The graph is already the three-vertex base and cannot be reduced."""
+    def __init__(self, message: str, verdict=None):
+        super().__init__(message)
+        self.verdict = verdict
 
 
 class IntermediateNotTight(C3RigError):

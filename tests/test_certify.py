@@ -7,7 +7,9 @@ from c3rig import (
     EDGE_SPLIT,
     VERTEX_ADDITION,
     ConstructionSequence,
+    Graph,
     Move,
+    SymGraph,
     apply_vertex_addition,
     build_tree_partition,
     canonical_base,
@@ -17,17 +19,18 @@ from c3rig import (
     iter_replay,
     laman_check,
     parse_graph,
-    reduce_once,
     relabel_symgraph,
     replay_sequence,
 )
+from c3rig import certify
 from c3rig.errors import (
-    AtBaseCase,
+    InternalInvariantBroken,
     InvalidAnchor,
     MissingAction,
     MissingEdge,
     NotIsostatic,
 )
+from c3rig.graphs import edge_orbit
 from tests.corpus import (
     k13_hub,
     k3,
@@ -82,32 +85,67 @@ def test_check_requires_action():
 
 
 def test_reduce_prism_to_triangle():
-    reduced, move = reduce_once(prism())
-    assert reduced == canonical_base()
-    assert move == Move(DELTA_EXTENSION, (0,), (3, 4, 5))
+    seq = extract_sequence(prism())
+    assert seq.moves == (Move(DELTA_EXTENSION, (0,), (3, 4, 5)),)
+    assert relabel_symgraph(replay_sequence(seq), seq.relabeling) == prism()
 
 
 def test_reduce_vertex_addition_shape():
     sg = apply_vertex_addition(k3(), 0, 1)
-    reduced, move = reduce_once(sg)
-    assert reduced == canonical_base()
-    assert move == Move(VERTEX_ADDITION, (0, 1), (3, 4, 5))
+    seq = extract_sequence(sg)
+    assert seq.moves == (Move(VERTEX_ADDITION, (0, 1), (3, 4, 5)),)
+    assert relabel_symgraph(replay_sequence(seq), seq.relabeling) == sg
 
 
 def test_reduce_k33_via_edge_split():
-    reduced, move = reduce_once(k33())
-    assert reduced == canonical_base()
+    seq = extract_sequence(k33())
+    (move,) = seq.moves
     assert move.kind == EDGE_SPLIT
     assert move.new_vertices == (3, 4, 5)
 
 
-def test_reduce_rejects_base_case_and_bad_graphs():
-    with pytest.raises(AtBaseCase):
-        reduce_once(k3())
-    with pytest.raises(NotIsostatic):
-        reduce_once(octahedron())
-    with pytest.raises(NotIsostatic):
-        reduce_once(k13_hub())
+def test_extract_rejects_non_isostatic_graphs():
+    with pytest.raises(NotIsostatic) as over:
+        extract_sequence(octahedron())
+    assert over.value.verdict == check_c3_isostatic(octahedron())
+    assert "count" in over.value.verdict.reasons
+    with pytest.raises(NotIsostatic) as hub:
+        extract_sequence(k13_hub())
+    assert hub.value.verdict.reasons == ("count", "fixed_vertex")
+    assert hub.value.verdict.witness == 3
+
+
+def _drop_edge_orbit(reduced, move, iso):
+    g = reduced.graph
+    gone = frozenset(edge_orbit(g.sorted_edges[0], reduced.action.gamma))
+    return SymGraph(Graph(g.n, g.edges - gone), reduced.action), move, iso
+
+
+def _swap_last_anchor(reduced, move, iso):
+    # the last anchor is never part of a split edge, and the reduced graph
+    # fixes no vertex, so the swapped move still applies
+    other = next(x for x in range(reduced.graph.n) if x not in move.anchors)
+    return reduced, Move(move.kind, move.anchors[:-1] + (other,), move.new_vertices), iso
+
+
+@pytest.mark.parametrize("corrupt", [_drop_edge_orbit, _swap_last_anchor])
+@pytest.mark.parametrize("n", [9, 15])
+def test_corrupted_reduction_yields_no_certificate(monkeypatch, corrupt, n):
+    # no reduced graph is checked on its own; the round trip must catch a
+    # wrong first step, whether the wrong graph or the wrong move
+    sg = random_tight_symgraph(0, n)
+    extract_sequence(sg)
+    original = certify._reduce_step
+    steps = []
+
+    def step(cur):
+        steps.append(cur)
+        result = original(cur)
+        return corrupt(*result) if len(steps) == 1 else result
+
+    monkeypatch.setattr(certify, "_reduce_step", step)
+    with pytest.raises(InternalInvariantBroken):
+        extract_sequence(sg)
 
 
 def test_extract_k3_is_empty():

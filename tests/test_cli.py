@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from c3rig import certify, cli, geometry
 from c3rig.cli import main
 from tests.corpus import PRISM_DOC
 
@@ -89,6 +90,57 @@ def test_certify_rejects_k4(write, capsys):
     code, out = run(capsys, ["certify", write(K4_DOC)])
     assert code == 1
     assert json.loads(out)["c3_verdict"]["isostatic"] is False
+
+
+def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
+    # count the games run on the parsed input graph itself, through every
+    # name the verdict paths look up (the partition's properness check in
+    # trees is a property of the certificate, not the input's decision)
+    parsed = []
+    games = []
+    parse = cli.parse_graph
+
+    def parse_and_keep(text):
+        parsed.append(parse(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_graph", parse_and_keep)
+    for module in (cli, certify):
+        for name in ("pebble_sparsity", "laman_check"):
+            game = getattr(module, name)
+
+            def counted(g, game=game):
+                if g is parsed[0].graph:
+                    games.append(game.__name__)
+                return game(g)
+
+            monkeypatch.setattr(module, name, counted)
+    code, _ = run(capsys, ["certify", write(PRISM_DOC)])
+    assert code == 0
+    assert games == ["pebble_sparsity"]
+
+
+def test_realize_frame_ranks_its_placement_once(write, capsys, monkeypatch):
+    ranks_after_separation = []
+    separated = []
+    pull_apart_fully = cli.pull_apart_fully
+    exact_rank = geometry.exact_rank
+
+    def pull_then_mark(*args):
+        result = pull_apart_fully(*args)
+        separated.append(True)
+        return result
+
+    def counted_rank(matrix):
+        if separated:
+            ranks_after_separation.append(matrix.rows)
+        return exact_rank(matrix)
+
+    monkeypatch.setattr(cli, "pull_apart_fully", pull_then_mark)
+    monkeypatch.setattr(geometry, "exact_rank", counted_rank)
+    code, _ = run(capsys, ["realize", write(PRISM_DOC), "--method", "frame"])
+    assert code == 0
+    assert ranks_after_separation == [9]
 
 
 def test_certify_needs_the_symmetry(write, capsys):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,9 +25,12 @@ from c3rig import (
     rigidity_matrix,
     symmetric_generic_positions,
 )
+from c3rig import geometry
 from c3rig.errors import (
     CoincidentAdjacentJoints,
     DegenerateSpan,
+    ExhaustedRetries,
+    ExhaustedT,
     FixedVertexPresent,
     ZeroDirection,
 )
@@ -61,6 +65,20 @@ def test_k3_orbit_is_forced():
 def test_fixed_vertex_rejected():
     with pytest.raises(FixedVertexPresent):
         symmetric_generic_positions(k13_hub(), 0)
+
+
+def test_positions_give_up_after_bounded_redraws(monkeypatch):
+    class OriginRandom:
+        # every draw puts the orbit representative at the origin
+        def __init__(self, seed):
+            pass
+
+        def randint(self, a, b):
+            return max(a, 0)
+
+    monkeypatch.setattr(geometry, "random", SimpleNamespace(Random=OriginRandom))
+    with pytest.raises(ExhaustedRetries):
+        symmetric_generic_positions(prism(), 0)
 
 
 def test_rigidity_matrix_single_edge():
@@ -171,6 +189,15 @@ def test_prism_pull_apart_separates_in_rounds():
     assert adjacent_coincidences(sg.graph, separated) == ()
     assert separated.positions != frame.positions
     assert exact_rank(generalized_rigidity_matrix(sg.graph, separated)) == 9
+
+
+def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
+    sg = prism()
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
+    monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
+    with pytest.raises(ExhaustedT):
+        pull_apart(sg, tp, frame)
 
 
 def test_framework_from_frame_requires_separation():
