@@ -5,6 +5,11 @@ coordinate this package touches lives in the field of numbers a + b*sqrt(3)
 with rational a, b. Since sqrt(3) is irrational, such a number is zero
 exactly when a = b = 0, which is what makes zero-tolerance rank computation
 possible.
+
+``exact_rank`` first proves full rank through the image of the matrix modulo
+a fixed prime P (a ring homomorphism, so the rank mod P never exceeds the
+exact rank); only a deficit mod P falls back to exact fraction-free
+elimination over the field.
 """
 from __future__ import annotations
 
@@ -161,7 +166,78 @@ def _integer_rows(m: ExactMatrix) -> list[list[tuple[int, int]]]:
     return rows
 
 
+# A fixed prime P = 11 (mod 12), so 3 is a square mod P (P = 3 mod 4 and
+# P = 2 mod 3), and a square root S of 3 mod P.
+_P = 2305843009213692671
+_S = pow(3, (_P + 1) // 4, _P)
+
+
+def _modular_rank(m: ExactMatrix) -> int | None:
+    """Rank of the image of ``m`` under a + b*sqrt(3) -> a + b*S (mod P).
+
+    Returns None when some entry's denominator is divisible by P, so that
+    entry has no image. Rows are sparse dicts; each is reduced against the
+    pivot rows found so far, always at its smallest column.
+    """
+    inverses: dict[int, int] = {}
+
+    def image(q: Fraction) -> int | None:
+        d = q.denominator
+        if d == 1:
+            return q.numerator
+        inv = inverses.get(d)
+        if inv is None:
+            if d % _P == 0:
+                return None
+            inv = inverses[d] = pow(d, -1, _P)
+        return q.numerator * inv
+
+    pivots: dict[int, dict[int, int]] = {}
+    for entries in m.entries:
+        row = {}
+        for c, x in enumerate(entries):
+            if x is Q_ZERO:
+                continue
+            a = image(x.a) if x.a else 0
+            b = image(x.b) if x.b else 0
+            if a is None or b is None:
+                return None
+            v = (a + b * _S) % _P
+            if v:
+                row[c] = v
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = pow(row[col], -1, _P)
+                pivots[col] = {c: v * inv % _P for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in pivot.items():
+                x = (row.get(c, 0) - f * v) % _P
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+    return len(pivots)
+
+
 def exact_rank(m: ExactMatrix) -> int:
+    """Rank over Q(sqrt 3), with no tolerance.
+
+    Full rank is proven through the image mod P: the map is a ring
+    homomorphism, so every minor maps to the image of that minor and the
+    rank mod P never exceeds the exact rank. When it reaches min(rows,
+    cols) that is the rank. A deficit mod P proves nothing, so it (and an
+    entry with no image mod P) falls back to exact elimination.
+    """
+    full = min(m.rows, m.cols)
+    if _modular_rank(m) == full:
+        return full
+    return _fraction_free_rank(m)
+
+
+def _fraction_free_rank(m: ExactMatrix) -> int:
     """Rank over Q(sqrt 3), by Gaussian elimination with exact division.
 
     Pivoting is deterministic: for each column, the first remaining row with

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 from c3rig import (
@@ -107,6 +108,18 @@ def perturb_edge_swap(rng: random.Random, sg: SymGraph) -> SymGraph:
         if len(orbit) == 3 and not (orbit & g.edges):
             return SymGraph(Graph(g.n, remaining | frozenset(orbit)), act)
     raise AssertionError("could not find a replacement orbit")
+
+
+@cache
+def acceptance_corpus() -> tuple[SymGraph, ...]:
+    """200 tight graphs (50 each at n = 6, 9, 12, 15), then one perturbed copy of each."""
+    rng = random.Random(20260101)
+    graphs = []
+    for n in (6, 9, 12, 15):
+        for _ in range(50):
+            graphs.append(random_tight_symgraph(rng, n))
+    perturbed = [perturb_edge_swap(rng, sg) for sg in graphs]
+    return tuple(graphs + perturbed)
 
 
 def fast_tight_symgraph(seed: int, n: int) -> SymGraph:

@@ -27,12 +27,12 @@ from c3rig import (
 )
 from c3rig.errors import NotIsostatic
 from tests.corpus import (
+    acceptance_corpus as corpus,
     fast_tight_symgraph,
     k13_hub,
     k3,
     k33,
     octahedron,
-    perturb_edge_swap,
     prism,
     random_move,
     random_plain_graph,
@@ -44,26 +44,6 @@ def _report(number, ok, detail):
     line = f"criterion {number}: {'PASS' if ok else 'FAIL'} - {detail}"
     print(line)
     assert ok, line
-
-
-def _build_corpus():
-    rng = random.Random(20260101)
-    graphs = []
-    for n in (6, 9, 12, 15):
-        for _ in range(50):
-            graphs.append(random_tight_symgraph(rng, n))
-    perturbed = [perturb_edge_swap(rng, sg) for sg in graphs]
-    return graphs + perturbed
-
-
-_CORPUS = None
-
-
-def corpus():
-    global _CORPUS
-    if _CORPUS is None:
-        _CORPUS = _build_corpus()
-    return _CORPUS
 
 
 def _symmetric_rank_verdict(sg):
@@ -211,21 +191,26 @@ def test_criterion_7_performance():
     report = pebble_sparsity(big.graph)
     pebble_elapsed = time.perf_counter() - start
 
-    sg = random_tight_symgraph(7, 60)
-    placement = symmetric_generic_positions(sg, 0)
-    matrix = rigidity_matrix(sg.graph, placement)
-    start = time.perf_counter()
-    rank = exact_rank(matrix)
-    rank_elapsed = time.perf_counter() - start
+    def timed_rank(sg):
+        matrix = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0))
+        start = time.perf_counter()
+        rank = exact_rank(matrix)
+        return rank, time.perf_counter() - start
+
+    rank, rank_elapsed = timed_rank(random_tight_symgraph(7, 60))
+    big_rank, big_rank_elapsed = timed_rank(fast_tight_symgraph(11, 240))
 
     ok = (
         report.is_tight
         and pebble_elapsed < 5.0
         and rank == 117
         and rank_elapsed < 10.0
+        and big_rank == 477
+        and big_rank_elapsed < 10.0
     )
     _report(
         7,
         ok,
-        f"pebble n=3000 {pebble_elapsed:.2f}s (< 5s), exact rank n=60 {rank_elapsed:.2f}s (< 10s)",
+        f"pebble n=3000 {pebble_elapsed:.2f}s (< 5s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
+        f" n=240 {big_rank_elapsed:.2f}s (< 10s)",
     )
