@@ -20,7 +20,6 @@ from .certify import (
     canonical_base,
     check_c3_isostatic,
     extract_sequence,
-    iter_replay,
     replay_sequence,
 )
 from .field import ExactMatrix, QSqrt3, exact_rank
@@ -101,7 +100,6 @@ __all__ = [
     "frame_lambdas",
     "framework_from_frame",
     "generalized_rigidity_matrix",
-    "iter_replay",
     "laman_check",
     "numeric_isostatic_check",
     "orbit",

@@ -12,11 +12,12 @@ moves, each adding one full vertex orbit:
 
 ``extract_sequence`` inverts these moves down to the triangle and returns a
 replayable certificate; ``replay_sequence`` rebuilds the graph, validating
-every intermediate step.
+every intermediate step. Both keep one live pebble game (``PebbleGame``)
+instead of starting a new game per step.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,12 +37,11 @@ from .graphs import (
     Edge,
     Graph,
     SymGraph,
-    count_fixed,
     edge,
     edge_orbit,
     relabel_symgraph,
 )
-from .pebble import SparsityReport, laman_check, pebble_sparsity
+from .pebble import PebbleGame, SparsityReport, pebble_sparsity
 
 VERTEX_ADDITION = "VertexAddition"
 EDGE_SPLIT = "EdgeSplit"
@@ -112,10 +112,16 @@ class C3Verdict:
 
 def check_c3_isostatic(sg: SymGraph) -> C3Verdict:
     """Tight counts plus no fixed vertex; reasons name what failed."""
+    return _decide(sg)[0]
+
+
+def _decide(sg: SymGraph) -> tuple[C3Verdict, PebbleGame]:
+    """The verdict and the live state of the one game that decided it."""
     act = sg.require_action()
     if sg.graph.n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {sg.graph.n}")
-    return _c3_verdict(act, pebble_sparsity(sg.graph))
+    report = pebble_sparsity(sg.graph)
+    return _c3_verdict(act, report), report.game
 
 
 def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
@@ -235,27 +241,41 @@ class ConstructionSequence:
         return doc
 
 
-def iter_replay(seq: ConstructionSequence):
-    """Yield the graph after each move, validating tightness and symmetry."""
-    sg = seq.base
+def replay_sequence(seq: ConstructionSequence) -> SymGraph:
+    """Rebuild the graph with one live pebble game, validating every move.
+
+    Each move is checked by ``move_spokes``; the game must accept each of
+    its new edges and the edge count must be 2n - 3 after it, or
+    ``IntermediateNotTight`` is raised. The rotation never fixes a new
+    vertex, so every intermediate graph is symmetrically isostatic.
+    """
+    base = seq.base.graph
+    gamma = list(seq.base.action.gamma)
+    edges = set(base.edges)
+    game = PebbleGame(base.n)
+    for u, v in base.sorted_edges:
+        game.insert_edge(u, v)
     for move in seq.moves:
-        sg = apply_move(sg, move)
-        if not laman_check(sg.graph) or count_fixed(sg).j != 0:
+        spokes, split = move_spokes(move, gamma, edges.__contains__)
+        n = len(gamma)
+        gamma += (n + 1, n + 2, n)
+        for _ in range(3):
+            game.add_vertex()
+        if split is not None:
+            for e in edge_orbit(split, gamma):
+                edges.remove(e)
+                game.delete_edge(*e)
+        added = [e for x, _ in spokes for e in edge_orbit((n, x), gamma)]
+        edges.update(added)
+        if not all(game.insert_edge(*e) for e in added) or len(edges) != 2 * n + 3:
             raise IntermediateNotTight(
                 f"replay produced a bad intermediate after {move.kind}"
             )
-        yield sg
-
-
-def replay_sequence(seq: ConstructionSequence) -> SymGraph:
-    sg = seq.base
-    for sg in iter_replay(seq):
-        pass
-    return sg
+    return SymGraph(Graph(len(gamma), frozenset(edges)), C3Action(tuple(gamma)))
 
 
 def _compact(
-    sg: SymGraph, removed: tuple[int, int, int], added_edges: set[Edge]
+    sg: SymGraph, removed: tuple[int, int, int], added_edges: Iterable[Edge]
 ) -> tuple[SymGraph, list[int], tuple[int, ...]]:
     """Drop an orbit, renumber the survivors, splice in replacement edges.
 
@@ -284,14 +304,21 @@ def _compact(
     return reduced, down, tuple(survivors) + removed
 
 
-def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
+def _reduce_step(
+    sg: SymGraph, game: PebbleGame, label: Sequence[int]
+) -> tuple[SymGraph, Move, tuple[int, ...]]:
     """One inverse move, chosen deterministically.
 
     Returns the reduced graph, the forward move that rebuilds the input from
     it, and the vertex map from the rebuilt labels back to the input labels
     (survivors first in order, then the removed orbit in rotation order).
-    The input must have more than three vertices. Nothing here proves the
-    reduced graph isostatic: the round trip in ``extract_sequence`` does.
+    The input must have more than three vertices.
+
+    ``game`` holds the input's edges, vertex x as ``label[x]``, and is
+    brought to the reduced graph's. The vertex-addition and delta reductions
+    only delete edges, so they stay tight by counting; every edge the edge
+    split reductions add must be accepted, or ``InternalInvariantBroken`` is
+    raised.
     """
     g = sg.graph
     act = sg.action
@@ -300,6 +327,15 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
     deg = g.degrees()
     adj = g.adjacency()
 
+    def delete(vertices):
+        for u, w in {edge(x, y) for x in vertices for y in adj[x]}:
+            game.delete_edge(label[u], label[w])
+
+    def insert(edges):
+        for u, w in edges:
+            if not game.insert_edge(label[u], label[w]):
+                raise InternalInvariantBroken(f"re-knit edge ({u}, {w}) breaks the counts")
+
     low2 = [x for x in range(n) if deg[x] == 2]
     if low2:
         v = low2[0]
@@ -307,7 +343,8 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         if any(g.has_edge(a, b) for a, b in combinations(orbit, 2)):
             raise InternalInvariantBroken("valence-2 orbit is not independent")
         v1, v2 = sorted(adj[v])
-        reduced, down, iso = _compact(sg, orbit, set())
+        delete(orbit)
+        reduced, down, iso = _compact(sg, orbit, ())
         move = Move(VERTEX_ADDITION, (down[v1], down[v2]), (n - 3, n - 2, n - 1))
         return reduced, move, iso
 
@@ -325,78 +362,70 @@ def _reduce_step(sg: SymGraph) -> tuple[SymGraph, Move, tuple[int, ...]]:
         if len(rest) != 1:
             raise InternalInvariantBroken("triangle orbit with malformed spokes")
         v0 = rest[0]
-        reduced, down, iso = _compact(sg, orbit, set())
+        delete(orbit)
+        reduced, down, iso = _compact(sg, orbit, ())
         move = Move(DELTA_EXTENSION, (down[v0],), (n - 3, n - 2, n - 1))
         return reduced, move, iso
 
+    # From here on v's neighbors lie outside its orbit: an edge (v, gamma^2 v)
+    # would rotate to (gamma v, v).
     rep = neighbors[0]
     rep_orbit = {rep, gamma[rep], gamma2[rep]}
-    triangle = set(edge_orbit((rep, gamma[rep]), gamma))
-    if set(neighbors) == rep_orbit and not (triangle & g.edges):
+    triangle = edge_orbit((rep, gamma[rep]), gamma)
+    if set(neighbors) == rep_orbit and not any(e in g.edges for e in triangle):
         # The whole neighborhood is one orbit: undo an edge split whose
         # removed orbit is the triangle on that orbit. A tight graph can
         # never already hold one of the triangle edges here, but if it did
         # the tried-pair reduction below still applies, so fall through.
+        delete(orbit)
+        insert(triangle)
         reduced, down, iso = _compact(sg, orbit, triangle)
         a, b = sorted((down[rep], down[gamma[rep]]))
         move = Move(EDGE_SPLIT, (a, b, down[gamma2[rep]]), (n - 3, n - 2, n - 1))
         return reduced, move, iso
 
-    # Tried-pair reduction: find the first anchor pair whose re-knit of the
-    # single-vertex deletion is tight, then remove the whole orbit and add
-    # that pair's edge orbit.
+    # Tried-pair reduction: the first anchor pair {a, b} whose edge the game
+    # accepts once v's edges are gone (G - v + ab is tight), then the rest
+    # of the orbit is removed and the rest of that pair's edge orbit added.
+    # A rejected pair leaves the game holding G - v, ready for the next one.
+    delete((v,))
     chosen = None
     for a, b in combinations(neighbors, 2):
-        if g.has_edge(a, b):
-            continue
-        if _tight_after_revertex(g, v, a, b):
+        if not g.has_edge(a, b) and game.insert_edge(label[a], label[b]):
             chosen = (a, b)
             break
     if chosen is None:
         raise InternalInvariantBroken("no anchor pair re-knits the deletion")
     a, b = chosen
     c = next(x for x in neighbors if x not in chosen)
-    pair_orbit = set(edge_orbit((a, b), gamma))
-    if len(pair_orbit) != 3 or (pair_orbit & (g.edges - _orbit_edges(g, orbit))):
+    pair_orbit = edge_orbit((a, b), gamma)
+    if len(set(pair_orbit)) != 3 or any(e in g.edges for e in pair_orbit):
         raise InternalInvariantBroken("chosen pair orbit collides with the graph")
+    delete(orbit[1:])
+    insert(pair_orbit[1:])
     reduced, down, iso = _compact(sg, orbit, pair_orbit)
     move = Move(EDGE_SPLIT, (down[a], down[b], down[c]), (n - 3, n - 2, n - 1))
     return reduced, move, iso
-
-
-def _orbit_edges(g: Graph, orbit: tuple[int, int, int]) -> frozenset[Edge]:
-    gone = set(orbit)
-    return frozenset(e for e in g.edges if e[0] in gone or e[1] in gone)
-
-
-def _tight_after_revertex(g: Graph, v: int, a: int, b: int) -> bool:
-    # Delete the single vertex v and add {a, b}; test tightness.
-    down = [0] * g.n
-    i = 0
-    for x in range(g.n):
-        if x != v:
-            down[x] = i
-            i += 1
-    kept = {(down[u], down[w]) for u, w in g.edges if u != v and w != v}
-    kept.add(edge(down[a], down[b]))
-    return laman_check(Graph(g.n - 1, frozenset(kept)))
 
 
 def extract_sequence(sg: SymGraph) -> ConstructionSequence:
     """Reduce to the triangle, reverse the moves, verify the round trip.
 
     The input's verdict is the one pebble game on it; ``NotIsostatic``
-    carries that verdict. The reduced graphs are not checked one by one:
-    they are the replay's intermediates relabeled, and the replay checks
-    each of them before the relabeled result is compared with the input.
+    carries that verdict. That game stays live through the reduction, in
+    input labels, and decides every edge a reduction step adds. The round
+    trip replays the sequence with a game of its own, checking each
+    intermediate graph, and compares the relabeled result with the input.
     """
-    verdict = check_c3_isostatic(sg)
+    verdict, game = _decide(sg)
     if not verdict.isostatic:
         raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}", verdict)
     steps = []
     cur = sg
+    label = list(range(sg.graph.n))
     while cur.graph.n > 3:
-        cur, move, iso = _reduce_step(cur)
+        cur, move, iso = _reduce_step(cur, game, label)
+        label = [label[x] for x in iso[: cur.graph.n]]
         steps.append((move, iso))
 
     # Normalize the reduced triangle onto the canonical base; the only other

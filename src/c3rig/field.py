@@ -8,8 +8,9 @@ possible.
 
 ``exact_rank`` first proves full rank through the image of the matrix modulo
 a fixed prime P (a ring homomorphism, so the rank mod P never exceeds the
-exact rank); only a deficit mod P falls back to exact fraction-free
-elimination over the field.
+exact rank), full meaning the smaller side or a known ceiling on the rank;
+only a deficit mod P falls back to exact fraction-free elimination over the
+field.
 """
 from __future__ import annotations
 
@@ -222,16 +223,21 @@ def _modular_rank(m: ExactMatrix) -> int | None:
     return len(pivots)
 
 
-def exact_rank(m: ExactMatrix) -> int:
+def exact_rank(m: ExactMatrix, ceiling: int | None = None) -> int:
     """Rank over Q(sqrt 3), with no tolerance.
 
     Full rank is proven through the image mod P: the map is a ring
     homomorphism, so every minor maps to the image of that minor and the
     rank mod P never exceeds the exact rank. When it reaches min(rows,
-    cols) that is the rank. A deficit mod P proves nothing, so it (and an
-    entry with no image mod P) falls back to exact elimination.
+    cols, ceiling) that is the rank; ``ceiling`` is an upper bound on the
+    rank the caller knows from elsewhere, such as 2n - 3 for the rigidity
+    matrix of n joints that are not all coincident. A lower rank mod P
+    proves nothing, so it (and an entry with no image mod P) falls back to
+    exact elimination.
     """
     full = min(m.rows, m.cols)
+    if ceiling is not None:
+        full = min(full, ceiling)
     if _modular_rank(m) == full:
         return full
     return _fraction_free_rank(m)

@@ -198,8 +198,10 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
         cross(v_sub(pos[first], base), v_sub(pos[k], base)).is_zero for k in range(n)
     ):
         raise DegenerateSpan("all joints are collinear")
+    # Joints not all collinear are not all coincident, so the trivial
+    # motions cap the rank at 2n - 3 even when there are more bars.
     target = 2 * n - 3
-    rank = exact_rank(rigidity_matrix(g, placement))
+    rank = exact_rank(rigidity_matrix(g, placement), target)
     return RankVerdict(
         isostatic=g.m == target and rank == target,
         independent=rank == g.m,

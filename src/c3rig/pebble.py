@@ -10,41 +10,100 @@ its tail. Pebbles are pulled toward an endpoint by reversing directed paths.
 On rejection, the set of vertices reachable from the offending edge's
 endpoints in the pebble digraph induces a subgraph with |E| >= 2|V| - 2,
 which is the violation witness reported here.
+
+``PebbleGame`` is that game as a live state that also takes new vertices and
+edge deletions; ``pebble_sparsity`` feeds a fresh one the sorted edges, and
+the extractor and the replay each keep one game for all their steps.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import TooFewVertices, TooLarge
 from .graphs import Graph
 
 
-@dataclass(frozen=True)
-class SparsityReport:
-    is_sparse: bool
-    is_tight: bool
-    witness: tuple[int, ...] | None
-    edge_count: int
-    target: int
+class PebbleGame:
+    """A live (2,3)-pebble game over a growing vertex set.
 
+    Each vertex holds two tokens, split between its free pebbles and its
+    out-edges in the pebble digraph. ``insert_edge`` accepts an edge exactly
+    when the accepted edges plus it stay sparse; it pulls pebbles in by
+    reversing paths, which leaves a valid state whether or not the edge is
+    accepted. ``delete_edge`` returns the edge's pebble to its tail, so the
+    game never has to start over after a deletion (Jacobs & Hendrickson
+    1997; Lee & Streinu 2008). The free pebbles always total 2n - |E|.
+    """
 
-def pebble_sparsity(g: Graph) -> SparsityReport:
-    """Run the (2,3)-pebble game over the edges in sorted order."""
-    n = g.n
-    if n < 2:
-        raise TooFewVertices(f"need at least 2 vertices, got {n}")
-    target = 2 * n - 3
-    pebbles = [2] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    visited = [0] * n
-    parent = [-1] * n
-    stamp = 0
+    def __init__(self, n: int):
+        self.pebbles = [2] * n
+        self.out: list[list[int]] = [[] for _ in range(n)]
+        self._visited = [0] * n
+        self._parent = [-1] * n
+        self._stamp = 0
 
-    def gather(root: int, u: int, v: int) -> bool:
+    def add_vertex(self) -> int:
+        """Add an isolated vertex with two free pebbles; return its label."""
+        self.pebbles.append(2)
+        self.out.append([])
+        self._visited.append(0)
+        self._parent.append(-1)
+        return len(self.pebbles) - 1
+
+    def insert_edge(self, u: int, v: int) -> bool:
+        """Accept and orient the edge if four pebbles reach u and v."""
+        pebbles = self.pebbles
+        gather = self._gather
+        while pebbles[u] + pebbles[v] < 4:
+            if pebbles[u] < 2 and gather(u, u, v):
+                continue
+            if pebbles[v] < 2 and gather(v, u, v):
+                continue
+            # Neither endpoint can pull in another pebble: the reachable
+            # region is closed and carries at most 3 pebbles, all on u, v.
+            return False
+        pebbles[u] -= 1
+        self.out[u].append(v)
+        return True
+
+    def delete_edge(self, u: int, v: int) -> None:
+        """Remove an accepted edge and return its pebble to its tail."""
+        out = self.out
+        if v in out[u]:
+            out[u].remove(v)
+            self.pebbles[u] += 1
+        else:
+            out[v].remove(u)
+            self.pebbles[v] += 1
+
+    def region(self, u: int, v: int) -> list[int]:
+        """The vertices reachable from u and v in the pebble digraph.
+
+        Right after ``insert_edge(u, v)`` is rejected, they induce a
+        subgraph with |E| >= 2|V| - 2 once the edge is counted.
+        """
+        out, visited = self.out, self._visited
+        self._stamp += 1
+        stamp = self._stamp
+        visited[u] = visited[v] = stamp
+        stack = [u, v]
+        region = [u, v]
+        while stack:
+            x = stack.pop()
+            for y in out[x]:
+                if visited[y] != stamp:
+                    visited[y] = stamp
+                    region.append(y)
+                    stack.append(y)
+        return region
+
+    def _gather(self, root: int, u: int, v: int) -> bool:
         # DFS from root along the digraph for a free pebble outside {u, v};
         # on success reverse the path and move the pebble to root.
-        nonlocal stamp
-        stamp += 1
+        out, pebbles = self.out, self.pebbles
+        visited, parent = self._visited, self._parent
+        self._stamp += 1
+        stamp = self._stamp
         visited[root] = stamp
         parent[root] = -1
         stack = [root]
@@ -68,47 +127,36 @@ def pebble_sparsity(g: Graph) -> SparsityReport:
                 stack.append(y)
         return False
 
-    def reach(u: int, v: int) -> list[int]:
-        nonlocal stamp
-        stamp += 1
-        visited[u] = visited[v] = stamp
-        stack = [u, v]
-        region = [u, v]
-        while stack:
-            x = stack.pop()
-            for y in out[x]:
-                if visited[y] != stamp:
-                    visited[y] = stamp
-                    region.append(y)
-                    stack.append(y)
-        return region
 
+@dataclass(frozen=True)
+class SparsityReport:
+    """The outcome of one from-scratch game.
+
+    ``game`` is that game's live state: every accepted edge, up to the
+    first rejected one.
+    """
+
+    is_sparse: bool
+    is_tight: bool
+    witness: tuple[int, ...] | None
+    edge_count: int
+    target: int
+    game: PebbleGame = field(compare=False, repr=False)
+
+
+def pebble_sparsity(g: Graph) -> SparsityReport:
+    """Run the (2,3)-pebble game over the edges in sorted order."""
+    n = g.n
+    if n < 2:
+        raise TooFewVertices(f"need at least 2 vertices, got {n}")
+    target = 2 * n - 3
+    game = PebbleGame(n)
+    insert = game.insert_edge
     for u, v in g.sorted_edges:
-        while pebbles[u] + pebbles[v] < 4:
-            if pebbles[u] < 2 and gather(u, u, v):
-                continue
-            if pebbles[v] < 2 and gather(v, u, v):
-                continue
-            # Neither endpoint can pull in another pebble: the reachable
-            # region is closed and carries at most 3 pebbles, all on u, v.
-            witness = tuple(sorted(reach(u, v)))
-            return SparsityReport(
-                is_sparse=False,
-                is_tight=False,
-                witness=witness,
-                edge_count=g.m,
-                target=target,
-            )
-        pebbles[u] -= 1
-        out[u].append(v)
-
-    return SparsityReport(
-        is_sparse=True,
-        is_tight=g.m == target,
-        witness=None,
-        edge_count=g.m,
-        target=target,
-    )
+        if not insert(u, v):
+            witness = tuple(sorted(game.region(u, v)))
+            return SparsityReport(False, False, witness, g.m, target, game)
+    return SparsityReport(True, g.m == target, None, g.m, target, game)
 
 
 def laman_check(g: Graph) -> bool:

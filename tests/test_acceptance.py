@@ -200,6 +200,11 @@ def test_criterion_7_performance():
     rank, rank_elapsed = timed_rank(random_tight_symgraph(7, 60))
     big_rank, big_rank_elapsed = timed_rank(fast_tight_symgraph(11, 240))
 
+    extracted = fast_tight_symgraph(11, 960)
+    start = time.perf_counter()
+    seq = extract_sequence(extracted)
+    extract_elapsed = time.perf_counter() - start
+
     ok = (
         report.is_tight
         and pebble_elapsed < 5.0
@@ -207,10 +212,12 @@ def test_criterion_7_performance():
         and rank_elapsed < 10.0
         and big_rank == 477
         and big_rank_elapsed < 10.0
+        and len(seq.moves) == 319
+        and extract_elapsed < 3.0
     )
     _report(
         7,
         ok,
         f"pebble n=3000 {pebble_elapsed:.2f}s (< 5s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
-        f" n=240 {big_rank_elapsed:.2f}s (< 10s)",
+        f" n=240 {big_rank_elapsed:.2f}s (< 10s), extraction n=960 {extract_elapsed:.2f}s (< 3s)",
     )

@@ -16,7 +16,6 @@ from c3rig import (
     check_c3_isostatic,
     count_fixed,
     extract_sequence,
-    iter_replay,
     laman_check,
     parse_graph,
     relabel_symgraph,
@@ -24,6 +23,7 @@ from c3rig import (
 )
 from c3rig import certify
 from c3rig.errors import (
+    IntermediateNotTight,
     InternalInvariantBroken,
     InvalidAnchor,
     MissingAction,
@@ -138,9 +138,9 @@ def test_corrupted_reduction_yields_no_certificate(monkeypatch, corrupt, n):
     original = certify._reduce_step
     steps = []
 
-    def step(cur):
+    def step(cur, *live):
         steps.append(cur)
-        result = original(cur)
+        result = original(cur, *live)
         return corrupt(*result) if len(steps) == 1 else result
 
     monkeypatch.setattr(certify, "_reduce_step", step)
@@ -183,7 +183,8 @@ def test_extract_round_trip_on_corpus():
             seq = extract_sequence(sg)
             assert len(seq.moves) == (n - 3) // 3
             assert relabel_symgraph(replay_sequence(seq), seq.relabeling) == sg
-            for step in iter_replay(seq):
+            for k in range(len(seq.moves) + 1):
+                step = replay_sequence(ConstructionSequence(canonical_base(), seq.moves[:k]))
                 assert laman_check(step.graph)
                 assert count_fixed(step).j == 0
 
@@ -283,6 +284,37 @@ def test_replay_propagates_move_errors():
     )
     with pytest.raises(MissingEdge):
         replay_sequence(missing)
+
+
+@pytest.mark.parametrize(
+    "kind, row, anchors",
+    [
+        # the counts still add up, but the base triangle, the new triangle
+        # and the six spokes between them put 12 > 2 * 6 - 3 edges on six
+        # vertices, so one insert is rejected
+        (
+            EDGE_SPLIT,
+            certify.MoveShape(
+                3,
+                lambda a, v: ((a[0], (0,)), (a[2], (0,)), (v + 1, (0,))),
+                splits_edge=True,
+            ),
+            (0, 3, 1),
+        ),
+        # one spoke orbit too few: every insert is accepted, the count is short
+        (VERTEX_ADDITION, certify.MoveShape(2, lambda a, v: ((a[0], (0,)),)), (0, 3)),
+    ],
+    ids=["rejected_insert", "short_count"],
+)
+def test_replay_rejects_a_move_that_breaks_tightness(monkeypatch, kind, row, anchors):
+    # every row of the move table preserves tightness, so only a patched
+    # row can make the replay's game reject an edge or miss the count
+    monkeypatch.setitem(certify.MOVE_TABLE, kind, row)
+    prism_moves = (Move(DELTA_EXTENSION, (0,), (3, 4, 5)),)
+    assert replay_sequence(ConstructionSequence(canonical_base(), prism_moves)) == prism()
+    seq = ConstructionSequence(canonical_base(), prism_moves + (Move(kind, anchors, (6, 7, 8)),))
+    with pytest.raises(IntermediateNotTight):
+        replay_sequence(seq)
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from c3rig import certify, cli, geometry
+from c3rig import certify, cli, geometry, pebble
 from c3rig.cli import main
 from tests.corpus import PRISM_DOC
 
@@ -93,9 +93,10 @@ def test_certify_rejects_k4(write, capsys):
 
 
 def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
-    # count the games run on the parsed input graph itself, through every
-    # name the verdict paths look up (the partition's properness check in
-    # trees is a property of the certificate, not the input's decision)
+    # count the from-scratch games run on the parsed input graph itself,
+    # through every name the verdict paths look up (the partition's
+    # properness check in trees is a property of the certificate, not the
+    # input's decision), and check that the reduction keeps that game live
     parsed = []
     games = []
     parse = cli.parse_graph
@@ -107,17 +108,40 @@ def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
     monkeypatch.setattr(cli, "parse_graph", parse_and_keep)
     for module in (cli, certify):
         for name in ("pebble_sparsity", "laman_check"):
-            game = getattr(module, name)
+            game = getattr(module, name, None)
+            if game is None:
+                continue
 
             def counted(g, game=game):
+                result = game(g)
                 if g is parsed[0].graph:
-                    games.append(game.__name__)
-                return game(g)
+                    games.append((game.__name__, result))
+                return result
 
             monkeypatch.setattr(module, name, counted)
+    engines = []
+    init = pebble.PebbleGame.__init__
+
+    def counted_engine(self, *args):
+        engines.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(pebble.PebbleGame, "__init__", counted_engine)
+    reduced_with = []
+    reduce_step = certify._reduce_step
+
+    def step(cur, game, label):
+        reduced_with.append(game)
+        return reduce_step(cur, game, label)
+
+    monkeypatch.setattr(certify, "_reduce_step", step)
     code, _ = run(capsys, ["certify", write(PRISM_DOC)])
     assert code == 0
-    assert games == ["pebble_sparsity"]
+    assert [name for name, _ in games] == ["pebble_sparsity"]
+    decided = games[0][1].game
+    assert reduced_with and all(game is decided for game in reduced_with)
+    # the input's game, the round trip's replay, the partition's properness
+    assert len(engines) == 3 and engines[0] is decided
 
 
 def test_realize_frame_ranks_its_placement_once(write, capsys, monkeypatch):
@@ -131,10 +155,10 @@ def test_realize_frame_ranks_its_placement_once(write, capsys, monkeypatch):
         separated.append(True)
         return result
 
-    def counted_rank(matrix):
+    def counted_rank(matrix, *ceiling):
         if separated:
             ranks_after_separation.append(matrix.rows)
-        return exact_rank(matrix)
+        return exact_rank(matrix, *ceiling)
 
     monkeypatch.setattr(cli, "pull_apart_fully", pull_then_mark)
     monkeypatch.setattr(geometry, "exact_rank", counted_rank)

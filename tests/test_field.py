@@ -10,6 +10,7 @@ from c3rig import (
     ExactMatrix,
     QSqrt3,
     exact_rank,
+    numeric_isostatic_check,
     rigidity_matrix,
     symmetric_generic_positions,
 )
@@ -286,6 +287,25 @@ def test_full_rank_never_runs_the_exact_elimination(monkeypatch):
 
     monkeypatch.setattr(field, "_fraction_free_rank", forbidden)
     assert exact_rank(matrix) == 117
+
+
+def test_overbraced_placement_proves_its_rank_without_exact_elimination(monkeypatch):
+    # the octahedron has 12 bars but rank 9 = 2n - 3: only the ceiling the
+    # placement check passes lets the image mod P prove that rank
+    sg = octahedron()
+    placement = symmetric_generic_positions(sg, 0)
+
+    def forbidden(m):
+        raise AssertionError("exact elimination ran on a matrix of full rank")
+
+    monkeypatch.setattr(field, "_fraction_free_rank", forbidden)
+    verdict = numeric_isostatic_check(sg, placement)
+    assert (verdict.rank, verdict.target, verdict.edge_count) == (9, 9, 12)
+    assert not verdict.isostatic and verdict.flex_dim == 0
+    matrix = rigidity_matrix(sg.graph, placement)
+    assert exact_rank(matrix, 9) == 9
+    with pytest.raises(AssertionError):
+        exact_rank(matrix)
 
 
 def test_exact_rank_matches_exact_elimination_on_acceptance_corpus():

@@ -2,9 +2,11 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from c3rig import Graph, brute_force_laman, edge, laman_check, pebble_sparsity
 from c3rig.errors import TooFewVertices, TooLarge
+from c3rig.pebble import PebbleGame
 from tests.corpus import k33, prism, random_plain_graph, random_tight_symgraph
 
 
@@ -130,3 +132,49 @@ def test_classical_single_vertex_moves_preserve_tightness():
             (g.edges - {edge(u, v)}) | {edge(n, u), edge(n, v), edge(n, w)},
         )
         assert laman_check(split)
+
+
+operations = st.lists(
+    st.tuples(
+        st.sampled_from(["insert"] * 4 + ["delete", "vertex"]), st.integers(0, 10**6)
+    ),
+    min_size=15,
+    max_size=50,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 6), operations)
+def test_live_game_agrees_with_from_scratch_games(n, ops):
+    # random inserts, deletes and new vertices on one live game; each insert
+    # must be accepted exactly when the edge set it would make is sparse
+    game = PebbleGame(n)
+    edges: set = set()
+    for op, k in ops:
+        if op == "vertex" and n < 10:
+            assert game.add_vertex() == n
+            n += 1
+        elif op == "delete" and edges:
+            e = sorted(edges)[k % len(edges)]
+            game.delete_edge(*(e[::-1] if k % 2 else e))
+            edges.remove(e)
+        elif op == "insert":
+            free = [e for e in combinations(range(n), 2) if e not in edges]
+            if not free:
+                continue
+            e = free[k % len(free)]
+            if k % 2:
+                e = e[::-1]
+            bigger = Graph(n, frozenset(edges | {edge(*e)}))
+            accepted = game.insert_edge(*e)
+            assert accepted == pebble_sparsity(bigger).is_sparse
+            if bigger.m == 2 * n - 3:
+                assert accepted == brute_force_laman(bigger)
+            if accepted:
+                edges.add(edge(*e))
+            else:
+                region = set(game.region(*e))
+                inner = sum(1 for u, v in bigger.edges if u in region and v in region)
+                assert inner >= 2 * len(region) - 2
+        assert sum(game.pebbles) == 2 * n - len(edges)
+        assert all(game.pebbles[x] + len(game.out[x]) == 2 for x in range(n))
