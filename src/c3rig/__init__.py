@@ -27,14 +27,10 @@ from .geometry import (
     Frame,
     Placement,
     RankVerdict,
-    adjacent_coincidences,
     frame_from_partition,
-    frame_lambdas,
     framework_from_frame,
-    generalized_rigidity_matrix,
     numeric_isostatic_check,
     placement_is_symmetric,
-    pull_apart,
     pull_apart_fully,
     rigidity_matrix,
     symmetric_generic_positions,
@@ -82,7 +78,6 @@ __all__ = [
     "SymGraph",
     "TreePartition",
     "VERTEX_ADDITION",
-    "adjacent_coincidences",
     "apply_delta_extension",
     "apply_edge_split",
     "apply_move",
@@ -97,16 +92,13 @@ __all__ = [
     "exact_rank",
     "extract_sequence",
     "frame_from_partition",
-    "frame_lambdas",
     "framework_from_frame",
-    "generalized_rigidity_matrix",
     "laman_check",
     "numeric_isostatic_check",
     "orbit",
     "parse_graph",
     "pebble_sparsity",
     "placement_is_symmetric",
-    "pull_apart",
     "pull_apart_fully",
     "relabel_partition",
     "relabel_symgraph",

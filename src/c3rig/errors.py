@@ -99,6 +99,11 @@ class ZeroDirection(C3RigError):
     """A frame direction vector is zero."""
 
 
+class NotInOmegaSpan(C3RigError):
+    """A frame point or direction is not a rational combination of (1, 0)
+    and (-1/2, sqrt(3)/2), the coordinates the frame route works in."""
+
+
 class InvalidPartition(C3RigError):
     """The supplied tree partition fails verification."""
 
@@ -108,7 +113,9 @@ class NoSeparableComponent(C3RigError):
 
 
 class ExhaustedT(C3RigError):
-    """No deformation parameter in the search sequence kept independence."""
+    """No deformation parameter within the proven bound kept independence.
+
+    One of that many candidates always works, so this signals a bug."""
 
 
 class CoincidentAdjacentJoints(C3RigError):

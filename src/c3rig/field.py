@@ -15,6 +15,7 @@ field.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -148,16 +149,20 @@ class ExactMatrix:
 
 def _integer_rows(m: ExactMatrix) -> list[list[tuple[int, int]]]:
     # Scale each row by the lcm of its denominators; row scaling by a
-    # nonzero rational does not change the rank.
+    # nonzero rational does not change the rank. The shared zero is skipped
+    # outright, as most entries of a rigidity matrix are zero.
     rows = []
     for row in m.entries:
         scale = 1
         for x in row:
-            scale = scale * x.a.denominator // math.gcd(scale, x.a.denominator)
-            scale = scale * x.b.denominator // math.gcd(scale, x.b.denominator)
+            if x is not Q_ZERO:
+                scale = scale * x.a.denominator // math.gcd(scale, x.a.denominator)
+                scale = scale * x.b.denominator // math.gcd(scale, x.b.denominator)
         rows.append(
             [
-                (
+                (0, 0)
+                if x is Q_ZERO
+                else (
                     int(x.a.numerator * (scale // x.a.denominator)),
                     int(x.b.numerator * (scale // x.b.denominator)),
                 )
@@ -173,45 +178,40 @@ _P = 2305843009213692671
 _S = pow(3, (_P + 1) // 4, _P)
 
 
-def _modular_rank(m: ExactMatrix) -> int | None:
-    """Rank of the image of ``m`` under a + b*sqrt(3) -> a + b*S (mod P).
+def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
+    """The image of ``q`` mod P, or None when P divides its denominator.
 
-    Returns None when some entry's denominator is divisible by P, so that
-    entry has no image. Rows are sparse dicts; each is reduced against the
-    pivot rows found so far, always at its smallest column.
+    ``inverses`` caches the inverse of each denominator mod P.
     """
-    inverses: dict[int, int] = {}
+    d = q.denominator
+    if d == 1:
+        return q.numerator % _P
+    inv = inverses.get(d)
+    if inv is None:
+        if d % _P == 0:
+            return None
+        inv = inverses[d] = pow(d, -1, _P)
+    return q.numerator * inv % _P
 
-    def image(q: Fraction) -> int | None:
-        d = q.denominator
-        if d == 1:
-            return q.numerator
-        inv = inverses.get(d)
-        if inv is None:
-            if d % _P == 0:
-                return None
-            inv = inverses[d] = pow(d, -1, _P)
-        return q.numerator * inv
 
-    pivots: dict[int, dict[int, int]] = {}
-    for entries in m.entries:
-        row = {}
-        for c, x in enumerate(entries):
-            if x is Q_ZERO:
-                continue
-            a = image(x.a) if x.a else 0
-            b = image(x.b) if x.b else 0
-            if a is None or b is None:
-                return None
-            v = (a + b * _S) % _P
-            if v:
-                row[c] = v
+def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]) -> int:
+    """Reduce sparse rows mod P against ``pivots``; return how many were independent.
+
+    A row maps columns to nonzero residues. Each row is reduced, always at
+    its smallest column, against the pivot rows so far; one that does not
+    reduce to zero becomes a new pivot row, normalized to 1 at its pivot
+    column. The rows are consumed (reduced in place); pivot rows are never
+    changed once stored, so a copy of ``pivots`` can be extended alone.
+    """
+    found = 0
+    for row in rows:
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
                 inv = pow(row[col], -1, _P)
                 pivots[col] = {c: v * inv % _P for c, v in row.items()}
+                found += 1
                 break
             f = row[col]
             for c, v in pivot.items():
@@ -220,7 +220,31 @@ def _modular_rank(m: ExactMatrix) -> int | None:
                     row[c] = x
                 else:
                     del row[c]
-    return len(pivots)
+    return found
+
+
+def _modular_rank(m: ExactMatrix) -> int | None:
+    """Rank of the image of ``m`` under a + b*sqrt(3) -> a + b*S (mod P).
+
+    Returns None when some entry's denominator is divisible by P, so that
+    entry has no image.
+    """
+    inverses: dict[int, int] = {}
+    rows = []
+    for entries in m.entries:
+        row = {}
+        for c, x in enumerate(entries):
+            if x is Q_ZERO:
+                continue
+            a = _residue(x.a, inverses) if x.a else 0
+            b = _residue(x.b, inverses) if x.b else 0
+            if a is None or b is None:
+                return None
+            v = (a + b * _S) % _P
+            if v:
+                row[c] = v
+        rows.append(row)
+    return _eliminate(rows, {})
 
 
 def exact_rank(m: ExactMatrix, ceiling: int | None = None) -> int:

@@ -12,14 +12,16 @@ is an equation, not an approximation. Two realization routes are provided.
   matching its tree, and then pull coincident joint classes apart along a
   deformation parameter until the degenerate frame becomes an honest
   framework, keeping the generalized rigidity matrix at full row rank the
-  whole way.
+  whole way. The separation runs in rational (1, w) coordinates and ranks
+  its rows modulo a prime, with exact elimination only on a deficit.
 """
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import takewhile
 
 from .errors import (
     CoincidentAdjacentJoints,
@@ -29,11 +31,21 @@ from .errors import (
     InternalInvariantBroken,
     InvalidPartition,
     NoSeparableComponent,
+    NotInOmegaSpan,
     TooFewVertices,
     ZeroDirection,
     FixedVertexPresent,
 )
-from .field import ExactMatrix, QSqrt3, Q_ZERO, exact_rank
+from .field import (
+    ExactMatrix,
+    QSqrt3,
+    Q_ZERO,
+    _P,
+    _eliminate,
+    _fraction_free_rank,
+    _residue,
+    exact_rank,
+)
 from .graphs import Graph, SymGraph
 from .trees import TreePartition, verify_tree_partition
 
@@ -143,11 +155,16 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
     raise ExhaustedRetries("100 draws all produced a coincident edge")
 
 
-def _edge_matrix(g: Graph, vectors: Iterable[Vec2]) -> ExactMatrix:
-    """One row per sorted edge (u, v): its vector at u's columns, negated at v's."""
+def _edge_matrix(g: Graph, vectors: Iterable[Vec2], place=None) -> ExactMatrix:
+    """One row per sorted edge (u, v): its vector at u's columns, negated at v's.
+
+    Vertex x's columns are 2x and 2x + 1, or 2 * place[x] and the next one.
+    """
     n = g.n
     rows = []
     for (u, v), d in zip(g.sorted_edges, vectors):
+        if place is not None:
+            u, v = place[u], place[v]
         row = [Q_ZERO] * (2 * n)
         row[2 * u] = d[0]
         row[2 * u + 1] = d[1]
@@ -224,11 +241,12 @@ class Frame:
     directions: tuple[Vec2, ...]
 
 
-def _edge_scalar(delta: Vec2, q: Vec2) -> QSqrt3:
-    # Solve delta = lam * q for the frame scalar lam.
-    if not q[0].is_zero:
+def _edge_scalar(delta, q):
+    # Solve delta = lam * q for the frame scalar lam, in Q(sqrt 3)
+    # coordinates or in (1, w) pairs alike.
+    if q[0]:
         lam = delta[0] / q[0]
-    elif not q[1].is_zero:
+    elif q[1]:
         lam = delta[1] / q[1]
     else:
         raise ZeroDirection("frame direction is zero")
@@ -286,134 +304,298 @@ def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]
     return tuple(e for e in g.sorted_edges if pos[e[0]] == pos[e[1]])
 
 
-def _t_candidates(limit: int = 50):
-    # 1/2, 1/3, 1/5, 1/7, ... reciprocals of the first `limit` primes.
-    primes = []
+# Frame coordinates. Every frame point and direction is a rational
+# combination a*1 + b*w of 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the
+# reference triangle and the tree directions are such combinations, rotating
+# by 120 degrees multiplies by w, and pulling apart adds rational multiples
+# of them. The pair (a, b) stands for the point (a - b/2, (b/2)*sqrt(3)), so
+# the separation works on rational pairs and leaves Q(sqrt 3) to the
+# frame's public values.
+Pair = tuple[Fraction, Fraction]
+
+_PAIR_ZERO: Pair = (Fraction(0), Fraction(0))
+
+
+def to_omega(p: Vec2) -> Pair:
+    """The pair (a, b) with p = a*1 + b*w; ``NotInOmegaSpan`` off Q + Q*w."""
+    x, y = p
+    if x.b or y.a:
+        raise NotInOmegaSpan(f"({x}, {y}) is not a rational combination of 1 and w")
+    b = 2 * y.b
+    return (x.a + b / 2, b)
+
+
+def from_omega(p: Pair) -> Vec2:
+    a, b = p
+    return (QSqrt3(a - b / 2), QSqrt3(0, b / 2))
+
+
+def rotate_omega(p: Pair) -> Pair:
+    """Rotate by 120 degrees: w*(a + b*w) = -b + (a - b)*w, as w^2 = -1 - w."""
+    a, b = p
+    return (-b, a - b)
+
+
+# A part of a class moves along the side direction opposite its tree.
+_SPLITS = ((2, to_omega(TREE_DIRECTIONS[1])), (1, to_omega(TREE_DIRECTIONS[2])))
+
+
+def _pair_image(q: Pair, inverses: dict[int, int]) -> tuple[int, int] | None:
+    """The F_P image of a pair, or None when a coordinate has none."""
+    a = _residue(q[0], inverses)
+    b = _residue(q[1], inverses)
+    return None if a is None or b is None else (a, b)
+
+
+def _row(u: int, v: int, image: tuple[int, int]) -> dict[int, int]:
+    """An edge's sparse F_P row: ``image`` at u's column pair, negated at v's."""
+    x, y = image
+    row = {}
+    if x:
+        row[2 * u] = x
+        row[2 * v] = _P - x
+    if y:
+        row[2 * u + 1] = y
+        row[2 * v + 1] = _P - y
+    return row
+
+
+def _pair_matrix(g: Graph, directions: Iterable[Pair], place: list[int]) -> ExactMatrix:
+    """Each edge's direction pair at u's columns, negated at v's, over Q.
+
+    The generalized rigidity matrix has the Cartesian direction B (a, b) in
+    those places, where B = [[1, -1/2], [0, sqrt(3)/2]] has the columns 1
+    and w. So it is this matrix times the block diagonal of B's transpose,
+    which is invertible: the two have the same rank over Q(sqrt 3), and mod
+    P too, where B's image is invertible as S is not zero. The rows that
+    ``_row`` builds from ``_pair_image`` are this matrix mod P. Its columns
+    go in ``place`` order, which keeps exact elimination sparse too.
+    """
+    return _edge_matrix(g, ((QSqrt3(a), QSqrt3(b)) for a, b in directions), place)
+
+
+def _degree_order(g: Graph) -> list[int]:
+    """Each vertex's place when vertices go by degree, then label.
+
+    Used as the column order of the frame's rows: eliminating the columns of
+    low-degree vertices first keeps the fill-in small, and a column order
+    never changes a rank.
+    """
+    degree = g.degrees()
+    place = [0] * g.n
+    for i, v in enumerate(sorted(range(g.n), key=degree.__getitem__)):
+        place[v] = i
+    return place
+
+
+def _full_rank(pivots, rows, exact) -> bool:
+    """Whether the frame's rows are independent.
+
+    ``pivots`` are the unmoved rows eliminated mod P and ``rows`` the moved
+    rows' images, or None when the images cannot prove anything (a deficit
+    among the unmoved rows, or an entry with no image). Full rank mod P
+    proves full rank, as the map to F_P is a ring homomorphism. Otherwise
+    ``exact()`` builds the rational matrix and exact elimination decides.
+    """
+    if rows is not None and _eliminate(rows, dict(pivots)) == len(rows):
+        return True
+    matrix = exact()
+    return _fraction_free_rank(matrix) == matrix.rows
+
+
+def _directions_at(
+    dirs: list[Pair], moved: dict[int, tuple[Pair, Pair]], t: Fraction
+) -> list[Pair]:
+    """The directions with each moved edge's set to base + t * slope."""
+    cur = list(dirs)
+    for i, (base, slope) in moved.items():
+        cur[i] = v_add(base, v_scale(t, slope))
+    return cur
+
+
+def _t_candidates(limit: int) -> Iterator[Fraction]:
+    """1/2, 1/3, 1/5, 1/7, ...: the first ``limit`` prime reciprocals, lazily."""
+    primes: list[int] = []
     x = 2
     while len(primes) < limit:
-        if all(x % p for p in primes):
+        if all(x % p for p in takewhile(lambda p: p * p <= x, primes)):
             primes.append(x)
+            yield Fraction(1, x)
         x += 1
-    return [Fraction(1, p) for p in primes]
 
 
-def pull_apart(sg: SymGraph, tp: TreePartition, frame: Frame) -> Frame:
-    """One separation round; a no-op when no adjacent joints coincide.
+def _class_to_split(sg: SymGraph, coincident, joint_class, members, miss) -> list[int]:
+    """The class to split, rotated to the corner of tree 0, in sorted order.
 
-    Among the coincidence classes containing an edge, the class whose
-    rotation representative holds the smallest vertex is split: one
-    component of its restriction to one tree moves along the opposite
-    side direction, its rotated copies move along the rotated directions,
-    and every affected edge direction is re-derived so the frame condition
-    survives. The deformation parameter runs through reciprocals of primes
-    until the generalized rigidity matrix keeps full row rank and no two
-    joint classes collide.
+    Among the coincidence classes containing an edge, the one whose rotation
+    representative at that corner holds the smallest vertex.
     """
     act = sg.require_action()
-    g = sg.graph
-    pos = frame.positions
-    coincident = adjacent_coincidences(g, frame)
-    if not coincident:
-        return frame
-
-    n = g.n
-    classes: dict[Vec2, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(pos[v], []).append(v)
-    miss = _missing_tree(tp, n)
-    for members in classes.values():
-        if len({miss[v] for v in members}) != 1:
-            raise InternalInvariantBroken("coincidence class spans two corner roles")
-
-    candidates = set()
-    for u, _ in coincident:
-        members = classes[pos[u]]
-        i = miss[u]
-        if i == 0:
-            rep = members
-        elif i == 1:
-            rep = [act.gamma2[x] for x in members]
-        else:
-            rep = [act.gamma[x] for x in members]
-        candidates.add(frozenset(rep))
-    chosen = min(candidates, key=min)
-    if len({pos[x] for x in chosen}) != 1 or {miss[x] for x in chosen} != {0}:
+    edges = sg.graph.sorted_edges
+    best: list[int] | None = None
+    for c in {joint_class[edges[i][0]] for i in coincident}:
+        back = (None, act.gamma2, act.gamma)[miss[members[c][0]]]
+        rep = members[c] if back is None else [back[x] for x in members[c]]
+        if best is None or min(rep) < min(best):
+            best = rep
+    if len({joint_class[x] for x in best}) != 1 or {miss[x] for x in best} != {0}:
         raise InternalInvariantBroken("normalized class is not a coincidence class")
+    return sorted(best)
 
-    part = sorted(chosen)
+
+def _separable_component(part: list[int], tp: TreePartition) -> tuple[set[int], Pair]:
+    """A proper part of the class connected in tree 2 or else in tree 1."""
     part_set = set(part)
-    split = None
-    for tree_idx, direction in ((2, TREE_DIRECTIONS[1]), (1, TREE_DIRECTIONS[2])):
-        inner = [e for e in tp.trees[tree_idx] if e[0] in part_set and e[1] in part_set]
+    for tree, direction in _SPLITS:
         adj: dict[int, list[int]] = {v: [] for v in part}
-        for u, v in inner:
-            adj[u].append(v)
-            adj[v].append(u)
+        for u, v in tp.trees[tree]:
+            if u in part_set and v in part_set:
+                adj[u].append(v)
+                adj[v].append(u)
         stack = [part[0]]
         comp = {part[0]}
         while stack:
-            x = stack.pop()
-            for y in adj[x]:
+            for y in adj[stack.pop()]:
                 if y not in comp:
                     comp.add(y)
                     stack.append(y)
         if len(comp) < len(part):
-            split = (comp, direction)
-            break
-    if split is None:
-        raise NoSeparableComponent("class restricted to both trees is connected")
-
-    moving, d0 = split
-    disp: dict[int, Vec2] = {}
-    d1, d2 = rotate(d0), rotate2(d0)
-    for x in moving:
-        disp[x] = d0
-        disp[act.gamma[x]] = d1
-        disp[act.gamma2[x]] = d2
-
-    m = g.m
-    sorted_edges = g.sorted_edges
-    class_count = len(classes)
-    for t in _t_candidates():
-        tq = QSqrt3(t)
-        new_pos = tuple(
-            v_add(pos[x], v_scale(tq, disp[x])) if x in disp else pos[x]
-            for x in range(n)
-        )
-        if len(set(new_pos)) != class_count + 3:
-            continue
-        new_dirs = []
-        for idx, (u, v) in enumerate(sorted_edges):
-            du = disp.get(u, ZERO2)
-            dv = disp.get(v, ZERO2)
-            if du == dv:
-                new_dirs.append(frame.directions[idx])
-                continue
-            dd = v_sub(du, dv)
-            delta0 = v_sub(pos[u], pos[v])
-            if v_is_zero(delta0):
-                new_dirs.append(dd)
-            else:
-                q_old = frame.directions[idx]
-                lam = _edge_scalar(delta0, q_old)
-                new_dirs.append(v_add(q_old, v_scale(tq / lam, dd)))
-        candidate = Frame(new_pos, tuple(new_dirs))
-        if exact_rank(generalized_rigidity_matrix(g, candidate)) == m:
-            return candidate
-    raise ExhaustedT("no deformation parameter preserved independence")
+            return comp, direction
+    raise NoSeparableComponent("class restricted to both trees is connected")
 
 
 def pull_apart_fully(
     sg: SymGraph, tp: TreePartition, frame: Frame
 ) -> tuple[Frame, int]:
-    """Iterate separation rounds until no adjacent joints coincide."""
+    """Separate every pair of coincident adjacent joints; return the rounds taken.
+
+    A round splits one coincidence class: among the classes containing an
+    edge, the one whose rotation representative holds the smallest vertex.
+    One component of its restriction to one tree moves along the opposite
+    side direction, its rotated copies along the rotated directions, and
+    every edge whose endpoints move differently gets a direction re-derived
+    so the frame condition survives. The deformation parameter runs through
+    reciprocals of primes until no two joint classes collide and the
+    generalized rigidity matrix keeps full row rank.
+
+    The frame is read in (1, w) pairs once, and one live state (positions,
+    directions, joint classes and each edge's F_P row) carries every round.
+    A round derives only the three moving points and the rows of the edges
+    whose endpoints move differently, which are affine in the parameter, and
+    eliminates the other rows mod P once, so each candidate reduces only the
+    moved rows against them. A deficit mod P falls back to exact elimination.
+    """
+    act = sg.require_action()
+    g = sg.graph
+    n, m = g.n, g.m
+    edges = g.sorted_edges
+    pos = [to_omega(p) for p in frame.positions]
+    dirs = [to_omega(q) for q in frame.directions]
+    for (u, v), q in zip(edges, dirs):
+        if q == _PAIR_ZERO:
+            raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
+    miss = _missing_tree(tp, n)
+    # Joint classes by number: the class of each vertex, the members and the
+    # point of each class.
+    class_at: dict[Pair, int] = {}
+    joint_class = [class_at.setdefault(p, len(class_at)) for p in pos]
+    members: list[list[int]] = [[] for _ in class_at]
+    for v, c in enumerate(joint_class):
+        members[c].append(v)
+    for group in members:
+        if len({miss[v] for v in group}) != 1:
+            raise InternalInvariantBroken("coincidence class spans two corner roles")
+    place = _degree_order(g)
+    ends = [(place[u], place[v]) for u, v in edges]
+    inverses: dict[int, int] = {}
+    images = [_pair_image(q, inverses) for q in dirs]
+    coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
+
     rounds = 0
-    while adjacent_coincidences(sg.graph, frame):
-        frame = pull_apart(sg, tp, frame)
+    while coincident:
         rounds += 1
-        if rounds > sg.graph.n:
+        if rounds > n:
             raise InternalInvariantBroken("separation failed to terminate")
-    return frame, rounds
+        part = _class_to_split(sg, coincident, joint_class, members, miss)
+        comp, d0 = _separable_component(part, tp)
+        steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
+        first = sorted(comp)
+        copies = (first, [act.gamma[x] for x in first], [act.gamma2[x] for x in first])
+        disp: dict[int, Pair] = {}
+        for copy, step in zip(copies, steps):
+            c = joint_class[copy[0]]
+            if any(joint_class[x] != c for x in copy) or len(members[c]) == len(copy):
+                raise InternalInvariantBroken("moving copies are not parts of rotated classes")
+            for x in copy:
+                disp[x] = step
+
+        # Each moved edge's direction is base + t * slope.
+        moved: dict[int, tuple[Pair, Pair]] = {}
+        for i, (u, v) in enumerate(edges):
+            du = disp.get(u, _PAIR_ZERO)
+            dv = disp.get(v, _PAIR_ZERO)
+            if du == dv:
+                continue
+            dd = v_sub(du, dv)
+            if joint_class[u] == joint_class[v]:
+                moved[i] = (dd, _PAIR_ZERO)
+            else:
+                lam = _edge_scalar(v_sub(pos[u], pos[v]), dirs[i])
+                moved[i] = (dirs[i], v_scale(1 / lam, dd))
+        lines = [
+            (ends[i], _pair_image(base, inverses), _pair_image(slope, inverses))
+            for i, (base, slope) in moved.items()
+        ]
+        kept = [i for i in range(m) if i not in moved]
+        pivots: dict[int, dict[int, int]] | None = None
+        if all(images[i] is not None for i in kept) and all(None not in line for line in lines):
+            pivots = {}
+            if _eliminate((_row(*ends[i], images[i]) for i in kept), pivots) < len(kept):
+                pivots = None
+
+        # A t fails only by a collision or a rank deficit. Moving copy k
+        # lands on an occupied class point p for at most one t per (k, p),
+        # as its step is nonzero, and two copies meet for at most one t per
+        # pair, as their steps differ: 3 * (classes + 1) values. The moved
+        # rows are affine in t, so an m x m minor that is nonzero for some t
+        # (the separation step of the symmetric Crapo theorem gives one) is a
+        # polynomial of degree at most m, vanishing for at most m values. So
+        # one of the first 3 * (classes + 1) + m + 1 candidates is good.
+        starts = [pos[copy[0]] for copy in copies]
+        limit = 3 * (len(members) + 1) + m + 1
+        for t in _t_candidates(limit):
+            points = [v_add(s, v_scale(t, d)) for s, d in zip(starts, steps)]
+            if len(set(points)) < 3 or any(p in class_at for p in points):
+                continue
+            r = _residue(t, inverses)
+            rows = None
+            if pivots is not None and r is not None:
+                rows = [
+                    _row(u, v, ((bx + r * sx) % _P, (by + r * sy) % _P))
+                    for (u, v), (bx, by), (sx, sy) in lines
+                ]
+            if _full_rank(
+                pivots, rows, lambda: _pair_matrix(g, _directions_at(dirs, moved, t), place)
+            ):
+                break
+        else:
+            raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
+
+        for copy, point in zip(copies, points):
+            c = joint_class[copy[0]]
+            gone = set(copy)
+            members[c] = [x for x in members[c] if x not in gone]
+            class_at[point] = len(members)
+            members.append(copy)
+            for x in copy:
+                joint_class[x] = class_at[point]
+                pos[x] = point
+        dirs = _directions_at(dirs, moved, t)
+        for i in moved:
+            images[i] = _pair_image(dirs[i], inverses)
+        # A moved edge's endpoints now lie apart; an unmoved one's kept their offset.
+        coincident = [i for i in coincident if i not in moved]
+    return Frame(tuple(map(from_omega, pos)), tuple(map(from_omega, dirs))), rounds
 
 
 def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
@@ -423,7 +605,7 @@ def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
     translating it to the origin the placement satisfies the symmetry
     equation exactly. No rank is taken here: the rigidity matrix is the
     generalized one with each row scaled by its edge's nonzero frame scalar,
-    so it keeps the full rank ``pull_apart`` accepted, and
+    so it keeps the full rank ``pull_apart_fully`` accepted, and
     ``numeric_isostatic_check`` reads that rank off the placement.
     """
     act = sg.require_action()

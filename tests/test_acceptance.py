@@ -13,7 +13,6 @@ from c3rig import (
     extract_sequence,
     frame_from_partition,
     framework_from_frame,
-    generalized_rigidity_matrix,
     laman_check,
     numeric_isostatic_check,
     pebble_sparsity,
@@ -26,6 +25,7 @@ from c3rig import (
     verify_tree_partition,
 )
 from c3rig.errors import NotIsostatic
+from c3rig.geometry import generalized_rigidity_matrix
 from tests.corpus import (
     acceptance_corpus as corpus,
     fast_tight_symgraph,

@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from c3rig import certify, cli, geometry, pebble
+from c3rig import certify, cli, geometry, pebble, serialize_graph
 from c3rig.cli import main
-from tests.corpus import PRISM_DOC
+from tests.corpus import PRISM_DOC, fast_tight_symgraph
 
 K3_DOC = {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]], "c3": [1, 2, 0]}
 K4_DOC = {
@@ -165,6 +165,17 @@ def test_realize_frame_ranks_its_placement_once(write, capsys, monkeypatch):
     code, _ = run(capsys, ["realize", write(PRISM_DOC), "--method", "frame"])
     assert code == 0
     assert ranks_after_separation == [9]
+
+
+def test_realize_frame_finds_a_parameter_past_the_first_fifty(write, capsys):
+    # A round of this graph's separation rejects more than fifty parameters
+    # for collisions, so a fixed list of fifty candidates ran out here.
+    doc = serialize_graph(fast_tight_symgraph(1, 270))
+    code, out = run(capsys, ["realize", write(doc), "--method", "frame"])
+    report = json.loads(out)
+    assert code == 0
+    assert report["rank_verdict"]["isostatic"] is True
+    assert report["rank_verdict"]["rank"] == 537
 
 
 def test_certify_needs_the_symmetry(write, capsys):

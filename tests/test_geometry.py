@@ -5,37 +5,56 @@ from types import SimpleNamespace
 import pytest
 
 from c3rig import (
+    C3Action,
     Frame,
     Graph,
     QSqrt3,
     SymGraph,
-    adjacent_coincidences,
     build_tree_partition,
+    check_c3_isostatic,
     exact_rank,
     extract_sequence,
     frame_from_partition,
-    frame_lambdas,
     framework_from_frame,
-    generalized_rigidity_matrix,
     numeric_isostatic_check,
     placement_is_symmetric,
-    pull_apart,
     pull_apart_fully,
     relabel_partition,
     rigidity_matrix,
     symmetric_generic_positions,
 )
-from c3rig import geometry
+from c3rig import field, geometry
 from c3rig.errors import (
     CoincidentAdjacentJoints,
     DegenerateSpan,
     ExhaustedRetries,
     ExhaustedT,
     FixedVertexPresent,
+    NoSeparableComponent,
+    NotInOmegaSpan,
     ZeroDirection,
 )
-from c3rig.geometry import E_POINTS, Placement, rotate
-from tests.corpus import k13_hub, k3, perturb_edge_swap, prism, random_tight_symgraph
+from c3rig.geometry import (
+    E_POINTS,
+    TREE_DIRECTIONS,
+    Placement,
+    adjacent_coincidences,
+    frame_lambdas,
+    from_omega,
+    generalized_rigidity_matrix,
+    rotate,
+    rotate_omega,
+    to_omega,
+)
+from c3rig.trees import TreePartition
+from tests.corpus import (
+    acceptance_corpus,
+    k13_hub,
+    k3,
+    perturb_edge_swap,
+    prism,
+    random_tight_symgraph,
+)
 
 
 def q(a, b=0):
@@ -155,7 +174,7 @@ def test_k3_frame_positions():
     assert frame.positions == (E_POINTS[1], E_POINTS[2], E_POINTS[0])
     assert exact_rank(generalized_rigidity_matrix(sg.graph, frame)) == 3
     assert adjacent_coincidences(sg.graph, frame) == ()
-    assert pull_apart(sg, _certified_partition(sg), frame) == frame
+    assert pull_apart_fully(sg, _certified_partition(sg), frame) == (frame, 0)
 
 
 def test_prism_frame_parks_two_joints_per_corner():
@@ -195,9 +214,30 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
     sg = prism()
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
+    tried = []
+    candidates = geometry._t_candidates
+
+    def counted(limit):
+        for t in candidates(limit):
+            tried.append(t)
+            yield t
+
+    monkeypatch.setattr(geometry, "_t_candidates", counted)
+    monkeypatch.setattr(geometry, "_full_rank", lambda *args: False)
     with pytest.raises(ExhaustedT):
-        pull_apart(sg, tp, frame)
+        pull_apart_fully(sg, tp, frame)
+    # three corner classes and nine edges: 3 * (3 + 1) + 9 + 1 candidates
+    assert len(tried) == 22
+    assert tried[:5] == [Fraction(1, p) for p in (2, 3, 5, 7, 11)]
+    assert tried[-1] == Fraction(1, 79)
+
+
+def test_candidate_parameters_are_prime_reciprocals_made_lazily():
+    primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
+    assert list(geometry._t_candidates(len(primes))) == [Fraction(1, p) for p in primes]
+    assert list(geometry._t_candidates(0)) == []
+    endless = geometry._t_candidates(10**9)
+    assert [next(endless) for _ in range(3)] == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]
 
 
 def test_framework_from_frame_requires_separation():
@@ -261,3 +301,117 @@ def test_generic_and_combinatorial_verdicts_agree():
                 bad, symmetric_generic_positions(bad, 1)
             ).isostatic
         assert got == expected
+
+
+def test_omega_pairs_round_trip_and_commute_with_the_rotation():
+    assert [to_omega(p) for p in E_POINTS] == [(0, 0), (1, 0), (1, 1)]
+    assert [to_omega(d) for d in TREE_DIRECTIONS] == [(0, 1), (-1, -1), (1, 0)]
+    for p in E_POINTS + TREE_DIRECTIONS:
+        assert from_omega(to_omega(p)) == p
+        assert to_omega(rotate(p)) == rotate_omega(to_omega(p))
+    rng = random.Random(3)
+    for _ in range(50):
+        a = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+             Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
+        assert to_omega(from_omega(a)) == a
+        assert from_omega(rotate_omega(a)) == rotate(from_omega(a))
+        assert rotate_omega(rotate_omega(rotate_omega(a))) == a
+
+
+def test_frame_off_the_omega_span_is_refused():
+    sg = prism()
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
+    with pytest.raises(NotInOmegaSpan):
+        to_omega((q(0, 1), q(0)))
+    off_point = Frame(((q(0, 1), q(0)),) + frame.positions[1:], frame.directions)
+    off_direction = Frame(frame.positions, ((q(1), q(1)),) + frame.directions[1:])
+    for bad in (off_point, off_direction):
+        with pytest.raises(NotInOmegaSpan):
+            pull_apart_fully(sg, tp, bad)
+
+
+def _pair_rank_mod_p(g, frame):
+    # rank mod P of the rows of direction pairs
+    inverses = {}
+    rows = [
+        geometry._row(u, v, geometry._pair_image(to_omega(d), inverses))
+        for (u, v), d in zip(g.sorted_edges, frame.directions)
+    ]
+    return field._eliminate(rows, {})
+
+
+def _pair_rank(g, frame):
+    directions = [to_omega(d) for d in frame.directions]
+    matrix = geometry._pair_matrix(g, directions, geometry._degree_order(g))
+    return field._fraction_free_rank(matrix)
+
+
+def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
+    rng = random.Random(8)
+    steps = [(Fraction(a), Fraction(b)) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]
+    deficient = 0
+    for sg in acceptance_corpus():
+        g = sg.graph
+        if check_c3_isostatic(sg).isostatic:
+            # full rank mod P on both sides proves both exact ranks full
+            tp = _certified_partition(sg)
+            parked = frame_from_partition(sg, tp)
+            for frame in (parked, pull_apart_fully(sg, tp, parked)[0]):
+                matrix = generalized_rigidity_matrix(g, frame)
+                assert _pair_rank_mod_p(g, frame) == field._modular_rank(matrix) == g.m
+        # directions drawn from few values, so many of these lose rank
+        drawn = tuple(from_omega(rng.choice(steps)) for _ in range(g.m))
+        frame = Frame(tuple(E_POINTS[0] for _ in range(g.n)), drawn)
+        matrix = generalized_rigidity_matrix(g, frame)
+        exact = _pair_rank(g, frame)
+        assert exact == field._fraction_free_rank(matrix)
+        assert _pair_rank_mod_p(g, frame) == field._modular_rank(matrix)
+        deficient += exact < g.m
+    assert deficient > 100
+
+
+def test_separation_builds_no_exact_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact elimination reached")
+
+    for sg in (prism(), random_tight_symgraph(7, 45)):
+        tp = _certified_partition(sg)
+        frame = frame_from_partition(sg, tp)
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, "_fraction_free_rank", refuse)
+            patched.setattr(field, "_fraction_free_rank", refuse)
+            patched.setattr(geometry, "ExactMatrix", refuse)
+            patched.setattr(field, "ExactMatrix", refuse)
+            separated, rounds = pull_apart_fully(sg, tp, frame)
+        assert rounds >= 1
+        assert adjacent_coincidences(sg.graph, separated) == ()
+        assert exact_rank(generalized_rigidity_matrix(sg.graph, separated)) == sg.graph.m
+
+
+def test_class_connected_in_both_trees_cannot_separate():
+    # Three K4s rotated into each other; each K4 is two spanning trees of
+    # the partition (trees 1 and 2 for the first), so each parks on one
+    # corner as a class that no tree splits.
+    path = [(0, 1), (1, 2), (2, 3)]
+    star = [(0, 2), (0, 3), (1, 3)]
+
+    def shift(edges, k):
+        return [(u + 4 * k, v + 4 * k) for u, v in edges]
+
+    trees = (
+        frozenset(shift(star, 1) + shift(path, 2)),
+        frozenset(path + shift(star, 2)),
+        frozenset(star + shift(path, 1)),
+    )
+    edges = frozenset().union(*trees)
+    sg = SymGraph(Graph(12, edges), C3Action(tuple((v + 4) % 12 for v in range(12))))
+    tp = TreePartition(trees)
+    tree_of = {e: i for i in range(3) for e in trees[i]}
+    frame = Frame(
+        tuple(E_POINTS[v // 4] for v in range(12)),
+        tuple(TREE_DIRECTIONS[tree_of[e]] for e in sg.graph.sorted_edges),
+    )
+    assert len(adjacent_coincidences(sg.graph, frame)) == 18
+    with pytest.raises(NoSeparableComponent):
+        pull_apart_fully(sg, tp, frame)
