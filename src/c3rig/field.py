@@ -10,12 +10,14 @@ possible.
 a fixed prime P (a ring homomorphism, so the rank mod P never exceeds the
 exact rank), full meaning the smaller side or a known ceiling on the rank;
 only a deficit mod P falls back to exact fraction-free elimination over the
-field.
+field. It ranks a dense ``ExactMatrix`` or a ``PartialElimination``, whose
+rows are partly eliminated mod P already and which builds its exact matrix
+only for that fallback.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -146,23 +148,25 @@ class ExactMatrix:
         ncols = len(rows[0]) if rows else 0
         return cls(nrows, ncols, tuple(tuple(r) for r in rows))
 
+    def modular_rank(self) -> int | None:
+        return _modular_rank(self)
+
+    def exact(self) -> "ExactMatrix":
+        return self
+
 
 def _integer_rows(m: ExactMatrix) -> list[list[tuple[int, int]]]:
     # Scale each row by the lcm of its denominators; row scaling by a
-    # nonzero rational does not change the rank. The shared zero is skipped
-    # outright, as most entries of a rigidity matrix are zero.
+    # nonzero rational does not change the rank.
     rows = []
     for row in m.entries:
         scale = 1
         for x in row:
-            if x is not Q_ZERO:
-                scale = scale * x.a.denominator // math.gcd(scale, x.a.denominator)
-                scale = scale * x.b.denominator // math.gcd(scale, x.b.denominator)
+            scale = scale * x.a.denominator // math.gcd(scale, x.a.denominator)
+            scale = scale * x.b.denominator // math.gcd(scale, x.b.denominator)
         rows.append(
             [
-                (0, 0)
-                if x is Q_ZERO
-                else (
+                (
                     int(x.a.numerator * (scale // x.a.denominator)),
                     int(x.b.numerator * (scale // x.b.denominator)),
                 )
@@ -247,7 +251,31 @@ def _modular_rank(m: ExactMatrix) -> int | None:
     return _eliminate(rows, {})
 
 
-def exact_rank(m: ExactMatrix, ceiling: int | None = None) -> int:
+@dataclass(frozen=True)
+class PartialElimination:
+    """A matrix over Q(sqrt 3) given mod P as eliminated rows plus rows to reduce.
+
+    ``pivots`` are some of its rows eliminated mod P by ``_eliminate``, so
+    their number is the rank of those rows mod P, and ``rest`` are the
+    images of its other rows; either is None when an entry has no image.
+    ``exact`` builds the whole matrix, which ``exact_rank`` asks for only on
+    a deficit mod P. Matrices that differ only in ``rest`` can share their
+    pivots, which are copied before ``rest`` is reduced (and consumed).
+    """
+
+    rows: int
+    cols: int
+    pivots: dict[int, dict[int, int]] | None
+    rest: list[dict[int, int]] | None
+    exact: Callable[[], ExactMatrix]
+
+    def modular_rank(self) -> int | None:
+        if self.pivots is None or self.rest is None:
+            return None
+        return len(self.pivots) + _eliminate(self.rest, dict(self.pivots))
+
+
+def exact_rank(m: ExactMatrix | PartialElimination, ceiling: int | None = None) -> int:
     """Rank over Q(sqrt 3), with no tolerance.
 
     Full rank is proven through the image mod P: the map is a ring
@@ -262,9 +290,9 @@ def exact_rank(m: ExactMatrix, ceiling: int | None = None) -> int:
     full = min(m.rows, m.cols)
     if ceiling is not None:
         full = min(full, ceiling)
-    if _modular_rank(m) == full:
+    if m.modular_rank() == full:
         return full
-    return _fraction_free_rank(m)
+    return _fraction_free_rank(m.exact())
 
 
 def _fraction_free_rank(m: ExactMatrix) -> int:

@@ -38,11 +38,11 @@ from .errors import (
 )
 from .field import (
     ExactMatrix,
+    PartialElimination,
     QSqrt3,
     Q_ZERO,
     _P,
     _eliminate,
-    _fraction_free_rank,
     _residue,
     exact_rank,
 )
@@ -155,16 +155,11 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
     raise ExhaustedRetries("100 draws all produced a coincident edge")
 
 
-def _edge_matrix(g: Graph, vectors: Iterable[Vec2], place=None) -> ExactMatrix:
-    """One row per sorted edge (u, v): its vector at u's columns, negated at v's.
-
-    Vertex x's columns are 2x and 2x + 1, or 2 * place[x] and the next one.
-    """
+def _edge_matrix(g: Graph, vectors: Iterable[Vec2]) -> ExactMatrix:
+    """One row per sorted edge (u, v): its vector at u's columns, negated at v's."""
     n = g.n
     rows = []
     for (u, v), d in zip(g.sorted_edges, vectors):
-        if place is not None:
-            u, v = place[u], place[v]
         row = [Q_ZERO] * (2 * n)
         row[2 * u] = d[0]
         row[2 * u + 1] = d[1]
@@ -360,7 +355,7 @@ def _row(u: int, v: int, image: tuple[int, int]) -> dict[int, int]:
     return row
 
 
-def _pair_matrix(g: Graph, directions: Iterable[Pair], place: list[int]) -> ExactMatrix:
+def _pair_matrix(g: Graph, directions: Iterable[Pair]) -> ExactMatrix:
     """Each edge's direction pair at u's columns, negated at v's, over Q.
 
     The generalized rigidity matrix has the Cartesian direction B (a, b) in
@@ -368,39 +363,24 @@ def _pair_matrix(g: Graph, directions: Iterable[Pair], place: list[int]) -> Exac
     and w. So it is this matrix times the block diagonal of B's transpose,
     which is invertible: the two have the same rank over Q(sqrt 3), and mod
     P too, where B's image is invertible as S is not zero. The rows that
-    ``_row`` builds from ``_pair_image`` are this matrix mod P. Its columns
-    go in ``place`` order, which keeps exact elimination sparse too.
+    ``_row`` builds from ``_pair_image`` are this matrix mod P, with the
+    vertices' column pairs in ``_degree_order``.
     """
-    return _edge_matrix(g, ((QSqrt3(a), QSqrt3(b)) for a, b in directions), place)
+    return _edge_matrix(g, ((QSqrt3(a), QSqrt3(b)) for a, b in directions))
 
 
 def _degree_order(g: Graph) -> list[int]:
     """Each vertex's place when vertices go by degree, then label.
 
-    Used as the column order of the frame's rows: eliminating the columns of
-    low-degree vertices first keeps the fill-in small, and a column order
-    never changes a rank.
+    Used as the column order of the frame's F_P rows: eliminating the
+    columns of low-degree vertices first keeps the fill-in small, and a
+    column order never changes a rank.
     """
     degree = g.degrees()
     place = [0] * g.n
     for i, v in enumerate(sorted(range(g.n), key=degree.__getitem__)):
         place[v] = i
     return place
-
-
-def _full_rank(pivots, rows, exact) -> bool:
-    """Whether the frame's rows are independent.
-
-    ``pivots`` are the unmoved rows eliminated mod P and ``rows`` the moved
-    rows' images, or None when the images cannot prove anything (a deficit
-    among the unmoved rows, or an entry with no image). Full rank mod P
-    proves full rank, as the map to F_P is a ring homomorphism. Otherwise
-    ``exact()`` builds the rational matrix and exact elimination decides.
-    """
-    if rows is not None and _eliminate(rows, dict(pivots)) == len(rows):
-        return True
-    matrix = exact()
-    return _fraction_free_rank(matrix) == matrix.rows
 
 
 def _directions_at(
@@ -464,138 +444,182 @@ def _separable_component(part: list[int], tp: TreePartition) -> tuple[set[int], 
     raise NoSeparableComponent("class restricted to both trees is connected")
 
 
-def pull_apart_fully(
-    sg: SymGraph, tp: TreePartition, frame: Frame
-) -> tuple[Frame, int]:
-    """Separate every pair of coincident adjacent joints; return the rounds taken.
+@dataclass
+class _LiveFrame:
+    """A frame under separation in (1, w) pairs, carried from round to round.
 
-    A round splits one coincidence class: among the classes containing an
-    edge, the one whose rotation representative holds the smallest vertex.
-    One component of its restriction to one tree moves along the opposite
-    side direction, its rotated copies along the rotated directions, and
-    every edge whose endpoints move differently gets a direction re-derived
-    so the frame condition survives. The deformation parameter runs through
-    reciprocals of primes until no two joint classes collide and the
-    generalized rigidity matrix keeps full row rank.
+    Besides positions and directions it keeps each direction's F_P image
+    and each edge's ends as the column pairs of its F_P row (by
+    ``_degree_order``), the joint classes by number (the class of each
+    vertex, the members and the point of each class), the corner each
+    vertex was parked on, and the edges whose endpoints still coincide.
+    """
 
-    The frame is read in (1, w) pairs once, and one live state (positions,
-    directions, joint classes and each edge's F_P row) carries every round.
-    A round derives only the three moving points and the rows of the edges
-    whose endpoints move differently, which are affine in the parameter, and
-    eliminates the other rows mod P once, so each candidate reduces only the
-    moved rows against them. A deficit mod P falls back to exact elimination.
+    pos: list[Pair]
+    dirs: list[Pair]
+    images: list[tuple[int, int] | None]
+    ends: list[tuple[int, int]]
+    joint_class: list[int]
+    members: list[list[int]]
+    class_at: dict[Pair, int]
+    miss: list[int]
+    coincident: list[int]
+    inverses: dict[int, int]
+
+    @classmethod
+    def read(cls, sg: SymGraph, tp: TreePartition, frame: Frame) -> "_LiveFrame":
+        edges = sg.graph.sorted_edges
+        pos = [to_omega(p) for p in frame.positions]
+        dirs = [to_omega(q) for q in frame.directions]
+        for (u, v), q in zip(edges, dirs):
+            if q == _PAIR_ZERO:
+                raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
+        miss = _missing_tree(tp, sg.graph.n)
+        class_at: dict[Pair, int] = {}
+        joint_class = [class_at.setdefault(p, len(class_at)) for p in pos]
+        members: list[list[int]] = [[] for _ in class_at]
+        for v, c in enumerate(joint_class):
+            members[c].append(v)
+        for group in members:
+            if len({miss[v] for v in group}) != 1:
+                raise InternalInvariantBroken("coincidence class spans two corner roles")
+        inverses: dict[int, int] = {}
+        images = [_pair_image(q, inverses) for q in dirs]
+        place = _degree_order(sg.graph)
+        ends = [(place[u], place[v]) for u, v in edges]
+        coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
+        return cls(
+            pos, dirs, images, ends, joint_class, members, class_at, miss, coincident, inverses
+        )
+
+    def frame(self) -> Frame:
+        return Frame(tuple(map(from_omega, self.pos)), tuple(map(from_omega, self.dirs)))
+
+
+def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
+    """One round of ``pull_apart_fully``: split one coincidence class of ``live``.
+
+    The class is, among the classes containing an edge, the one whose
+    rotation representative holds the smallest vertex. One component of its
+    restriction to one tree moves along the opposite side direction, its
+    rotated copies along the rotated directions, and every edge whose
+    endpoints move differently gets a direction re-derived so the frame
+    condition survives. The deformation parameter runs through reciprocals
+    of primes until no two joint classes collide and the generalized
+    rigidity matrix keeps full row rank.
+
+    Only the three moving points and the rows of the edges whose endpoints
+    move differently, which are affine in the parameter, are derived; the
+    other rows are eliminated mod P once, and each candidate reduces only
+    the moved rows against them. A deficit mod P falls back to exact
+    elimination.
     """
     act = sg.require_action()
     g = sg.graph
     n, m = g.n, g.m
     edges = g.sorted_edges
-    pos = [to_omega(p) for p in frame.positions]
-    dirs = [to_omega(q) for q in frame.directions]
-    for (u, v), q in zip(edges, dirs):
-        if q == _PAIR_ZERO:
-            raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
-    miss = _missing_tree(tp, n)
-    # Joint classes by number: the class of each vertex, the members and the
-    # point of each class.
-    class_at: dict[Pair, int] = {}
-    joint_class = [class_at.setdefault(p, len(class_at)) for p in pos]
-    members: list[list[int]] = [[] for _ in class_at]
-    for v, c in enumerate(joint_class):
-        members[c].append(v)
-    for group in members:
-        if len({miss[v] for v in group}) != 1:
-            raise InternalInvariantBroken("coincidence class spans two corner roles")
-    place = _degree_order(g)
-    ends = [(place[u], place[v]) for u, v in edges]
-    inverses: dict[int, int] = {}
-    images = [_pair_image(q, inverses) for q in dirs]
-    coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
+    pos, dirs, images, ends = live.pos, live.dirs, live.images, live.ends
+    joint_class, members, class_at = live.joint_class, live.members, live.class_at
+    inverses = live.inverses
+    part = _class_to_split(sg, live.coincident, joint_class, members, live.miss)
+    comp, d0 = _separable_component(part, tp)
+    steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
+    first = sorted(comp)
+    copies = (first, [act.gamma[x] for x in first], [act.gamma2[x] for x in first])
+    disp: dict[int, Pair] = {}
+    for copy, step in zip(copies, steps):
+        c = joint_class[copy[0]]
+        if any(joint_class[x] != c for x in copy) or len(members[c]) == len(copy):
+            raise InternalInvariantBroken("moving copies are not parts of rotated classes")
+        for x in copy:
+            disp[x] = step
 
-    rounds = 0
-    while coincident:
-        rounds += 1
-        if rounds > n:
-            raise InternalInvariantBroken("separation failed to terminate")
-        part = _class_to_split(sg, coincident, joint_class, members, miss)
-        comp, d0 = _separable_component(part, tp)
-        steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
-        first = sorted(comp)
-        copies = (first, [act.gamma[x] for x in first], [act.gamma2[x] for x in first])
-        disp: dict[int, Pair] = {}
-        for copy, step in zip(copies, steps):
-            c = joint_class[copy[0]]
-            if any(joint_class[x] != c for x in copy) or len(members[c]) == len(copy):
-                raise InternalInvariantBroken("moving copies are not parts of rotated classes")
-            for x in copy:
-                disp[x] = step
-
-        # Each moved edge's direction is base + t * slope.
-        moved: dict[int, tuple[Pair, Pair]] = {}
-        for i, (u, v) in enumerate(edges):
-            du = disp.get(u, _PAIR_ZERO)
-            dv = disp.get(v, _PAIR_ZERO)
-            if du == dv:
-                continue
-            dd = v_sub(du, dv)
-            if joint_class[u] == joint_class[v]:
-                moved[i] = (dd, _PAIR_ZERO)
-            else:
-                lam = _edge_scalar(v_sub(pos[u], pos[v]), dirs[i])
-                moved[i] = (dirs[i], v_scale(1 / lam, dd))
-        lines = [
-            (ends[i], _pair_image(base, inverses), _pair_image(slope, inverses))
-            for i, (base, slope) in moved.items()
-        ]
-        kept = [i for i in range(m) if i not in moved]
-        pivots: dict[int, dict[int, int]] | None = None
-        if all(images[i] is not None for i in kept) and all(None not in line for line in lines):
-            pivots = {}
-            if _eliminate((_row(*ends[i], images[i]) for i in kept), pivots) < len(kept):
-                pivots = None
-
-        # A t fails only by a collision or a rank deficit. Moving copy k
-        # lands on an occupied class point p for at most one t per (k, p),
-        # as its step is nonzero, and two copies meet for at most one t per
-        # pair, as their steps differ: 3 * (classes + 1) values. The moved
-        # rows are affine in t, so an m x m minor that is nonzero for some t
-        # (the separation step of the symmetric Crapo theorem gives one) is a
-        # polynomial of degree at most m, vanishing for at most m values. So
-        # one of the first 3 * (classes + 1) + m + 1 candidates is good.
-        starts = [pos[copy[0]] for copy in copies]
-        limit = 3 * (len(members) + 1) + m + 1
-        for t in _t_candidates(limit):
-            points = [v_add(s, v_scale(t, d)) for s, d in zip(starts, steps)]
-            if len(set(points)) < 3 or any(p in class_at for p in points):
-                continue
-            r = _residue(t, inverses)
-            rows = None
-            if pivots is not None and r is not None:
-                rows = [
-                    _row(u, v, ((bx + r * sx) % _P, (by + r * sy) % _P))
-                    for (u, v), (bx, by), (sx, sy) in lines
-                ]
-            if _full_rank(
-                pivots, rows, lambda: _pair_matrix(g, _directions_at(dirs, moved, t), place)
-            ):
-                break
+    # Each moved edge's direction is base + t * slope.
+    moved: dict[int, tuple[Pair, Pair]] = {}
+    for i, (u, v) in enumerate(edges):
+        du = disp.get(u, _PAIR_ZERO)
+        dv = disp.get(v, _PAIR_ZERO)
+        if du == dv:
+            continue
+        dd = v_sub(du, dv)
+        if joint_class[u] == joint_class[v]:
+            moved[i] = (dd, _PAIR_ZERO)
         else:
-            raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
+            lam = _edge_scalar(v_sub(pos[u], pos[v]), dirs[i])
+            moved[i] = (dirs[i], v_scale(1 / lam, dd))
+    lines = [
+        (ends[i], _pair_image(base, inverses), _pair_image(slope, inverses))
+        for i, (base, slope) in moved.items()
+    ]
+    lines_have_images = all(None not in line for line in lines)
+    kept = [i for i in range(m) if i not in moved]
+    pivots: dict[int, dict[int, int]] | None = None
+    if all(images[i] is not None for i in kept):
+        pivots = {}
+        _eliminate((_row(*ends[i], images[i]) for i in kept), pivots)
 
-        for copy, point in zip(copies, points):
-            c = joint_class[copy[0]]
-            gone = set(copy)
-            members[c] = [x for x in members[c] if x not in gone]
-            class_at[point] = len(members)
-            members.append(copy)
-            for x in copy:
-                joint_class[x] = class_at[point]
-                pos[x] = point
-        dirs = _directions_at(dirs, moved, t)
-        for i in moved:
-            images[i] = _pair_image(dirs[i], inverses)
-        # A moved edge's endpoints now lie apart; an unmoved one's kept their offset.
-        coincident = [i for i in coincident if i not in moved]
-    return Frame(tuple(map(from_omega, pos)), tuple(map(from_omega, dirs))), rounds
+    # A t fails only by a collision or a rank deficit. Moving copy k lands
+    # on an occupied class point p for at most one t per (k, p), as its step
+    # is nonzero, and two copies meet for at most one t per pair, as their
+    # steps differ: 3 * (classes + 1) values. The moved rows are affine in
+    # t, so an m x m minor that is nonzero for some t (the separation step
+    # of the symmetric Crapo theorem gives one) is a polynomial of degree at
+    # most m, vanishing for at most m values. So one of the first
+    # 3 * (classes + 1) + m + 1 candidates is good.
+    starts = [pos[copy[0]] for copy in copies]
+    limit = 3 * (len(members) + 1) + m + 1
+    for t in _t_candidates(limit):
+        points = [v_add(s, v_scale(t, d)) for s, d in zip(starts, steps)]
+        if len(set(points)) < 3 or any(p in class_at for p in points):
+            continue
+        r = _residue(t, inverses)
+        rows = None
+        if lines_have_images and r is not None:
+            rows = [
+                _row(u, v, ((bx + r * sx) % _P, (by + r * sy) % _P))
+                for (u, v), (bx, by), (sx, sy) in lines
+            ]
+        matrix = PartialElimination(
+            m, 2 * n, pivots, rows, lambda: _pair_matrix(g, _directions_at(dirs, moved, t))
+        )
+        if exact_rank(matrix) == m:
+            break
+    else:
+        raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
+
+    for copy, point in zip(copies, points):
+        c = joint_class[copy[0]]
+        gone = set(copy)
+        members[c] = [x for x in members[c] if x not in gone]
+        class_at[point] = len(members)
+        members.append(copy)
+        for x in copy:
+            joint_class[x] = class_at[point]
+            pos[x] = point
+    live.dirs = _directions_at(dirs, moved, t)
+    for i in moved:
+        images[i] = _pair_image(live.dirs[i], inverses)
+    # A moved edge's endpoints now lie apart; an unmoved one's kept their offset.
+    live.coincident = [i for i in live.coincident if i not in moved]
+
+
+def pull_apart_fully(
+    sg: SymGraph, tp: TreePartition, frame: Frame
+) -> tuple[Frame, int]:
+    """Separate every pair of coincident adjacent joints; return the rounds taken.
+
+    The frame is read in (1, w) pairs once, one live state carries every
+    round of ``pull_apart``, and the separated frame is read back once.
+    """
+    sg.require_action()
+    live = _LiveFrame.read(sg, tp, frame)
+    rounds = 0
+    while live.coincident:
+        rounds += 1
+        if rounds > sg.graph.n:
+            raise InternalInvariantBroken("separation failed to terminate")
+        pull_apart(sg, tp, live)
+    return live.frame(), rounds
 
 
 def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:

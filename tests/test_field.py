@@ -15,7 +15,7 @@ from c3rig import (
     symmetric_generic_positions,
 )
 from c3rig import field
-from c3rig.field import _P, _S
+from c3rig.field import _P, _S, PartialElimination
 from tests.corpus import acceptance_corpus, k3, k33, octahedron, prism, random_tight_symgraph
 
 small_rationals = st.fractions(
@@ -306,6 +306,45 @@ def test_overbraced_placement_proves_its_rank_without_exact_elimination(monkeypa
     assert exact_rank(matrix, 9) == 9
     with pytest.raises(AssertionError):
         exact_rank(matrix)
+
+
+def _integer_images(m):
+    # each row of an integer matrix over Q(sqrt 3) as a sparse row mod P
+    rows = []
+    for entries in m.entries:
+        values = ((c, (int(x.a) + int(x.b) * _S) % _P) for c, x in enumerate(entries))
+        rows.append({c: v for c, v in values if v})
+    return rows
+
+
+def test_partial_elimination_ranks_like_its_matrix():
+    rng = random.Random(5)
+
+    def refuse():
+        raise AssertionError("exact matrix built for a full image")
+
+    for _ in range(200):
+        nr, nc = rng.randint(1, 6), rng.randint(1, 6)
+        rows = [[QSqrt3(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(nc)] for _ in range(nr)]
+        m = ExactMatrix.from_rows(rows)
+        expected = field._fraction_free_rank(m)
+        split = rng.randint(0, nr)
+        images = _integer_images(m)
+        pivots = {}
+        field._eliminate(images[:split], pivots)
+        exact = refuse if expected == min(nr, nc) else (lambda: m)
+        assert exact_rank(PartialElimination(nr, nc, pivots, images[split:], exact)) == expected
+
+
+def test_partial_elimination_falls_back_on_a_deficit_or_a_missing_image():
+    m = ExactMatrix.from_rows([[QSqrt3(1), QSqrt3(2)], [QSqrt3(3), QSqrt3(6 + _P)]])
+    pivots = {}
+    field._eliminate(_integer_images(m)[:1], pivots)
+    deficient = PartialElimination(2, 2, pivots, _integer_images(m)[1:], lambda: m)
+    assert deficient.modular_rank() == 1
+    assert exact_rank(deficient) == 2
+    assert exact_rank(PartialElimination(2, 2, None, [], lambda: m)) == 2
+    assert exact_rank(PartialElimination(2, 2, {}, None, lambda: m)) == 2
 
 
 def test_exact_rank_matches_exact_elimination_on_acceptance_corpus():

@@ -223,7 +223,7 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
             yield t
 
     monkeypatch.setattr(geometry, "_t_candidates", counted)
-    monkeypatch.setattr(geometry, "_full_rank", lambda *args: False)
+    monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
     with pytest.raises(ExhaustedT):
         pull_apart_fully(sg, tp, frame)
     # three corner classes and nine edges: 3 * (3 + 1) + 9 + 1 candidates
@@ -343,7 +343,7 @@ def _pair_rank_mod_p(g, frame):
 
 def _pair_rank(g, frame):
     directions = [to_omega(d) for d in frame.directions]
-    matrix = geometry._pair_matrix(g, directions, geometry._degree_order(g))
+    matrix = geometry._pair_matrix(g, directions)
     return field._fraction_free_rank(matrix)
 
 
@@ -379,7 +379,6 @@ def test_separation_builds_no_exact_matrix(monkeypatch):
         tp = _certified_partition(sg)
         frame = frame_from_partition(sg, tp)
         with monkeypatch.context() as patched:
-            patched.setattr(geometry, "_fraction_free_rank", refuse)
             patched.setattr(field, "_fraction_free_rank", refuse)
             patched.setattr(geometry, "ExactMatrix", refuse)
             patched.setattr(field, "ExactMatrix", refuse)
