@@ -13,10 +13,7 @@ from .certify import (
     C3Verdict,
     ConstructionSequence,
     Move,
-    apply_delta_extension,
-    apply_edge_split,
     apply_move,
-    apply_vertex_addition,
     canonical_base,
     check_c3_isostatic,
     extract_sequence,
@@ -30,7 +27,6 @@ from .geometry import (
     frame_from_partition,
     framework_from_frame,
     numeric_isostatic_check,
-    placement_is_symmetric,
     pull_apart_fully,
     rigidity_matrix,
     symmetric_generic_positions,
@@ -42,7 +38,6 @@ from .graphs import (
     SymGraph,
     count_fixed,
     edge,
-    orbit,
     parse_graph,
     relabel_symgraph,
     serialize_graph,
@@ -78,10 +73,7 @@ __all__ = [
     "SymGraph",
     "TreePartition",
     "VERTEX_ADDITION",
-    "apply_delta_extension",
-    "apply_edge_split",
     "apply_move",
-    "apply_vertex_addition",
     "brute_force_laman",
     "build_tree_partition",
     "canonical_base",
@@ -95,10 +87,8 @@ __all__ = [
     "framework_from_frame",
     "laman_check",
     "numeric_isostatic_check",
-    "orbit",
     "parse_graph",
     "pebble_sparsity",
-    "placement_is_symmetric",
     "pull_apart_fully",
     "relabel_partition",
     "relabel_symgraph",

@@ -13,11 +13,15 @@ moves, each adding one full vertex orbit:
 ``extract_sequence`` inverts these moves down to the triangle and returns a
 replayable certificate; ``replay_sequence`` rebuilds the graph, validating
 every intermediate step. Both keep one live pebble game (``PebbleGame``)
-instead of starting a new game per step.
+instead of starting a new game per step. The reduction also keeps one live
+graph, as adjacency sets and an alive mask in the input's labels: each step
+removes the orbit of the smallest live label of lowest valence, touches only
+that orbit's edges, and returns its anchors in input labels. They are mapped
+to replay labels once, in a backward pass from the last triangle.
 """
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -186,26 +190,6 @@ def apply_move(sg: SymGraph, move: Move) -> SymGraph:
     return SymGraph(Graph(n + 3, edges | added), C3Action(gamma))
 
 
-def _new_orbit(sg: SymGraph) -> tuple[int, int, int]:
-    n = sg.graph.n
-    return (n, n + 1, n + 2)
-
-
-def apply_vertex_addition(sg: SymGraph, v1: int, v2: int) -> SymGraph:
-    """Hang a new orbit of valence-2 vertices on the anchor pair (v1, v2)."""
-    return apply_move(sg, Move(VERTEX_ADDITION, (v1, v2), _new_orbit(sg)))
-
-
-def apply_edge_split(sg: SymGraph, v1: int, v2: int, v3: int) -> SymGraph:
-    """Remove the edge orbit of {v1, v2}; join a new orbit to v1, v2, v3."""
-    return apply_move(sg, Move(EDGE_SPLIT, (v1, v2, v3), _new_orbit(sg)))
-
-
-def apply_delta_extension(sg: SymGraph, v0: int) -> SymGraph:
-    """Attach a new triangle orbit by one spoke to each vertex of v0's orbit."""
-    return apply_move(sg, Move(DELTA_EXTENSION, (v0,), _new_orbit(sg)))
-
-
 def canonical_base() -> SymGraph:
     """The triangle on 0, 1, 2 with the rotation 0 -> 1 -> 2 -> 0."""
     graph = Graph(3, frozenset({(0, 1), (1, 2), (0, 2)}))
@@ -274,84 +258,52 @@ def replay_sequence(seq: ConstructionSequence) -> SymGraph:
     return SymGraph(Graph(len(gamma), frozenset(edges)), C3Action(tuple(gamma)))
 
 
-def _compact(
-    sg: SymGraph, removed: tuple[int, int, int], added_edges: Iterable[Edge]
-) -> tuple[SymGraph, list[int], tuple[int, ...]]:
-    """Drop an orbit, renumber the survivors, splice in replacement edges.
-
-    Returns the reduced graph, the old->new map (only meaningful on
-    survivors) and the map from rebuilt labels back to these: the survivors
-    in ascending order, then the removed orbit.
-    """
-    g = sg.graph
-    act = sg.action
-    gone = set(removed)
-    survivors = [x for x in range(g.n) if x not in gone]
-    down = [-1] * g.n
-    for i, old in enumerate(survivors):
-        down[old] = i
-    kept = {
-        (down[u], down[v])
-        for u, v in g.edges
-        if u not in gone and v not in gone
-    }
-    for u, v in added_edges:
-        kept.add(edge(down[u], down[v]))
-    gamma = [0] * len(survivors)
-    for old in survivors:
-        gamma[down[old]] = down[act.gamma[old]]
-    reduced = SymGraph(Graph(len(survivors), frozenset(kept)), C3Action(tuple(gamma)))
-    return reduced, down, tuple(survivors) + removed
-
-
 def _reduce_step(
-    sg: SymGraph, game: PebbleGame, label: Sequence[int]
-) -> tuple[SymGraph, Move, tuple[int, ...]]:
-    """One inverse move, chosen deterministically.
+    act: C3Action, adj: list[set[int]], alive: list[bool], game: PebbleGame
+) -> tuple[str, tuple[int, ...], tuple[int, int, int]]:
+    """One inverse move on the live reduced graph, chosen deterministically.
 
-    Returns the reduced graph, the forward move that rebuilds the input from
-    it, and the vertex map from the rebuilt labels back to the input labels
-    (survivors first in order, then the removed orbit in rotation order).
-    The input must have more than three vertices.
-
-    ``game`` holds the input's edges, vertex x as ``label[x]``, and is
-    brought to the reduced graph's. The vertex-addition and delta reductions
-    only delete edges, so they stay tight by counting; every edge the edge
-    split reductions add must be accepted, or ``InternalInvariantBroken`` is
-    raised.
+    ``adj`` and ``alive`` hold the reduced graph in the input's labels and
+    ``game`` holds its edges; all three are brought to the graph one orbit
+    smaller. Returns the move's kind, its anchors and the removed orbit in
+    rotation order, all in input labels. The removed vertex is the smallest
+    live label of valence 2, else of valence 3. The vertex-addition and delta
+    reductions only delete edges, so they stay tight by counting; every edge
+    the edge split reductions add must be accepted, or
+    ``InternalInvariantBroken`` is raised.
     """
-    g = sg.graph
-    act = sg.action
-    n = g.n
     gamma, gamma2 = act.gamma, act.gamma2
-    deg = g.degrees()
-    adj = g.adjacency()
 
-    def delete(vertices):
-        for u, w in {edge(x, y) for x in vertices for y in adj[x]}:
-            game.delete_edge(label[u], label[w])
+    def drop(vertices):
+        for x in vertices:
+            for y in adj[x]:
+                adj[y].discard(x)
+                game.delete_edge(x, y)
+            adj[x].clear()
+            alive[x] = False
 
-    def insert(edges):
+    def knit(edges):
         for u, w in edges:
-            if not game.insert_edge(label[u], label[w]):
+            if not game.insert_edge(u, w):
                 raise InternalInvariantBroken(f"re-knit edge ({u}, {w}) breaks the counts")
+            adj[u].add(w)
+            adj[w].add(u)
 
-    low2 = [x for x in range(n) if deg[x] == 2]
-    if low2:
-        v = low2[0]
+    def lowest(valence):
+        return next((x for x, on in enumerate(alive) if on and len(adj[x]) == valence), None)
+
+    v = lowest(2)
+    if v is not None:
         orbit = (v, gamma[v], gamma2[v])
-        if any(g.has_edge(a, b) for a, b in combinations(orbit, 2)):
+        if any(b in adj[a] for a, b in combinations(orbit, 2)):
             raise InternalInvariantBroken("valence-2 orbit is not independent")
-        v1, v2 = sorted(adj[v])
-        delete(orbit)
-        reduced, down, iso = _compact(sg, orbit, ())
-        move = Move(VERTEX_ADDITION, (down[v1], down[v2]), (n - 3, n - 2, n - 1))
-        return reduced, move, iso
+        anchors = tuple(sorted(adj[v]))
+        drop(orbit)
+        return VERTEX_ADDITION, anchors, orbit
 
-    low3 = [x for x in range(n) if deg[x] == 3]
-    if not low3:
+    v = lowest(3)
+    if v is None:
         raise InternalInvariantBroken("tight graph without a valence-2 or -3 vertex")
-    v = low3[0]
     orbit = (v, gamma[v], gamma2[v])
     neighbors = sorted(adj[v])
 
@@ -361,87 +313,84 @@ def _reduce_step(
         rest = [x for x in neighbors if x not in orbit]
         if len(rest) != 1:
             raise InternalInvariantBroken("triangle orbit with malformed spokes")
-        v0 = rest[0]
-        delete(orbit)
-        reduced, down, iso = _compact(sg, orbit, ())
-        move = Move(DELTA_EXTENSION, (down[v0],), (n - 3, n - 2, n - 1))
-        return reduced, move, iso
+        drop(orbit)
+        return DELTA_EXTENSION, (rest[0],), orbit
 
     # From here on v's neighbors lie outside its orbit: an edge (v, gamma^2 v)
     # would rotate to (gamma v, v).
     rep = neighbors[0]
-    rep_orbit = {rep, gamma[rep], gamma2[rep]}
     triangle = edge_orbit((rep, gamma[rep]), gamma)
-    if set(neighbors) == rep_orbit and not any(e in g.edges for e in triangle):
+    if set(neighbors) == {rep, gamma[rep], gamma2[rep]} and not any(
+        w in adj[u] for u, w in triangle
+    ):
         # The whole neighborhood is one orbit: undo an edge split whose
         # removed orbit is the triangle on that orbit. A tight graph can
         # never already hold one of the triangle edges here, but if it did
         # the tried-pair reduction below still applies, so fall through.
-        delete(orbit)
-        insert(triangle)
-        reduced, down, iso = _compact(sg, orbit, triangle)
-        a, b = sorted((down[rep], down[gamma[rep]]))
-        move = Move(EDGE_SPLIT, (a, b, down[gamma2[rep]]), (n - 3, n - 2, n - 1))
-        return reduced, move, iso
+        drop(orbit)
+        knit(triangle)
+        return EDGE_SPLIT, triangle[0] + (gamma2[rep],), orbit
 
     # Tried-pair reduction: the first anchor pair {a, b} whose edge the game
     # accepts once v's edges are gone (G - v + ab is tight), then the rest
     # of the orbit is removed and the rest of that pair's edge orbit added.
     # A rejected pair leaves the game holding G - v, ready for the next one.
-    delete((v,))
-    chosen = None
+    # No edge of the pair orbit touches v's orbit, so dropping v first does
+    # not change which of them the graph holds.
+    drop((v,))
     for a, b in combinations(neighbors, 2):
-        if not g.has_edge(a, b) and game.insert_edge(label[a], label[b]):
-            chosen = (a, b)
+        if b not in adj[a] and game.insert_edge(a, b):
             break
-    if chosen is None:
+    else:
         raise InternalInvariantBroken("no anchor pair re-knits the deletion")
-    a, b = chosen
-    c = next(x for x in neighbors if x not in chosen)
     pair_orbit = edge_orbit((a, b), gamma)
-    if len(set(pair_orbit)) != 3 or any(e in g.edges for e in pair_orbit):
+    if len(set(pair_orbit)) != 3 or any(w in adj[u] for u, w in pair_orbit):
         raise InternalInvariantBroken("chosen pair orbit collides with the graph")
-    delete(orbit[1:])
-    insert(pair_orbit[1:])
-    reduced, down, iso = _compact(sg, orbit, pair_orbit)
-    move = Move(EDGE_SPLIT, (down[a], down[b], down[c]), (n - 3, n - 2, n - 1))
-    return reduced, move, iso
+    adj[a].add(b)
+    adj[b].add(a)
+    drop(orbit[1:])
+    knit(pair_orbit[1:])
+    c = next(x for x in neighbors if x != a and x != b)
+    return EDGE_SPLIT, (a, b, c), orbit
 
 
 def extract_sequence(sg: SymGraph) -> ConstructionSequence:
     """Reduce to the triangle, reverse the moves, verify the round trip.
 
     The input's verdict is the one pebble game on it; ``NotIsostatic``
-    carries that verdict. That game stays live through the reduction, in
-    input labels, and decides every edge a reduction step adds. The round
+    carries that verdict. That game and the reduced graph stay live through
+    the reduction, in input labels, and the game decides every edge a
+    reduction step adds. The round
     trip replays the sequence with a game of its own, checking each
     intermediate graph, and compares the relabeled result with the input.
     """
     verdict, game = _decide(sg)
     if not verdict.isostatic:
         raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}", verdict)
-    steps = []
-    cur = sg
-    label = list(range(sg.graph.n))
-    while cur.graph.n > 3:
-        cur, move, iso = _reduce_step(cur, game, label)
-        label = [label[x] for x in iso[: cur.graph.n]]
-        steps.append((move, iso))
+    act, n = sg.action, sg.graph.n
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, w in sg.graph.edges:
+        adj[u].add(w)
+        adj[w].add(u)
+    alive = [True] * n
+    # No vertex is fixed, so every orbit has three vertices.
+    steps = [_reduce_step(act, adj, alive, game) for _ in range(n // 3 - 1)]
 
-    # Normalize the reduced triangle onto the canonical base; the only other
-    # possible action is the opposite rotation, absorbed by swapping 1 and 2.
-    psi = [0, 1, 2] if cur.action.gamma == (1, 2, 0) else [0, 2, 1]
-
+    # Replay labels, backward from the last triangle ordered as the canonical
+    # base; each removed orbit then takes the next three labels. ``inv`` maps
+    # input labels to replay labels, -1 for a vertex not yet placed.
+    s0 = alive.index(True)
+    psi = [s0, act.gamma[s0], act.gamma2[s0]]
+    inv = [-1] * n
+    for k, x in enumerate(psi):
+        inv[x] = k
     moves = []
-    for move, iso in reversed(steps):
+    for kind, anchors, orbit in reversed(steps):
         k = len(psi)
-        if move.new_vertices != (k, k + 1, k + 2):
-            raise InternalInvariantBroken("reduction sizes are inconsistent")
-        inv = [0] * k
-        for x, y in enumerate(psi):
-            inv[y] = x
-        moves.append(Move(move.kind, tuple(inv[a] for a in move.anchors), (k, k + 1, k + 2)))
-        psi = [iso[y] for y in psi] + [iso[k], iso[k + 1], iso[k + 2]]
+        moves.append(Move(kind, tuple(inv[x] for x in anchors), (k, k + 1, k + 2)))
+        for x in orbit:
+            inv[x] = len(psi)
+            psi.append(x)
 
     seq = ConstructionSequence(canonical_base(), tuple(moves), tuple(psi))
     try:

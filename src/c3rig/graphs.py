@@ -64,13 +64,6 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in range(self.n)]
-        for u, v in self.sorted_edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def degrees(self) -> list[int]:
         deg = [0] * self.n
         for u, v in self.edges:
@@ -168,13 +161,6 @@ def count_fixed(sg: SymGraph) -> FixedCounts:
     j = len(act.fixed_vertices())
     b = sum(1 for e in sg.graph.edges if act.map_edge(e) == e)
     return FixedCounts(j=j, b=b)
-
-
-def orbit(action: C3Action, v: int) -> tuple[int, int, int]:
-    """The symmetry orbit of v in rotation order: (v, gamma v, gamma^2 v)."""
-    if not 0 <= v < action.n:
-        raise SchemaError(f"vertex {v} out of range")
-    return action.orbit(v)
 
 
 def relabel_symgraph(sg: SymGraph, perm: tuple[int, ...]) -> SymGraph:

@@ -6,12 +6,14 @@ from functools import cache
 from itertools import combinations
 
 from c3rig import (
+    DELTA_EXTENSION,
+    EDGE_SPLIT,
+    VERTEX_ADDITION,
     C3Action,
     Graph,
+    Move,
     SymGraph,
-    apply_delta_extension,
-    apply_edge_split,
-    apply_vertex_addition,
+    apply_move,
     canonical_base,
     edge,
     parse_graph,
@@ -62,18 +64,24 @@ def random_plain_graph(rng: random.Random, n: int) -> Graph:
     return Graph(n, frozenset(edge(u, v) for u, v in chosen))
 
 
+def grow(sg: SymGraph, kind: str, *anchors: int) -> SymGraph:
+    """Apply one move; its new orbit takes the next three labels."""
+    n = sg.graph.n
+    return apply_move(sg, Move(kind, anchors, (n, n + 1, n + 2)))
+
+
 def random_move(rng: random.Random, sg: SymGraph) -> SymGraph:
     """Apply one uniformly chosen valid symmetric move."""
     n = sg.graph.n
     kind = rng.randrange(3)
     if kind == 0:
         v1, v2 = rng.sample(range(n), 2)
-        return apply_vertex_addition(sg, v1, v2)
+        return grow(sg, VERTEX_ADDITION, v1, v2)
     if kind == 1:
         v1, v2 = sg.graph.sorted_edges[rng.randrange(sg.graph.m)]
         v3 = rng.choice([x for x in range(n) if x != v1 and x != v2])
-        return apply_edge_split(sg, v1, v2, v3)
-    return apply_delta_extension(sg, rng.randrange(n))
+        return grow(sg, EDGE_SPLIT, v1, v2, v3)
+    return grow(sg, DELTA_EXTENSION, rng.randrange(n))
 
 
 def random_tight_symgraph(seed_or_rng, n: int) -> SymGraph:

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,10 +9,7 @@ from c3rig import (
     EDGE_SPLIT,
     VERTEX_ADDITION,
     ConstructionSequence,
-    Graph,
     Move,
-    SymGraph,
-    apply_vertex_addition,
     build_tree_partition,
     canonical_base,
     check_c3_isostatic,
@@ -32,6 +31,9 @@ from c3rig.errors import (
 )
 from c3rig.graphs import edge_orbit
 from tests.corpus import (
+    acceptance_corpus,
+    fast_tight_symgraph,
+    grow,
     k13_hub,
     k3,
     k33,
@@ -91,7 +93,7 @@ def test_reduce_prism_to_triangle():
 
 
 def test_reduce_vertex_addition_shape():
-    sg = apply_vertex_addition(k3(), 0, 1)
+    sg = grow(k3(), VERTEX_ADDITION, 0, 1)
     seq = extract_sequence(sg)
     assert seq.moves == (Move(VERTEX_ADDITION, (0, 1), (3, 4, 5)),)
     assert relabel_symgraph(replay_sequence(seq), seq.relabeling) == sg
@@ -115,17 +117,21 @@ def test_extract_rejects_non_isostatic_graphs():
     assert hub.value.verdict.witness == 3
 
 
-def _drop_edge_orbit(reduced, move, iso):
-    g = reduced.graph
-    gone = frozenset(edge_orbit(g.sorted_edges[0], reduced.action.gamma))
-    return SymGraph(Graph(g.n, g.edges - gone), reduced.action), move, iso
+def _drop_edge_orbit(act, adj, alive, game, result):
+    # the smallest edge's orbit leaves the live reduced graph, not the game
+    u = next(x for x in range(len(adj)) if adj[x])
+    for x, y in edge_orbit((u, min(adj[u])), act.gamma):
+        adj[x].discard(y)
+        adj[y].discard(x)
+    return result
 
 
-def _swap_last_anchor(reduced, move, iso):
+def _swap_last_anchor(act, adj, alive, game, result):
     # the last anchor is never part of a split edge, and the reduced graph
     # fixes no vertex, so the swapped move still applies
-    other = next(x for x in range(reduced.graph.n) if x not in move.anchors)
-    return reduced, Move(move.kind, move.anchors[:-1] + (other,), move.new_vertices), iso
+    kind, anchors, orbit = result
+    other = next(x for x, on in enumerate(alive) if on and x not in anchors)
+    return kind, anchors[:-1] + (other,), orbit
 
 
 @pytest.mark.parametrize("corrupt", [_drop_edge_orbit, _swap_last_anchor])
@@ -138,10 +144,10 @@ def test_corrupted_reduction_yields_no_certificate(monkeypatch, corrupt, n):
     original = certify._reduce_step
     steps = []
 
-    def step(cur, *live):
-        steps.append(cur)
-        result = original(cur, *live)
-        return corrupt(*result) if len(steps) == 1 else result
+    def step(*live):
+        steps.append(live)
+        result = original(*live)
+        return corrupt(*live, result) if len(steps) == 1 else result
 
     monkeypatch.setattr(certify, "_reduce_step", step)
     with pytest.raises(InternalInvariantBroken):
@@ -187,6 +193,26 @@ def test_extract_round_trip_on_corpus():
                 step = replay_sequence(ConstructionSequence(canonical_base(), seq.moves[:k]))
                 assert laman_check(step.graph)
                 assert count_fixed(step).j == 0
+
+
+SEQUENCE_DIGEST = "a3cf845a34a3a01483a6e4ff403833e78ad30a58f2df6868f009580f07aea570"
+
+
+def test_extracted_sequences_match_their_pinned_digest():
+    # One sha256 over the sequences of 426 graphs pins the move choice: the
+    # smallest label of lowest valence, the anchor pair order and the anchor
+    # order. The goldens cover six graphs only.
+    graphs = list(acceptance_corpus())
+    graphs += [fast_tight_symgraph(s, n) for s in range(4) for n in (30, 60, 120, 240)]
+    graphs += [random_tight_symgraph(s, 45) for s in range(10)]
+    digest = hashlib.sha256()
+    for sg in graphs:
+        try:
+            text = json.dumps(extract_sequence(sg).as_json_dict(), sort_keys=True)
+        except NotIsostatic:
+            text = "NotIsostatic"
+        digest.update(text.encode() + b"\n")
+    assert digest.hexdigest() == SEQUENCE_DIGEST
 
 
 def test_extraction_survives_arbitrary_labelings():

@@ -130,9 +130,9 @@ def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
     reduced_with = []
     reduce_step = certify._reduce_step
 
-    def step(cur, game, label):
+    def step(act, adj, alive, game):
         reduced_with.append(game)
-        return reduce_step(cur, game, label)
+        return reduce_step(act, adj, alive, game)
 
     monkeypatch.setattr(certify, "_reduce_step", step)
     code, _ = run(capsys, ["certify", write(PRISM_DOC)])

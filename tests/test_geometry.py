@@ -17,7 +17,6 @@ from c3rig import (
     frame_from_partition,
     framework_from_frame,
     numeric_isostatic_check,
-    placement_is_symmetric,
     pull_apart_fully,
     relabel_partition,
     rigidity_matrix,
@@ -42,6 +41,7 @@ from c3rig.geometry import (
     frame_lambdas,
     from_omega,
     generalized_rigidity_matrix,
+    placement_is_symmetric,
     rotate,
     rotate_omega,
     to_omega,

@@ -5,7 +5,6 @@ import pytest
 
 from c3rig import (
     count_fixed,
-    orbit,
     parse_graph,
     relabel_symgraph,
     serialize_graph,
@@ -116,18 +115,18 @@ def test_fixed_edge_needs_both_endpoints_fixed():
 
 def test_orbit_examples():
     act = prism().action
-    assert orbit(act, 0) == (0, 1, 2)
-    assert orbit(act, 4) == (4, 5, 3)
+    assert act.orbit(0) == (0, 1, 2)
+    assert act.orbit(4) == (4, 5, 3)
     hub = k13_hub().action
-    assert orbit(hub, 3) == (3, 3, 3)
+    assert hub.orbit(3) == (3, 3, 3)
 
 
 def test_orbit_cycles():
     act = prism().action
     for v in range(6):
-        a, b, c = orbit(act, v)
-        assert orbit(act, b) == (b, c, a)
-        assert orbit(act, c) == (c, a, b)
+        a, b, c = act.orbit(v)
+        assert act.orbit(b) == (b, c, a)
+        assert act.orbit(c) == (c, a, b)
 
 
 def test_serialize_round_trip():

@@ -3,19 +3,19 @@ import random
 import pytest
 
 from c3rig import (
-    apply_delta_extension,
-    apply_edge_split,
-    apply_vertex_addition,
+    DELTA_EXTENSION,
+    EDGE_SPLIT,
+    VERTEX_ADDITION,
     brute_force_laman,
     count_fixed,
     laman_check,
 )
 from c3rig.errors import DegenerateMove, FixedAnchor, InvalidAnchor, MissingEdge
-from tests.corpus import k13_hub, k3, k33, prism, random_move, random_tight_symgraph
+from tests.corpus import grow, k13_hub, k3, k33, prism, random_move, random_tight_symgraph
 
 
 def test_vertex_addition_on_k3():
-    sg = apply_vertex_addition(k3(), 0, 1)
+    sg = grow(k3(), VERTEX_ADDITION, 0, 1)
     assert sg.graph.n == 6
     assert sg.graph.m == 9
     assert sg.action.gamma == (1, 2, 0, 4, 5, 3)
@@ -25,7 +25,7 @@ def test_vertex_addition_on_k3():
 
 
 def test_vertex_addition_on_prism():
-    sg = apply_vertex_addition(prism(), 0, 3)
+    sg = grow(prism(), VERTEX_ADDITION, 0, 3)
     assert (sg.graph.n, sg.graph.m) == (9, 15)
     assert laman_check(sg.graph)
     assert count_fixed(sg).j == 0
@@ -33,11 +33,11 @@ def test_vertex_addition_on_prism():
 
 def test_vertex_addition_rejects_equal_anchors():
     with pytest.raises(InvalidAnchor):
-        apply_vertex_addition(k3(), 0, 0)
+        grow(k3(), VERTEX_ADDITION, 0, 0)
 
 
 def test_edge_split_on_prism():
-    sg = apply_edge_split(prism(), 0, 1, 3)
+    sg = grow(prism(), EDGE_SPLIT, 0, 1, 3)
     assert (sg.graph.n, sg.graph.m) == (9, 15)
     assert laman_check(sg.graph)
     # the split orbit is gone, the new orbit carries the load
@@ -48,21 +48,22 @@ def test_edge_split_on_prism():
 
 
 def test_edge_split_of_k3_gives_bipartite_shape():
-    sg = apply_edge_split(k3(), 0, 1, 2)
+    sg = grow(k3(), EDGE_SPLIT, 0, 1, 2)
     assert sg == k33()
 
 
 def test_edge_split_errors():
     with pytest.raises(MissingEdge):
-        apply_edge_split(prism(), 0, 4, 1)
+        grow(prism(), EDGE_SPLIT, 0, 4, 1)
     with pytest.raises(InvalidAnchor):
-        apply_edge_split(prism(), 0, 1, 0)
+        grow(prism(), EDGE_SPLIT, 0, 1, 0)
     # a fully fixed edge cannot be split symmetrically
     with pytest.raises(DegenerateMove):
-        apply_edge_split(
+        grow(
             __import__("c3rig").parse_graph(
                 '{"vertices":5, "edges":[[0,1],[1,2],[2,0],[3,4]], "c3":[1,2,0,3,4]}'
             ),
+            EDGE_SPLIT,
             3,
             4,
             0,
@@ -70,21 +71,21 @@ def test_edge_split_errors():
 
 
 def test_delta_extension_builds_prism():
-    sg = apply_delta_extension(k3(), 0)
+    sg = grow(k3(), DELTA_EXTENSION, 0)
     assert sg.graph.edges == frozenset(
         {(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)}
     )
 
 
 def test_delta_extension_on_prism():
-    sg = apply_delta_extension(prism(), 3)
+    sg = grow(prism(), DELTA_EXTENSION, 3)
     assert (sg.graph.n, sg.graph.m) == (9, 15)
     assert laman_check(sg.graph)
 
 
 def test_delta_extension_rejects_fixed_anchor():
     with pytest.raises(FixedAnchor):
-        apply_delta_extension(k13_hub(), 3)
+        grow(k13_hub(), DELTA_EXTENSION, 3)
 
 
 def test_moves_add_one_orbit_and_six_edges():
