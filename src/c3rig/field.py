@@ -32,8 +32,12 @@ class QSqrt3:
     b: Fraction = Fraction(0)
 
     def __post_init__(self):
-        object.__setattr__(self, "a", Fraction(self.a))
-        object.__setattr__(self, "b", Fraction(self.b))
+        # Arithmetic hands over exact Fractions; only other rationals
+        # (int, bool, Fraction subclasses) are re-wrapped.
+        if type(self.a) is not Fraction:
+            object.__setattr__(self, "a", Fraction(self.a))
+        if type(self.b) is not Fraction:
+            object.__setattr__(self, "b", Fraction(self.b))
 
     # -- arithmetic ------------------------------------------------------
 
@@ -198,6 +202,15 @@ def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
     return q.numerator * inv % _P
 
 
+def _image(x: QSqrt3, inverses: dict[int, int]) -> int | None:
+    """The image a + b*S (mod P) of a + b*sqrt(3), or None when it has none."""
+    a = _residue(x.a, inverses) if x.a else 0
+    b = _residue(x.b, inverses) if x.b else 0
+    if a is None or b is None:
+        return None
+    return (a + b * _S) % _P
+
+
 def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]) -> int:
     """Reduce sparse rows mod P against ``pivots``; return how many were independent.
 
@@ -240,11 +253,9 @@ def _modular_rank(m: ExactMatrix) -> int | None:
         for c, x in enumerate(entries):
             if x is Q_ZERO:
                 continue
-            a = _residue(x.a, inverses) if x.a else 0
-            b = _residue(x.b, inverses) if x.b else 0
-            if a is None or b is None:
+            v = _image(x, inverses)
+            if v is None:
                 return None
-            v = (a + b * _S) % _P
             if v:
                 row[c] = v
         rows.append(row)

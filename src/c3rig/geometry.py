@@ -43,6 +43,7 @@ from .field import (
     Q_ZERO,
     _P,
     _eliminate,
+    _image,
     _residue,
     exact_rank,
 )
@@ -52,8 +53,6 @@ from .trees import TreePartition, verify_tree_partition
 Vec2 = tuple[QSqrt3, QSqrt3]
 
 _HALF = Fraction(1, 2)
-_NEG_HALF = QSqrt3(-_HALF)
-_SQRT3_HALF = QSqrt3(0, _HALF)
 
 ZERO2: Vec2 = (Q_ZERO, Q_ZERO)
 
@@ -91,9 +90,17 @@ def cross(p: Vec2, q: Vec2) -> QSqrt3:
 
 
 def rotate(p: Vec2) -> Vec2:
-    """Rotate by 120 degrees about the origin."""
+    """Rotate by 120 degrees about the origin.
+
+    The product (-x/2 - (sqrt(3)/2) y, (sqrt(3)/2) x - y/2), written out in
+    the components of x = xa + xb*sqrt(3) and y = ya + yb*sqrt(3).
+    """
     x, y = p
-    return (_NEG_HALF * x - _SQRT3_HALF * y, _SQRT3_HALF * x + _NEG_HALF * y)
+    xa, xb, ya, yb = x.a, x.b, y.a, y.b
+    return (
+        QSqrt3((-xa - 3 * yb) / 2, (-xb - ya) / 2),
+        QSqrt3((3 * xb - ya) / 2, (xa - yb) / 2),
+    )
 
 
 def rotate2(p: Vec2) -> Vec2:
@@ -198,7 +205,13 @@ class RankVerdict:
 
 
 def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
-    """Isostatic iff the edge count and the exact rank both hit 2n - 3."""
+    """Isostatic iff the edge count and the exact rank both hit 2n - 3.
+
+    The rank is taken on the rigidity matrix's image mod P, built straight
+    from each position's image, one sparse row per edge with the column
+    pairs in ``_degree_order``. The ``ExactMatrix`` is built only when that
+    image's rank falls short of min(m, 2n - 3) or a coordinate has no image.
+    """
     g = sg.graph
     n = g.n
     if n < 3:
@@ -213,7 +226,17 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     # Joints not all collinear are not all coincident, so the trivial
     # motions cap the rank at 2n - 3 even when there are more bars.
     target = 2 * n - 3
-    rank = exact_rank(rigidity_matrix(g, placement), target)
+    inverses: dict[int, int] = {}
+    images = [(_image(x, inverses), _image(y, inverses)) for x, y in pos]
+    rows = None
+    if all(None not in image for image in images):
+        place = _degree_order(g)
+        rows = []
+        for u, v in g.sorted_edges:
+            (xu, yu), (xv, yv) = images[u], images[v]
+            rows.append(_row(place[u], place[v], ((xu - xv) % _P, (yu - yv) % _P)))
+    matrix = PartialElimination(g.m, 2 * n, {}, rows, lambda: rigidity_matrix(g, placement))
+    rank = exact_rank(matrix, target)
     return RankVerdict(
         isostatic=g.m == target and rank == target,
         independent=rank == g.m,
@@ -372,9 +395,9 @@ def _pair_matrix(g: Graph, directions: Iterable[Pair]) -> ExactMatrix:
 def _degree_order(g: Graph) -> list[int]:
     """Each vertex's place when vertices go by degree, then label.
 
-    Used as the column order of the frame's F_P rows: eliminating the
-    columns of low-degree vertices first keeps the fill-in small, and a
-    column order never changes a rank.
+    Used as the column order of every F_P row built from positions or
+    directions: eliminating the columns of low-degree vertices first keeps
+    the fill-in small, and a column order never changes a rank.
     """
     degree = g.degrees()
     place = [0] * g.n

@@ -200,6 +200,12 @@ def test_criterion_7_performance():
     rank, rank_elapsed = timed_rank(random_tight_symgraph(7, 60))
     big_rank, big_rank_elapsed = timed_rank(fast_tight_symgraph(11, 240))
 
+    # the path realize runs: placement, then the rank check on it
+    placed = fast_tight_symgraph(11, 960)
+    start = time.perf_counter()
+    placed_rank = numeric_isostatic_check(placed, symmetric_generic_positions(placed, 0)).rank
+    placed_elapsed = time.perf_counter() - start
+
     def timed_extract(sg):
         start = time.perf_counter()
         seq = extract_sequence(sg)
@@ -215,6 +221,8 @@ def test_criterion_7_performance():
         and rank_elapsed < 10.0
         and big_rank == 477
         and big_rank_elapsed < 10.0
+        and placed_rank == 1917
+        and placed_elapsed < 2.0
         and moves == 319
         and extract_elapsed < 3.0
         and big_moves == 999
@@ -224,6 +232,7 @@ def test_criterion_7_performance():
         7,
         ok,
         f"pebble n=3000 {pebble_elapsed:.2f}s (< 5s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
-        f" n=240 {big_rank_elapsed:.2f}s (< 10s), extraction n=960 {extract_elapsed:.2f}s (< 3s),"
+        f" n=240 {big_rank_elapsed:.2f}s (< 10s), placement and rank check n=960"
+        f" {placed_elapsed:.2f}s (< 2s), extraction n=960 {extract_elapsed:.2f}s (< 3s),"
         f" n=3000 {big_extract_elapsed:.2f}s (< 5s)",
     )

@@ -65,6 +65,20 @@ def test_int_coercion():
     assert 1 / QSqrt3(0, 1) == QSqrt3(0, Fraction(1, 3))
 
 
+def test_components_are_normalized_to_fractions():
+    class Half(Fraction):
+        pass
+
+    cases = [
+        (QSqrt3(1, True), QSqrt3(Fraction(1), Fraction(1))),
+        (QSqrt3(False, 2), QSqrt3(Fraction(0), Fraction(2))),
+        (QSqrt3(Half(1, 2), Half(-3, 2)), QSqrt3(Fraction(1, 2), Fraction(-3, 2))),
+    ]
+    for x, expected in cases:
+        assert type(x.a) is Fraction and type(x.b) is Fraction
+        assert x == expected and hash(x) == hash(expected)
+
+
 @given(elements, elements, elements)
 def test_field_laws(x, y, z):
     assert (x + y) + z == x + (y + z)

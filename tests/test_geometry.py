@@ -3,6 +3,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from c3rig import (
     C3Action,
@@ -23,6 +24,7 @@ from c3rig import (
     symmetric_generic_positions,
 )
 from c3rig import field, geometry
+from c3rig.field import _P
 from c3rig.errors import (
     CoincidentAdjacentJoints,
     DegenerateSpan,
@@ -43,6 +45,7 @@ from c3rig.geometry import (
     generalized_rigidity_matrix,
     placement_is_symmetric,
     rotate,
+    rotate2,
     rotate_omega,
     to_omega,
 )
@@ -51,6 +54,7 @@ from tests.corpus import (
     acceptance_corpus,
     k13_hub,
     k3,
+    octahedron,
     perturb_edge_swap,
     prism,
     random_tight_symgraph,
@@ -59,6 +63,10 @@ from tests.corpus import (
 
 def q(a, b=0):
     return QSqrt3(Fraction(a), Fraction(b))
+
+
+small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+nonzero_rationals = small_rationals.filter(bool)
 
 
 def test_symmetric_positions_satisfy_rotation_equation():
@@ -160,6 +168,107 @@ def test_collinear_placement_rejected():
     line = Placement(((q(0), q(0)), (q(1), q(0)), (q(2), q(0))))
     with pytest.raises(DegenerateSpan):
         numeric_isostatic_check(g, line)
+
+
+def test_full_rank_placement_builds_no_exact_matrix(monkeypatch):
+    # the octahedron's 12 rows reach only rank 9: the 2n - 3 ceiling is
+    # what proves that rank mod P
+    cases = [(prism(), 9, 9), (random_tight_symgraph(7, 60), 117, 117), (octahedron(), 12, 9)]
+    placements = [symmetric_generic_positions(sg, 0) for sg, _, _ in cases]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("exact matrix or exact elimination reached")
+
+    monkeypatch.setattr(geometry, "rigidity_matrix", refuse)
+    monkeypatch.setattr(geometry, "ExactMatrix", refuse)
+    monkeypatch.setattr(field, "ExactMatrix", refuse)
+    monkeypatch.setattr(field, "_fraction_free_rank", refuse)
+    for (sg, m, rank), placement in zip(cases, placements):
+        verdict = numeric_isostatic_check(sg, placement)
+        assert (verdict.edge_count, verdict.rank, verdict.flex_dim) == (m, rank, 0)
+
+
+def _counted_exact_elimination(monkeypatch):
+    calls = []
+    original = field._fraction_free_rank
+
+    def counted(m):
+        calls.append(m)
+        return original(m)
+
+    monkeypatch.setattr(field, "_fraction_free_rank", counted)
+    return calls
+
+
+def _prism_at(inner, outer):
+    # inner triangle at inner, R inner, R^2 inner; outer likewise, R the rotation
+    positions = [inner, rotate(inner), rotate2(inner), outer, rotate(outer), rotate2(outer)]
+    return Placement(tuple(positions), framework=True)
+
+
+# the bars 0-3, 1-4, 2-5 lie on three lines through the origin
+_CONCURRENT = _prism_at(
+    (q(Fraction(3, 7)), q(Fraction(-2, 5))), (q(Fraction(6, 7)), q(Fraction(-4, 5)))
+)
+# a coordinate with denominator P has no image mod P
+_NO_IMAGE = _prism_at(
+    (q(Fraction(1, _P)), q(Fraction(2, 5))), (q(Fraction(3, 7)), q(Fraction(-5, 11)))
+)
+
+
+def test_concurrent_prism_bars_reach_exact_elimination(monkeypatch):
+    sg = prism()
+    assert placement_is_symmetric(sg, _CONCURRENT)
+    calls = _counted_exact_elimination(monkeypatch)
+    verdict = numeric_isostatic_check(sg, _CONCURRENT)
+    assert (verdict.rank, verdict.flex_dim) == (8, 1)
+    assert not verdict.isostatic and not verdict.independent
+    assert len(calls) == 1
+
+
+def test_placement_without_an_image_reaches_exact_elimination(monkeypatch):
+    sg = prism()
+    assert placement_is_symmetric(sg, _NO_IMAGE)
+    calls = _counted_exact_elimination(monkeypatch)
+    verdict = numeric_isostatic_check(sg, _NO_IMAGE)
+    assert verdict.isostatic and verdict.rank == 9
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("placement, rank", [(_CONCURRENT, 8), (_NO_IMAGE, 9)])
+def test_planted_prism_ranks_match_sympy(placement, rank):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(x):
+        return sympy.Rational(x.a.numerator, x.a.denominator) + sympy.Rational(
+            x.b.numerator, x.b.denominator
+        ) * sympy.sqrt(3)
+
+    m = rigidity_matrix(prism().graph, placement)
+    assert sympy.Matrix([[to_sympy(x) for x in row] for row in m.entries]).rank() == rank
+    assert numeric_isostatic_check(prism(), placement).rank == rank
+
+
+def test_placement_rank_matches_the_rigidity_matrix_on_acceptance_corpus():
+    for sg in acceptance_corpus():
+        g = sg.graph
+        placement = symmetric_generic_positions(sg, 0)
+        expected = exact_rank(rigidity_matrix(g, placement), 2 * g.n - 3)
+        assert numeric_isostatic_check(sg, placement).rank == expected
+
+
+points = st.tuples(
+    st.builds(QSqrt3, small_rationals, nonzero_rationals),
+    st.builds(QSqrt3, small_rationals, nonzero_rationals),
+)
+
+
+@given(points)
+def test_closed_form_rotation_is_the_product(p):
+    x, y = p
+    neg_half, sqrt3_half = q(Fraction(-1, 2)), q(0, Fraction(1, 2))
+    assert rotate(p) == (neg_half * x - sqrt3_half * y, sqrt3_half * x + neg_half * y)
+    assert rotate(rotate(rotate(p))) == p
 
 
 def _certified_partition(sg):
