@@ -15,14 +15,16 @@ replayable certificate; ``replay_sequence`` rebuilds the graph, validating
 every intermediate step. Both keep one live pebble game (``PebbleGame``)
 instead of starting a new game per step. The reduction also keeps one live
 graph, as adjacency sets and an alive mask in the input's labels: each step
-removes the orbit of the smallest live label of lowest valence, touches only
-that orbit's edges, and returns its anchors in input labels. They are mapped
-to replay labels once, in a backward pass from the last triangle.
+removes the orbit of the smallest live label of lowest valence (kept in
+min-heaps by valence), touches only that orbit's edges, and returns its
+anchors in input labels. They are mapped to replay labels once, in a backward
+pass from the last triangle.
 """
 from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import combinations
 
 from .errors import (
@@ -259,26 +261,44 @@ def replay_sequence(seq: ConstructionSequence) -> SymGraph:
 
 
 def _reduce_step(
-    act: C3Action, adj: list[set[int]], alive: list[bool], game: PebbleGame
+    act: C3Action,
+    adj: list[set[int]],
+    alive: list[bool],
+    game: PebbleGame,
+    low: dict[int, list[int]],
 ) -> tuple[str, tuple[int, ...], tuple[int, int, int]]:
     """One inverse move on the live reduced graph, chosen deterministically.
 
     ``adj`` and ``alive`` hold the reduced graph in the input's labels and
-    ``game`` holds its edges; all three are brought to the graph one orbit
-    smaller. Returns the move's kind, its anchors and the removed orbit in
-    rotation order, all in input labels. The removed vertex is the smallest
-    live label of valence 2, else of valence 3. The vertex-addition and delta
-    reductions only delete edges, so they stay tight by counting; every edge
-    the edge split reductions add must be accepted, or
-    ``InternalInvariantBroken`` is raised.
+    ``game`` holds its edges; ``low`` maps valences 2 and 3 to min-heaps of
+    labels that hold every live vertex of that valence, plus stale entries
+    that are dropped when they reach the top. All four are brought to the
+    graph one orbit smaller. Returns the move's kind, its anchors and the
+    removed orbit in rotation order, all in input labels. The removed vertex
+    is the smallest live label of valence 2, else of valence 3. The
+    vertex-addition and delta reductions only delete edges, so they stay
+    tight by counting; every edge the edge split reductions add must be
+    accepted, or ``InternalInvariantBroken`` is raised.
     """
     gamma, gamma2 = act.gamma, act.gamma2
+
+    def touch(x):
+        # x's valence just changed: index it under the new one
+        if len(adj[x]) in low:
+            heappush(low[len(adj[x])], x)
+
+    def link(u, w):
+        adj[u].add(w)
+        adj[w].add(u)
+        touch(u)
+        touch(w)
 
     def drop(vertices):
         for x in vertices:
             for y in adj[x]:
                 adj[y].discard(x)
                 game.delete_edge(x, y)
+                touch(y)
             adj[x].clear()
             alive[x] = False
 
@@ -286,11 +306,13 @@ def _reduce_step(
         for u, w in edges:
             if not game.insert_edge(u, w):
                 raise InternalInvariantBroken(f"re-knit edge ({u}, {w}) breaks the counts")
-            adj[u].add(w)
-            adj[w].add(u)
+            link(u, w)
 
     def lowest(valence):
-        return next((x for x, on in enumerate(alive) if on and len(adj[x]) == valence), None)
+        heap = low[valence]
+        while heap and not (alive[heap[0]] and len(adj[heap[0]]) == valence):
+            heappop(heap)
+        return heap[0] if heap else None
 
     v = lowest(2)
     if v is not None:
@@ -346,8 +368,7 @@ def _reduce_step(
     pair_orbit = edge_orbit((a, b), gamma)
     if len(set(pair_orbit)) != 3 or any(w in adj[u] for u, w in pair_orbit):
         raise InternalInvariantBroken("chosen pair orbit collides with the graph")
-    adj[a].add(b)
-    adj[b].add(a)
+    link(a, b)
     drop(orbit[1:])
     knit(pair_orbit[1:])
     c = next(x for x in neighbors if x != a and x != b)
@@ -373,8 +394,10 @@ def extract_sequence(sg: SymGraph) -> ConstructionSequence:
         adj[u].add(w)
         adj[w].add(u)
     alive = [True] * n
+    # Sorted lists, so already heaps.
+    low = {k: [x for x in range(n) if len(adj[x]) == k] for k in (2, 3)}
     # No vertex is fixed, so every orbit has three vertices.
-    steps = [_reduce_step(act, adj, alive, game) for _ in range(n // 3 - 1)]
+    steps = [_reduce_step(act, adj, alive, game, low) for _ in range(n // 3 - 1)]
 
     # Replay labels, backward from the last triangle ordered as the canonical
     # base; each removed orbit then takes the next three labels. ``inv`` maps

@@ -5,11 +5,19 @@ vertices has |E(H)| <= 2|V(H)| - 3, and tight when additionally |E| = 2n - 3
 (Laman's conditions). The pebble game decides this in O(n m): every vertex
 starts with two pebbles, and an edge is accepted once four pebbles sit on its
 endpoints, after which the edge is oriented and paid for with one pebble of
-its tail. Pebbles are pulled toward an endpoint by reversing directed paths.
+its tail. Pebbles are pulled toward an endpoint by reversing directed paths:
+each search is breadth-first, takes the nearest free pebble and reverses a
+shortest path to it.
 
-On rejection, the set of vertices reachable from the offending edge's
-endpoints in the pebble digraph induces a subgraph with |E| >= 2|V| - 2,
-which is the violation witness reported here.
+On rejection, the set R of vertices reachable from the offending edge's
+endpoints u, v in the pebble digraph induces a subgraph with |E| >= 2|V| - 2
+once the edge is counted, which is the violation witness reported here. R is
+closed and its only free pebbles are the 3 on u and v, so it spans exactly
+2|R| - 3 accepted edges. A set T that holds u and v and spans 2|T| - 3
+accepted edges holds those 3 pebbles too, so no edge leaves it and T contains
+R: R is the unique minimal such set. It depends on the graph and the edge
+order only, not on the orientation, so the search order cannot change a
+witness.
 
 ``PebbleGame`` is that game as a live state that also takes new vertices and
 edge deletions; ``pebble_sparsity`` feeds a fresh one the sorted edges, and
@@ -98,17 +106,18 @@ class PebbleGame:
         return region
 
     def _gather(self, root: int, u: int, v: int) -> bool:
-        # DFS from root along the digraph for a free pebble outside {u, v};
-        # on success reverse the path and move the pebble to root.
+        # Breadth-first from root along the digraph for the nearest free
+        # pebble outside {u, v}; on success reverse that shortest path and
+        # move the pebble to root. The queue only grows, so iterating it is
+        # the search.
         out, pebbles = self.out, self.pebbles
         visited, parent = self._visited, self._parent
         self._stamp += 1
         stamp = self._stamp
         visited[root] = stamp
         parent[root] = -1
-        stack = [root]
-        while stack:
-            x = stack.pop()
+        queue = [root]
+        for x in queue:
             for y in out[x]:
                 if visited[y] == stamp:
                     continue
@@ -124,7 +133,7 @@ class PebbleGame:
                         out[node].append(prev)
                         node = prev
                     return True
-                stack.append(y)
+                queue.append(y)
         return False
 
 

@@ -209,10 +209,13 @@ def test_criterion_7_performance():
     def timed_extract(sg):
         start = time.perf_counter()
         seq = extract_sequence(sg)
-        return len(seq.moves), time.perf_counter() - start
+        return seq, time.perf_counter() - start
 
-    moves, extract_elapsed = timed_extract(fast_tight_symgraph(11, 960))
-    big_moves, big_extract_elapsed = timed_extract(big)
+    seq, extract_elapsed = timed_extract(fast_tight_symgraph(11, 960))
+    big_seq, big_extract_elapsed = timed_extract(big)
+    start = time.perf_counter()
+    replayed = replay_sequence(big_seq)
+    big_replay_elapsed = time.perf_counter() - start
 
     ok = (
         report.is_tight
@@ -223,10 +226,12 @@ def test_criterion_7_performance():
         and big_rank_elapsed < 10.0
         and placed_rank == 1917
         and placed_elapsed < 2.0
-        and moves == 319
+        and len(seq.moves) == 319
         and extract_elapsed < 3.0
-        and big_moves == 999
+        and len(big_seq.moves) == 999
         and big_extract_elapsed < 5.0
+        and relabel_symgraph(replayed, big_seq.relabeling) == big
+        and big_replay_elapsed < 3.0
     )
     _report(
         7,
@@ -234,5 +239,5 @@ def test_criterion_7_performance():
         f"pebble n=3000 {pebble_elapsed:.2f}s (< 5s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
         f" n=240 {big_rank_elapsed:.2f}s (< 10s), placement and rank check n=960"
         f" {placed_elapsed:.2f}s (< 2s), extraction n=960 {extract_elapsed:.2f}s (< 3s),"
-        f" n=3000 {big_extract_elapsed:.2f}s (< 5s)",
+        f" n=3000 {big_extract_elapsed:.2f}s (< 5s), replay n=3000 {big_replay_elapsed:.2f}s (< 3s)",
     )

@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import json
 import random
 
@@ -117,16 +118,20 @@ def test_extract_rejects_non_isostatic_graphs():
     assert hub.value.verdict.witness == 3
 
 
-def _drop_edge_orbit(act, adj, alive, game, result):
-    # the smallest edge's orbit leaves the live reduced graph, not the game
+def _drop_edge_orbit(act, adj, alive, game, low, result):
+    # the smallest edge's orbit leaves the live reduced graph, not the game;
+    # its ends are indexed under their new valences, as the reduction does
     u = next(x for x in range(len(adj)) if adj[x])
     for x, y in edge_orbit((u, min(adj[u])), act.gamma):
         adj[x].discard(y)
         adj[y].discard(x)
+        for z in (x, y):
+            if len(adj[z]) in low:
+                heapq.heappush(low[len(adj[z])], z)
     return result
 
 
-def _swap_last_anchor(act, adj, alive, game, result):
+def _swap_last_anchor(act, adj, alive, game, low, result):
     # the last anchor is never part of a split edge, and the reduced graph
     # fixes no vertex, so the swapped move still applies
     kind, anchors, orbit = result

@@ -130,9 +130,9 @@ def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
     reduced_with = []
     reduce_step = certify._reduce_step
 
-    def step(act, adj, alive, game):
+    def step(act, adj, alive, game, low):
         reduced_with.append(game)
-        return reduce_step(act, adj, alive, game)
+        return reduce_step(act, adj, alive, game, low)
 
     monkeypatch.setattr(certify, "_reduce_step", step)
     code, _ = run(capsys, ["certify", write(PRISM_DOC)])

@@ -178,3 +178,70 @@ def test_live_game_agrees_with_from_scratch_games(n, ops):
                 assert inner >= 2 * len(region) - 2
         assert sum(game.pebbles) == 2 * n - len(edges)
         assert all(game.pebbles[x] + len(game.out[x]) == 2 for x in range(n))
+
+
+def _inner(mask, edges):
+    return sum(1 for u, v in edges if mask >> u & 1 and mask >> v & 1)
+
+
+def _is_sparse(n, edges):
+    return all(
+        _inner(mask, edges) <= 2 * mask.bit_count() - 3
+        for mask in range(1 << n)
+        if mask.bit_count() >= 2
+    )
+
+
+def test_witness_is_the_minimal_tight_set_around_the_first_rejected_edge():
+    # The witness is fixed by the graph and its sorted edge order alone: the
+    # smallest vertex set around the first rejected edge's ends that spans
+    # 2|R| - 3 of the edges before it. That set is closed in any orientation
+    # of those edges and carries the 3 pebbles left on the ends, so it is the
+    # region the game reports whatever path the pebble searches took.
+    rng = random.Random(2008)
+    checked = 0
+    while checked < 150:
+        n = rng.randint(4, 8)
+        pairs = list(combinations(range(n), 2))
+        chosen = rng.sample(pairs, rng.randint(2 * n - 3, len(pairs)))
+        g = Graph(n, frozenset(edge(u, v) for u, v in chosen))
+        edges = g.sorted_edges
+        k = next((k for k in range(g.m) if not _is_sparse(n, edges[: k + 1])), None)
+        if k is None:
+            assert pebble_sparsity(g).is_sparse
+            continue
+        checked += 1
+        u, v = edges[k]
+        ends = 1 << u | 1 << v
+        tight = [
+            mask
+            for mask in range(1 << n)
+            if mask & ends == ends and _inner(mask, edges[:k]) == 2 * mask.bit_count() - 3
+        ]
+        smallest = min(mask.bit_count() for mask in tight)
+        (region,) = [mask for mask in tight if mask.bit_count() == smallest]
+        report = pebble_sparsity(g)
+        assert not report.is_sparse
+        assert report.witness == tuple(x for x in range(n) if region >> x & 1)
+
+
+def test_gather_takes_the_nearest_free_pebble():
+    # r -> a, b; a -> p, e, each holding 2 free pebbles; b -> c, d, holding
+    # none; c and d each point to two leaves with free pebbles. The search
+    # must take a depth-2 pebble through a and leave every depth-3 leaf alone.
+    r, a, b, p, e, c, d = range(7)
+    leaves = [7, 8, 9, 10]
+    z = 11
+    game = PebbleGame(12)
+    for x, targets in ((r, [a, b]), (a, [p, e]), (b, [c, d]), (c, leaves[:2]), (d, leaves[2:])):
+        game.out[x] = list(targets)
+        game.pebbles[x] = 0
+    assert all(game.pebbles[x] + len(game.out[x]) == 2 for x in range(12))
+
+    assert game._gather(r, r, z)
+    assert game.pebbles[r] == 1 and game.pebbles[p] == 1
+    # the path r -> a -> p is reversed to p -> a -> r
+    assert game.out[p] == [a] and game.out[a] == [e, r] and game.out[r] == [b]
+    assert all(game.pebbles[x] == 2 and not game.out[x] for x in leaves)
+    assert game.out[c] == leaves[:2] and game.out[d] == leaves[2:]
+    assert all(game.pebbles[x] + len(game.out[x]) == 2 for x in range(12))
