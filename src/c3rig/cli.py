@@ -54,7 +54,7 @@ def _base_report(command: str, data: bytes) -> dict:
     }
 
 
-def _placement_json(sg: SymGraph, placement: Placement) -> dict:
+def _placement_json(placement: Placement) -> dict:
     exact = [
         {"x": x.as_json_dict(), "y": y.as_json_dict()} for x, y in placement.positions
     ]
@@ -160,7 +160,7 @@ def cmd_realize(args) -> int:
     rank = numeric_isostatic_check(sg, placement)
     report["method"] = args.method
     report["seed"] = args.seed
-    report["placement"] = _placement_json(sg, placement)
+    report["placement"] = _placement_json(placement)
     report["rank_verdict"] = rank.as_json_dict()
     report.update(extra)
     _emit(report, args.json, f"rank {rank.rank}/{rank.target}, isostatic: {rank.isostatic}")

@@ -99,11 +99,6 @@ class ZeroDirection(C3RigError):
     """A frame direction vector is zero."""
 
 
-class NotInOmegaSpan(C3RigError):
-    """A frame point or direction is not a rational combination of (1, 0)
-    and (-1/2, sqrt(3)/2), the coordinates the frame route works in."""
-
-
 class InvalidPartition(C3RigError):
     """The supplied tree partition fails verification."""
 

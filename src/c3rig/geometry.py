@@ -12,8 +12,10 @@ is an equation, not an approximation. Two realization routes are provided.
   matching its tree, and then pull coincident joint classes apart along a
   deformation parameter until the degenerate frame becomes an honest
   framework, keeping the generalized rigidity matrix at full row rank the
-  whole way. The separation runs in rational (1, w) coordinates and ranks
-  its rows modulo a prime, with exact elimination only on a deficit.
+  whole way. The frame stays in rational (1, w) coordinates until the
+  placement is made, the one step that converts to Q(sqrt 3); the
+  separation ranks its rows modulo a prime, with exact elimination only on
+  a deficit.
 """
 from __future__ import annotations
 
@@ -31,7 +33,6 @@ from .errors import (
     InternalInvariantBroken,
     InvalidPartition,
     NoSeparableComponent,
-    NotInOmegaSpan,
     TooFewVertices,
     ZeroDirection,
     FixedVertexPresent,
@@ -52,37 +53,41 @@ from .trees import TreePartition, verify_tree_partition
 
 Vec2 = tuple[QSqrt3, QSqrt3]
 
-_HALF = Fraction(1, 2)
+# Frame coordinates. Every frame point and direction is a rational
+# combination a*1 + b*w of 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the
+# reference triangle and the tree directions are such combinations, rotating
+# by 120 degrees multiplies by w, and pulling apart adds rational multiples
+# of them. The pair (a, b) stands for the point (a - b/2, (b/2)*sqrt(3)), so
+# the frame route works on rational pairs and ``from_omega`` converts only
+# the final placement.
+Pair = tuple[Fraction, Fraction]
 
-ZERO2: Vec2 = (Q_ZERO, Q_ZERO)
+_PAIR_ZERO: Pair = (Fraction(0), Fraction(0))
 
-# Reference triangle corners and, per tree, the side direction its edges get.
-E_POINTS: tuple[Vec2, Vec2, Vec2] = (
-    (QSqrt3(0), QSqrt3(0)),
-    (QSqrt3(1), QSqrt3(0)),
-    (QSqrt3(_HALF), QSqrt3(0, _HALF)),
+# Reference triangle corners 0, 1 and 1 + w and, per tree, the side
+# direction its edges get.
+E_POINTS: tuple[Pair, Pair, Pair] = (
+    _PAIR_ZERO,
+    (Fraction(1), Fraction(0)),
+    (Fraction(1), Fraction(1)),
 )
-TREE_DIRECTIONS: tuple[Vec2, Vec2, Vec2] = (
-    (QSqrt3(-_HALF), QSqrt3(0, _HALF)),
-    (QSqrt3(-_HALF), QSqrt3(0, -_HALF)),
-    (QSqrt3(1), QSqrt3(0)),
+TREE_DIRECTIONS: tuple[Pair, Pair, Pair] = (
+    (Fraction(0), Fraction(1)),
+    (Fraction(-1), Fraction(-1)),
+    (Fraction(1), Fraction(0)),
 )
 
 
-def v_add(p: Vec2, q: Vec2) -> Vec2:
+def v_add(p, q):
     return (p[0] + q[0], p[1] + q[1])
 
 
-def v_sub(p: Vec2, q: Vec2) -> Vec2:
+def v_sub(p, q):
     return (p[0] - q[0], p[1] - q[1])
 
 
-def v_scale(c: QSqrt3, p: Vec2) -> Vec2:
+def v_scale(c, p):
     return (c * p[0], c * p[1])
-
-
-def v_is_zero(p: Vec2) -> bool:
-    return p[0].is_zero and p[1].is_zero
 
 
 def cross(p: Vec2, q: Vec2) -> QSqrt3:
@@ -109,10 +114,9 @@ def rotate2(p: Vec2) -> Vec2:
 
 @dataclass(frozen=True)
 class Placement:
-    """Exact joint positions; ``framework`` marks edge endpoints distinct."""
+    """Exact joint positions."""
 
     positions: tuple[Vec2, ...]
-    framework: bool = False
 
     def float_positions(self) -> list[tuple[float, float]]:
         return [(float(x), float(y)) for x, y in self.positions]
@@ -158,7 +162,7 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
             positions[act.gamma[rep]] = rotate(p)
             positions[act.gamma2[rep]] = rotate2(p)
         if all(positions[u] != positions[v] for u, v in sg.graph.edges):
-            return Placement(tuple(positions), framework=True)
+            return Placement(tuple(positions))
     raise ExhaustedRetries("100 draws all produced a coincident edge")
 
 
@@ -251,17 +255,17 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
 class Frame:
     """Positions plus one direction per edge (aligned with sorted edges).
 
-    Adjacent joints may coincide; each edge's position difference is some
-    scalar multiple (possibly zero) of its direction.
+    Both are (1, w) pairs. Adjacent joints may coincide; each edge's
+    position difference is some rational multiple (possibly zero) of its
+    direction.
     """
 
-    positions: tuple[Vec2, ...]
-    directions: tuple[Vec2, ...]
+    positions: tuple[Pair, ...]
+    directions: tuple[Pair, ...]
 
 
-def _edge_scalar(delta, q):
-    # Solve delta = lam * q for the frame scalar lam, in Q(sqrt 3)
-    # coordinates or in (1, w) pairs alike.
+def _edge_scalar(delta: Pair, q: Pair) -> Fraction:
+    """Solve delta = lam * q for the frame scalar lam."""
     if q[0]:
         lam = delta[0] / q[0]
     elif q[1]:
@@ -273,7 +277,7 @@ def _edge_scalar(delta, q):
     return lam
 
 
-def frame_lambdas(g: Graph, frame: Frame) -> tuple[QSqrt3, ...]:
+def frame_lambdas(g: Graph, frame: Frame) -> tuple[Fraction, ...]:
     """The per-edge scalars tying positions to directions."""
     pos = frame.positions
     return tuple(
@@ -310,11 +314,11 @@ def _missing_tree(tp: TreePartition, n: int) -> list[int]:
 
 
 def generalized_rigidity_matrix(g: Graph, frame: Frame) -> ExactMatrix:
-    """One row per edge: the direction at the lower endpoint, negated at the other."""
+    """``_pair_matrix`` of the frame's directions, none of which may be zero."""
     for (u, v), q in zip(g.sorted_edges, frame.directions):
-        if v_is_zero(q):
+        if q == _PAIR_ZERO:
             raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
-    return _edge_matrix(g, frame.directions)
+    return _pair_matrix(g, frame.directions)
 
 
 def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]:
@@ -322,28 +326,8 @@ def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]
     return tuple(e for e in g.sorted_edges if pos[e[0]] == pos[e[1]])
 
 
-# Frame coordinates. Every frame point and direction is a rational
-# combination a*1 + b*w of 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the
-# reference triangle and the tree directions are such combinations, rotating
-# by 120 degrees multiplies by w, and pulling apart adds rational multiples
-# of them. The pair (a, b) stands for the point (a - b/2, (b/2)*sqrt(3)), so
-# the separation works on rational pairs and leaves Q(sqrt 3) to the
-# frame's public values.
-Pair = tuple[Fraction, Fraction]
-
-_PAIR_ZERO: Pair = (Fraction(0), Fraction(0))
-
-
-def to_omega(p: Vec2) -> Pair:
-    """The pair (a, b) with p = a*1 + b*w; ``NotInOmegaSpan`` off Q + Q*w."""
-    x, y = p
-    if x.b or y.a:
-        raise NotInOmegaSpan(f"({x}, {y}) is not a rational combination of 1 and w")
-    b = 2 * y.b
-    return (x.a + b / 2, b)
-
-
 def from_omega(p: Pair) -> Vec2:
+    """The point a*1 + b*w in Q(sqrt 3) coordinates."""
     a, b = p
     return (QSqrt3(a - b / 2), QSqrt3(0, b / 2))
 
@@ -355,7 +339,7 @@ def rotate_omega(p: Pair) -> Pair:
 
 
 # A part of a class moves along the side direction opposite its tree.
-_SPLITS = ((2, to_omega(TREE_DIRECTIONS[1])), (1, to_omega(TREE_DIRECTIONS[2])))
+_SPLITS = ((2, TREE_DIRECTIONS[1]), (1, TREE_DIRECTIONS[2]))
 
 
 def _pair_image(q: Pair, inverses: dict[int, int]) -> tuple[int, int] | None:
@@ -379,11 +363,12 @@ def _row(u: int, v: int, image: tuple[int, int]) -> dict[int, int]:
 
 
 def _pair_matrix(g: Graph, directions: Iterable[Pair]) -> ExactMatrix:
-    """Each edge's direction pair at u's columns, negated at v's, over Q.
+    """The generalized rigidity matrix: one row per sorted edge (u, v), its
+    direction pair at u's columns, negated at v's.
 
-    The generalized rigidity matrix has the Cartesian direction B (a, b) in
-    those places, where B = [[1, -1/2], [0, sqrt(3)/2]] has the columns 1
-    and w. So it is this matrix times the block diagonal of B's transpose,
+    With Cartesian directions the matrix would hold B (a, b) in those
+    places, where B = [[1, -1/2], [0, sqrt(3)/2]] has the columns 1 and w.
+    That matrix is this one times the block diagonal of B's transpose,
     which is invertible: the two have the same rank over Q(sqrt 3), and mod
     P too, where B's image is invertible as S is not zero. The rows that
     ``_row`` builds from ``_pair_image`` are this matrix mod P, with the
@@ -492,8 +477,8 @@ class _LiveFrame:
     @classmethod
     def read(cls, sg: SymGraph, tp: TreePartition, frame: Frame) -> "_LiveFrame":
         edges = sg.graph.sorted_edges
-        pos = [to_omega(p) for p in frame.positions]
-        dirs = [to_omega(q) for q in frame.directions]
+        pos = list(frame.positions)
+        dirs = list(frame.directions)
         for (u, v), q in zip(edges, dirs):
             if q == _PAIR_ZERO:
                 raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
@@ -516,7 +501,7 @@ class _LiveFrame:
         )
 
     def frame(self) -> Frame:
-        return Frame(tuple(map(from_omega, self.pos)), tuple(map(from_omega, self.dirs)))
+        return Frame(tuple(self.pos), tuple(self.dirs))
 
 
 def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
@@ -631,8 +616,7 @@ def pull_apart_fully(
 ) -> tuple[Frame, int]:
     """Separate every pair of coincident adjacent joints; return the rounds taken.
 
-    The frame is read in (1, w) pairs once, one live state carries every
-    round of ``pull_apart``, and the separated frame is read back once.
+    One live state carries every round of ``pull_apart``.
     """
     sg.require_action()
     live = _LiveFrame.read(sg, tp, frame)
@@ -649,22 +633,21 @@ def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
     """Read positions off a separated frame and recenter on the rotation axis.
 
     The frame's rotation center is the centroid of any vertex orbit; after
-    translating it to the origin the placement satisfies the symmetry
-    equation exactly. No rank is taken here: the rigidity matrix is the
-    generalized one with each row scaled by its edge's nonzero frame scalar,
-    so it keeps the full rank ``pull_apart_fully`` accepted, and
-    ``numeric_isostatic_check`` reads that rank off the placement.
+    translating it to the origin, in pairs, and converting each point to
+    Q(sqrt 3) the placement satisfies the symmetry equation exactly. No
+    rank is taken here: the rigidity matrix is the generalized one with each
+    row scaled by its edge's nonzero frame scalar, so it keeps the full rank
+    ``pull_apart_fully`` accepted, and ``numeric_isostatic_check`` reads
+    that rank off the placement.
     """
     act = sg.require_action()
     g = sg.graph
     if adjacent_coincidences(g, frame):
         raise CoincidentAdjacentJoints("adjacent joints still share a position")
-    third = QSqrt3(Fraction(1, 3))
-    p0 = frame.positions[0]
-    orbit_sum = v_add(v_add(p0, frame.positions[act.gamma[0]]), frame.positions[act.gamma2[0]])
-    center = v_scale(third, orbit_sum)
-    positions = tuple(v_sub(p, center) for p in frame.positions)
-    placement = Placement(positions, framework=True)
+    pos = frame.positions
+    orbit_sum = v_add(v_add(pos[0], pos[act.gamma[0]]), pos[act.gamma2[0]])
+    center = v_scale(Fraction(1, 3), orbit_sum)
+    placement = Placement(tuple(from_omega(v_sub(p, center)) for p in pos))
     if not placement_is_symmetric(sg, placement):
         raise InternalInvariantBroken("recentered frame is not symmetric")
     return placement

@@ -34,7 +34,6 @@ from c3rig.errors import (
     ExhaustedT,
     FixedVertexPresent,
     NoSeparableComponent,
-    NotInOmegaSpan,
     ZeroDirection,
 )
 from c3rig.geometry import (
@@ -49,7 +48,8 @@ from c3rig.geometry import (
     rotate,
     rotate2,
     rotate_omega,
-    to_omega,
+    v_add,
+    v_scale,
 )
 from c3rig.trees import TreePartition
 from tests.corpus import (
@@ -68,6 +68,10 @@ def q(a, b=0):
     return QSqrt3(Fraction(a), Fraction(b))
 
 
+def pair(a, b):
+    return (Fraction(a), Fraction(b))
+
+
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 nonzero_rationals = small_rationals.filter(bool)
 
@@ -75,7 +79,8 @@ nonzero_rationals = small_rationals.filter(bool)
 def test_symmetric_positions_satisfy_rotation_equation():
     sg = prism()
     placement = symmetric_generic_positions(sg, 7)
-    assert placement.framework
+    pos = placement.positions
+    assert all(pos[u] != pos[v] for u, v in sg.graph.edges)
     assert placement_is_symmetric(sg, placement)
 
 
@@ -131,7 +136,7 @@ def test_rigidity_rows_sum_to_zero():
 
 def test_k3_at_reference_triangle_has_rank_three():
     g = k3().graph
-    placement = Placement((E_POINTS[0], E_POINTS[1], E_POINTS[2]))
+    placement = Placement(tuple(map(from_omega, E_POINTS)))
     assert exact_rank(rigidity_matrix(g, placement)) == 3
     verdict = numeric_isostatic_check(k3(), placement)
     assert verdict.isostatic
@@ -206,7 +211,7 @@ def _counted_exact_elimination(monkeypatch):
 def _prism_at(inner, outer):
     # inner triangle at inner, R inner, R^2 inner; outer likewise, R the rotation
     positions = [inner, rotate(inner), rotate2(inner), outer, rotate(outer), rotate2(outer)]
-    return Placement(tuple(positions), framework=True)
+    return Placement(tuple(positions))
 
 
 # the bars 0-3, 1-4, 2-5 lie on three lines through the origin
@@ -301,13 +306,20 @@ def test_prism_frame_parks_two_joints_per_corner():
 
 def test_generalized_matrix_single_edge():
     g = Graph(2, frozenset({(0, 1)}))
-    frame = Frame(((q(0), q(0)), (q(0), q(0))), ((q(1), q(0)),))
+    frame = Frame((pair(0, 0), pair(0, 0)), (pair(1, 2),))
     m = generalized_rigidity_matrix(g, frame)
-    assert m.entries == ((q(1), q(0), q(-1), q(0)),)
+    assert m.entries == ((q(1), q(2), q(-1), q(-2)),)
     with pytest.raises(ZeroDirection):
-        generalized_rigidity_matrix(
-            g, Frame(frame.positions, ((q(0), q(0)),))
-        )
+        generalized_rigidity_matrix(g, Frame(frame.positions, (pair(0, 0),)))
+
+
+def test_pull_apart_refuses_a_zero_direction():
+    sg = prism()
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
+    zero = Frame(frame.positions, (pair(0, 0),) + frame.directions[1:])
+    with pytest.raises(ZeroDirection):
+        pull_apart_fully(sg, tp, zero)
 
 
 def test_prism_pull_apart_separates_in_rounds():
@@ -365,7 +377,8 @@ def test_frame_route_yields_symmetric_isostatic_framework():
     tp = _certified_partition(sg)
     frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
     placement = framework_from_frame(sg, frame)
-    assert placement.framework
+    pos = placement.positions
+    assert all(pos[u] != pos[v] for u, v in sg.graph.edges)
     assert placement_is_symmetric(sg, placement)
     assert numeric_isostatic_check(sg, placement).isostatic
 
@@ -375,10 +388,10 @@ def test_scaling_rows_by_lambda_gives_rigidity_matrix():
     tp = _certified_partition(sg)
     frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
     lams = frame_lambdas(sg.graph, frame)
-    assert all(not lam.is_zero for lam in lams)
-    placement = Placement(frame.positions)
+    assert all(lams)
+    placement = Placement(tuple(map(from_omega, frame.positions)))
     rig = rigidity_matrix(sg.graph, placement)
-    gen = generalized_rigidity_matrix(sg.graph, frame)
+    gen = _cartesian_matrix(sg.graph, frame)
     for i in range(sg.graph.m):
         assert tuple(lams[i] * x for x in gen.entries[i]) == rig.entries[i]
 
@@ -434,48 +447,43 @@ def test_generic_and_combinatorial_verdicts_agree():
         assert got == expected
 
 
-def test_omega_pairs_round_trip_and_commute_with_the_rotation():
-    assert [to_omega(p) for p in E_POINTS] == [(0, 0), (1, 0), (1, 1)]
-    assert [to_omega(d) for d in TREE_DIRECTIONS] == [(0, 1), (-1, -1), (1, 0)]
+def test_omega_pairs_commute_with_the_rotation():
+    half, sqrt3_half = q(Fraction(1, 2)), q(0, Fraction(1, 2))
+    assert [from_omega(p) for p in E_POINTS] == [(q(0), q(0)), (q(1), q(0)), (half, sqrt3_half)]
+    assert [from_omega(d) for d in TREE_DIRECTIONS] == [
+        (-half, sqrt3_half), (-half, -sqrt3_half), (q(1), q(0))
+    ]
     for p in E_POINTS + TREE_DIRECTIONS:
-        assert from_omega(to_omega(p)) == p
-        assert to_omega(rotate(p)) == rotate_omega(to_omega(p))
+        assert from_omega(rotate_omega(p)) == rotate(from_omega(p))
     rng = random.Random(3)
     for _ in range(50):
-        a = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+        a, b = [
+            (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
              Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-        assert to_omega(from_omega(a)) == a
+            for _ in range(2)
+        ]
         assert from_omega(rotate_omega(a)) == rotate(from_omega(a))
         assert rotate_omega(rotate_omega(rotate_omega(a))) == a
+        # linear, so a placement may be recentred before or after converting
+        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        assert from_omega(v_add(a, v_scale(c, b))) == v_add(
+            from_omega(a), v_scale(QSqrt3(c), from_omega(b))
+        )
 
 
-def test_frame_off_the_omega_span_is_refused():
-    sg = prism()
-    tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    with pytest.raises(NotInOmegaSpan):
-        to_omega((q(0, 1), q(0)))
-    off_point = Frame(((q(0, 1), q(0)),) + frame.positions[1:], frame.directions)
-    off_direction = Frame(frame.positions, ((q(1), q(1)),) + frame.directions[1:])
-    for bad in (off_point, off_direction):
-        with pytest.raises(NotInOmegaSpan):
-            pull_apart_fully(sg, tp, bad)
+def _cartesian_matrix(g, frame):
+    # the generalized rigidity matrix with Cartesian directions
+    return geometry._edge_matrix(g, [from_omega(d) for d in frame.directions])
 
 
 def _pair_rank_mod_p(g, frame):
     # rank mod P of the rows of direction pairs
     inverses = {}
     rows = [
-        geometry._row(u, v, geometry._pair_image(to_omega(d), inverses))
+        geometry._row(u, v, geometry._pair_image(d, inverses))
         for (u, v), d in zip(g.sorted_edges, frame.directions)
     ]
     return field._eliminate(rows, {})
-
-
-def _pair_rank(g, frame):
-    directions = [to_omega(d) for d in frame.directions]
-    matrix = geometry._pair_matrix(g, directions)
-    return field._fraction_free_rank(matrix)
 
 
 def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
@@ -489,15 +497,20 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
             tp = _certified_partition(sg)
             parked = frame_from_partition(sg, tp)
             for frame in (parked, pull_apart_fully(sg, tp, parked)[0]):
-                matrix = generalized_rigidity_matrix(g, frame)
-                assert _pair_rank_mod_p(g, frame) == field._modular_rank(matrix) == g.m
+                cartesian = _cartesian_matrix(g, frame)
+                assert _pair_rank_mod_p(g, frame) == field._modular_rank(cartesian) == g.m
         # directions drawn from few values, so many of these lose rank
-        drawn = tuple(from_omega(rng.choice(steps)) for _ in range(g.m))
+        drawn = tuple(rng.choice(steps) for _ in range(g.m))
         frame = Frame(tuple(E_POINTS[0] for _ in range(g.n)), drawn)
         matrix = generalized_rigidity_matrix(g, frame)
-        exact = _pair_rank(g, frame)
-        assert exact == field._fraction_free_rank(matrix)
-        assert _pair_rank_mod_p(g, frame) == field._modular_rank(matrix)
+        cartesian = _cartesian_matrix(g, frame)
+        exact = field._fraction_free_rank(matrix)
+        assert exact == field._fraction_free_rank(cartesian)
+        assert (
+            _pair_rank_mod_p(g, frame)
+            == field._modular_rank(matrix)
+            == field._modular_rank(cartesian)
+        )
         deficient += exact < g.m
     assert deficient > 100
 
