@@ -19,7 +19,7 @@ from .certify import (
     extract_sequence,
     replay_sequence,
 )
-from .field import ExactMatrix, QSqrt3, exact_rank
+from .field import exact_rank
 from .geometry import (
     Frame,
     Placement,
@@ -60,14 +60,12 @@ __all__ = [
     "ConstructionSequence",
     "DELTA_EXTENSION",
     "EDGE_SPLIT",
-    "ExactMatrix",
     "FixedCounts",
     "Frame",
     "Graph",
     "Move",
     "PartitionReport",
     "Placement",
-    "QSqrt3",
     "RankVerdict",
     "SparsityReport",
     "SymGraph",

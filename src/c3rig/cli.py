@@ -8,6 +8,7 @@ Reports are deterministic for a fixed (input, flags, seed, version).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -56,7 +57,7 @@ def _base_report(command: str, data: bytes) -> dict:
 
 def _placement_json(placement: Placement) -> dict:
     exact = [
-        {"x": x.as_json_dict(), "y": y.as_json_dict()} for x, y in placement.positions
+        {"x": x.as_json_dict(), "y": y.as_json_dict()} for x, y in placement.cartesian
     ]
     return {
         "exact": exact,
@@ -196,6 +197,9 @@ def cmd_render(args) -> int:
     return 0
 
 
+# One parser per process: building it costs about a millisecond, and
+# parsing never changes it, so every caller can share it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="c3rig",

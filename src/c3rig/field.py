@@ -1,18 +1,21 @@
-"""Exact arithmetic over Q(sqrt 3), and exact matrix rank over that field.
+"""Exact matrix rank over the rationals, and the report's number type Q(sqrt 3).
 
-Rotation by 120 degrees has matrix entries -1/2 and +-sqrt(3)/2, so every
-coordinate this package touches lives in the field of numbers a + b*sqrt(3)
-with rational a, b. Since sqrt(3) is irrational, such a number is zero
-exactly when a = b = 0, which is what makes zero-tolerance rank computation
-possible.
+Every placement and frame is held in (1, w) pairs: the pair (a, b) is the
+point a*1 + b*w with w = (-1/2, sqrt(3)/2), so rotating by 120 degrees is the
+integer map (a, b) -> (-b, a - b) and every matrix this package ranks has
+rational entries. Such a matrix is the Cartesian one times an invertible
+change of columns, so it has the Cartesian rank (see
+``geometry._pair_matrix``). ``QSqrt3``, the numbers a + b*sqrt(3) with
+rational a, b, is only the format in which reports give a point's Cartesian
+coordinates.
 
 ``exact_rank`` first proves full rank through the image of the matrix modulo
 a fixed prime P (a ring homomorphism, so the rank mod P never exceeds the
 exact rank), full meaning the smaller side or a known ceiling on the rank;
-only a deficit mod P falls back to exact fraction-free elimination over the
-field. It ranks a dense ``ExactMatrix`` or a ``PartialElimination``, whose
-rows are partly eliminated mod P already and which builds its exact matrix
-only for that fallback.
+only a deficit mod P falls back to exact fraction-free integer elimination.
+It ranks a dense ``ExactMatrix`` or a ``PartialElimination``, whose rows are
+partly eliminated mod P already and which builds its exact matrix only for
+that fallback.
 """
 from __future__ import annotations
 
@@ -26,7 +29,8 @@ _SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True, eq=False)
 class QSqrt3:
-    """The number a + b*sqrt(3) with exact rational components."""
+    """The number a + b*sqrt(3) with exact rational components: a report's
+    Cartesian coordinate."""
 
     a: Fraction = Fraction(0)
     b: Fraction = Fraction(0)
@@ -69,34 +73,6 @@ class QSqrt3:
             return NotImplemented
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt3(self.a * o.a + 3 * self.b * o.b, self.a * o.b + self.b * o.a)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "QSqrt3":
-        # (a + b*sqrt3)^-1 = (a - b*sqrt3) / (a^2 - 3 b^2); the norm is
-        # nonzero for nonzero inputs because sqrt(3) is irrational.
-        norm = self.a * self.a - 3 * self.b * self.b
-        if norm == 0:
-            raise ZeroDivisionError("division by zero in Q(sqrt 3)")
-        return QSqrt3(self.a / norm, -self.b / norm)
-
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
     def __neg__(self):
         return QSqrt3(-self.a, -self.b)
 
@@ -131,23 +107,20 @@ class QSqrt3:
         }
 
 
-Q_ZERO = QSqrt3()
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
-    """A dense matrix over Q(sqrt 3), stored row-major."""
+    """A dense matrix of rationals (ints or Fractions), stored row-major."""
 
     rows: int
     cols: int
-    entries: tuple[tuple[QSqrt3, ...], ...]
+    entries: tuple[tuple[Fraction, ...], ...]
 
     def __post_init__(self):
         if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
             raise ValueError("entry grid does not match the declared shape")
 
     @classmethod
-    def from_rows(cls, rows: list[list[QSqrt3]]) -> "ExactMatrix":
+    def from_rows(cls, rows: list[list[Fraction]]) -> "ExactMatrix":
         nrows = len(rows)
         ncols = len(rows[0]) if rows else 0
         return cls(nrows, ncols, tuple(tuple(r) for r in rows))
@@ -159,35 +132,25 @@ class ExactMatrix:
         return self
 
 
-def _integer_rows(m: ExactMatrix) -> list[list[tuple[int, int]]]:
-    # Scale each row by the lcm of its denominators; row scaling by a
-    # nonzero rational does not change the rank.
+def _integer_rows(m: ExactMatrix) -> list[dict[int, int]]:
+    """Each row as a sparse integer row: its nonzero entries by column, times
+    the lcm of their denominators; scaling a row by a nonzero rational does
+    not change the rank."""
     rows = []
-    for row in m.entries:
-        scale = 1
-        for x in row:
-            scale = scale * x.a.denominator // math.gcd(scale, x.a.denominator)
-            scale = scale * x.b.denominator // math.gcd(scale, x.b.denominator)
-        rows.append(
-            [
-                (
-                    int(x.a.numerator * (scale // x.a.denominator)),
-                    int(x.b.numerator * (scale // x.b.denominator)),
-                )
-                for x in row
-            ]
-        )
+    for entries in m.entries:
+        nonzero = [(c, x) for c, x in enumerate(entries) if x]
+        scale = math.lcm(*(x.denominator for _, x in nonzero))
+        rows.append({c: x.numerator * (scale // x.denominator) for c, x in nonzero})
     return rows
 
 
-# A fixed prime P = 11 (mod 12), so 3 is a square mod P (P = 3 mod 4 and
-# P = 2 mod 3), and a square root S of 3 mod P.
+# A fixed prime P; bench/checker.py ranks reports mod other primes, so its
+# check stays independent of this one.
 _P = 2305843009213692671
-_S = pow(3, (_P + 1) // 4, _P)
 
 
 def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
-    """The image of ``q`` mod P, or None when P divides its denominator.
+    """The image of the rational ``q`` mod P, or None when P divides its denominator.
 
     ``inverses`` caches the inverse of each denominator mod P.
     """
@@ -200,15 +163,6 @@ def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
             return None
         inv = inverses[d] = pow(d, -1, _P)
     return q.numerator * inv % _P
-
-
-def _image(x: QSqrt3, inverses: dict[int, int]) -> int | None:
-    """The image a + b*S (mod P) of a + b*sqrt(3), or None when it has none."""
-    a = _residue(x.a, inverses) if x.a else 0
-    b = _residue(x.b, inverses) if x.b else 0
-    if a is None or b is None:
-        return None
-    return (a + b * _S) % _P
 
 
 def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]) -> int:
@@ -241,19 +195,16 @@ def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]
 
 
 def _modular_rank(m: ExactMatrix) -> int | None:
-    """Rank of the image of ``m`` under a + b*sqrt(3) -> a + b*S (mod P).
-
-    Returns None when some entry's denominator is divisible by P, so that
-    entry has no image.
-    """
+    """Rank of the image of ``m`` mod P, or None when some entry's
+    denominator is divisible by P, so that entry has no image."""
     inverses: dict[int, int] = {}
     rows = []
     for entries in m.entries:
         row = {}
         for c, x in enumerate(entries):
-            if x is Q_ZERO:
+            if not x:
                 continue
-            v = _image(x, inverses)
+            v = _residue(x, inverses)
             if v is None:
                 return None
             if v:
@@ -264,7 +215,7 @@ def _modular_rank(m: ExactMatrix) -> int | None:
 
 @dataclass(frozen=True)
 class PartialElimination:
-    """A matrix over Q(sqrt 3) given mod P as eliminated rows plus rows to reduce.
+    """A rational matrix given mod P as eliminated rows plus rows to reduce.
 
     ``pivots`` are some of its rows eliminated mod P by ``_eliminate``, so
     their number is the rank of those rows mod P, and ``rest`` are the
@@ -287,7 +238,7 @@ class PartialElimination:
 
 
 def exact_rank(m: ExactMatrix | PartialElimination, ceiling: int | None = None) -> int:
-    """Rank over Q(sqrt 3), with no tolerance.
+    """Rank over Q, with no tolerance.
 
     Full rank is proven through the image mod P: the map is a ring
     homomorphism, so every minor maps to the image of that minor and the
@@ -307,51 +258,35 @@ def exact_rank(m: ExactMatrix | PartialElimination, ceiling: int | None = None) 
 
 
 def _fraction_free_rank(m: ExactMatrix) -> int:
-    """Rank over Q(sqrt 3), by Gaussian elimination with exact division.
+    """Rank over Q, by fraction-free elimination of the integer rows.
 
-    Pivoting is deterministic: for each column, the first remaining row with
-    a nonzero entry is used. Dividing by the pivot goes through its
-    conjugate, so each updated row is an integer multiple (the pivot's norm)
-    of the exact eliminated row; the integer content is then gcd-reduced to
-    keep the entries small.
+    Each row is reduced, always at its smallest column, against the pivot
+    rows so far: at a pivot p and the row's entry f there, the row becomes
+    (p/g) * row - (f/g) * pivot with g = gcd(p, f), an integer row in the
+    same span whose entry there is zero, and its integer content is then
+    divided out to keep the entries small. A row that does not reduce to
+    zero becomes the pivot row of its smallest column.
     """
-    rows = _integer_rows(m)
-    nrows, ncols = m.rows, m.cols
-    rank = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(rank, nrows):
-            if rows[r][col] != (0, 0):
-                piv = r
+    pivots: dict[int, dict[int, int]] = {}
+    for row in _integer_rows(m):
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
                 break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        pivot_row = rows[rank]
-        pa, pb = pivot_row[col]
-        norm = pa * pa - 3 * pb * pb
-        for r in range(rank + 1, nrows):
-            fa, fb = rows[r][col]
-            if fa == 0 and fb == 0:
-                continue
-            # factor = (fa + fb s) * conj(pivot), s = sqrt 3
-            ta = fa * pa - 3 * fb * pb
-            tb = fb * pa - fa * pb
-            row = rows[r]
-            new = row[:col]
-            g = 0
-            for c in range(col, ncols):
-                xa, xb = row[c]
-                ya, yb = pivot_row[c]
-                na = norm * xa - ta * ya - 3 * tb * yb
-                nb = norm * xb - ta * yb - tb * ya
-                new.append((na, nb))
-                if g != 1:
-                    g = math.gcd(g, na, nb)
+            p, f = pivot[col], row[col]
+            g = math.gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                row = {c: p * x for c, x in row.items()}
+            for c, y in pivot.items():
+                x = row.get(c, 0) - f * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = math.gcd(*row.values())
             if g > 1:
-                new[col:] = [(na // g, nb // g) for na, nb in new[col:]]
-            rows[r] = new
-        rank += 1
-        if rank == nrows:
-            break
-    return rank
+                row = {c: x // g for c, x in row.items()}
+    return len(pivots)

@@ -1,27 +1,29 @@
 """Symmetric realizations, rigidity matrices, and the frame pipeline.
 
-Placements are exact: every coordinate is an element of Q(sqrt 3), the
-rotation by 120 degrees acts about the origin, and symmetry of a placement
-is an equation, not an approximation. Two realization routes are provided.
+Placements are exact: every point is a rational (1, w) pair, the rotation by
+120 degrees acts about the origin as an integer map of pairs, and symmetry
+of a placement is an equation, not an approximation. Two realization routes
+are provided.
 
-* Random symmetric positions: one random rational point per vertex orbit,
-  the rest filled in by the rotation; isostaticity is then read off the
-  exact rank of the rigidity matrix.
+* Random symmetric positions: one random integer pair per vertex orbit, the
+  rest filled in by the rotation; isostaticity is then read off the exact
+  rank of the rigidity matrix.
 * The frame route: from a verified three-tree partition, park each vertex
   on one corner of a reference triangle, direct each edge along the side
   matching its tree, and then pull coincident joint classes apart along a
   deformation parameter until the degenerate frame becomes an honest
   framework, keeping the generalized rigidity matrix at full row rank the
-  whole way. The frame stays in rational (1, w) coordinates until the
-  placement is made, the one step that converts to Q(sqrt 3); the
-  separation ranks its rows modulo a prime, with exact elimination only on
-  a deficit.
+  whole way.
+
+Both routes rank their rows modulo a prime, with exact elimination only on a
+deficit. A point reaches Q(sqrt 3) coordinates only in a report or drawing.
 """
 from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import takewhile
 
@@ -41,10 +43,8 @@ from .field import (
     ExactMatrix,
     PartialElimination,
     QSqrt3,
-    Q_ZERO,
     _P,
     _eliminate,
-    _image,
     _residue,
     exact_rank,
 )
@@ -53,13 +53,13 @@ from .trees import TreePartition, verify_tree_partition
 
 Vec2 = tuple[QSqrt3, QSqrt3]
 
-# Frame coordinates. Every frame point and direction is a rational
-# combination a*1 + b*w of 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the
-# reference triangle and the tree directions are such combinations, rotating
-# by 120 degrees multiplies by w, and pulling apart adds rational multiples
-# of them. The pair (a, b) stands for the point (a - b/2, (b/2)*sqrt(3)), so
-# the frame route works on rational pairs and ``from_omega`` converts only
-# the final placement.
+# Coordinates. Every point and direction is a rational combination a*1 + b*w
+# of 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the reference triangle and the
+# tree directions are such combinations, rotating by 120 degrees multiplies
+# by w, pulling apart adds rational multiples of them, and a generic draw
+# picks integer a, b. The pair (a, b) of ints or Fractions stands for the
+# point (a - b/2, (b/2)*sqrt(3)), so both routes work on rational pairs and
+# ``from_omega`` converts a point only for a report or a drawing.
 Pair = tuple[Fraction, Fraction]
 
 _PAIR_ZERO: Pair = (Fraction(0), Fraction(0))
@@ -90,50 +90,49 @@ def v_scale(c, p):
     return (c * p[0], c * p[1])
 
 
-def cross(p: Vec2, q: Vec2) -> QSqrt3:
+def cross(p: Pair, q: Pair) -> Fraction:
+    """The cross product of two pairs: the Cartesian cross product of the
+    points they stand for divided by det B = sqrt(3)/2 (see ``_pair_matrix``),
+    so zero exactly when that one is."""
     return p[0] * q[1] - p[1] * q[0]
-
-
-def rotate(p: Vec2) -> Vec2:
-    """Rotate by 120 degrees about the origin.
-
-    The product (-x/2 - (sqrt(3)/2) y, (sqrt(3)/2) x - y/2), written out in
-    the components of x = xa + xb*sqrt(3) and y = ya + yb*sqrt(3).
-    """
-    x, y = p
-    xa, xb, ya, yb = x.a, x.b, y.a, y.b
-    return (
-        QSqrt3((-xa - 3 * yb) / 2, (-xb - ya) / 2),
-        QSqrt3((3 * xb - ya) / 2, (xa - yb) / 2),
-    )
-
-
-def rotate2(p: Vec2) -> Vec2:
-    return rotate(rotate(p))
 
 
 @dataclass(frozen=True)
 class Placement:
-    """Exact joint positions."""
+    """Exact joint positions as (1, w) pairs."""
 
-    positions: tuple[Vec2, ...]
+    positions: tuple[Pair, ...]
+
+    @cached_property
+    def cartesian(self) -> tuple[Vec2, ...]:
+        """The positions in Q(sqrt 3) coordinates, converted once."""
+        return tuple(map(from_omega, self.positions))
 
     def float_positions(self) -> list[tuple[float, float]]:
-        return [(float(x), float(y)) for x, y in self.positions]
+        return [(float(x), float(y)) for x, y in self.cartesian]
 
 
 def placement_is_symmetric(sg: SymGraph, placement: Placement) -> bool:
     """Positions of rotated vertices equal rotated positions, exactly."""
     act = sg.require_action()
     pos = placement.positions
-    return all(pos[act.gamma[v]] == rotate(pos[v]) for v in range(sg.graph.n))
+    return all(pos[act.gamma[v]] == rotate_omega(pos[v]) for v in range(sg.graph.n))
+
+
+# Generic draws take |a|, |b| <= GENERIC_BOUND.
+GENERIC_BOUND = 2**31
 
 
 def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
-    """Seeded random rational point per orbit; images forced by the rotation.
+    """Seeded random integer pair per orbit; images forced by the rotation.
 
-    Redraws (up to 100 times) whenever two adjacent joints collide, so the
-    result satisfies the framework condition.
+    That is as generic as the rotation allows: a rank-deciding minor of the
+    rigidity matrix is a polynomial of degree at most 2n - 3 in the drawn
+    integers, nonzero where the graph is isostatic, so by Schwartz-Zippel a
+    draw from 2N + 1 values per coordinate, N = ``GENERIC_BOUND``, shows a
+    false deficit with probability at most (2n - 3)/(2N + 1). Redraws (up
+    to 100 times) whenever two adjacent joints collide, so the result
+    satisfies the framework condition.
     """
     act = sg.require_action()
     n = sg.graph.n
@@ -151,39 +150,25 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
             for x in act.orbit(v):
                 seen[x] = True
     rng = random.Random(seed)
-    bound = 10**4
+    bound = GENERIC_BOUND
     for _ in range(100):
-        positions: list[Vec2 | None] = [None] * n
+        positions: list[Pair | None] = [None] * n
         for rep in reps:
-            x = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            y = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-            p = (QSqrt3(x), QSqrt3(y))
+            p = (rng.randint(-bound, bound), rng.randint(-bound, bound))
+            q = rotate_omega(p)
             positions[rep] = p
-            positions[act.gamma[rep]] = rotate(p)
-            positions[act.gamma2[rep]] = rotate2(p)
+            positions[act.gamma[rep]] = q
+            positions[act.gamma2[rep]] = rotate_omega(q)
         if all(positions[u] != positions[v] for u, v in sg.graph.edges):
             return Placement(tuple(positions))
     raise ExhaustedRetries("100 draws all produced a coincident edge")
 
 
-def _edge_matrix(g: Graph, vectors: Iterable[Vec2]) -> ExactMatrix:
-    """One row per sorted edge (u, v): its vector at u's columns, negated at v's."""
-    n = g.n
-    rows = []
-    for (u, v), d in zip(g.sorted_edges, vectors):
-        row = [Q_ZERO] * (2 * n)
-        row[2 * u] = d[0]
-        row[2 * u + 1] = d[1]
-        row[2 * v] = -d[0]
-        row[2 * v + 1] = -d[1]
-        rows.append(tuple(row))
-    return ExactMatrix(g.m, 2 * n, tuple(rows))
-
-
 def rigidity_matrix(g: Graph, placement: Placement) -> ExactMatrix:
-    """One row per edge: the coordinate difference at each endpoint's columns."""
+    """``_pair_matrix`` of the edges' position differences, which has the
+    rank of the Cartesian rigidity matrix."""
     pos = placement.positions
-    return _edge_matrix(g, (v_sub(pos[u], pos[v]) for u, v in g.sorted_edges))
+    return _pair_matrix(g, (v_sub(pos[u], pos[v]) for u, v in g.sorted_edges))
 
 
 @dataclass(frozen=True)
@@ -211,10 +196,11 @@ class RankVerdict:
 def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     """Isostatic iff the edge count and the exact rank both hit 2n - 3.
 
-    The rank is taken on the rigidity matrix's image mod P, built straight
-    from each position's image, one sparse row per edge with the column
-    pairs in ``_degree_order``. The ``ExactMatrix`` is built only when that
-    image's rank falls short of min(m, 2n - 3) or a coordinate has no image.
+    The rank is taken on the image mod P of ``rigidity_matrix``, one sparse
+    row per edge from its pair difference, with the column pairs in
+    ``_degree_order``. The ``ExactMatrix`` is built, in the same column
+    order, only when that image's rank falls short of min(m, 2n - 3) or a
+    difference has no image.
     """
     g = sg.graph
     n = g.n
@@ -224,22 +210,20 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     base = pos[0]
     first = next((v for v in range(1, n) if pos[v] != base), None)
     if first is None or all(
-        cross(v_sub(pos[first], base), v_sub(pos[k], base)).is_zero for k in range(n)
+        cross(v_sub(pos[first], base), v_sub(pos[k], base)) == 0 for k in range(n)
     ):
         raise DegenerateSpan("all joints are collinear")
     # Joints not all collinear are not all coincident, so the trivial
     # motions cap the rank at 2n - 3 even when there are more bars.
     target = 2 * n - 3
+    place = _degree_order(g)
+    diffs = [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges]
     inverses: dict[int, int] = {}
-    images = [(_image(x, inverses), _image(y, inverses)) for x, y in pos]
+    images = [_pair_image(d, inverses) for d in diffs]
     rows = None
-    if all(None not in image for image in images):
-        place = _degree_order(g)
-        rows = []
-        for u, v in g.sorted_edges:
-            (xu, yu), (xv, yv) = images[u], images[v]
-            rows.append(_row(place[u], place[v], ((xu - xv) % _P, (yu - yv) % _P)))
-    matrix = PartialElimination(g.m, 2 * n, {}, rows, lambda: rigidity_matrix(g, placement))
+    if None not in images:
+        rows = [_row(place[u], place[v], im) for (u, v), im in zip(g.sorted_edges, images)]
+    matrix = PartialElimination(g.m, 2 * n, {}, rows, lambda: _pair_matrix(g, diffs, place))
     rank = exact_rank(matrix, target)
     return RankVerdict(
         isostatic=g.m == target and rank == target,
@@ -329,7 +313,8 @@ def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]
 def from_omega(p: Pair) -> Vec2:
     """The point a*1 + b*w in Q(sqrt 3) coordinates."""
     a, b = p
-    return (QSqrt3(a - b / 2), QSqrt3(0, b / 2))
+    half = Fraction(b, 2)
+    return (QSqrt3(a - half), QSqrt3(0, half))
 
 
 def rotate_omega(p: Pair) -> Pair:
@@ -362,19 +347,31 @@ def _row(u: int, v: int, image: tuple[int, int]) -> dict[int, int]:
     return row
 
 
-def _pair_matrix(g: Graph, directions: Iterable[Pair]) -> ExactMatrix:
+def _pair_matrix(
+    g: Graph, directions: Iterable[Pair], place: list[int] | None = None
+) -> ExactMatrix:
     """The generalized rigidity matrix: one row per sorted edge (u, v), its
-    direction pair at u's columns, negated at v's.
+    direction pair at u's column pair, negated at v's. Vertex v's column
+    pair is the ``place[v]``-th (by default the v-th).
 
     With Cartesian directions the matrix would hold B (a, b) in those
     places, where B = [[1, -1/2], [0, sqrt(3)/2]] has the columns 1 and w.
     That matrix is this one times the block diagonal of B's transpose,
-    which is invertible: the two have the same rank over Q(sqrt 3), and mod
-    P too, where B's image is invertible as S is not zero. The rows that
-    ``_row`` builds from ``_pair_image`` are this matrix mod P, with the
-    vertices' column pairs in ``_degree_order``.
+    which is invertible: the two have the same rank. A rigidity matrix is
+    the case where each direction is the edge's position difference. The
+    rows that ``_row`` builds from ``_pair_image`` are this matrix mod P,
+    with the vertices' column pairs in ``_degree_order``.
     """
-    return _edge_matrix(g, ((QSqrt3(a), QSqrt3(b)) for a, b in directions))
+    n = g.n
+    if place is None:
+        place = range(n)
+    rows = []
+    for (u, v), (a, b) in zip(g.sorted_edges, directions):
+        row = [0] * (2 * n)
+        cu, cv = 2 * place[u], 2 * place[v]
+        row[cu], row[cu + 1], row[cv], row[cv + 1] = a, b, -a, -b
+        rows.append(tuple(row))
+    return ExactMatrix(g.m, 2 * n, tuple(rows))
 
 
 def _degree_order(g: Graph) -> list[int]:
@@ -588,7 +585,11 @@ def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
                 for (u, v), (bx, by), (sx, sy) in lines
             ]
         matrix = PartialElimination(
-            m, 2 * n, pivots, rows, lambda: _pair_matrix(g, _directions_at(dirs, moved, t))
+            m,
+            2 * n,
+            pivots,
+            rows,
+            lambda: _pair_matrix(g, _directions_at(dirs, moved, t), _degree_order(g)),
         )
         if exact_rank(matrix) == m:
             break
@@ -633,12 +634,11 @@ def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
     """Read positions off a separated frame and recenter on the rotation axis.
 
     The frame's rotation center is the centroid of any vertex orbit; after
-    translating it to the origin, in pairs, and converting each point to
-    Q(sqrt 3) the placement satisfies the symmetry equation exactly. No
-    rank is taken here: the rigidity matrix is the generalized one with each
-    row scaled by its edge's nonzero frame scalar, so it keeps the full rank
-    ``pull_apart_fully`` accepted, and ``numeric_isostatic_check`` reads
-    that rank off the placement.
+    translating it to the origin the placement satisfies the symmetry
+    equation exactly. No rank is taken here: the rigidity matrix is the
+    generalized one with each row scaled by its edge's nonzero frame scalar,
+    so it keeps the full rank ``pull_apart_fully`` accepted, and
+    ``numeric_isostatic_check`` reads that rank off the placement.
     """
     act = sg.require_action()
     g = sg.graph
@@ -647,7 +647,7 @@ def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
     pos = frame.positions
     orbit_sum = v_add(v_add(pos[0], pos[act.gamma[0]]), pos[act.gamma2[0]])
     center = v_scale(Fraction(1, 3), orbit_sum)
-    placement = Placement(tuple(from_omega(v_sub(p, center)) for p in pos))
+    placement = Placement(tuple(v_sub(p, center) for p in pos))
     if not placement_is_symmetric(sg, placement):
         raise InternalInvariantBroken("recentered frame is not symmetric")
     return placement

@@ -33,6 +33,7 @@ from tests.corpus import (
     k3,
     k33,
     octahedron,
+    perturb_edge_swap,
     prism,
     random_move,
     random_plain_graph,
@@ -206,6 +207,22 @@ def test_criterion_7_performance():
     placed_rank = numeric_isostatic_check(placed, symmetric_generic_positions(placed, 0)).rank
     placed_elapsed = time.perf_counter() - start
 
+    # an over-dense graph: the rank falls short mod P, so the exact fallback runs
+    dense = perturb_edge_swap(random.Random(150), fast_tight_symgraph(3, 150))
+    dense_placement = symmetric_generic_positions(dense, 0)
+    start = time.perf_counter()
+    dense_rank = numeric_isostatic_check(dense, dense_placement).rank
+    dense_elapsed = time.perf_counter() - start
+
+    # the frame route at n = 480, where a few rounds reach the exact fallback
+    framed = fast_tight_symgraph(11, 480)
+    framed_seq = extract_sequence(framed)
+    framed_tp = relabel_partition(build_tree_partition(framed_seq), framed_seq.relabeling)
+    start = time.perf_counter()
+    separated, _ = pull_apart_fully(framed, framed_tp, frame_from_partition(framed, framed_tp))
+    framework_from_frame(framed, separated)
+    frame_elapsed = time.perf_counter() - start
+
     def timed_extract(sg):
         start = time.perf_counter()
         seq = extract_sequence(sg)
@@ -226,6 +243,9 @@ def test_criterion_7_performance():
         and big_rank_elapsed < 10.0
         and placed_rank == 1917
         and placed_elapsed < 2.0
+        and dense_rank == 294
+        and dense_elapsed < 2.0
+        and frame_elapsed < 10.0
         and len(seq.moves) == 319
         and extract_elapsed < 3.0
         and len(big_seq.moves) == 999
@@ -238,6 +258,8 @@ def test_criterion_7_performance():
         ok,
         f"pebble n=3000 {pebble_elapsed:.2f}s (< 5s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
         f" n=240 {big_rank_elapsed:.2f}s (< 10s), placement and rank check n=960"
-        f" {placed_elapsed:.2f}s (< 2s), extraction n=960 {extract_elapsed:.2f}s (< 3s),"
+        f" {placed_elapsed:.2f}s (< 2s), over-dense check n=150 {dense_elapsed:.2f}s (< 2s),"
+        f" frame route n=480 {frame_elapsed:.2f}s (< 10s), extraction n=960"
+        f" {extract_elapsed:.2f}s (< 3s),"
         f" n=3000 {big_extract_elapsed:.2f}s (< 5s), replay n=3000 {big_replay_elapsed:.2f}s (< 3s)",
     )

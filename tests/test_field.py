@@ -7,30 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from c3rig import (
-    ExactMatrix,
-    QSqrt3,
     exact_rank,
     numeric_isostatic_check,
     rigidity_matrix,
     symmetric_generic_positions,
 )
 from c3rig import field
-from c3rig.field import _P, _S, PartialElimination
+from c3rig.field import _P, ExactMatrix, PartialElimination, QSqrt3
 from tests.corpus import acceptance_corpus, k3, k33, octahedron, prism, random_tight_symgraph
 
 small_rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
 )
 elements = st.builds(QSqrt3, small_rationals, small_rationals)
-
-
-def test_conjugate_product():
-    x = QSqrt3(1, 1) * QSqrt3(1, -1)
-    assert x == QSqrt3(-2)
-
-
-def test_inverse_of_sqrt3():
-    assert QSqrt3(0, 1).inverse() == QSqrt3(0, Fraction(1, 3))
 
 
 def test_exact_cancellation():
@@ -41,11 +30,6 @@ def test_zero_iff_both_components_zero():
     assert not QSqrt3(0, Fraction(1, 10**9)).is_zero
     assert not QSqrt3(Fraction(1, 10**9), 0).is_zero
     assert QSqrt3(0, 0).is_zero
-
-
-def test_division_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        QSqrt3(1) / QSqrt3()
 
 
 def test_float_view():
@@ -61,8 +45,7 @@ def test_json_dict():
 
 def test_int_coercion():
     assert QSqrt3(2) + 1 == QSqrt3(3)
-    assert 2 * QSqrt3(0, 1) == QSqrt3(0, 2)
-    assert 1 / QSqrt3(0, 1) == QSqrt3(0, Fraction(1, 3))
+    assert 1 - QSqrt3(0, 1) == QSqrt3(1, -1)
 
 
 def test_components_are_normalized_to_fractions():
@@ -81,29 +64,15 @@ def test_components_are_normalized_to_fractions():
 
 @given(elements, elements, elements)
 def test_field_laws(x, y, z):
+    # the additive laws; a report coordinate is never multiplied
     assert (x + y) + z == x + (y + z)
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
     assert x + y == y + x
-    assert x * y == y * x
-
-
-@given(elements)
-def test_multiplicative_inverse(x):
-    if not x.is_zero:
-        assert x * x.inverse() == QSqrt3(1)
+    assert (x - y) + y == x
+    assert (x - x).is_zero and -(-x) == x
 
 
 def _matrix(rows):
-    return ExactMatrix.from_rows([[_q(x) for x in row] for row in rows])
-
-
-def _q(x):
-    if isinstance(x, QSqrt3):
-        return x
-    if isinstance(x, tuple):
-        return QSqrt3(Fraction(x[0]), Fraction(x[1]))
-    return QSqrt3(Fraction(x))
+    return ExactMatrix.from_rows([[Fraction(x) for x in row] for row in rows])
 
 
 def test_rank_identity():
@@ -111,7 +80,7 @@ def test_rank_identity():
 
 
 def test_rank_proportional_rows():
-    m = _matrix([[(1, 0), (0, 1)], [(2, 0), (0, 2)]])
+    m = _matrix([[1, Fraction(3, 2)], [2, 3]])
     assert exact_rank(m) == 1
 
 
@@ -177,16 +146,13 @@ def test_rank_invariances():
     for _ in range(40):
         nr, nc = rng.randint(2, 5), rng.randint(2, 5)
         rows = [
-            [
-                QSqrt3(Fraction(rng.randint(-4, 4)), Fraction(rng.randint(-4, 4)))
-                for _ in range(nc)
-            ]
+            [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
             for _ in range(nr)
         ]
         m = ExactMatrix.from_rows(rows)
         r = exact_rank(m)
         assert exact_rank(ExactMatrix.from_rows([list(col) for col in zip(*rows)])) == r
-        scale = QSqrt3(Fraction(rng.randint(1, 3)), Fraction(rng.randint(1, 3)))
+        scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3))
         scaled = ExactMatrix.from_rows(
             [[scale * x for x in row] for row in rows]
         )
@@ -198,7 +164,7 @@ def test_rank_invariances():
 
 def test_matrix_shape_validation():
     with pytest.raises(ValueError):
-        ExactMatrix(2, 2, ((QSqrt3(1),),))
+        ExactMatrix(2, 2, ((1,),))
 
 
 def test_rank_sees_through_tiny_perturbations():
@@ -208,21 +174,11 @@ def test_rank_sees_through_tiny_perturbations():
     assert exact_rank(nearly) == 2
     truly = _matrix([[1, 1], [1, 1]])
     assert exact_rank(truly) == 1
-    # same story against an irrational direction
-    m = ExactMatrix.from_rows(
-        [
-            [QSqrt3(1), QSqrt3(0, 1)],
-            [QSqrt3(0, 1), QSqrt3(3, eps)],
-        ]
-    )
-    assert exact_rank(m) == 2
-    dependent = ExactMatrix.from_rows(
-        [
-            [QSqrt3(1), QSqrt3(0, 1)],
-            [QSqrt3(0, 1), QSqrt3(3)],
-        ]
-    )
-    assert exact_rank(dependent) == 1
+    # same story at the size of generic coordinates: the determinant is
+    # 2^62 - (2^62 - 1) = 1, and 2^62 - 1 rounds to 2^62 as a double
+    big = 2**31
+    assert exact_rank(_matrix([[big, big + 1], [big - 1, big]])) == 2
+    assert exact_rank(_matrix([[big, big + 1], [2 * big, 2 * big + 2]])) == 1
 
 
 def _is_prime(n):
@@ -260,8 +216,6 @@ def test_modular_prime(monkeypatch):
     assert _is_prime(2**61 - 1)
 
     assert _is_prime(_P)
-    assert _P % 12 == 11
-    assert _S * _S % _P == 3
     # the benchmark checks realize reports by rank mod its own primes; a
     # different prime here keeps that check independent of exact_rank
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
@@ -271,14 +225,14 @@ def test_modular_prime(monkeypatch):
 @pytest.mark.parametrize(
     "rows",
     [
-        [[QSqrt3(_P)]],  # image 0
-        [[QSqrt3(-_S, 1)]],  # -S + sqrt(3) maps to 0
-        [[QSqrt3(Fraction(1, _P))]],  # no image
-        [[QSqrt3(1), QSqrt3(2)], [QSqrt3(3), QSqrt3(6 + _P)]],  # determinant P
+        [[_P]],  # image 0
+        [[Fraction(2 * _P, 3)]],  # a numerator P divides maps to 0 too
+        [[Fraction(1, _P)]],  # no image
+        [[1, 2], [3, 6 + _P]],  # determinant P
     ],
 )
 def test_exact_rank_falls_back_when_the_image_is_deficient(rows):
-    m = ExactMatrix.from_rows(rows)
+    m = _matrix(rows)
     full = len(rows)
     image_rank = field._modular_rank(m)
     assert image_rank is None or image_rank < full
@@ -323,12 +277,8 @@ def test_overbraced_placement_proves_its_rank_without_exact_elimination(monkeypa
 
 
 def _integer_images(m):
-    # each row of an integer matrix over Q(sqrt 3) as a sparse row mod P
-    rows = []
-    for entries in m.entries:
-        values = ((c, (int(x.a) + int(x.b) * _S) % _P) for c, x in enumerate(entries))
-        rows.append({c: v for c, v in values if v})
-    return rows
+    # each row of an integer matrix as a sparse row mod P
+    return [{c: x % _P for c, x in enumerate(entries) if x % _P} for entries in m.entries]
 
 
 def test_partial_elimination_ranks_like_its_matrix():
@@ -339,7 +289,7 @@ def test_partial_elimination_ranks_like_its_matrix():
 
     for _ in range(200):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-        rows = [[QSqrt3(rng.randint(-2, 2), rng.randint(-1, 1)) for _ in range(nc)] for _ in range(nr)]
+        rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
         m = ExactMatrix.from_rows(rows)
         expected = field._fraction_free_rank(m)
         split = rng.randint(0, nr)
@@ -351,7 +301,7 @@ def test_partial_elimination_ranks_like_its_matrix():
 
 
 def test_partial_elimination_falls_back_on_a_deficit_or_a_missing_image():
-    m = ExactMatrix.from_rows([[QSqrt3(1), QSqrt3(2)], [QSqrt3(3), QSqrt3(6 + _P)]])
+    m = ExactMatrix.from_rows([[1, 2], [3, 6 + _P]])
     pivots = {}
     field._eliminate(_integer_images(m)[:1], pivots)
     deficient = PartialElimination(2, 2, pivots, _integer_images(m)[1:], lambda: m)
@@ -375,7 +325,7 @@ def test_exact_rank_matches_exact_elimination_with_planted_dependent_rows():
     rng = random.Random(12)
 
     def element(k):
-        return QSqrt3(rng.randint(-k, k), rng.randint(-k, k))
+        return Fraction(rng.randint(-k, k), rng.randint(1, k))
 
     for _ in range(200):
         nc = rng.randint(1, 7)
@@ -384,7 +334,7 @@ def test_exact_rank_matches_exact_elimination_with_planted_dependent_rows():
         for _ in range(rng.randint(1, 3)):
             coeffs = [element(2) for _ in base]
             rows.append(
-                [sum((c * r[j] for c, r in zip(coeffs, base)), QSqrt3()) for j in range(nc)]
+                [sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(nc)]
             )
         rng.shuffle(rows)
         m = ExactMatrix.from_rows(rows)
@@ -397,9 +347,7 @@ def test_exact_rank_matches_sympy_on_small_rigidity_matrices():
     sympy = pytest.importorskip("sympy")
 
     def to_sympy(x):
-        return sympy.Rational(x.a.numerator, x.a.denominator) + sympy.Rational(
-            x.b.numerator, x.b.denominator
-        ) * sympy.sqrt(3)
+        return sympy.Rational(x.numerator, x.denominator)
 
     graphs = [k3(), prism(), k33(), octahedron()]
     graphs += [sg for sg in acceptance_corpus() if sg.graph.n <= 6]
