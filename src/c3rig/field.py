@@ -14,8 +14,8 @@ a fixed prime P (a ring homomorphism, so the rank mod P never exceeds the
 exact rank), full meaning the smaller side or a known ceiling on the rank;
 only a deficit mod P falls back to exact fraction-free integer elimination.
 It ranks a dense ``ExactMatrix`` or a ``PartialElimination``, whose rows are
-partly eliminated mod P already and which builds its exact matrix only for
-that fallback.
+partly eliminated mod P already and which builds its sparse integer rows only
+for that fallback.
 """
 from __future__ import annotations
 
@@ -128,20 +128,16 @@ class ExactMatrix:
     def modular_rank(self) -> int | None:
         return _modular_rank(self)
 
-    def exact(self) -> "ExactMatrix":
-        return self
-
-
-def _integer_rows(m: ExactMatrix) -> list[dict[int, int]]:
-    """Each row as a sparse integer row: its nonzero entries by column, times
-    the lcm of their denominators; scaling a row by a nonzero rational does
-    not change the rank."""
-    rows = []
-    for entries in m.entries:
-        nonzero = [(c, x) for c, x in enumerate(entries) if x]
-        scale = math.lcm(*(x.denominator for _, x in nonzero))
-        rows.append({c: x.numerator * (scale // x.denominator) for c, x in nonzero})
-    return rows
+    def integer_rows(self) -> list[dict[int, int]]:
+        """Each row as a sparse integer row: its nonzero entries by column,
+        times the lcm of their denominators; scaling a row by a nonzero
+        rational does not change the rank."""
+        rows = []
+        for entries in self.entries:
+            nonzero = [(c, x) for c, x in enumerate(entries) if x]
+            scale = math.lcm(*(x.denominator for _, x in nonzero))
+            rows.append({c: x.numerator * (scale // x.denominator) for c, x in nonzero})
+        return rows
 
 
 # A fixed prime P; bench/checker.py ranks reports mod other primes, so its
@@ -220,16 +216,17 @@ class PartialElimination:
     ``pivots`` are some of its rows eliminated mod P by ``_eliminate``, so
     their number is the rank of those rows mod P, and ``rest`` are the
     images of its other rows; either is None when an entry has no image.
-    ``exact`` builds the whole matrix, which ``exact_rank`` asks for only on
-    a deficit mod P. Matrices that differ only in ``rest`` can share their
-    pivots, which are copied before ``rest`` is reduced (and consumed).
+    ``integer_rows`` gives its rows, each times a nonzero rational, as sparse
+    integer rows, which ``exact_rank`` asks for only on a deficit mod P.
+    Matrices that differ only in ``rest`` can share their pivots, which are
+    copied before ``rest`` is reduced (and consumed).
     """
 
     rows: int
     cols: int
     pivots: dict[int, dict[int, int]] | None
     rest: list[dict[int, int]] | None
-    exact: Callable[[], ExactMatrix]
+    integer_rows: Callable[[], list[dict[int, int]]]
 
     def modular_rank(self) -> int | None:
         if self.pivots is None or self.rest is None:
@@ -254,21 +251,21 @@ def exact_rank(m: ExactMatrix | PartialElimination, ceiling: int | None = None) 
         full = min(full, ceiling)
     if m.modular_rank() == full:
         return full
-    return _fraction_free_rank(m.exact())
+    return _fraction_free_rank(m.integer_rows())
 
 
-def _fraction_free_rank(m: ExactMatrix) -> int:
-    """Rank over Q, by fraction-free elimination of the integer rows.
+def _fraction_free_rank(rows: Iterable[dict[int, int]]) -> int:
+    """Rank over Q of sparse integer rows, by fraction-free elimination.
 
     Each row is reduced, always at its smallest column, against the pivot
     rows so far: at a pivot p and the row's entry f there, the row becomes
     (p/g) * row - (f/g) * pivot with g = gcd(p, f), an integer row in the
     same span whose entry there is zero, and its integer content is then
     divided out to keep the entries small. A row that does not reduce to
-    zero becomes the pivot row of its smallest column.
+    zero becomes the pivot row of its smallest column. The rows are consumed.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in _integer_rows(m):
+    for row in rows:
         while row:
             col = min(row)
             pivot = pivots.get(col)

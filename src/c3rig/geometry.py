@@ -13,13 +13,15 @@ are provided.
   matching its tree, and then pull coincident joint classes apart along a
   deformation parameter until the degenerate frame becomes an honest
   framework, keeping the generalized rigidity matrix at full row rank the
-  whole way.
+  whole way. The separation runs on integer pairs over one common scale,
+  so a round does no rational arithmetic.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
 deficit. A point reaches Q(sqrt 3) coordinates only in a report or drawing.
 """
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
@@ -198,9 +200,9 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
 
     The rank is taken on the image mod P of ``rigidity_matrix``, one sparse
     row per edge from its pair difference, with the column pairs in
-    ``_degree_order``. The ``ExactMatrix`` is built, in the same column
-    order, only when that image's rank falls short of min(m, 2n - 3) or a
-    difference has no image.
+    ``_degree_order``. The exact rows, sparse integer rows in the same
+    column order, are built only when that image's rank falls short of
+    min(m, 2n - 3) or a difference has no image.
     """
     g = sg.graph
     n = g.n
@@ -217,13 +219,12 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     # motions cap the rank at 2n - 3 even when there are more bars.
     target = 2 * n - 3
     place = _degree_order(g)
+    ends = [(place[u], place[v]) for u, v in g.sorted_edges]
     diffs = [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges]
     inverses: dict[int, int] = {}
     images = [_pair_image(d, inverses) for d in diffs]
-    rows = None
-    if None not in images:
-        rows = [_row(place[u], place[v], im) for (u, v), im in zip(g.sorted_edges, images)]
-    matrix = PartialElimination(g.m, 2 * n, {}, rows, lambda: _pair_matrix(g, diffs, place))
+    rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
+    matrix = PartialElimination(g.m, 2 * n, {}, rows, lambda: _exact_rows(ends, diffs))
     rank = exact_rank(matrix, target)
     return RankVerdict(
         isostatic=g.m == target and rank == target,
@@ -248,26 +249,18 @@ class Frame:
     directions: tuple[Pair, ...]
 
 
-def _edge_scalar(delta: Pair, q: Pair) -> Fraction:
-    """Solve delta = lam * q for the frame scalar lam."""
-    if q[0]:
-        lam = delta[0] / q[0]
-    elif q[1]:
-        lam = delta[1] / q[1]
-    else:
-        raise ZeroDirection("frame direction is zero")
-    if delta[0] != lam * q[0] or delta[1] != lam * q[1]:
-        raise InternalInvariantBroken("edge difference not collinear with direction")
-    return lam
-
-
 def frame_lambdas(g: Graph, frame: Frame) -> tuple[Fraction, ...]:
-    """The per-edge scalars tying positions to directions."""
+    """The per-edge scalars lam with position difference = lam * direction."""
     pos = frame.positions
-    return tuple(
-        _edge_scalar(v_sub(pos[u], pos[v]), frame.directions[i])
-        for i, (u, v) in enumerate(g.sorted_edges)
-    )
+    lams = []
+    for (u, v), q in zip(g.sorted_edges, frame.directions):
+        delta = v_sub(pos[u], pos[v])
+        if q == _PAIR_ZERO:
+            raise ZeroDirection("frame direction is zero")
+        if cross(delta, q):
+            raise InternalInvariantBroken("edge difference not collinear with direction")
+        lams.append(delta[0] / q[0] if q[0] else delta[1] / q[1])
+    return tuple(lams)
 
 
 def frame_from_partition(sg: SymGraph, tp: TreePartition) -> Frame:
@@ -323,10 +316,6 @@ def rotate_omega(p: Pair) -> Pair:
     return (-b, a - b)
 
 
-# A part of a class moves along the side direction opposite its tree.
-_SPLITS = ((2, TREE_DIRECTIONS[1]), (1, TREE_DIRECTIONS[2]))
-
-
 def _pair_image(q: Pair, inverses: dict[int, int]) -> tuple[int, int] | None:
     """The F_P image of a pair, or None when a coordinate has none."""
     a = _residue(q[0], inverses)
@@ -334,25 +323,37 @@ def _pair_image(q: Pair, inverses: dict[int, int]) -> tuple[int, int] | None:
     return None if a is None or b is None else (a, b)
 
 
-def _row(u: int, v: int, image: tuple[int, int]) -> dict[int, int]:
-    """An edge's sparse F_P row: ``image`` at u's column pair, negated at v's."""
+def _row(u: int, v: int, image: tuple[int, int], modulus: int = _P) -> dict[int, int]:
+    """An edge's sparse row over F_P (or over Z with modulus 0): ``image`` at
+    u's column pair, negated at v's."""
     x, y = image
     row = {}
     if x:
         row[2 * u] = x
-        row[2 * v] = _P - x
+        row[2 * v] = modulus - x
     if y:
         row[2 * u + 1] = y
-        row[2 * v + 1] = _P - y
+        row[2 * v + 1] = modulus - y
     return row
 
 
-def _pair_matrix(
-    g: Graph, directions: Iterable[Pair], place: list[int] | None = None
-) -> ExactMatrix:
+def _primitive(q: Pair) -> Pair:
+    """The integer pair with coprime entries (or zero) on the ray of ``q``."""
+    scale = math.lcm(q[0].denominator, q[1].denominator)
+    a, b = int(q[0] * scale), int(q[1] * scale)
+    g = math.gcd(a, b) or 1
+    return (a // g, b // g)
+
+
+def _exact_rows(ends: list[tuple[int, int]], pairs: Iterable[Pair]) -> list[dict[int, int]]:
+    """Both routes' exact fallback: ``_pair_matrix``'s rows, each times a
+    positive rational, as sparse integer rows with the column pairs ``ends``."""
+    return [_row(*e, _primitive(q), 0) for e, q in zip(ends, pairs)]
+
+
+def _pair_matrix(g: Graph, directions: Iterable[Pair]) -> ExactMatrix:
     """The generalized rigidity matrix: one row per sorted edge (u, v), its
-    direction pair at u's column pair, negated at v's. Vertex v's column
-    pair is the ``place[v]``-th (by default the v-th).
+    direction pair at u's column pair, negated at v's.
 
     With Cartesian directions the matrix would hold B (a, b) in those
     places, where B = [[1, -1/2], [0, sqrt(3)/2]] has the columns 1 and w.
@@ -360,16 +361,14 @@ def _pair_matrix(
     which is invertible: the two have the same rank. A rigidity matrix is
     the case where each direction is the edge's position difference. The
     rows that ``_row`` builds from ``_pair_image`` are this matrix mod P,
-    with the vertices' column pairs in ``_degree_order``.
+    and ``_exact_rows`` builds it over the integers, row by row up to
+    scale, both with the vertices' column pairs in ``_degree_order``.
     """
     n = g.n
-    if place is None:
-        place = range(n)
     rows = []
     for (u, v), (a, b) in zip(g.sorted_edges, directions):
         row = [0] * (2 * n)
-        cu, cv = 2 * place[u], 2 * place[v]
-        row[cu], row[cu + 1], row[cv], row[cv + 1] = a, b, -a, -b
+        row[2 * u], row[2 * u + 1], row[2 * v], row[2 * v + 1] = a, b, -a, -b
         rows.append(tuple(row))
     return ExactMatrix(g.m, 2 * n, tuple(rows))
 
@@ -388,24 +387,14 @@ def _degree_order(g: Graph) -> list[int]:
     return place
 
 
-def _directions_at(
-    dirs: list[Pair], moved: dict[int, tuple[Pair, Pair]], t: Fraction
-) -> list[Pair]:
-    """The directions with each moved edge's set to base + t * slope."""
-    cur = list(dirs)
-    for i, (base, slope) in moved.items():
-        cur[i] = v_add(base, v_scale(t, slope))
-    return cur
-
-
-def _t_candidates(limit: int) -> Iterator[Fraction]:
-    """1/2, 1/3, 1/5, 1/7, ...: the first ``limit`` prime reciprocals, lazily."""
+def _t_candidates(limit: int) -> Iterator[int]:
+    """The parameters t = 1/2, 1/3, 1/5, ... as the primes p = 1/t: the first ``limit``, lazily."""
     primes: list[int] = []
     x = 2
     while len(primes) < limit:
         if all(x % p for p in takewhile(lambda p: p * p <= x, primes)):
             primes.append(x)
-            yield Fraction(1, x)
+            yield x
         x += 1
 
 
@@ -426,6 +415,10 @@ def _class_to_split(sg: SymGraph, coincident, joint_class, members, miss) -> lis
     if len({joint_class[x] for x in best}) != 1 or {miss[x] for x in best} != {0}:
         raise InternalInvariantBroken("normalized class is not a coincidence class")
     return sorted(best)
+
+
+# A part of a class moves along the side direction opposite its tree.
+_SPLITS = ((2, _primitive(TREE_DIRECTIONS[1])), (1, _primitive(TREE_DIRECTIONS[2])))
 
 
 def _separable_component(part: list[int], tp: TreePartition) -> tuple[set[int], Pair]:
@@ -451,54 +444,73 @@ def _separable_component(part: list[int], tp: TreePartition) -> tuple[set[int], 
 
 @dataclass
 class _LiveFrame:
-    """A frame under separation in (1, w) pairs, carried from round to round.
+    """A frame under separation, in integer (1, w) pairs, from round to round.
 
-    Besides positions and directions it keeps each direction's F_P image
-    and each edge's ends as the column pairs of its F_P row (by
-    ``_degree_order``), the joint classes by number (the class of each
-    vertex, the members and the point of each class), the corner each
-    vertex was parked on, and the edges whose endpoints still coincide.
+    The joints are kept as classes by number: the class of each vertex, the
+    members and the point of each class, an integer pair X standing for
+    X / ``scale``. Each edge has a ``_primitive`` integer direction, its F_P
+    image and its ends as the column pairs of its F_P row (by
+    ``_degree_order``). Also kept: the corner each vertex was parked on, the
+    edges whose endpoints still coincide, and the edges a round has turned.
     """
 
-    pos: list[Pair]
-    dirs: list[Pair]
-    images: list[tuple[int, int] | None]
-    ends: list[tuple[int, int]]
+    scale: int
+    points: list[Pair]
     joint_class: list[int]
     members: list[list[int]]
-    class_at: dict[Pair, int]
+    dirs: list[Pair]
+    images: list[Pair]
+    ends: list[tuple[int, int]]
     miss: list[int]
     coincident: list[int]
-    inverses: dict[int, int]
+    turned: set[int]
 
     @classmethod
     def read(cls, sg: SymGraph, tp: TreePartition, frame: Frame) -> "_LiveFrame":
+        """Refuses a zero direction, or one not parallel to the position
+        difference of an edge whose ends are apart; the rounds keep that."""
         edges = sg.graph.sorted_edges
-        pos = list(frame.positions)
-        dirs = list(frame.directions)
-        for (u, v), q in zip(edges, dirs):
-            if q == _PAIR_ZERO:
-                raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
         miss = _missing_tree(tp, sg.graph.n)
-        class_at: dict[Pair, int] = {}
-        joint_class = [class_at.setdefault(p, len(class_at)) for p in pos]
-        members: list[list[int]] = [[] for _ in class_at]
+        class_of: dict[Pair, int] = {}
+        joint_class = [class_of.setdefault(p, len(class_of)) for p in frame.positions]
+        members: list[list[int]] = [[] for _ in class_of]
         for v, c in enumerate(joint_class):
             members[c].append(v)
         for group in members:
             if len({miss[v] for v in group}) != 1:
                 raise InternalInvariantBroken("coincidence class spans two corner roles")
-        inverses: dict[int, int] = {}
-        images = [_pair_image(q, inverses) for q in dirs]
+        scale = math.lcm(*(x.denominator for p in class_of for x in p))
+        points = [(int(a * scale), int(b * scale)) for a, b in class_of]
+        dirs = [_primitive(q) for q in frame.directions]
+        for (u, v), q in zip(edges, dirs):
+            if q == (0, 0):
+                raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
+            if cross(v_sub(points[joint_class[u]], points[joint_class[v]]), q):
+                raise InternalInvariantBroken(f"edge ({u}, {v}) is not along its direction")
+        images = [(a % _P, b % _P) for a, b in dirs]
         place = _degree_order(sg.graph)
         ends = [(place[u], place[v]) for u, v in edges]
         coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
-        return cls(
-            pos, dirs, images, ends, joint_class, members, class_at, miss, coincident, inverses
-        )
+        return cls(scale, points, joint_class, members, dirs, images, ends, miss, coincident, set())
 
-    def frame(self) -> Frame:
-        return Frame(tuple(self.pos), tuple(self.dirs))
+    def frame(self, g: Graph, start: Frame) -> Frame:
+        """The frame in rational pairs: each point X / ``scale``, and each
+        turned edge's direction its position difference."""
+        d, points, joint_class = self.scale, self.points, self.joint_class
+        positions = [(Fraction(x, d), Fraction(y, d)) for x, y in points]
+        directions = list(start.directions)
+        for i in self.turned:
+            u, v = g.sorted_edges[i]
+            x, y = v_sub(points[joint_class[u]], points[joint_class[v]])
+            directions[i] = (Fraction(x, d), Fraction(y, d))
+        return Frame(tuple(positions[c] for c in joint_class), tuple(directions))
+
+
+def _on_a_class(point: Pair, p: int, occupied: set[Pair]) -> bool:
+    """Whether ``point`` at the scale p * D is one of the class points
+    ``occupied`` at the scale D: whether it is p * X for one of them."""
+    x, y = point
+    return not x % p and not y % p and (x // p, y // p) in occupied
 
 
 def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
@@ -508,24 +520,23 @@ def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
     rotation representative holds the smallest vertex. One component of its
     restriction to one tree moves along the opposite side direction, its
     rotated copies along the rotated directions, and every edge whose
-    endpoints move differently gets a direction re-derived so the frame
-    condition survives. The deformation parameter runs through reciprocals
-    of primes until no two joint classes collide and the generalized
+    endpoints move differently turns to its new position difference, so the
+    frame condition survives. The deformation parameter runs through t = 1/p
+    for the primes p until no two joint classes collide and the generalized
     rigidity matrix keeps full row rank.
 
-    Only the three moving points and the rows of the edges whose endpoints
-    move differently, which are affine in the parameter, are derived; the
-    other rows are eliminated mod P once, and each candidate reduces only
-    the moved rows against them. A deficit mod P falls back to exact
-    elimination.
+    All in integers: at t = 1/p a point X / D (D = ``scale``) moving by d
+    goes to (p X + D d) / (p D), so a turned edge's row, taken at
+    p delta + D dd (delta = X_u - X_v, dd = d_u - d_v), is a nonzero multiple
+    of its new position difference and affine in p. The other rows are
+    eliminated mod P once; each candidate reduces only the turned rows
+    against them, and only a deficit mod P falls back to exact elimination.
     """
     act = sg.require_action()
     g = sg.graph
     n, m = g.n, g.m
-    edges = g.sorted_edges
-    pos, dirs, images, ends = live.pos, live.dirs, live.images, live.ends
-    joint_class, members, class_at = live.joint_class, live.members, live.class_at
-    inverses = live.inverses
+    scale, points, joint_class, members = live.scale, live.points, live.joint_class, live.members
+    dirs, images, ends = live.dirs, live.images, live.ends
     part = _class_to_split(sg, live.coincident, joint_class, members, live.miss)
     comp, d0 = _separable_component(part, tp)
     steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
@@ -536,80 +547,71 @@ def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
         c = joint_class[copy[0]]
         if any(joint_class[x] != c for x in copy) or len(members[c]) == len(copy):
             raise InternalInvariantBroken("moving copies are not parts of rotated classes")
-        for x in copy:
-            disp[x] = step
+        disp.update(dict.fromkeys(copy, step))
 
-    # Each moved edge's direction is base + t * slope.
-    moved: dict[int, tuple[Pair, Pair]] = {}
-    for i, (u, v) in enumerate(edges):
-        du = disp.get(u, _PAIR_ZERO)
-        dv = disp.get(v, _PAIR_ZERO)
-        if du == dv:
-            continue
-        dd = v_sub(du, dv)
-        if joint_class[u] == joint_class[v]:
-            moved[i] = (dd, _PAIR_ZERO)
-        else:
-            lam = _edge_scalar(v_sub(pos[u], pos[v]), dirs[i])
-            moved[i] = (dirs[i], v_scale(1 / lam, dd))
+    turning: dict[int, tuple[Pair, Pair]] = {}  # edge: (delta, D dd)
+    for i, (u, v) in enumerate(g.sorted_edges):
+        du, dv = disp.get(u, (0, 0)), disp.get(v, (0, 0))
+        if du != dv:
+            delta = v_sub(points[joint_class[u]], points[joint_class[v]])
+            turning[i] = (delta, v_scale(scale, v_sub(du, dv)))
     lines = [
-        (ends[i], _pair_image(base, inverses), _pair_image(slope, inverses))
-        for i, (base, slope) in moved.items()
+        (ends[i], (dx % _P, dy % _P), (ex % _P, ey % _P))
+        for i, ((dx, dy), (ex, ey)) in turning.items()
     ]
-    lines_have_images = all(None not in line for line in lines)
-    kept = [i for i in range(m) if i not in moved]
-    pivots: dict[int, dict[int, int]] | None = None
-    if all(images[i] is not None for i in kept):
-        pivots = {}
-        _eliminate((_row(*ends[i], images[i]) for i in kept), pivots)
+    kept = [i for i in range(m) if i not in turning]
+    pivots: dict[int, dict[int, int]] = {}
+    _eliminate((_row(*ends[i], images[i]) for i in kept), pivots)
+
+    def turned_at(p: int) -> list[Pair]:
+        return [v_add(v_scale(p, delta), dd) for delta, dd in turning.values()]
+
+    def exact_rows(p: int) -> list[dict[int, int]]:
+        now = dict(zip(turning, turned_at(p)))
+        return _exact_rows(ends, [now.get(i, q) for i, q in enumerate(dirs)])
 
     # A t fails only by a collision or a rank deficit. Moving copy k lands
-    # on an occupied class point p for at most one t per (k, p), as its step
+    # on an occupied class point for at most one t per class, as its step
     # is nonzero, and two copies meet for at most one t per pair, as their
-    # steps differ: 3 * (classes + 1) values. The moved rows are affine in
-    # t, so an m x m minor that is nonzero for some t (the separation step
+    # steps differ: 3 * (classes + 1) values. The turned rows are affine in
+    # p, so an m x m minor that is nonzero for some p (the separation step
     # of the symmetric Crapo theorem gives one) is a polynomial of degree at
     # most m, vanishing for at most m values. So one of the first
     # 3 * (classes + 1) + m + 1 candidates is good.
-    starts = [pos[copy[0]] for copy in copies]
+    starts = [points[joint_class[copy[0]]] for copy in copies]
+    occupied = set(points)
     limit = 3 * (len(members) + 1) + m + 1
-    for t in _t_candidates(limit):
-        points = [v_add(s, v_scale(t, d)) for s, d in zip(starts, steps)]
-        if len(set(points)) < 3 or any(p in class_at for p in points):
+    for p in _t_candidates(limit):
+        # the copies' new points at the scale p * D
+        landed = [(p * x + scale * a, p * y + scale * b) for (x, y), (a, b) in zip(starts, steps)]
+        if len(set(landed)) < 3 or any(_on_a_class(q, p, occupied) for q in landed):
             continue
-        r = _residue(t, inverses)
-        rows = None
-        if lines_have_images and r is not None:
-            rows = [
-                _row(u, v, ((bx + r * sx) % _P, (by + r * sy) % _P))
-                for (u, v), (bx, by), (sx, sy) in lines
-            ]
-        matrix = PartialElimination(
-            m,
-            2 * n,
-            pivots,
-            rows,
-            lambda: _pair_matrix(g, _directions_at(dirs, moved, t), _degree_order(g)),
-        )
-        if exact_rank(matrix) == m:
+        rows = [
+            _row(u, v, ((dx * p + ex) % _P, (dy * p + ey) % _P))
+            for (u, v), (dx, dy), (ex, ey) in lines
+        ]
+        if exact_rank(PartialElimination(m, 2 * n, pivots, rows, lambda: exact_rows(p))) == m:
             break
     else:
         raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
 
-    for copy, point in zip(copies, points):
+    # Accepting p puts every point at the scale p * D.
+    live.scale = p * scale
+    points[:] = [(p * x, p * y) for x, y in points]
+    for copy, point in zip(copies, landed):
         c = joint_class[copy[0]]
         gone = set(copy)
         members[c] = [x for x in members[c] if x not in gone]
-        class_at[point] = len(members)
-        members.append(copy)
         for x in copy:
-            joint_class[x] = class_at[point]
-            pos[x] = point
-    live.dirs = _directions_at(dirs, moved, t)
-    for i in moved:
-        images[i] = _pair_image(live.dirs[i], inverses)
-    # A moved edge's endpoints now lie apart; an unmoved one's kept their offset.
-    live.coincident = [i for i in live.coincident if i not in moved]
+            joint_class[x] = len(members)
+        members.append(copy)
+        points.append(point)
+    for i, q in zip(turning, turned_at(p)):
+        a, b = dirs[i] = _primitive(q)
+        images[i] = (a % _P, b % _P)
+    live.turned.update(turning)
+    # A turned edge's endpoints now lie apart; another kept their offset.
+    live.coincident = [i for i in live.coincident if i not in turning]
 
 
 def pull_apart_fully(
@@ -617,7 +619,7 @@ def pull_apart_fully(
 ) -> tuple[Frame, int]:
     """Separate every pair of coincident adjacent joints; return the rounds taken.
 
-    One live state carries every round of ``pull_apart``.
+    One live state carries every round of ``pull_apart``, in integers.
     """
     sg.require_action()
     live = _LiveFrame.read(sg, tp, frame)
@@ -627,7 +629,7 @@ def pull_apart_fully(
         if rounds > sg.graph.n:
             raise InternalInvariantBroken("separation failed to terminate")
         pull_apart(sg, tp, live)
-    return live.frame(), rounds
+    return live.frame(sg.graph, frame), rounds
 
 
 def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:

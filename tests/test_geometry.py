@@ -32,6 +32,7 @@ from c3rig.errors import (
     ExhaustedRetries,
     ExhaustedT,
     FixedVertexPresent,
+    InternalInvariantBroken,
     NoSeparableComponent,
     ZeroDirection,
 )
@@ -47,6 +48,7 @@ from c3rig.geometry import (
     rotate_omega,
     v_add,
     v_scale,
+    v_sub,
 )
 from c3rig.trees import TreePartition
 from tests.corpus import (
@@ -389,9 +391,9 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
     candidates = geometry._t_candidates
 
     def counted(limit):
-        for t in candidates(limit):
-            tried.append(t)
-            yield t
+        for p in candidates(limit):
+            tried.append(p)
+            yield p
 
     monkeypatch.setattr(geometry, "_t_candidates", counted)
     monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
@@ -399,16 +401,17 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
         pull_apart_fully(sg, tp, frame)
     # three corner classes and nine edges: 3 * (3 + 1) + 9 + 1 candidates
     assert len(tried) == 22
-    assert tried[:5] == [Fraction(1, p) for p in (2, 3, 5, 7, 11)]
-    assert tried[-1] == Fraction(1, 79)
+    assert tried[:5] == [2, 3, 5, 7, 11]
+    assert tried[-1] == 79
 
 
 def test_candidate_parameters_are_prime_reciprocals_made_lazily():
     primes = [p for p in range(2, 200) if all(p % d for d in range(2, p))]
-    assert list(geometry._t_candidates(len(primes))) == [Fraction(1, p) for p in primes]
+    # t = 1/p, given as p
+    assert list(geometry._t_candidates(len(primes))) == primes
     assert list(geometry._t_candidates(0)) == []
     endless = geometry._t_candidates(10**9)
-    assert [next(endless) for _ in range(3)] == [Fraction(1, 2), Fraction(1, 3), Fraction(1, 5)]
+    assert [next(endless) for _ in range(3)] == [2, 3, 5]
 
 
 def test_framework_from_frame_requires_separation():
@@ -445,20 +448,116 @@ def test_scaling_rows_by_lambda_gives_rigidity_matrix():
 FRAME_PLACEMENT_DIGEST = "7fdca134907dd0ca2d2885efabefdd20e03939eee976f42f67887de4c422d3ba"
 
 
+def _digest_graphs():
+    graphs = [sg for sg in acceptance_corpus() if check_c3_isostatic(sg).isostatic]
+    return graphs + [fast_tight_symgraph(s, n) for s in range(3) for n in (45, 90, 120)]
+
+
 def test_frame_placements_match_their_pinned_digest():
     # One sha256 over the rounds and exact positions of the frame route on
     # 374 isostatic graphs pins the separation: the class split, the
     # parameter chosen and the recentring. The goldens cover six inputs only.
-    graphs = [sg for sg in acceptance_corpus() if check_c3_isostatic(sg).isostatic]
-    graphs += [fast_tight_symgraph(s, n) for s in range(3) for n in (45, 90, 120)]
     digest = hashlib.sha256()
-    for sg in graphs:
+    for sg in _digest_graphs():
         tp = _certified_partition(sg)
         frame, rounds = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
         positions = framework_from_frame(sg, frame).cartesian
         exact = [[x.as_json_dict(), y.as_json_dict()] for x, y in positions]
         digest.update(json.dumps({"rounds": rounds, "exact": exact}, sort_keys=True).encode())
     assert digest.hexdigest() == FRAME_PLACEMENT_DIGEST
+
+
+def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
+    # The digest's graphs reach the integer collision rule: some candidates
+    # are skipped, with no rank taken, because a copy would land on a class.
+    counts = dict.fromkeys(("rounds", "tried", "ranked", "landed"), 0)
+    candidates, rank, on_a_class = (
+        geometry._t_candidates, geometry.exact_rank, geometry._on_a_class
+    )
+
+    def counted_candidates(limit):
+        for p in candidates(limit):
+            counts["tried"] += 1
+            yield p
+
+    def counted_rank(matrix):
+        counts["ranked"] += 1
+        return rank(matrix)
+
+    def counted_landing(*args):
+        # ``any`` stops at the first hit, so this counts skipped candidates
+        hit = on_a_class(*args)
+        counts["landed"] += hit
+        return hit
+
+    monkeypatch.setattr(geometry, "_t_candidates", counted_candidates)
+    monkeypatch.setattr(geometry, "exact_rank", counted_rank)
+    monkeypatch.setattr(geometry, "_on_a_class", counted_landing)
+    for sg in _digest_graphs():
+        tp = _certified_partition(sg)
+        counts["rounds"] += pull_apart_fully(sg, tp, frame_from_partition(sg, tp))[1]
+    assert counts["ranked"] >= counts["rounds"] > 0
+    assert counts["tried"] - counts["ranked"] >= counts["landed"] > 0
+
+
+def test_integer_collision_rule_matches_the_rational_points():
+    # A class point S / D moved by d at t = 1/p lands on an occupied class
+    # point exactly when ``_on_a_class`` says so of p * S + D * d, before
+    # and after each round of the prism's separation.
+    sg = prism()
+    tp = _certified_partition(sg)
+    live = geometry._LiveFrame.read(sg, tp, frame_from_partition(sg, tp))
+    steps = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+    hits = states = 0
+    while True:
+        d = live.scale
+        occupied = {(Fraction(x, d), Fraction(y, d)) for x, y in live.points}
+        for p in geometry._t_candidates(8):
+            for x, y in live.points:
+                for a, b in steps:
+                    point = (Fraction(x, d) + Fraction(a, p), Fraction(y, d) + Fraction(b, p))
+                    hit = geometry._on_a_class((p * x + d * a, p * y + d * b), p, set(live.points))
+                    assert hit == (point in occupied)
+                    hits += hit
+        states += 1
+        if not live.coincident:
+            break
+        geometry.pull_apart(sg, tp, live)
+    assert states >= 2 and live.scale > 1
+    assert hits > 0
+
+
+def test_separation_refuses_a_direction_off_its_edge():
+    # Hand-built frames on the triangle: a direction must be a nonzero
+    # multiple of its edge's position difference where the ends are apart.
+    sg = k3()
+    tp = _certified_partition(sg)
+    pos = (E_POINTS[1], E_POINTS[2], E_POINTS[0])
+    along = tuple(v_scale(Fraction(-3, 2), v_sub(pos[u], pos[v])) for u, v in sg.graph.sorted_edges)
+    assert pull_apart_fully(sg, tp, Frame(pos, along)) == (Frame(pos, along), 0)
+    askew = (rotate_omega(along[0]),) + along[1:]
+    with pytest.raises(InternalInvariantBroken):
+        pull_apart_fully(sg, tp, Frame(pos, askew))
+
+
+def test_separation_ignores_the_scale_of_a_direction():
+    # Rescaling a parked direction rescales its row only: the rounds, the
+    # positions and the turned directions stay the same.
+    sg = prism()
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
+    rescaled = Frame(frame.positions, tuple(v_scale(Fraction(-5, 3), q) for q in frame.directions))
+    separated, rounds = pull_apart_fully(sg, tp, frame)
+    again, again_rounds = pull_apart_fully(sg, tp, rescaled)
+    assert (again.positions, again_rounds) == (separated.positions, rounds)
+    turned = [i for i, q in enumerate(frame.directions) if separated.directions[i] != q]
+    assert turned
+    for i, (u, v) in enumerate(sg.graph.sorted_edges):
+        if i in turned:
+            assert again.directions[i] == separated.directions[i]
+            assert separated.directions[i] == v_sub(separated.positions[u], separated.positions[v])
+        else:
+            assert again.directions[i] == rescaled.directions[i]
 
 
 def test_frame_route_on_corpus():
@@ -532,7 +631,7 @@ def _cartesian_rank(g, frame):
             top[2 * col], top[2 * col + 1] = x.a, 3 * x.b
             bottom[2 * col], bottom[2 * col + 1] = x.b, x.a
         rows += [top, bottom]
-    doubled = field._fraction_free_rank(ExactMatrix.from_rows(rows))
+    doubled = field._fraction_free_rank(ExactMatrix.from_rows(rows).integer_rows())
     assert doubled % 2 == 0
     return doubled // 2
 
@@ -563,7 +662,7 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
         drawn = tuple(rng.choice(steps) for _ in range(g.m))
         frame = Frame(tuple(E_POINTS[0] for _ in range(g.n)), drawn)
         matrix = generalized_rigidity_matrix(g, frame)
-        exact = field._fraction_free_rank(matrix)
+        exact = field._fraction_free_rank(matrix.integer_rows())
         assert exact == _cartesian_rank(g, frame)
         assert _pair_rank_mod_p(g, frame) == field._modular_rank(matrix)
         deficient += exact < g.m
