@@ -10,8 +10,9 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
@@ -19,6 +20,8 @@ from .certify import C3Verdict, ConstructionSequence, _c3_verdict, extract_seque
 from .errors import C3RigError, NotIsostatic
 from .geometry import (
     Placement,
+    _cartesian_terms,
+    _float_point,
     frame_from_partition,
     framework_from_frame,
     numeric_isostatic_check,
@@ -37,7 +40,93 @@ from .trees import (
 
 
 def _dump(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
+    """``json.dumps(report, indent=2, sort_keys=True)``, byte for byte.
+
+    With an indent, ``json`` never reaches its C encoder and walks the
+    report through its pure-Python generator encoder instead; this writer
+    makes one pass, appending to one list that it joins once. Keys must be
+    strings: any other key raises ``TypeError`` where ``json`` would
+    convert it.
+    """
+    out: list[str] = []
+    _write(report, out.append, "\n")
+    return "".join(out)
+
+
+def _float_text(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value == math.inf:
+        return "Infinity"
+    if value == -math.inf:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+# json's text of a scalar, by its exact type; a subclass of str, int or
+# float takes the slower way through ``_write``.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: lambda value: "true" if value else "false",
+    type(None): lambda value: "null",
+}
+
+
+def _write(value, emit, newline: str) -> None:
+    """Emit ``value`` as ``json`` does with indent 2, its items on lines that
+    start with ``newline`` plus two spaces. A module-level function, not a
+    closure calling itself: that would be a reference cycle, keeping every
+    report's fragments alive until the next cyclic garbage collection."""
+    if isinstance(value, (list, tuple)):
+        if not value:
+            emit("[]")
+            return
+        inner = newline + "  "
+        separator = "[" + inner
+        for item in value:
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                emit(separator)
+                _write(item, emit, inner)
+            else:
+                emit(separator + text(item))
+            separator = "," + inner
+        emit(newline + "]")
+    elif isinstance(value, dict):
+        if not value:
+            emit("{}")
+            return
+        inner = newline + "  "
+        separator = "{" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            head = separator + encode_basestring_ascii(key) + ": "
+            item = value[key]
+            text = _SCALAR_TEXT.get(type(item))
+            if text is None:
+                emit(head)
+                _write(item, emit, inner)
+            else:
+                emit(head + text(item))
+            separator = "," + inner
+        emit(newline + "}")
+    else:
+        text = _SCALAR_TEXT.get(type(value))
+        if text is None:
+            if isinstance(value, str):
+                text = encode_basestring_ascii
+            elif isinstance(value, int):
+                text = int.__repr__
+            elif isinstance(value, float):
+                text = _float_text
+            else:
+                raise TypeError(
+                    f"Object of type {type(value).__name__} is not JSON serializable"
+                )
+        emit(text(value))
 
 
 def _emit(report: dict, as_json: bool, summary: str) -> None:
@@ -56,15 +145,19 @@ def _base_report(command: str, data: bytes) -> dict:
 
 
 def _placement_json(placement: Placement) -> dict:
-    exact = [
-        {"x": x.as_json_dict(), "y": y.as_json_dict()} for x, y in placement.cartesian
-    ]
+    """Each point's ``QSqrt3.as_json_dict`` coordinates and float view,
+    written straight from its (1, w) pair."""
+    exact, floats = [], []
+    for p in placement.positions:
+        terms = _cartesian_terms(p)
+        xn, xd, yn, yd = terms
+        exact.append(
+            {"x": {"a": f"{xn}/{xd}", "b": "0/1"}, "y": {"a": "0/1", "b": f"{yn}/{yd}"}}
+        )
+        floats.append(_float_point(terms))
     return {
         "exact": exact,
-        "float_view": {
-            "note": "non-authoritative",
-            "positions": [[x, y] for x, y in placement.float_positions()],
-        },
+        "float_view": {"note": "non-authoritative", "positions": floats},
     }
 
 

@@ -46,6 +46,7 @@ from .field import (
     PartialElimination,
     QSqrt3,
     _P,
+    _SQRT3,
     _eliminate,
     _residue,
     exact_rank,
@@ -111,7 +112,7 @@ class Placement:
         return tuple(map(from_omega, self.positions))
 
     def float_positions(self) -> list[tuple[float, float]]:
-        return [(float(x), float(y)) for x, y in self.cartesian]
+        return [_float_point(_cartesian_terms(p)) for p in self.positions]
 
 
 def placement_is_symmetric(sg: SymGraph, placement: Placement) -> bool:
@@ -308,6 +309,26 @@ def from_omega(p: Pair) -> Vec2:
     a, b = p
     half = Fraction(b, 2)
     return (QSqrt3(a - half), QSqrt3(0, half))
+
+
+def _cartesian_terms(p: Pair) -> tuple[int, int, int, int]:
+    """The point a*1 + b*w as x = xn/xd and y = (yn/yd)*sqrt(3), each
+    fraction reduced with a positive denominator: ``from_omega``'s numbers
+    without building them. ``a`` and ``b`` may be ints or Fractions."""
+    a, b = p
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    # b/2 is reduced as it stands when b's numerator is odd
+    yn, yd = (bn, 2 * bd) if bn & 1 else (bn >> 1, bd)
+    xn, xd = an * yd - yn * ad, ad * yd
+    g = math.gcd(xn, xd)
+    return xn // g, xd // g, yn, yd
+
+
+def _float_point(terms: tuple[int, int, int, int]) -> tuple[float, float]:
+    """The float view of ``_cartesian_terms``: the values ``float`` gives the
+    ``QSqrt3`` coordinates (a correctly rounded division, times sqrt 3)."""
+    xn, xd, yn, yd = terms
+    return xn / xd, yn / yd * _SQRT3
 
 
 def rotate_omega(p: Pair) -> Pair:

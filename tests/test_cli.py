@@ -1,9 +1,14 @@
+import gc
 import json
+import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from c3rig import certify, cli, geometry, pebble, serialize_graph
 from c3rig.cli import main
+from c3rig.geometry import Placement, from_omega
 from tests.corpus import PRISM_DOC, fast_tight_symgraph
 
 K3_DOC = {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]], "c3": [1, 2, 0]}
@@ -300,3 +305,93 @@ def test_summary_mode(write, capsys):
     code, out = run(capsys, ["check", write(PRISM_DOC), "--no-json"])
     assert code == 0
     assert out.strip() == "isostatic: True"
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=-(2**200), max_value=2**200)
+    | st.floats()
+    | st.sampled_from([-0.0, 1e300, -1e-300, math.nan, math.inf, -math.inf])
+    | st.text()
+    | st.text(alphabet='"\\\x00\x1f\x7f\n\t\u00e9\u2028\U0001f600')
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@given(_JSON_VALUES)
+@example({"": [], "b": {}, "a": ((), [{}], "\u00e9\"\\\x01"), "z": [2**70, -(2**64)]})
+def test_dump_writes_the_bytes_of_json_dumps(value):
+    assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [{1: 2}, {None: 0}, [{"a": {(1, 2): 3}}], {1.5}, b"x"])
+def test_dump_refuses_what_json_would_convert_or_refuse(value):
+    with pytest.raises(TypeError):
+        cli._dump(value)
+
+
+_BIG = 2**31
+_PAIRS = [
+    (0, 0),
+    (3, -5),
+    (-7, 4),
+    (_BIG, -_BIG),
+    (-_BIG, _BIG - 1),
+    (Fraction(0), Fraction(0)),
+    (Fraction(1, 3), Fraction(2, 5)),
+    (Fraction(-7, 6), Fraction(-3, 4)),
+    (Fraction(5, 2), Fraction(5)),
+    (Fraction(_BIG + 1, 3), Fraction(-_BIG - 3, _BIG - 1)),
+]
+
+
+def _assert_report_point_is_the_qsqrt3_point(pair):
+    # the report's exact and float views, written straight from the pair,
+    # are those of from_omega's Q(sqrt 3) point
+    x, y = from_omega(pair)
+    placement = Placement((pair,))
+    view = cli._placement_json(placement)
+    assert view["exact"] == [{"x": x.as_json_dict(), "y": y.as_json_dict()}]
+    floats = view["float_view"]["positions"]
+    assert floats == placement.float_positions()
+    assert [tuple(map(repr, p)) for p in floats] == [(repr(float(x)), repr(float(y)))]
+
+
+@pytest.mark.parametrize("pair", _PAIRS)
+def test_report_coordinates_match_the_qsqrt3_point(pair):
+    _assert_report_point_is_the_qsqrt3_point(pair)
+
+
+@given(
+    st.tuples(
+        st.integers(min_value=-(2**40), max_value=2**40)
+        | st.fractions(max_denominator=2**33),
+        st.integers(min_value=-(2**40), max_value=2**40)
+        | st.fractions(max_denominator=2**33),
+    )
+)
+def test_report_coordinates_match_the_qsqrt3_point_for_any_pair(pair):
+    _assert_report_point_is_the_qsqrt3_point(pair)
+
+
+def test_dump_of_a_realize_report_leaves_no_garbage_cycles(write, capsys, monkeypatch):
+    # a writer that refers to itself through a cell would keep each
+    # report's fragments alive until the next cyclic collection
+    reports = []
+    monkeypatch.setattr(cli, "_emit", lambda report, *_: reports.append(report))
+    assert main(["realize", write(PRISM_DOC)]) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        cli._dump(reports[0])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

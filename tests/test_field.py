@@ -216,6 +216,9 @@ def test_modular_prime(monkeypatch):
     assert _is_prime(2**61 - 1)
 
     assert _is_prime(_P)
+    # one CPython digit, and a cube root of unity in F_P: the largest such prime
+    assert _P < 2**30 and _P % 3 == 1
+    assert not any(_is_prime(k) for k in range(_P + 3, 2**30, 3))
     # the benchmark checks realize reports by rank mod its own primes; a
     # different prime here keeps that check independent of exact_rank
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))

@@ -467,6 +467,27 @@ def test_frame_placements_match_their_pinned_digest():
     assert digest.hexdigest() == FRAME_PLACEMENT_DIGEST
 
 
+def test_digest_graphs_rarely_fall_back_to_exact_elimination(monkeypatch):
+    # A deficit mod P costs an exact elimination. The digest's graphs meet
+    # ten, all on the frame route and none at generic seeds 0-2; a prime
+    # that divided many of their minors would meet more.
+    fallbacks = []
+    fraction_free_rank = field._fraction_free_rank
+
+    def counted(rows):
+        fallbacks.append(True)
+        return fraction_free_rank(rows)
+
+    monkeypatch.setattr(field, "_fraction_free_rank", counted)
+    for sg in _digest_graphs():
+        tp = _certified_partition(sg)
+        frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+        numeric_isostatic_check(sg, framework_from_frame(sg, frame))
+        for seed in range(3):
+            numeric_isostatic_check(sg, symmetric_generic_positions(sg, seed))
+    assert len(fallbacks) <= 10
+
+
 def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
     # The digest's graphs reach the integer collision rule: some candidates
     # are skipped, with no rank taken, because a copy would land on a class.
