@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import __version__
 from .certify import C3Verdict, ConstructionSequence, _c3_verdict, extract_sequence
-from .errors import C3RigError, NotIsostatic
+from .errors import C3RigError, NotIsostatic, SchemaError
 from .geometry import (
     Placement,
     _cartesian_terms,
@@ -136,6 +136,18 @@ def _emit(report: dict, as_json: bool, summary: str) -> None:
         print(summary)
 
 
+def _read_graph(path: str) -> tuple[bytes, SymGraph]:
+    """The input's bytes and its graph. The bytes are decoded as strict
+    UTF-8, not sniffed as ``json`` sniffs bytes, so a byte-order mark is
+    still refused."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"input is not UTF-8: {exc}") from exc
+    return data, parse_graph(text)
+
+
 def _base_report(command: str, data: bytes) -> dict:
     return {
         "command": command,
@@ -183,8 +195,7 @@ def _verdict_json(verdict) -> dict:
 
 
 def cmd_check(args) -> int:
-    data = Path(args.file).read_bytes()
-    sg = parse_graph(data.decode("utf-8"))
+    data, sg = _read_graph(args.file)
     report = _base_report("check", data)
     sparsity = pebble_sparsity(sg.graph)
     report["n"] = sg.graph.n
@@ -203,8 +214,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    data = Path(args.file).read_bytes()
-    sg = parse_graph(data.decode("utf-8"))
+    data, sg = _read_graph(args.file)
     report = _base_report("certify", data)
     try:
         seq, partition = _certificates(sg)
@@ -247,8 +257,7 @@ def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, dict]:
 
 
 def cmd_realize(args) -> int:
-    data = Path(args.file).read_bytes()
-    sg = parse_graph(data.decode("utf-8"))
+    data, sg = _read_graph(args.file)
     report = _base_report("realize", data)
     placement, extra = _realize(sg, args.method, args.seed)
     rank = numeric_isostatic_check(sg, placement)
@@ -262,8 +271,7 @@ def cmd_realize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    data = Path(args.file).read_bytes()
-    sg = parse_graph(data.decode("utf-8"))
+    data, sg = _read_graph(args.file)
     report = _base_report("oracle", data)
     brute = brute_force_laman(sg.graph)
     pebble = laman_check(sg.graph)
@@ -275,8 +283,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_render(args) -> int:
-    data = Path(args.file).read_bytes()
-    sg = parse_graph(data.decode("utf-8"))
+    data, sg = _read_graph(args.file)
     report = _base_report("render", data)
     _, partition = _certificates(sg)
     placement, _ = _realize(sg, "generic", args.seed)

@@ -6,16 +6,15 @@ integer map (a, b) -> (-b, a - b) and every matrix this package ranks has
 rational entries. Such a matrix is the Cartesian one times an invertible
 change of columns, so it has the Cartesian rank (see
 ``geometry._pair_matrix``). ``QSqrt3``, the numbers a + b*sqrt(3) with
-rational a, b, is only the format in which reports give a point's Cartesian
-coordinates.
+rational a, b, is only the value type in which reports give a point's
+Cartesian coordinates; it does no arithmetic.
 
-``exact_rank`` first proves full rank through the image of the matrix modulo
-a fixed prime P (a ring homomorphism, so the rank mod P never exceeds the
-exact rank), full meaning the smaller side or a known ceiling on the rank;
-only a deficit mod P falls back to exact fraction-free integer elimination.
-It ranks a dense ``ExactMatrix`` or a ``PartialElimination``, whose rows are
-partly eliminated mod P already and which builds its sparse integer rows only
-for that fallback.
+The one matrix type is ``PartialElimination``: sparse rows mod a fixed prime
+P, some of them eliminated already, plus a way to build its sparse integer
+rows. ``exact_rank`` first proves full rank through that image mod P (a ring
+homomorphism, so the rank mod P never exceeds the exact rank), full meaning
+the smaller side or a known ceiling on the rank; only a deficit mod P builds
+the integer rows, for exact fraction-free elimination.
 """
 from __future__ import annotations
 
@@ -27,72 +26,22 @@ from fractions import Fraction
 _SQRT3 = math.sqrt(3.0)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class QSqrt3:
     """The number a + b*sqrt(3) with exact rational components: a report's
-    Cartesian coordinate."""
+    Cartesian coordinate. Two are equal, and hash alike, when their
+    components are."""
 
     a: Fraction = Fraction(0)
     b: Fraction = Fraction(0)
 
     def __post_init__(self):
-        # Arithmetic hands over exact Fractions; only other rationals
-        # (int, bool, Fraction subclasses) are re-wrapped.
+        # Only rationals that are not exact Fractions (int, bool, Fraction
+        # subclasses) are re-wrapped.
         if type(self.a) is not Fraction:
             object.__setattr__(self, "a", Fraction(self.a))
         if type(self.b) is not Fraction:
             object.__setattr__(self, "b", Fraction(self.b))
-
-    # -- arithmetic ------------------------------------------------------
-
-    @staticmethod
-    def _coerce(value) -> "QSqrt3 | None":
-        if isinstance(value, QSqrt3):
-            return value
-        if isinstance(value, (int, Fraction)):
-            return QSqrt3(value)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt3(self.a + o.a, self.b + o.b)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return QSqrt3(self.a - o.a, self.b - o.b)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
-
-    def __neg__(self):
-        return QSqrt3(-self.a, -self.b)
-
-    # -- predicates and views --------------------------------------------
-
-    @property
-    def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
-
-    def __bool__(self) -> bool:
-        return not self.is_zero
-
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.a == o.a and self.b == o.b
-
-    def __hash__(self):
-        return hash((self.a, self.b))
 
     def __float__(self) -> float:
         return float(self.a) + float(self.b) * _SQRT3
@@ -105,39 +54,6 @@ class QSqrt3:
             "a": f"{self.a.numerator}/{self.a.denominator}",
             "b": f"{self.b.numerator}/{self.b.denominator}",
         }
-
-
-@dataclass(frozen=True)
-class ExactMatrix:
-    """A dense matrix of rationals (ints or Fractions), stored row-major."""
-
-    rows: int
-    cols: int
-    entries: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.rows or any(len(r) != self.cols for r in self.entries):
-            raise ValueError("entry grid does not match the declared shape")
-
-    @classmethod
-    def from_rows(cls, rows: list[list[Fraction]]) -> "ExactMatrix":
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        return cls(nrows, ncols, tuple(tuple(r) for r in rows))
-
-    def modular_rank(self) -> int | None:
-        return _modular_rank(self)
-
-    def integer_rows(self) -> list[dict[int, int]]:
-        """Each row as a sparse integer row: its nonzero entries by column,
-        times the lcm of their denominators; scaling a row by a nonzero
-        rational does not change the rank."""
-        rows = []
-        for entries in self.entries:
-            nonzero = [(c, x) for c, x in enumerate(entries) if x]
-            scale = math.lcm(*(x.denominator for _, x in nonzero))
-            rows.append({c: x.numerator * (scale // x.denominator) for c, x in nonzero})
-        return rows
 
 
 # A fixed prime P, the largest below 2**30 with P = 1 (mod 3). Below 2**30
@@ -193,25 +109,6 @@ def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]
     return found
 
 
-def _modular_rank(m: ExactMatrix) -> int | None:
-    """Rank of the image of ``m`` mod P, or None when some entry's
-    denominator is divisible by P, so that entry has no image."""
-    inverses: dict[int, int] = {}
-    rows = []
-    for entries in m.entries:
-        row = {}
-        for c, x in enumerate(entries):
-            if not x:
-                continue
-            v = _residue(x, inverses)
-            if v is None:
-                return None
-            if v:
-                row[c] = v
-        rows.append(row)
-    return _eliminate(rows, {})
-
-
 @dataclass(frozen=True)
 class PartialElimination:
     """A rational matrix given mod P as eliminated rows plus rows to reduce.
@@ -222,7 +119,8 @@ class PartialElimination:
     ``integer_rows`` gives its rows, each times a nonzero rational, as sparse
     integer rows, which ``exact_rank`` asks for only on a deficit mod P.
     Matrices that differ only in ``rest`` can share their pivots, which are
-    copied before ``rest`` is reduced (and consumed).
+    copied before ``rest`` is reduced in place; that keeps the span of the
+    rows, so ranking the matrix again gives the same rank.
     """
 
     rows: int
@@ -237,7 +135,7 @@ class PartialElimination:
         return len(self.pivots) + _eliminate(self.rest, dict(self.pivots))
 
 
-def exact_rank(m: ExactMatrix | PartialElimination, ceiling: int | None = None) -> int:
+def exact_rank(m: PartialElimination, ceiling: int | None = None) -> int:
     """Rank over Q, with no tolerance.
 
     Full rank is proven through the image mod P: the map is a ring

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -42,7 +42,6 @@ from .errors import (
     FixedVertexPresent,
 )
 from .field import (
-    ExactMatrix,
     PartialElimination,
     QSqrt3,
     _P,
@@ -167,11 +166,11 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
     raise ExhaustedRetries("100 draws all produced a coincident edge")
 
 
-def rigidity_matrix(g: Graph, placement: Placement) -> ExactMatrix:
+def rigidity_matrix(g: Graph, placement: Placement) -> PartialElimination:
     """``_pair_matrix`` of the edges' position differences, which has the
     rank of the Cartesian rigidity matrix."""
     pos = placement.positions
-    return _pair_matrix(g, (v_sub(pos[u], pos[v]) for u, v in g.sorted_edges))
+    return _pair_matrix(g, [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges])
 
 
 @dataclass(frozen=True)
@@ -199,10 +198,8 @@ class RankVerdict:
 def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     """Isostatic iff the edge count and the exact rank both hit 2n - 3.
 
-    The rank is taken on the image mod P of ``rigidity_matrix``, one sparse
-    row per edge from its pair difference, with the column pairs in
-    ``_degree_order``. The exact rows, sparse integer rows in the same
-    column order, are built only when that image's rank falls short of
+    The rank is ``exact_rank`` of ``rigidity_matrix``, built once: its
+    exact rows are built only when its image mod P falls short of
     min(m, 2n - 3) or a difference has no image.
     """
     g = sg.graph
@@ -219,14 +216,7 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     # Joints not all collinear are not all coincident, so the trivial
     # motions cap the rank at 2n - 3 even when there are more bars.
     target = 2 * n - 3
-    place = _degree_order(g)
-    ends = [(place[u], place[v]) for u, v in g.sorted_edges]
-    diffs = [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges]
-    inverses: dict[int, int] = {}
-    images = [_pair_image(d, inverses) for d in diffs]
-    rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
-    matrix = PartialElimination(g.m, 2 * n, {}, rows, lambda: _exact_rows(ends, diffs))
-    rank = exact_rank(matrix, target)
+    rank = exact_rank(rigidity_matrix(g, placement), target)
     return RankVerdict(
         isostatic=g.m == target and rank == target,
         independent=rank == g.m,
@@ -291,7 +281,7 @@ def _missing_tree(tp: TreePartition, n: int) -> list[int]:
     return miss
 
 
-def generalized_rigidity_matrix(g: Graph, frame: Frame) -> ExactMatrix:
+def generalized_rigidity_matrix(g: Graph, frame: Frame) -> PartialElimination:
     """``_pair_matrix`` of the frame's directions, none of which may be zero."""
     for (u, v), q in zip(g.sorted_edges, frame.directions):
         if q == _PAIR_ZERO:
@@ -372,26 +362,26 @@ def _exact_rows(ends: list[tuple[int, int]], pairs: Iterable[Pair]) -> list[dict
     return [_row(*e, _primitive(q), 0) for e, q in zip(ends, pairs)]
 
 
-def _pair_matrix(g: Graph, directions: Iterable[Pair]) -> ExactMatrix:
+def _pair_matrix(g: Graph, pairs: Sequence[Pair]) -> PartialElimination:
     """The generalized rigidity matrix: one row per sorted edge (u, v), its
-    direction pair at u's column pair, negated at v's.
+    pair at u's column pair, negated at v's, with the vertices' column pairs
+    in ``_degree_order``. The package's one matrix builder.
 
     With Cartesian directions the matrix would hold B (a, b) in those
     places, where B = [[1, -1/2], [0, sqrt(3)/2]] has the columns 1 and w.
     That matrix is this one times the block diagonal of B's transpose,
     which is invertible: the two have the same rank. A rigidity matrix is
-    the case where each direction is the edge's position difference. The
-    rows that ``_row`` builds from ``_pair_image`` are this matrix mod P,
-    and ``_exact_rows`` builds it over the integers, row by row up to
-    scale, both with the vertices' column pairs in ``_degree_order``.
+    the case where each pair is the edge's position difference. Its rows
+    mod P come from ``_pair_image`` and ``_row`` (None when a pair has no
+    image); ``_exact_rows`` builds its rows over the integers, each up to
+    scale, only when ``exact_rank`` asks for them.
     """
-    n = g.n
-    rows = []
-    for (u, v), (a, b) in zip(g.sorted_edges, directions):
-        row = [0] * (2 * n)
-        row[2 * u], row[2 * u + 1], row[2 * v], row[2 * v + 1] = a, b, -a, -b
-        rows.append(tuple(row))
-    return ExactMatrix(g.m, 2 * n, tuple(rows))
+    place = _degree_order(g)
+    ends = [(place[u], place[v]) for u, v in g.sorted_edges]
+    inverses: dict[int, int] = {}
+    images = [_pair_image(q, inverses) for q in pairs]
+    rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
+    return PartialElimination(g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, pairs))
 
 
 def _degree_order(g: Graph) -> list[int]:

@@ -191,7 +191,9 @@ def parse_graph(document: str | bytes | dict) -> SymGraph:
     if isinstance(document, (str, bytes)):
         try:
             obj = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers bad JSON and undecodable bytes; RecursionError
+            # is nesting deeper than the decoder's stack.
             raise SchemaError(f"not valid JSON: {exc}") from exc
     else:
         obj = document

@@ -1,7 +1,9 @@
-"""Seeded random builders shared by the test suite."""
+"""Seeded random builders, and a rational-matrix builder, shared by the test suite."""
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
@@ -18,6 +20,7 @@ from c3rig import (
     edge,
     parse_graph,
 )
+from c3rig.field import PartialElimination, _residue
 
 PRISM_DOC = {
     "vertices": 6,
@@ -184,3 +187,25 @@ def fast_tight_symgraph(seed: int, n: int) -> SymGraph:
         gamma.extend([w, z, v])
         verts += 3
     return SymGraph(Graph(n, frozenset(edges)), C3Action(tuple(gamma)))
+
+
+def rational_matrix(rows) -> PartialElimination:
+    """Rational rows as the package's matrix type: each entry's image mod P
+    (no rows mod P when one has none), and each row times the lcm of its
+    denominators as its integer row."""
+    cols = len(rows[0]) if rows else 0
+    sparse = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows]
+    inverses: dict[int, int] = {}
+    images = [{c: _residue(x, inverses) for c, x in row.items()} for row in sparse]
+    rest = None
+    if not any(None in row.values() for row in images):
+        rest = [{c: v for c, v in row.items() if v} for row in images]
+
+    def integer_rows():
+        scaled = []
+        for row in sparse:
+            scale = math.lcm(*(x.denominator for x in row.values()))
+            scaled.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
+        return scaled
+
+    return PartialElimination(len(rows), cols, {}, rest, integer_rows)

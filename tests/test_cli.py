@@ -71,6 +71,23 @@ def test_check_malformed_json(tmp_path, capsys):
     assert json.loads(out)["error"] == "SchemaError"
 
 
+@pytest.mark.parametrize("command", ["check", "certify", "realize", "oracle", "render"])
+def test_undecodable_or_deeply_nested_input_is_a_schema_error(tmp_path, capsys, command):
+    text = json.dumps(K3_DOC)
+    inputs = {
+        "utf16.json": b"\xff\xfe" + text.encode("utf-16-le"),
+        "bom.json": b"\xef\xbb\xbf" + text.encode(),
+        "nested.json": b"[" * 100000,
+    }
+    for name, data in inputs.items():
+        path = tmp_path / name
+        path.write_bytes(data)
+        extra = ["--out", str(tmp_path / "g.svg")] if command == "render" else []
+        code, out = run(capsys, [command, str(path), *extra])
+        assert code == 2, name
+        assert json.loads(out)["error"] == "SchemaError", name
+
+
 def test_certify_prism(write, capsys):
     code, out = run(capsys, ["certify", write(PRISM_DOC)])
     report = json.loads(out)

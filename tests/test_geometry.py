@@ -25,7 +25,7 @@ from c3rig import (
     symmetric_generic_positions,
 )
 from c3rig import field, geometry
-from c3rig.field import _P, ExactMatrix, QSqrt3
+from c3rig.field import _P, QSqrt3
 from c3rig.errors import (
     CoincidentAdjacentJoints,
     DegenerateSpan,
@@ -60,6 +60,7 @@ from tests.corpus import (
     perturb_edge_swap,
     prism,
     random_tight_symgraph,
+    rational_matrix,
 )
 
 
@@ -95,19 +96,25 @@ def _same_sympy_point(p, q):
 
 
 def _sympy_cartesian_rank(g, placement):
-    # sympy's rank of the Cartesian rigidity matrix at the converted points
+    # sympy's rank of the Cartesian rigidity matrix at the converted points,
+    # in exact arithmetic over Q(sqrt 3), so no zero test needs simplification
     sympy = pytest.importorskip("sympy")
     DomainMatrix = pytest.importorskip("sympy.polys.matrices").DomainMatrix
-    cart = [tuple(map(_sympy, p)) for p in map(from_omega, placement.positions)]
+    q_sqrt3 = sympy.QQ.algebraic_field(sympy.sqrt(3))
+
+    def element(x):
+        # a + b*sqrt(3), built from its coefficients, sqrt(3) first
+        a, b = (sympy.QQ(c.numerator, c.denominator) for c in (x.a, x.b))
+        return q_sqrt3([b, a])
+
+    cart = [tuple(map(element, p)) for p in map(from_omega, placement.positions)]
     rows = []
     for u, v in g.sorted_edges:
-        row = [0] * (2 * g.n)
+        row = [q_sqrt3.zero] * (2 * g.n)
         dx, dy = cart[u][0] - cart[v][0], cart[u][1] - cart[v][1]
         row[2 * u], row[2 * u + 1], row[2 * v], row[2 * v + 1] = dx, dy, -dx, -dy
         rows.append(row)
-    # exact arithmetic in Q(sqrt 3), so no zero test needs simplification
-    q_sqrt3 = sympy.QQ.algebraic_field(sympy.sqrt(3))
-    return DomainMatrix.from_list_sympy(len(rows), 2 * g.n, rows).convert_to(q_sqrt3).rank()
+    return DomainMatrix(rows, (len(rows), 2 * g.n), q_sqrt3).rank()
 
 
 def test_symmetric_positions_satisfy_rotation_equation():
@@ -155,18 +162,18 @@ def test_rigidity_matrix_single_edge():
     g = Graph(2, frozenset({(0, 1)}))
     placement = Placement((pair(0, 0), pair(1, 2)))
     m = rigidity_matrix(g, placement)
-    assert m.entries == ((-1, -2, 1, 2),)
+    assert (m.rows, m.cols) == (1, 4)
+    assert m.integer_rows() == [{0: -1, 1: -2, 2: 1, 3: 2}]
 
 
 def test_rigidity_rows_sum_to_zero():
     sg = prism()
     placement = symmetric_generic_positions(sg, 5)
     m = rigidity_matrix(sg.graph, placement)
-    for row in m.entries:
-        nonzero = [x for x in row if x]
-        assert len(nonzero) <= 4
-        assert sum(row[2 * v] for v in range(6)) == 0
-        assert sum(row[2 * v + 1] for v in range(6)) == 0
+    for row in m.integer_rows():
+        assert len(row) <= 4
+        assert sum(x for c, x in row.items() if c % 2 == 0) == 0
+        assert sum(x for c, x in row.items() if c % 2 == 1) == 0
 
 
 def test_k3_at_reference_triangle_has_rank_three():
@@ -217,22 +224,29 @@ def test_collinear_placement_rejected():
 
 
 def test_full_rank_placement_builds_no_exact_matrix(monkeypatch):
-    # the octahedron's 12 rows reach only rank 9: the 2n - 3 ceiling is
-    # what proves that rank mod P
+    # each check builds the one rigidity matrix it ranks, and builds it
+    # once; the octahedron's 12 rows reach only rank 9: the 2n - 3 ceiling
+    # is what proves that rank mod P
     cases = [(prism(), 9, 9), (random_tight_symgraph(7, 60), 117, 117), (octahedron(), 12, 9)]
     placements = [symmetric_generic_positions(sg, 0) for sg, _, _ in cases]
+    builds = []
+    build = geometry.rigidity_matrix
+
+    def counted(*args):
+        builds.append(True)
+        return build(*args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("exact matrix or exact elimination reached")
+        raise AssertionError("exact rows or exact elimination reached")
 
-    monkeypatch.setattr(geometry, "rigidity_matrix", refuse)
-    monkeypatch.setattr(geometry, "_pair_matrix", refuse)
-    monkeypatch.setattr(geometry, "ExactMatrix", refuse)
-    monkeypatch.setattr(field, "ExactMatrix", refuse)
+    monkeypatch.setattr(geometry, "rigidity_matrix", counted)
+    monkeypatch.setattr(geometry, "_exact_rows", refuse)
     monkeypatch.setattr(field, "_fraction_free_rank", refuse)
     for (sg, m, rank), placement in zip(cases, placements):
+        builds.clear()
         verdict = numeric_isostatic_check(sg, placement)
         assert (verdict.edge_count, verdict.rank, verdict.flex_dim) == (m, rank, 0)
+        assert len(builds) == 1
 
 
 def _counted_exact_elimination(monkeypatch):
@@ -357,7 +371,7 @@ def test_generalized_matrix_single_edge():
     g = Graph(2, frozenset({(0, 1)}))
     frame = Frame((pair(0, 0), pair(0, 0)), (pair(1, 2),))
     m = generalized_rigidity_matrix(g, frame)
-    assert m.entries == ((1, 2, -1, -2),)
+    assert m.integer_rows() == [{0: 1, 1: 2, 2: -1, 3: -2}]
     with pytest.raises(ZeroDirection):
         generalized_rigidity_matrix(g, Frame(frame.positions, (pair(0, 0),)))
 
@@ -439,10 +453,13 @@ def test_scaling_rows_by_lambda_gives_rigidity_matrix():
     frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
     lams = frame_lambdas(sg.graph, frame)
     assert all(lams)
-    rig = rigidity_matrix(sg.graph, Placement(frame.positions))
-    gen = generalized_rigidity_matrix(sg.graph, frame)
-    for i in range(sg.graph.m):
-        assert tuple(lams[i] * x for x in gen.entries[i]) == rig.entries[i]
+    # each row is built up to a positive scale, so the rows agree up to
+    # the sign of their edge's scalar
+    rig = rigidity_matrix(sg.graph, Placement(frame.positions)).integer_rows()
+    gen = generalized_rigidity_matrix(sg.graph, frame).integer_rows()
+    for lam, rig_row, gen_row in zip(lams, rig, gen, strict=True):
+        sign = 1 if lam > 0 else -1
+        assert rig_row == {c: sign * x for c, x in gen_row.items()}
 
 
 FRAME_PLACEMENT_DIGEST = "7fdca134907dd0ca2d2885efabefdd20e03939eee976f42f67887de4c422d3ba"
@@ -614,10 +631,10 @@ def test_generic_and_combinatorial_verdicts_agree():
 
 
 def test_omega_pairs_commute_with_the_rotation():
-    half, sqrt3_half = q(Fraction(1, 2)), q(0, Fraction(1, 2))
-    assert [from_omega(p) for p in E_POINTS] == [(q(0), q(0)), (q(1), q(0)), (half, sqrt3_half)]
+    h = Fraction(1, 2)
+    assert [from_omega(p) for p in E_POINTS] == [(q(0), q(0)), (q(1), q(0)), (q(h), q(0, h))]
     assert [from_omega(d) for d in TREE_DIRECTIONS] == [
-        (-half, sqrt3_half), (-half, -sqrt3_half), (q(1), q(0))
+        (q(-h), q(0, h)), (q(-h), q(0, -h)), (q(1), q(0))
     ]
     for p in E_POINTS + TREE_DIRECTIONS:
         rotated = tuple(map(_sympy, from_omega(rotate_omega(p))))
@@ -648,11 +665,12 @@ def _cartesian_rank(g, frame):
     rows = []
     for (u, v), d in zip(g.sorted_edges, map(from_omega, frame.directions)):
         top, bottom = [0] * (4 * g.n), [0] * (4 * g.n)
-        for col, x in ((2 * u, d[0]), (2 * u + 1, d[1]), (2 * v, -d[0]), (2 * v + 1, -d[1])):
-            top[2 * col], top[2 * col + 1] = x.a, 3 * x.b
-            bottom[2 * col], bottom[2 * col + 1] = x.b, x.a
+        for k, x in enumerate(d):
+            for col, a, b in ((2 * u + k, x.a, x.b), (2 * v + k, -x.a, -x.b)):
+                top[2 * col], top[2 * col + 1] = a, 3 * b
+                bottom[2 * col], bottom[2 * col + 1] = b, a
         rows += [top, bottom]
-    doubled = field._fraction_free_rank(ExactMatrix.from_rows(rows).integer_rows())
+    doubled = field._fraction_free_rank(rational_matrix(rows).integer_rows())
     assert doubled % 2 == 0
     return doubled // 2
 
@@ -685,7 +703,7 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
         matrix = generalized_rigidity_matrix(g, frame)
         exact = field._fraction_free_rank(matrix.integer_rows())
         assert exact == _cartesian_rank(g, frame)
-        assert _pair_rank_mod_p(g, frame) == field._modular_rank(matrix)
+        assert _pair_rank_mod_p(g, frame) == matrix.modular_rank()
         deficient += exact < g.m
     assert deficient > 100
 
@@ -699,8 +717,7 @@ def test_separation_builds_no_exact_matrix(monkeypatch):
         frame = frame_from_partition(sg, tp)
         with monkeypatch.context() as patched:
             patched.setattr(field, "_fraction_free_rank", refuse)
-            patched.setattr(geometry, "ExactMatrix", refuse)
-            patched.setattr(field, "ExactMatrix", refuse)
+            patched.setattr(geometry, "_exact_rows", refuse)
             separated, rounds = pull_apart_fully(sg, tp, frame)
         assert rounds >= 1
         assert adjacent_coincidences(sg.graph, separated) == ()

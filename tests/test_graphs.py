@@ -59,6 +59,10 @@ def test_parse_rejects_identity():
         '{"vertices": 3, "edges": [[0, 3]]}',
         '{"vertices": 3, "edges": [[0, "1"]]}',
         '{"vertices": 3, "edges": {}}',
+        b"\xff{}",  # not UTF-8, nor any encoding json detects
+        b"\xff\xfe{}",
+        pytest.param("[" * 100000, id="nested"),  # deeper than the decoder's stack
+        pytest.param(b"[" * 100000, id="nested-bytes"),
     ],
 )
 def test_parse_schema_errors(doc):
