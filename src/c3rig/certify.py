@@ -12,13 +12,14 @@ moves, each adding one full vertex orbit:
 
 ``extract_sequence`` inverts these moves down to the triangle and returns a
 replayable certificate; ``replay_sequence`` rebuilds the graph, validating
-every intermediate step. Both keep one live pebble game (``PebbleGame``)
-instead of starting a new game per step. The reduction also keeps one live
-graph, as adjacency sets and an alive mask in the input's labels: each step
-removes the orbit of the smallest live label of lowest valence (kept in
-min-heaps by valence), touches only that orbit's edges, and returns its
-anchors in input labels. They are mapped to replay labels once, in a backward
-pass from the last triangle.
+every intermediate step. The reduction keeps the one pebble game that decided
+the input live (``PebbleGame``) instead of starting a new game per step; the
+replay runs no game, as every row of the move table keeps a graph tight. The
+reduction also keeps one live graph, as adjacency sets and an alive mask in
+the input's labels: each step removes the orbit of the smallest live label of
+lowest valence (kept in min-heaps by valence), touches only that orbit's
+edges, and returns its anchors in input labels. They are mapped to replay
+labels once, in a backward pass from the last triangle.
 """
 from __future__ import annotations
 
@@ -121,13 +122,20 @@ def check_c3_isostatic(sg: SymGraph) -> C3Verdict:
     return _decide(sg)[0]
 
 
-def _decide(sg: SymGraph) -> tuple[C3Verdict, PebbleGame]:
-    """The verdict and the live state of the one game that decided it."""
+def _decide(
+    sg: SymGraph, sparsity: SparsityReport | None = None
+) -> tuple[C3Verdict, SparsityReport]:
+    """The verdict and the report of the one game that decided it.
+
+    A given ``sparsity`` must be ``pebble_sparsity(sg.graph)``; it is used
+    instead of running the game again.
+    """
     act = sg.require_action()
     if sg.graph.n < 3:
         raise TooFewVertices(f"need at least 3 vertices, got {sg.graph.n}")
-    report = pebble_sparsity(sg.graph)
-    return _c3_verdict(act, report), report.game
+    if sparsity is None:
+        sparsity = pebble_sparsity(sg.graph)
+    return _c3_verdict(act, sparsity), sparsity
 
 
 def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
@@ -228,32 +236,38 @@ class ConstructionSequence:
 
 
 def replay_sequence(seq: ConstructionSequence) -> SymGraph:
-    """Rebuild the graph with one live pebble game, validating every move.
+    """Rebuild the graph from the triangle, validating every move.
 
-    Each move is checked by ``move_spokes``; the game must accept each of
-    its new edges and the edge count must be 2n - 3 after it, or
-    ``IntermediateNotTight`` is raised. The rotation never fixes a new
-    vertex, so every intermediate graph is symmetrically isostatic.
+    Each move is checked by ``move_spokes``, and the edge count must be
+    2n - 3 after it, or ``IntermediateNotTight`` is raised. Given those
+    checks, every row of ``MOVE_TABLE`` keeps a tight graph tight, so no
+    pebble game is run:
+
+    * a vertex addition is three 0-extensions, each new vertex joined to
+      two distinct old vertices;
+    * an edge split is three 1-extensions, one on each of the three
+      distinct edges of a non-fixed edge orbit, each new vertex joined to
+      that edge's ends and a third vertex;
+    * a delta extension adds a triangle with one spoke to each of three
+      distinct anchors. Let a vertex set X hold k >= 1 new vertices and a
+      set Y of old ones. X spans t = 0, 1 or 3 triangle edges (k = 1, 2,
+      3) and at most min(k, |Y|) spokes, each to its own anchor. With
+      |Y| >= 2 that is at most 2k edges beyond Y's 2|Y| - 3; with
+      |Y| <= 1 it is at most t + |Y|, within 2|X| - 3 whenever |X| >= 2.
+
+    The rotation never fixes a new vertex, so every intermediate graph is
+    symmetrically isostatic.
     """
-    base = seq.base.graph
     gamma = list(seq.base.action.gamma)
-    edges = set(base.edges)
-    game = PebbleGame(base.n)
-    for u, v in base.sorted_edges:
-        game.insert_edge(u, v)
+    edges = set(seq.base.graph.edges)
     for move in seq.moves:
         spokes, split = move_spokes(move, gamma, edges.__contains__)
         n = len(gamma)
         gamma += (n + 1, n + 2, n)
-        for _ in range(3):
-            game.add_vertex()
         if split is not None:
-            for e in edge_orbit(split, gamma):
-                edges.remove(e)
-                game.delete_edge(*e)
-        added = [e for x, _ in spokes for e in edge_orbit((n, x), gamma)]
-        edges.update(added)
-        if not all(game.insert_edge(*e) for e in added) or len(edges) != 2 * n + 3:
+            edges.difference_update(edge_orbit(split, gamma))
+        edges.update(e for x, _ in spokes for e in edge_orbit((n, x), gamma))
+        if len(edges) != 2 * n + 3:
             raise IntermediateNotTight(
                 f"replay produced a bad intermediate after {move.kind}"
             )
@@ -375,17 +389,21 @@ def _reduce_step(
     return EDGE_SPLIT, (a, b, c), orbit
 
 
-def extract_sequence(sg: SymGraph) -> ConstructionSequence:
+def extract_sequence(
+    sg: SymGraph, sparsity: SparsityReport | None = None
+) -> ConstructionSequence:
     """Reduce to the triangle, reverse the moves, verify the round trip.
 
-    The input's verdict is the one pebble game on it; ``NotIsostatic``
+    The input's verdict is the one pebble game on it, ``sparsity`` when the
+    caller already ran ``pebble_sparsity(sg.graph)``; ``NotIsostatic``
     carries that verdict. That game and the reduced graph stay live through
     the reduction, in input labels, and the game decides every edge a
-    reduction step adds. The round
-    trip replays the sequence with a game of its own, checking each
-    intermediate graph, and compares the relabeled result with the input.
+    reduction step adds. The round trip replays the sequence, checking each
+    move, and compares the relabeled result with the input, so a returned
+    sequence rebuilds the input whatever the game said.
     """
-    verdict, game = _decide(sg)
+    verdict, report = _decide(sg, sparsity)
+    game = report.game
     if not verdict.isostatic:
         raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}", verdict)
     act, n = sg.action, sg.graph.n

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .certify import C3Verdict, ConstructionSequence, _c3_verdict, extract_sequence
+from .certify import C3Verdict, ConstructionSequence, _c3_verdict, _decide, extract_sequence
 from .errors import C3RigError, NotIsostatic, SchemaError
 from .geometry import (
     Placement,
@@ -29,7 +29,7 @@ from .geometry import (
     symmetric_generic_positions,
 )
 from .graphs import SymGraph, count_fixed, parse_graph
-from .pebble import brute_force_laman, laman_check, pebble_sparsity
+from .pebble import SparsityReport, brute_force_laman, laman_check, pebble_sparsity
 from .render import render_svg
 from .trees import (
     TreePartition,
@@ -217,13 +217,13 @@ def cmd_certify(args) -> int:
     data, sg = _read_graph(args.file)
     report = _base_report("certify", data)
     try:
-        seq, partition = _certificates(sg)
+        seq, partition, sparsity = _certificates(sg)
     except NotIsostatic as exc:
         report["c3_verdict"] = _verdict_json(exc.verdict)
         _emit(report, args.json, f"not isostatic: {', '.join(exc.verdict.reasons)}")
         return 1
     report["c3_verdict"] = _verdict_json(C3Verdict(True, (), None))
-    checks = verify_tree_partition(sg, partition)
+    checks = verify_tree_partition(sg, partition, sparsity)
     report["sequence"] = seq.as_json_dict()
     report["partition"] = partition.as_json_dict()
     report["partition_checks"] = checks.as_json_dict()
@@ -237,10 +237,14 @@ def cmd_certify(args) -> int:
     return 0 if checks.ok else 2
 
 
-def _certificates(sg: SymGraph) -> tuple[ConstructionSequence, TreePartition]:
-    """The construction sequence and its partition in the input's labels."""
-    seq = extract_sequence(sg)
-    return seq, relabel_partition(build_tree_partition(seq), seq.relabeling)
+def _certificates(sg: SymGraph) -> tuple[ConstructionSequence, TreePartition, SparsityReport]:
+    """The construction sequence, its partition in the input's labels, and
+    the input's sparsity report. That report's game is the only one run:
+    the extraction keeps it live, and the partition's properness reads it."""
+    _, sparsity = _decide(sg)
+    seq = extract_sequence(sg, sparsity)
+    partition = relabel_partition(build_tree_partition(seq), seq.relabeling)
+    return seq, partition, sparsity
 
 
 def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, dict]:
@@ -248,8 +252,8 @@ def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, dict]:
     if method == "generic":
         placement = symmetric_generic_positions(sg, seed)
     else:
-        _, partition = _certificates(sg)
-        frame = frame_from_partition(sg, partition)
+        _, partition, sparsity = _certificates(sg)
+        frame = frame_from_partition(sg, partition, sparsity)
         frame, rounds = pull_apart_fully(sg, partition, frame)
         placement = framework_from_frame(sg, frame)
         extra["pull_apart_rounds"] = rounds
@@ -285,7 +289,7 @@ def cmd_oracle(args) -> int:
 def cmd_render(args) -> int:
     data, sg = _read_graph(args.file)
     report = _base_report("render", data)
-    _, partition = _certificates(sg)
+    _, partition, _ = _certificates(sg)
     placement, _ = _realize(sg, "generic", args.seed)
     svg = render_svg(sg, placement, partition)
     Path(args.out).write_text(svg, encoding="utf-8")

@@ -51,6 +51,7 @@ from .field import (
     exact_rank,
 )
 from .graphs import Graph, SymGraph
+from .pebble import SparsityReport
 from .trees import TreePartition, verify_tree_partition
 
 Vec2 = tuple[QSqrt3, QSqrt3]
@@ -254,9 +255,15 @@ def frame_lambdas(g: Graph, frame: Frame) -> tuple[Fraction, ...]:
     return tuple(lams)
 
 
-def frame_from_partition(sg: SymGraph, tp: TreePartition) -> Frame:
-    """Park every vertex on the corner of the one tree it misses."""
-    report = verify_tree_partition(sg, tp)
+def frame_from_partition(
+    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
+) -> Frame:
+    """Park every vertex on the corner of the one tree it misses.
+
+    The partition is verified first; ``sparsity`` is handed to
+    ``verify_tree_partition``.
+    """
+    report = verify_tree_partition(sg, tp, sparsity)
     if not report.ok:
         raise InvalidPartition(f"partition fails: {', '.join(report.failures())}")
     g = sg.graph

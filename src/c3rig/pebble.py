@@ -19,9 +19,9 @@ R: R is the unique minimal such set. It depends on the graph and the edge
 order only, not on the orientation, so the search order cannot change a
 witness.
 
-``PebbleGame`` is that game as a live state that also takes new vertices and
-edge deletions; ``pebble_sparsity`` feeds a fresh one the sorted edges, and
-the extractor and the replay each keep one game for all their steps.
+``PebbleGame`` is that game as a live state that also takes edge deletions;
+``pebble_sparsity`` feeds a fresh one the sorted edges, and the extractor
+keeps the input's game live for all its reduction steps.
 """
 from __future__ import annotations
 
@@ -32,7 +32,7 @@ from .graphs import Graph
 
 
 class PebbleGame:
-    """A live (2,3)-pebble game over a growing vertex set.
+    """A live (2,3)-pebble game on a fixed vertex set.
 
     Each vertex holds two tokens, split between its free pebbles and its
     out-edges in the pebble digraph. ``insert_edge`` accepts an edge exactly
@@ -49,14 +49,6 @@ class PebbleGame:
         self._visited = [0] * n
         self._parent = [-1] * n
         self._stamp = 0
-
-    def add_vertex(self) -> int:
-        """Add an isolated vertex with two free pebbles; return its label."""
-        self.pebbles.append(2)
-        self.out.append([])
-        self._visited.append(0)
-        self._parent.append(-1)
-        return len(self.pebbles) - 1
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Accept and orient the edge if four pebbles reach u and v."""

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .certify import ConstructionSequence, Move, Spokes, move_spokes
 from .errors import InternalInvariantBroken
 from .graphs import Edge, SymGraph, edge, edge_orbit
-from .pebble import pebble_sparsity
+from .pebble import SparsityReport, pebble_sparsity
 
 
 @dataclass(frozen=True)
@@ -95,8 +95,14 @@ def _is_tree(edges: frozenset[Edge]) -> bool:
     return len(seen) == len(vertices)
 
 
-def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
-    """Check every defining property; failures are report entries, not errors."""
+def verify_tree_partition(
+    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
+) -> PartitionReport:
+    """Check every defining property; failures are report entries, not errors.
+
+    ``sparsity``, when given, is ``pebble_sparsity(sg.graph)`` from a game
+    the caller already ran; without it the properness check runs its own.
+    """
     act = sg.require_action()
     g = sg.graph
     t0, t1, t2 = tp.trees
@@ -121,7 +127,12 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
     # Properness (no two non-trivial subtrees of distinct trees share a
     # span) is equivalent to the subgraph counts holding everywhere, which
     # the pebble game decides.
-    proper = g.n >= 2 and pebble_sparsity(g).is_sparse
+    if sparsity is None:
+        proper = g.n >= 2 and pebble_sparsity(g).is_sparse
+    elif (sparsity.edge_count, sparsity.target) != (g.m, 2 * g.n - 3):
+        raise ValueError("the sparsity report is not the graph's")
+    else:
+        proper = sparsity.is_sparse
 
     return PartitionReport(
         partitions_edges=partitions_edges,

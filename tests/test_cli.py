@@ -162,8 +162,23 @@ def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
     assert [name for name, _ in games] == ["pebble_sparsity"]
     decided = games[0][1].game
     assert reduced_with and all(game is decided for game in reduced_with)
-    # the input's game, the round trip's replay, the partition's properness
-    assert len(engines) == 3 and engines[0] is decided
+    # the input's game also carries the partition's properness, and the
+    # round trip's replay runs none
+    assert len(engines) == 1 and engines[0] is decided
+
+
+def test_realize_frame_decides_the_input_with_one_game(write, capsys, monkeypatch):
+    engines = []
+    init = pebble.PebbleGame.__init__
+
+    def counted_engine(self, *args):
+        engines.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(pebble.PebbleGame, "__init__", counted_engine)
+    code, _ = run(capsys, ["realize", write(PRISM_DOC), "--method", "frame"])
+    assert code == 0
+    assert len(engines) == 1
 
 
 def test_realize_frame_ranks_its_placement_once(write, capsys, monkeypatch):

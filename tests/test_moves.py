@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -10,7 +11,14 @@ from c3rig import (
     count_fixed,
     laman_check,
 )
-from c3rig.errors import DegenerateMove, FixedAnchor, InvalidAnchor, MissingEdge
+from c3rig import certify
+from c3rig.errors import (
+    C3RigError,
+    DegenerateMove,
+    FixedAnchor,
+    InvalidAnchor,
+    MissingEdge,
+)
 from tests.corpus import grow, k13_hub, k3, k33, prism, random_move, random_tight_symgraph
 
 
@@ -99,3 +107,61 @@ def test_moves_add_one_orbit_and_six_edges():
         assert bigger.action.gamma[n:] == (n + 1, n + 2, n)
         assert laman_check(bigger.graph)
         assert count_fixed(bigger).j == 0
+
+
+def _small_tight_graphs():
+    rng = random.Random(15)
+    return [k3(), prism(), k33()] + [random_tight_symgraph(rng, 9) for _ in range(2)]
+
+
+def _moves_that_break_tightness(graphs):
+    """Every row of the move table, with every anchor tuple it accepts, on
+    each graph; the moves whose result fails the subset counts, checked
+    literally. The replay runs no pebble game, so this is what guards the
+    table."""
+    broken = []
+    for sg in graphs:
+        seen = set()
+        for kind, shape in certify.MOVE_TABLE.items():
+            for anchors in permutations(range(sg.graph.n), shape.arity):
+                try:
+                    bigger = grow(sg, kind, *anchors)
+                except C3RigError:
+                    continue
+                if bigger.graph.edges in seen:
+                    continue
+                seen.add(bigger.graph.edges)
+                if not brute_force_laman(bigger.graph):
+                    broken.append((sg, kind, anchors))
+    return broken
+
+
+def test_every_move_table_row_keeps_tightness():
+    assert _moves_that_break_tightness(_small_tight_graphs()) == []
+
+
+@pytest.mark.parametrize(
+    "kind, row",
+    [
+        # the counts still add up, but when the first anchor's orbit is a
+        # triangle holding the third anchor (as on the prism), that
+        # triangle, the new one and the six spokes between them put
+        # 12 > 2 * 6 - 3 edges on six vertices
+        (
+            EDGE_SPLIT,
+            certify.MoveShape(
+                3,
+                lambda a, v: ((a[0], (0,)), (a[2], (0,)), (v + 1, (0,))),
+                splits_edge=True,
+            ),
+        ),
+        # one spoke orbit too few: the count is short
+        (VERTEX_ADDITION, certify.MoveShape(2, lambda a, v: ((a[0], (0,)),))),
+    ],
+    ids=["rejected_insert", "short_count"],
+)
+def test_a_patched_move_table_row_fails_the_table_check(monkeypatch, kind, row):
+    graphs = _small_tight_graphs()
+    monkeypatch.setitem(certify.MOVE_TABLE, kind, row)
+    broken = _moves_that_break_tightness(graphs)
+    assert broken and {k for _, k, _ in broken} == {kind}

@@ -7,6 +7,7 @@ from c3rig import (
     build_tree_partition,
     extract_sequence,
     frame_from_partition,
+    pebble_sparsity,
     relabel_partition,
     relabel_symgraph,
     replay_sequence,
@@ -110,6 +111,23 @@ def test_overbraced_graph_fails_properness():
             break
     else:
         raise AssertionError("no perturbation broke sparsity")
+
+
+def test_properness_reads_a_given_sparsity_report():
+    # the report of a game already run on the graph gives the same checks
+    # as the partition's own game, sparse or not; another graph's is refused
+    rng = random.Random(13)
+    sg = random_tight_symgraph(rng, 9)
+    seq = extract_sequence(sg)
+    tp = relabel_partition(build_tree_partition(seq), seq.relabeling)
+    graphs = [sg] + [perturb_edge_swap(rng, sg) for _ in range(20)]
+    reports = [verify_tree_partition(g, tp, pebble_sparsity(g.graph)) for g in graphs]
+    assert reports == [verify_tree_partition(g, tp) for g in graphs]
+    assert {r.proper for r in reports} == {True, False}
+    with pytest.raises(ValueError):
+        verify_tree_partition(sg, tp, pebble_sparsity(prism().graph))
+    with pytest.raises(ValueError):
+        frame_from_partition(sg, tp, pebble_sparsity(prism().graph))
 
 
 def test_partition_implies_global_count():
