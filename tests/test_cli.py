@@ -116,9 +116,8 @@ def test_certify_rejects_k4(write, capsys):
 
 def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
     # count the from-scratch games run on the parsed input graph itself,
-    # through every name the verdict paths look up (the partition's
-    # properness check in trees is a property of the certificate, not the
-    # input's decision), and check that the reduction keeps that game live
+    # through every name the verdict paths look up, check that the
+    # reduction keeps that game live, and count every game constructed
     parsed = []
     games = []
     parse = cli.parse_graph
