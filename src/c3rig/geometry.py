@@ -14,7 +14,10 @@ are provided.
   deformation parameter until the degenerate frame becomes an honest
   framework, keeping the generalized rigidity matrix at full row rank the
   whole way. The separation runs on integer pairs over one common scale,
-  so a round does no rational arithmetic.
+  so a round does no rational arithmetic. Its rounds run speculatively,
+  taking no rank, and one offline pass over a segment tree of the rounds
+  then proves every round's rank mod P; only a round that pass cannot
+  prove is ranked on its own.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
 deficit. A point reaches Q(sqrt 3) coordinates only in a report or drawing.
@@ -24,12 +27,13 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from fractions import Fraction
 from itertools import takewhile
 
 from .errors import (
+    C3RigError,
     CoincidentAdjacentJoints,
     DegenerateSpan,
     ExhaustedRetries,
@@ -46,7 +50,7 @@ from .field import (
     QSqrt3,
     _P,
     _SQRT3,
-    _eliminate,
+    _first_deficient_round,
     _residue,
     exact_rank,
 )
@@ -357,8 +361,9 @@ def _row(u: int, v: int, image: tuple[int, int], modulus: int = _P) -> dict[int,
 
 def _primitive(q: Pair) -> Pair:
     """The integer pair with coprime entries (or zero) on the ray of ``q``."""
-    scale = math.lcm(q[0].denominator, q[1].denominator)
-    a, b = int(q[0] * scale), int(q[1] * scale)
+    x, y = q
+    scale = math.lcm(x.denominator, y.denominator)
+    a, b = x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)
     g = math.gcd(a, b) or 1
     return (a // g, b // g)
 
@@ -388,7 +393,7 @@ def _pair_matrix(g: Graph, pairs: Sequence[Pair]) -> PartialElimination:
     inverses: dict[int, int] = {}
     images = [_pair_image(q, inverses) for q in pairs]
     rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
-    return PartialElimination(g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, pairs))
+    return PartialElimination(g.m, 2 * g.n, rows, lambda: _exact_rows(ends, pairs))
 
 
 def _degree_order(g: Graph) -> list[int]:
@@ -405,15 +410,21 @@ def _degree_order(g: Graph) -> list[int]:
     return place
 
 
+# The primes found so far, kept for every later round.
+_PRIMES = [2]
+
+
 def _t_candidates(limit: int) -> Iterator[int]:
-    """The parameters t = 1/2, 1/3, 1/5, ... as the primes p = 1/t: the first ``limit``, lazily."""
-    primes: list[int] = []
-    x = 2
-    while len(primes) < limit:
-        if all(x % p for p in takewhile(lambda p: p * p <= x, primes)):
+    """The parameters t = 1/2, 1/3, 1/5, ... as the primes p = 1/t: the first
+    ``limit``, lazily, each found by trial division only the first time."""
+    primes = _PRIMES
+    for k in range(limit):
+        if k == len(primes):
+            x = primes[-1] + 1
+            while not all(x % p for p in takewhile(lambda p: p * p <= x, primes)):
+                x += 1
             primes.append(x)
-            yield x
-        x += 1
+        yield primes[k]
 
 
 def _class_to_split(sg: SymGraph, coincident, joint_class, members, miss) -> list[int]:
@@ -468,8 +479,9 @@ class _LiveFrame:
     members and the point of each class, an integer pair X standing for
     X / ``scale``. Each edge has a ``_primitive`` integer direction, its F_P
     image and its ends as the column pairs of its F_P row (by
-    ``_degree_order``). Also kept: the corner each vertex was parked on, the
-    edges whose endpoints still coincide, and the edges a round has turned.
+    ``_degree_order``); each vertex, the indices of its edges. Also kept:
+    the corner each vertex was parked on, the edges whose endpoints still
+    coincide, and the edges a round has turned.
     """
 
     scale: int
@@ -479,6 +491,7 @@ class _LiveFrame:
     dirs: list[Pair]
     images: list[Pair]
     ends: list[tuple[int, int]]
+    incident: list[list[int]]
     miss: list[int]
     coincident: list[int]
     turned: set[int]
@@ -500,16 +513,34 @@ class _LiveFrame:
         scale = math.lcm(*(x.denominator for p in class_of for x in p))
         points = [(int(a * scale), int(b * scale)) for a, b in class_of]
         dirs = [_primitive(q) for q in frame.directions]
-        for (u, v), q in zip(edges, dirs):
+        incident: list[list[int]] = [[] for _ in range(sg.graph.n)]
+        for i, ((u, v), q) in enumerate(zip(edges, dirs)):
             if q == (0, 0):
                 raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
             if cross(v_sub(points[joint_class[u]], points[joint_class[v]]), q):
                 raise InternalInvariantBroken(f"edge ({u}, {v}) is not along its direction")
+            incident[u].append(i)
+            incident[v].append(i)
         images = [(a % _P, b % _P) for a, b in dirs]
         place = _degree_order(sg.graph)
         ends = [(place[u], place[v]) for u, v in edges]
         coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
-        return cls(scale, points, joint_class, members, dirs, images, ends, miss, coincident, set())
+        return cls(
+            scale, points, joint_class, members, dirs, images, ends, incident, miss, coincident, set()
+        )
+
+    def copy(self) -> "_LiveFrame":
+        """A copy that later rounds of this one leave alone: they replace,
+        and never change, a member list or the coincident list."""
+        return replace(
+            self,
+            points=self.points[:],
+            joint_class=self.joint_class[:],
+            members=self.members[:],
+            dirs=self.dirs[:],
+            images=self.images[:],
+            turned=set(self.turned),
+        )
 
     def frame(self, g: Graph, start: Frame) -> Frame:
         """The frame in rational pairs: each point X / ``scale``, and each
@@ -531,30 +562,27 @@ def _on_a_class(point: Pair, p: int, occupied: set[Pair]) -> bool:
     return not x % p and not y % p and (x // p, y // p) in occupied
 
 
-def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
-    """One round of ``pull_apart_fully``: split one coincidence class of ``live``.
+# A round's split: the three moving copies, their steps, and each turning
+# edge's (delta, D dd) by index.
+_Split = tuple[tuple[list[int], ...], tuple[Pair, ...], dict[int, tuple[Pair, Pair]]]
+
+
+def _plan(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> _Split:
+    """The split of the next round of ``live``.
 
     The class is, among the classes containing an edge, the one whose
     rotation representative holds the smallest vertex. One component of its
     restriction to one tree moves along the opposite side direction, its
     rotated copies along the rotated directions, and every edge whose
     endpoints move differently turns to its new position difference, so the
-    frame condition survives. The deformation parameter runs through t = 1/p
-    for the primes p until no two joint classes collide and the generalized
-    rigidity matrix keeps full row rank.
-
-    All in integers: at t = 1/p a point X / D (D = ``scale``) moving by d
-    goes to (p X + D d) / (p D), so a turned edge's row, taken at
-    p delta + D dd (delta = X_u - X_v, dd = d_u - d_v), is a nonzero multiple
-    of its new position difference and affine in p. The other rows are
-    eliminated mod P once; each candidate reduces only the turned rows
-    against them, and only a deficit mod P falls back to exact elimination.
+    frame condition survives: at t = 1/p a point X / D (D = ``scale``)
+    moving by d goes to (p X + D d) / (p D), so the edge's row, taken at
+    p delta + D dd (delta = X_u - X_v, dd = d_u - d_v), is a nonzero
+    multiple of its new position difference and affine in p.
     """
     act = sg.require_action()
-    g = sg.graph
-    n, m = g.n, g.m
+    edges = sg.graph.sorted_edges
     scale, points, joint_class, members = live.scale, live.points, live.joint_class, live.members
-    dirs, images, ends = live.dirs, live.images, live.ends
     part = _class_to_split(sg, live.coincident, joint_class, members, live.miss)
     comp, d0 = _separable_component(part, tp)
     steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
@@ -566,55 +594,48 @@ def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
         if any(joint_class[x] != c for x in copy) or len(members[c]) == len(copy):
             raise InternalInvariantBroken("moving copies are not parts of rotated classes")
         disp.update(dict.fromkeys(copy, step))
-
-    turning: dict[int, tuple[Pair, Pair]] = {}  # edge: (delta, D dd)
-    for i, (u, v) in enumerate(g.sorted_edges):
+    turning: dict[int, tuple[Pair, Pair]] = {}
+    for i in sorted({i for x in disp for i in live.incident[x]}):
+        u, v = edges[i]
         du, dv = disp.get(u, (0, 0)), disp.get(v, (0, 0))
         if du != dv:
             delta = v_sub(points[joint_class[u]], points[joint_class[v]])
             turning[i] = (delta, v_scale(scale, v_sub(du, dv)))
-    lines = [
-        (ends[i], (dx % _P, dy % _P), (ex % _P, ey % _P))
-        for i, ((dx, dy), (ex, ey)) in turning.items()
-    ]
-    kept = [i for i in range(m) if i not in turning]
-    pivots: dict[int, dict[int, int]] = {}
-    _eliminate((_row(*ends[i], images[i]) for i in kept), pivots)
+    return copies, steps, turning
 
-    def turned_at(p: int) -> list[Pair]:
-        return [v_add(v_scale(p, delta), dd) for delta, dd in turning.values()]
 
-    def exact_rows(p: int) -> list[dict[int, int]]:
-        now = dict(zip(turning, turned_at(p)))
-        return _exact_rows(ends, [now.get(i, q) for i, q in enumerate(dirs)])
+def _free_parameters(live: _LiveFrame, split: _Split) -> Iterator[tuple[int, list[Pair]]]:
+    """The candidates p at which no moving copy lands on a class or on
+    another copy, each with the copies' new points at the scale p * D;
+    ``ExhaustedT`` after the last.
 
-    # A t fails only by a collision or a rank deficit. Moving copy k lands
-    # on an occupied class point for at most one t per class, as its step
-    # is nonzero, and two copies meet for at most one t per pair, as their
-    # steps differ: 3 * (classes + 1) values. The turned rows are affine in
-    # p, so an m x m minor that is nonzero for some p (the separation step
-    # of the symmetric Crapo theorem gives one) is a polynomial of degree at
-    # most m, vanishing for at most m values. So one of the first
-    # 3 * (classes + 1) + m + 1 candidates is good.
-    starts = [points[joint_class[copy[0]]] for copy in copies]
+    A t fails only by a collision or a rank deficit. Moving copy k lands on
+    an occupied class point for at most one t per class, as its step is
+    nonzero, and two copies meet for at most one t per pair, as their steps
+    differ: 3 * (classes + 1) values. The turned rows are affine in p, so an
+    m x m minor that is nonzero for some p (the separation step of the
+    symmetric Crapo theorem gives one) is a polynomial of degree at most m,
+    vanishing for at most m values. So one of the first
+    3 * (classes + 1) + m + 1 candidates is good.
+    """
+    copies, steps, _ = split
+    scale, points = live.scale, live.points
+    starts = [points[live.joint_class[copy[0]]] for copy in copies]
     occupied = set(points)
-    limit = 3 * (len(members) + 1) + m + 1
+    limit = 3 * (len(live.members) + 1) + len(live.dirs) + 1
     for p in _t_candidates(limit):
-        # the copies' new points at the scale p * D
         landed = [(p * x + scale * a, p * y + scale * b) for (x, y), (a, b) in zip(starts, steps)]
         if len(set(landed)) < 3 or any(_on_a_class(q, p, occupied) for q in landed):
             continue
-        rows = [
-            _row(u, v, ((dx * p + ex) % _P, (dy * p + ey) % _P))
-            for (u, v), (dx, dy), (ex, ey) in lines
-        ]
-        if exact_rank(PartialElimination(m, 2 * n, pivots, rows, lambda: exact_rows(p))) == m:
-            break
-    else:
-        raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
+        yield p, landed
+    raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
 
-    # Accepting p puts every point at the scale p * D.
-    live.scale = p * scale
+
+def _accept(live: _LiveFrame, split: _Split, p: int, landed: list[Pair]) -> None:
+    """Take the split at t = 1/p, which puts every point at the scale p * D."""
+    copies, _, turning = split
+    points, joint_class, members = live.points, live.joint_class, live.members
+    live.scale *= p
     points[:] = [(p * x, p * y) for x, y in points]
     for copy, point in zip(copies, landed):
         c = joint_class[copy[0]]
@@ -624,12 +645,32 @@ def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
             joint_class[x] = len(members)
         members.append(copy)
         points.append(point)
-    for i, q in zip(turning, turned_at(p)):
-        a, b = dirs[i] = _primitive(q)
-        images[i] = (a % _P, b % _P)
+    for i, (delta, dd) in turning.items():
+        a, b = live.dirs[i] = _primitive(v_add(v_scale(p, delta), dd))
+        live.images[i] = (a % _P, b % _P)
     live.turned.update(turning)
     # A turned edge's endpoints now lie apart; another kept their offset.
     live.coincident = [i for i in live.coincident if i not in turning]
+
+
+def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
+    """One round of separation, ranked as it goes: take ``_plan``'s split of
+    ``live`` at the first collision-free t whose generalized rigidity matrix,
+    built by ``_pair_matrix`` from the turned pairs, keeps full row rank.
+
+    Only a deficit mod P falls back to exact elimination, so the t taken is
+    the one exact ranks would pick. ``pull_apart_fully`` runs a round here
+    only where its offline pass finds a deficit mod P or its speculation
+    fails.
+    """
+    split = _plan(sg, tp, live)
+    for p, landed in _free_parameters(live, split):
+        pairs = list(live.dirs)
+        for i, (delta, dd) in split[2].items():
+            pairs[i] = v_add(v_scale(p, delta), dd)
+        if exact_rank(_pair_matrix(sg.graph, pairs)) == sg.graph.m:
+            break
+    _accept(live, split, p, landed)
 
 
 def pull_apart_fully(
@@ -637,16 +678,53 @@ def pull_apart_fully(
 ) -> tuple[Frame, int]:
     """Separate every pair of coincident adjacent joints; return the rounds taken.
 
-    One live state carries every round of ``pull_apart``, in integers.
+    The rounds are those of ``pull_apart`` on one live state, found in two
+    phases. Speculation runs each round at its first collision-free t,
+    taking no rank, and records each edge's row versions with the rounds
+    that hold them. One offline pass, ``_first_deficient_round``, then
+    proves that every round's matrix has full rank mod P, hence over Q, so
+    each t is the one ``pull_apart`` would take. At the first round it
+    cannot prove, the state goes back to before that round (a copy taken
+    when speculation started, speculated again up to there), the round runs
+    through ``pull_apart`` with its exact fallback, and speculation starts
+    again after it. A speculative round that fails may be running on a
+    state an unproven round left wrong, so it reruns through ``pull_apart``,
+    which raises the error again, only once the rounds before it are proven.
     """
     sg.require_action()
+    n = sg.graph.n
     live = _LiveFrame.read(sg, tp, frame)
     rounds = 0
     while live.coincident:
-        rounds += 1
-        if rounds > sg.graph.n:
-            raise InternalInvariantBroken("separation failed to terminate")
-        pull_apart(sg, tp, live)
+        start, ends, images = live.copy(), live.ends, live.images
+        since = [rounds + 1] * len(ends)
+        versions = []
+        last = rounds
+        try:
+            while live.coincident and last < n:
+                split = _plan(sg, tp, live)
+                p, landed = next(_free_parameters(live, split))
+                last += 1
+                for i in split[2]:
+                    versions.append((_row(*ends[i], images[i]), since[i], last - 1))
+                    since[i] = last
+                _accept(live, split, p, landed)
+        except C3RigError:
+            pass  # the round reruns below once the rounds before it hold
+        versions += [(_row(*e, images[i]), since[i], last) for i, e in enumerate(ends)]
+        bad = _first_deficient_round(versions, rounds + 1, last) or last + 1
+        if bad <= last:
+            # back to the state before round ``bad``, speculating again
+            live = start
+            for _ in range(bad - 1 - rounds):
+                split = _plan(sg, tp, live)
+                _accept(live, split, *next(_free_parameters(live, split)))
+        rounds = bad - 1
+        if live.coincident:
+            rounds += 1
+            if rounds > n:
+                raise InternalInvariantBroken("separation failed to terminate")
+            pull_apart(sg, tp, live)
     return live.frame(sg.graph, frame), rounds
 
 

@@ -26,6 +26,7 @@ keeps the input's game live for all its reduction steps.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from .errors import TooFewVertices, TooLarge
 from .graphs import Graph
@@ -134,7 +135,7 @@ class SparsityReport:
     """The outcome of one from-scratch game.
 
     ``game`` is that game's live state: every accepted edge, up to the
-    first rejected one.
+    first rejected one, in the game's labels (see ``pebble_sparsity``).
     """
 
     is_sparse: bool
@@ -146,16 +147,30 @@ class SparsityReport:
 
 
 def pebble_sparsity(g: Graph) -> SparsityReport:
-    """Run the (2,3)-pebble game over the edges in sorted order."""
+    """Run the (2,3)-pebble game over the edges in sorted order.
+
+    The game holds only the vertices that lie on an edge, in label order,
+    so its memory and time follow the edges and not the claimed vertex
+    count: a vertex on no edge changes no count and joins no witness. Its
+    labels are the input's when every vertex lies on an edge, as on every
+    tight graph.
+    """
     n = g.n
     if n < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {n}")
     target = 2 * n - 3
-    game = PebbleGame(n)
+    edges = g.sorted_edges
+    used = set(chain.from_iterable(edges))
+    labels = range(n)
+    if len(used) < n:
+        labels = sorted(used)
+        place = {v: i for i, v in enumerate(labels)}
+        edges = [(place[u], place[v]) for u, v in edges]
+    game = PebbleGame(len(used))
     insert = game.insert_edge
-    for u, v in g.sorted_edges:
+    for u, v in edges:
         if not insert(u, v):
-            witness = tuple(sorted(game.region(u, v)))
+            witness = tuple(labels[x] for x in sorted(game.region(u, v)))
             return SparsityReport(False, False, witness, g.m, target, game)
     return SparsityReport(True, g.m == target, None, g.m, target, game)
 

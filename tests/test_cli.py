@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from c3rig import certify, cli, geometry, pebble, serialize_graph
+from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph
 from c3rig.cli import main
 from c3rig.geometry import Placement, from_omega
 from tests.corpus import PRISM_DOC, fast_tight_symgraph
@@ -61,6 +61,30 @@ def test_check_without_action(write, capsys):
     report = json.loads(out)
     assert code == 0
     assert "c3_verdict" not in report
+
+
+@pytest.mark.parametrize("vertices", [10**100, 3_000_000], ids=["googol", "three_million"])
+def test_check_costs_what_the_edges_cost_however_many_vertices(write, capsys, vertices):
+    # The game holds only the vertices on an edge: with 3,000,000 vertices
+    # and no edge it used to allocate them all, and 10**100 escaped main
+    # with an OverflowError.
+    code, out = run(capsys, ["check", write({"vertices": vertices, "edges": []})])
+    assert code == 1
+    assert json.loads(out)["sparsity"] == {
+        "edge_count": 0,
+        "is_sparse": True,
+        "is_tight": False,
+        "target": 2 * vertices - 3,
+        "witness": None,
+    }
+    # a K4 among isolated vertices: its witness comes back in input labels
+    k4 = [3, 10, 20, vertices - 1]
+    doc = {"vertices": vertices, "edges": [[a, b] for i, a in enumerate(k4) for b in k4[i + 1 :]]}
+    code, out = run(capsys, ["check", write(doc)])
+    assert code == 1
+    assert json.loads(out)["sparsity"]["witness"] == k4
+    report = pebble.pebble_sparsity(parse_graph(doc).graph)
+    assert (report.witness, len(report.game.pebbles)) == (tuple(k4), 4)
 
 
 def test_check_malformed_json(tmp_path, capsys):

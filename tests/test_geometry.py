@@ -402,14 +402,22 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
     tried = []
-    candidates = geometry._t_candidates
+    candidates, pull_apart = geometry._t_candidates, geometry.pull_apart
 
     def counted(limit):
         for p in candidates(limit):
             tried.append(p)
             yield p
 
+    def ranked_round(*args):
+        # only the candidates of the round that falls back to ranking count
+        tried.clear()
+        pull_apart(*args)
+
     monkeypatch.setattr(geometry, "_t_candidates", counted)
+    monkeypatch.setattr(geometry, "pull_apart", ranked_round)
+    # every round loses rank: in the offline pass, and in exact_rank
+    monkeypatch.setattr(geometry, "_first_deficient_round", lambda versions, lo, hi: lo)
     monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
     with pytest.raises(ExhaustedT):
         pull_apart_fully(sg, tp, frame)
@@ -426,6 +434,16 @@ def test_candidate_parameters_are_prime_reciprocals_made_lazily():
     assert list(geometry._t_candidates(0)) == []
     endless = geometry._t_candidates(10**9)
     assert [next(endless) for _ in range(3)] == [2, 3, 5]
+
+
+def test_candidate_parameters_are_found_once():
+    # The primes are kept across calls: asking again for as many as are
+    # known gives them back and finds no new one.
+    list(geometry._t_candidates(30))
+    known = list(geometry._PRIMES)
+    assert len(known) >= 30
+    assert list(geometry._t_candidates(len(known))) == known
+    assert geometry._PRIMES == known
 
 
 def test_framework_from_frame_requires_separation():
@@ -509,8 +527,11 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
     # The digest's graphs reach the integer collision rule: some candidates
     # are skipped, with no rank taken, because a copy would land on a class.
     counts = dict.fromkeys(("rounds", "tried", "ranked", "landed"), 0)
-    candidates, rank, on_a_class = (
-        geometry._t_candidates, geometry.exact_rank, geometry._on_a_class
+    candidates, rank, offline, on_a_class = (
+        geometry._t_candidates,
+        geometry.exact_rank,
+        geometry._first_deficient_round,
+        geometry._on_a_class,
     )
 
     def counted_candidates(limit):
@@ -522,6 +543,12 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
         counts["ranked"] += 1
         return rank(matrix)
 
+    def counted_offline(versions, lo, hi):
+        # a round the offline pass proves is ranked at its one candidate
+        bad = offline(versions, lo, hi)
+        counts["ranked"] += (hi + 1 if bad is None else bad) - lo
+        return bad
+
     def counted_landing(*args):
         # ``any`` stops at the first hit, so this counts skipped candidates
         hit = on_a_class(*args)
@@ -530,12 +557,159 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
 
     monkeypatch.setattr(geometry, "_t_candidates", counted_candidates)
     monkeypatch.setattr(geometry, "exact_rank", counted_rank)
+    monkeypatch.setattr(geometry, "_first_deficient_round", counted_offline)
     monkeypatch.setattr(geometry, "_on_a_class", counted_landing)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
         counts["rounds"] += pull_apart_fully(sg, tp, frame_from_partition(sg, tp))[1]
     assert counts["ranked"] >= counts["rounds"] > 0
     assert counts["tried"] - counts["ranked"] >= counts["landed"] > 0
+
+
+def _ranked_rounds(sg, tp, frame):
+    # the separation ranked round by round, with no speculation
+    live = geometry._LiveFrame.read(sg, tp, frame)
+    rounds = 0
+    while live.coincident:
+        rounds += 1
+        assert rounds <= sg.graph.n
+        geometry.pull_apart(sg, tp, live)
+    return live.frame(sg.graph, frame), rounds
+
+
+def test_speculative_separation_matches_ranking_every_round(monkeypatch):
+    # Where the offline pass finds a round deficient mod P, the separation
+    # takes that round back and reruns it ranked; the digest's graphs do so
+    # at n = 12, 15 and 120. Every graph ends as the ranked loop ends.
+    restarted = []
+    pull_apart = geometry.pull_apart
+
+    def counted(sg, tp, live):
+        restarted.append(sg.graph.n)
+        pull_apart(sg, tp, live)
+
+    for sg in _digest_graphs():
+        tp = _certified_partition(sg)
+        frame = frame_from_partition(sg, tp)
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, "pull_apart", counted)
+            speculated = pull_apart_fully(sg, tp, frame)
+        assert speculated == _ranked_rounds(sg, tp, frame)
+    assert {12, 15, 120} <= set(restarted)
+
+
+def _offline_case(rng):
+    # Each of m slots holds a run of row versions over the rounds lo..hi,
+    # with images from few values over few columns, so some rounds are
+    # dependent by chance; half the cases copy one slot's row into another
+    # slot for one round, which makes that round dependent.
+    lo = rng.randint(1, 5)
+    hi = lo + rng.randint(0, 12)
+    vertices = rng.randint(2, 6)
+    runs = []
+    for _ in range(rng.randint(1, 2 * vertices - 1)):
+        run, a = [], lo
+        while a <= hi:
+            b = rng.randint(a, hi)
+            image = (rng.randrange(3), rng.randrange(3))
+            run.append([geometry._row(*rng.sample(range(vertices), 2), image), a, b])
+            a = b + 1
+        runs.append(run)
+    if len(runs) > 1 and rng.random() < 0.5:
+        j = rng.randint(lo, hi)
+        source, target = rng.sample(runs, 2)
+        row = next(r for r, a, b in source if a <= j <= b)
+        k = next(i for i, (_, a, b) in enumerate(target) if a <= j <= b)
+        old, a, b = target[k]
+        target[k : k + 1] = [[old, a, j - 1], [row, j, j], [old, j + 1, b]]
+    return [tuple(v) for run in runs for v in run], lo, hi
+
+
+def test_offline_pass_finds_the_first_deficient_round():
+    rng = random.Random(16)
+    outcomes = {"none": 0, "first": 0, "later": 0}
+    for _ in range(400):
+        versions, lo, hi = _offline_case(rng)
+        expected = None
+        for j in range(lo, hi + 1):
+            rows = [dict(row) for row, a, b in versions if a <= j <= b]
+            if field._eliminate(rows, {}) < len(rows):
+                expected = j
+                break
+        assert field._first_deficient_round(versions, lo, hi) == expected
+        outcomes["none" if expected is None else "first" if expected == lo else "later"] += 1
+    assert min(outcomes.values()) >= 40
+
+
+def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
+    # A speculative round may fail only because an earlier round lost rank
+    # and left a wrong state. With a deficit planted at round 2 and a failure
+    # at the fourth speculative round, rounds 1-3 are proven first, round 2
+    # reruns ranked and speculation goes on from round 3.
+    sg = fast_tight_symgraph(0, 45)
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
+    expected = _ranked_rounds(sg, tp, frame)
+    assert expected[1] > 4
+    offline, plan, pull_apart = (
+        geometry._first_deficient_round, geometry._plan, geometry.pull_apart
+    )
+    asked, planned, ranked = [], [], []
+
+    def planted_offline(versions, lo, hi):
+        asked.append((lo, hi))
+        bad = offline(versions, lo, hi)
+        return 2 if len(asked) == 1 else bad
+
+    def failing_plan(*args):
+        planned.append(True)
+        if len(planned) == 4:
+            raise InternalInvariantBroken("planted")
+        return plan(*args)
+
+    def counted(sg, tp, live):
+        ranked.append(len(live.members))
+        pull_apart(sg, tp, live)
+
+    monkeypatch.setattr(geometry, "_first_deficient_round", planted_offline)
+    monkeypatch.setattr(geometry, "_plan", failing_plan)
+    monkeypatch.setattr(geometry, "pull_apart", counted)
+    assert pull_apart_fully(sg, tp, frame) == expected
+    assert asked[:2] == [(1, 3), (3, expected[1])]
+    # three classes at the start and three more per round: round 2 reran
+    assert ranked == [6]
+
+
+def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
+    # With the rounds before it proven, a failing round reruns ranked, which
+    # raises its error: here a planted one in the fourth round.
+    sg = fast_tight_symgraph(0, 45)
+    tp = _certified_partition(sg)
+    offline, plan, pull_apart = (
+        geometry._first_deficient_round, geometry._plan, geometry.pull_apart
+    )
+    asked, ranked = [], []
+
+    def counted_offline(versions, lo, hi):
+        asked.append((lo, hi))
+        return offline(versions, lo, hi)
+
+    def failing_plan(sg, tp, live):
+        if len(live.members) == 12:
+            raise NoSeparableComponent("planted in round 4")
+        return plan(sg, tp, live)
+
+    def counted(*args):
+        ranked.append(True)
+        pull_apart(*args)
+
+    monkeypatch.setattr(geometry, "_first_deficient_round", counted_offline)
+    monkeypatch.setattr(geometry, "_plan", failing_plan)
+    monkeypatch.setattr(geometry, "pull_apart", counted)
+    with pytest.raises(NoSeparableComponent, match="planted in round 4"):
+        pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+    assert asked == [(1, 3)]
+    assert ranked == [True]
 
 
 def test_integer_collision_rule_matches_the_rational_points():
