@@ -9,19 +9,18 @@ change of columns, so it has the Cartesian rank (see
 rational a, b, is only the value type in which reports give a point's
 Cartesian coordinates; it does no arithmetic.
 
-The one matrix type is ``PartialElimination``: sparse rows mod a fixed
-prime P, still to be eliminated, plus a way to build its sparse integer
-rows. ``exact_rank`` first proves full rank through that image mod P (a
-ring homomorphism, so the rank mod P never exceeds the exact rank), full
-meaning the smaller side or a known ceiling on the rank; only a deficit mod
-P builds the integer rows, for exact fraction-free elimination.
-``_first_deficient_round`` checks a whole sequence of matrices mod P in one
-offline pass, where consecutive matrices share most of their rows.
+The one matrix type is ``PartialElimination``: sparse rows mod a fixed prime
+P, some of them eliminated already, plus a way to build its sparse integer
+rows. ``exact_rank`` first proves full rank through that image mod P (a ring
+homomorphism, so the rank mod P never exceeds the exact rank), full meaning
+the smaller side or a known ceiling on the rank; only a deficit mod P builds
+the integer rows, for exact fraction-free elimination. ``_round_pivots``
+eliminates a whole sequence of matrices that share most of their rows.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,24 +111,20 @@ def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]
     return found
 
 
-def _first_deficient_round(
+def _round_pivots(
     versions: Iterable[tuple[dict[int, int], int, int]], lo: int, hi: int
-) -> int | None:
-    """The first round of lo..hi whose rows are dependent mod P, or None:
-    an offline rank check of a sequence of matrices, one per round.
+) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
+    """Each round j of lo..hi in turn, with the pivots of its rows mod P.
 
     ``versions`` are (row, a, b): a sparse row mod P, left unchanged, of
     the rounds a..b. Each goes into the O(log R) nodes of a segment tree
     over the rounds that cover a..b. A depth-first walk eliminates a node's
     rows into one shared pivot dict on entry and pops the pivots they added
-    on exit, which undoes the node: ``_eliminate`` never changes a stored
-    pivot and adds new ones at the end of the dict. At a leaf the dict holds
-    every row of its round. A node whose rows do not all become pivots
-    makes every round below it deficient, and the walk meets the earliest
-    such round first.
+    on exit, which undoes the node, as ``_eliminate`` adds new pivots at the
+    end of the dict. At a leaf the dict holds its round's rows eliminated.
     """
     if lo > hi:
-        return None
+        return
     size = 1 << (hi - lo).bit_length()
     nodes: list[list[dict[int, int]]] = [[] for _ in range(2 * size)]
     for row, a, b in versions:
@@ -145,42 +140,45 @@ def _first_deficient_round(
             b >>= 1
     pivots: dict[int, dict[int, int]] = {}
 
-    def walk(k: int, first: int, width: int) -> int | None:
-        rows = nodes[k]
-        found = _eliminate(map(dict, rows), pivots)
-        bad = None
-        if found < len(rows):
-            bad = first
-        elif width > 1:
+    def walk(k: int, first: int, width: int) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
+        found = _eliminate(map(dict, nodes[k]), pivots)
+        if width == 1:
+            yield first, pivots
+        else:
             half = width // 2
-            bad = walk(2 * k, first, half)
-            if bad is None and first + half <= hi:
-                bad = walk(2 * k + 1, first + half, half)
+            yield from walk(2 * k, first, half)
+            if first + half <= hi:
+                yield from walk(2 * k + 1, first + half, half)
         for _ in range(found):
             pivots.popitem()
-        return bad
 
-    return walk(1, lo, size)
+    yield from walk(1, lo, size)
 
 
 @dataclass(frozen=True)
 class PartialElimination:
-    """A rational matrix given by its rows mod P, still to be eliminated.
+    """A rational matrix given mod P as eliminated rows plus rows to reduce.
 
-    ``rest`` are the images of its rows, None when an entry has no image;
-    ranking reduces them in place, which keeps their span, so ranking the
-    matrix again gives the same rank. ``integer_rows`` gives its rows, each
-    times a nonzero rational, as sparse integer rows, which ``exact_rank``
-    asks for only on a deficit mod P.
+    ``pivots`` are some of its rows eliminated mod P by ``_eliminate``, so
+    their number is the rank of those rows mod P, and ``rest`` are the
+    images of its other rows; either is None when an entry has no image.
+    Ranking reduces ``rest`` into ``pivots`` in place, which keeps the span
+    of the rows, so ranking the matrix again gives the same rank.
+    ``integer_rows`` gives its rows, each times a nonzero rational, as
+    sparse integer rows, which ``exact_rank`` asks for only on a deficit
+    mod P.
     """
 
     rows: int
     cols: int
+    pivots: dict[int, dict[int, int]] | None
     rest: list[dict[int, int]] | None
     integer_rows: Callable[[], list[dict[int, int]]]
 
     def modular_rank(self) -> int | None:
-        return None if self.rest is None else _eliminate(self.rest, {})
+        if self.pivots is None or self.rest is None:
+            return None
+        return len(self.pivots) + _eliminate(self.rest, self.pivots)
 
 
 def exact_rank(m: PartialElimination, ceiling: int | None = None) -> int:

@@ -15,9 +15,8 @@ are provided.
   framework, keeping the generalized rigidity matrix at full row rank the
   whole way. The separation runs on integer pairs over one common scale,
   so a round does no rational arithmetic. Its rounds run speculatively,
-  taking no rank, and one offline pass over a segment tree of the rounds
-  then proves every round's rank mod P; only a round that pass cannot
-  prove is ranked on its own.
+  taking no rank, and one offline pass then eliminates the rows of every
+  round mod P, sharing the rows that rounds have in common.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
 deficit. A point reaches Q(sqrt 3) coordinates only in a report or drawing.
@@ -27,7 +26,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import takewhile
@@ -50,8 +49,8 @@ from .field import (
     QSqrt3,
     _P,
     _SQRT3,
-    _first_deficient_round,
     _residue,
+    _round_pivots,
     exact_rank,
 )
 from .graphs import Graph, SymGraph
@@ -393,7 +392,7 @@ def _pair_matrix(g: Graph, pairs: Sequence[Pair]) -> PartialElimination:
     inverses: dict[int, int] = {}
     images = [_pair_image(q, inverses) for q in pairs]
     rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
-    return PartialElimination(g.m, 2 * g.n, rows, lambda: _exact_rows(ends, pairs))
+    return PartialElimination(g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, pairs))
 
 
 def _degree_order(g: Graph) -> list[int]:
@@ -477,11 +476,11 @@ class _LiveFrame:
 
     The joints are kept as classes by number: the class of each vertex, the
     members and the point of each class, an integer pair X standing for
-    X / ``scale``. Each edge has a ``_primitive`` integer direction, its F_P
-    image and its ends as the column pairs of its F_P row (by
-    ``_degree_order``); each vertex, the indices of its edges. Also kept:
-    the corner each vertex was parked on, the edges whose endpoints still
-    coincide, and the edges a round has turned.
+    X / ``scale``. Each edge has a ``_primitive`` integer direction and its
+    ends as the column pairs of its row (by ``_degree_order``); each vertex,
+    the indices of its edges. Also kept: the corner each vertex was parked
+    on, the edges whose endpoints still coincide, and the edges a round has
+    turned.
     """
 
     scale: int
@@ -489,7 +488,6 @@ class _LiveFrame:
     joint_class: list[int]
     members: list[list[int]]
     dirs: list[Pair]
-    images: list[Pair]
     ends: list[tuple[int, int]]
     incident: list[list[int]]
     miss: list[int]
@@ -521,25 +519,11 @@ class _LiveFrame:
                 raise InternalInvariantBroken(f"edge ({u}, {v}) is not along its direction")
             incident[u].append(i)
             incident[v].append(i)
-        images = [(a % _P, b % _P) for a, b in dirs]
         place = _degree_order(sg.graph)
         ends = [(place[u], place[v]) for u, v in edges]
         coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
         return cls(
-            scale, points, joint_class, members, dirs, images, ends, incident, miss, coincident, set()
-        )
-
-    def copy(self) -> "_LiveFrame":
-        """A copy that later rounds of this one leave alone: they replace,
-        and never change, a member list or the coincident list."""
-        return replace(
-            self,
-            points=self.points[:],
-            joint_class=self.joint_class[:],
-            members=self.members[:],
-            dirs=self.dirs[:],
-            images=self.images[:],
-            turned=set(self.turned),
+            scale, points, joint_class, members, dirs, ends, incident, miss, coincident, set()
         )
 
     def frame(self, g: Graph, start: Frame) -> Frame:
@@ -604,33 +588,6 @@ def _plan(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> _Split:
     return copies, steps, turning
 
 
-def _free_parameters(live: _LiveFrame, split: _Split) -> Iterator[tuple[int, list[Pair]]]:
-    """The candidates p at which no moving copy lands on a class or on
-    another copy, each with the copies' new points at the scale p * D;
-    ``ExhaustedT`` after the last.
-
-    A t fails only by a collision or a rank deficit. Moving copy k lands on
-    an occupied class point for at most one t per class, as its step is
-    nonzero, and two copies meet for at most one t per pair, as their steps
-    differ: 3 * (classes + 1) values. The turned rows are affine in p, so an
-    m x m minor that is nonzero for some p (the separation step of the
-    symmetric Crapo theorem gives one) is a polynomial of degree at most m,
-    vanishing for at most m values. So one of the first
-    3 * (classes + 1) + m + 1 candidates is good.
-    """
-    copies, steps, _ = split
-    scale, points = live.scale, live.points
-    starts = [points[live.joint_class[copy[0]]] for copy in copies]
-    occupied = set(points)
-    limit = 3 * (len(live.members) + 1) + len(live.dirs) + 1
-    for p in _t_candidates(limit):
-        landed = [(p * x + scale * a, p * y + scale * b) for (x, y), (a, b) in zip(starts, steps)]
-        if len(set(landed)) < 3 or any(_on_a_class(q, p, occupied) for q in landed):
-            continue
-        yield p, landed
-    raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
-
-
 def _accept(live: _LiveFrame, split: _Split, p: int, landed: list[Pair]) -> None:
     """Take the split at t = 1/p, which puts every point at the scale p * D."""
     copies, _, turning = split
@@ -646,31 +603,75 @@ def _accept(live: _LiveFrame, split: _Split, p: int, landed: list[Pair]) -> None
         members.append(copy)
         points.append(point)
     for i, (delta, dd) in turning.items():
-        a, b = live.dirs[i] = _primitive(v_add(v_scale(p, delta), dd))
-        live.images[i] = (a % _P, b % _P)
+        live.dirs[i] = _primitive(v_add(v_scale(p, delta), dd))
     live.turned.update(turning)
     # A turned edge's endpoints now lie apart; another kept their offset.
     live.coincident = [i for i in live.coincident if i not in turning]
 
 
-def pull_apart(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> None:
-    """One round of separation, ranked as it goes: take ``_plan``'s split of
-    ``live`` at the first collision-free t whose generalized rigidity matrix,
-    built by ``_pair_matrix`` from the turned pairs, keeps full row rank.
-
-    Only a deficit mod P falls back to exact elimination, so the t taken is
-    the one exact ranks would pick. ``pull_apart_fully`` runs a round here
-    only where its offline pass finds a deficit mod P or its speculation
-    fails.
+def pull_apart(
+    sg: SymGraph, tp: TreePartition, live: _LiveFrame, skip: int = 0, ranked: bool = True
+) -> tuple[_Split, int, list[Pair]]:
+    """One round of separation: take ``_plan``'s split of ``live`` at the
+    first t = 1/p at which no moving copy lands on a class or on another
+    copy, past the first ``skip`` such t, whose generalized rigidity matrix,
+    built by ``_pair_matrix`` from the turned pairs, keeps full row rank, or
+    at the first with no rank taken when not ``ranked``. Only a deficit mod
+    P falls back to exact elimination, so the t taken is the one exact ranks
+    would pick. Returns what ``_accept`` took.
     """
     split = _plan(sg, tp, live)
-    for p, landed in _free_parameters(live, split):
-        pairs = list(live.dirs)
-        for i, (delta, dd) in split[2].items():
-            pairs[i] = v_add(v_scale(p, delta), dd)
-        if exact_rank(_pair_matrix(sg.graph, pairs)) == sg.graph.m:
+    copies, steps, turning = split
+    scale, points, m = live.scale, live.points, sg.graph.m
+    starts = [points[live.joint_class[copy[0]]] for copy in copies]
+    occupied = set(points)
+    # A t fails only by a collision or a rank deficit. Moving copy k lands
+    # on an occupied class point for at most one t per class, as its step
+    # is nonzero, and two copies meet for at most one t per pair, as their
+    # steps differ: 3 * (classes + 1) values. The turned rows are affine in
+    # p, so an m x m minor that is nonzero for some p (the separation step
+    # of the symmetric Crapo theorem gives one) is a polynomial of degree at
+    # most m, vanishing for at most m values. So one of the first
+    # 3 * (classes + 1) + m + 1 candidates is good.
+    limit = 3 * (len(live.members) + 1) + m + 1
+    for p in _t_candidates(limit):
+        # the copies' new points at the scale p * D
+        landed = [(p * x + scale * a, p * y + scale * b) for (x, y), (a, b) in zip(starts, steps)]
+        if len(set(landed)) < 3 or any(_on_a_class(q, p, occupied) for q in landed):
+            continue
+        if skip:
+            skip -= 1
+            continue
+        if not ranked:
             break
+        pairs = list(live.dirs)
+        for i, (delta, dd) in turning.items():
+            pairs[i] = v_add(v_scale(p, delta), dd)
+        if exact_rank(_pair_matrix(sg.graph, pairs)) == m:
+            break
+    else:
+        raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
     _accept(live, split, p, landed)
+    return split, p, landed
+
+
+def _first_short_round(
+    g: Graph, ends: list[tuple[int, int]], history: list[tuple[int, Pair, int, int]],
+    lo: int, hi: int,
+) -> int | None:
+    """The first round of lo..hi whose generalized rigidity matrix
+    ``exact_rank`` finds short of full row rank, or None. ``history`` holds
+    (edge, direction, a, b): the edge's direction in the rounds a..b."""
+    versions = [(_row(*ends[i], (x % _P, y % _P)), a, b) for i, (x, y), a, b in history]
+    for j, pivots in _round_pivots(versions, lo, hi):
+
+        def integer_rows() -> list[dict[int, int]]:
+            now = [(ends[i], q) for i, q, a, b in history if a <= j <= b]
+            return _exact_rows(*zip(*now))
+
+        if exact_rank(PartialElimination(g.m, 2 * g.n, pivots, [], integer_rows)) < g.m:
+            return j
+    return None
 
 
 def pull_apart_fully(
@@ -678,54 +679,44 @@ def pull_apart_fully(
 ) -> tuple[Frame, int]:
     """Separate every pair of coincident adjacent joints; return the rounds taken.
 
-    The rounds are those of ``pull_apart`` on one live state, found in two
-    phases. Speculation runs each round at its first collision-free t,
-    taking no rank, and records each edge's row versions with the rounds
-    that hold them. One offline pass, ``_first_deficient_round``, then
-    proves that every round's matrix has full rank mod P, hence over Q, so
-    each t is the one ``pull_apart`` would take. At the first round it
-    cannot prove, the state goes back to before that round (a copy taken
-    when speculation started, speculated again up to there), the round runs
-    through ``pull_apart`` with its exact fallback, and speculation starts
-    again after it. A speculative round that fails may be running on a
-    state an unproven round left wrong, so it reruns through ``pull_apart``,
-    which raises the error again, only once the rounds before it are proven.
+    The rounds are those of ``pull_apart`` on one live state, run
+    speculatively: each takes its first collision-free t with no rank, and
+    each edge's directions are kept with the rounds that hold them. Then
+    ``_first_short_round`` ranks every round in one offline pass, so each t
+    is the one a ranked round takes. At the first round short of full rank
+    the rounds before it are replayed on a fresh state, that round reruns
+    ranked past its first t, and speculation starts again after it. A
+    speculative round that fails raises once the rounds before it hold.
     """
     sg.require_action()
-    n = sg.graph.n
+    g = sg.graph
     live = _LiveFrame.read(sg, tp, frame)
-    rounds = 0
+    taken: list[tuple[_Split, int, list[Pair]]] = []
     while live.coincident:
-        start, ends, images = live.copy(), live.ends, live.images
-        since = [rounds + 1] * len(ends)
-        versions = []
-        last = rounds
+        lo, failed = len(taken) + 1, None
+        held, since, history = live.dirs[:], [lo] * g.m, []
         try:
-            while live.coincident and last < n:
-                split = _plan(sg, tp, live)
-                p, landed = next(_free_parameters(live, split))
-                last += 1
-                for i in split[2]:
-                    versions.append((_row(*ends[i], images[i]), since[i], last - 1))
-                    since[i] = last
-                _accept(live, split, p, landed)
-        except C3RigError:
-            pass  # the round reruns below once the rounds before it hold
-        versions += [(_row(*e, images[i]), since[i], last) for i, e in enumerate(ends)]
-        bad = _first_deficient_round(versions, rounds + 1, last) or last + 1
-        if bad <= last:
-            # back to the state before round ``bad``, speculating again
-            live = start
-            for _ in range(bad - 1 - rounds):
-                split = _plan(sg, tp, live)
-                _accept(live, split, *next(_free_parameters(live, split)))
-        rounds = bad - 1
-        if live.coincident:
-            rounds += 1
-            if rounds > n:
-                raise InternalInvariantBroken("separation failed to terminate")
-            pull_apart(sg, tp, live)
-    return live.frame(sg.graph, frame), rounds
+            while live.coincident:
+                if len(taken) == g.n:
+                    raise InternalInvariantBroken("separation failed to terminate")
+                taken.append(pull_apart(sg, tp, live, ranked=False))
+                for i in taken[-1][0][2]:
+                    history.append((i, held[i], since[i], len(taken) - 1))
+                    held[i], since[i] = live.dirs[i], len(taken)
+        except C3RigError as error:
+            failed = error
+        history += [(i, q, a, len(taken)) for i, (q, a) in enumerate(zip(held, since))]
+        bad = _first_short_round(g, live.ends, history, lo, len(taken))
+        if bad is None:
+            if failed is not None:
+                raise failed
+        else:
+            del taken[bad - 1 :]
+            live = _LiveFrame.read(sg, tp, frame)
+            for step in taken:
+                _accept(live, *step)
+            taken.append(pull_apart(sg, tp, live, skip=1))
+    return live.frame(g, frame), len(taken)
 
 
 def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:

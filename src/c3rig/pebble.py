@@ -147,14 +147,9 @@ class SparsityReport:
 
 
 def pebble_sparsity(g: Graph) -> SparsityReport:
-    """Run the (2,3)-pebble game over the edges in sorted order.
-
-    The game holds only the vertices that lie on an edge, in label order,
-    so its memory and time follow the edges and not the claimed vertex
-    count: a vertex on no edge changes no count and joins no witness. Its
-    labels are the input's when every vertex lies on an edge, as on every
-    tight graph.
-    """
+    """Run the (2,3)-pebble game over the edges in sorted order, on the
+    vertices that lie on an edge (in label order, so with the input's labels
+    on a tight graph): a vertex on no edge joins no count and no witness."""
     n = g.n
     if n < 2:
         raise TooFewVertices(f"need at least 2 vertices, got {n}")

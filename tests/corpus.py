@@ -208,4 +208,4 @@ def rational_matrix(rows) -> PartialElimination:
             scaled.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
         return scaled
 
-    return PartialElimination(len(rows), cols, rest, integer_rows)
+    return PartialElimination(len(rows), cols, {}, rest, integer_rows)

@@ -263,17 +263,24 @@ def test_partial_elimination_ranks_like_its_matrix():
         rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
         m = rational_matrix(rows)
         expected = field._fraction_free_rank(m.integer_rows())
+        split = rng.randint(0, nr)
+        images = _integer_images(rows)
+        pivots = {}
+        field._eliminate(images[:split], pivots)
         exact = refuse if expected == min(nr, nc) else m.integer_rows
-        assert exact_rank(PartialElimination(nr, nc, _integer_images(rows), exact)) == expected
+        assert exact_rank(PartialElimination(nr, nc, pivots, images[split:], exact)) == expected
 
 
 def test_partial_elimination_falls_back_on_a_deficit_or_a_missing_image():
     rows = [[1, 2], [3, 6 + _P]]
     m = rational_matrix(rows)
-    deficient = PartialElimination(2, 2, _integer_images(rows), m.integer_rows)
+    pivots = {}
+    field._eliminate(_integer_images(rows)[:1], pivots)
+    deficient = PartialElimination(2, 2, pivots, _integer_images(rows)[1:], m.integer_rows)
     assert deficient.modular_rank() == 1
     assert exact_rank(deficient) == 2
-    assert exact_rank(PartialElimination(2, 2, None, m.integer_rows)) == 2
+    assert exact_rank(PartialElimination(2, 2, None, [], m.integer_rows)) == 2
+    assert exact_rank(PartialElimination(2, 2, {}, None, m.integer_rows)) == 2
 
 
 def test_exact_rank_matches_exact_elimination_on_acceptance_corpus():

@@ -409,15 +409,14 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
             tried.append(p)
             yield p
 
-    def ranked_round(*args):
+    def ranked_round(*args, **kwargs):
         # only the candidates of the round that falls back to ranking count
         tried.clear()
-        pull_apart(*args)
+        return pull_apart(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "_t_candidates", counted)
     monkeypatch.setattr(geometry, "pull_apart", ranked_round)
-    # every round loses rank: in the offline pass, and in exact_rank
-    monkeypatch.setattr(geometry, "_first_deficient_round", lambda versions, lo, hi: lo)
+    # every round loses rank, in the offline pass as in a ranked round
     monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
     with pytest.raises(ExhaustedT):
         pull_apart_fully(sg, tp, frame)
@@ -527,11 +526,8 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
     # The digest's graphs reach the integer collision rule: some candidates
     # are skipped, with no rank taken, because a copy would land on a class.
     counts = dict.fromkeys(("rounds", "tried", "ranked", "landed"), 0)
-    candidates, rank, offline, on_a_class = (
-        geometry._t_candidates,
-        geometry.exact_rank,
-        geometry._first_deficient_round,
-        geometry._on_a_class,
+    candidates, rank, on_a_class = (
+        geometry._t_candidates, geometry.exact_rank, geometry._on_a_class
     )
 
     def counted_candidates(limit):
@@ -543,12 +539,6 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
         counts["ranked"] += 1
         return rank(matrix)
 
-    def counted_offline(versions, lo, hi):
-        # a round the offline pass proves is ranked at its one candidate
-        bad = offline(versions, lo, hi)
-        counts["ranked"] += (hi + 1 if bad is None else bad) - lo
-        return bad
-
     def counted_landing(*args):
         # ``any`` stops at the first hit, so this counts skipped candidates
         hit = on_a_class(*args)
@@ -557,7 +547,6 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
 
     monkeypatch.setattr(geometry, "_t_candidates", counted_candidates)
     monkeypatch.setattr(geometry, "exact_rank", counted_rank)
-    monkeypatch.setattr(geometry, "_first_deficient_round", counted_offline)
     monkeypatch.setattr(geometry, "_on_a_class", counted_landing)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
@@ -578,15 +567,17 @@ def _ranked_rounds(sg, tp, frame):
 
 
 def test_speculative_separation_matches_ranking_every_round(monkeypatch):
-    # Where the offline pass finds a round deficient mod P, the separation
-    # takes that round back and reruns it ranked; the digest's graphs do so
-    # at n = 12, 15 and 120. Every graph ends as the ranked loop ends.
+    # Where the offline pass finds a round short of full rank, the
+    # separation takes that round back and reruns it ranked; the digest's
+    # graphs do so at n = 12, 15 and 120. Every graph ends as the ranked
+    # loop ends.
     restarted = []
     pull_apart = geometry.pull_apart
 
-    def counted(sg, tp, live):
-        restarted.append(sg.graph.n)
-        pull_apart(sg, tp, live)
+    def counted(sg, tp, live, skip=0, ranked=True):
+        if skip:
+            restarted.append(sg.graph.n)
+        return pull_apart(sg, tp, live, skip, ranked)
 
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
@@ -625,41 +616,49 @@ def _offline_case(rng):
     return [tuple(v) for run in runs for v in run], lo, hi
 
 
-def test_offline_pass_finds_the_first_deficient_round():
+def test_offline_pass_eliminates_every_round():
     rng = random.Random(16)
     outcomes = {"none": 0, "first": 0, "later": 0}
     for _ in range(400):
         versions, lo, hi = _offline_case(rng)
-        expected = None
-        for j in range(lo, hi + 1):
-            rows = [dict(row) for row, a, b in versions if a <= j <= b]
-            if field._eliminate(rows, {}) < len(rows):
-                expected = j
-                break
-        assert field._first_deficient_round(versions, lo, hi) == expected
-        outcomes["none" if expected is None else "first" if expected == lo else "later"] += 1
+        rounds = [[dict(row) for row, a, b in versions if a <= j <= b] for j in range(lo, hi + 1)]
+        ranks = [field._eliminate(rows, {}) for rows in rounds]
+        walked = [(j, len(pivots)) for j, pivots in field._round_pivots(versions, lo, hi)]
+        assert walked == list(enumerate(ranks, lo))
+        short = [j for j, rows, r in zip(range(lo, hi + 1), rounds, ranks) if r < len(rows)]
+        outcomes["none" if not short else "first" if short[0] == lo else "later"] += 1
     assert min(outcomes.values()) >= 40
+
+
+def _rows_key(matrix):
+    return sorted(sorted(row.items()) for row in matrix.integer_rows())
 
 
 def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     # A speculative round may fail only because an earlier round lost rank
-    # and left a wrong state. With a deficit planted at round 2 and a failure
-    # at the fourth speculative round, rounds 1-3 are proven first, round 2
-    # reruns ranked and speculation goes on from round 3.
+    # and left a wrong state. With round 2 short of full rank at its first
+    # t and a failure at the fourth speculative round, rounds 1-3 are ranked
+    # first, round 2 reruns ranked past that t and speculation goes on from
+    # round 3, ending as the ranked loop ends with the same deficit.
     sg = fast_tight_symgraph(0, 45)
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    expected = _ranked_rounds(sg, tp, frame)
-    assert expected[1] > 4
-    offline, plan, pull_apart = (
-        geometry._first_deficient_round, geometry._plan, geometry.pull_apart
+    unplanted = _ranked_rounds(sg, tp, frame)
+    live = geometry._LiveFrame.read(sg, tp, frame)
+    geometry.pull_apart(sg, tp, live)
+    geometry.pull_apart(sg, tp, live, ranked=False)
+    planted = _rows_key(geometry._pair_matrix(sg.graph, live.dirs))
+    rank, offline, plan, pull_apart = (
+        geometry.exact_rank, geometry._round_pivots, geometry._plan, geometry.pull_apart
     )
-    asked, planned, ranked = [], [], []
+    asked, planned, restarted = [], [], []
 
-    def planted_offline(versions, lo, hi):
+    def planted_rank(matrix):
+        return matrix.rows - 1 if _rows_key(matrix) == planted else rank(matrix)
+
+    def counted_offline(versions, lo, hi):
         asked.append((lo, hi))
-        bad = offline(versions, lo, hi)
-        return 2 if len(asked) == 1 else bad
+        return offline(versions, lo, hi)
 
     def failing_plan(*args):
         planned.append(True)
@@ -667,28 +666,32 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
             raise InternalInvariantBroken("planted")
         return plan(*args)
 
-    def counted(sg, tp, live):
-        ranked.append(len(live.members))
-        pull_apart(sg, tp, live)
+    def counted(sg, tp, live, skip=0, ranked=True):
+        if skip:
+            restarted.append(len(live.members))
+        return pull_apart(sg, tp, live, skip, ranked)
 
-    monkeypatch.setattr(geometry, "_first_deficient_round", planted_offline)
+    monkeypatch.setattr(geometry, "exact_rank", planted_rank)
+    expected = _ranked_rounds(sg, tp, frame)
+    assert expected != unplanted and expected[1] > 4
+    monkeypatch.setattr(geometry, "_round_pivots", counted_offline)
     monkeypatch.setattr(geometry, "_plan", failing_plan)
     monkeypatch.setattr(geometry, "pull_apart", counted)
     assert pull_apart_fully(sg, tp, frame) == expected
     assert asked[:2] == [(1, 3), (3, expected[1])]
     # three classes at the start and three more per round: round 2 reran
-    assert ranked == [6]
+    assert restarted == [6]
 
 
 def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
-    # With the rounds before it proven, a failing round reruns ranked, which
-    # raises its error: here a planted one in the fourth round.
+    # With the rounds before it at full rank, a failing speculative round
+    # raises the error the ranked loop raises: here a planted one in the
+    # fourth round.
     sg = fast_tight_symgraph(0, 45)
     tp = _certified_partition(sg)
-    offline, plan, pull_apart = (
-        geometry._first_deficient_round, geometry._plan, geometry.pull_apart
-    )
-    asked, ranked = [], []
+    frame = frame_from_partition(sg, tp)
+    offline, plan = geometry._round_pivots, geometry._plan
+    asked = []
 
     def counted_offline(versions, lo, hi):
         asked.append((lo, hi))
@@ -699,17 +702,13 @@ def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
             raise NoSeparableComponent("planted in round 4")
         return plan(sg, tp, live)
 
-    def counted(*args):
-        ranked.append(True)
-        pull_apart(*args)
-
-    monkeypatch.setattr(geometry, "_first_deficient_round", counted_offline)
+    monkeypatch.setattr(geometry, "_round_pivots", counted_offline)
     monkeypatch.setattr(geometry, "_plan", failing_plan)
-    monkeypatch.setattr(geometry, "pull_apart", counted)
     with pytest.raises(NoSeparableComponent, match="planted in round 4"):
-        pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+        _ranked_rounds(sg, tp, frame)
+    with pytest.raises(NoSeparableComponent, match="planted in round 4"):
+        pull_apart_fully(sg, tp, frame)
     assert asked == [(1, 3)]
-    assert ranked == [True]
 
 
 def test_integer_collision_rule_matches_the_rational_points():
