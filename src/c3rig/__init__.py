@@ -33,7 +33,6 @@ from .geometry import (
 )
 from .graphs import (
     C3Action,
-    FixedCounts,
     Graph,
     SymGraph,
     count_fixed,
@@ -60,7 +59,6 @@ __all__ = [
     "ConstructionSequence",
     "DELTA_EXTENSION",
     "EDGE_SPLIT",
-    "FixedCounts",
     "Frame",
     "Graph",
     "Move",

@@ -157,8 +157,9 @@ def _base_report(command: str, data: bytes) -> dict:
 
 
 def _placement_json(placement: Placement) -> dict:
-    """Each point's ``QSqrt3.as_json_dict`` coordinates and float view,
-    written straight from its (1, w) pair."""
+    """Each point's Cartesian coordinates, exactly and as floats, written
+    straight from its (1, w) pair: x = a - b/2 and y = (b/2)*sqrt(3), each
+    as the fractions {"a", "b"} of a rational plus a multiple of sqrt 3."""
     exact, floats = [], []
     for p in placement.positions:
         terms = _cartesian_terms(p)

@@ -1,13 +1,11 @@
-"""Exact matrix rank over the rationals, and the report's number type Q(sqrt 3).
+"""Exact matrix rank over the rationals.
 
 Every placement and frame is held in (1, w) pairs: the pair (a, b) is the
 point a*1 + b*w with w = (-1/2, sqrt(3)/2), so rotating by 120 degrees is the
 integer map (a, b) -> (-b, a - b) and every matrix this package ranks has
 rational entries. Such a matrix is the Cartesian one times an invertible
 change of columns, so it has the Cartesian rank (see
-``geometry._pair_matrix``). ``QSqrt3``, the numbers a + b*sqrt(3) with
-rational a, b, is only the value type in which reports give a point's
-Cartesian coordinates; it does no arithmetic.
+``geometry._pair_matrix``).
 
 The one matrix type is ``PartialElimination``: sparse rows mod a fixed prime
 P, some of them eliminated already, plus a way to build its sparse integer
@@ -23,39 +21,6 @@ import math
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-
-_SQRT3 = math.sqrt(3.0)
-
-
-@dataclass(frozen=True)
-class QSqrt3:
-    """The number a + b*sqrt(3) with exact rational components: a report's
-    Cartesian coordinate. Two are equal, and hash alike, when their
-    components are."""
-
-    a: Fraction = Fraction(0)
-    b: Fraction = Fraction(0)
-
-    def __post_init__(self):
-        # Only rationals that are not exact Fractions (int, bool, Fraction
-        # subclasses) are re-wrapped.
-        if type(self.a) is not Fraction:
-            object.__setattr__(self, "a", Fraction(self.a))
-        if type(self.b) is not Fraction:
-            object.__setattr__(self, "b", Fraction(self.b))
-
-    def __float__(self) -> float:
-        return float(self.a) + float(self.b) * _SQRT3
-
-    def __repr__(self) -> str:
-        return f"QSqrt3({self.a}, {self.b})"
-
-    def as_json_dict(self) -> dict:
-        return {
-            "a": f"{self.a.numerator}/{self.a.denominator}",
-            "b": f"{self.b.numerator}/{self.b.denominator}",
-        }
-
 
 # A fixed prime P, the largest below 2**30 with P = 1 (mod 3). Below 2**30
 # every residue is one CPython digit, so products, reductions and inverses

@@ -19,7 +19,8 @@ are provided.
   round mod P, sharing the rows that rounds have in common.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
-deficit. A point reaches Q(sqrt 3) coordinates only in a report or drawing.
+deficit. A point reaches Cartesian coordinates only in a report or drawing,
+through ``_cartesian_terms``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,6 @@ import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import takewhile
 
@@ -46,9 +46,7 @@ from .errors import (
 )
 from .field import (
     PartialElimination,
-    QSqrt3,
     _P,
-    _SQRT3,
     _residue,
     _round_pivots,
     exact_rank,
@@ -57,15 +55,13 @@ from .graphs import Graph, SymGraph
 from .pebble import SparsityReport
 from .trees import TreePartition, verify_tree_partition
 
-Vec2 = tuple[QSqrt3, QSqrt3]
-
 # Coordinates. Every point and direction is a rational combination a*1 + b*w
 # of 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the reference triangle and the
 # tree directions are such combinations, rotating by 120 degrees multiplies
 # by w, pulling apart adds rational multiples of them, and a generic draw
 # picks integer a, b. The pair (a, b) of ints or Fractions stands for the
 # point (a - b/2, (b/2)*sqrt(3)), so both routes work on rational pairs and
-# ``from_omega`` converts a point only for a report or a drawing.
+# ``_cartesian_terms`` converts a point only for a report or a drawing.
 Pair = tuple[Fraction, Fraction]
 
 _PAIR_ZERO: Pair = (Fraction(0), Fraction(0))
@@ -108,11 +104,6 @@ class Placement:
     """Exact joint positions as (1, w) pairs."""
 
     positions: tuple[Pair, ...]
-
-    @cached_property
-    def cartesian(self) -> tuple[Vec2, ...]:
-        """The positions in Q(sqrt 3) coordinates, converted once."""
-        return tuple(map(from_omega, self.positions))
 
     def float_positions(self) -> list[tuple[float, float]]:
         return [_float_point(_cartesian_terms(p)) for p in self.positions]
@@ -244,20 +235,6 @@ class Frame:
     directions: tuple[Pair, ...]
 
 
-def frame_lambdas(g: Graph, frame: Frame) -> tuple[Fraction, ...]:
-    """The per-edge scalars lam with position difference = lam * direction."""
-    pos = frame.positions
-    lams = []
-    for (u, v), q in zip(g.sorted_edges, frame.directions):
-        delta = v_sub(pos[u], pos[v])
-        if q == _PAIR_ZERO:
-            raise ZeroDirection("frame direction is zero")
-        if cross(delta, q):
-            raise InternalInvariantBroken("edge difference not collinear with direction")
-        lams.append(delta[0] / q[0] if q[0] else delta[1] / q[1])
-    return tuple(lams)
-
-
 def frame_from_partition(
     sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
 ) -> Frame:
@@ -304,17 +281,10 @@ def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]
     return tuple(e for e in g.sorted_edges if pos[e[0]] == pos[e[1]])
 
 
-def from_omega(p: Pair) -> Vec2:
-    """The point a*1 + b*w in Q(sqrt 3) coordinates."""
-    a, b = p
-    half = Fraction(b, 2)
-    return (QSqrt3(a - half), QSqrt3(0, half))
-
-
 def _cartesian_terms(p: Pair) -> tuple[int, int, int, int]:
     """The point a*1 + b*w as x = xn/xd and y = (yn/yd)*sqrt(3), each
-    fraction reduced with a positive denominator: ``from_omega``'s numbers
-    without building them. ``a`` and ``b`` may be ints or Fractions."""
+    fraction reduced with a positive denominator: xn/xd = a - b/2 and
+    yn/yd = b/2. ``a`` and ``b`` may be ints or Fractions."""
     a, b = p
     an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
     # b/2 is reduced as it stands when b's numerator is odd
@@ -324,9 +294,12 @@ def _cartesian_terms(p: Pair) -> tuple[int, int, int, int]:
     return xn // g, xd // g, yn, yd
 
 
+_SQRT3 = math.sqrt(3.0)
+
+
 def _float_point(terms: tuple[int, int, int, int]) -> tuple[float, float]:
-    """The float view of ``_cartesian_terms``: the values ``float`` gives the
-    ``QSqrt3`` coordinates (a correctly rounded division, times sqrt 3)."""
+    """The float view of ``_cartesian_terms``: x as a correctly rounded
+    division, and y as one times sqrt 3."""
     xn, xd, yn, yd = terms
     return xn / xd, yn / yd * _SQRT3
 
@@ -610,19 +583,16 @@ def _accept(live: _LiveFrame, split: _Split, p: int, landed: list[Pair]) -> None
 
 
 def pull_apart(
-    sg: SymGraph, tp: TreePartition, live: _LiveFrame, skip: int = 0, ranked: bool = True
+    sg: SymGraph, tp: TreePartition, live: _LiveFrame, skip: int = 0
 ) -> tuple[_Split, int, list[Pair]]:
     """One round of separation: take ``_plan``'s split of ``live`` at the
     first t = 1/p at which no moving copy lands on a class or on another
-    copy, past the first ``skip`` such t, whose generalized rigidity matrix,
-    built by ``_pair_matrix`` from the turned pairs, keeps full row rank, or
-    at the first with no rank taken when not ``ranked``. Only a deficit mod
-    P falls back to exact elimination, so the t taken is the one exact ranks
-    would pick. Returns what ``_accept`` took.
+    copy, past the first ``skip`` such t. No rank is taken here;
+    ``pull_apart_fully`` proves it. Returns what ``_accept`` took.
     """
     split = _plan(sg, tp, live)
-    copies, steps, turning = split
-    scale, points, m = live.scale, live.points, sg.graph.m
+    copies, steps, _ = split
+    scale, points = live.scale, live.points
     starts = [points[live.joint_class[copy[0]]] for copy in copies]
     occupied = set(points)
     # A t fails only by a collision or a rank deficit. Moving copy k lands
@@ -633,22 +603,15 @@ def pull_apart(
     # of the symmetric Crapo theorem gives one) is a polynomial of degree at
     # most m, vanishing for at most m values. So one of the first
     # 3 * (classes + 1) + m + 1 candidates is good.
-    limit = 3 * (len(live.members) + 1) + m + 1
+    limit = 3 * (len(live.members) + 1) + sg.graph.m + 1
     for p in _t_candidates(limit):
         # the copies' new points at the scale p * D
         landed = [(p * x + scale * a, p * y + scale * b) for (x, y), (a, b) in zip(starts, steps)]
         if len(set(landed)) < 3 or any(_on_a_class(q, p, occupied) for q in landed):
             continue
-        if skip:
-            skip -= 1
-            continue
-        if not ranked:
+        if not skip:
             break
-        pairs = list(live.dirs)
-        for i, (delta, dd) in turning.items():
-            pairs[i] = v_add(v_scale(p, delta), dd)
-        if exact_rank(_pair_matrix(sg.graph, pairs)) == m:
-            break
+        skip -= 1
     else:
         raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
     _accept(live, split, p, landed)
@@ -683,15 +646,16 @@ def pull_apart_fully(
     speculatively: each takes its first collision-free t with no rank, and
     each edge's directions are kept with the rounds that hold them. Then
     ``_first_short_round`` ranks every round in one offline pass, so each t
-    is the one a ranked round takes. At the first round short of full rank
-    the rounds before it are replayed on a fresh state, that round reruns
-    ranked past its first t, and speculation starts again after it. A
-    speculative round that fails raises once the rounds before it hold.
+    is the first collision-free one at full rank. At the first round short
+    of full rank the rounds before it are replayed on a fresh state, and
+    speculation starts again from that round at its next collision-free t.
+    A speculative round that fails raises once the rounds before it hold.
     """
     sg.require_action()
     g = sg.graph
     live = _LiveFrame.read(sg, tp, frame)
     taken: list[tuple[_Split, int, list[Pair]]] = []
+    skip = 0
     while live.coincident:
         lo, failed = len(taken) + 1, None
         held, since, history = live.dirs[:], [lo] * g.m, []
@@ -699,7 +663,8 @@ def pull_apart_fully(
             while live.coincident:
                 if len(taken) == g.n:
                     raise InternalInvariantBroken("separation failed to terminate")
-                taken.append(pull_apart(sg, tp, live, ranked=False))
+                # only round lo skips the t found short before
+                taken.append(pull_apart(sg, tp, live, skip if len(taken) + 1 == lo else 0))
                 for i in taken[-1][0][2]:
                     history.append((i, held[i], since[i], len(taken) - 1))
                     held[i], since[i] = live.dirs[i], len(taken)
@@ -711,11 +676,11 @@ def pull_apart_fully(
             if failed is not None:
                 raise failed
         else:
+            skip = skip + 1 if bad == lo else 1
             del taken[bad - 1 :]
             live = _LiveFrame.read(sg, tp, frame)
             for step in taken:
                 _accept(live, *step)
-            taken.append(pull_apart(sg, tp, live, skip=1))
     return live.frame(g, frame), len(taken)
 
 

@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph
 from c3rig.cli import main
-from c3rig.geometry import Placement, from_omega
+from c3rig.geometry import Placement
 from tests.corpus import PRISM_DOC, fast_tight_symgraph
 
 K3_DOC = {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]], "c3": [1, 2, 0]}
@@ -410,14 +410,22 @@ _PAIRS = [
 
 def _assert_report_point_is_the_qsqrt3_point(pair):
     # the report's exact and float views, written straight from the pair,
-    # are those of from_omega's Q(sqrt 3) point
-    x, y = from_omega(pair)
+    # are those of the Q(sqrt 3) point x = a - b/2, y = (b/2)*sqrt(3)
+    a, b = map(Fraction, pair)
+    x, y = a - b / 2, b / 2
     placement = Placement((pair,))
     view = cli._placement_json(placement)
-    assert view["exact"] == [{"x": x.as_json_dict(), "y": y.as_json_dict()}]
+    assert view["exact"] == [
+        {
+            "x": {"a": f"{x.numerator}/{x.denominator}", "b": "0/1"},
+            "y": {"a": "0/1", "b": f"{y.numerator}/{y.denominator}"},
+        }
+    ]
     floats = view["float_view"]["positions"]
     assert floats == placement.float_positions()
-    assert [tuple(map(repr, p)) for p in floats] == [(repr(float(x)), repr(float(y)))]
+    assert [tuple(map(repr, p)) for p in floats] == [
+        (repr(float(x)), repr(float(y) * math.sqrt(3)))
+    ]
 
 
 @pytest.mark.parametrize("pair", _PAIRS)

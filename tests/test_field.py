@@ -12,7 +12,7 @@ from c3rig import (
     symmetric_generic_positions,
 )
 from c3rig import field
-from c3rig.field import _P, PartialElimination, QSqrt3
+from c3rig.field import _P, PartialElimination
 from tests.corpus import (
     acceptance_corpus,
     k3,
@@ -23,31 +23,6 @@ from tests.corpus import (
     rational_matrix,
 )
 from tests.test_geometry import _sympy_cartesian_rank
-
-
-def test_float_view():
-    assert float(QSqrt3(1, 1)) == pytest.approx(2.7320508075688772)
-
-
-def test_json_dict():
-    assert QSqrt3(Fraction(-1, 2), Fraction(3)).as_json_dict() == {
-        "a": "-1/2",
-        "b": "3/1",
-    }
-
-
-def test_components_are_normalized_to_fractions():
-    class Half(Fraction):
-        pass
-
-    cases = [
-        (QSqrt3(1, True), QSqrt3(Fraction(1), Fraction(1))),
-        (QSqrt3(False, 2), QSqrt3(Fraction(0), Fraction(2))),
-        (QSqrt3(Half(1, 2), Half(-3, 2)), QSqrt3(Fraction(1, 2), Fraction(-3, 2))),
-    ]
-    for x, expected in cases:
-        assert type(x.a) is Fraction and type(x.b) is Fraction
-        assert x == expected and hash(x) == hash(expected)
 
 
 def test_rank_identity():
@@ -316,7 +291,7 @@ def test_exact_rank_matches_exact_elimination_with_planted_dependent_rows():
 
 
 def test_exact_rank_matches_sympy_on_small_rigidity_matrices():
-    # sympy ranks the Cartesian matrix at the points ``from_omega`` gives,
+    # sympy ranks the Cartesian matrix at the pairs' Cartesian points,
     # so this check shares no row formula with the pair matrix it checks
     graphs = [k3(), prism(), k33(), octahedron()]
     graphs += [sg for sg in acceptance_corpus() if sg.graph.n <= 6]

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -24,8 +26,8 @@ from c3rig import (
     rigidity_matrix,
     symmetric_generic_positions,
 )
-from c3rig import field, geometry
-from c3rig.field import _P, QSqrt3
+from c3rig import cli, field, geometry
+from c3rig.field import _P
 from c3rig.errors import (
     CoincidentAdjacentJoints,
     DegenerateSpan,
@@ -41,8 +43,7 @@ from c3rig.geometry import (
     TREE_DIRECTIONS,
     Placement,
     adjacent_coincidences,
-    frame_lambdas,
-    from_omega,
+    cross,
     generalized_rigidity_matrix,
     placement_is_symmetric,
     rotate_omega,
@@ -64,10 +65,6 @@ from tests.corpus import (
 )
 
 
-def q(a, b=0):
-    return QSqrt3(Fraction(a), Fraction(b))
-
-
 def pair(a, b):
     return (Fraction(a), Fraction(b))
 
@@ -75,19 +72,44 @@ def pair(a, b):
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 
 
-def _sympy(x):
-    # a Q(sqrt 3) report coordinate as a sympy number
+def _cartesian(p):
+    # the point a*1 + b*w at x = a - b/2 and y = (b/2)*sqrt(3), each as
+    # (rational part, coefficient of sqrt(3))
+    a, b = map(Fraction, p)
+    return (a - b / 2, Fraction(0)), (Fraction(0), b / 2)
+
+
+def _report_point(p):
+    # the report's exact point of a pair, as x and y / sqrt(3)
+    xn, xd, yn, yd = geometry._cartesian_terms(p)
+    return Fraction(xn, xd), Fraction(yn, yd)
+
+
+def _frame_lambdas(g, frame):
+    # each edge's scalar lam with position difference = lam * direction
+    lams = []
+    for (u, v), q in zip(g.sorted_edges, frame.directions):
+        delta = v_sub(frame.positions[u], frame.positions[v])
+        assert q != (0, 0) and cross(delta, q) == 0
+        lams.append(delta[0] / q[0] if q[0] else delta[1] / q[1])
+    return lams
+
+
+def _sympy_point(p):
+    # the Cartesian point of a pair in sympy numbers
     sympy = pytest.importorskip("sympy")
-    return sympy.Rational(x.a.numerator, x.a.denominator) + sympy.Rational(
-        x.b.numerator, x.b.denominator
-    ) * sympy.sqrt(3)
+    return tuple(
+        sympy.Rational(a.numerator, a.denominator)
+        + sympy.Rational(b.numerator, b.denominator) * sympy.sqrt(3)
+        for a, b in _cartesian(p)
+    )
 
 
 def _sympy_rotate(p):
-    # the Cartesian rotation by 120 degrees of a Q(sqrt 3) point, in sympy
+    # the Cartesian rotation by 120 degrees of a sympy point
     sympy = pytest.importorskip("sympy")
     c, s = sympy.Rational(-1, 2), sympy.sqrt(3) / 2
-    x, y = map(_sympy, p)
+    x, y = p
     return (c * x - s * y, s * x + c * y)
 
 
@@ -104,10 +126,10 @@ def _sympy_cartesian_rank(g, placement):
 
     def element(x):
         # a + b*sqrt(3), built from its coefficients, sqrt(3) first
-        a, b = (sympy.QQ(c.numerator, c.denominator) for c in (x.a, x.b))
+        a, b = (sympy.QQ(c.numerator, c.denominator) for c in x)
         return q_sqrt3([b, a])
 
-    cart = [tuple(map(element, p)) for p in map(from_omega, placement.positions)]
+    cart = [tuple(map(element, p)) for p in map(_cartesian, placement.positions)]
     rows = []
     for u, v in g.sorted_edges:
         row = [q_sqrt3.zero] * (2 * g.n)
@@ -316,9 +338,9 @@ def test_pair_placements_rank_and_rotate_like_their_cartesian_points(index, seed
     if nudge:
         (a, b), *rest = placement.positions
         placement = Placement(((a + 1, b),) + tuple(rest))
-    cart = [from_omega(p) for p in placement.positions]
+    cart = [_sympy_point(p) for p in placement.positions]
     rotates = all(
-        _same_sympy_point(tuple(map(_sympy, cart[sg.action.gamma[v]])), _sympy_rotate(cart[v]))
+        _same_sympy_point(cart[sg.action.gamma[v]], _sympy_rotate(cart[v]))
         for v in range(sg.graph.n)
     )
     assert placement_is_symmetric(sg, placement) == rotates == (not nudge)
@@ -337,8 +359,8 @@ def test_placement_rank_matches_the_rigidity_matrix_on_acceptance_corpus():
 
 @given(st.tuples(small_rationals, small_rationals))
 def test_pair_rotation_is_the_cartesian_product(p):
-    rotated = tuple(map(_sympy, from_omega(rotate_omega(p))))
-    assert _same_sympy_point(rotated, _sympy_rotate(from_omega(p)))
+    rotated = _sympy_point(rotate_omega(p))
+    assert _same_sympy_point(rotated, _sympy_rotate(_sympy_point(p)))
     assert rotate_omega(rotate_omega(rotate_omega(p))) == p
 
 
@@ -361,7 +383,7 @@ def test_prism_frame_parks_two_joints_per_corner():
     sg = prism()
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    frame_lambdas(sg.graph, frame)  # the defining scalar exists per edge
+    _frame_lambdas(sg.graph, frame)  # the defining scalar exists per edge
     for corner in E_POINTS:
         assert sum(1 for p in frame.positions if p == corner) == 2
     assert exact_rank(generalized_rigidity_matrix(sg.graph, frame)) == 9
@@ -409,14 +431,14 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
             tried.append(p)
             yield p
 
-    def ranked_round(*args, **kwargs):
-        # only the candidates of the round that falls back to ranking count
+    def last_round(*args, **kwargs):
+        # only the candidates of the last call, the round that runs out, count
         tried.clear()
         return pull_apart(*args, **kwargs)
 
     monkeypatch.setattr(geometry, "_t_candidates", counted)
-    monkeypatch.setattr(geometry, "pull_apart", ranked_round)
-    # every round loses rank, in the offline pass as in a ranked round
+    monkeypatch.setattr(geometry, "pull_apart", last_round)
+    # every round loses rank in the offline pass, at every t
     monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
     with pytest.raises(ExhaustedT):
         pull_apart_fully(sg, tp, frame)
@@ -468,7 +490,7 @@ def test_scaling_rows_by_lambda_gives_rigidity_matrix():
     sg = prism()
     tp = _certified_partition(sg)
     frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
-    lams = frame_lambdas(sg.graph, frame)
+    lams = _frame_lambdas(sg.graph, frame)
     assert all(lams)
     # each row is built up to a positive scale, so the rows agree up to
     # the sign of their edge's scalar
@@ -495,8 +517,8 @@ def test_frame_placements_match_their_pinned_digest():
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
         frame, rounds = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
-        positions = framework_from_frame(sg, frame).cartesian
-        exact = [[x.as_json_dict(), y.as_json_dict()] for x, y in positions]
+        placement = framework_from_frame(sg, frame)
+        exact = [[e["x"], e["y"]] for e in cli._placement_json(placement)["exact"]]
         digest.update(json.dumps({"rounds": rounds, "exact": exact}, sort_keys=True).encode())
     assert digest.hexdigest() == FRAME_PLACEMENT_DIGEST
 
@@ -556,28 +578,36 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
 
 
 def _ranked_rounds(sg, tp, frame):
-    # the separation ranked round by round, with no speculation
+    # the separation ranked round by round, with no speculation and no
+    # offline pass: each round takes, on a copy of the live state, the first
+    # collision-free t past k skipped ones whose rows keep full rank
+    g = sg.graph
     live = geometry._LiveFrame.read(sg, tp, frame)
     rounds = 0
     while live.coincident:
         rounds += 1
-        assert rounds <= sg.graph.n
-        geometry.pull_apart(sg, tp, live)
-    return live.frame(sg.graph, frame), rounds
+        assert rounds <= g.n
+        for k in itertools.count():
+            trial = copy.deepcopy(live)
+            geometry.pull_apart(sg, tp, trial, k)
+            if geometry.exact_rank(geometry._pair_matrix(g, trial.dirs)) == g.m:
+                break
+        live = trial
+    return live.frame(g, frame), rounds
 
 
 def test_speculative_separation_matches_ranking_every_round(monkeypatch):
     # Where the offline pass finds a round short of full rank, the
-    # separation takes that round back and reruns it ranked; the digest's
-    # graphs do so at n = 12, 15 and 120. Every graph ends as the ranked
-    # loop ends.
+    # separation takes that round back and speculates again from its next
+    # collision-free t; the digest's graphs do so at n = 12, 15 and 120.
+    # Every graph ends as the ranked loop ends.
     restarted = []
     pull_apart = geometry.pull_apart
 
-    def counted(sg, tp, live, skip=0, ranked=True):
+    def counted(sg, tp, live, skip=0):
         if skip:
             restarted.append(sg.graph.n)
-        return pull_apart(sg, tp, live, skip, ranked)
+        return pull_apart(sg, tp, live, skip)
 
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
@@ -638,15 +668,15 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     # A speculative round may fail only because an earlier round lost rank
     # and left a wrong state. With round 2 short of full rank at its first
     # t and a failure at the fourth speculative round, rounds 1-3 are ranked
-    # first, round 2 reruns ranked past that t and speculation goes on from
-    # round 3, ending as the ranked loop ends with the same deficit.
+    # first, and speculation goes on from round 2 at its next t, ending as
+    # the ranked loop ends with the same deficit.
     sg = fast_tight_symgraph(0, 45)
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
     unplanted = _ranked_rounds(sg, tp, frame)
     live = geometry._LiveFrame.read(sg, tp, frame)
     geometry.pull_apart(sg, tp, live)
-    geometry.pull_apart(sg, tp, live, ranked=False)
+    geometry.pull_apart(sg, tp, live)
     planted = _rows_key(geometry._pair_matrix(sg.graph, live.dirs))
     rank, offline, plan, pull_apart = (
         geometry.exact_rank, geometry._round_pivots, geometry._plan, geometry.pull_apart
@@ -666,10 +696,10 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
             raise InternalInvariantBroken("planted")
         return plan(*args)
 
-    def counted(sg, tp, live, skip=0, ranked=True):
+    def counted(sg, tp, live, skip=0):
         if skip:
             restarted.append(len(live.members))
-        return pull_apart(sg, tp, live, skip, ranked)
+        return pull_apart(sg, tp, live, skip)
 
     monkeypatch.setattr(geometry, "exact_rank", planted_rank)
     expected = _ranked_rounds(sg, tp, frame)
@@ -678,9 +708,46 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     monkeypatch.setattr(geometry, "_plan", failing_plan)
     monkeypatch.setattr(geometry, "pull_apart", counted)
     assert pull_apart_fully(sg, tp, frame) == expected
-    assert asked[:2] == [(1, 3), (3, expected[1])]
+    assert asked[:2] == [(1, 3), (2, expected[1])]
     # three classes at the start and three more per round: round 2 reran
     assert restarted == [6]
+
+
+def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
+    # With round 2 short of full rank at its first two collision-free t,
+    # the separation redoes it past one and then past two of them, and ends
+    # as the ranked loop ends. A skip that started again at one would find
+    # the second t short for ever; the call bound turns that into a failure.
+    sg = fast_tight_symgraph(0, 45)
+    g = sg.graph
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
+    live = geometry._LiveFrame.read(sg, tp, frame)
+    geometry.pull_apart(sg, tp, live)
+    planted = []
+    for k in range(2):
+        trial = copy.deepcopy(live)
+        geometry.pull_apart(sg, tp, trial, k)
+        planted.append(_rows_key(geometry._pair_matrix(g, trial.dirs)))
+    rank, pull_apart = geometry.exact_rank, geometry.pull_apart
+    calls, skipped = [], []
+
+    def planted_rank(matrix):
+        return matrix.rows - 1 if _rows_key(matrix) in planted else rank(matrix)
+
+    def counted(sg, tp, live, skip=0):
+        calls.append(skip)
+        assert len(calls) <= 4 * g.n, "the skip did not advance"
+        if skip:
+            skipped.append((len(live.members), skip))
+        return pull_apart(sg, tp, live, skip)
+
+    monkeypatch.setattr(geometry, "exact_rank", planted_rank)
+    expected = _ranked_rounds(sg, tp, frame)
+    monkeypatch.setattr(geometry, "pull_apart", counted)
+    assert pull_apart_fully(sg, tp, frame) == expected
+    # three classes at the start and three more per round: round 2, twice
+    assert skipped == [(6, 1), (6, 2)]
 
 
 def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
@@ -805,13 +872,11 @@ def test_generic_and_combinatorial_verdicts_agree():
 
 def test_omega_pairs_commute_with_the_rotation():
     h = Fraction(1, 2)
-    assert [from_omega(p) for p in E_POINTS] == [(q(0), q(0)), (q(1), q(0)), (q(h), q(0, h))]
-    assert [from_omega(d) for d in TREE_DIRECTIONS] == [
-        (q(-h), q(0, h)), (q(-h), q(0, -h)), (q(1), q(0))
-    ]
+    assert [_report_point(p) for p in E_POINTS] == [(0, 0), (1, 0), (h, h)]
+    assert [_report_point(d) for d in TREE_DIRECTIONS] == [(-h, h), (-h, -h), (1, 0)]
     for p in E_POINTS + TREE_DIRECTIONS:
-        rotated = tuple(map(_sympy, from_omega(rotate_omega(p))))
-        assert _same_sympy_point(rotated, _sympy_rotate(from_omega(p)))
+        rotated = _sympy_point(rotate_omega(p))
+        assert _same_sympy_point(rotated, _sympy_rotate(_sympy_point(p)))
     rng = random.Random(3)
     for _ in range(50):
         a, b = [
@@ -819,16 +884,17 @@ def test_omega_pairs_commute_with_the_rotation():
              Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
             for _ in range(2)
         ]
-        rotated = tuple(map(_sympy, from_omega(rotate_omega(a))))
-        assert _same_sympy_point(rotated, _sympy_rotate(from_omega(a)))
+        rotated = _sympy_point(rotate_omega(a))
+        assert _same_sympy_point(rotated, _sympy_rotate(_sympy_point(a)))
         assert rotate_omega(rotate_omega(rotate_omega(a))) == a
         # linear, so a placement may be recentred before or after converting
         c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        assert from_omega(v_add(a, v_scale(c, b))) == tuple(
-            QSqrt3(x.a + c * y.a, x.b + c * y.b) for x, y in zip(from_omega(a), from_omega(b))
+        assert _report_point(v_add(a, v_scale(c, b))) == tuple(
+            x + c * y for x, y in zip(_report_point(a), _report_point(b))
         )
+        assert _report_point(a) == (a[0] - a[1] / 2, a[1] / 2)
     # integer pairs convert like the same Fractions
-    assert from_omega((3, -5)) == from_omega(pair(3, -5)) == (q(Fraction(11, 2)), q(0, Fraction(-5, 2)))
+    assert _report_point((3, -5)) == _report_point(pair(3, -5)) == (Fraction(11, 2), Fraction(-5, 2))
 
 
 def _cartesian_rank(g, frame):
@@ -836,10 +902,10 @@ def _cartesian_rank(g, frame):
     # Cartesian directions, through the regular representation
     # a + b*sqrt(3) -> [[a, 3b], [b, a]], a rational matrix of twice that rank
     rows = []
-    for (u, v), d in zip(g.sorted_edges, map(from_omega, frame.directions)):
+    for (u, v), d in zip(g.sorted_edges, map(_cartesian, frame.directions)):
         top, bottom = [0] * (4 * g.n), [0] * (4 * g.n)
-        for k, x in enumerate(d):
-            for col, a, b in ((2 * u + k, x.a, x.b), (2 * v + k, -x.a, -x.b)):
+        for k, (xa, xb) in enumerate(d):
+            for col, a, b in ((2 * u + k, xa, xb), (2 * v + k, -xa, -xb)):
                 top[2 * col], top[2 * col + 1] = a, 3 * b
                 bottom[2 * col], bottom[2 * col + 1] = b, a
         rows += [top, bottom]

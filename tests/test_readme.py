@@ -2,9 +2,10 @@
 from __future__ import annotations
 
 import re
+from fractions import Fraction
 from pathlib import Path
 
-from c3rig.geometry import from_omega
+from c3rig.geometry import _cartesian_terms
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,4 +23,8 @@ def test_readme_library_snippet_runs(monkeypatch):
     exec(compile(_library_snippet(), "README.md", "exec"), names)
     assert names["verdict"].isostatic and names["rank"].isostatic
     assert all(type(c) is int for c in (names["a"], names["b"]))
-    assert (names["x"], names["y"]) == from_omega((names["a"], names["b"]))
+    # the snippet's comment gives the point's Cartesian coordinates
+    a, b = names["a"], names["b"]
+    assert "x = a - b/2, y = (b/2)*sqrt(3)" in _library_snippet()
+    xn, xd, yn, yd = _cartesian_terms((a, b))
+    assert (Fraction(xn, xd), Fraction(yn, yd)) == (a - Fraction(b, 2), Fraction(b, 2))
