@@ -135,11 +135,12 @@ def _decide(
         raise TooFewVertices(f"need at least 3 vertices, got {sg.graph.n}")
     if sparsity is None:
         sparsity = pebble_sparsity(sg.graph)
-    return _c3_verdict(act, sparsity), sparsity
+    return _c3_verdict(act.fixed_vertices(), sparsity), sparsity
 
 
-def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
-    """The verdict from the graph's sparsity report and its rotation."""
+def _c3_verdict(fixed: tuple[int, ...], report: SparsityReport) -> C3Verdict:
+    """The verdict from the graph's sparsity report and the vertices its
+    rotation fixes."""
     reasons: list[str] = []
     witness: tuple[int, ...] | int | None = None
     if report.edge_count != report.target:
@@ -147,7 +148,6 @@ def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
     if not report.is_sparse:
         reasons.append("subgraph_sparsity")
         witness = report.witness
-    fixed = act.fixed_vertices()
     if fixed:
         reasons.append("fixed_vertex")
         if witness is None:

@@ -12,13 +12,16 @@ P, some of them eliminated already, plus a way to build its sparse integer
 rows. ``exact_rank`` first proves full rank through that image mod P (a ring
 homomorphism, so the rank mod P never exceeds the exact rank), full meaning
 the smaller side or a known ceiling on the rank; only a deficit mod P builds
-the integer rows, for exact fraction-free elimination. ``_round_pivots``
-eliminates a whole sequence of matrices that share most of their rows.
+the integer rows, for exact fraction-free elimination. The image may also be
+two blocks mod P whose ranks bound the exact rank from below, one of them
+counted twice: ``_orbit_rows`` builds them for a rigidity matrix with a
+3-fold rotation. ``_round_pivots`` eliminates a whole sequence of
+matrices that share most of their rows.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,6 +31,9 @@ from fractions import Fraction
 # a primitive cube root of unity in F_P. bench/checker.py ranks reports mod
 # other primes, so its check stays independent of this one.
 _P = 1073741719
+# A primitive cube root of unity mod P: the image of w in the prime (P, w - _W)
+# of Z[w] that ``_orbit_rows`` reduces modulo.
+_W = next(w for w in (pow(g, (_P - 1) // 3, _P) for g in range(2, _P)) if w != 1)
 
 
 def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
@@ -74,6 +80,82 @@ def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]
                 else:
                     del row[c]
     return found
+
+
+def _orbit_rows(
+    edges: Sequence[tuple[int, int]],
+    pairs: Sequence[tuple[Fraction, Fraction]],
+    gamma: Sequence[int],
+    place: Sequence[int],
+) -> list[dict[int, int]] | None:
+    """The rows mod P of the orbit blocks B0 and B1 of a symmetric
+    rigidity matrix M: r0 + 2 r1, their ranks, bound M's rank from below.
+
+    M has a row per edge (u, v), the edge's pair at u's column pair and its
+    negative at v's (``geometry._pair_matrix``), ``pairs`` being position
+    differences of a placement symmetric under the rotation ``gamma``,
+    which fixes no vertex. Write a pair (s, t) as the complex number
+    d = s + t*w, w = exp(2 pi i/3), and a velocity at v as z_v. The row
+    says Re(conj(d) (z_u - z_v)) = 0, or conj(d) (x_u - x_v) +
+    d (y_u - y_v) = 0 in the 2n coordinates x = z and y = conj(z), an
+    invertible change of columns over C: this matrix R has the rank of M.
+    As p(gamma v) = w p(v), the row of gamma e holds +-w d. A motion of
+    phase lam in {1, w, w^2} has x(gamma v) = lam w x(v) and
+    y(gamma v) = lam conj(w) y(v); C^2n is the sum of the three phase
+    spaces, each with the coordinates x_r, y_r of one vertex r per orbit.
+    On the phase space of lam the row of gamma e is +-lam times that of e,
+    so R maps the three into independent spaces and rank R is the sum of
+    the ranks of the blocks B(lam): one row per edge orbit, where
+    u = gamma^a r puts conj(d) (lam w)^a and d (lam conj(w))^a at r's x and
+    y, and v their negatives at its orbit's. B(w^2) is the conjugate of
+    B(w) with its x and y columns swapped, so over Q(w),
+    rank M = rank B(1) + 2 rank B(w).
+
+    P = 1 (mod 3) splits in Z[w]: modulo the prime (P, w - _W), Z[w] is F_P
+    with w at ``_W`` and conj(d) = s + t*w^2 at s + t*_W^2. That is a ring
+    homomorphism, so B(1) and B(w) lose rank there, if anything: r0 + 2 r1
+    is at most rank M. B0 = B(1) and B1 = B(w) have the orbits' column
+    pairs in the order of their vertices' ``place``, B1's from 2n/3 on.
+    B(w^2) is left out on purpose: the bound needs only B(w), and ranking it
+    as well would add a third of the work for the rare placement where
+    r0 + r1 + r2 reaches full rank mod P and r0 + 2 r1 does not. None when
+    a pair has no image.
+    """
+    n = len(gamma)
+    w = (1, _W, _W * _W % _P)
+    orbit, power, count = [-1] * n, [0] * n, 0
+    for r in sorted(range(n), key=place.__getitem__):
+        if orbit[r] < 0:
+            for a, x in enumerate((r, gamma[r], gamma[gamma[r]])):
+                orbit[x], power[x] = count, a
+            count += 1
+    # per vertex gamma^a r and block, the x and y columns of r's orbit and
+    # the powers (lam w)^a and (lam conj(w))^a that conj(d) and d take there
+    spots = [
+        (
+            (2 * o, w[a], 2 * o + 1, w[2 * a % 3]),
+            (2 * (count + o), w[2 * a % 3], 2 * (count + o) + 1, 1),
+        )
+        for o, a in zip(orbit, power)
+    ]
+    inverses: dict[int, int] = {}
+    rows = []
+    for (u, v), (s, t) in zip(edges, pairs):
+        ou, ov, a, b = orbit[u], orbit[v], power[u], power[v]
+        # one edge per edge orbit: the one through its first vertex orbit's r
+        if not (a == 0 if ou < ov else b == 0 if ov < ou else a + b == 1):
+            continue
+        s, t = _residue(s, inverses), _residue(t, inverses)
+        if s is None or t is None:
+            return None
+        d, dc = (s + t * w[1]) % _P, (s + t * w[2]) % _P
+        for (xu, mu, yu, nu), (xv, mv, yv, nv) in zip(spots[u], spots[v]):
+            if ou != ov:
+                row = {xu: dc * mu % _P, yu: d * nu % _P, xv: -dc * mv % _P, yv: -d * nv % _P}
+            else:
+                row = {xu: dc * (mu - mv) % _P, yu: d * (nu - nv) % _P}
+            rows.append({c: x for c, x in row.items() if x} if 0 in row.values() else row)
+    return rows
 
 
 def _round_pivots(
@@ -132,6 +214,11 @@ class PartialElimination:
     ``integer_rows`` gives its rows, each times a nonzero rational, as
     sparse integer rows, which ``exact_rank`` asks for only on a deficit
     mod P.
+
+    With ``twice_from`` set, ``pivots`` and ``rest`` are not the matrix's
+    rows but two blocks, the second in the columns from ``twice_from`` on,
+    chosen so that the first block's rank plus twice the second's is at
+    most the matrix's rank; ``modular_rank`` counts that sum.
     """
 
     rows: int
@@ -139,20 +226,25 @@ class PartialElimination:
     pivots: dict[int, dict[int, int]] | None
     rest: list[dict[int, int]] | None
     integer_rows: Callable[[], list[dict[int, int]]]
+    twice_from: int | None = None
 
     def modular_rank(self) -> int | None:
+        """A lower bound on the exact rank, or None when an entry has no image."""
         if self.pivots is None or self.rest is None:
             return None
-        return len(self.pivots) + _eliminate(self.rest, self.pivots)
+        rank = len(self.pivots) + _eliminate(self.rest, self.pivots)
+        if self.twice_from is not None:
+            rank += sum(c >= self.twice_from for c in self.pivots)
+        return rank
 
 
 def exact_rank(m: PartialElimination, ceiling: int | None = None) -> int:
     """Rank over Q, with no tolerance.
 
-    Full rank is proven through the image mod P: the map is a ring
-    homomorphism, so every minor maps to the image of that minor and the
-    rank mod P never exceeds the exact rank. When it reaches min(rows,
-    cols, ceiling) that is the rank; ``ceiling`` is an upper bound on the
+    Full rank is proven through ``modular_rank``, which never exceeds the
+    exact rank: reduction mod P is a ring homomorphism, so every minor maps
+    to the image of that minor. When it reaches min(rows, cols, ceiling)
+    that is the rank; ``ceiling`` is an upper bound on the
     rank the caller knows from elsewhere, such as 2n - 3 for the rigidity
     matrix of n joints that are not all coincident. A lower rank mod P
     proves nothing, so it (and an entry with no image mod P) falls back to

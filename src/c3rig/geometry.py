@@ -19,8 +19,10 @@ are provided.
   round mod P, sharing the rows that rounds have in common.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
-deficit. A point reaches Cartesian coordinates only in a report or drawing,
-through ``_cartesian_terms``.
+deficit; the rank of a placement symmetric under a rotation that fixes no
+vertex is proven through two orbit blocks mod P (``field._orbit_rows``). A
+point reaches Cartesian coordinates only in a report or drawing, through
+``_cartesian_terms``.
 """
 from __future__ import annotations
 
@@ -47,11 +49,12 @@ from .errors import (
 from .field import (
     PartialElimination,
     _P,
+    _orbit_rows,
     _residue,
     _round_pivots,
     exact_rank,
 )
-from .graphs import Graph, SymGraph
+from .graphs import C3Action, Graph, SymGraph
 from .pebble import SparsityReport
 from .trees import TreePartition, verify_tree_partition
 
@@ -111,9 +114,11 @@ class Placement:
 
 def placement_is_symmetric(sg: SymGraph, placement: Placement) -> bool:
     """Positions of rotated vertices equal rotated positions, exactly."""
-    act = sg.require_action()
-    pos = placement.positions
-    return all(pos[act.gamma[v]] == rotate_omega(pos[v]) for v in range(sg.graph.n))
+    return _rotates_with(sg.require_action(), placement.positions)
+
+
+def _rotates_with(act: C3Action, pos: Sequence[Pair]) -> bool:
+    return all(pos[act.gamma[v]] == rotate_omega(pos[v]) for v in range(act.n))
 
 
 # Generic draws take |a|, |b| <= GENERIC_BOUND.
@@ -161,11 +166,27 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
     raise ExhaustedRetries("100 draws all produced a coincident edge")
 
 
-def rigidity_matrix(g: Graph, placement: Placement) -> PartialElimination:
+def rigidity_matrix(
+    g: Graph, placement: Placement, action: C3Action | None = None
+) -> PartialElimination:
     """``_pair_matrix`` of the edges' position differences, which has the
-    rank of the Cartesian rigidity matrix."""
+    rank of the Cartesian rigidity matrix. Given the rotation ``action``
+    of a placement that is symmetric under it, with no vertex fixed, its
+    rows mod P are two orbit blocks (see ``field._orbit_rows``).
+
+    The positions are first put over one common denominator and taken as
+    integer pairs, which scales every row by it and keeps the rank, so the
+    differences, the symmetry test and the images mod P do no rational
+    arithmetic.
+    """
     pos = placement.positions
-    return _pair_matrix(g, [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges])
+    scale = math.lcm(*(x.denominator for p in pos for x in p))
+    if scale != 1:
+        pos = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
+               for x, y in pos]
+    if action is not None and (action.fixed_vertices() or not _rotates_with(action, pos)):
+        action = None
+    return _pair_matrix(g, [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges], action)
 
 
 @dataclass(frozen=True)
@@ -193,9 +214,10 @@ class RankVerdict:
 def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     """Isostatic iff the edge count and the exact rank both hit 2n - 3.
 
-    The rank is ``exact_rank`` of ``rigidity_matrix``, built once: its
-    exact rows are built only when its image mod P falls short of
-    min(m, 2n - 3) or a difference has no image.
+    The rank is ``exact_rank`` of ``rigidity_matrix``, built once and
+    given the rotation, so a symmetric placement is ranked through its
+    orbit blocks mod P: its exact rows are built only when that bound falls
+    short of min(m, 2n - 3) or a difference has no image.
     """
     g = sg.graph
     n = g.n
@@ -211,7 +233,7 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     # Joints not all collinear are not all coincident, so the trivial
     # motions cap the rank at 2n - 3 even when there are more bars.
     target = 2 * n - 3
-    rank = exact_rank(rigidity_matrix(g, placement), target)
+    rank = exact_rank(rigidity_matrix(g, placement, sg.action), target)
     return RankVerdict(
         isostatic=g.m == target and rank == target,
         independent=rank == g.m,
@@ -346,7 +368,9 @@ def _exact_rows(ends: list[tuple[int, int]], pairs: Iterable[Pair]) -> list[dict
     return [_row(*e, _primitive(q), 0) for e, q in zip(ends, pairs)]
 
 
-def _pair_matrix(g: Graph, pairs: Sequence[Pair]) -> PartialElimination:
+def _pair_matrix(
+    g: Graph, pairs: Sequence[Pair], act: C3Action | None = None
+) -> PartialElimination:
     """The generalized rigidity matrix: one row per sorted edge (u, v), its
     pair at u's column pair, negated at v's, with the vertices' column pairs
     in ``_degree_order``. The package's one matrix builder.
@@ -357,15 +381,23 @@ def _pair_matrix(g: Graph, pairs: Sequence[Pair]) -> PartialElimination:
     which is invertible: the two have the same rank. A rigidity matrix is
     the case where each pair is the edge's position difference. Its rows
     mod P come from ``_pair_image`` and ``_row`` (None when a pair has no
-    image); ``_exact_rows`` builds its rows over the integers, each up to
-    scale, only when ``exact_rank`` asks for them.
+    image), or, given a rotation ``act`` that fixes no vertex and under
+    which the pairs are those of a symmetric placement, from
+    ``field._orbit_rows``; ``_exact_rows`` builds its rows over the
+    integers, each up to scale, only when ``exact_rank`` asks for them.
     """
     place = _degree_order(g)
     ends = [(place[u], place[v]) for u, v in g.sorted_edges]
-    inverses: dict[int, int] = {}
-    images = [_pair_image(q, inverses) for q in pairs]
-    rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
-    return PartialElimination(g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, pairs))
+    twice_from = None
+    if act is None:
+        inverses: dict[int, int] = {}
+        images = [_pair_image(q, inverses) for q in pairs]
+        rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
+    else:
+        rows, twice_from = _orbit_rows(g.sorted_edges, pairs, act.gamma, place), 2 * g.n // 3
+    return PartialElimination(
+        g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, pairs), twice_from
+    )
 
 
 def _degree_order(g: Graph) -> list[int]:

@@ -51,6 +51,8 @@ class Graph:
             if u == v:
                 raise LoopOrDuplicateEdge(f"loop at vertex {u}")
             if not (0 <= u < v < self.n):
+                if 0 <= v < u < self.n:
+                    raise SchemaError(f"edge ({u}, {v}) is not sorted: store it as ({v}, {u})")
                 raise SchemaError(f"edge ({u}, {v}) out of range for n={self.n}")
 
     @property
@@ -90,7 +92,7 @@ class C3Action:
         object.__setattr__(self, "gamma", gamma)
         seen = [False] * n
         for img in gamma:
-            if not isinstance(img, int) or not 0 <= img < n or seen[img]:
+            if type(img) is not int or not 0 <= img < n or seen[img]:
                 raise NotAPermutation(f"{list(gamma)} is not a permutation of 0..{n - 1}")
             seen[img] = True
         g2 = tuple(gamma[gamma[i]] for i in range(n))
@@ -151,16 +153,23 @@ class FixedCounts:
     b: int
 
 
-def count_fixed(sg: SymGraph) -> FixedCounts:
+def count_fixed(sg: SymGraph, fixed: tuple[int, ...] | None = None) -> FixedCounts:
     """Count fixed vertices (j) and fixed edges (b) of the action.
 
     An order-3 permutation cannot swap an edge's endpoints, so a fixed edge
-    has both endpoints fixed; in particular j = 0 forces b = 0.
+    has both endpoints fixed: with j < 2 there is none, and otherwise only
+    the edges among the fixed vertices are counted. A given ``fixed`` must
+    be ``fixed_vertices()`` of the action; it is used instead of finding
+    them again.
     """
     act = sg.require_action()
-    j = len(act.fixed_vertices())
-    b = sum(1 for e in sg.graph.edges if act.map_edge(e) == e)
-    return FixedCounts(j=j, b=b)
+    if fixed is None:
+        fixed = act.fixed_vertices()
+    b = 0
+    if len(fixed) >= 2:
+        gamma = act.gamma
+        b = sum(1 for u, v in sg.graph.edges if gamma[u] == u and gamma[v] == v)
+    return FixedCounts(j=len(fixed), b=b)
 
 
 def relabel_symgraph(sg: SymGraph, perm: tuple[int, ...]) -> SymGraph:
@@ -212,13 +221,9 @@ def parse_graph(document: str | bytes | dict) -> SymGraph:
         raise SchemaError("'edges' must be a list of pairs")
     edges: set[Edge] = set()
     for item in raw_edges:
-        if (
-            not isinstance(item, (list, tuple))
-            or len(item) != 2
-            or any(type(x) is not int for x in item)
-        ):
+        u, v = item if isinstance(item, (list, tuple)) and len(item) == 2 else (None, None)
+        if type(u) is not int or type(v) is not int:
             raise SchemaError(f"edge entry {item!r} is not a pair of integers")
-        u, v = item
         if not (0 <= u < n and 0 <= v < n):
             raise SchemaError(f"edge {item!r} out of range for n={n}")
         if u == v:

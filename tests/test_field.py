@@ -12,7 +12,7 @@ from c3rig import (
     symmetric_generic_positions,
 )
 from c3rig import field
-from c3rig.field import _P, PartialElimination
+from c3rig.field import _P, _W, PartialElimination
 from tests.corpus import (
     acceptance_corpus,
     k3,
@@ -161,6 +161,7 @@ def test_modular_prime(monkeypatch):
     assert _is_prime(_P)
     # one CPython digit, and a cube root of unity in F_P: the largest such prime
     assert _P < 2**30 and _P % 3 == 1
+    assert _W != 1 and pow(_W, 3, _P) == 1
     assert not any(_is_prime(k) for k in range(_P + 3, 2**30, 3))
     # the benchmark checks realize reports by rank mod its own primes; a
     # different prime here keeps that check independent of exact_rank
@@ -256,6 +257,15 @@ def test_partial_elimination_falls_back_on_a_deficit_or_a_missing_image():
     assert exact_rank(deficient) == 2
     assert exact_rank(PartialElimination(2, 2, None, [], m.integer_rows)) == 2
     assert exact_rank(PartialElimination(2, 2, {}, None, m.integer_rows)) == 2
+
+
+def test_pivots_from_twice_from_on_count_twice():
+    # pivots in columns 0 and 2; the one from column 2 on counts twice, a
+    # bound of 3 on the rank that proves full rank only for a matrix of 3
+    rows = [{0: 1, 1: 2}, {2: 5}]
+    m = PartialElimination(3, 4, {}, [dict(r) for r in rows], lambda: [], twice_from=2)
+    assert m.modular_rank() == 3 and m.modular_rank() == 3
+    assert PartialElimination(2, 4, {}, [dict(r) for r in rows], lambda: []).modular_rank() == 2
 
 
 def test_exact_rank_matches_exact_elimination_on_acceptance_corpus():

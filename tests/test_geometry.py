@@ -21,13 +21,14 @@ from c3rig import (
     frame_from_partition,
     framework_from_frame,
     numeric_isostatic_check,
+    parse_graph,
     pull_apart_fully,
     relabel_partition,
     rigidity_matrix,
     symmetric_generic_positions,
 )
 from c3rig import cli, field, geometry
-from c3rig.field import _P
+from c3rig.field import _P, _W
 from c3rig.errors import (
     CoincidentAdjacentJoints,
     DegenerateSpan,
@@ -51,12 +52,14 @@ from c3rig.geometry import (
     v_scale,
     v_sub,
 )
+from c3rig.graphs import edge_orbit
 from c3rig.trees import TreePartition
 from tests.corpus import (
     acceptance_corpus,
     fast_tight_symgraph,
     k13_hub,
     k3,
+    k33,
     octahedron,
     perturb_edge_swap,
     prism,
@@ -293,7 +296,8 @@ def _prism_at(inner, outer):
 
 # the bars 0-3, 1-4, 2-5 lie on three lines through the origin
 _CONCURRENT = _prism_at(pair(Fraction(3, 7), Fraction(-2, 5)), pair(Fraction(6, 7), Fraction(-4, 5)))
-# a coordinate with denominator P has no image mod P
+# a coordinate with denominator P: it has no image mod P, and over the common
+# denominator, which P divides, every other coordinate maps to 0 mod P
 _NO_IMAGE = _prism_at(pair(Fraction(1, _P), Fraction(2, 5)), pair(Fraction(3, 7), Fraction(-5, 11)))
 
 
@@ -305,6 +309,144 @@ def test_concurrent_prism_bars_reach_exact_elimination(monkeypatch):
     assert (verdict.rank, verdict.flex_dim) == (8, 1)
     assert not verdict.isostatic and not verdict.independent
     assert len(calls) == 1
+
+
+def _block_ranks(sg, placement):
+    # the ranks mod P of the orbit blocks of phases 1, w and w^2, built from
+    # scratch with other choices than geometry's: each orbit's smallest
+    # vertex r, each edge orbit's smallest edge, the columns by label, and
+    # each joint's point as z = s + t*W beside its conjugate s + t*W^2
+    act, g = sg.action, sg.graph
+    w = (1, _W, _W * _W % _P)
+    inverses = {}
+    z = []
+    for p in placement.positions:
+        s, t = (field._residue(Fraction(x), inverses) for x in p)
+        z.append(((s + t * w[1]) % _P, (s + t * w[2]) % _P))
+    rep = [min(act.orbit(v)) for v in range(g.n)]
+    power = [act.orbit(rep[v]).index(v) for v in range(g.n)]
+    ranks = []
+    for phase in range(3):
+        rows = []
+        for u, v in g.sorted_edges:
+            if (u, v) != min(edge_orbit((u, v), act.gamma)):
+                continue
+            d, dc = ((z[u][k] - z[v][k]) % _P for k in (0, 1))
+            row = {}
+            for x, sign in ((u, 1), (v, -1)):
+                a = power[x]
+                for col, value in (
+                    (2 * rep[x], dc * w[(phase + 1) * a % 3]),
+                    (2 * rep[x] + 1, d * w[(phase + 2) * a % 3]),
+                ):
+                    row[col] = (row.get(col, 0) + sign * value) % _P
+            rows.append({c: x for c, x in row.items() if x})
+        ranks.append(field._eliminate(rows, {}))
+    return ranks
+
+
+def _realize_generic_graphs():
+    # the benchmark's 40 fixed realize_generic graphs at n = 48
+    from bench import gen
+
+    rng = random.Random("realize_generic:corpus")
+    return [parse_graph(gen.make_graph(rng, "tight", 48)) for _ in range(40)]
+
+
+def _package_block_ranks(sg, placement):
+    # geometry's r0 and r1, read off the pivots of its two blocks, whose
+    # modular_rank is r0 + 2 r1
+    m = rigidity_matrix(sg.graph, placement, sg.action)
+    assert m.twice_from == 2 * sg.graph.n // 3
+    rank = m.modular_rank()
+    r0 = sum(c < m.twice_from for c in m.pivots)
+    r1 = len(m.pivots) - r0
+    assert rank == r0 + 2 * r1
+    return r0, r1
+
+
+def _small_symmetric_placements(count):
+    # orbit points with coordinates in -2..2, often special: blocks short of
+    # full rank in one phase or another, and coincident or collinear joints
+    graphs = [prism(), k33(), octahedron()] + list(acceptance_corpus()[:50:5])
+    rng = random.Random(12)
+    for _ in range(count):
+        sg = rng.choice(graphs)
+        positions = [None] * sg.graph.n
+        for r in range(sg.graph.n):
+            if positions[r] is None:
+                p = (rng.randint(-2, 2), rng.randint(-2, 2))
+                for x in sg.action.orbit(r):
+                    positions[x], p = p, rotate_omega(p)
+        yield sg, Placement(tuple(positions))
+
+
+def test_orbit_blocks_split_the_rank_mod_p():
+    # r0 + r1 + r2 is the whole matrix's rank mod P, an oracle for the
+    # blocks built here; geometry's B0 and B1 rank like them, at generic
+    # placements, where r0 + 2 r1 reaches 2n - 3 on every isostatic graph,
+    # and at special ones
+    generic = [
+        (sg, symmetric_generic_positions(sg, seed))
+        for sg in _digest_graphs() + _realize_generic_graphs()
+        for seed in range(3)
+    ]
+    special = list(_small_symmetric_placements(300))
+    short = 0
+    for k, (sg, placement) in enumerate(generic + special):
+        r0, r1, r2 = _block_ranks(sg, placement)
+        assert r0 + r1 + r2 == rigidity_matrix(sg.graph, placement).modular_rank()
+        assert _package_block_ranks(sg, placement) == (r0, r1)
+        if k < len(generic):
+            assert r0 + 2 * r1 == 2 * sg.graph.n - 3
+        else:
+            short += r0 + 2 * r1 < 2 * sg.graph.n - 3
+    assert short
+
+
+def test_orbit_block_rank_matches_sympy_on_small_symmetric_placements(monkeypatch):
+    # r0 + 2 r1 is the exact rank, and some of these ranks are proven by
+    # the blocks while others fall back to exact elimination
+    calls = _counted_exact_elimination(monkeypatch)
+    proven = 0
+    for sg, placement in _small_symmetric_placements(60):
+        before = len(calls)
+        try:
+            rank = numeric_isostatic_check(sg, placement).rank
+        except DegenerateSpan:
+            continue
+        proven += len(calls) == before
+        r0, r1 = _package_block_ranks(sg, placement)
+        assert rank == r0 + 2 * r1 == _sympy_cartesian_rank(sg.graph, placement)
+    assert 0 < proven and calls
+
+
+def test_concurrent_prism_bars_fall_back_from_the_orbit_blocks():
+    # the blocks fall short of rank 9, and the exact fallback ranks the
+    # plain integer rows as before
+    g, act = prism().graph, prism().action
+    blocks = rigidity_matrix(g, _CONCURRENT, act)
+    assert blocks.twice_from is not None and blocks.modular_rank() < 9
+    assert exact_rank(blocks, 9) == exact_rank(rigidity_matrix(g, _CONCURRENT), 9) == 8
+
+
+def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("orbit blocks built")
+
+    monkeypatch.setattr(geometry, "_orbit_rows", refuse)
+    sg = prism()
+    symmetric = symmetric_generic_positions(sg, 0)
+    (a, b), *rest = symmetric.positions
+    nudged = Placement(((a + 1, b),) + tuple(rest))
+    p = pair(3, -7)
+    hub = Placement((p, rotate_omega(p), rotate_omega(rotate_omega(p)), pair(0, 0)))
+    assert placement_is_symmetric(k13_hub(), hub)
+    for case, placement, rank in (
+        (SymGraph(sg.graph), symmetric, 9), (sg, nudged, 9), (k13_hub(), hub, 3)
+    ):
+        assert rigidity_matrix(case.graph, placement, case.action).twice_from is None
+        assert numeric_isostatic_check(case, placement).rank == rank
 
 
 def test_placement_without_an_image_reaches_exact_elimination(monkeypatch):

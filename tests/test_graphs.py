@@ -4,6 +4,8 @@ import random
 import pytest
 
 from c3rig import (
+    C3Action,
+    Graph,
     count_fixed,
     parse_graph,
     relabel_symgraph,
@@ -115,6 +117,56 @@ def test_fixed_edge_needs_both_endpoints_fixed():
     counts = count_fixed(sg)
     assert counts.j == 2
     assert counts.b == 1
+
+
+def test_fixed_edges_are_counted_among_the_fixed_vertices():
+    # a triangle orbit, three fixed vertices with two edges among them, and
+    # the orbit joined to one of them
+    sg = parse_graph(
+        '{"vertices":6, "edges":[[0,1],[1,2],[0,2],[3,4],[4,5],[0,3],[1,3],[2,3]],'
+        ' "c3":[1,2,0,3,4,5]}'
+    )
+    fixed = sg.action.fixed_vertices()
+    assert fixed == (3, 4, 5)
+    assert (count_fixed(sg).j, count_fixed(sg).b) == (3, 2)
+    assert count_fixed(sg, fixed) == count_fixed(sg)
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ("[[0, 1], [0], [0, 9]]", "edge entry [0] is not a pair of integers"),
+        ('[[0, 1], "01"]', "edge entry '01' is not a pair of integers"),
+        ("[[0, 1, 2]]", "edge entry [0, 1, 2] is not a pair of integers"),
+        ('[[0, "1"], [true, 1]]', "edge entry [0, '1'] is not a pair of integers"),
+        ("[[true, 1]]", "edge entry [True, 1] is not a pair of integers"),
+        ("[[0, 1.0]]", "edge entry [0, 1.0] is not a pair of integers"),
+        ("[[0, 3], [0]]", "edge [0, 3] out of range for n=3"),
+        ("[[-1, 2]]", "edge [-1, 2] out of range for n=3"),
+    ],
+)
+def test_parse_names_the_first_bad_edge_entry(entries, message):
+    with pytest.raises(SchemaError) as info:
+        parse_graph(f'{{"vertices": 3, "edges": {entries}}}')
+    assert str(info.value) == message
+
+
+def test_graph_tells_an_unsorted_pair_from_one_out_of_range():
+    with pytest.raises(SchemaError) as info:
+        Graph(3, frozenset({(1, 0)}))
+    assert str(info.value) == "edge (1, 0) is not sorted: store it as (0, 1)"
+    for u, v in ((0, 3), (3, 0), (-1, 2)):
+        with pytest.raises(SchemaError) as info:
+            Graph(3, frozenset({(u, v)}))
+        assert str(info.value) == f"edge ({u}, {v}) out of range for n=3"
+
+
+def test_action_refuses_a_bool_as_a_vertex():
+    # as parse_graph refuses one in 'c3', though True == 1
+    with pytest.raises(NotAPermutation):
+        C3Action((True, 2, 0))
+    with pytest.raises(SchemaError):
+        parse_graph('{"vertices":3, "edges":[], "c3":[true,2,0]}')
 
 
 def test_orbit_examples():
