@@ -158,11 +158,13 @@ def _base_report(command: str, data: bytes) -> dict:
 
 def _placement_json(placement: Placement) -> dict:
     """Each point's Cartesian coordinates, exactly and as floats, written
-    straight from its (1, w) pair: x = a - b/2 and y = (b/2)*sqrt(3), each
-    as the fractions {"a", "b"} of a rational plus a multiple of sqrt 3."""
+    straight from its integer (1, w) pair over the scale D:
+    x = (a - b/2) / D and y = (b/2D)*sqrt(3), each as the fractions
+    {"a", "b"} of a rational plus a multiple of sqrt 3."""
     exact, floats = [], []
+    scale = placement.scale
     for p in placement.positions:
-        terms = _cartesian_terms(p)
+        terms = _cartesian_terms(p, scale)
         xn, xd, yn, yd = terms
         exact.append(
             {"x": {"a": f"{xn}/{xd}", "b": "0/1"}, "y": {"a": "0/1", "b": f"{yn}/{yd}"}}

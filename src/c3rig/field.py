@@ -1,11 +1,11 @@
 """Exact matrix rank over the rationals.
 
-Every placement and frame is held in (1, w) pairs: the pair (a, b) is the
-point a*1 + b*w with w = (-1/2, sqrt(3)/2), so rotating by 120 degrees is the
-integer map (a, b) -> (-b, a - b) and every matrix this package ranks has
-rational entries. Such a matrix is the Cartesian one times an invertible
-change of columns, so it has the Cartesian rank (see
-``geometry._pair_matrix``).
+Every placement and frame is held in integer (1, w) pairs: the pair (a, b)
+is the point a*1 + b*w with w = (-1/2, sqrt(3)/2), over one common scale,
+so rotating by 120 degrees is the integer map (a, b) -> (-b, a - b) and
+every matrix this package ranks has integer entries. Such a matrix is the
+Cartesian one times an invertible change of columns, so it has the
+Cartesian rank (see ``geometry._pair_matrix``).
 
 The one matrix type is ``PartialElimination``: sparse rows mod a fixed prime
 P, some of them eliminated already, plus a way to build its sparse integer
@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 # A fixed prime P, the largest below 2**30 with P = 1 (mod 3). Below 2**30
 # every residue is one CPython digit, so products, reductions and inverses
@@ -36,24 +35,14 @@ _P = 1073741719
 _W = next(w for w in (pow(g, (_P - 1) // 3, _P) for g in range(2, _P)) if w != 1)
 
 
-def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
-    """The image of the rational ``q`` mod P, or None when P divides its denominator.
-
-    ``inverses`` caches the inverse of each denominator mod P.
-    """
-    d = q.denominator
-    if d == 1:
-        return q.numerator % _P
-    inv = inverses.get(d)
-    if inv is None:
-        if d % _P == 0:
-            return None
-        inv = inverses[d] = pow(d, -1, _P)
-    return q.numerator * inv % _P
-
-
-def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]) -> int:
-    """Reduce sparse rows mod P against ``pivots``; return how many were independent.
+def _eliminate(
+    rows: Iterable[dict[int, int]],
+    pivots: dict[int, dict[int, int]],
+    twice_from: int | None = None,
+) -> int:
+    """Reduce sparse rows mod P against ``pivots``; return how many were
+    independent, counting twice those whose pivot column is ``twice_from``
+    or later.
 
     A row maps columns to nonzero residues. Each row is reduced, always at
     its smallest column, against the pivot rows so far; one that does not
@@ -70,7 +59,7 @@ def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]
             if pivot is None:
                 inv = pow(row[col], -1, _P)
                 pivots[col] = {c: v * inv % _P for c, v in row.items()}
-                found += 1
+                found += 1 if twice_from is None or col < twice_from else 2
                 break
             f = row[col]
             for c, v in pivot.items():
@@ -82,45 +71,18 @@ def _eliminate(rows: Iterable[dict[int, int]], pivots: dict[int, dict[int, int]]
     return found
 
 
-def _orbit_rows(
-    edges: Sequence[tuple[int, int]],
-    pairs: Sequence[tuple[Fraction, Fraction]],
-    gamma: Sequence[int],
-    place: Sequence[int],
-) -> list[dict[int, int]] | None:
-    """The rows mod P of the orbit blocks B0 and B1 of a symmetric
-    rigidity matrix M: r0 + 2 r1, their ranks, bound M's rank from below.
+# An edge's index and pair, to the rows mod P of its orbit in B0 and B1.
+_OrbitRows = Callable[[int, tuple[int, int]], list[dict[int, int]]]
 
-    M has a row per edge (u, v), the edge's pair at u's column pair and its
-    negative at v's (``geometry._pair_matrix``), ``pairs`` being position
-    differences of a placement symmetric under the rotation ``gamma``,
-    which fixes no vertex. Write a pair (s, t) as the complex number
-    d = s + t*w, w = exp(2 pi i/3), and a velocity at v as z_v. The row
-    says Re(conj(d) (z_u - z_v)) = 0, or conj(d) (x_u - x_v) +
-    d (y_u - y_v) = 0 in the 2n coordinates x = z and y = conj(z), an
-    invertible change of columns over C: this matrix R has the rank of M.
-    As p(gamma v) = w p(v), the row of gamma e holds +-w d. A motion of
-    phase lam in {1, w, w^2} has x(gamma v) = lam w x(v) and
-    y(gamma v) = lam conj(w) y(v); C^2n is the sum of the three phase
-    spaces, each with the coordinates x_r, y_r of one vertex r per orbit.
-    On the phase space of lam the row of gamma e is +-lam times that of e,
-    so R maps the three into independent spaces and rank R is the sum of
-    the ranks of the blocks B(lam): one row per edge orbit, where
-    u = gamma^a r puts conj(d) (lam w)^a and d (lam conj(w))^a at r's x and
-    y, and v their negatives at its orbit's. B(w^2) is the conjugate of
-    B(w) with its x and y columns swapped, so over Q(w),
-    rank M = rank B(1) + 2 rank B(w).
 
-    P = 1 (mod 3) splits in Z[w]: modulo the prime (P, w - _W), Z[w] is F_P
-    with w at ``_W`` and conj(d) = s + t*w^2 at s + t*_W^2. That is a ring
-    homomorphism, so B(1) and B(w) lose rank there, if anything: r0 + 2 r1
-    is at most rank M. B0 = B(1) and B1 = B(w) have the orbits' column
-    pairs in the order of their vertices' ``place``, B1's from 2n/3 on.
-    B(w^2) is left out on purpose: the bound needs only B(w), and ranking it
-    as well would add a third of the work for the rare placement where
-    r0 + r1 + r2 reaches full rank mod P and r0 + 2 r1 does not. None when
-    a pair has no image.
-    """
+def _orbit_blocks(
+    edges: Sequence[tuple[int, int]], gamma: Sequence[int], place: Sequence[int]
+) -> _OrbitRows:
+    """``_orbit_rows`` one edge at a time. The orbits, powers and columns of
+    the rotation ``gamma``, and the edge that stands for each edge orbit,
+    are found once, here; the function returned gives, for an edge's index
+    and pair, the edge's two rows, in B0 and B1, when it stands for its
+    orbit, and no row for the other two edges of the orbit."""
     n = len(gamma)
     w = (1, _W, _W * _W % _P)
     orbit, power, count = [-1] * n, [0] * n, 0
@@ -138,37 +100,94 @@ def _orbit_rows(
         )
         for o, a in zip(orbit, power)
     ]
-    inverses: dict[int, int] = {}
-    rows = []
-    for (u, v), (s, t) in zip(edges, pairs):
+    # one edge per edge orbit: the one through its first vertex orbit's r,
+    # with its ends' spots per block and whether the ends share an orbit
+    chosen: list[tuple[list, bool] | None] = [None] * len(edges)
+    for i, (u, v) in enumerate(edges):
         ou, ov, a, b = orbit[u], orbit[v], power[u], power[v]
-        # one edge per edge orbit: the one through its first vertex orbit's r
-        if not (a == 0 if ou < ov else b == 0 if ov < ou else a + b == 1):
-            continue
-        s, t = _residue(s, inverses), _residue(t, inverses)
-        if s is None or t is None:
-            return None
+        if a == 0 if ou < ov else b == 0 if ov < ou else a + b == 1:
+            chosen[i] = (list(zip(spots[u], spots[v])), ou != ov)
+
+    def rows(i: int, q: tuple[int, int]) -> list[dict[int, int]]:
+        pick = chosen[i]
+        if pick is None:
+            return []
+        spot_pairs, apart = pick
+        s, t = q[0] % _P, q[1] % _P
         d, dc = (s + t * w[1]) % _P, (s + t * w[2]) % _P
-        for (xu, mu, yu, nu), (xv, mv, yv, nv) in zip(spots[u], spots[v]):
-            if ou != ov:
+        out = []
+        for (xu, mu, yu, nu), (xv, mv, yv, nv) in spot_pairs:
+            if apart:
                 row = {xu: dc * mu % _P, yu: d * nu % _P, xv: -dc * mv % _P, yv: -d * nv % _P}
             else:
                 row = {xu: dc * (mu - mv) % _P, yu: d * (nu - nv) % _P}
-            rows.append({c: x for c, x in row.items() if x} if 0 in row.values() else row)
+            out.append({c: x for c, x in row.items() if x} if 0 in row.values() else row)
+        return out
+
     return rows
 
 
+def _orbit_rows(
+    edges: Sequence[tuple[int, int]],
+    pairs: Sequence[tuple[int, int]],
+    gamma: Sequence[int],
+    place: Sequence[int],
+) -> list[dict[int, int]]:
+    """The rows mod P of the orbit blocks B0 and B1 of a symmetric
+    rigidity matrix M: r0 + 2 r1, their ranks, bound M's rank from below.
+
+    M has a row per edge (u, v), the edge's integer pair at u's column pair
+    and its negative at v's (``geometry._pair_matrix``). ``gamma`` is a
+    rotation that fixes no vertex, and the pairs rotate with it: the pair of
+    gamma e is parallel to w times the pair of e, as position differences
+    of a symmetric placement are, or the directions of a symmetric frame.
+    Scaling each row by a nonzero rational keeps the rank, so take the pair
+    of gamma e to be +-w times that of e, the sign from the order of its
+    ends. Write a pair (s, t) as the complex number d = s + t*w,
+    w = exp(2 pi i/3), and a velocity at v as z_v. The row says
+    Re(conj(d) (z_u - z_v)) = 0, or conj(d) (x_u - x_v) + d (y_u - y_v) = 0
+    in the 2n coordinates x = z and y = conj(z), an invertible change of
+    columns over C: this matrix R has the rank of M. The row of gamma e
+    holds +-w d. A motion of phase lam in {1, w, w^2} has
+    x(gamma v) = lam w x(v) and y(gamma v) = lam conj(w) y(v); C^2n is the
+    sum of the three phase spaces, each with the coordinates x_r, y_r of one
+    vertex r per orbit. On the phase space of lam the row of gamma e is
+    +-lam times that of e, so R maps the three into independent spaces and
+    rank R is the sum of the ranks of the blocks B(lam): one row per edge
+    orbit, where u = gamma^a r puts conj(d) (lam w)^a and d (lam conj(w))^a
+    at r's x and y, and v their negatives at its orbit's. B(w^2) is the
+    conjugate of B(w) with its x and y columns swapped, so over Q(w),
+    rank M = rank B(1) + 2 rank B(w).
+
+    P = 1 (mod 3) splits in Z[w]: modulo the prime (P, w - _W), Z[w] is F_P
+    with w at ``_W`` and conj(d) = s + t*w^2 at s + t*_W^2. That is a ring
+    homomorphism, so B(1) and B(w) lose rank there, if anything: r0 + 2 r1
+    is at most rank M. B0 = B(1) and B1 = B(w) have the orbits' column
+    pairs in the order of their vertices' ``place``, B1's from 2n/3 on.
+    B(w^2) is left out on purpose: the bound needs only B(w), and ranking it
+    as well would add a third of the work for the rare placement where
+    r0 + r1 + r2 reaches full rank mod P and r0 + 2 r1 does not.
+    """
+    rows = _orbit_blocks(edges, gamma, place)
+    return [row for i, q in enumerate(pairs) for row in rows(i, q)]
+
+
 def _round_pivots(
-    versions: Iterable[tuple[dict[int, int], int, int]], lo: int, hi: int
-) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
-    """Each round j of lo..hi in turn, with the pivots of its rows mod P.
+    versions: Iterable[tuple[dict[int, int], int, int]],
+    lo: int,
+    hi: int,
+    twice_from: int | None = None,
+) -> Iterator[tuple[int, dict[int, dict[int, int]], int]]:
+    """Each round j of lo..hi in turn, with the pivots of its rows mod P and
+    their rank, counting the pivots from the column ``twice_from`` on twice.
 
     ``versions`` are (row, a, b): a sparse row mod P, left unchanged, of
     the rounds a..b. Each goes into the O(log R) nodes of a segment tree
     over the rounds that cover a..b. A depth-first walk eliminates a node's
     rows into one shared pivot dict on entry and pops the pivots they added
     on exit, which undoes the node, as ``_eliminate`` adds new pivots at the
-    end of the dict. At a leaf the dict holds its round's rows eliminated.
+    end of the dict. At a leaf the dict holds its round's rows eliminated;
+    the rank goes down the walk with it, so no leaf counts its pivots.
     """
     if lo > hi:
         return
@@ -187,38 +206,42 @@ def _round_pivots(
             b >>= 1
     pivots: dict[int, dict[int, int]] = {}
 
-    def walk(k: int, first: int, width: int) -> Iterator[tuple[int, dict[int, dict[int, int]]]]:
-        found = _eliminate(map(dict, nodes[k]), pivots)
+    def walk(
+        k: int, first: int, width: int, rank: int
+    ) -> Iterator[tuple[int, dict[int, dict[int, int]], int]]:
+        before = len(pivots)
+        rank += _eliminate(map(dict, nodes[k]), pivots, twice_from)
         if width == 1:
-            yield first, pivots
+            yield first, pivots, rank
         else:
             half = width // 2
-            yield from walk(2 * k, first, half)
+            yield from walk(2 * k, first, half, rank)
             if first + half <= hi:
-                yield from walk(2 * k + 1, first + half, half)
-        for _ in range(found):
+                yield from walk(2 * k + 1, first + half, half, rank)
+        for _ in range(len(pivots) - before):
             pivots.popitem()
 
-    yield from walk(1, lo, size)
+    yield from walk(1, lo, size, 0)
 
 
-@dataclass(frozen=True)
+@dataclass
 class PartialElimination:
     """A rational matrix given mod P as eliminated rows plus rows to reduce.
 
-    ``pivots`` are some of its rows eliminated mod P by ``_eliminate``, so
-    their number is the rank of those rows mod P, and ``rest`` are the
-    images of its other rows; either is None when an entry has no image.
-    Ranking reduces ``rest`` into ``pivots`` in place, which keeps the span
-    of the rows, so ranking the matrix again gives the same rank.
-    ``integer_rows`` gives its rows, each times a nonzero rational, as
-    sparse integer rows, which ``exact_rank`` asks for only on a deficit
-    mod P.
+    ``pivots`` are some of its rows eliminated mod P by ``_eliminate``,
+    ``pivot_rank`` their number, and ``rest`` the images of its other rows;
+    ``pivots`` or ``rest`` is None when an entry has no image. Ranking
+    reduces ``rest`` into ``pivots`` in place and adds the new pivots to
+    ``pivot_rank``, which keeps the span of the rows, so ranking the matrix
+    again gives the same rank. ``integer_rows`` gives its rows, each times a
+    nonzero rational, as sparse integer rows, which ``exact_rank`` asks for
+    only on a deficit mod P.
 
     With ``twice_from`` set, ``pivots`` and ``rest`` are not the matrix's
     rows but two blocks, the second in the columns from ``twice_from`` on,
     chosen so that the first block's rank plus twice the second's is at
-    most the matrix's rank; ``modular_rank`` counts that sum.
+    most the matrix's rank; ``pivot_rank`` and ``modular_rank`` count that
+    sum.
     """
 
     rows: int
@@ -227,15 +250,14 @@ class PartialElimination:
     rest: list[dict[int, int]] | None
     integer_rows: Callable[[], list[dict[int, int]]]
     twice_from: int | None = None
+    pivot_rank: int = 0
 
     def modular_rank(self) -> int | None:
         """A lower bound on the exact rank, or None when an entry has no image."""
         if self.pivots is None or self.rest is None:
             return None
-        rank = len(self.pivots) + _eliminate(self.rest, self.pivots)
-        if self.twice_from is not None:
-            rank += sum(c >= self.twice_from for c in self.pivots)
-        return rank
+        self.pivot_rank += _eliminate(self.rest, self.pivots, self.twice_from)
+        return self.pivot_rank
 
 
 def exact_rank(m: PartialElimination, ceiling: int | None = None) -> int:

@@ -1,9 +1,9 @@
 """Symmetric realizations, rigidity matrices, and the frame pipeline.
 
-Placements are exact: every point is a rational (1, w) pair, the rotation by
-120 degrees acts about the origin as an integer map of pairs, and symmetry
-of a placement is an equation, not an approximation. Two realization routes
-are provided.
+Placements are exact: every point is an integer (1, w) pair over one common
+scale, the rotation by 120 degrees acts about the origin as an integer map
+of pairs, and symmetry of a placement is an equation, not an approximation.
+Two realization routes are provided.
 
 * Random symmetric positions: one random integer pair per vertex orbit, the
   rest filled in by the rotation; isostaticity is then read off the exact
@@ -16,7 +16,8 @@ are provided.
   whole way. The separation runs on integer pairs over one common scale,
   so a round does no rational arithmetic. Its rounds run speculatively,
   taking no rank, and one offline pass then eliminates the rows of every
-  round mod P, sharing the rows that rounds have in common.
+  round mod P, sharing the rows that rounds have in common; the rows of a
+  symmetric frame are those of its two orbit blocks.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
 deficit; the rank of a placement symmetric under a rotation that fixes no
@@ -28,9 +29,8 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import takewhile
 
 from .errors import (
@@ -49,8 +49,8 @@ from .errors import (
 from .field import (
     PartialElimination,
     _P,
+    _orbit_blocks,
     _orbit_rows,
-    _residue,
     _round_pivots,
     exact_rank,
 )
@@ -58,29 +58,23 @@ from .graphs import C3Action, Graph, SymGraph
 from .pebble import SparsityReport
 from .trees import TreePartition, verify_tree_partition
 
-# Coordinates. Every point and direction is a rational combination a*1 + b*w
-# of 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the reference triangle and the
-# tree directions are such combinations, rotating by 120 degrees multiplies
-# by w, pulling apart adds rational multiples of them, and a generic draw
-# picks integer a, b. The pair (a, b) of ints or Fractions stands for the
-# point (a - b/2, (b/2)*sqrt(3)), so both routes work on rational pairs and
-# ``_cartesian_terms`` converts a point only for a report or a drawing.
-Pair = tuple[Fraction, Fraction]
+# Coordinates. Every point and direction is a combination a*1 + b*w of
+# 1 = (1, 0) and w = (-1/2, sqrt(3)/2): the reference triangle and the tree
+# directions are such combinations, rotating by 120 degrees multiplies by w,
+# pulling apart adds rational multiples of them, and a generic draw picks
+# integer a, b. The integer pair (a, b) over a positive scale D stands for
+# the point (a - b/2, (b/2)*sqrt(3)) / D; a direction is a ray, so its
+# pair's scale does not matter. Both routes work on integer pairs, and only
+# ``_cartesian_terms`` divides by the scale, for a report or a drawing.
+Pair = tuple[int, int]
 
-_PAIR_ZERO: Pair = (Fraction(0), Fraction(0))
+_PAIR_ZERO: Pair = (0, 0)
 
 # Reference triangle corners 0, 1 and 1 + w and, per tree, the side
-# direction its edges get.
-E_POINTS: tuple[Pair, Pair, Pair] = (
-    _PAIR_ZERO,
-    (Fraction(1), Fraction(0)),
-    (Fraction(1), Fraction(1)),
-)
-TREE_DIRECTIONS: tuple[Pair, Pair, Pair] = (
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(-1)),
-    (Fraction(1), Fraction(0)),
-)
+# direction its edges get: the rotation about the triangle's centre takes
+# corner i to corner i + 1, and w times direction i is direction i + 1.
+E_POINTS: tuple[Pair, Pair, Pair] = (_PAIR_ZERO, (1, 0), (1, 1))
+TREE_DIRECTIONS: tuple[Pair, Pair, Pair] = ((0, 1), (-1, -1), (1, 0))
 
 
 def v_add(p, q):
@@ -95,21 +89,34 @@ def v_scale(c, p):
     return (c * p[0], c * p[1])
 
 
-def cross(p: Pair, q: Pair) -> Fraction:
+def cross(p: Pair, q: Pair) -> int:
     """The cross product of two pairs: the Cartesian cross product of the
     points they stand for divided by det B = sqrt(3)/2 (see ``_pair_matrix``),
     so zero exactly when that one is."""
     return p[0] * q[1] - p[1] * q[0]
 
 
+def _require_integer_pairs(pairs: Iterable[Pair], scale: int) -> None:
+    """Refuse anything but int pairs over a positive int scale: images mod
+    P, exact rows and report fractions are taken of ints only."""
+    if type(scale) is not int or scale < 1 or not all(
+        type(a) is int and type(b) is int for a, b in pairs
+    ):
+        raise TypeError("expected integer pairs over a positive integer scale")
+
+
 @dataclass(frozen=True)
 class Placement:
-    """Exact joint positions as (1, w) pairs."""
+    """Exact joint positions: integer (1, w) pairs over ``scale``."""
 
     positions: tuple[Pair, ...]
+    scale: int = 1
+
+    def __post_init__(self):
+        _require_integer_pairs(self.positions, self.scale)
 
     def float_positions(self) -> list[tuple[float, float]]:
-        return [_float_point(_cartesian_terms(p)) for p in self.positions]
+        return [_float_point(_cartesian_terms(p, self.scale)) for p in self.positions]
 
 
 def placement_is_symmetric(sg: SymGraph, placement: Placement) -> bool:
@@ -174,16 +181,10 @@ def rigidity_matrix(
     of a placement that is symmetric under it, with no vertex fixed, its
     rows mod P are two orbit blocks (see ``field._orbit_rows``).
 
-    The positions are first put over one common denominator and taken as
-    integer pairs, which scales every row by it and keeps the rank, so the
-    differences, the symmetry test and the images mod P do no rational
-    arithmetic.
+    The differences are taken of the integer pairs, not over the scale,
+    which scales every row by it and keeps the rank.
     """
     pos = placement.positions
-    scale = math.lcm(*(x.denominator for p in pos for x in p))
-    if scale != 1:
-        pos = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator))
-               for x, y in pos]
     if action is not None and (action.fixed_vertices() or not _rotates_with(action, pos)):
         action = None
     return _pair_matrix(g, [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges], action)
@@ -217,7 +218,7 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     The rank is ``exact_rank`` of ``rigidity_matrix``, built once and
     given the rotation, so a symmetric placement is ranked through its
     orbit blocks mod P: its exact rows are built only when that bound falls
-    short of min(m, 2n - 3) or a difference has no image.
+    short of min(m, 2n - 3).
     """
     g = sg.graph
     n = g.n
@@ -248,13 +249,18 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
 class Frame:
     """Positions plus one direction per edge (aligned with sorted edges).
 
-    Both are (1, w) pairs. Adjacent joints may coincide; each edge's
-    position difference is some rational multiple (possibly zero) of its
-    direction.
+    Both are integer (1, w) pairs, the positions over ``scale``. Adjacent
+    joints may coincide; each edge's position difference is some rational
+    multiple (possibly zero) of its direction.
     """
 
     positions: tuple[Pair, ...]
     directions: tuple[Pair, ...]
+    scale: int = 1
+
+    def __post_init__(self):
+        _require_integer_pairs(self.positions, self.scale)
+        _require_integer_pairs(self.directions, 1)
 
 
 def frame_from_partition(
@@ -303,17 +309,15 @@ def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]
     return tuple(e for e in g.sorted_edges if pos[e[0]] == pos[e[1]])
 
 
-def _cartesian_terms(p: Pair) -> tuple[int, int, int, int]:
-    """The point a*1 + b*w as x = xn/xd and y = (yn/yd)*sqrt(3), each
-    fraction reduced with a positive denominator: xn/xd = a - b/2 and
-    yn/yd = b/2. ``a`` and ``b`` may be ints or Fractions."""
+def _cartesian_terms(p: Pair, scale: int = 1) -> tuple[int, int, int, int]:
+    """The point (a*1 + b*w) / ``scale`` as x = xn/xd and
+    y = (yn/yd)*sqrt(3), each fraction reduced with a positive denominator:
+    xn/xd = (2a - b) / 2D and yn/yd = b / 2D, D the scale. The package's one
+    division by a scale."""
     a, b = p
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    # b/2 is reduced as it stands when b's numerator is odd
-    yn, yd = (bn, 2 * bd) if bn & 1 else (bn >> 1, bd)
-    xn, xd = an * yd - yn * ad, ad * yd
-    g = math.gcd(xn, xd)
-    return xn // g, xd // g, yn, yd
+    d = 2 * scale
+    g, h = math.gcd(2 * a - b, d), math.gcd(b, d)
+    return (2 * a - b) // g, d // g, b // h, d // h
 
 
 _SQRT3 = math.sqrt(3.0)
@@ -332,13 +336,6 @@ def rotate_omega(p: Pair) -> Pair:
     return (-b, a - b)
 
 
-def _pair_image(q: Pair, inverses: dict[int, int]) -> tuple[int, int] | None:
-    """The F_P image of a pair, or None when a coordinate has none."""
-    a = _residue(q[0], inverses)
-    b = _residue(q[1], inverses)
-    return None if a is None or b is None else (a, b)
-
-
 def _row(u: int, v: int, image: tuple[int, int], modulus: int = _P) -> dict[int, int]:
     """An edge's sparse row over F_P (or over Z with modulus 0): ``image`` at
     u's column pair, negated at v's."""
@@ -355,9 +352,7 @@ def _row(u: int, v: int, image: tuple[int, int], modulus: int = _P) -> dict[int,
 
 def _primitive(q: Pair) -> Pair:
     """The integer pair with coprime entries (or zero) on the ray of ``q``."""
-    x, y = q
-    scale = math.lcm(x.denominator, y.denominator)
-    a, b = x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator)
+    a, b = q
     g = math.gcd(a, b) or 1
     return (a // g, b // g)
 
@@ -380,19 +375,16 @@ def _pair_matrix(
     That matrix is this one times the block diagonal of B's transpose,
     which is invertible: the two have the same rank. A rigidity matrix is
     the case where each pair is the edge's position difference. Its rows
-    mod P come from ``_pair_image`` and ``_row`` (None when a pair has no
-    image), or, given a rotation ``act`` that fixes no vertex and under
-    which the pairs are those of a symmetric placement, from
-    ``field._orbit_rows``; ``_exact_rows`` builds its rows over the
+    mod P come from ``_row``, or, given a rotation ``act`` that fixes no
+    vertex and under which the pairs are those of a symmetric placement,
+    from ``field._orbit_rows``; ``_exact_rows`` builds its rows over the
     integers, each up to scale, only when ``exact_rank`` asks for them.
     """
     place = _degree_order(g)
     ends = [(place[u], place[v]) for u, v in g.sorted_edges]
     twice_from = None
     if act is None:
-        inverses: dict[int, int] = {}
-        images = [_pair_image(q, inverses) for q in pairs]
-        rows = None if None in images else [_row(*e, im) for e, im in zip(ends, images)]
+        rows = [_row(*e, (x % _P, y % _P)) for e, (x, y) in zip(ends, pairs)]
     else:
         rows, twice_from = _orbit_rows(g.sorted_edges, pairs, act.gamma, place), 2 * g.n // 3
     return PartialElimination(
@@ -451,23 +443,25 @@ def _class_to_split(sg: SymGraph, coincident, joint_class, members, miss) -> lis
 
 
 # A part of a class moves along the side direction opposite its tree.
-_SPLITS = ((2, _primitive(TREE_DIRECTIONS[1])), (1, _primitive(TREE_DIRECTIONS[2])))
+_SPLITS = ((2, TREE_DIRECTIONS[1]), (1, TREE_DIRECTIONS[2]))
 
 
-def _separable_component(part: list[int], tp: TreePartition) -> tuple[set[int], Pair]:
-    """A proper part of the class connected in tree 2 or else in tree 1."""
+def _separable_component(
+    part: list[int], tp: TreePartition, edges: Sequence[tuple[int, int]],
+    incident: list[list[int]],
+) -> tuple[set[int], Pair]:
+    """A proper part of the class connected in tree 2 or else in tree 1,
+    walked through the ``incident`` edges of its vertices only."""
     part_set = set(part)
     for tree, direction in _SPLITS:
-        adj: dict[int, list[int]] = {v: [] for v in part}
-        for u, v in tp.trees[tree]:
-            if u in part_set and v in part_set:
-                adj[u].append(v)
-                adj[v].append(u)
         stack = [part[0]]
         comp = {part[0]}
         while stack:
-            for y in adj[stack.pop()]:
-                if y not in comp:
+            x = stack.pop()
+            for i in incident[x]:
+                u, v = e = edges[i]
+                y = u + v - x
+                if y in part_set and y not in comp and e in tp.trees[tree]:
                     comp.add(y)
                     stack.append(y)
         if len(comp) < len(part):
@@ -513,8 +507,7 @@ class _LiveFrame:
         for group in members:
             if len({miss[v] for v in group}) != 1:
                 raise InternalInvariantBroken("coincidence class spans two corner roles")
-        scale = math.lcm(*(x.denominator for p in class_of for x in p))
-        points = [(int(a * scale), int(b * scale)) for a, b in class_of]
+        points = list(class_of)
         dirs = [_primitive(q) for q in frame.directions]
         incident: list[list[int]] = [[] for _ in range(sg.graph.n)]
         for i, ((u, v), q) in enumerate(zip(edges, dirs)):
@@ -528,20 +521,18 @@ class _LiveFrame:
         ends = [(place[u], place[v]) for u, v in edges]
         coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
         return cls(
-            scale, points, joint_class, members, dirs, ends, incident, miss, coincident, set()
+            frame.scale, points, joint_class, members, dirs, ends, incident, miss, coincident, set()
         )
 
     def frame(self, g: Graph, start: Frame) -> Frame:
-        """The frame in rational pairs: each point X / ``scale``, and each
-        turned edge's direction its position difference."""
-        d, points, joint_class = self.scale, self.points, self.joint_class
-        positions = [(Fraction(x, d), Fraction(y, d)) for x, y in points]
+        """The frame over ``scale``: each vertex at its class point, and
+        each turned edge's direction its position difference."""
+        points, joint_class = self.points, self.joint_class
         directions = list(start.directions)
         for i in self.turned:
             u, v = g.sorted_edges[i]
-            x, y = v_sub(points[joint_class[u]], points[joint_class[v]])
-            directions[i] = (Fraction(x, d), Fraction(y, d))
-        return Frame(tuple(positions[c] for c in joint_class), tuple(directions))
+            directions[i] = v_sub(points[joint_class[u]], points[joint_class[v]])
+        return Frame(tuple(points[c] for c in joint_class), tuple(directions), self.scale)
 
 
 def _on_a_class(point: Pair, p: int, occupied: set[Pair]) -> bool:
@@ -573,7 +564,7 @@ def _plan(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> _Split:
     edges = sg.graph.sorted_edges
     scale, points, joint_class, members = live.scale, live.points, live.joint_class, live.members
     part = _class_to_split(sg, live.coincident, joint_class, members, live.miss)
-    comp, d0 = _separable_component(part, tp)
+    comp, d0 = _separable_component(part, tp, edges, live.incident)
     steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
     first = sorted(comp)
     copies = (first, [act.gamma[x] for x in first], [act.gamma2[x] for x in first])
@@ -650,21 +641,55 @@ def pull_apart(
     return split, p, landed
 
 
+# How the offline pass builds an edge's rows mod P from a direction, by the
+# edge's index, and the column from which its pivots count twice.
+_RoundRows = tuple[Callable[[int, Pair], list[dict[int, int]]], int | None]
+
+
+def _round_rows(sg: SymGraph, live: _LiveFrame) -> _RoundRows:
+    """The rows of the two orbit blocks (``field._orbit_rows``) when the
+    rotation fixes no vertex and ``live`` is symmetric under it: its points
+    about their centroid, and each direction parallel to w times the
+    direction of the edge's preimage. Else each edge's plain ``_row``.
+
+    The rounds keep the symmetry, as each moves the three rotated copies of
+    a part by rotated steps and turns the rotated edges to their rotated
+    position differences, so one check at the start holds for every round.
+    """
+    act, g = sg.require_action(), sg.graph
+    edges, dirs, points = g.sorted_edges, live.dirs, live.points
+    if not act.fixed_vertices() and _rotates_with(
+        act, _centred(act, [points[c] for c in live.joint_class])
+    ):
+        index = {e: i for i, e in enumerate(edges)}
+        if all(
+            not cross(dirs[index[act.map_edge(e)]], rotate_omega(q))
+            for e, q in zip(edges, dirs)
+        ):
+            return _orbit_blocks(edges, act.gamma, _degree_order(g)), 2 * g.n // 3
+    ends = live.ends
+    return (lambda i, q: [_row(*ends[i], (q[0] % _P, q[1] % _P))]), None
+
+
 def _first_short_round(
     g: Graph, ends: list[tuple[int, int]], history: list[tuple[int, Pair, int, int]],
-    lo: int, hi: int,
+    lo: int, hi: int, round_rows: _RoundRows,
 ) -> int | None:
     """The first round of lo..hi whose generalized rigidity matrix
     ``exact_rank`` finds short of full row rank, or None. ``history`` holds
-    (edge, direction, a, b): the edge's direction in the rounds a..b."""
-    versions = [(_row(*ends[i], (x % _P, y % _P)), a, b) for i, (x, y), a, b in history]
-    for j, pivots in _round_pivots(versions, lo, hi):
+    (edge, direction, a, b): the edge's direction in the rounds a..b, whose
+    rows mod P ``round_rows`` builds. The exact fallback ranks the plain
+    integer rows."""
+    rows_of, twice_from = round_rows
+    versions = [(row, a, b) for i, q, a, b in history for row in rows_of(i, q)]
+    for j, pivots, rank in _round_pivots(versions, lo, hi, twice_from):
 
         def integer_rows() -> list[dict[int, int]]:
             now = [(ends[i], q) for i, q, a, b in history if a <= j <= b]
             return _exact_rows(*zip(*now))
 
-        if exact_rank(PartialElimination(g.m, 2 * g.n, pivots, [], integer_rows)) < g.m:
+        matrix = PartialElimination(g.m, 2 * g.n, pivots, [], integer_rows, twice_from, rank)
+        if exact_rank(matrix) < g.m:
             return j
     return None
 
@@ -677,15 +702,18 @@ def pull_apart_fully(
     The rounds are those of ``pull_apart`` on one live state, run
     speculatively: each takes its first collision-free t with no rank, and
     each edge's directions are kept with the rounds that hold them. Then
-    ``_first_short_round`` ranks every round in one offline pass, so each t
-    is the first collision-free one at full rank. At the first round short
-    of full rank the rounds before it are replayed on a fresh state, and
-    speculation starts again from that round at its next collision-free t.
-    A speculative round that fails raises once the rounds before it hold.
+    ``_first_short_round`` ranks every round in one offline pass, through
+    the orbit blocks where ``_round_rows`` finds the frame symmetric, so
+    each t is the first collision-free one at full rank. At the first round
+    short of full rank the rounds before it are replayed on a fresh state,
+    and speculation starts again from that round at its next
+    collision-free t. A speculative round that fails raises once the rounds
+    before it hold.
     """
     sg.require_action()
     g = sg.graph
     live = _LiveFrame.read(sg, tp, frame)
+    round_rows = _round_rows(sg, live)
     taken: list[tuple[_Split, int, list[Pair]]] = []
     skip = 0
     while live.coincident:
@@ -703,7 +731,7 @@ def pull_apart_fully(
         except C3RigError as error:
             failed = error
         history += [(i, q, a, len(taken)) for i, (q, a) in enumerate(zip(held, since))]
-        bad = _first_short_round(g, live.ends, history, lo, len(taken))
+        bad = _first_short_round(g, live.ends, history, lo, len(taken), round_rows)
         if bad is None:
             if failed is not None:
                 raise failed
@@ -716,24 +744,29 @@ def pull_apart_fully(
     return live.frame(g, frame), len(taken)
 
 
+def _centred(act: C3Action, pos: Sequence[Pair]) -> list[Pair]:
+    """The points ``pos`` about the centroid of vertex 0's orbit, at three
+    times their scale: 3 X - S, S the sum of that orbit's points."""
+    s = v_add(v_add(pos[0], pos[act.gamma[0]]), pos[act.gamma2[0]])
+    return [(3 * x - s[0], 3 * y - s[1]) for x, y in pos]
+
+
 def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
     """Read positions off a separated frame and recenter on the rotation axis.
 
     The frame's rotation center is the centroid of any vertex orbit; after
-    translating it to the origin the placement satisfies the symmetry
-    equation exactly. No rank is taken here: the rigidity matrix is the
-    generalized one with each row scaled by its edge's nonzero frame scalar,
-    so it keeps the full rank ``pull_apart_fully`` accepted, and
-    ``numeric_isostatic_check`` reads that rank off the placement.
+    translating it to the origin, at three times the frame's scale, the
+    placement satisfies the symmetry equation exactly. No rank is taken
+    here: the rigidity matrix is the generalized one with each row scaled by
+    its edge's nonzero frame scalar, so it keeps the full rank
+    ``pull_apart_fully`` accepted, and ``numeric_isostatic_check`` reads that
+    rank off the placement.
     """
     act = sg.require_action()
     g = sg.graph
     if adjacent_coincidences(g, frame):
         raise CoincidentAdjacentJoints("adjacent joints still share a position")
-    pos = frame.positions
-    orbit_sum = v_add(v_add(pos[0], pos[act.gamma[0]]), pos[act.gamma2[0]])
-    center = v_scale(Fraction(1, 3), orbit_sum)
-    placement = Placement(tuple(v_sub(p, center) for p in pos))
+    placement = Placement(tuple(_centred(act, frame.positions)), 3 * frame.scale)
     if not placement_is_symmetric(sg, placement):
         raise InternalInvariantBroken("recentered frame is not symmetric")
     return placement

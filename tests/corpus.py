@@ -20,7 +20,7 @@ from c3rig import (
     edge,
     parse_graph,
 )
-from c3rig.field import PartialElimination, _residue
+from c3rig.field import PartialElimination, _P
 
 PRISM_DOC = {
     "vertices": 6,
@@ -187,6 +187,17 @@ def fast_tight_symgraph(seed: int, n: int) -> SymGraph:
         gamma.extend([w, z, v])
         verts += 3
     return SymGraph(Graph(n, frozenset(edges)), C3Action(tuple(gamma)))
+
+
+def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
+    """The image of the rational ``q`` mod P, or None when P divides its
+    denominator; ``inverses`` caches the inverse of each denominator."""
+    d = q.denominator
+    if d % _P == 0:
+        return None
+    if d not in inverses:
+        inverses[d] = pow(d, -1, _P)
+    return q.numerator * inverses[d] % _P
 
 
 def rational_matrix(rows) -> PartialElimination:

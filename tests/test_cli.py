@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph
 from c3rig.cli import main
-from c3rig.geometry import Placement
+from c3rig.geometry import Frame, Placement
 from tests.corpus import PRISM_DOC, fast_tight_symgraph
 
 K3_DOC = {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]], "c3": [1, 2, 0]}
@@ -394,26 +394,27 @@ def test_dump_refuses_what_json_would_convert_or_refuse(value):
 
 
 _BIG = 2**31
+# (integer pair, scale): the point pair / scale
 _PAIRS = [
-    (0, 0),
-    (3, -5),
-    (-7, 4),
-    (_BIG, -_BIG),
-    (-_BIG, _BIG - 1),
-    (Fraction(0), Fraction(0)),
-    (Fraction(1, 3), Fraction(2, 5)),
-    (Fraction(-7, 6), Fraction(-3, 4)),
-    (Fraction(5, 2), Fraction(5)),
-    (Fraction(_BIG + 1, 3), Fraction(-_BIG - 3, _BIG - 1)),
+    ((0, 0), 1),
+    ((3, -5), 1),
+    ((-7, 4), 1),
+    ((_BIG, -_BIG), 1),
+    ((-_BIG, _BIG - 1), 1),
+    ((0, 0), 7),
+    ((5, 6), 15),
+    ((-14, -9), 12),
+    ((5, 10), 2),
+    (((_BIG + 1) * (_BIG - 1), -3 * (_BIG + 3)), 3 * (_BIG - 1)),
 ]
 
 
-def _assert_report_point_is_the_qsqrt3_point(pair):
+def _assert_report_point_is_the_qsqrt3_point(pair, scale):
     # the report's exact and float views, written straight from the pair,
-    # are those of the Q(sqrt 3) point x = a - b/2, y = (b/2)*sqrt(3)
-    a, b = map(Fraction, pair)
+    # are those of the Q(sqrt 3) point x = (a - b/2)/D, y = (b/2D)*sqrt(3)
+    a, b = (Fraction(c, scale) for c in pair)
     x, y = a - b / 2, b / 2
-    placement = Placement((pair,))
+    placement = Placement((pair,), scale)
     view = cli._placement_json(placement)
     assert view["exact"] == [
         {
@@ -430,19 +431,27 @@ def _assert_report_point_is_the_qsqrt3_point(pair):
 
 @pytest.mark.parametrize("pair", _PAIRS)
 def test_report_coordinates_match_the_qsqrt3_point(pair):
-    _assert_report_point_is_the_qsqrt3_point(pair)
+    _assert_report_point_is_the_qsqrt3_point(*pair)
 
 
 @given(
     st.tuples(
-        st.integers(min_value=-(2**40), max_value=2**40)
-        | st.fractions(max_denominator=2**33),
-        st.integers(min_value=-(2**40), max_value=2**40)
-        | st.fractions(max_denominator=2**33),
-    )
+        st.integers(min_value=-(2**40), max_value=2**40),
+        st.integers(min_value=-(2**40), max_value=2**40),
+    ),
+    st.integers(min_value=1, max_value=2**33),
 )
-def test_report_coordinates_match_the_qsqrt3_point_for_any_pair(pair):
-    _assert_report_point_is_the_qsqrt3_point(pair)
+def test_report_coordinates_match_the_qsqrt3_point_for_any_pair(pair, scale):
+    _assert_report_point_is_the_qsqrt3_point(pair, scale)
+
+
+def test_points_are_integer_pairs_over_a_positive_scale():
+    with pytest.raises(TypeError):
+        Placement(((Fraction(1, 2), 0),))
+    with pytest.raises(TypeError):
+        Placement(((1, 0),), 0)
+    with pytest.raises(TypeError):
+        Frame(((0, 0), (0, 0)), ((True, 0),))
 
 
 def test_dump_of_a_realize_report_leaves_no_garbage_cycles(write, capsys, monkeypatch):

@@ -242,17 +242,20 @@ def test_partial_elimination_ranks_like_its_matrix():
         split = rng.randint(0, nr)
         images = _integer_images(rows)
         pivots = {}
-        field._eliminate(images[:split], pivots)
+        found = field._eliminate(images[:split], pivots)
         exact = refuse if expected == min(nr, nc) else m.integer_rows
-        assert exact_rank(PartialElimination(nr, nc, pivots, images[split:], exact)) == expected
+        partial = PartialElimination(nr, nc, pivots, images[split:], exact, pivot_rank=found)
+        assert exact_rank(partial) == expected
 
 
 def test_partial_elimination_falls_back_on_a_deficit_or_a_missing_image():
     rows = [[1, 2], [3, 6 + _P]]
     m = rational_matrix(rows)
     pivots = {}
-    field._eliminate(_integer_images(rows)[:1], pivots)
-    deficient = PartialElimination(2, 2, pivots, _integer_images(rows)[1:], m.integer_rows)
+    found = field._eliminate(_integer_images(rows)[:1], pivots)
+    deficient = PartialElimination(
+        2, 2, pivots, _integer_images(rows)[1:], m.integer_rows, pivot_rank=found
+    )
     assert deficient.modular_rank() == 1
     assert exact_rank(deficient) == 2
     assert exact_rank(PartialElimination(2, 2, None, [], m.integer_rows)) == 2

@@ -69,7 +69,7 @@ from tests.corpus import (
 
 
 def pair(a, b):
-    return (Fraction(a), Fraction(b))
+    return (a, b)
 
 
 small_rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -82,9 +82,9 @@ def _cartesian(p):
     return (a - b / 2, Fraction(0)), (Fraction(0), b / 2)
 
 
-def _report_point(p):
-    # the report's exact point of a pair, as x and y / sqrt(3)
-    xn, xd, yn, yd = geometry._cartesian_terms(p)
+def _report_point(p, scale=1):
+    # the report's exact point of a pair over scale, as x and y / sqrt(3)
+    xn, xd, yn, yd = geometry._cartesian_terms(p, scale)
     return Fraction(xn, xd), Fraction(yn, yd)
 
 
@@ -94,7 +94,7 @@ def _frame_lambdas(g, frame):
     for (u, v), q in zip(g.sorted_edges, frame.directions):
         delta = v_sub(frame.positions[u], frame.positions[v])
         assert q != (0, 0) and cross(delta, q) == 0
-        lams.append(delta[0] / q[0] if q[0] else delta[1] / q[1])
+        lams.append(Fraction(delta[0], q[0]) if q[0] else Fraction(delta[1], q[1]))
     return lams
 
 
@@ -286,19 +286,22 @@ def _counted_exact_elimination(monkeypatch):
     return calls
 
 
-def _prism_at(inner, outer):
-    # inner triangle at inner, R inner, R^2 inner; outer likewise, R the rotation
+def _prism_at(inner, outer, scale):
+    # inner triangle at inner, R inner, R^2 inner; outer likewise, R the
+    # rotation, all over scale
     def orbit(p):
         return [p, rotate_omega(p), rotate_omega(rotate_omega(p))]
 
-    return Placement(tuple(orbit(inner) + orbit(outer)))
+    return Placement(tuple(orbit(inner) + orbit(outer)), scale)
 
 
-# the bars 0-3, 1-4, 2-5 lie on three lines through the origin
-_CONCURRENT = _prism_at(pair(Fraction(3, 7), Fraction(-2, 5)), pair(Fraction(6, 7), Fraction(-4, 5)))
-# a coordinate with denominator P: it has no image mod P, and over the common
-# denominator, which P divides, every other coordinate maps to 0 mod P
-_NO_IMAGE = _prism_at(pair(Fraction(1, _P), Fraction(2, 5)), pair(Fraction(3, 7), Fraction(-5, 11)))
+# the bars 0-3, 1-4, 2-5 lie on three lines through the origin: the points
+# (3/7, -2/5) and (6/7, -4/5) over the scale 35
+_CONCURRENT = _prism_at(pair(15, -14), pair(30, -28), 35)
+# the points (1/P, 2/5) and (3/7, -5/11): a coordinate with denominator P,
+# which has no image mod P, and over the common scale 385 P, which P
+# divides, every other coordinate maps to 0 mod P
+_NO_IMAGE = _prism_at(pair(385, 154 * _P), pair(165 * _P, -175 * _P), 385 * _P)
 
 
 def test_concurrent_prism_bars_reach_exact_elimination(monkeypatch):
@@ -318,10 +321,9 @@ def _block_ranks(sg, placement):
     # each joint's point as z = s + t*W beside its conjugate s + t*W^2
     act, g = sg.action, sg.graph
     w = (1, _W, _W * _W % _P)
-    inverses = {}
     z = []
     for p in placement.positions:
-        s, t = (field._residue(Fraction(x), inverses) for x in p)
+        s, t = (x % _P for x in p)
         z.append(((s + t * w[1]) % _P, (s + t * w[2]) % _P))
     rep = [min(act.orbit(v)) for v in range(g.n)]
     power = [act.orbit(rep[v]).index(v) for v in range(g.n)]
@@ -636,7 +638,7 @@ def test_scaling_rows_by_lambda_gives_rigidity_matrix():
     assert all(lams)
     # each row is built up to a positive scale, so the rows agree up to
     # the sign of their edge's scalar
-    rig = rigidity_matrix(sg.graph, Placement(frame.positions)).integer_rows()
+    rig = rigidity_matrix(sg.graph, Placement(frame.positions, frame.scale)).integer_rows()
     gen = generalized_rigidity_matrix(sg.graph, frame).integer_rows()
     for lam, rig_row, gen_row in zip(lams, rig, gen, strict=True):
         sign = 1 if lam > 0 else -1
@@ -761,6 +763,121 @@ def test_speculative_separation_matches_ranking_every_round(monkeypatch):
     assert {12, 15, 120} <= set(restarted)
 
 
+def _realize_frame_graphs(seed):
+    # the benchmark's 48 realize_frame graphs at n = 45 for one seed; it
+    # draws each op's placement seed right after the op's graph
+    from bench import gen
+
+    rng = random.Random(f"realize_frame:{seed}")
+    graphs = []
+    for _ in range(48):
+        graphs.append(parse_graph(gen.make_graph(rng, "tight", 45)))
+        rng.randrange(10**6)
+    return graphs
+
+
+def _plain_round_ranks(g, ends, history, lo, hi):
+    # each round's rows as the plain pass builds them, one ``_row`` per edge,
+    # eliminated from scratch: the round, its rank mod P, and whether its
+    # exact rank is short of full row rank
+    for j in range(lo, hi + 1):
+        now = [(ends[i], q) for i, q, a, b in history if a <= j <= b]
+        rank = field._eliminate([geometry._row(*e, (x % _P, y % _P)) for e, (x, y) in now], {})
+        short = rank < g.m and field._fraction_free_rank(geometry._exact_rows(*zip(*now))) < g.m
+        yield j, rank, short
+
+
+def _plain_first_short_round(g, ends, history, lo, hi, round_rows):
+    # the offline pass on plain rows, for ``geometry._first_short_round``
+    return next((j for j, _, short in _plain_round_ranks(g, ends, history, lo, hi) if short), None)
+
+
+def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
+    # Every round of the frame route on the digest's graphs and the
+    # benchmark's realize_frame graphs at seeds 0-2 is ranked through the
+    # orbit blocks and, test-side, through plain rows: both find the same
+    # first short round at every offline pass, and the separation ends the
+    # same with either. The rank the walk carries is r0 + 2 r1, and where
+    # it is full, so is the plain rank mod P.
+    first_short_round = geometry._first_short_round
+    counts = {"rounds": 0, "block_short": 0, "short": 0}
+
+    def checked(g, ends, history, lo, hi, round_rows):
+        rows_of, twice_from = round_rows
+        assert twice_from == 2 * g.n // 3
+        versions = [(row, a, b) for i, q, a, b in history for row in rows_of(i, q)]
+        blocks = field._round_pivots(versions, lo, hi, twice_from)
+        for (j, pivots, rank), (k, plain, short) in zip(
+            blocks, _plain_round_ranks(g, ends, history, lo, hi), strict=True
+        ):
+            r0 = sum(c < twice_from for c in pivots)
+            assert j == k and rank == r0 + 2 * (len(pivots) - r0)
+            counts["rounds"] += 1
+            counts["short"] += short
+            if rank == g.m:
+                assert plain == g.m and not short
+            else:
+                counts["block_short"] += 1
+        bad = first_short_round(g, ends, history, lo, hi, round_rows)
+        assert bad == _plain_first_short_round(g, ends, history, lo, hi, round_rows)
+        return bad
+
+    graphs = _digest_graphs() + [sg for seed in range(3) for sg in _realize_frame_graphs(seed)]
+    for sg in graphs:
+        tp = _certified_partition(sg)
+        frame = frame_from_partition(sg, tp)
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, "_first_short_round", checked)
+            blocked = pull_apart_fully(sg, tp, frame)
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, "_first_short_round", _plain_first_short_round)
+            assert pull_apart_fully(sg, tp, frame) == blocked
+    # the digest's restarts are among the short rounds, and on these graphs
+    # the blocks fall short mod P at no other round
+    assert counts["block_short"] == counts["short"] >= 10
+    assert counts["rounds"] > 2500
+
+
+def test_a_frame_that_does_not_rotate_ranks_plain_rows(monkeypatch):
+    # A parked direction turned by 120 degrees leaves the frame valid (its
+    # edge's ends coincide) but no longer symmetric, so the separation never
+    # builds orbit blocks and ends as the plain-row pass ends. Moved and
+    # rescaled, the symmetric frame still ranks through the blocks and
+    # reaches the same placement. A class point moved off the symmetry
+    # alone also turns the blocks off.
+    sg = fast_tight_symgraph(0, 45)
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
+    live = geometry._LiveFrame.read(sg, tp, frame)
+    assert geometry._round_rows(sg, live)[1] == 2 * sg.graph.n // 3
+    live.points[0] = v_add(live.points[0], (1, 0))
+    assert geometry._round_rows(sg, live)[1] is None
+    k = sg.graph.sorted_edges.index(adjacent_coincidences(sg.graph, frame)[0])
+    turned = list(frame.directions)
+    turned[k] = rotate_omega(turned[k])
+    askew = Frame(frame.positions, tuple(turned))
+    moved = Frame(tuple(v_add(v_scale(3, p), (5, -7)) for p in frame.positions), frame.directions, 3)
+    built = []
+    orbit_blocks = geometry._orbit_blocks
+
+    def counted(*args):
+        built.append(True)
+        return orbit_blocks(*args)
+
+    monkeypatch.setattr(geometry, "_orbit_blocks", counted)
+    separated = pull_apart_fully(sg, tp, askew)
+    assert not built
+    again = pull_apart_fully(sg, tp, moved)
+    assert built
+    with monkeypatch.context() as patched:
+        patched.setattr(geometry, "_first_short_round", _plain_first_short_round)
+        assert pull_apart_fully(sg, tp, askew) == separated
+    original = pull_apart_fully(sg, tp, frame)
+    assert again[1] == original[1]
+    placements = [framework_from_frame(sg, f) for f, _ in (again, original)]
+    assert cli._placement_json(placements[0]) == cli._placement_json(placements[1])
+
+
 def _offline_case(rng):
     # Each of m slots holds a run of row versions over the rounds lo..hi,
     # with images from few values over few columns, so some rounds are
@@ -793,10 +910,16 @@ def test_offline_pass_eliminates_every_round():
     outcomes = {"none": 0, "first": 0, "later": 0}
     for _ in range(400):
         versions, lo, hi = _offline_case(rng)
-        rounds = [[dict(row) for row, a, b in versions if a <= j <= b] for j in range(lo, hi + 1)]
-        ranks = [field._eliminate(rows, {}) for rows in rounds]
-        walked = [(j, len(pivots)) for j, pivots in field._round_pivots(versions, lo, hi)]
-        assert walked == list(enumerate(ranks, lo))
+        rounds = [[row for row, a, b in versions if a <= j <= b] for j in range(lo, hi + 1)]
+        ranks = [field._eliminate(map(dict, rows), {}) for rows in rounds]
+        walked = [(j, len(pivots), r) for j, pivots, r in field._round_pivots(versions, lo, hi)]
+        assert walked == [(j, r, r) for j, r in enumerate(ranks, lo)]
+        # with the pivots from a column on counted twice, the rank the walk
+        # carries down is the one each round's own elimination counts
+        twice_from = rng.randrange(12)
+        doubled = [field._eliminate(map(dict, rows), {}, twice_from) for rows in rounds]
+        walked = [(j, r) for j, _, r in field._round_pivots(versions, lo, hi, twice_from)]
+        assert walked == list(enumerate(doubled, lo))
         short = [j for j, rows, r in zip(range(lo, hi + 1), rounds, ranks) if r < len(rows)]
         outcomes["none" if not short else "first" if short[0] == lo else "later"] += 1
     assert min(outcomes.values()) >= 40
@@ -828,9 +951,9 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     def planted_rank(matrix):
         return matrix.rows - 1 if _rows_key(matrix) == planted else rank(matrix)
 
-    def counted_offline(versions, lo, hi):
+    def counted_offline(versions, lo, hi, twice_from=None):
         asked.append((lo, hi))
-        return offline(versions, lo, hi)
+        return offline(versions, lo, hi, twice_from)
 
     def failing_plan(*args):
         planned.append(True)
@@ -902,9 +1025,9 @@ def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
     offline, plan = geometry._round_pivots, geometry._plan
     asked = []
 
-    def counted_offline(versions, lo, hi):
+    def counted_offline(versions, lo, hi, twice_from=None):
         asked.append((lo, hi))
-        return offline(versions, lo, hi)
+        return offline(versions, lo, hi, twice_from)
 
     def failing_plan(sg, tp, live):
         if len(live.members) == 12:
@@ -953,7 +1076,7 @@ def test_separation_refuses_a_direction_off_its_edge():
     sg = k3()
     tp = _certified_partition(sg)
     pos = (E_POINTS[1], E_POINTS[2], E_POINTS[0])
-    along = tuple(v_scale(Fraction(-3, 2), v_sub(pos[u], pos[v])) for u, v in sg.graph.sorted_edges)
+    along = tuple(v_scale(-3, v_sub(pos[u], pos[v])) for u, v in sg.graph.sorted_edges)
     assert pull_apart_fully(sg, tp, Frame(pos, along)) == (Frame(pos, along), 0)
     askew = (rotate_omega(along[0]),) + along[1:]
     with pytest.raises(InternalInvariantBroken):
@@ -966,18 +1089,21 @@ def test_separation_ignores_the_scale_of_a_direction():
     sg = prism()
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    rescaled = Frame(frame.positions, tuple(v_scale(Fraction(-5, 3), q) for q in frame.directions))
+    rescaled = Frame(frame.positions, tuple(v_scale(-5, q) for q in frame.directions))
     separated, rounds = pull_apart_fully(sg, tp, frame)
     again, again_rounds = pull_apart_fully(sg, tp, rescaled)
-    assert (again.positions, again_rounds) == (separated.positions, rounds)
-    turned = [i for i, q in enumerate(frame.directions) if separated.directions[i] != q]
-    assert turned
+    assert (again.positions, again.scale, again_rounds) == (separated.positions, separated.scale, rounds)
+    # an edge that either run turned has its position difference in both; a
+    # turned edge's difference may happen to be the pair it was parked with,
+    # but then the rescaled run's is not its parked pair
+    turned = 0
     for i, (u, v) in enumerate(sg.graph.sorted_edges):
-        if i in turned:
+        parked = (frame.directions[i], rescaled.directions[i])
+        if (separated.directions[i], again.directions[i]) != parked:
             assert again.directions[i] == separated.directions[i]
             assert separated.directions[i] == v_sub(separated.positions[u], separated.positions[v])
-        else:
-            assert again.directions[i] == rescaled.directions[i]
+            turned += 1
+    assert turned
 
 
 def test_frame_route_on_corpus():
@@ -1021,22 +1147,18 @@ def test_omega_pairs_commute_with_the_rotation():
         assert _same_sympy_point(rotated, _sympy_rotate(_sympy_point(p)))
     rng = random.Random(3)
     for _ in range(50):
-        a, b = [
-            (Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
-             Fraction(rng.randint(-9, 9), rng.randint(1, 9)))
-            for _ in range(2)
-        ]
+        a, b = [(rng.randint(-99, 99), rng.randint(-99, 99)) for _ in range(2)]
         rotated = _sympy_point(rotate_omega(a))
         assert _same_sympy_point(rotated, _sympy_rotate(_sympy_point(a)))
         assert rotate_omega(rotate_omega(rotate_omega(a))) == a
         # linear, so a placement may be recentred before or after converting
-        c = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        assert _report_point(v_add(a, v_scale(c, b))) == tuple(
-            x + c * y for x, y in zip(_report_point(a), _report_point(b))
+        c, d = rng.randint(-9, 9), rng.randint(1, 9)
+        assert _report_point(v_add(a, v_scale(c, b)), d) == tuple(
+            (x + c * y) / d for x, y in zip(_report_point(a), _report_point(b))
         )
-        assert _report_point(a) == (a[0] - a[1] / 2, a[1] / 2)
-    # integer pairs convert like the same Fractions
-    assert _report_point((3, -5)) == _report_point(pair(3, -5)) == (Fraction(11, 2), Fraction(-5, 2))
+        assert _report_point(a, d) == ((a[0] - Fraction(a[1], 2)) / d, Fraction(a[1], 2 * d))
+    # a pair over a scale converts like the pair divided by it
+    assert _report_point((6, -10), 2) == _report_point((3, -5)) == (Fraction(11, 2), Fraction(-5, 2))
 
 
 def _cartesian_rank(g, frame):
@@ -1058,9 +1180,8 @@ def _cartesian_rank(g, frame):
 
 def _pair_rank_mod_p(g, frame):
     # rank mod P of the rows of direction pairs
-    inverses = {}
     rows = [
-        geometry._row(u, v, geometry._pair_image(d, inverses))
+        geometry._row(u, v, (d[0] % _P, d[1] % _P))
         for (u, v), d in zip(g.sorted_edges, frame.directions)
     ]
     return field._eliminate(rows, {})
@@ -1068,7 +1189,7 @@ def _pair_rank_mod_p(g, frame):
 
 def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
     rng = random.Random(8)
-    steps = [(Fraction(a), Fraction(b)) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]
+    steps = [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1) if a or b]
     deficient = 0
     for sg in acceptance_corpus():
         g = sg.graph
