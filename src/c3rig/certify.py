@@ -186,18 +186,23 @@ def move_spokes(
     return MOVE_TABLE[move.kind].spokes(anchors, n), split
 
 
+def _extend(move: Move, gamma: list[int], edges: set[Edge]) -> None:
+    """Apply ``move``, checked by ``move_spokes``, in place to the rotation
+    ``gamma`` and the edge set ``edges``: add its vertex orbit and spoke
+    orbits, and remove its split edge orbit."""
+    spokes, split = move_spokes(move, gamma, edges.__contains__)
+    n = len(gamma)
+    gamma += (n + 1, n + 2, n)
+    if split is not None:
+        edges.difference_update(edge_orbit(split, gamma))
+    edges.update(e for x, _ in spokes for e in edge_orbit((n, x), gamma))
+
+
 def apply_move(sg: SymGraph, move: Move) -> SymGraph:
     """Add the move's vertex orbit and edge orbits; remove the split edge orbit."""
-    act = sg.require_action()
-    g = sg.graph
-    spokes, split = move_spokes(move, act.gamma, g.edges.__contains__)
-    n = g.n
-    gamma = act.gamma + (n + 1, n + 2, n)
-    edges = g.edges
-    if split is not None:
-        edges = edges - frozenset(edge_orbit(split, gamma))
-    added = frozenset(e for x, _ in spokes for e in edge_orbit((n, x), gamma))
-    return SymGraph(Graph(n + 3, edges | added), C3Action(gamma))
+    gamma, edges = list(sg.require_action().gamma), set(sg.graph.edges)
+    _extend(move, gamma, edges)
+    return SymGraph(Graph(len(gamma), frozenset(edges)), C3Action(tuple(gamma)))
 
 
 def canonical_base() -> SymGraph:
@@ -261,13 +266,8 @@ def replay_sequence(seq: ConstructionSequence) -> SymGraph:
     gamma = list(seq.base.action.gamma)
     edges = set(seq.base.graph.edges)
     for move in seq.moves:
-        spokes, split = move_spokes(move, gamma, edges.__contains__)
-        n = len(gamma)
-        gamma += (n + 1, n + 2, n)
-        if split is not None:
-            edges.difference_update(edge_orbit(split, gamma))
-        edges.update(e for x, _ in spokes for e in edge_orbit((n, x), gamma))
-        if len(edges) != 2 * n + 3:
+        _extend(move, gamma, edges)
+        if len(edges) != 2 * len(gamma) - 3:
             raise IntermediateNotTight(
                 f"replay produced a bad intermediate after {move.kind}"
             )

@@ -14,7 +14,7 @@ homomorphism, so the rank mod P never exceeds the exact rank), full meaning
 the smaller side or a known ceiling on the rank; only a deficit mod P builds
 the integer rows, for exact fraction-free elimination. The image may also be
 two blocks mod P whose ranks bound the exact rank from below, one of them
-counted twice: ``_orbit_rows`` builds them for a rigidity matrix with a
+counted twice: ``_orbit_blocks`` builds them for a rigidity matrix with a
 3-fold rotation. ``_round_pivots`` eliminates a whole sequence of
 matrices that share most of their rows.
 """
@@ -31,18 +31,18 @@ from dataclasses import dataclass
 # other primes, so its check stays independent of this one.
 _P = 1073741719
 # A primitive cube root of unity mod P: the image of w in the prime (P, w - _W)
-# of Z[w] that ``_orbit_rows`` reduces modulo.
+# of Z[w] that ``_orbit_blocks`` reduces modulo.
 _W = next(w for w in (pow(g, (_P - 1) // 3, _P) for g in range(2, _P)) if w != 1)
 
 
 def _eliminate(
     rows: Iterable[dict[int, int]],
     pivots: dict[int, dict[int, int]],
-    twice_from: int | None = None,
+    twice_from: int,
 ) -> int:
     """Reduce sparse rows mod P against ``pivots``; return how many were
     independent, counting twice those whose pivot column is ``twice_from``
-    or later.
+    or later (plain rows pass their column count, which no pivot reaches).
 
     A row maps columns to nonzero residues. Each row is reduced, always at
     its smallest column, against the pivot rows so far; one that does not
@@ -59,7 +59,7 @@ def _eliminate(
             if pivot is None:
                 inv = pow(row[col], -1, _P)
                 pivots[col] = {c: v * inv % _P for c, v in row.items()}
-                found += 1 if twice_from is None or col < twice_from else 2
+                found += 1 if col < twice_from else 2
                 break
             f = row[col]
             for c, v in pivot.items():
@@ -78,11 +78,47 @@ _OrbitRows = Callable[[int, tuple[int, int]], list[dict[int, int]]]
 def _orbit_blocks(
     edges: Sequence[tuple[int, int]], gamma: Sequence[int], place: Sequence[int]
 ) -> _OrbitRows:
-    """``_orbit_rows`` one edge at a time. The orbits, powers and columns of
-    the rotation ``gamma``, and the edge that stands for each edge orbit,
-    are found once, here; the function returned gives, for an edge's index
-    and pair, the edge's two rows, in B0 and B1, when it stands for its
-    orbit, and no row for the other two edges of the orbit."""
+    """The rows mod P of the orbit blocks B0 and B1 of a symmetric
+    rigidity matrix M, one edge at a time: r0 + 2 r1, their ranks, bound
+    M's rank from below.
+
+    M has a row per edge (u, v), the edge's integer pair at u's column pair
+    and its negative at v's (``geometry._pair_matrix``). ``gamma`` is a
+    rotation that fixes no vertex, and the pairs rotate with it: the pair of
+    gamma e is parallel to w times the pair of e, as position differences
+    of a symmetric placement are, or the directions of a symmetric frame.
+    Scaling each row by a nonzero rational keeps the rank, so take the pair
+    of gamma e to be +-w times that of e, the sign from the order of its
+    ends. Write a pair (s, t) as the complex number d = s + t*w,
+    w = exp(2 pi i/3), and a velocity at v as z_v. The row says
+    Re(conj(d) (z_u - z_v)) = 0, or conj(d) (x_u - x_v) + d (y_u - y_v) = 0
+    in the 2n coordinates x = z and y = conj(z), an invertible change of
+    columns over C: this matrix R has the rank of M. The row of gamma e
+    holds +-w d. A motion of phase lam in {1, w, w^2} has
+    x(gamma v) = lam w x(v) and y(gamma v) = lam conj(w) y(v); C^2n is the
+    sum of the three phase spaces, each with the coordinates x_r, y_r of one
+    vertex r per orbit. On the phase space of lam the row of gamma e is
+    +-lam times that of e, so R maps the three into independent spaces and
+    rank R is the sum of the ranks of the blocks B(lam): one row per edge
+    orbit, where u = gamma^a r puts conj(d) (lam w)^a and d (lam conj(w))^a
+    at r's x and y, and v their negatives at its orbit's. B(w^2) is the
+    conjugate of B(w) with its x and y columns swapped, so over Q(w),
+    rank M = rank B(1) + 2 rank B(w).
+
+    P = 1 (mod 3) splits in Z[w]: modulo the prime (P, w - _W), Z[w] is F_P
+    with w at ``_W`` and conj(d) = s + t*w^2 at s + t*_W^2. That is a ring
+    homomorphism, so B(1) and B(w) lose rank there, if anything: r0 + 2 r1
+    is at most rank M. B0 = B(1) and B1 = B(w) have the orbits' column
+    pairs in the order of their vertices' ``place``, B1's from 2n/3 on.
+    B(w^2) is left out on purpose: the bound needs only B(w), and ranking it
+    as well would add a third of the work for the rare placement where
+    r0 + r1 + r2 reaches full rank mod P and r0 + 2 r1 does not.
+
+    The orbits, powers and columns of ``gamma``, and the edge that stands
+    for each edge orbit, are found once, here; the function returned gives,
+    for an edge's index and pair, the edge's two rows, in B0 and B1, when it
+    stands for its orbit, and no row for the other two edges of the orbit.
+    """
     n = len(gamma)
     w = (1, _W, _W * _W % _P)
     orbit, power, count = [-1] * n, [0] * n, 0
@@ -127,56 +163,11 @@ def _orbit_blocks(
     return rows
 
 
-def _orbit_rows(
-    edges: Sequence[tuple[int, int]],
-    pairs: Sequence[tuple[int, int]],
-    gamma: Sequence[int],
-    place: Sequence[int],
-) -> list[dict[int, int]]:
-    """The rows mod P of the orbit blocks B0 and B1 of a symmetric
-    rigidity matrix M: r0 + 2 r1, their ranks, bound M's rank from below.
-
-    M has a row per edge (u, v), the edge's integer pair at u's column pair
-    and its negative at v's (``geometry._pair_matrix``). ``gamma`` is a
-    rotation that fixes no vertex, and the pairs rotate with it: the pair of
-    gamma e is parallel to w times the pair of e, as position differences
-    of a symmetric placement are, or the directions of a symmetric frame.
-    Scaling each row by a nonzero rational keeps the rank, so take the pair
-    of gamma e to be +-w times that of e, the sign from the order of its
-    ends. Write a pair (s, t) as the complex number d = s + t*w,
-    w = exp(2 pi i/3), and a velocity at v as z_v. The row says
-    Re(conj(d) (z_u - z_v)) = 0, or conj(d) (x_u - x_v) + d (y_u - y_v) = 0
-    in the 2n coordinates x = z and y = conj(z), an invertible change of
-    columns over C: this matrix R has the rank of M. The row of gamma e
-    holds +-w d. A motion of phase lam in {1, w, w^2} has
-    x(gamma v) = lam w x(v) and y(gamma v) = lam conj(w) y(v); C^2n is the
-    sum of the three phase spaces, each with the coordinates x_r, y_r of one
-    vertex r per orbit. On the phase space of lam the row of gamma e is
-    +-lam times that of e, so R maps the three into independent spaces and
-    rank R is the sum of the ranks of the blocks B(lam): one row per edge
-    orbit, where u = gamma^a r puts conj(d) (lam w)^a and d (lam conj(w))^a
-    at r's x and y, and v their negatives at its orbit's. B(w^2) is the
-    conjugate of B(w) with its x and y columns swapped, so over Q(w),
-    rank M = rank B(1) + 2 rank B(w).
-
-    P = 1 (mod 3) splits in Z[w]: modulo the prime (P, w - _W), Z[w] is F_P
-    with w at ``_W`` and conj(d) = s + t*w^2 at s + t*_W^2. That is a ring
-    homomorphism, so B(1) and B(w) lose rank there, if anything: r0 + 2 r1
-    is at most rank M. B0 = B(1) and B1 = B(w) have the orbits' column
-    pairs in the order of their vertices' ``place``, B1's from 2n/3 on.
-    B(w^2) is left out on purpose: the bound needs only B(w), and ranking it
-    as well would add a third of the work for the rare placement where
-    r0 + r1 + r2 reaches full rank mod P and r0 + 2 r1 does not.
-    """
-    rows = _orbit_blocks(edges, gamma, place)
-    return [row for i, q in enumerate(pairs) for row in rows(i, q)]
-
-
 def _round_pivots(
     versions: Iterable[tuple[dict[int, int], int, int]],
     lo: int,
     hi: int,
-    twice_from: int | None = None,
+    twice_from: int,
 ) -> Iterator[tuple[int, dict[int, dict[int, int]], int]]:
     """Each round j of lo..hi in turn, with the pivots of its rows mod P and
     their rank, counting the pivots from the column ``twice_from`` on twice.
@@ -229,33 +220,30 @@ class PartialElimination:
     """A rational matrix given mod P as eliminated rows plus rows to reduce.
 
     ``pivots`` are some of its rows eliminated mod P by ``_eliminate``,
-    ``pivot_rank`` their number, and ``rest`` the images of its other rows;
-    ``pivots`` or ``rest`` is None when an entry has no image. Ranking
-    reduces ``rest`` into ``pivots`` in place and adds the new pivots to
-    ``pivot_rank``, which keeps the span of the rows, so ranking the matrix
-    again gives the same rank. ``integer_rows`` gives its rows, each times a
-    nonzero rational, as sparse integer rows, which ``exact_rank`` asks for
-    only on a deficit mod P.
+    ``pivot_rank`` their number, and ``rest`` the images of its other rows.
+    Ranking reduces ``rest`` into ``pivots`` in place and adds the new
+    pivots to ``pivot_rank``, which keeps the span of the rows, so ranking
+    the matrix again gives the same rank. ``integer_rows`` gives its rows,
+    each times a nonzero rational, as sparse integer rows, which
+    ``exact_rank`` asks for only on a deficit mod P.
 
-    With ``twice_from`` set, ``pivots`` and ``rest`` are not the matrix's
-    rows but two blocks, the second in the columns from ``twice_from`` on,
-    chosen so that the first block's rank plus twice the second's is at
-    most the matrix's rank; ``pivot_rank`` and ``modular_rank`` count that
-    sum.
+    With ``twice_from`` below ``cols``, ``pivots`` and ``rest`` are not the
+    matrix's rows but two blocks, the second in the columns from
+    ``twice_from`` on, chosen so that the first block's rank plus twice the
+    second's is at most the matrix's rank; ``pivot_rank`` and
+    ``modular_rank`` count that sum. Plain rows set it to ``cols``.
     """
 
     rows: int
     cols: int
-    pivots: dict[int, dict[int, int]] | None
-    rest: list[dict[int, int]] | None
+    pivots: dict[int, dict[int, int]]
+    rest: list[dict[int, int]]
     integer_rows: Callable[[], list[dict[int, int]]]
-    twice_from: int | None = None
+    twice_from: int
     pivot_rank: int = 0
 
-    def modular_rank(self) -> int | None:
-        """A lower bound on the exact rank, or None when an entry has no image."""
-        if self.pivots is None or self.rest is None:
-            return None
+    def modular_rank(self) -> int:
+        """A lower bound on the exact rank."""
         self.pivot_rank += _eliminate(self.rest, self.pivots, self.twice_from)
         return self.pivot_rank
 
@@ -269,8 +257,7 @@ def exact_rank(m: PartialElimination, ceiling: int | None = None) -> int:
     that is the rank; ``ceiling`` is an upper bound on the
     rank the caller knows from elsewhere, such as 2n - 3 for the rigidity
     matrix of n joints that are not all coincident. A lower rank mod P
-    proves nothing, so it (and an entry with no image mod P) falls back to
-    exact elimination.
+    proves nothing, so it falls back to exact elimination.
     """
     full = min(m.rows, m.cols)
     if ceiling is not None:

@@ -16,12 +16,12 @@ Two realization routes are provided.
   whole way. The separation runs on integer pairs over one common scale,
   so a round does no rational arithmetic. Its rounds run speculatively,
   taking no rank, and one offline pass then eliminates the rows of every
-  round mod P, sharing the rows that rounds have in common; the rows of a
-  symmetric frame are those of its two orbit blocks.
+  round mod P, sharing the rows that rounds have in common; the separation
+  takes only symmetric frames, whose rows are those of two orbit blocks.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
 deficit; the rank of a placement symmetric under a rotation that fixes no
-vertex is proven through two orbit blocks mod P (``field._orbit_rows``). A
+vertex is proven through two orbit blocks mod P (``field._orbit_blocks``). A
 point reaches Cartesian coordinates only in a report or drawing, through
 ``_cartesian_terms``.
 """
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -48,9 +48,9 @@ from .errors import (
 )
 from .field import (
     PartialElimination,
+    _OrbitRows,
     _P,
     _orbit_blocks,
-    _orbit_rows,
     _round_pivots,
     exact_rank,
 )
@@ -179,7 +179,7 @@ def rigidity_matrix(
     """``_pair_matrix`` of the edges' position differences, which has the
     rank of the Cartesian rigidity matrix. Given the rotation ``action``
     of a placement that is symmetric under it, with no vertex fixed, its
-    rows mod P are two orbit blocks (see ``field._orbit_rows``).
+    rows mod P are two orbit blocks (see ``field._orbit_blocks``).
 
     The differences are taken of the integer pairs, not over the scale,
     which scales every row by it and keeps the rank.
@@ -377,16 +377,18 @@ def _pair_matrix(
     the case where each pair is the edge's position difference. Its rows
     mod P come from ``_row``, or, given a rotation ``act`` that fixes no
     vertex and under which the pairs are those of a symmetric placement,
-    from ``field._orbit_rows``; ``_exact_rows`` builds its rows over the
+    from ``field._orbit_blocks``; ``_exact_rows`` builds its rows over the
     integers, each up to scale, only when ``exact_rank`` asks for them.
     """
     place = _degree_order(g)
     ends = [(place[u], place[v]) for u, v in g.sorted_edges]
-    twice_from = None
     if act is None:
         rows = [_row(*e, (x % _P, y % _P)) for e, (x, y) in zip(ends, pairs)]
+        twice_from = 2 * g.n
     else:
-        rows, twice_from = _orbit_rows(g.sorted_edges, pairs, act.gamma, place), 2 * g.n // 3
+        orbit_rows = _orbit_blocks(g.sorted_edges, act.gamma, place)
+        rows = [row for i, q in enumerate(pairs) for row in orbit_rows(i, q)]
+        twice_from = 2 * g.n // 3
     return PartialElimination(
         g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, pairs), twice_from
     )
@@ -495,8 +497,15 @@ class _LiveFrame:
 
     @classmethod
     def read(cls, sg: SymGraph, tp: TreePartition, frame: Frame) -> "_LiveFrame":
-        """Refuses a zero direction, or one not parallel to the position
-        difference of an edge whose ends are apart; the rounds keep that."""
+        """Refuses a zero direction, one not parallel to the position
+        difference of an edge whose ends are apart, and a frame that is not
+        symmetric: a vertex the rotation fixes, joints not symmetric about
+        their centroid, or a direction not parallel to w times its
+        preimage's. The rounds keep all of that, as each moves the three
+        rotated copies of a part by rotated steps and turns the rotated
+        edges to their rotated position differences, so every round's rows
+        are those of its two orbit blocks (``field._orbit_blocks``)."""
+        act = sg.require_action()
         edges = sg.graph.sorted_edges
         miss = _missing_tree(tp, sg.graph.n)
         class_of: dict[Pair, int] = {}
@@ -517,6 +526,14 @@ class _LiveFrame:
                 raise InternalInvariantBroken(f"edge ({u}, {v}) is not along its direction")
             incident[u].append(i)
             incident[v].append(i)
+        if act.fixed_vertices():
+            raise InternalInvariantBroken(f"vertex {act.fixed_vertices()[0]} is fixed")
+        if not _rotates_with(act, _centred(act, frame.positions)):
+            raise InternalInvariantBroken("joints are not symmetric about their centroid")
+        index = {e: i for i, e in enumerate(edges)}
+        for e, q in zip(edges, dirs):
+            if cross(dirs[index[act.map_edge(e)]], rotate_omega(q)):
+                raise InternalInvariantBroken(f"direction of edge {e} does not rotate with it")
         place = _degree_order(sg.graph)
         ends = [(place[u], place[v]) for u, v in edges]
         coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
@@ -641,46 +658,16 @@ def pull_apart(
     return split, p, landed
 
 
-# How the offline pass builds an edge's rows mod P from a direction, by the
-# edge's index, and the column from which its pivots count twice.
-_RoundRows = tuple[Callable[[int, Pair], list[dict[int, int]]], int | None]
-
-
-def _round_rows(sg: SymGraph, live: _LiveFrame) -> _RoundRows:
-    """The rows of the two orbit blocks (``field._orbit_rows``) when the
-    rotation fixes no vertex and ``live`` is symmetric under it: its points
-    about their centroid, and each direction parallel to w times the
-    direction of the edge's preimage. Else each edge's plain ``_row``.
-
-    The rounds keep the symmetry, as each moves the three rotated copies of
-    a part by rotated steps and turns the rotated edges to their rotated
-    position differences, so one check at the start holds for every round.
-    """
-    act, g = sg.require_action(), sg.graph
-    edges, dirs, points = g.sorted_edges, live.dirs, live.points
-    if not act.fixed_vertices() and _rotates_with(
-        act, _centred(act, [points[c] for c in live.joint_class])
-    ):
-        index = {e: i for i, e in enumerate(edges)}
-        if all(
-            not cross(dirs[index[act.map_edge(e)]], rotate_omega(q))
-            for e, q in zip(edges, dirs)
-        ):
-            return _orbit_blocks(edges, act.gamma, _degree_order(g)), 2 * g.n // 3
-    ends = live.ends
-    return (lambda i, q: [_row(*ends[i], (q[0] % _P, q[1] % _P))]), None
-
-
 def _first_short_round(
     g: Graph, ends: list[tuple[int, int]], history: list[tuple[int, Pair, int, int]],
-    lo: int, hi: int, round_rows: _RoundRows,
+    lo: int, hi: int, rows_of: _OrbitRows,
 ) -> int | None:
     """The first round of lo..hi whose generalized rigidity matrix
     ``exact_rank`` finds short of full row rank, or None. ``history`` holds
     (edge, direction, a, b): the edge's direction in the rounds a..b, whose
-    rows mod P ``round_rows`` builds. The exact fallback ranks the plain
-    integer rows."""
-    rows_of, twice_from = round_rows
+    rows mod P in the two orbit blocks ``rows_of`` builds. The exact
+    fallback ranks the plain integer rows."""
+    twice_from = 2 * g.n // 3
     versions = [(row, a, b) for i, q, a, b in history for row in rows_of(i, q)]
     for j, pivots, rank in _round_pivots(versions, lo, hi, twice_from):
 
@@ -703,17 +690,17 @@ def pull_apart_fully(
     speculatively: each takes its first collision-free t with no rank, and
     each edge's directions are kept with the rounds that hold them. Then
     ``_first_short_round`` ranks every round in one offline pass, through
-    the orbit blocks where ``_round_rows`` finds the frame symmetric, so
+    the orbit blocks of the symmetric frame ``_LiveFrame.read`` accepts, so
     each t is the first collision-free one at full rank. At the first round
     short of full rank the rounds before it are replayed on a fresh state,
     and speculation starts again from that round at its next
     collision-free t. A speculative round that fails raises once the rounds
     before it hold.
     """
-    sg.require_action()
+    act = sg.require_action()
     g = sg.graph
     live = _LiveFrame.read(sg, tp, frame)
-    round_rows = _round_rows(sg, live)
+    rows_of = _orbit_blocks(g.sorted_edges, act.gamma, _degree_order(g))
     taken: list[tuple[_Split, int, list[Pair]]] = []
     skip = 0
     while live.coincident:
@@ -731,7 +718,7 @@ def pull_apart_fully(
         except C3RigError as error:
             failed = error
         history += [(i, q, a, len(taken)) for i, (q, a) in enumerate(zip(held, since))]
-        bad = _first_short_round(g, live.ends, history, lo, len(taken), round_rows)
+        bad = _first_short_round(g, live.ends, history, lo, len(taken), rows_of)
         if bad is None:
             if failed is not None:
                 raise failed

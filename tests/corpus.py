@@ -189,28 +189,11 @@ def fast_tight_symgraph(seed: int, n: int) -> SymGraph:
     return SymGraph(Graph(n, frozenset(edges)), C3Action(tuple(gamma)))
 
 
-def _residue(q: Fraction, inverses: dict[int, int]) -> int | None:
-    """The image of the rational ``q`` mod P, or None when P divides its
-    denominator; ``inverses`` caches the inverse of each denominator."""
-    d = q.denominator
-    if d % _P == 0:
-        return None
-    if d not in inverses:
-        inverses[d] = pow(d, -1, _P)
-    return q.numerator * inverses[d] % _P
-
-
 def rational_matrix(rows) -> PartialElimination:
-    """Rational rows as the package's matrix type: each entry's image mod P
-    (no rows mod P when one has none), and each row times the lcm of its
-    denominators as its integer row."""
+    """Rational rows as the package's matrix type: each row times the lcm of
+    its denominators as its integer row, and that row's image mod P."""
     cols = len(rows[0]) if rows else 0
     sparse = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows]
-    inverses: dict[int, int] = {}
-    images = [{c: _residue(x, inverses) for c, x in row.items()} for row in sparse]
-    rest = None
-    if not any(None in row.values() for row in images):
-        rest = [{c: v for c, v in row.items() if v} for row in images]
 
     def integer_rows():
         scaled = []
@@ -219,4 +202,5 @@ def rational_matrix(rows) -> PartialElimination:
             scaled.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
         return scaled
 
-    return PartialElimination(len(rows), cols, {}, rest, integer_rows)
+    rest = [{c: x % _P for c, x in row.items() if x % _P} for row in integer_rows()]
+    return PartialElimination(len(rows), cols, {}, rest, integer_rows, cols)

@@ -343,7 +343,7 @@ def _block_ranks(sg, placement):
                 ):
                     row[col] = (row.get(col, 0) + sign * value) % _P
             rows.append({c: x for c, x in row.items() if x})
-        ranks.append(field._eliminate(rows, {}))
+        ranks.append(field._eliminate(rows, {}, 2 * g.n))
     return ranks
 
 
@@ -428,7 +428,7 @@ def test_concurrent_prism_bars_fall_back_from_the_orbit_blocks():
     # plain integer rows as before
     g, act = prism().graph, prism().action
     blocks = rigidity_matrix(g, _CONCURRENT, act)
-    assert blocks.twice_from is not None and blocks.modular_rank() < 9
+    assert blocks.twice_from == 2 * g.n // 3 and blocks.modular_rank() < 9
     assert exact_rank(blocks, 9) == exact_rank(rigidity_matrix(g, _CONCURRENT), 9) == 8
 
 
@@ -436,7 +436,7 @@ def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(
     def refuse(*args):
         raise AssertionError("orbit blocks built")
 
-    monkeypatch.setattr(geometry, "_orbit_rows", refuse)
+    monkeypatch.setattr(geometry, "_orbit_blocks", refuse)
     sg = prism()
     symmetric = symmetric_generic_positions(sg, 0)
     (a, b), *rest = symmetric.positions
@@ -447,7 +447,7 @@ def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(
     for case, placement, rank in (
         (SymGraph(sg.graph), symmetric, 9), (sg, nudged, 9), (k13_hub(), hub, 3)
     ):
-        assert rigidity_matrix(case.graph, placement, case.action).twice_from is None
+        assert rigidity_matrix(case.graph, placement, case.action).twice_from == 2 * case.graph.n
         assert numeric_isostatic_check(case, placement).rank == rank
 
 
@@ -782,12 +782,13 @@ def _plain_round_ranks(g, ends, history, lo, hi):
     # exact rank is short of full row rank
     for j in range(lo, hi + 1):
         now = [(ends[i], q) for i, q, a, b in history if a <= j <= b]
-        rank = field._eliminate([geometry._row(*e, (x % _P, y % _P)) for e, (x, y) in now], {})
+        rows = [geometry._row(*e, (x % _P, y % _P)) for e, (x, y) in now]
+        rank = field._eliminate(rows, {}, 2 * g.n)
         short = rank < g.m and field._fraction_free_rank(geometry._exact_rows(*zip(*now))) < g.m
         yield j, rank, short
 
 
-def _plain_first_short_round(g, ends, history, lo, hi, round_rows):
+def _plain_first_short_round(g, ends, history, lo, hi, rows_of):
     # the offline pass on plain rows, for ``geometry._first_short_round``
     return next((j for j, _, short in _plain_round_ranks(g, ends, history, lo, hi) if short), None)
 
@@ -802,9 +803,8 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
     first_short_round = geometry._first_short_round
     counts = {"rounds": 0, "block_short": 0, "short": 0}
 
-    def checked(g, ends, history, lo, hi, round_rows):
-        rows_of, twice_from = round_rows
-        assert twice_from == 2 * g.n // 3
+    def checked(g, ends, history, lo, hi, rows_of):
+        twice_from = 2 * g.n // 3
         versions = [(row, a, b) for i, q, a, b in history for row in rows_of(i, q)]
         blocks = field._round_pivots(versions, lo, hi, twice_from)
         for (j, pivots, rank), (k, plain, short) in zip(
@@ -818,8 +818,8 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
                 assert plain == g.m and not short
             else:
                 counts["block_short"] += 1
-        bad = first_short_round(g, ends, history, lo, hi, round_rows)
-        assert bad == _plain_first_short_round(g, ends, history, lo, hi, round_rows)
+        bad = first_short_round(g, ends, history, lo, hi, rows_of)
+        assert bad == _plain_first_short_round(g, ends, history, lo, hi, rows_of)
         return bad
 
     graphs = _digest_graphs() + [sg for seed in range(3) for sg in _realize_frame_graphs(seed)]
@@ -838,40 +838,63 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
     assert counts["rounds"] > 2500
 
 
-def test_a_frame_that_does_not_rotate_ranks_plain_rows(monkeypatch):
-    # A parked direction turned by 120 degrees leaves the frame valid (its
-    # edge's ends coincide) but no longer symmetric, so the separation never
-    # builds orbit blocks and ends as the plain-row pass ends. Moved and
-    # rescaled, the symmetric frame still ranks through the blocks and
-    # reaches the same placement. A class point moved off the symmetry
-    # alone also turns the blocks off.
+def _k4_hub_parked():
+    # K4 with the hub 3 fixed, under a hand-built partition that puts every
+    # vertex in exactly two trees, parked as ``frame_from_partition`` parks
+    # (each vertex on the corner of the tree it misses): no verified
+    # partition has a fixed vertex, but this one reaches the symmetry check
+    edges = [list(e) for e in itertools.combinations(range(4), 2)]
+    sg = parse_graph({"vertices": 4, "edges": edges, "c3": [1, 2, 0, 3]})
+    tp = TreePartition(
+        (frozenset({(0, 1), (0, 2), (1, 2)}), frozenset({(0, 3), (1, 3)}), frozenset({(2, 3)}))
+    )
+    tree = {e: i for i in range(3) for e in tp.trees[i]}
+    frame = Frame(
+        tuple(E_POINTS[c] for c in (2, 2, 1, 0)),
+        tuple(TREE_DIRECTIONS[tree[e]] for e in sg.graph.sorted_edges),
+    )
+    return sg, tp, frame
+
+
+def _askew_frames():
+    # frames that pass the checks of ``_LiveFrame.read`` before the symmetry
+    # check and fail one of its conditions each, with the reason it gives: a
+    # parked direction turned by 120 degrees (its edge's ends coincide), the
+    # corner of vertex 0 moved off the symmetry with the edges apart turned
+    # to follow it, and the fixed hub of ``_k4_hub_parked``
     sg = fast_tight_symgraph(0, 45)
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    live = geometry._LiveFrame.read(sg, tp, frame)
-    assert geometry._round_rows(sg, live)[1] == 2 * sg.graph.n // 3
-    live.points[0] = v_add(live.points[0], (1, 0))
-    assert geometry._round_rows(sg, live)[1] is None
     k = sg.graph.sorted_edges.index(adjacent_coincidences(sg.graph, frame)[0])
     turned = list(frame.directions)
     turned[k] = rotate_omega(turned[k])
-    askew = Frame(frame.positions, tuple(turned))
+    corner = frame.positions[0]
+    moved = tuple(v_add(p, (2, 5)) if p == corner else p for p in frame.positions)
+    follow = tuple(
+        q if moved[u] == moved[v] else v_sub(moved[u], moved[v])
+        for (u, v), q in zip(sg.graph.sorted_edges, frame.directions)
+    )
+    yield sg, tp, Frame(frame.positions, tuple(turned)), "does not rotate with it"
+    yield sg, tp, Frame(moved, follow), "not symmetric about their centroid"
+    yield *_k4_hub_parked(), "vertex 3 is fixed"
+
+
+def test_separation_refuses_a_start_frame_that_is_not_symmetric():
+    # every round is ranked through the orbit blocks, which hold only for a
+    # symmetric frame, so an asymmetric one fails by name before any round
+    for sg, tp, frame, reason in _askew_frames():
+        with pytest.raises(InternalInvariantBroken, match=reason):
+            pull_apart_fully(sg, tp, frame)
+
+
+def test_a_moved_and_rescaled_symmetric_frame_separates_to_the_same_placement():
+    # symmetric about a centroid off the origin and over scale 3, the frame
+    # still ranks through the blocks and reaches the same placement
+    sg = fast_tight_symgraph(0, 45)
+    tp = _certified_partition(sg)
+    frame = frame_from_partition(sg, tp)
     moved = Frame(tuple(v_add(v_scale(3, p), (5, -7)) for p in frame.positions), frame.directions, 3)
-    built = []
-    orbit_blocks = geometry._orbit_blocks
-
-    def counted(*args):
-        built.append(True)
-        return orbit_blocks(*args)
-
-    monkeypatch.setattr(geometry, "_orbit_blocks", counted)
-    separated = pull_apart_fully(sg, tp, askew)
-    assert not built
     again = pull_apart_fully(sg, tp, moved)
-    assert built
-    with monkeypatch.context() as patched:
-        patched.setattr(geometry, "_first_short_round", _plain_first_short_round)
-        assert pull_apart_fully(sg, tp, askew) == separated
     original = pull_apart_fully(sg, tp, frame)
     assert again[1] == original[1]
     placements = [framework_from_frame(sg, f) for f, _ in (again, original)]
@@ -911,8 +934,11 @@ def test_offline_pass_eliminates_every_round():
     for _ in range(400):
         versions, lo, hi = _offline_case(rng)
         rounds = [[row for row, a, b in versions if a <= j <= b] for j in range(lo, hi + 1)]
-        ranks = [field._eliminate(map(dict, rows), {}) for rows in rounds]
-        walked = [(j, len(pivots), r) for j, pivots, r in field._round_pivots(versions, lo, hi)]
+        # no pivot reaches column 12, as the cases have at most six vertices
+        ranks = [field._eliminate(map(dict, rows), {}, 12) for rows in rounds]
+        walked = [
+            (j, len(pivots), r) for j, pivots, r in field._round_pivots(versions, lo, hi, 12)
+        ]
         assert walked == [(j, r, r) for j, r in enumerate(ranks, lo)]
         # with the pivots from a column on counted twice, the rank the walk
         # carries down is the one each round's own elimination counts
@@ -951,7 +977,7 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     def planted_rank(matrix):
         return matrix.rows - 1 if _rows_key(matrix) == planted else rank(matrix)
 
-    def counted_offline(versions, lo, hi, twice_from=None):
+    def counted_offline(versions, lo, hi, twice_from):
         asked.append((lo, hi))
         return offline(versions, lo, hi, twice_from)
 
@@ -1025,7 +1051,7 @@ def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
     offline, plan = geometry._round_pivots, geometry._plan
     asked = []
 
-    def counted_offline(versions, lo, hi, twice_from=None):
+    def counted_offline(versions, lo, hi, twice_from):
         asked.append((lo, hi))
         return offline(versions, lo, hi, twice_from)
 
@@ -1184,7 +1210,7 @@ def _pair_rank_mod_p(g, frame):
         geometry._row(u, v, (d[0] % _P, d[1] % _P))
         for (u, v), d in zip(g.sorted_edges, frame.directions)
     ]
-    return field._eliminate(rows, {})
+    return field._eliminate(rows, {}, 2 * g.n)
 
 
 def test_rational_rows_rank_like_the_generalized_rigidity_matrix():

@@ -1,4 +1,4 @@
-"""Every public module-level function and class of the package has a use."""
+"""Every module-level function and class of the package has a use."""
 from __future__ import annotations
 
 import ast
@@ -21,19 +21,50 @@ def _traced_names() -> set[str]:
     raise AssertionError("bench/spans.py has no BOUNDARIES")
 
 
-def test_every_public_definition_is_used_exported_or_traced():
+def _definitions_and_uses() -> tuple[dict[str, str], dict[str, set[tuple[str, str | None]]]]:
+    # each module-level function and class of the package, with its module;
+    # and each name the package reads, as a variable or an attribute, with
+    # the module and the module-level definition (None outside one) reading it
     defined: dict[str, str] = {}
-    used: set[str] = set()
+    uses: dict[str, set[tuple[str, str | None]]] = {}
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.name
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-    kept = used | set(c3rig.__all__) | _traced_names()
-    unused = sorted(f"{module}: {name}" for name, module in defined.items() if name not in kept)
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = None
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                owner = top.name
+                defined[owner] = path.name
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    uses.setdefault(node.id, set()).add((path.name, owner))
+                elif isinstance(node, ast.Attribute):
+                    uses.setdefault(node.attr, set()).add((path.name, owner))
+    return defined, uses
+
+
+def _used_outside_itself(name: str, module: str, uses) -> bool:
+    return any(use != (module, name) for use in uses.get(name, ()))
+
+
+def test_every_public_definition_is_used_exported_or_traced():
+    defined, uses = _definitions_and_uses()
+    kept = set(c3rig.__all__) | _traced_names()
+    unused = sorted(
+        f"{module}: {name}"
+        for name, module in defined.items()
+        if not name.startswith("_")
+        and name not in kept
+        and not _used_outside_itself(name, module, uses)
+    )
     assert not unused, f"public definitions nothing uses: {unused}"
+
+
+def test_every_private_definition_is_used_in_the_package():
+    # a private helper that only its own body names is dead code, even when
+    # a test still calls it
+    defined, uses = _definitions_and_uses()
+    unused = sorted(
+        f"{module}: {name}"
+        for name, module in defined.items()
+        if name.startswith("_") and not _used_outside_itself(name, module, uses)
+    )
+    assert not unused, f"private definitions nothing in the package uses: {unused}"
