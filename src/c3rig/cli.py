@@ -20,6 +20,7 @@ from .certify import C3Verdict, ConstructionSequence, _c3_verdict, _decide, extr
 from .errors import C3RigError, NotIsostatic, SchemaError
 from .geometry import (
     Placement,
+    RankVerdict,
     _cartesian_terms,
     _float_point,
     frame_from_partition,
@@ -251,24 +252,24 @@ def _certificates(sg: SymGraph) -> tuple[ConstructionSequence, TreePartition, Sp
     return seq, partition, sparsity
 
 
-def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, dict]:
-    extra: dict = {}
+def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, RankVerdict, dict]:
     if method == "generic":
         placement = symmetric_generic_positions(sg, seed)
-    else:
-        _, partition, sparsity = _certificates(sg)
-        frame = frame_from_partition(sg, partition, sparsity)
-        frame, rounds = pull_apart_fully(sg, partition, frame)
-        placement = framework_from_frame(sg, frame)
-        extra["pull_apart_rounds"] = rounds
-    return placement, extra
+        return placement, numeric_isostatic_check(sg, placement), {}
+    _, partition, sparsity = _certificates(sg)
+    frame = frame_from_partition(sg, partition, sparsity)
+    frame, rounds = pull_apart_fully(sg, partition, frame)
+    # The placement's rigidity matrix is the frame's generalized one with
+    # each row times its edge's nonzero scalar, and pull_apart_fully has
+    # proven that one at full row rank.
+    rank = RankVerdict.of(sg.graph, sg.graph.m)
+    return framework_from_frame(sg, frame), rank, {"pull_apart_rounds": rounds}
 
 
 def cmd_realize(args) -> int:
     data, sg = _read_graph(args.file)
     report = _base_report("realize", data)
-    placement, extra = _realize(sg, args.method, args.seed)
-    rank = numeric_isostatic_check(sg, placement)
+    placement, rank, extra = _realize(sg, args.method, args.seed)
     report["method"] = args.method
     report["seed"] = args.seed
     report["placement"] = _placement_json(placement)
@@ -294,8 +295,7 @@ def cmd_render(args) -> int:
     data, sg = _read_graph(args.file)
     report = _base_report("render", data)
     _, partition, _ = _certificates(sg)
-    placement, _ = _realize(sg, "generic", args.seed)
-    svg = render_svg(sg, placement, partition)
+    svg = render_svg(sg, symmetric_generic_positions(sg, args.seed), partition)
     Path(args.out).write_text(svg, encoding="utf-8")
     report["out"] = args.out
     report["seed"] = args.seed

@@ -13,11 +13,13 @@ Two realization routes are provided.
   matching its tree, and then pull coincident joint classes apart along a
   deformation parameter until the degenerate frame becomes an honest
   framework, keeping the generalized rigidity matrix at full row rank the
-  whole way. The separation runs on integer pairs over one common scale,
-  so a round does no rational arithmetic. Its rounds run speculatively,
-  taking no rank, and one offline pass then eliminates the rows of every
-  round mod P, sharing the rows that rounds have in common; the separation
-  takes only symmetric frames, whose rows are those of two orbit blocks.
+  whole way. The separation runs on integer pairs, each over the scale it
+  was written at, so a round does no rational arithmetic and touches only
+  the classes it moves. Its rounds run speculatively, taking no rank, and
+  one offline pass then eliminates the rows of every round mod P, sharing
+  the rows that rounds have in common; the separation takes only
+  symmetric frames, whose rows are those of two orbit blocks. The last
+  round's proof is the rank of the framework it ends with.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
 deficit; the rank of a placement symmetric under a rotation that fixes no
@@ -27,6 +29,7 @@ point reaches Cartesian coordinates only in a report or drawing, through
 """
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from collections.abc import Iterable, Iterator, Sequence
@@ -201,6 +204,21 @@ class RankVerdict:
     target: int
     flex_dim: int
 
+    @classmethod
+    def of(cls, g: Graph, rank: int) -> "RankVerdict":
+        """The reading of ``g`` at a placement of rank ``rank``, whose joints
+        are not all collinear: isostatic iff the edge count and the rank both
+        hit 2n - 3."""
+        target = 2 * g.n - 3
+        return cls(
+            isostatic=g.m == target and rank == target,
+            independent=rank == g.m,
+            rank=rank,
+            edge_count=g.m,
+            target=target,
+            flex_dim=2 * g.n - rank - 3,
+        )
+
     def as_json_dict(self) -> dict:
         return {
             "isostatic": self.isostatic,
@@ -233,16 +251,7 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
         raise DegenerateSpan("all joints are collinear")
     # Joints not all collinear are not all coincident, so the trivial
     # motions cap the rank at 2n - 3 even when there are more bars.
-    target = 2 * n - 3
-    rank = exact_rank(rigidity_matrix(g, placement, sg.action), target)
-    return RankVerdict(
-        isostatic=g.m == target and rank == target,
-        independent=rank == g.m,
-        rank=rank,
-        edge_count=g.m,
-        target=target,
-        flex_dim=2 * n - rank - 3,
-    )
+    return RankVerdict.of(g, exact_rank(rigidity_matrix(g, placement, sg.action), 2 * n - 3))
 
 
 @dataclass(frozen=True)
@@ -294,14 +303,6 @@ def _missing_tree(tp: TreePartition, n: int) -> list[int]:
             raise InvalidPartition(f"vertex {v} is not in exactly two trees")
         miss.append(absent[0])
     return miss
-
-
-def generalized_rigidity_matrix(g: Graph, frame: Frame) -> PartialElimination:
-    """``_pair_matrix`` of the frame's directions, none of which may be zero."""
-    for (u, v), q in zip(g.sorted_edges, frame.directions):
-        if q == _PAIR_ZERO:
-            raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
-    return _pair_matrix(g, frame.directions)
 
 
 def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]:
@@ -425,23 +426,23 @@ def _t_candidates(limit: int) -> Iterator[int]:
         yield primes[k]
 
 
-def _class_to_split(sg: SymGraph, coincident, joint_class, members, miss) -> list[int]:
+def _class_to_split(live: "_LiveFrame") -> list[int]:
     """The class to split, rotated to the corner of tree 0, in sorted order.
 
     Among the coincidence classes containing an edge, the one whose rotation
-    representative at that corner holds the smallest vertex.
+    representative at that corner holds the smallest vertex. The rotation
+    takes each class at that corner to one at each other corner, and keeps
+    edges, so that is the class at the corner of tree 0 with an edge and
+    the smallest vertex: the first entry of ``live.queue`` that is not
+    stale.
     """
-    act = sg.require_action()
-    edges = sg.graph.sorted_edges
-    best: list[int] | None = None
-    for c in {joint_class[edges[i][0]] for i in coincident}:
-        back = (None, act.gamma2, act.gamma)[miss[members[c][0]]]
-        rep = members[c] if back is None else [back[x] for x in members[c]]
-        if best is None or min(rep) < min(best):
-            best = rep
-    if len({joint_class[x] for x in best}) != 1 or {miss[x] for x in best} != {0}:
-        raise InternalInvariantBroken("normalized class is not a coincidence class")
-    return sorted(best)
+    queue, members, joint_class = live.queue, live.members, live.joint_class
+    while True:
+        key, c = queue[0]
+        edges = (live.edges[i] for x in members[c] for i in live.incident[x])
+        if members[c][0] == key and any(joint_class[u] == joint_class[v] for u, v in edges):
+            return members[c]
+        heapq.heappop(queue)
 
 
 # A part of a class moves along the side direction opposite its tree.
@@ -471,28 +472,47 @@ def _separable_component(
     raise NoSeparableComponent("class restricted to both trees is connected")
 
 
+def _line(point: Pair, scale: int, d: Pair) -> tuple[int, int]:
+    """The line through ``point`` over ``scale`` along ``d``, as the reduced
+    fraction cross(point, d) / scale, which is the same for every point on
+    it, whatever its scale."""
+    k = point[0] * d[1] - point[1] * d[0]
+    g = math.gcd(k, scale)
+    return k // g, scale // g
+
+
 @dataclass
 class _LiveFrame:
     """A frame under separation, in integer (1, w) pairs, from round to round.
 
-    The joints are kept as classes by number: the class of each vertex, the
-    members and the point of each class, an integer pair X standing for
-    X / ``scale``. Each edge has a ``_primitive`` integer direction and its
+    The joints are kept as classes by number: the class of each vertex, and
+    the members, in increasing order, the point and the scale of each class,
+    an integer pair X standing for X / ``scales[c]``. A point keeps the
+    scale it was written at, and ``scale``, the start scale times every
+    accepted p, is a multiple of all of them: only ``frame`` brings the
+    points to it. Each edge has a ``_primitive`` integer direction and its
     ends as the column pairs of its row (by ``_degree_order``); each vertex,
-    the indices of its edges. Also kept: the corner each vertex was parked
-    on, the edges whose endpoints still coincide, and the edges a round has
-    turned.
+    the indices of its edges and the corner it was parked on. Also kept:
+    how many edges still have coinciding endpoints; a heap ``queue`` of
+    (smallest member, class) with an entry for each class at the corner of
+    tree 0, stale once the class has lost a member or holds no such edge;
+    each class on its line along each tree direction; and the edges a round
+    has turned.
     """
 
     scale: int
     points: list[Pair]
+    scales: list[int]
     joint_class: list[int]
     members: list[list[int]]
     dirs: list[Pair]
+    edges: Sequence[tuple[int, int]]
     ends: list[tuple[int, int]]
     incident: list[list[int]]
     miss: list[int]
-    coincident: list[int]
+    coincident: int
+    queue: list[tuple[int, int]]
+    lines: dict[Pair, dict[tuple[int, int], list[int]]]
     turned: set[int]
 
     @classmethod
@@ -500,8 +520,9 @@ class _LiveFrame:
         """Refuses a zero direction, one not parallel to the position
         difference of an edge whose ends are apart, and a frame that is not
         symmetric: a vertex the rotation fixes, joints not symmetric about
-        their centroid, or a direction not parallel to w times its
-        preimage's. The rounds keep all of that, as each moves the three
+        their centroid, a direction not parallel to w times its preimage's,
+        or a rotation that does not take the corner of each tree to that of
+        the next. The rounds keep all of that, as each moves the three
         rotated copies of a part by rotated steps and turns the rotated
         edges to their rotated position differences, so every round's rows
         are those of its two orbit blocks (``field._orbit_blocks``)."""
@@ -519,6 +540,7 @@ class _LiveFrame:
         points = list(class_of)
         dirs = [_primitive(q) for q in frame.directions]
         incident: list[list[int]] = [[] for _ in range(sg.graph.n)]
+        coincident = 0
         for i, ((u, v), q) in enumerate(zip(edges, dirs)):
             if q == (0, 0):
                 raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
@@ -526,6 +548,7 @@ class _LiveFrame:
                 raise InternalInvariantBroken(f"edge ({u}, {v}) is not along its direction")
             incident[u].append(i)
             incident[v].append(i)
+            coincident += joint_class[u] == joint_class[v]
         if act.fixed_vertices():
             raise InternalInvariantBroken(f"vertex {act.fixed_vertices()[0]} is fixed")
         if not _rotates_with(act, _centred(act, frame.positions)):
@@ -534,33 +557,42 @@ class _LiveFrame:
         for e, q in zip(edges, dirs):
             if cross(dirs[index[act.map_edge(e)]], rotate_omega(q)):
                 raise InternalInvariantBroken(f"direction of edge {e} does not rotate with it")
+        if any(miss[act.gamma[v]] != (k + 1) % 3 for v, k in enumerate(miss)):
+            raise InternalInvariantBroken("the rotation does not take each corner to the next")
         place = _degree_order(sg.graph)
         ends = [(place[u], place[v]) for u, v in edges]
-        coincident = [i for i, (u, v) in enumerate(edges) if joint_class[u] == joint_class[v]]
-        return cls(
-            frame.scale, points, joint_class, members, dirs, ends, incident, miss, coincident, set()
+        live = cls(
+            frame.scale, points, [frame.scale] * len(points), joint_class, members, dirs,
+            edges, ends, incident, miss, coincident, [], {d: {} for d in TREE_DIRECTIONS}, set(),
         )
+        for c in range(len(points)):
+            live._index(c)
+        return live
+
+    def _index(self, c: int) -> None:
+        """Put class c on its line along each tree direction and, at the
+        corner of tree 0, on the queue."""
+        point, scale, first = self.points[c], self.scales[c], self.members[c][0]
+        for d, lines in self.lines.items():
+            lines.setdefault(_line(point, scale, d), []).append(c)
+        if not self.miss[first]:
+            heapq.heappush(self.queue, (first, c))
 
     def frame(self, g: Graph, start: Frame) -> Frame:
-        """The frame over ``scale``: each vertex at its class point, and
-        each turned edge's direction its position difference."""
-        points, joint_class = self.points, self.joint_class
+        """The frame over ``scale``: each vertex at its class point brought
+        to that scale, and each turned edge's direction its position
+        difference."""
+        scale, joint_class = self.scale, self.joint_class
+        points = [v_scale(scale // s, q) for q, s in zip(self.points, self.scales)]
         directions = list(start.directions)
         for i in self.turned:
             u, v = g.sorted_edges[i]
             directions[i] = v_sub(points[joint_class[u]], points[joint_class[v]])
-        return Frame(tuple(points[c] for c in joint_class), tuple(directions), self.scale)
-
-
-def _on_a_class(point: Pair, p: int, occupied: set[Pair]) -> bool:
-    """Whether ``point`` at the scale p * D is one of the class points
-    ``occupied`` at the scale D: whether it is p * X for one of them."""
-    x, y = point
-    return not x % p and not y % p and (x // p, y // p) in occupied
+        return Frame(tuple(points[c] for c in joint_class), tuple(directions), scale)
 
 
 # A round's split: the three moving copies, their steps, and each turning
-# edge's (delta, D dd) by index.
+# edge's (delta, S dd) by index.
 _Split = tuple[tuple[list[int], ...], tuple[Pair, ...], dict[int, tuple[Pair, Pair]]]
 
 
@@ -572,15 +604,15 @@ def _plan(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> _Split:
     restriction to one tree moves along the opposite side direction, its
     rotated copies along the rotated directions, and every edge whose
     endpoints move differently turns to its new position difference, so the
-    frame condition survives: at t = 1/p a point X / D (D = ``scale``)
-    moving by d goes to (p X + D d) / (p D), so the edge's row, taken at
-    p delta + D dd (delta = X_u - X_v, dd = d_u - d_v), is a nonzero
-    multiple of its new position difference and affine in p.
+    frame condition survives: at t = 1/p a point X / s moving by d goes to
+    (p X + s d) / (p s), so with delta = S (X_u / s_u - X_v / s_v) and
+    dd = d_u - d_v, S = s_u s_v, the edge's row, taken at p delta + S dd,
+    is a positive multiple of its new position difference and affine in p.
     """
     act = sg.require_action()
-    edges = sg.graph.sorted_edges
-    scale, points, joint_class, members = live.scale, live.points, live.joint_class, live.members
-    part = _class_to_split(sg, live.coincident, joint_class, members, live.miss)
+    edges = live.edges
+    points, scales, joint_class, members = live.points, live.scales, live.joint_class, live.members
+    part = _class_to_split(live)
     comp, d0 = _separable_component(part, tp, edges, live.incident)
     steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
     first = sorted(comp)
@@ -594,37 +626,89 @@ def _plan(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> _Split:
     turning: dict[int, tuple[Pair, Pair]] = {}
     for i in sorted({i for x in disp for i in live.incident[x]}):
         u, v = edges[i]
-        du, dv = disp.get(u, (0, 0)), disp.get(v, (0, 0))
-        if du != dv:
-            delta = v_sub(points[joint_class[u]], points[joint_class[v]])
-            turning[i] = (delta, v_scale(scale, v_sub(du, dv)))
+        (a, b), (e, f) = disp.get(u, _PAIR_ZERO), disp.get(v, _PAIR_ZERO)
+        if a != e or b != f:
+            cu, cv = joint_class[u], joint_class[v]
+            (xu, yu), (xv, yv), su, sv = points[cu], points[cv], scales[cu], scales[cv]
+            s = su * sv
+            turning[i] = ((sv * xu - su * xv, sv * yu - su * yv), (s * (a - e), s * (b - f)))
     return copies, steps, turning
 
 
-def _accept(live: _LiveFrame, split: _Split, p: int, landed: list[Pair]) -> None:
-    """Take the split at t = 1/p, which puts every point at the scale p * D."""
-    copies, _, turning = split
-    points, joint_class, members = live.points, live.joint_class, live.members
+def _accept(live: _LiveFrame, split: _Split, p: int) -> None:
+    """Take the split at t = 1/p: each copy leaves its class for a new one
+    at p X + s d over p s, and no other point moves."""
+    copies, steps, turning = split
+    points, scales, joint_class, members = live.points, live.scales, live.joint_class, live.members
     live.scale *= p
-    points[:] = [(p * x, p * y) for x, y in points]
-    for copy, point in zip(copies, landed):
-        c = joint_class[copy[0]]
+    for i, ((x, y), (a, b)) in turning.items():
+        # a turned edge whose ends coincided has them apart from now on
+        u, v = live.edges[i]
+        live.coincident -= joint_class[u] == joint_class[v]
+        live.dirs[i] = _primitive((p * x + a, p * y + b))
+    live.turned.update(turning)
+    for copy, (a, b) in zip(copies, steps):
+        c, new = joint_class[copy[0]], len(members)
         gone = set(copy)
         members[c] = [x for x in members[c] if x not in gone]
+        members.append(sorted(copy))
+        (x, y), s = points[c], scales[c]
+        points.append((p * x + s * a, p * y + s * b))
+        scales.append(p * s)
         for x in copy:
-            joint_class[x] = len(members)
-        members.append(copy)
-        points.append(point)
-    for i, (delta, dd) in turning.items():
-        live.dirs[i] = _primitive(v_add(v_scale(p, delta), dd))
-    live.turned.update(turning)
-    # A turned edge's endpoints now lie apart; another kept their offset.
-    live.coincident = [i for i in live.coincident if i not in turning]
+            joint_class[x] = new
+        if not live.miss[copy[0]]:
+            heapq.heappush(live.queue, (members[c][0], c))
+        live._index(new)
+
+
+def _meeting(delta: Pair, step: Pair, scale: int) -> int | None:
+    """The p > 0 with p * delta = scale * step, if it is an integer: the
+    t = 1/p at which a point moving by ``step`` covers delta / scale."""
+    if cross(delta, step):
+        return None
+    k = 0 if step[0] else 1
+    if not delta[k]:
+        return None
+    p, r = divmod(scale * step[k], delta[k])
+    return p if p > 0 and not r else None
+
+
+def _collisions(live: _LiveFrame, copies: Sequence[list[int]], steps: Sequence[Pair]) -> set[int]:
+    """The p at which a copy would land on a class point or on another copy.
+
+    A copy at X / s moving by d lands on the class point Y / r only if Y
+    lies on X's line along d, and then at the one p with
+    p (s Y - r X) = r s d; one coordinate k with d_k = +-1 gives it. Copies
+    j and k meet at the one p with p (s_k X_j - s_j X_k) = s_j s_k (d_k - d_j),
+    if any.
+    """
+    points, scales = live.points, live.scales
+    moving = []
+    for copy, d in zip(copies, steps):
+        c = live.joint_class[copy[0]]
+        moving.append((points[c], scales[c], d))
+    found: set[int | None] = set()
+    for x, s, d in moving:
+        k = 0 if d[0] else 1
+        xk, sd = x[k], s * d[k]
+        for c in live.lines[d][_line(x, s, d)]:
+            r = scales[c]
+            gap = s * points[c][k] - r * xk
+            if gap:
+                p, rest = divmod(r * sd, gap)
+                if p > 0 and not rest:
+                    found.add(p)
+    for j, ((x0, x1), s, (a, b)) in enumerate(moving):
+        for (y0, y1), r, (e, f) in moving[j + 1 :]:
+            found.add(_meeting((r * x0 - s * y0, r * x1 - s * y1), (e - a, f - b), r * s))
+    found.discard(None)
+    return found
 
 
 def pull_apart(
     sg: SymGraph, tp: TreePartition, live: _LiveFrame, skip: int = 0
-) -> tuple[_Split, int, list[Pair]]:
+) -> tuple[_Split, int]:
     """One round of separation: take ``_plan``'s split of ``live`` at the
     first t = 1/p at which no moving copy lands on a class or on another
     copy, past the first ``skip`` such t. No rank is taken here;
@@ -632,30 +716,26 @@ def pull_apart(
     """
     split = _plan(sg, tp, live)
     copies, steps, _ = split
-    scale, points = live.scale, live.points
-    starts = [points[live.joint_class[copy[0]]] for copy in copies]
-    occupied = set(points)
-    # A t fails only by a collision or a rank deficit. Moving copy k lands
-    # on an occupied class point for at most one t per class, as its step
-    # is nonzero, and two copies meet for at most one t per pair, as their
-    # steps differ: 3 * (classes + 1) values. The turned rows are affine in
-    # p, so an m x m minor that is nonzero for some p (the separation step
-    # of the symmetric Crapo theorem gives one) is a polynomial of degree at
-    # most m, vanishing for at most m values. So one of the first
+    found = _collisions(live, copies, steps)
+    # A t fails only by a collision or a rank deficit. ``_collisions`` holds
+    # at most one p per class on each moving copy's line, as its step is
+    # nonzero, and one per pair of copies, as their steps differ: at most
+    # 3 * (classes + 1) values. The turned rows are affine in p, so an
+    # m x m minor that is nonzero for some p (the separation step of the
+    # symmetric Crapo theorem gives one) is a polynomial of degree at most
+    # m, vanishing for at most m values. So one of the first
     # 3 * (classes + 1) + m + 1 candidates is good.
     limit = 3 * (len(live.members) + 1) + sg.graph.m + 1
     for p in _t_candidates(limit):
-        # the copies' new points at the scale p * D
-        landed = [(p * x + scale * a, p * y + scale * b) for (x, y), (a, b) in zip(starts, steps)]
-        if len(set(landed)) < 3 or any(_on_a_class(q, p, occupied) for q in landed):
+        if p in found:
             continue
         if not skip:
             break
         skip -= 1
     else:
         raise ExhaustedT(f"none of {limit} deformation parameters preserved independence")
-    _accept(live, split, p, landed)
-    return split, p, landed
+    _accept(live, split, p)
+    return split, p
 
 
 def _first_short_round(
@@ -696,12 +776,21 @@ def pull_apart_fully(
     and speculation starts again from that round at its next
     collision-free t. A speculative round that fails raises once the rounds
     before it hold.
+
+    The generalized rigidity matrix of the frame returned has full row rank
+    m: its rows are those of the last round, each times a positive scalar,
+    and the last offline pass proved that round's rank. When no round runs,
+    the start frame is ranked once instead.
     """
     act = sg.require_action()
     g = sg.graph
     live = _LiveFrame.read(sg, tp, frame)
     rows_of = _orbit_blocks(g.sorted_edges, act.gamma, _degree_order(g))
-    taken: list[tuple[_Split, int, list[Pair]]] = []
+    if not live.coincident:
+        start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
+        if _first_short_round(g, live.ends, start, 0, 0, rows_of) is not None:
+            raise InternalInvariantBroken("the start frame is short of full rank")
+    taken: list[tuple[_Split, int]] = []
     skip = 0
     while live.coincident:
         lo, failed = len(taken) + 1, None
@@ -745,9 +834,8 @@ def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
     translating it to the origin, at three times the frame's scale, the
     placement satisfies the symmetry equation exactly. No rank is taken
     here: the rigidity matrix is the generalized one with each row scaled by
-    its edge's nonzero frame scalar, so it keeps the full rank
-    ``pull_apart_fully`` accepted, and ``numeric_isostatic_check`` reads that
-    rank off the placement.
+    its edge's nonzero frame scalar, so it has the full row rank
+    ``pull_apart_fully`` proved.
     """
     act = sg.require_action()
     g = sg.graph

@@ -55,6 +55,15 @@ class Graph:
                     raise SchemaError(f"edge ({u}, {v}) is not sorted: store it as ({v}, {u})")
                 raise SchemaError(f"edge ({u}, {v}) out of range for n={self.n}")
 
+    @classmethod
+    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
+        """The graph on edges its caller has already checked as
+        ``__post_init__`` would, with no second pass over them."""
+        graph = object.__new__(cls)
+        object.__setattr__(graph, "n", n)
+        object.__setattr__(graph, "edges", edges)
+        return graph
+
     @property
     def m(self) -> int:
         return len(self.edges)
@@ -131,13 +140,18 @@ class SymGraph:
             raise SchemaError(
                 f"symmetry acts on {act.n} vertices but the graph has {self.graph.n}"
             )
-        edges = self.graph.edges
-        for e in self.graph.sorted_edges:
-            if act.map_edge(e) not in edges:
-                raise NotAnAutomorphism(
-                    f"edge {list(e)} maps to the non-edge {list(act.map_edge(e))}",
-                    witness_edge=e,
-                )
+        gamma, edges = act.gamma, self.graph.edges
+        for u, v in edges:
+            x, y = gamma[u], gamma[v]
+            if ((x, y) if x < y else (y, x)) not in edges:
+                break
+        else:
+            return
+        # name the first sorted edge that fails, whatever the set's order
+        e = next(e for e in self.graph.sorted_edges if act.map_edge(e) not in edges)
+        raise NotAnAutomorphism(
+            f"edge {list(e)} maps to the non-edge {list(act.map_edge(e))}", witness_edge=e
+        )
 
     def require_action(self) -> C3Action:
         if self.action is None:
@@ -232,7 +246,7 @@ def parse_graph(document: str | bytes | dict) -> SymGraph:
         if e in edges:
             raise LoopOrDuplicateEdge(f"edge {list(e)} appears twice")
         edges.add(e)
-    graph = Graph(n, frozenset(edges))
+    graph = Graph._checked(n, frozenset(edges))
     action = None
     if "c3" in obj:
         raw = obj["c3"]

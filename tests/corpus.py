@@ -21,6 +21,7 @@ from c3rig import (
     parse_graph,
 )
 from c3rig.field import PartialElimination, _P
+from c3rig.geometry import Frame, _pair_matrix
 
 PRISM_DOC = {
     "vertices": 6,
@@ -204,3 +205,10 @@ def rational_matrix(rows) -> PartialElimination:
 
     rest = [{c: x % _P for c, x in row.items() if x % _P} for row in integer_rows()]
     return PartialElimination(len(rows), cols, {}, rest, integer_rows, cols)
+
+
+def generalized_matrix(g: Graph, frame: Frame) -> PartialElimination:
+    """The generalized rigidity matrix of ``frame``: one row per sorted
+    edge from its direction pair, made by the package's ``_pair_matrix``. A
+    frame-rank oracle: the separation proves this rank itself."""
+    return _pair_matrix(g, frame.directions)

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph
 from c3rig.cli import main
 from c3rig.geometry import Frame, Placement
-from tests.corpus import PRISM_DOC, fast_tight_symgraph
+from tests.corpus import PRISM_DOC, fast_tight_symgraph, generalized_matrix
 
 K3_DOC = {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]], "c3": [1, 2, 0]}
 K4_DOC = {
@@ -204,27 +204,33 @@ def test_realize_frame_decides_the_input_with_one_game(write, capsys, monkeypatc
     assert len(engines) == 1
 
 
-def test_realize_frame_ranks_its_placement_once(write, capsys, monkeypatch):
-    ranks_after_separation = []
-    separated = []
+def test_realize_frame_ranks_its_finished_framework_once(write, capsys, monkeypatch):
+    # The separation's last offline pass proves the finished framework's
+    # rows, and nothing ranks them again once it returns: the report's rank
+    # is that proof.
+    ranked, finished = [], []
     pull_apart_fully = cli.pull_apart_fully
     exact_rank = geometry.exact_rank
 
-    def pull_then_mark(*args):
-        result = pull_apart_fully(*args)
-        separated.append(True)
+    def rows(matrix):
+        return sorted(sorted(row.items()) for row in matrix.integer_rows())
+
+    def pull_then_mark(sg, tp, frame):
+        result = pull_apart_fully(sg, tp, frame)
+        finished.append(rows(generalized_matrix(sg.graph, result[0])))
         return result
 
     def counted_rank(matrix, *ceiling):
-        if separated:
-            ranks_after_separation.append(matrix.rows)
+        ranked.append(None if finished else rows(matrix))
         return exact_rank(matrix, *ceiling)
 
     monkeypatch.setattr(cli, "pull_apart_fully", pull_then_mark)
     monkeypatch.setattr(geometry, "exact_rank", counted_rank)
-    code, _ = run(capsys, ["realize", write(PRISM_DOC), "--method", "frame"])
+    code, out = run(capsys, ["realize", write(PRISM_DOC), "--method", "frame"])
     assert code == 0
-    assert ranks_after_separation == [9]
+    assert json.loads(out)["rank_verdict"]["rank"] == 9
+    assert None not in ranked
+    assert ranked.count(finished[0]) == 1 and ranked[-1] == finished[0]
 
 
 def test_realize_frame_finds_a_parameter_past_the_first_fifty(write, capsys):

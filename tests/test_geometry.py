@@ -45,7 +45,6 @@ from c3rig.geometry import (
     Placement,
     adjacent_coincidences,
     cross,
-    generalized_rigidity_matrix,
     placement_is_symmetric,
     rotate_omega,
     v_add,
@@ -57,6 +56,7 @@ from c3rig.trees import TreePartition
 from tests.corpus import (
     acceptance_corpus,
     fast_tight_symgraph,
+    generalized_matrix,
     k13_hub,
     k3,
     k33,
@@ -518,7 +518,7 @@ def test_k3_frame_positions():
     frame = frame_from_partition(sg, _certified_partition(sg))
     # each vertex sits at the corner of the one tree it misses
     assert frame.positions == (E_POINTS[1], E_POINTS[2], E_POINTS[0])
-    assert exact_rank(generalized_rigidity_matrix(sg.graph, frame)) == 3
+    assert exact_rank(generalized_matrix(sg.graph, frame)) == 3
     assert adjacent_coincidences(sg.graph, frame) == ()
     assert pull_apart_fully(sg, _certified_partition(sg), frame) == (frame, 0)
 
@@ -530,16 +530,14 @@ def test_prism_frame_parks_two_joints_per_corner():
     _frame_lambdas(sg.graph, frame)  # the defining scalar exists per edge
     for corner in E_POINTS:
         assert sum(1 for p in frame.positions if p == corner) == 2
-    assert exact_rank(generalized_rigidity_matrix(sg.graph, frame)) == 9
+    assert exact_rank(generalized_matrix(sg.graph, frame)) == 9
 
 
 def test_generalized_matrix_single_edge():
     g = Graph(2, frozenset({(0, 1)}))
     frame = Frame((pair(0, 0), pair(0, 0)), (pair(1, 2),))
-    m = generalized_rigidity_matrix(g, frame)
+    m = generalized_matrix(g, frame)
     assert m.integer_rows() == [{0: 1, 1: 2, 2: -1, 3: -2}]
-    with pytest.raises(ZeroDirection):
-        generalized_rigidity_matrix(g, Frame(frame.positions, (pair(0, 0),)))
 
 
 def test_pull_apart_refuses_a_zero_direction():
@@ -560,7 +558,7 @@ def test_prism_pull_apart_separates_in_rounds():
     assert rounds >= 1
     assert adjacent_coincidences(sg.graph, separated) == ()
     assert separated.positions != frame.positions
-    assert exact_rank(generalized_rigidity_matrix(sg.graph, separated)) == 9
+    assert exact_rank(generalized_matrix(sg.graph, separated)) == 9
 
 
 def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
@@ -639,7 +637,7 @@ def test_scaling_rows_by_lambda_gives_rigidity_matrix():
     # each row is built up to a positive scale, so the rows agree up to
     # the sign of their edge's scalar
     rig = rigidity_matrix(sg.graph, Placement(frame.positions, frame.scale)).integer_rows()
-    gen = generalized_rigidity_matrix(sg.graph, frame).integer_rows()
+    gen = generalized_matrix(sg.graph, frame).integer_rows()
     for lam, rig_row, gen_row in zip(lams, rig, gen, strict=True):
         sign = 1 if lam > 0 else -1
         assert rig_row == {c: sign * x for c, x in gen_row.items()}
@@ -689,36 +687,118 @@ def test_digest_graphs_rarely_fall_back_to_exact_elimination(monkeypatch):
 
 
 def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
-    # The digest's graphs reach the integer collision rule: some candidates
-    # are skipped, with no rank taken, because a copy would land on a class.
-    counts = dict.fromkeys(("rounds", "tried", "ranked", "landed"), 0)
-    candidates, rank, on_a_class = (
-        geometry._t_candidates, geometry.exact_rank, geometry._on_a_class
+    # The digest's graphs reach the collision rule: some candidates are
+    # skipped, with no rank taken, because a copy would land on a class or
+    # on another copy at them.
+    counts = dict.fromkeys(("rounds", "calls", "tried", "ranked", "skipped"), 0)
+    candidates, rank, collisions, pull_apart = (
+        geometry._t_candidates, geometry.exact_rank, geometry._collisions, geometry.pull_apart
     )
+    latest = [set()]
+
+    def counted_collisions(*args):
+        latest[0] = collisions(*args)
+        return latest[0]
 
     def counted_candidates(limit):
         for p in candidates(limit):
             counts["tried"] += 1
+            counts["skipped"] += p in latest[0]
             yield p
 
     def counted_rank(matrix):
         counts["ranked"] += 1
         return rank(matrix)
 
-    def counted_landing(*args):
-        # ``any`` stops at the first hit, so this counts skipped candidates
-        hit = on_a_class(*args)
-        counts["landed"] += hit
-        return hit
+    def counted(*args):
+        counts["calls"] += 1
+        return pull_apart(*args)
 
     monkeypatch.setattr(geometry, "_t_candidates", counted_candidates)
     monkeypatch.setattr(geometry, "exact_rank", counted_rank)
-    monkeypatch.setattr(geometry, "_on_a_class", counted_landing)
+    monkeypatch.setattr(geometry, "_collisions", counted_collisions)
+    monkeypatch.setattr(geometry, "pull_apart", counted)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
         counts["rounds"] += pull_apart_fully(sg, tp, frame_from_partition(sg, tp))[1]
     assert counts["ranked"] >= counts["rounds"] > 0
-    assert counts["tried"] - counts["ranked"] >= counts["landed"] > 0
+    # every call takes one candidate that is not skipped for a collision
+    assert counts["tried"] - counts["skipped"] >= counts["calls"] >= counts["rounds"]
+    assert counts["skipped"] > 0
+
+
+def _scanned_class(sg, live):
+    # the class to split as a scan over every coincident edge finds it: the
+    # smallest vertex of its rotation representative at the corner of tree 0
+    act = sg.require_action()
+    best = None
+    for u, v in sg.graph.sorted_edges:
+        c = live.joint_class[u]
+        if c == live.joint_class[v]:
+            back = (None, act.gamma2, act.gamma)[live.miss[live.members[c][0]]]
+            rep = live.members[c] if back is None else [back[x] for x in live.members[c]]
+            if best is None or min(rep) < min(best):
+                best = rep
+    return sorted(best)
+
+
+def _tried_parameter(sg, live, split, skip):
+    # the parameter as a trial of every candidate finds it: with every class
+    # point brought to the common scale D, the copies' landed points at the
+    # scale p D against every class point times p
+    copies, steps, _ = split
+    scale = live.scale
+    points = [v_scale(scale // s, q) for q, s in zip(live.points, live.scales)]
+    occupied = set(points)
+    starts = [points[live.joint_class[copy[0]]] for copy in copies]
+    limit = 3 * (len(live.members) + 1) + sg.graph.m + 1
+    for p in geometry._t_candidates(limit):
+        landed = [(p * x + scale * a, p * y + scale * b) for (x, y), (a, b) in zip(starts, steps)]
+        if len(set(landed)) < 3 or any(
+            not x % p and not y % p and (x // p, y // p) in occupied for x, y in landed
+        ):
+            continue
+        if not skip:
+            return p
+        skip -= 1
+    return None
+
+
+def test_indexed_rounds_match_the_scans(monkeypatch):
+    # On every round of the digest's graphs, the ones run again after a
+    # restart included, the class the queue gives is the one a scan of the
+    # coincident edges gives, and the parameter taken past the collision
+    # set is the one a trial of every candidate takes.
+    pull_apart = geometry.pull_apart
+    counts = {"rounds": 0, "restarted": 0}
+
+    def checked(sg, tp, live, skip=0):
+        assert geometry._class_to_split(live) == _scanned_class(sg, live)
+        split = geometry._plan(sg, tp, live)
+        expected = _tried_parameter(sg, live, split, skip)
+        taken = pull_apart(sg, tp, live, skip)
+        assert taken == (split, expected)
+        counts["rounds"] += 1
+        counts["restarted"] += skip > 0
+        return taken
+
+    monkeypatch.setattr(geometry, "pull_apart", checked)
+    for sg in _digest_graphs():
+        tp = _certified_partition(sg)
+        pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+    assert counts["restarted"] >= 10 and counts["rounds"] > 900
+
+
+def test_frame_route_verdict_is_the_placement_check(monkeypatch):
+    # The frame route reports the rank its separation proved, with no rank
+    # of the placement: that verdict is the placement check's.
+    graphs = [k3()] + _digest_graphs()
+    for sg in graphs:
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "numeric_isostatic_check", None)
+            placement, verdict, _ = cli._realize(sg, "frame", 0)
+        assert verdict == numeric_isostatic_check(sg, placement)
+        assert verdict.isostatic
 
 
 def _ranked_rounds(sg, tp, frame):
@@ -1070,30 +1150,41 @@ def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
 
 
 def test_integer_collision_rule_matches_the_rational_points():
-    # A class point S / D moved by d at t = 1/p lands on an occupied class
-    # point exactly when ``_on_a_class`` says so of p * S + D * d, before
-    # and after each round of the prism's separation.
-    sg = prism()
-    tp = _certified_partition(sg)
-    live = geometry._LiveFrame.read(sg, tp, frame_from_partition(sg, tp))
-    steps = [(a, b) for a in range(-2, 3) for b in range(-2, 3) if a or b]
+    # Copies at class points X / s moved by rotated tree directions d at
+    # t = 1/p land on an occupied class point, or on each other, exactly
+    # when ``_collisions`` holds p, for every p up to 60, before and after
+    # each round of two separations; each p it holds is such a t.
+    rng = random.Random(5)
     hits = states = 0
-    while True:
-        d = live.scale
-        occupied = {(Fraction(x, d), Fraction(y, d)) for x, y in live.points}
-        for p in geometry._t_candidates(8):
-            for x, y in live.points:
-                for a, b in steps:
-                    point = (Fraction(x, d) + Fraction(a, p), Fraction(y, d) + Fraction(b, p))
-                    hit = geometry._on_a_class((p * x + d * a, p * y + d * b), p, set(live.points))
-                    assert hit == (point in occupied)
-                    hits += hit
-        states += 1
-        if not live.coincident:
-            break
-        geometry.pull_apart(sg, tp, live)
-    assert states >= 2 and live.scale > 1
-    assert hits > 0
+    for sg in (prism(), fast_tight_symgraph(0, 45)):
+        tp = _certified_partition(sg)
+        live = geometry._LiveFrame.read(sg, tp, frame_from_partition(sg, tp))
+        while True:
+            points = [
+                (Fraction(x, s), Fraction(y, s)) for (x, y), s in zip(live.points, live.scales)
+            ]
+            occupied = set(points)
+            for _ in range(20):
+                classes = rng.sample(range(len(points)), 3)
+                d = rng.choice(TREE_DIRECTIONS)
+                steps = (d, rotate_omega(d), rotate_omega(rotate_omega(d)))
+                found = geometry._collisions(live, [live.members[c] for c in classes], steps)
+
+                def collide(p):
+                    landed = {
+                        (x + Fraction(a, p), y + Fraction(b, p))
+                        for (x, y), (a, b) in zip((points[c] for c in classes), steps)
+                    }
+                    return len(landed) < 3 or bool(landed & occupied)
+
+                assert {p for p in range(1, 61) if collide(p)} == {p for p in found if p <= 60}
+                assert all(collide(p) for p in found)
+                hits += len(found)
+            states += 1
+            if not live.coincident:
+                break
+            geometry.pull_apart(sg, tp, live)
+    assert states >= 10 and hits > 0
 
 
 def test_separation_refuses_a_direction_off_its_edge():
@@ -1138,7 +1229,7 @@ def test_frame_route_on_corpus():
         sg = random_tight_symgraph(rng, n)
         tp = _certified_partition(sg)
         frame = frame_from_partition(sg, tp)
-        assert exact_rank(generalized_rigidity_matrix(sg.graph, frame)) == sg.graph.m
+        assert exact_rank(generalized_matrix(sg.graph, frame)) == sg.graph.m
         frame, _ = pull_apart_fully(sg, tp, frame)
         placement = framework_from_frame(sg, frame)
         assert numeric_isostatic_check(sg, placement).isostatic
@@ -1228,7 +1319,7 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
         # directions drawn from few values, so many of these lose rank
         drawn = tuple(rng.choice(steps) for _ in range(g.m))
         frame = Frame(tuple(E_POINTS[0] for _ in range(g.n)), drawn)
-        matrix = generalized_rigidity_matrix(g, frame)
+        matrix = generalized_matrix(g, frame)
         exact = field._fraction_free_rank(matrix.integer_rows())
         assert exact == _cartesian_rank(g, frame)
         assert _pair_rank_mod_p(g, frame) == matrix.modular_rank()
@@ -1249,7 +1340,7 @@ def test_separation_builds_no_exact_matrix(monkeypatch):
             separated, rounds = pull_apart_fully(sg, tp, frame)
         assert rounds >= 1
         assert adjacent_coincidences(sg.graph, separated) == ()
-        assert exact_rank(generalized_rigidity_matrix(sg.graph, separated)) == sg.graph.m
+        assert exact_rank(generalized_matrix(sg.graph, separated)) == sg.graph.m
 
 
 def test_class_connected_in_both_trees_cannot_separate():
