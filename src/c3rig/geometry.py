@@ -516,8 +516,14 @@ class _LiveFrame:
     turned: set[int]
 
     @classmethod
-    def read(cls, sg: SymGraph, tp: TreePartition, frame: Frame) -> "_LiveFrame":
-        """Refuses a zero direction, one not parallel to the position
+    def read(
+        cls, sg: SymGraph, frame: Frame, miss: list[int], place: list[int]
+    ) -> "_LiveFrame":
+        """The live state of ``frame``, given each vertex's missing tree
+        (``_missing_tree``) and column place (``_degree_order``), which
+        ``pull_apart_fully`` computes once for all its reads.
+
+        Refuses a zero direction, one not parallel to the position
         difference of an edge whose ends are apart, and a frame that is not
         symmetric: a vertex the rotation fixes, joints not symmetric about
         their centroid, a direction not parallel to w times its preimage's,
@@ -528,7 +534,6 @@ class _LiveFrame:
         are those of its two orbit blocks (``field._orbit_blocks``)."""
         act = sg.require_action()
         edges = sg.graph.sorted_edges
-        miss = _missing_tree(tp, sg.graph.n)
         class_of: dict[Pair, int] = {}
         joint_class = [class_of.setdefault(p, len(class_of)) for p in frame.positions]
         members: list[list[int]] = [[] for _ in class_of]
@@ -559,7 +564,6 @@ class _LiveFrame:
                 raise InternalInvariantBroken(f"direction of edge {e} does not rotate with it")
         if any(miss[act.gamma[v]] != (k + 1) % 3 for v, k in enumerate(miss)):
             raise InternalInvariantBroken("the rotation does not take each corner to the next")
-        place = _degree_order(sg.graph)
         ends = [(place[u], place[v]) for u, v in edges]
         live = cls(
             frame.scale, points, [frame.scale] * len(points), joint_class, members, dirs,
@@ -784,8 +788,9 @@ def pull_apart_fully(
     """
     act = sg.require_action()
     g = sg.graph
-    live = _LiveFrame.read(sg, tp, frame)
-    rows_of = _orbit_blocks(g.sorted_edges, act.gamma, _degree_order(g))
+    miss, place = _missing_tree(tp, g.n), _degree_order(g)
+    live = _LiveFrame.read(sg, frame, miss, place)
+    rows_of = _orbit_blocks(g.sorted_edges, act.gamma, place)
     if not live.coincident:
         start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
         if _first_short_round(g, live.ends, start, 0, 0, rows_of) is not None:
@@ -814,7 +819,7 @@ def pull_apart_fully(
         else:
             skip = skip + 1 if bad == lo else 1
             del taken[bad - 1 :]
-            live = _LiveFrame.read(sg, tp, frame)
+            live = _LiveFrame.read(sg, frame, miss, place)
             for step in taken:
                 _accept(live, *step)
     return live.frame(g, frame), len(taken)

@@ -12,6 +12,7 @@ import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import eq, itemgetter, lt
 
 from .errors import (
     LoopOrDuplicateEdge,
@@ -56,12 +57,14 @@ class Graph:
                 raise SchemaError(f"edge ({u}, {v}) out of range for n={self.n}")
 
     @classmethod
-    def _checked(cls, n: int, edges: frozenset[Edge]) -> "Graph":
-        """The graph on edges its caller has already checked as
-        ``__post_init__`` would, with no second pass over them."""
+    def _checked(cls, n: int, sorted_edges: tuple[Edge, ...]) -> "Graph":
+        """The graph on distinct sorted edges its caller has already checked
+        as ``__post_init__`` would, with no second pass over them; their
+        order is kept as ``sorted_edges``."""
         graph = object.__new__(cls)
         object.__setattr__(graph, "n", n)
-        object.__setattr__(graph, "edges", edges)
+        object.__setattr__(graph, "edges", frozenset(sorted_edges))
+        object.__setattr__(graph, "sorted_edges", sorted_edges)
         return graph
 
     @property
@@ -99,14 +102,11 @@ class C3Action:
         n = len(self.gamma)
         gamma = tuple(self.gamma)
         object.__setattr__(self, "gamma", gamma)
-        seen = [False] * n
-        for img in gamma:
-            if type(img) is not int or not 0 <= img < n or seen[img]:
-                raise NotAPermutation(f"{list(gamma)} is not a permutation of 0..{n - 1}")
-            seen[img] = True
-        g2 = tuple(gamma[gamma[i]] for i in range(n))
-        g3 = tuple(gamma[g2[i]] for i in range(n))
         identity = tuple(range(n))
+        if not set(map(type, gamma)) <= {int} or set(gamma) != set(identity):
+            raise NotAPermutation(f"{list(gamma)} is not a permutation of 0..{n - 1}")
+        g2 = tuple(map(gamma.__getitem__, gamma))
+        g3 = tuple(map(gamma.__getitem__, g2))
         if g3 != identity or gamma == identity:
             raise NotOrderThree(f"{list(gamma)} does not have order three")
         object.__setattr__(self, "gamma2", g2)
@@ -203,6 +203,49 @@ def relabel_symgraph(sg: SymGraph, perm: tuple[int, ...]) -> SymGraph:
 _ALLOWED_KEYS = {"vertices", "edges", "c3"}
 
 
+def _bulk_edges(raw: list, n: int) -> tuple[Edge, ...] | None:
+    """The edges of ``raw``, normalized and sorted, or None if a check made
+    in whole passes fails. Pairs already normalized and strictly increasing
+    are kept as they come, with no sort."""
+    if not (set(map(type, raw)) <= {list, tuple} and set(map(len, raw)) <= {2}):
+        return None
+    us = list(map(itemgetter(0), raw))
+    vs = list(map(itemgetter(1), raw))
+    if not set(map(type, us + vs)) <= {int}:
+        return None
+    if not all(map(lt, us, vs)):
+        if any(map(eq, us, vs)):
+            return None
+        us, vs = list(map(min, us, vs)), list(map(max, us, vs))
+    pairs = list(zip(us, vs))
+    if not all(map(lt, pairs, pairs[1:])):
+        pairs.sort()
+        if not all(map(lt, pairs, pairs[1:])):
+            return None
+    if pairs and (pairs[0][0] < 0 or max(vs) >= n):
+        return None
+    return tuple(pairs)
+
+
+def _scanned_edges(raw: list, n: int) -> set[Edge]:
+    """The edges of ``raw``, checked one item at a time: the first bad item
+    raises the error that names it."""
+    edges: set[Edge] = set()
+    for item in raw:
+        u, v = item if isinstance(item, (list, tuple)) and len(item) == 2 else (None, None)
+        if type(u) is not int or type(v) is not int:
+            raise SchemaError(f"edge entry {item!r} is not a pair of integers")
+        if not (0 <= u < n and 0 <= v < n):
+            raise SchemaError(f"edge {item!r} out of range for n={n}")
+        if u == v:
+            raise LoopOrDuplicateEdge(f"loop at vertex {u}")
+        e = edge(u, v)
+        if e in edges:
+            raise LoopOrDuplicateEdge(f"edge {list(e)} appears twice")
+        edges.add(e)
+    return edges
+
+
 def parse_graph(document: str | bytes | dict) -> SymGraph:
     """Parse and validate a graph document.
 
@@ -210,6 +253,13 @@ def parse_graph(document: str | bytes | dict) -> SymGraph:
     ``vertices`` (int), ``edges`` (list of pairs) and optionally ``c3`` (the
     rotation in one-line form). Without ``c3`` the result carries no action
     and only the plain count operations apply.
+
+    The edge list is checked in whole passes (``_bulk_edges``), and a list
+    already normalized and strictly increasing becomes the graph's
+    ``sorted_edges`` as it is; any other valid list is normalized and sorted
+    once. Only when a whole-pass check fails are the items scanned one by
+    one, in document order, so an invalid document raises the error class
+    and message of its first bad item.
     """
     if isinstance(document, (str, bytes)):
         try:
@@ -233,24 +283,14 @@ def parse_graph(document: str | bytes | dict) -> SymGraph:
     raw_edges = obj["edges"]
     if not isinstance(raw_edges, list):
         raise SchemaError("'edges' must be a list of pairs")
-    edges: set[Edge] = set()
-    for item in raw_edges:
-        u, v = item if isinstance(item, (list, tuple)) and len(item) == 2 else (None, None)
-        if type(u) is not int or type(v) is not int:
-            raise SchemaError(f"edge entry {item!r} is not a pair of integers")
-        if not (0 <= u < n and 0 <= v < n):
-            raise SchemaError(f"edge {item!r} out of range for n={n}")
-        if u == v:
-            raise LoopOrDuplicateEdge(f"loop at vertex {u}")
-        e = edge(u, v)
-        if e in edges:
-            raise LoopOrDuplicateEdge(f"edge {list(e)} appears twice")
-        edges.add(e)
-    graph = Graph._checked(n, frozenset(edges))
+    edges = _bulk_edges(raw_edges, n)
+    if edges is None:
+        edges = tuple(sorted(_scanned_edges(raw_edges, n)))
+    graph = Graph._checked(n, edges)
     action = None
     if "c3" in obj:
         raw = obj["c3"]
-        if not isinstance(raw, list) or any(type(x) is not int for x in raw):
+        if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
             raise SchemaError("'c3' must be a list of integers")
         if len(raw) != n:
             raise NotAPermutation(f"'c3' has length {len(raw)}, expected {n}")

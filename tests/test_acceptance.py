@@ -1,4 +1,7 @@
 """Acceptance suite: one test per release criterion, one printed line each."""
+import contextlib
+import io
+import json
 import random
 import time
 
@@ -21,9 +24,11 @@ from c3rig import (
     relabel_symgraph,
     replay_sequence,
     rigidity_matrix,
+    serialize_graph,
     symmetric_generic_positions,
     verify_tree_partition,
 )
+from c3rig import cli
 from c3rig.errors import NotIsostatic
 from tests.corpus import (
     acceptance_corpus as corpus,
@@ -186,11 +191,20 @@ def test_criterion_6_worked_instances():
     _report(6, not problems, "; ".join(problems) or "all five worked instances match")
 
 
-def test_criterion_7_performance():
+def test_criterion_7_performance(tmp_path):
     big = fast_tight_symgraph(11, 3000)
     start = time.perf_counter()
     report = pebble_sparsity(big.graph)
     pebble_elapsed = time.perf_counter() - start
+
+    # the whole check command on the same graph: read, parse, game, report
+    big_file = tmp_path / "big.json"
+    big_file.write_text(json.dumps(serialize_graph(big)), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        start = time.perf_counter()
+        check_code = cli.main(["check", str(big_file)])
+        check_elapsed = time.perf_counter() - start
+    check_report = json.loads(out.getvalue())
 
     def timed_rank(sg):
         matrix = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0))
@@ -242,7 +256,10 @@ def test_criterion_7_performance():
 
     ok = (
         report.is_tight
-        and pebble_elapsed < 5.0
+        and pebble_elapsed < 0.5
+        and check_code == 0
+        and check_report["c3_verdict"]["isostatic"]
+        and check_elapsed < 0.2
         and rank == 117
         and rank_elapsed < 10.0
         and big_rank == 477
@@ -265,7 +282,8 @@ def test_criterion_7_performance():
     _report(
         7,
         ok,
-        f"pebble n=3000 {pebble_elapsed:.2f}s (< 5s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
+        f"pebble n=3000 {pebble_elapsed:.2f}s (< 0.5s), check command n=3000"
+        f" {check_elapsed:.3f}s (< 0.2s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
         f" n=240 {big_rank_elapsed:.2f}s (< 10s), placement and rank check n=960"
         f" {placed_elapsed:.2f}s (< 2s), over-dense check n=150 {dense_elapsed:.2f}s (< 2s),"
         f" frame route n=240 {frame_elapsed:.2f}s (< 2s), n=480 {big_frame_elapsed:.2f}s (< 10s),"

@@ -801,12 +801,18 @@ def test_frame_route_verdict_is_the_placement_check(monkeypatch):
         assert verdict.isostatic
 
 
+def _live_frame(sg, tp, frame):
+    # the start state pull_apart_fully reads
+    miss = geometry._missing_tree(tp, sg.graph.n)
+    return geometry._LiveFrame.read(sg, frame, miss, geometry._degree_order(sg.graph))
+
+
 def _ranked_rounds(sg, tp, frame):
     # the separation ranked round by round, with no speculation and no
     # offline pass: each round takes, on a copy of the live state, the first
     # collision-free t past k skipped ones whose rows keep full rank
     g = sg.graph
-    live = geometry._LiveFrame.read(sg, tp, frame)
+    live = _live_frame(sg, tp, frame)
     rounds = 0
     while live.coincident:
         rounds += 1
@@ -1045,7 +1051,7 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
     unplanted = _ranked_rounds(sg, tp, frame)
-    live = geometry._LiveFrame.read(sg, tp, frame)
+    live = _live_frame(sg, tp, frame)
     geometry.pull_apart(sg, tp, live)
     geometry.pull_apart(sg, tp, live)
     planted = _rows_key(geometry._pair_matrix(sg.graph, live.dirs))
@@ -1093,7 +1099,7 @@ def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
     g = sg.graph
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    live = geometry._LiveFrame.read(sg, tp, frame)
+    live = _live_frame(sg, tp, frame)
     geometry.pull_apart(sg, tp, live)
     planted = []
     for k in range(2):
@@ -1158,7 +1164,7 @@ def test_integer_collision_rule_matches_the_rational_points():
     hits = states = 0
     for sg in (prism(), fast_tight_symgraph(0, 45)):
         tp = _certified_partition(sg)
-        live = geometry._LiveFrame.read(sg, tp, frame_from_partition(sg, tp))
+        live = _live_frame(sg, tp, frame_from_partition(sg, tp))
         while True:
             points = [
                 (Fraction(x, s), Fraction(y, s)) for (x, y), s in zip(live.points, live.scales)
