@@ -37,7 +37,6 @@ from .errors import (
     InvalidAnchor,
     MissingEdge,
     NotIsostatic,
-    TooFewVertices,
 )
 from .graphs import (
     C3Action,
@@ -131,8 +130,6 @@ def _decide(
     instead of running the game again.
     """
     act = sg.require_action()
-    if sg.graph.n < 3:
-        raise TooFewVertices(f"need at least 3 vertices, got {sg.graph.n}")
     if sparsity is None:
         sparsity = pebble_sparsity(sg.graph)
     return _c3_verdict(act.fixed_vertices(), sparsity), sparsity

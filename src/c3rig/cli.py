@@ -23,7 +23,6 @@ from .geometry import (
     RankVerdict,
     _cartesian_terms,
     _float_point,
-    frame_from_partition,
     framework_from_frame,
     numeric_isostatic_check,
     pull_apart_fully,
@@ -257,8 +256,7 @@ def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, RankVerdi
         placement = symmetric_generic_positions(sg, seed)
         return placement, numeric_isostatic_check(sg, placement), {}
     _, partition, sparsity = _certificates(sg)
-    frame = frame_from_partition(sg, partition, sparsity)
-    frame, rounds = pull_apart_fully(sg, partition, frame)
+    frame, rounds = pull_apart_fully(sg, partition, sparsity)
     # The placement's rigidity matrix is the frame's generalized one with
     # each row times its edge's nonzero scalar, and pull_apart_fully has
     # proven that one at full row rank.

@@ -95,10 +95,6 @@ class DegenerateSpan(C3RigError):
     """All joints are collinear, so the rank criterion does not apply."""
 
 
-class ZeroDirection(C3RigError):
-    """A frame direction vector is zero."""
-
-
 class InvalidPartition(C3RigError):
     """The supplied tree partition fails verification."""
 

@@ -17,9 +17,11 @@ Two realization routes are provided.
   was written at, so a round does no rational arithmetic and touches only
   the classes it moves. Its rounds run speculatively, taking no rank, and
   one offline pass then eliminates the rows of every round mod P, sharing
-  the rows that rounds have in common; the separation takes only
-  symmetric frames, whose rows are those of two orbit blocks. The last
-  round's proof is the rank of the framework it ends with.
+  the rows that rounds have in common. The separation starts from the
+  partition, not from a frame: the verified partition makes the parked
+  frame symmetric, and every round keeps it so, so the rows are those of
+  two orbit blocks. The last round's proof is the rank of the framework it
+  ends with.
 
 Both routes rank their rows modulo a prime, with exact elimination only on a
 deficit; the rank of a placement symmetric under a rotation that fixes no
@@ -46,7 +48,6 @@ from .errors import (
     InvalidPartition,
     NoSeparableComponent,
     TooFewVertices,
-    ZeroDirection,
     FixedVertexPresent,
 )
 from .field import (
@@ -148,8 +149,6 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
     """
     act = sg.require_action()
     n = sg.graph.n
-    if n < 3:
-        raise TooFewVertices(f"need at least 3 vertices, got {n}")
     if act.fixed_vertices():
         raise FixedVertexPresent(
             f"vertex {act.fixed_vertices()[0]} is fixed and would sit at the center"
@@ -275,34 +274,30 @@ class Frame:
 def frame_from_partition(
     sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
 ) -> Frame:
-    """Park every vertex on the corner of the one tree it misses.
+    """Park every vertex on the corner of the one tree it misses, and direct
+    every edge along the side of its tree.
 
     The partition is verified first; ``sparsity`` is handed to
     ``verify_tree_partition``.
     """
+    return _parked(sg, tp, sparsity)[0]
+
+
+def _parked(
+    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None
+) -> tuple[Frame, list[int]]:
+    """``frame_from_partition``'s frame, with the tree each vertex misses."""
     report = verify_tree_partition(sg, tp, sparsity)
     if not report.ok:
         raise InvalidPartition(f"partition fails: {', '.join(report.failures())}")
     g = sg.graph
-    miss = _missing_tree(tp, g.n)
-    positions = tuple(E_POINTS[miss[v]] for v in range(g.n))
-    tree_of = {}
-    for i in range(3):
-        for e in tp.trees[i]:
-            tree_of[e] = i
-    directions = tuple(TREE_DIRECTIONS[tree_of[e]] for e in g.sorted_edges)
-    return Frame(positions, directions)
-
-
-def _missing_tree(tp: TreePartition, n: int) -> list[int]:
     tv = [tp.tree_vertices(i) for i in range(3)]
-    miss = []
-    for v in range(n):
-        absent = [i for i in range(3) if v not in tv[i]]
-        if len(absent) != 1:
-            raise InvalidPartition(f"vertex {v} is not in exactly two trees")
-        miss.append(absent[0])
-    return miss
+    # a verified partition puts every vertex in exactly two trees
+    miss = [next(i for i in range(3) if v not in tv[i]) for v in range(g.n)]
+    tree_of = {e: i for i in range(3) for e in tp.trees[i]}
+    positions = tuple(E_POINTS[k] for k in miss)
+    directions = tuple(TREE_DIRECTIONS[tree_of[e]] for e in g.sorted_edges)
+    return Frame(positions, directions), miss
 
 
 def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]:
@@ -517,59 +512,42 @@ class _LiveFrame:
 
     @classmethod
     def read(
-        cls, sg: SymGraph, frame: Frame, miss: list[int], place: list[int]
+        cls, sg: SymGraph, dirs: Sequence[Pair], miss: list[int], place: list[int]
     ) -> "_LiveFrame":
-        """The live state of ``frame``, given each vertex's missing tree
-        (``_missing_tree``) and column place (``_degree_order``), which
-        ``pull_apart_fully`` computes once for all its reads.
+        """The live state of the parked frame of a verified partition, whose
+        classes are the three corners: each vertex on the corner of the tree
+        it misses (``miss``), each edge along its direction in ``dirs``, and
+        each vertex's column place (``_degree_order``).
 
-        Refuses a zero direction, one not parallel to the position
-        difference of an edge whose ends are apart, and a frame that is not
-        symmetric: a vertex the rotation fixes, joints not symmetric about
-        their centroid, a direction not parallel to w times its preimage's,
-        or a rotation that does not take the corner of each tree to that of
-        the next. The rounds keep all of that, as each moves the three
-        rotated copies of a part by rotated steps and turns the rotated
-        edges to their rotated position differences, so every round's rows
-        are those of its two orbit blocks (``field._orbit_blocks``)."""
-        act = sg.require_action()
+        Nothing is checked: the verified partition makes the frame
+        symmetric. Each edge lies in one tree (``partitions_edges``), so its
+        direction is that tree's side, which is primitive. Both ends of an
+        edge of tree i lie in tree i (``two_trees_per_vertex``), so they are
+        parked together or on the two corners of side i. The rotation takes
+        tree i to tree i + 1 (``rotation_cycles_trees``), so it takes the
+        vertices missing tree i to those missing tree i + 1: it fixes no
+        vertex, turns the triangle about its centre, and turns an edge
+        along side i to one along side i + 1, w times it. Each round moves
+        the three rotated copies of a part by rotated steps and turns the
+        rotated edges to their rotated position differences, so the frame
+        stays symmetric and every round's rows are those of its two orbit
+        blocks (``field._orbit_blocks``)."""
         edges = sg.graph.sorted_edges
-        class_of: dict[Pair, int] = {}
-        joint_class = [class_of.setdefault(p, len(class_of)) for p in frame.positions]
-        members: list[list[int]] = [[] for _ in class_of]
-        for v, c in enumerate(joint_class):
-            members[c].append(v)
-        for group in members:
-            if len({miss[v] for v in group}) != 1:
-                raise InternalInvariantBroken("coincidence class spans two corner roles")
-        points = list(class_of)
-        dirs = [_primitive(q) for q in frame.directions]
+        members: list[list[int]] = [[] for _ in E_POINTS]
+        for v, k in enumerate(miss):
+            members[k].append(v)
         incident: list[list[int]] = [[] for _ in range(sg.graph.n)]
         coincident = 0
-        for i, ((u, v), q) in enumerate(zip(edges, dirs)):
-            if q == (0, 0):
-                raise ZeroDirection(f"direction of edge ({u}, {v}) is zero")
-            if cross(v_sub(points[joint_class[u]], points[joint_class[v]]), q):
-                raise InternalInvariantBroken(f"edge ({u}, {v}) is not along its direction")
+        for i, (u, v) in enumerate(edges):
             incident[u].append(i)
             incident[v].append(i)
-            coincident += joint_class[u] == joint_class[v]
-        if act.fixed_vertices():
-            raise InternalInvariantBroken(f"vertex {act.fixed_vertices()[0]} is fixed")
-        if not _rotates_with(act, _centred(act, frame.positions)):
-            raise InternalInvariantBroken("joints are not symmetric about their centroid")
-        index = {e: i for i, e in enumerate(edges)}
-        for e, q in zip(edges, dirs):
-            if cross(dirs[index[act.map_edge(e)]], rotate_omega(q)):
-                raise InternalInvariantBroken(f"direction of edge {e} does not rotate with it")
-        if any(miss[act.gamma[v]] != (k + 1) % 3 for v, k in enumerate(miss)):
-            raise InternalInvariantBroken("the rotation does not take each corner to the next")
+            coincident += miss[u] == miss[v]
         ends = [(place[u], place[v]) for u, v in edges]
         live = cls(
-            frame.scale, points, [frame.scale] * len(points), joint_class, members, dirs,
-            edges, ends, incident, miss, coincident, [], {d: {} for d in TREE_DIRECTIONS}, set(),
+            1, list(E_POINTS), [1, 1, 1], list(miss), members, list(dirs), edges, ends,
+            incident, miss, coincident, [], {d: {} for d in TREE_DIRECTIONS}, set(),
         )
-        for c in range(len(points)):
+        for c in range(3):
             live._index(c)
         return live
 
@@ -582,13 +560,13 @@ class _LiveFrame:
         if not self.miss[first]:
             heapq.heappush(self.queue, (first, c))
 
-    def frame(self, g: Graph, start: Frame) -> Frame:
+    def frame(self, g: Graph) -> Frame:
         """The frame over ``scale``: each vertex at its class point brought
         to that scale, and each turned edge's direction its position
-        difference."""
+        difference; an unturned edge keeps its parked direction."""
         scale, joint_class = self.scale, self.joint_class
         points = [v_scale(scale // s, q) for q, s in zip(self.points, self.scales)]
-        directions = list(start.directions)
+        directions = list(self.dirs)
         for i in self.turned:
             u, v = g.sorted_edges[i]
             directions[i] = v_sub(points[joint_class[u]], points[joint_class[v]])
@@ -766,15 +744,17 @@ def _first_short_round(
 
 
 def pull_apart_fully(
-    sg: SymGraph, tp: TreePartition, frame: Frame
+    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
 ) -> tuple[Frame, int]:
-    """Separate every pair of coincident adjacent joints; return the rounds taken.
+    """Separate the parked frame of ``tp`` (``frame_from_partition``, which
+    verifies it with ``sparsity``) until no adjacent joints coincide; return
+    the frame and the rounds taken.
 
     The rounds are those of ``pull_apart`` on one live state, run
     speculatively: each takes its first collision-free t with no rank, and
     each edge's directions are kept with the rounds that hold them. Then
     ``_first_short_round`` ranks every round in one offline pass, through
-    the orbit blocks of the symmetric frame ``_LiveFrame.read`` accepts, so
+    the orbit blocks of the symmetric frame (see ``_LiveFrame.read``), so
     each t is the first collision-free one at full rank. At the first round
     short of full rank the rounds before it are replayed on a fresh state,
     and speculation starts again from that round at its next
@@ -784,17 +764,18 @@ def pull_apart_fully(
     The generalized rigidity matrix of the frame returned has full row rank
     m: its rows are those of the last round, each times a positive scalar,
     and the last offline pass proved that round's rank. When no round runs,
-    the start frame is ranked once instead.
+    the parked frame is ranked once instead.
     """
+    frame, miss = _parked(sg, tp, sparsity)
     act = sg.require_action()
     g = sg.graph
-    miss, place = _missing_tree(tp, g.n), _degree_order(g)
-    live = _LiveFrame.read(sg, frame, miss, place)
+    place = _degree_order(g)
+    live = _LiveFrame.read(sg, frame.directions, miss, place)
     rows_of = _orbit_blocks(g.sorted_edges, act.gamma, place)
     if not live.coincident:
         start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
         if _first_short_round(g, live.ends, start, 0, 0, rows_of) is not None:
-            raise InternalInvariantBroken("the start frame is short of full rank")
+            raise InternalInvariantBroken("the parked frame is short of full rank")
     taken: list[tuple[_Split, int]] = []
     skip = 0
     while live.coincident:
@@ -819,10 +800,10 @@ def pull_apart_fully(
         else:
             skip = skip + 1 if bad == lo else 1
             del taken[bad - 1 :]
-            live = _LiveFrame.read(sg, frame, miss, place)
+            live = _LiveFrame.read(sg, frame.directions, miss, place)
             for step in taken:
                 _accept(live, *step)
-    return live.frame(g, frame), len(taken)
+    return live.frame(g), len(taken)
 
 
 def _centred(act: C3Action, pos: Sequence[Pair]) -> list[Pair]:

@@ -143,11 +143,11 @@ def test_criterion_5_frame_pipeline():
         passing += 1
         seq = extract_sequence(sg)
         partition = relabel_partition(build_tree_partition(seq), seq.relabeling)
-        frame = frame_from_partition(sg, partition)
-        if exact_rank(generalized_matrix(sg.graph, frame)) != sg.graph.m:
+        parked = frame_from_partition(sg, partition)
+        if exact_rank(generalized_matrix(sg.graph, parked)) != sg.graph.m:
             failures += 1
             continue
-        frame, _ = pull_apart_fully(sg, partition, frame)
+        frame, _ = pull_apart_fully(sg, partition)
         placement = framework_from_frame(sg, frame)
         if not numeric_isostatic_check(sg, placement).isostatic:
             failures += 1
@@ -232,7 +232,7 @@ def test_criterion_7_performance(tmp_path):
         seq = extract_sequence(sg)
         tp = relabel_partition(build_tree_partition(seq), seq.relabeling)
         start = time.perf_counter()
-        separated, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+        separated, _ = pull_apart_fully(sg, tp)
         framework_from_frame(sg, separated)
         return time.perf_counter() - start
 

@@ -215,8 +215,8 @@ def test_realize_frame_ranks_its_finished_framework_once(write, capsys, monkeypa
     def rows(matrix):
         return sorted(sorted(row.items()) for row in matrix.integer_rows())
 
-    def pull_then_mark(sg, tp, frame):
-        result = pull_apart_fully(sg, tp, frame)
+    def pull_then_mark(sg, tp, sparsity):
+        result = pull_apart_fully(sg, tp, sparsity)
         finished.append(rows(generalized_matrix(sg.graph, result[0])))
         return result
 

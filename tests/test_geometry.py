@@ -36,8 +36,9 @@ from c3rig.errors import (
     ExhaustedT,
     FixedVertexPresent,
     InternalInvariantBroken,
+    InvalidPartition,
     NoSeparableComponent,
-    ZeroDirection,
+    TooFewVertices,
 )
 from c3rig.geometry import (
     E_POINTS,
@@ -246,6 +247,14 @@ def test_collinear_placement_rejected():
     ):
         with pytest.raises(DegenerateSpan):
             numeric_isostatic_check(g, line)
+
+
+def test_two_joints_are_too_few_to_check():
+    # only a graph without a rotation reaches the check with n < 3: every
+    # permutation of fewer than three points is refused as a rotation
+    g = SymGraph(Graph(2, frozenset({(0, 1)})))
+    with pytest.raises(TooFewVertices):
+        numeric_isostatic_check(g, Placement((pair(0, 0), pair(1, 0))))
 
 
 def test_full_rank_placement_builds_no_exact_matrix(monkeypatch):
@@ -520,7 +529,7 @@ def test_k3_frame_positions():
     assert frame.positions == (E_POINTS[1], E_POINTS[2], E_POINTS[0])
     assert exact_rank(generalized_matrix(sg.graph, frame)) == 3
     assert adjacent_coincidences(sg.graph, frame) == ()
-    assert pull_apart_fully(sg, _certified_partition(sg), frame) == (frame, 0)
+    assert pull_apart_fully(sg, _certified_partition(sg)) == (frame, 0)
 
 
 def test_prism_frame_parks_two_joints_per_corner():
@@ -540,21 +549,12 @@ def test_generalized_matrix_single_edge():
     assert m.integer_rows() == [{0: 1, 1: 2, 2: -1, 3: -2}]
 
 
-def test_pull_apart_refuses_a_zero_direction():
-    sg = prism()
-    tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    zero = Frame(frame.positions, (pair(0, 0),) + frame.directions[1:])
-    with pytest.raises(ZeroDirection):
-        pull_apart_fully(sg, tp, zero)
-
-
 def test_prism_pull_apart_separates_in_rounds():
     sg = prism()
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
     assert len(adjacent_coincidences(sg.graph, frame)) == 3
-    separated, rounds = pull_apart_fully(sg, tp, frame)
+    separated, rounds = pull_apart_fully(sg, tp)
     assert rounds >= 1
     assert adjacent_coincidences(sg.graph, separated) == ()
     assert separated.positions != frame.positions
@@ -564,7 +564,6 @@ def test_prism_pull_apart_separates_in_rounds():
 def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
     sg = prism()
     tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
     tried = []
     candidates, pull_apart = geometry._t_candidates, geometry.pull_apart
 
@@ -583,7 +582,7 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
     # every round loses rank in the offline pass, at every t
     monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
     with pytest.raises(ExhaustedT):
-        pull_apart_fully(sg, tp, frame)
+        pull_apart_fully(sg, tp)
     # three corner classes and nine edges: 3 * (3 + 1) + 9 + 1 candidates
     assert len(tried) == 22
     assert tried[:5] == [2, 3, 5, 7, 11]
@@ -620,7 +619,7 @@ def test_framework_from_frame_requires_separation():
 def test_frame_route_yields_symmetric_isostatic_framework():
     sg = prism()
     tp = _certified_partition(sg)
-    frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+    frame, _ = pull_apart_fully(sg, tp)
     placement = framework_from_frame(sg, frame)
     pos = placement.positions
     assert all(pos[u] != pos[v] for u, v in sg.graph.edges)
@@ -631,7 +630,7 @@ def test_frame_route_yields_symmetric_isostatic_framework():
 def test_scaling_rows_by_lambda_gives_rigidity_matrix():
     sg = prism()
     tp = _certified_partition(sg)
-    frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+    frame, _ = pull_apart_fully(sg, tp)
     lams = _frame_lambdas(sg.graph, frame)
     assert all(lams)
     # each row is built up to a positive scale, so the rows agree up to
@@ -658,7 +657,7 @@ def test_frame_placements_match_their_pinned_digest():
     digest = hashlib.sha256()
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
-        frame, rounds = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+        frame, rounds = pull_apart_fully(sg, tp)
         placement = framework_from_frame(sg, frame)
         exact = [[e["x"], e["y"]] for e in cli._placement_json(placement)["exact"]]
         digest.update(json.dumps({"rounds": rounds, "exact": exact}, sort_keys=True).encode())
@@ -679,7 +678,7 @@ def test_digest_graphs_rarely_fall_back_to_exact_elimination(monkeypatch):
     monkeypatch.setattr(field, "_fraction_free_rank", counted)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
-        frame, _ = pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+        frame, _ = pull_apart_fully(sg, tp)
         numeric_isostatic_check(sg, framework_from_frame(sg, frame))
         for seed in range(3):
             numeric_isostatic_check(sg, symmetric_generic_positions(sg, seed))
@@ -720,7 +719,7 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
     monkeypatch.setattr(geometry, "pull_apart", counted)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
-        counts["rounds"] += pull_apart_fully(sg, tp, frame_from_partition(sg, tp))[1]
+        counts["rounds"] += pull_apart_fully(sg, tp)[1]
     assert counts["ranked"] >= counts["rounds"] > 0
     # every call takes one candidate that is not skipped for a collision
     assert counts["tried"] - counts["skipped"] >= counts["calls"] >= counts["rounds"]
@@ -785,7 +784,7 @@ def test_indexed_rounds_match_the_scans(monkeypatch):
     monkeypatch.setattr(geometry, "pull_apart", checked)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
-        pull_apart_fully(sg, tp, frame_from_partition(sg, tp))
+        pull_apart_fully(sg, tp)
     assert counts["restarted"] >= 10 and counts["rounds"] > 900
 
 
@@ -801,18 +800,18 @@ def test_frame_route_verdict_is_the_placement_check(monkeypatch):
         assert verdict.isostatic
 
 
-def _live_frame(sg, tp, frame):
+def _live_frame(sg, tp):
     # the start state pull_apart_fully reads
-    miss = geometry._missing_tree(tp, sg.graph.n)
-    return geometry._LiveFrame.read(sg, frame, miss, geometry._degree_order(sg.graph))
+    frame, miss = geometry._parked(sg, tp, None)
+    return geometry._LiveFrame.read(sg, frame.directions, miss, geometry._degree_order(sg.graph))
 
 
-def _ranked_rounds(sg, tp, frame):
+def _ranked_rounds(sg, tp):
     # the separation ranked round by round, with no speculation and no
     # offline pass: each round takes, on a copy of the live state, the first
     # collision-free t past k skipped ones whose rows keep full rank
     g = sg.graph
-    live = _live_frame(sg, tp, frame)
+    live = _live_frame(sg, tp)
     rounds = 0
     while live.coincident:
         rounds += 1
@@ -823,7 +822,7 @@ def _ranked_rounds(sg, tp, frame):
             if geometry.exact_rank(geometry._pair_matrix(g, trial.dirs)) == g.m:
                 break
         live = trial
-    return live.frame(g, frame), rounds
+    return live.frame(g), rounds
 
 
 def test_speculative_separation_matches_ranking_every_round(monkeypatch):
@@ -841,11 +840,10 @@ def test_speculative_separation_matches_ranking_every_round(monkeypatch):
 
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
-        frame = frame_from_partition(sg, tp)
         with monkeypatch.context() as patched:
             patched.setattr(geometry, "pull_apart", counted)
-            speculated = pull_apart_fully(sg, tp, frame)
-        assert speculated == _ranked_rounds(sg, tp, frame)
+            speculated = pull_apart_fully(sg, tp)
+        assert speculated == _ranked_rounds(sg, tp)
     assert {12, 15, 120} <= set(restarted)
 
 
@@ -911,80 +909,34 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
     graphs = _digest_graphs() + [sg for seed in range(3) for sg in _realize_frame_graphs(seed)]
     for sg in graphs:
         tp = _certified_partition(sg)
-        frame = frame_from_partition(sg, tp)
         with monkeypatch.context() as patched:
             patched.setattr(geometry, "_first_short_round", checked)
-            blocked = pull_apart_fully(sg, tp, frame)
+            blocked = pull_apart_fully(sg, tp)
         with monkeypatch.context() as patched:
             patched.setattr(geometry, "_first_short_round", _plain_first_short_round)
-            assert pull_apart_fully(sg, tp, frame) == blocked
+            assert pull_apart_fully(sg, tp) == blocked
     # the digest's restarts are among the short rounds, and on these graphs
     # the blocks fall short mod P at no other round
     assert counts["block_short"] == counts["short"] >= 10
     assert counts["rounds"] > 2500
 
 
-def _k4_hub_parked():
+def test_separation_refuses_an_unverified_partition_before_any_round(monkeypatch):
     # K4 with the hub 3 fixed, under a hand-built partition that puts every
-    # vertex in exactly two trees, parked as ``frame_from_partition`` parks
-    # (each vertex on the corner of the tree it misses): no verified
-    # partition has a fixed vertex, but this one reaches the symmetry check
+    # vertex in exactly two trees: no verified partition has a fixed vertex,
+    # and the separation verifies this one before it builds a live state
     edges = [list(e) for e in itertools.combinations(range(4), 2)]
     sg = parse_graph({"vertices": 4, "edges": edges, "c3": [1, 2, 0, 3]})
     tp = TreePartition(
         (frozenset({(0, 1), (0, 2), (1, 2)}), frozenset({(0, 3), (1, 3)}), frozenset({(2, 3)}))
     )
-    tree = {e: i for i in range(3) for e in tp.trees[i]}
-    frame = Frame(
-        tuple(E_POINTS[c] for c in (2, 2, 1, 0)),
-        tuple(TREE_DIRECTIONS[tree[e]] for e in sg.graph.sorted_edges),
-    )
-    return sg, tp, frame
 
+    def refuse(*args):
+        raise AssertionError("a live state was built")
 
-def _askew_frames():
-    # frames that pass the checks of ``_LiveFrame.read`` before the symmetry
-    # check and fail one of its conditions each, with the reason it gives: a
-    # parked direction turned by 120 degrees (its edge's ends coincide), the
-    # corner of vertex 0 moved off the symmetry with the edges apart turned
-    # to follow it, and the fixed hub of ``_k4_hub_parked``
-    sg = fast_tight_symgraph(0, 45)
-    tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    k = sg.graph.sorted_edges.index(adjacent_coincidences(sg.graph, frame)[0])
-    turned = list(frame.directions)
-    turned[k] = rotate_omega(turned[k])
-    corner = frame.positions[0]
-    moved = tuple(v_add(p, (2, 5)) if p == corner else p for p in frame.positions)
-    follow = tuple(
-        q if moved[u] == moved[v] else v_sub(moved[u], moved[v])
-        for (u, v), q in zip(sg.graph.sorted_edges, frame.directions)
-    )
-    yield sg, tp, Frame(frame.positions, tuple(turned)), "does not rotate with it"
-    yield sg, tp, Frame(moved, follow), "not symmetric about their centroid"
-    yield *_k4_hub_parked(), "vertex 3 is fixed"
-
-
-def test_separation_refuses_a_start_frame_that_is_not_symmetric():
-    # every round is ranked through the orbit blocks, which hold only for a
-    # symmetric frame, so an asymmetric one fails by name before any round
-    for sg, tp, frame, reason in _askew_frames():
-        with pytest.raises(InternalInvariantBroken, match=reason):
-            pull_apart_fully(sg, tp, frame)
-
-
-def test_a_moved_and_rescaled_symmetric_frame_separates_to_the_same_placement():
-    # symmetric about a centroid off the origin and over scale 3, the frame
-    # still ranks through the blocks and reaches the same placement
-    sg = fast_tight_symgraph(0, 45)
-    tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    moved = Frame(tuple(v_add(v_scale(3, p), (5, -7)) for p in frame.positions), frame.directions, 3)
-    again = pull_apart_fully(sg, tp, moved)
-    original = pull_apart_fully(sg, tp, frame)
-    assert again[1] == original[1]
-    placements = [framework_from_frame(sg, f) for f, _ in (again, original)]
-    assert cli._placement_json(placements[0]) == cli._placement_json(placements[1])
+    monkeypatch.setattr(geometry._LiveFrame, "read", refuse)
+    with pytest.raises(InvalidPartition, match="rotation_cycles_trees"):
+        pull_apart_fully(sg, tp)
 
 
 def _offline_case(rng):
@@ -1049,9 +1001,8 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     # the ranked loop ends with the same deficit.
     sg = fast_tight_symgraph(0, 45)
     tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    unplanted = _ranked_rounds(sg, tp, frame)
-    live = _live_frame(sg, tp, frame)
+    unplanted = _ranked_rounds(sg, tp)
+    live = _live_frame(sg, tp)
     geometry.pull_apart(sg, tp, live)
     geometry.pull_apart(sg, tp, live)
     planted = _rows_key(geometry._pair_matrix(sg.graph, live.dirs))
@@ -1079,12 +1030,12 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
         return pull_apart(sg, tp, live, skip)
 
     monkeypatch.setattr(geometry, "exact_rank", planted_rank)
-    expected = _ranked_rounds(sg, tp, frame)
+    expected = _ranked_rounds(sg, tp)
     assert expected != unplanted and expected[1] > 4
     monkeypatch.setattr(geometry, "_round_pivots", counted_offline)
     monkeypatch.setattr(geometry, "_plan", failing_plan)
     monkeypatch.setattr(geometry, "pull_apart", counted)
-    assert pull_apart_fully(sg, tp, frame) == expected
+    assert pull_apart_fully(sg, tp) == expected
     assert asked[:2] == [(1, 3), (2, expected[1])]
     # three classes at the start and three more per round: round 2 reran
     assert restarted == [6]
@@ -1098,8 +1049,7 @@ def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
     sg = fast_tight_symgraph(0, 45)
     g = sg.graph
     tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    live = _live_frame(sg, tp, frame)
+    live = _live_frame(sg, tp)
     geometry.pull_apart(sg, tp, live)
     planted = []
     for k in range(2):
@@ -1120,9 +1070,9 @@ def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
         return pull_apart(sg, tp, live, skip)
 
     monkeypatch.setattr(geometry, "exact_rank", planted_rank)
-    expected = _ranked_rounds(sg, tp, frame)
+    expected = _ranked_rounds(sg, tp)
     monkeypatch.setattr(geometry, "pull_apart", counted)
-    assert pull_apart_fully(sg, tp, frame) == expected
+    assert pull_apart_fully(sg, tp) == expected
     # three classes at the start and three more per round: round 2, twice
     assert skipped == [(6, 1), (6, 2)]
 
@@ -1133,7 +1083,6 @@ def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
     # fourth round.
     sg = fast_tight_symgraph(0, 45)
     tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
     offline, plan = geometry._round_pivots, geometry._plan
     asked = []
 
@@ -1149,9 +1098,9 @@ def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
     monkeypatch.setattr(geometry, "_round_pivots", counted_offline)
     monkeypatch.setattr(geometry, "_plan", failing_plan)
     with pytest.raises(NoSeparableComponent, match="planted in round 4"):
-        _ranked_rounds(sg, tp, frame)
+        _ranked_rounds(sg, tp)
     with pytest.raises(NoSeparableComponent, match="planted in round 4"):
-        pull_apart_fully(sg, tp, frame)
+        pull_apart_fully(sg, tp)
     assert asked == [(1, 3)]
 
 
@@ -1164,7 +1113,7 @@ def test_integer_collision_rule_matches_the_rational_points():
     hits = states = 0
     for sg in (prism(), fast_tight_symgraph(0, 45)):
         tp = _certified_partition(sg)
-        live = _live_frame(sg, tp, frame_from_partition(sg, tp))
+        live = _live_frame(sg, tp)
         while True:
             points = [
                 (Fraction(x, s), Fraction(y, s)) for (x, y), s in zip(live.points, live.scales)
@@ -1193,50 +1142,13 @@ def test_integer_collision_rule_matches_the_rational_points():
     assert states >= 10 and hits > 0
 
 
-def test_separation_refuses_a_direction_off_its_edge():
-    # Hand-built frames on the triangle: a direction must be a nonzero
-    # multiple of its edge's position difference where the ends are apart.
-    sg = k3()
-    tp = _certified_partition(sg)
-    pos = (E_POINTS[1], E_POINTS[2], E_POINTS[0])
-    along = tuple(v_scale(-3, v_sub(pos[u], pos[v])) for u, v in sg.graph.sorted_edges)
-    assert pull_apart_fully(sg, tp, Frame(pos, along)) == (Frame(pos, along), 0)
-    askew = (rotate_omega(along[0]),) + along[1:]
-    with pytest.raises(InternalInvariantBroken):
-        pull_apart_fully(sg, tp, Frame(pos, askew))
-
-
-def test_separation_ignores_the_scale_of_a_direction():
-    # Rescaling a parked direction rescales its row only: the rounds, the
-    # positions and the turned directions stay the same.
-    sg = prism()
-    tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    rescaled = Frame(frame.positions, tuple(v_scale(-5, q) for q in frame.directions))
-    separated, rounds = pull_apart_fully(sg, tp, frame)
-    again, again_rounds = pull_apart_fully(sg, tp, rescaled)
-    assert (again.positions, again.scale, again_rounds) == (separated.positions, separated.scale, rounds)
-    # an edge that either run turned has its position difference in both; a
-    # turned edge's difference may happen to be the pair it was parked with,
-    # but then the rescaled run's is not its parked pair
-    turned = 0
-    for i, (u, v) in enumerate(sg.graph.sorted_edges):
-        parked = (frame.directions[i], rescaled.directions[i])
-        if (separated.directions[i], again.directions[i]) != parked:
-            assert again.directions[i] == separated.directions[i]
-            assert separated.directions[i] == v_sub(separated.positions[u], separated.positions[v])
-            turned += 1
-    assert turned
-
-
 def test_frame_route_on_corpus():
     rng = random.Random(99)
     for n in (6, 9, 12):
         sg = random_tight_symgraph(rng, n)
         tp = _certified_partition(sg)
-        frame = frame_from_partition(sg, tp)
-        assert exact_rank(generalized_matrix(sg.graph, frame)) == sg.graph.m
-        frame, _ = pull_apart_fully(sg, tp, frame)
+        assert exact_rank(generalized_matrix(sg.graph, frame_from_partition(sg, tp))) == sg.graph.m
+        frame, _ = pull_apart_fully(sg, tp)
         placement = framework_from_frame(sg, frame)
         assert numeric_isostatic_check(sg, placement).isostatic
         assert placement_is_symmetric(sg, placement)
@@ -1320,7 +1232,7 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
             # full rank mod P on both sides proves both exact ranks full
             tp = _certified_partition(sg)
             parked = frame_from_partition(sg, tp)
-            for frame in (parked, pull_apart_fully(sg, tp, parked)[0]):
+            for frame in (parked, pull_apart_fully(sg, tp)[0]):
                 assert _pair_rank_mod_p(g, frame) == _cartesian_rank(g, frame) == g.m
         # directions drawn from few values, so many of these lose rank
         drawn = tuple(rng.choice(steps) for _ in range(g.m))
@@ -1339,11 +1251,10 @@ def test_separation_builds_no_exact_matrix(monkeypatch):
 
     for sg in (prism(), random_tight_symgraph(7, 45)):
         tp = _certified_partition(sg)
-        frame = frame_from_partition(sg, tp)
         with monkeypatch.context() as patched:
             patched.setattr(field, "_fraction_free_rank", refuse)
             patched.setattr(geometry, "_exact_rows", refuse)
-            separated, rounds = pull_apart_fully(sg, tp, frame)
+            separated, rounds = pull_apart_fully(sg, tp)
         assert rounds >= 1
         assert adjacent_coincidences(sg.graph, separated) == ()
         assert exact_rank(generalized_matrix(sg.graph, separated)) == sg.graph.m
@@ -1352,7 +1263,9 @@ def test_separation_builds_no_exact_matrix(monkeypatch):
 def test_class_connected_in_both_trees_cannot_separate():
     # Three K4s rotated into each other; each K4 is two spanning trees of
     # the partition (trees 1 and 2 for the first), so each parks on one
-    # corner as a class that no tree splits.
+    # corner as a class that no tree splits. The K4s are over the count, so
+    # the partition is not proper and the separation refuses it; a round
+    # run on its parked frame anyway finds no part to move.
     path = [(0, 1), (1, 2), (2, 3)]
     star = [(0, 2), (0, 3), (1, 3)]
 
@@ -1373,5 +1286,10 @@ def test_class_connected_in_both_trees_cannot_separate():
         tuple(TREE_DIRECTIONS[tree_of[e]] for e in sg.graph.sorted_edges),
     )
     assert len(adjacent_coincidences(sg.graph, frame)) == 18
+    with pytest.raises(InvalidPartition, match="proper"):
+        pull_apart_fully(sg, tp)
+    # each K4 misses the tree whose corner it is parked on
+    miss = [v // 4 for v in range(12)]
+    live = geometry._LiveFrame.read(sg, frame.directions, miss, geometry._degree_order(sg.graph))
     with pytest.raises(NoSeparableComponent):
-        pull_apart_fully(sg, tp, frame)
+        geometry.pull_apart(sg, tp, live)

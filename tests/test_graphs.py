@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -46,6 +47,15 @@ def test_parse_rejects_transposition():
 def test_parse_rejects_identity():
     with pytest.raises(NotOrderThree):
         parse_graph('{"vertices":3, "edges":[[0,1],[1,2],[2,0]], "c3":[0,1,2]}')
+
+
+@pytest.mark.parametrize(
+    "gamma", [p for n in range(3) for p in itertools.permutations(range(n))]
+)
+def test_no_rotation_acts_on_fewer_than_three_points(gamma):
+    # so everything past ``require_action`` may take n >= 3
+    with pytest.raises(NotOrderThree):
+        C3Action(gamma)
 
 
 @pytest.mark.parametrize(
