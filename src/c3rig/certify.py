@@ -11,10 +11,11 @@ moves, each adding one full vertex orbit:
 * delta extension: a new triangle orbit attached by one spoke per vertex.
 
 ``extract_sequence`` inverts these moves down to the triangle and returns a
-replayable certificate; ``replay_sequence`` rebuilds the graph, validating
-every intermediate step. The reduction keeps the one pebble game that decided
-the input live (``PebbleGame``) instead of starting a new game per step; the
-replay runs no game, as every row of the move table keeps a graph tight. The
+replayable certificate. One walk of it, at most once per sequence, rebuilds
+the graph (``replay_sequence``), validating every intermediate step, and its
+tree partition (``trees.build_tree_partition``). The reduction keeps the one
+pebble game that decided the input live (``PebbleGame``) instead of starting a new game per step; the
+walk runs no game, as every row of the move table keeps a graph tight. The
 reduction also keeps one live graph, as adjacency sets and an alive mask in
 the input's labels: each step removes the orbit of the smallest live label of
 lowest valence (kept in min-heaps by valence), touches only that orbit's
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
 from itertools import combinations
 
@@ -183,16 +185,18 @@ def move_spokes(
     return MOVE_TABLE[move.kind].spokes(anchors, n), split
 
 
-def _extend(move: Move, gamma: list[int], edges: set[Edge]) -> None:
+def _extend(move: Move, gamma: list[int], edges: set[Edge]) -> tuple[Spokes, Edge | None]:
     """Apply ``move``, checked by ``move_spokes``, in place to the rotation
     ``gamma`` and the edge set ``edges``: add its vertex orbit and spoke
-    orbits, and remove its split edge orbit."""
+    orbits, and remove its split edge orbit. The one move application;
+    returns the spokes and split edge that ``move_spokes`` gave."""
     spokes, split = move_spokes(move, gamma, edges.__contains__)
     n = len(gamma)
     gamma += (n + 1, n + 2, n)
     if split is not None:
         edges.difference_update(edge_orbit(split, gamma))
     edges.update(e for x, _ in spokes for e in edge_orbit((n, x), gamma))
+    return spokes, split
 
 
 def apply_move(sg: SymGraph, move: Move) -> SymGraph:
@@ -236,13 +240,52 @@ class ConstructionSequence:
             doc["relabeling"] = list(self.relabeling)
         return doc
 
+    @cached_property
+    def _walked(self) -> tuple[SymGraph, tuple[frozenset[Edge], ...]]:
+        """The replayed graph and its trees, from one walk, kept on the
+        sequence (a walk that raises keeps nothing). Each move is applied by
+        ``_extend`` and its count checked before any tree changes, so a short
+        move raises ``IntermediateNotTight`` for both certificates. Then, for
+        the first tree index l that fits (``_fit``), tree l + o + j receives
+        the j-th rotation image of each spoke with tree offset o, and an
+        edge split takes the j-th image of its split edge out of tree l + j.
+        """
+        gamma = list(self.base.action.gamma)
+        edges = set(self.base.graph.edges)
+        trees: list[set[Edge]] = [{(0, 1)}, {(1, 2)}, {(0, 2)}]
+        # Splitting edge (v1, v2) out of a tree leaves v1 and v2 in it, as
+        # their new spokes join the same tree, so vertex sets only ever grow.
+        vsets: list[set[int]] = [{0, 1}, {1, 2}, {0, 2}]
+        for move in self.moves:
+            spokes, split = _extend(move, gamma, edges)
+            if len(edges) != 2 * len(gamma) - 3:
+                raise IntermediateNotTight(
+                    f"replay produced a bad intermediate after {move.kind}"
+                )
+            v = move.new_vertices[0]
+            l, offsets = _fit(move, spokes, split, trees, vsets)
+            if split is not None:
+                images = edge_orbit(split, gamma)
+                if any(images[j] not in trees[(l + j) % 3] for j in (1, 2)):
+                    raise InternalInvariantBroken("edge orbit not spread over the trees")
+                for j in range(3):
+                    trees[(l + j) % 3].remove(images[j])
+            for (x, _), o in zip(spokes, offsets):
+                for j, e in enumerate(edge_orbit((v, x), gamma)):
+                    t = (l + o + j) % 3
+                    trees[t].add(e)
+                    vsets[t].update(e)
+        graph = SymGraph(Graph(len(gamma), frozenset(edges)), C3Action(tuple(gamma)))
+        return graph, (frozenset(trees[0]), frozenset(trees[1]), frozenset(trees[2]))
+
 
 def replay_sequence(seq: ConstructionSequence) -> SymGraph:
     """Rebuild the graph from the triangle, validating every move.
 
-    Each move is checked by ``move_spokes``, and the edge count must be
-    2n - 3 after it, or ``IntermediateNotTight`` is raised. Given those
-    checks, every row of ``MOVE_TABLE`` keeps a tight graph tight, so no
+    It is the graph of the sequence's one walk, which also builds its trees
+    (``ConstructionSequence._walked``). Each move is checked by
+    ``move_spokes``, and the edge count must be 2n - 3 after it, or
+    ``IntermediateNotTight`` is raised. Given those checks, every row of ``MOVE_TABLE`` keeps a tight graph tight, so no
     pebble game is run:
 
     * a vertex addition is three 0-extensions, each new vertex joined to
@@ -260,15 +303,32 @@ def replay_sequence(seq: ConstructionSequence) -> SymGraph:
     The rotation never fixes a new vertex, so every intermediate graph is
     symmetrically isostatic.
     """
-    gamma = list(seq.base.action.gamma)
-    edges = set(seq.base.graph.edges)
-    for move in seq.moves:
-        _extend(move, gamma, edges)
-        if len(edges) != 2 * len(gamma) - 3:
-            raise IntermediateNotTight(
-                f"replay produced a bad intermediate after {move.kind}"
-            )
-    return SymGraph(Graph(len(gamma), frozenset(edges)), C3Action(tuple(gamma)))
+    return seq._walked[0]
+
+
+def _fit(
+    move: Move,
+    spokes: Spokes,
+    split: Edge | None,
+    trees: list[set[Edge]],
+    vsets: list[set[int]],
+) -> tuple[int, list[int]]:
+    """The first tree index l that fits the move, with each spoke's offset.
+
+    l fits when it holds the split edge (if any) and every spoke to an old
+    vertex x has an allowed offset o with x in tree l + o.
+    """
+    v = move.new_vertices[0]
+    for l in range(3):
+        if split is not None and split not in trees[l]:
+            continue
+        offsets = [
+            next((o for o in allowed if x >= v or x in vsets[(l + o) % 3]), None)
+            for x, allowed in spokes
+        ]
+        if None not in offsets:
+            return l, offsets
+    raise InternalInvariantBroken(f"no tree index fits the {move.kind} anchors")
 
 
 def _reduce_step(

@@ -44,9 +44,10 @@ def _dump(report: dict) -> str:
 
     With an indent, ``json`` never reaches its C encoder and walks the
     report through its pure-Python generator encoder instead; this writer
-    makes one pass, appending to one list that it joins once. Keys must be
-    strings: any other key raises ``TypeError`` where ``json`` would
-    convert it.
+    makes one pass, appending to one list that it joins once. Values must
+    be of exact JSON types (str, int, float, bool, None, list, tuple, dict)
+    and keys strings: anything else raises ``TypeError``, also where
+    ``json`` would convert it, as it does a key or a subclass of str.
     """
     out: list[str] = []
     _write(report, out.append, "\n")
@@ -63,8 +64,8 @@ def _float_text(value: float) -> str:
     return float.__repr__(value)
 
 
-# json's text of a scalar, by its exact type; a subclass of str, int or
-# float takes the slower way through ``_write``.
+# json's text of a scalar, by its exact type; ``_write`` refuses any other
+# type, a subclass of str, int or float too.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -116,16 +117,9 @@ def _write(value, emit, newline: str) -> None:
     else:
         text = _SCALAR_TEXT.get(type(value))
         if text is None:
-            if isinstance(value, str):
-                text = encode_basestring_ascii
-            elif isinstance(value, int):
-                text = int.__repr__
-            elif isinstance(value, float):
-                text = _float_text
-            else:
-                raise TypeError(
-                    f"Object of type {type(value).__name__} is not JSON serializable"
-                )
+            raise TypeError(
+                f"Object of type {type(value).__name__} is not JSON serializable"
+            )
         emit(text(value))
 
 

@@ -2,18 +2,18 @@
 
 The certificate dual to a construction sequence is a partition of the edge
 set into three trees with every vertex in exactly two of them, cyclically
-permuted by the rotation. It is built by walking the sequence and updating
-the three trees after each move; the update rules place the new orbit's
-edges so that both the tree property and the rotation equivariance survive.
+permuted by the rotation. The sequence's one walk, which also replays it
+(``ConstructionSequence._walked``), updates the three trees after each move;
+the update rules place the new orbit's edges so that both the tree property
+and the rotation equivariance survive.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .certify import ConstructionSequence, Move, Spokes, move_spokes
-from .errors import InternalInvariantBroken
-from .graphs import Edge, SymGraph, edge, edge_orbit
+from .certify import ConstructionSequence
+from .graphs import Edge, SymGraph, edge
 from .pebble import SparsityReport, pebble_sparsity
 
 
@@ -144,68 +144,12 @@ def verify_tree_partition(
 
 
 def build_tree_partition(seq: ConstructionSequence) -> TreePartition:
-    """Carry the three trees through each move of the sequence.
-
-    Each move is read from the move table: for the first tree index l that
-    fits the anchors, tree l + o + j receives the j-th rotation image of
-    every representative edge with tree offset o, and an edge split takes
-    the j-th image of its split edge out of tree l + j. On replay labels
-    the rotation is fixed (x -> 3 floor(x/3) + (x+1) mod 3), so it grows by
-    one orbit per move and no graph is rebuilt. A move that does not fit
-    raises what ``replay_sequence`` raises.
-
-    The result partitions the replayed graph; compose with the sequence's
+    """The trees of the sequence's one walk (``ConstructionSequence._walked``),
+    which ``replay_sequence`` shares, so a move that does not fit raises what
+    it raises. They partition the replayed graph; compose with the sequence's
     relabeling to certify the graph the sequence was extracted from.
     """
-    trees: list[set[Edge]] = [{(0, 1)}, {(1, 2)}, {(0, 2)}]
-    # Splitting edge (v1, v2) out of a tree leaves v1 and v2 in it, as their
-    # new spokes join the same tree, so vertex sets only ever grow.
-    vsets: list[set[int]] = [{0, 1}, {1, 2}, {0, 2}]
-    gamma = [1, 2, 0]
-
-    for move in seq.moves:
-        spokes, split = move_spokes(move, gamma, lambda e: any(e in t for t in trees))
-        v = len(gamma)
-        gamma += (v + 1, v + 2, v)
-        l, offsets = _fit(move, spokes, split, trees, vsets)
-        if split is not None:
-            images = edge_orbit(split, gamma)
-            if any(images[j] not in trees[(l + j) % 3] for j in (1, 2)):
-                raise InternalInvariantBroken("edge orbit not spread over the trees")
-            for j in range(3):
-                trees[(l + j) % 3].remove(images[j])
-        for (x, _), o in zip(spokes, offsets):
-            for j, e in enumerate(edge_orbit((v, x), gamma)):
-                t = (l + o + j) % 3
-                trees[t].add(e)
-                vsets[t].update(e)
-
-    return TreePartition((frozenset(trees[0]), frozenset(trees[1]), frozenset(trees[2])))
-
-
-def _fit(
-    move: Move,
-    spokes: Spokes,
-    split: Edge | None,
-    trees: list[set[Edge]],
-    vsets: list[set[int]],
-) -> tuple[int, list[int]]:
-    """The first tree index l that fits the move, with each spoke's offset.
-
-    l fits when it holds the split edge (if any) and every spoke to an old
-    vertex x has an allowed offset o with x in tree l + o.
-    """
-    v = move.new_vertices[0]
-    for l in range(3):
-        if split is not None and split not in trees[l]:
-            continue
-        offsets = [
-            next((o for o in allowed if x >= v or x in vsets[(l + o) % 3]), None)
-            for x, allowed in spokes
-        ]
-        if None not in offsets:
-            return l, offsets
-    raise InternalInvariantBroken(f"no tree index fits the {move.kind} anchors")
+    return TreePartition(seq._walked[1])
 
 
 def relabel_partition(tp: TreePartition, perm: tuple[int, ...]) -> TreePartition:

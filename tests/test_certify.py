@@ -21,7 +21,7 @@ from c3rig import (
     relabel_symgraph,
     replay_sequence,
 )
-from c3rig import certify
+from c3rig import certify, trees
 from c3rig.errors import (
     IntermediateNotTight,
     InternalInvariantBroken,
@@ -317,13 +317,12 @@ def test_replay_propagates_move_errors():
         replay_sequence(missing)
 
 
+# a vertex addition row with one spoke orbit too few: the count is short
+_SHORT_ROW = certify.MoveShape(2, lambda a, v: ((a[0], (0,)),))
+
+
 @pytest.mark.parametrize(
-    "kind, row, anchors",
-    [
-        # one spoke orbit too few: the count is short
-        (VERTEX_ADDITION, certify.MoveShape(2, lambda a, v: ((a[0], (0,)),)), (0, 3)),
-    ],
-    ids=["short_count"],
+    "kind, row, anchors", [(VERTEX_ADDITION, _SHORT_ROW, (0, 3))], ids=["short_count"]
 )
 def test_replay_rejects_a_move_that_breaks_tightness(monkeypatch, kind, row, anchors):
     # every row of the move table preserves tightness (tests/test_moves.py
@@ -337,21 +336,57 @@ def test_replay_rejects_a_move_that_breaks_tightness(monkeypatch, kind, row, anc
 
 
 @pytest.mark.parametrize(
-    "moves, error",
+    "moves, error, short_row",
     [
-        (lambda: (Move(VERTEX_ADDITION, (0,), (3, 4, 5)),), InvalidAnchor),
-        (lambda: (Move(EDGE_SPLIT, (0, 1, 7), (3, 4, 5)),), InvalidAnchor),
+        (lambda: (Move(VERTEX_ADDITION, (0,), (3, 4, 5)),), InvalidAnchor, False),
+        (lambda: (Move(EDGE_SPLIT, (0, 1, 7), (3, 4, 5)),), InvalidAnchor, False),
         (
             lambda: (
                 Move(VERTEX_ADDITION, (0, 1), (3, 4, 5)),
                 Move(EDGE_SPLIT, (3, 4, 0), (6, 7, 8)),
             ),
             MissingEdge,
+            False,
+        ),
+        (
+            lambda: (
+                Move(DELTA_EXTENSION, (0,), (3, 4, 5)),
+                Move(VERTEX_ADDITION, (0, 3), (6, 7, 8)),
+            ),
+            IntermediateNotTight,
+            True,
         ),
     ],
-    ids=["arity", "out_of_range", "missing_split_edge"],
+    ids=["arity", "out_of_range", "missing_split_edge", "short_count"],
 )
-def test_bad_sequence_fails_alike_in_replay_and_partition(moves, error):
+def test_bad_sequence_fails_alike_in_replay_and_partition(monkeypatch, moves, error, short_row):
+    # the count is checked before the trees place a move's edges, so a
+    # short row fails the partition as it fails the replay
+    if short_row:
+        monkeypatch.setitem(certify.MOVE_TABLE, VERTEX_ADDITION, _SHORT_ROW)
     for consume in (replay_sequence, build_tree_partition):
         with pytest.raises(error):
             consume(ConstructionSequence(canonical_base(), moves()))
+
+
+def test_replay_and_partition_of_one_sequence_walk_it_once(monkeypatch):
+    sg = fast_tight_symgraph(3, 45)
+    seq = extract_sequence(sg)
+    checked = []
+    move_spokes = certify.move_spokes
+
+    def counted(move, gamma, has_edge):
+        checked.append(move)
+        return move_spokes(move, gamma, has_edge)
+
+    for module in (certify, trees):
+        if hasattr(module, "move_spokes"):
+            monkeypatch.setattr(module, "move_spokes", counted)
+    fresh = ConstructionSequence(seq.base, seq.moves, seq.relabeling)
+    assert relabel_symgraph(replay_sequence(fresh), fresh.relabeling) == sg
+    tp = build_tree_partition(fresh)
+    assert checked == list(seq.moves)
+    # the extracted sequence is equal, and its round trip has walked it
+    assert seq == fresh and build_tree_partition(seq) == tp
+    assert replay_sequence(seq) == replay_sequence(fresh)
+    assert checked == list(seq.moves)

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph
+from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph, trees
 from c3rig.cli import main
 from c3rig.geometry import Frame, Placement
 from tests.corpus import PRISM_DOC, fast_tight_symgraph, generalized_matrix
@@ -204,6 +204,28 @@ def test_realize_frame_decides_the_input_with_one_game(write, capsys, monkeypatc
     assert len(engines) == 1
 
 
+@pytest.mark.parametrize(
+    "argv", [["certify"], ["realize", "--method", "frame"]], ids=["certify", "realize_frame"]
+)
+def test_a_command_checks_each_move_of_its_sequence_once(write, capsys, monkeypatch, argv):
+    # the round trip's replay and the partition read one walk of the sequence
+    sg = fast_tight_symgraph(3, 45)
+    checked = []
+    move_spokes = certify.move_spokes
+
+    def counted(move, gamma, has_edge):
+        checked.append(move)
+        return move_spokes(move, gamma, has_edge)
+
+    for module in (certify, trees):
+        if hasattr(module, "move_spokes"):
+            monkeypatch.setattr(module, "move_spokes", counted)
+    code, _ = run(capsys, [argv[0], write(serialize_graph(sg)), *argv[1:]])
+    assert code == 0
+    # a sequence adds one orbit per move to the triangle
+    assert len(checked) == sg.graph.n // 3 - 1 == len(set(checked))
+
+
 def test_realize_frame_ranks_its_finished_framework_once(write, capsys, monkeypatch):
     # The separation's last offline pass proves the finished framework's
     # rows, and nothing ranks them again once it returns: the report's rank
@@ -393,7 +415,14 @@ def test_dump_writes_the_bytes_of_json_dumps(value):
     assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@pytest.mark.parametrize("value", [{1: 2}, {None: 0}, [{"a": {(1, 2): 3}}], {1.5}, b"x"])
+class _Text(str):
+    pass
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1: 2}, {None: 0}, [{"a": {(1, 2): 3}}], {1.5}, b"x", _Text("subclass"), {"a": [_Text("x")]}],
+)
 def test_dump_refuses_what_json_would_convert_or_refuse(value):
     with pytest.raises(TypeError):
         cli._dump(value)

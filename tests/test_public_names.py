@@ -68,3 +68,23 @@ def test_every_private_definition_is_used_in_the_package():
         if name.startswith("_") and not _used_outside_itself(name, module, uses)
     )
     assert not unused, f"private definitions nothing in the package uses: {unused}"
+
+
+def test_every_import_is_read_in_its_module():
+    # no linter runs here: a name a module imports and never reads is dead;
+    # __init__.py imports to re-export, and __future__ imports switch features
+    unread = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.name}: {name}" for name in sorted(imported - read)]
+    assert not unread, f"imports nothing reads: {unread}"
