@@ -15,13 +15,21 @@ the smaller side or a known ceiling on the rank; only a deficit mod P builds
 the integer rows, for exact fraction-free elimination. The image may also be
 two blocks mod P whose ranks bound the exact rank from below, one of them
 counted twice: ``_orbit_blocks`` builds them for a rigidity matrix with a
-3-fold rotation. ``_round_pivots`` eliminates a whole sequence of
-matrices that share most of their rows.
+3-fold rotation, one row in each per edge orbit, from the pairs of one edge
+per orbit. ``_round_pivots`` eliminates a whole sequence of matrices that
+share most of their rows.
+
+Elimination mod P (``_eliminate``) keeps each pivot row as it stands, not
+normalized, inverts a pivot's leading entry only when a row first reduces
+against it, and copies a row only at its first reduction. The rows it is
+given are never consumed: in these sparse matrices most rows meet no pivot,
+and each of those is stored as the pivot of its column with no copy, no
+inverse and no normalization.
 """
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, KeysView, Sequence
 from dataclasses import dataclass
 
 # A fixed prime P, the largest below 2**30 with P = 1 (mod 3). Below 2**30
@@ -39,6 +47,7 @@ def _eliminate(
     rows: Iterable[dict[int, int]],
     pivots: dict[int, dict[int, int]],
     twice_from: int,
+    inverses: dict[int, int] | None = None,
 ) -> int:
     """Reduce sparse rows mod P against ``pivots``; return how many were
     independent, counting twice those whose pivot column is ``twice_from``
@@ -46,22 +55,35 @@ def _eliminate(
 
     A row maps columns to nonzero residues. Each row is reduced, always at
     its smallest column, against the pivot rows so far; one that does not
-    reduce to zero becomes a new pivot row, normalized to 1 at its pivot
-    column. The rows are consumed (reduced in place); pivot rows are never
-    changed once stored and new ones go at the end of the dict, so the
-    pivots a call added can be popped off again.
+    reduce to zero becomes the pivot row of that column as it stands, not
+    normalized. Most rows never meet a pivot, so a pivot's leading entry is
+    inverted only when a row first reduces against it, and a row is copied
+    only at its first reduction: the rows given are never changed, and one
+    that meets no pivot is stored itself, so its caller leaves it as it is
+    while the pivots are in use. ``inverses`` memoizes the inverses mod P
+    of leading entries; calls may share one, as ``_round_pivots``'s do.
+    Pivot rows are never changed once stored and new ones go at the end of
+    the dict, so the pivots a call added can be popped off again.
     """
+    if inverses is None:
+        inverses = {}
     found = 0
     for row in rows:
+        given = row
         while row:
             col = min(row)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = pow(row[col], -1, _P)
-                pivots[col] = {c: v * inv % _P for c, v in row.items()}
+                pivots[col] = row
                 found += 1 if col < twice_from else 2
                 break
-            f = row[col]
+            if row is given:
+                row = dict(row)
+            lead = pivot[col]
+            inv = inverses.get(lead)
+            if inv is None:
+                inv = inverses[lead] = pow(lead, -1, _P)
+            f = row[col] * inv % _P
             for c, v in pivot.items():
                 x = (row.get(c, 0) - f * v) % _P
                 if x:
@@ -71,13 +93,17 @@ def _eliminate(
     return found
 
 
-# An edge's index and pair, to the rows mod P of its orbit in B0 and B1.
-_OrbitRows = Callable[[int, tuple[int, int]], list[dict[int, int]]]
+# The indices of the edges that stand for their orbits, in increasing order,
+# and a function from such an edge's index and pair to its orbit's rows mod P
+# in B0 and B1.
+_OrbitBlocks = tuple[
+    KeysView[int], Callable[[int, tuple[int, int]], list[dict[int, int]]]
+]
 
 
 def _orbit_blocks(
     edges: Sequence[tuple[int, int]], gamma: Sequence[int], place: Sequence[int]
-) -> _OrbitRows:
+) -> _OrbitBlocks:
     """The rows mod P of the orbit blocks B0 and B1 of a symmetric
     rigidity matrix M, one edge at a time: r0 + 2 r1, their ranks, bound
     M's rank from below.
@@ -115,9 +141,11 @@ def _orbit_blocks(
     r0 + r1 + r2 reaches full rank mod P and r0 + 2 r1 does not.
 
     The orbits, powers and columns of ``gamma``, and the edge that stands
-    for each edge orbit, are found once, here; the function returned gives,
-    for an edge's index and pair, the edge's two rows, in B0 and B1, when it
-    stands for its orbit, and no row for the other two edges of the orbit.
+    for each edge orbit, are found once, here. Returned are the indices of
+    those edges, a third of them, in increasing order and with a fast
+    ``in``, and a function that gives, for such an edge's index and pair,
+    its orbit's two rows, in B0 and B1: a caller takes the pairs of those
+    edges alone, and the rows of the blocks are two per edge orbit.
     """
     n = len(gamma)
     w = (1, _W, _W * _W % _P)
@@ -138,17 +166,14 @@ def _orbit_blocks(
     ]
     # one edge per edge orbit: the one through its first vertex orbit's r,
     # with its ends' spots per block and whether the ends share an orbit
-    chosen: list[tuple[list, bool] | None] = [None] * len(edges)
+    chosen: dict[int, tuple[list, bool]] = {}
     for i, (u, v) in enumerate(edges):
         ou, ov, a, b = orbit[u], orbit[v], power[u], power[v]
         if a == 0 if ou < ov else b == 0 if ov < ou else a + b == 1:
             chosen[i] = (list(zip(spots[u], spots[v])), ou != ov)
 
     def rows(i: int, q: tuple[int, int]) -> list[dict[int, int]]:
-        pick = chosen[i]
-        if pick is None:
-            return []
-        spot_pairs, apart = pick
+        spot_pairs, apart = chosen[i]
         s, t = q[0] % _P, q[1] % _P
         d, dc = (s + t * w[1]) % _P, (s + t * w[2]) % _P
         out = []
@@ -160,7 +185,7 @@ def _orbit_blocks(
             out.append({c: x for c, x in row.items() if x} if 0 in row.values() else row)
         return out
 
-    return rows
+    return chosen.keys(), rows
 
 
 def _round_pivots(
@@ -174,10 +199,14 @@ def _round_pivots(
 
     ``versions`` are (row, a, b): a sparse row mod P, left unchanged, of
     the rounds a..b. Each goes into the O(log R) nodes of a segment tree
-    over the rounds that cover a..b. A depth-first walk eliminates a node's
-    rows into one shared pivot dict on entry and pops the pivots they added
-    on exit, which undoes the node, as ``_eliminate`` adds new pivots at the
-    end of the dict. At a leaf the dict holds its round's rows eliminated;
+    over the rounds that cover a..b, the same dict in each. A depth-first
+    walk eliminates a node's rows into one shared pivot dict on entry and
+    pops the pivots they added on exit, which undoes the node, as
+    ``_eliminate`` adds new pivots at the end of the dict. It hands the rows
+    over as they are: ``_eliminate`` copies a row only where it reduces and
+    stores an unreduced one itself, never to be changed, so no version
+    changes and none is copied for nothing; the pivots' inverses are shared
+    by the whole walk. At a leaf the dict holds its round's rows eliminated;
     the rank goes down the walk with it, so no leaf counts its pivots.
     """
     if lo > hi:
@@ -196,12 +225,13 @@ def _round_pivots(
             a >>= 1
             b >>= 1
     pivots: dict[int, dict[int, int]] = {}
+    inverses: dict[int, int] = {}
 
     def walk(
         k: int, first: int, width: int, rank: int
     ) -> Iterator[tuple[int, dict[int, dict[int, int]], int]]:
         before = len(pivots)
-        rank += _eliminate(map(dict, nodes[k]), pivots, twice_from)
+        rank += _eliminate(nodes[k], pivots, twice_from, inverses)
         if width == 1:
             yield first, pivots, rank
         else:
@@ -221,10 +251,11 @@ class PartialElimination:
 
     ``pivots`` are some of its rows eliminated mod P by ``_eliminate``,
     ``pivot_rank`` their number, and ``rest`` the images of its other rows.
-    Ranking reduces ``rest`` into ``pivots`` in place and adds the new
-    pivots to ``pivot_rank``, which keeps the span of the rows, so ranking
-    the matrix again gives the same rank. ``integer_rows`` gives its rows,
-    each times a nonzero rational, as sparse integer rows, which
+    Ranking eliminates ``rest`` into ``pivots``, adds the new pivots to
+    ``pivot_rank`` and empties ``rest``, whose rows all lie in the pivots'
+    span now. That keeps the span of the rows, so ranking the matrix again
+    gives the same rank. ``integer_rows`` gives
+    its rows, each times a nonzero rational, as sparse integer rows, which
     ``exact_rank`` asks for only on a deficit mod P.
 
     With ``twice_from`` below ``cols``, ``pivots`` and ``rest`` are not the
@@ -245,6 +276,7 @@ class PartialElimination:
     def modular_rank(self) -> int:
         """A lower bound on the exact rank."""
         self.pivot_rank += _eliminate(self.rest, self.pivots, self.twice_from)
+        self.rest = []
         return self.pivot_rank
 
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import takewhile
 
@@ -52,7 +52,7 @@ from .errors import (
 )
 from .field import (
     PartialElimination,
-    _OrbitRows,
+    _OrbitBlocks,
     _P,
     _orbit_blocks,
     _round_pivots,
@@ -181,7 +181,9 @@ def rigidity_matrix(
     """``_pair_matrix`` of the edges' position differences, which has the
     rank of the Cartesian rigidity matrix. Given the rotation ``action``
     of a placement that is symmetric under it, with no vertex fixed, its
-    rows mod P are two orbit blocks (see ``field._orbit_blocks``).
+    rows mod P are two orbit blocks (see ``field._orbit_blocks``), one row
+    in each per edge orbit, so only the edges that stand for their orbits
+    have their differences taken; all m are taken only for the exact rows.
 
     The differences are taken of the integer pairs, not over the scale,
     which scales every row by it and keeps the rank.
@@ -189,7 +191,13 @@ def rigidity_matrix(
     pos = placement.positions
     if action is not None and (action.fixed_vertices() or not _rotates_with(action, pos)):
         action = None
-    return _pair_matrix(g, [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges], action)
+    edges = g.sorted_edges
+
+    def difference(i: int) -> Pair:
+        u, v = edges[i]
+        return v_sub(pos[u], pos[v])
+
+    return _pair_matrix(g, difference, action)
 
 
 @dataclass(frozen=True)
@@ -360,11 +368,12 @@ def _exact_rows(ends: list[tuple[int, int]], pairs: Iterable[Pair]) -> list[dict
 
 
 def _pair_matrix(
-    g: Graph, pairs: Sequence[Pair], act: C3Action | None = None
+    g: Graph, pair: Callable[[int], Pair], act: C3Action | None = None
 ) -> PartialElimination:
     """The generalized rigidity matrix: one row per sorted edge (u, v), its
-    pair at u's column pair, negated at v's, with the vertices' column pairs
-    in ``_degree_order``. The package's one matrix builder.
+    pair, ``pair`` of its index, at u's column pair, negated at v's, with
+    the vertices' column pairs in ``_degree_order``. The package's one
+    matrix builder.
 
     With Cartesian directions the matrix would hold B (a, b) in those
     places, where B = [[1, -1/2], [0, sqrt(3)/2]] has the columns 1 and w.
@@ -373,20 +382,22 @@ def _pair_matrix(
     the case where each pair is the edge's position difference. Its rows
     mod P come from ``_row``, or, given a rotation ``act`` that fixes no
     vertex and under which the pairs are those of a symmetric placement,
-    from ``field._orbit_blocks``; ``_exact_rows`` builds its rows over the
-    integers, each up to scale, only when ``exact_rank`` asks for them.
+    from ``field._orbit_blocks``, built from the pairs of the third of the
+    edges that stand for their orbits; ``_exact_rows`` builds its rows over
+    the integers, each up to scale, from every edge's pair, only when
+    ``exact_rank`` asks for them.
     """
     place = _degree_order(g)
     ends = [(place[u], place[v]) for u, v in g.sorted_edges]
     if act is None:
-        rows = [_row(*e, (x % _P, y % _P)) for e, (x, y) in zip(ends, pairs)]
+        rows = [_row(*e, (x % _P, y % _P)) for e, (x, y) in zip(ends, map(pair, range(g.m)))]
         twice_from = 2 * g.n
     else:
-        orbit_rows = _orbit_blocks(g.sorted_edges, act.gamma, place)
-        rows = [row for i, q in enumerate(pairs) for row in orbit_rows(i, q)]
+        reps, orbit_rows = _orbit_blocks(g.sorted_edges, act.gamma, place)
+        rows = [row for i in reps for row in orbit_rows(i, pair(i))]
         twice_from = 2 * g.n // 3
     return PartialElimination(
-        g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, pairs), twice_from
+        g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, map(pair, range(g.m))), twice_from
     )
 
 
@@ -722,15 +733,17 @@ def pull_apart(
 
 def _first_short_round(
     g: Graph, ends: list[tuple[int, int]], history: list[tuple[int, Pair, int, int]],
-    lo: int, hi: int, rows_of: _OrbitRows,
+    lo: int, hi: int, blocks: _OrbitBlocks,
 ) -> int | None:
     """The first round of lo..hi whose generalized rigidity matrix
     ``exact_rank`` finds short of full row rank, or None. ``history`` holds
-    (edge, direction, a, b): the edge's direction in the rounds a..b, whose
-    rows mod P in the two orbit blocks ``rows_of`` builds. The exact
-    fallback ranks the plain integer rows."""
+    (edge, direction, a, b): the edge's direction in the rounds a..b. Only
+    the versions of the edges that stand for their orbits in ``blocks``
+    have rows mod P, their orbits' rows in the two orbit blocks; the exact
+    fallback ranks the plain integer rows of every edge."""
     twice_from = 2 * g.n // 3
-    versions = [(row, a, b) for i, q, a, b in history for row in rows_of(i, q)]
+    reps, rows_of = blocks
+    versions = [(row, a, b) for i, q, a, b in history if i in reps for row in rows_of(i, q)]
     for j, pivots, rank in _round_pivots(versions, lo, hi, twice_from):
 
         def integer_rows() -> list[dict[int, int]]:
@@ -771,10 +784,10 @@ def pull_apart_fully(
     g = sg.graph
     place = _degree_order(g)
     live = _LiveFrame.read(sg, frame.directions, miss, place)
-    rows_of = _orbit_blocks(g.sorted_edges, act.gamma, place)
+    blocks = _orbit_blocks(g.sorted_edges, act.gamma, place)
     if not live.coincident:
         start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
-        if _first_short_round(g, live.ends, start, 0, 0, rows_of) is not None:
+        if _first_short_round(g, live.ends, start, 0, 0, blocks) is not None:
             raise InternalInvariantBroken("the parked frame is short of full rank")
     taken: list[tuple[_Split, int]] = []
     skip = 0
@@ -793,7 +806,7 @@ def pull_apart_fully(
         except C3RigError as error:
             failed = error
         history += [(i, q, a, len(taken)) for i, (q, a) in enumerate(zip(held, since))]
-        bad = _first_short_round(g, live.ends, history, lo, len(taken), rows_of)
+        bad = _first_short_round(g, live.ends, history, lo, len(taken), blocks)
         if bad is None:
             if failed is not None:
                 raise failed

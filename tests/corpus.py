@@ -211,4 +211,4 @@ def generalized_matrix(g: Graph, frame: Frame) -> PartialElimination:
     """The generalized rigidity matrix of ``frame``: one row per sorted
     edge from its direction pair, made by the package's ``_pair_matrix``. A
     frame-rank oracle: the separation proves this rank itself."""
-    return _pair_matrix(g, frame.directions)
+    return _pair_matrix(g, frame.directions.__getitem__)

@@ -4,6 +4,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from c3rig import (
     exact_rank,
@@ -258,12 +259,111 @@ def test_partial_elimination_falls_back_on_a_deficit():
     assert exact_rank(deficient) == 2
 
 
+def _dense_pivot_columns(rows, cols):
+    # Gauss-Jordan elimination mod P on dense rows, column by column: the
+    # leading columns of the reduced echelon form, which the row span fixes
+    matrix = [[row.get(c, 0) for c in range(cols)] for row in rows]
+    found = []
+    for c in range(cols):
+        r = len(found)
+        k = next((k for k in range(r, len(matrix)) if matrix[k][c]), None)
+        if k is None:
+            continue
+        matrix[r], matrix[k] = matrix[k], matrix[r]
+        inv = pow(matrix[r][c], -1, _P)
+        matrix[r] = [x * inv % _P for x in matrix[r]]
+        for k, other in enumerate(matrix):
+            if k != r and other[c]:
+                matrix[k] = [(x - other[c] * y) % _P for x, y in zip(other, matrix[r])]
+        found.append(c)
+    return found
+
+
+def _counted_rank(columns, twice_from):
+    return sum(1 if c < twice_from else 2 for c in columns)
+
+
+@st.composite
+def _sparse_rows(draw):
+    # sparse rows mod P whose leading columns come from a few, so rows meet
+    # pivots, some of them combinations of earlier rows, and a split point:
+    # the rows before it are eliminated first
+    cols = draw(st.integers(1, 8))
+    value = st.one_of(st.integers(1, 3), st.integers(1, _P - 1))
+    leads = draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=3))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for base in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=3)):
+                k = draw(value)
+                for c, x in base.items():
+                    row[c] = (row.get(c, 0) + k * x) % _P
+            row = {c: x for c, x in row.items() if x}
+        else:
+            lead = draw(st.sampled_from(leads))
+            row = {lead: draw(value)}
+            for c in draw(st.lists(st.integers(lead, cols - 1), max_size=3)):
+                row[c] = draw(value)
+        rows.append(row)
+    twice_from = draw(st.one_of(st.integers(0, cols - 1), st.just(cols)))
+    return cols, rows, twice_from, draw(st.integers(0, len(rows)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sparse_rows())
+def test_eliminate_ranks_like_dense_elimination_and_changes_no_row(case):
+    # two calls on one pivot dict and one inverse memo: the pivots have the
+    # dense elimination's leading columns, the rank counts them, no row
+    # given changes, and popping the pivots the second call added gives
+    # back the first call's dict, its rows unchanged
+    cols, rows, twice_from, split = case
+    given = [dict(row) for row in rows]
+    pivots, inverses = {}, {}
+    first = field._eliminate(rows[:split], pivots, twice_from, inverses)
+    kept = list(pivots.items())
+    kept_rows = [dict(row) for _, row in kept]
+    second = field._eliminate(rows[split:], pivots, twice_from, inverses)
+    assert rows == given
+    columns = _dense_pivot_columns(rows, cols)
+    assert sorted(pivots) == columns
+    assert all(min(row) == c for c, row in pivots.items())
+    assert first == _counted_rank(_dense_pivot_columns(rows[:split], cols), twice_from)
+    assert first + second == _counted_rank(columns, twice_from)
+    assert all(lead * inv % _P == 1 for lead, inv in inverses.items())
+    for _ in range(len(pivots) - len(kept)):
+        pivots.popitem()
+    assert list(pivots.items()) == kept
+    assert [row for _, row in kept] == kept_rows
+
+
+def test_round_pivots_share_a_row_across_nodes_and_change_none():
+    # Over the rounds 1..7, R's versions 2..6 and 7..7 put the one dict in
+    # the tree nodes of round 2, rounds 3-4, rounds 5-6 and round 7. Under
+    # S (rounds 1-4) it reduces, on a copy; from round 5 on it is a pivot,
+    # stored itself, and 2R (round 5) reduces to zero against it. Each
+    # round ranks as its rows alone, and no version changes on the walk.
+    s, r, u = {0: 1, 1: 2}, {0: 3, 2: 5}, {1: 1, 3: 1}
+    versions = [(s, 1, 4), (r, 2, 6), (r, 7, 7), ({0: 6, 2: 10}, 5, 5), (u, 1, 7)]
+    given = [dict(row) for row, _, _ in versions]
+    for twice_from in (2, 4):
+        walked = []
+        for j, pivots, rank in field._round_pivots(versions, 1, 7, twice_from):
+            assert [dict(row) for row, _, _ in versions] == given
+            rows = [dict(row) for row, a, b in versions if a <= j <= b]
+            alone = field._eliminate(rows, {}, twice_from)
+            assert rank == alone == _counted_rank(_dense_pivot_columns(rows, 4), twice_from)
+            assert (pivots[0] is r) == (j >= 5) and (pivots[0] is s) == (j <= 4)
+            walked.append(j)
+        assert walked == list(range(1, 8))
+
+
 def test_pivots_from_twice_from_on_count_twice():
     # pivots in columns 0 and 2; the one from column 2 on counts twice, a
     # bound of 3 on the rank that proves full rank only for a matrix of 3
     rows = [{0: 1, 1: 2}, {2: 5}]
     m = PartialElimination(3, 4, {}, [dict(r) for r in rows], lambda: [], 2)
-    assert m.modular_rank() == 3 and m.modular_rank() == 3
+    assert m.modular_rank() == 3 and m.rest == [] and m.modular_rank() == 3
     assert PartialElimination(2, 4, {}, [dict(r) for r in rows], lambda: [], 4).modular_rank() == 2
 
 

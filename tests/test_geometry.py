@@ -441,6 +441,49 @@ def test_concurrent_prism_bars_fall_back_from_the_orbit_blocks():
     assert exact_rank(blocks, 9) == exact_rank(rigidity_matrix(g, _CONCURRENT), 9) == 8
 
 
+def test_symmetric_rigidity_matrix_ranks_one_row_per_edge_orbit_in_each_block(monkeypatch):
+    # The kernel gets 2m/3 rows, alternately B0's and B1's, built from m/3
+    # position differences; the exact rows are still one per edge. On the
+    # concurrent prism, where the blocks fall short, the exact fallback
+    # ranks those m rows as sympy ranks the Cartesian matrix.
+    handed, differences = [], []
+    eliminate = field._eliminate
+
+    def counted_eliminate(rows, *args):
+        handed.append(list(rows))
+        return eliminate(handed[-1], *args)
+
+    def counted_v_sub(p, q):
+        differences.append((p, q))
+        return v_sub(p, q)
+
+    monkeypatch.setattr(field, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(geometry, "v_sub", counted_v_sub)
+    calls = _counted_exact_elimination(monkeypatch)
+    cases = [(prism(), _CONCURRENT)] + [
+        (sg, symmetric_generic_positions(sg, 0))
+        for sg in [prism(), k33(), octahedron()] + _digest_graphs()
+    ]
+    for sg, placement in cases:
+        g = sg.graph
+        for seen in (handed, differences, calls):
+            seen.clear()
+        matrix = rigidity_matrix(g, placement, sg.action)
+        assert len(differences) == g.m // 3
+        rank = exact_rank(matrix, 2 * g.n - 3)
+        [rows] = handed
+        assert len(rows) == 2 * g.m // 3
+        assert all(c < matrix.twice_from for row in rows[::2] for c in row)
+        assert all(c >= matrix.twice_from for row in rows[1::2] for c in row)
+        assert len(matrix.integer_rows()) == g.m
+        if placement is _CONCURRENT:
+            [exact] = calls
+            assert len(exact) == g.m
+            assert rank == _sympy_cartesian_rank(g, placement) == 8
+        else:
+            assert not calls and rank == min(g.m, 2 * g.n - 3)
+
+
 def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(monkeypatch):
     def refuse(*args):
         raise AssertionError("orbit blocks built")
@@ -819,7 +862,7 @@ def _ranked_rounds(sg, tp):
         for k in itertools.count():
             trial = copy.deepcopy(live)
             geometry.pull_apart(sg, tp, trial, k)
-            if geometry.exact_rank(geometry._pair_matrix(g, trial.dirs)) == g.m:
+            if geometry.exact_rank(geometry._pair_matrix(g, trial.dirs.__getitem__)) == g.m:
                 break
         live = trial
     return live.frame(g), rounds
@@ -872,7 +915,7 @@ def _plain_round_ranks(g, ends, history, lo, hi):
         yield j, rank, short
 
 
-def _plain_first_short_round(g, ends, history, lo, hi, rows_of):
+def _plain_first_short_round(g, ends, history, lo, hi, blocks):
     # the offline pass on plain rows, for ``geometry._first_short_round``
     return next((j for j, _, short in _plain_round_ranks(g, ends, history, lo, hi) if short), None)
 
@@ -887,12 +930,13 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
     first_short_round = geometry._first_short_round
     counts = {"rounds": 0, "block_short": 0, "short": 0}
 
-    def checked(g, ends, history, lo, hi, rows_of):
+    def checked(g, ends, history, lo, hi, blocks):
         twice_from = 2 * g.n // 3
-        versions = [(row, a, b) for i, q, a, b in history for row in rows_of(i, q)]
-        blocks = field._round_pivots(versions, lo, hi, twice_from)
+        reps, rows_of = blocks
+        versions = [(row, a, b) for i, q, a, b in history if i in reps for row in rows_of(i, q)]
+        walked = field._round_pivots(versions, lo, hi, twice_from)
         for (j, pivots, rank), (k, plain, short) in zip(
-            blocks, _plain_round_ranks(g, ends, history, lo, hi), strict=True
+            walked, _plain_round_ranks(g, ends, history, lo, hi), strict=True
         ):
             r0 = sum(c < twice_from for c in pivots)
             assert j == k and rank == r0 + 2 * (len(pivots) - r0)
@@ -902,8 +946,8 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
                 assert plain == g.m and not short
             else:
                 counts["block_short"] += 1
-        bad = first_short_round(g, ends, history, lo, hi, rows_of)
-        assert bad == _plain_first_short_round(g, ends, history, lo, hi, rows_of)
+        bad = first_short_round(g, ends, history, lo, hi, blocks)
+        assert bad == _plain_first_short_round(g, ends, history, lo, hi, blocks)
         return bad
 
     graphs = _digest_graphs() + [sg for seed in range(3) for sg in _realize_frame_graphs(seed)]
@@ -1005,7 +1049,7 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     live = _live_frame(sg, tp)
     geometry.pull_apart(sg, tp, live)
     geometry.pull_apart(sg, tp, live)
-    planted = _rows_key(geometry._pair_matrix(sg.graph, live.dirs))
+    planted = _rows_key(geometry._pair_matrix(sg.graph, live.dirs.__getitem__))
     rank, offline, plan, pull_apart = (
         geometry.exact_rank, geometry._round_pivots, geometry._plan, geometry.pull_apart
     )
@@ -1055,7 +1099,7 @@ def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
     for k in range(2):
         trial = copy.deepcopy(live)
         geometry.pull_apart(sg, tp, trial, k)
-        planted.append(_rows_key(geometry._pair_matrix(g, trial.dirs)))
+        planted.append(_rows_key(geometry._pair_matrix(g, trial.dirs.__getitem__)))
     rank, pull_apart = geometry.exact_rank, geometry.pull_apart
     calls, skipped = [], []
 
