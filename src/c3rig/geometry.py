@@ -58,7 +58,7 @@ from .field import (
     _round_pivots,
     exact_rank,
 )
-from .graphs import C3Action, Graph, SymGraph
+from .graphs import C3Action, Graph, SymGraph, _degree_order
 from .pebble import SparsityReport
 from .trees import TreePartition, verify_tree_partition
 
@@ -399,20 +399,6 @@ def _pair_matrix(
     return PartialElimination(
         g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, map(pair, range(g.m))), twice_from
     )
-
-
-def _degree_order(g: Graph) -> list[int]:
-    """Each vertex's place when vertices go by degree, then label.
-
-    Used as the column order of every F_P row built from positions or
-    directions: eliminating the columns of low-degree vertices first keeps
-    the fill-in small, and a column order never changes a rank.
-    """
-    degree = g.degrees()
-    place = [0] * g.n
-    for i, v in enumerate(sorted(range(g.n), key=degree.__getitem__)):
-        place[v] = i
-    return place
 
 
 # The primes found so far, kept for every later round.

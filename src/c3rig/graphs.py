@@ -86,6 +86,22 @@ class Graph:
         return deg
 
 
+def _degree_order(g: Graph) -> list[int]:
+    """Each vertex's place when vertices go by degree, then label.
+
+    It is the column order of every F_P row built from positions or
+    directions: eliminating the columns of low-degree vertices first keeps
+    the fill-in small, and a column order never changes a rank. It is also
+    the pebble game's deciding edge order: an edge between low-degree
+    vertices meets few paths to search.
+    """
+    degree = g.degrees()
+    place = [0] * g.n
+    for i, v in enumerate(sorted(range(g.n), key=degree.__getitem__)):
+        place[v] = i
+    return place
+
+
 @dataclass(frozen=True)
 class C3Action:
     """An order-3 automorphism candidate: a permutation with gamma^3 = id.

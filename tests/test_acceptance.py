@@ -197,14 +197,21 @@ def test_criterion_7_performance(tmp_path):
     report = pebble_sparsity(big.graph)
     pebble_elapsed = time.perf_counter() - start
 
-    # the whole check command on the same graph: read, parse, game, report
-    big_file = tmp_path / "big.json"
-    big_file.write_text(json.dumps(serialize_graph(big)), encoding="utf-8")
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        start = time.perf_counter()
-        check_code = cli.main(["check", str(big_file)])
-        check_elapsed = time.perf_counter() - start
-    check_report = json.loads(out.getvalue())
+    # the whole check command: read, parse, game, report
+    def timed_check_command(sg, name):
+        path = tmp_path / name
+        path.write_text(json.dumps(serialize_graph(sg)), encoding="utf-8")
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            start = time.perf_counter()
+            code = cli.main(["check", str(path)])
+            elapsed = time.perf_counter() - start
+        return code, json.loads(out.getvalue()), elapsed
+
+    check_code, check_report, check_elapsed = timed_check_command(big, "big.json")
+    # a failing graph with m = 2n - 3 pays the degree-ordered game and then
+    # the sorted game on its circuit edges for the witness
+    failing = perturb_edge_swap(random.Random(3000), big)
+    failing_code, failing_report, failing_elapsed = timed_check_command(failing, "failing.json")
 
     def timed_rank(sg):
         matrix = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0))
@@ -264,6 +271,10 @@ def test_criterion_7_performance(tmp_path):
         and check_code == 0
         and check_report["c3_verdict"]["isostatic"]
         and check_elapsed < 0.2
+        and failing.graph.m == big.graph.m
+        and failing_code == 1
+        and failing_report["sparsity"]["witness"] is not None
+        and failing_elapsed < 0.2
         and rank == 117
         and rank_elapsed < 10.0
         and big_rank == 477
@@ -289,7 +300,8 @@ def test_criterion_7_performance(tmp_path):
         7,
         ok,
         f"pebble n=3000 {pebble_elapsed:.2f}s (< 0.5s), check command n=3000"
-        f" {check_elapsed:.3f}s (< 0.2s), exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
+        f" {check_elapsed:.3f}s (< 0.2s), failing graph {failing_elapsed:.3f}s (< 0.2s),"
+        f" exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
         f" n=240 {big_rank_elapsed:.2f}s (< 10s), placement and rank check n=960"
         f" {placed_elapsed:.3f}s (< 0.5s), n=1920 {largest_placed_elapsed:.3f}s (< 0.5s),"
         f" over-dense check n=150 {dense_elapsed:.2f}s (< 2s),"

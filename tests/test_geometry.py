@@ -27,7 +27,7 @@ from c3rig import (
     rigidity_matrix,
     symmetric_generic_positions,
 )
-from c3rig import cli, field, geometry
+from c3rig import cli, field, geometry, graphs
 from c3rig.field import _P, _W
 from c3rig.errors import (
     CoincidentAdjacentJoints,
@@ -846,7 +846,7 @@ def test_frame_route_verdict_is_the_placement_check(monkeypatch):
 def _live_frame(sg, tp):
     # the start state pull_apart_fully reads
     frame, miss = geometry._parked(sg, tp, None)
-    return geometry._LiveFrame.read(sg, frame.directions, miss, geometry._degree_order(sg.graph))
+    return geometry._LiveFrame.read(sg, frame.directions, miss, graphs._degree_order(sg.graph))
 
 
 def _ranked_rounds(sg, tp):
@@ -1334,6 +1334,6 @@ def test_class_connected_in_both_trees_cannot_separate():
         pull_apart_fully(sg, tp)
     # each K4 misses the tree whose corner it is parked on
     miss = [v // 4 for v in range(12)]
-    live = geometry._LiveFrame.read(sg, frame.directions, miss, geometry._degree_order(sg.graph))
+    live = geometry._LiveFrame.read(sg, frame.directions, miss, graphs._degree_order(sg.graph))
     with pytest.raises(NoSeparableComponent):
         geometry.pull_apart(sg, tp, live)

@@ -4,12 +4,13 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c3rig import Graph, brute_force_laman, edge, laman_check, pebble_sparsity
+from c3rig import Graph, brute_force_laman, edge, graphs, laman_check, pebble_sparsity
 from c3rig.errors import TooFewVertices, TooLarge
 from c3rig.pebble import PebbleGame
 from tests.corpus import (
     fast_tight_symgraph,
     k33,
+    perturb_edge_swap,
     prism,
     random_plain_graph,
     random_tight_symgraph,
@@ -183,16 +184,23 @@ def test_live_game_agrees_with_from_scratch_games(n, ops):
         assert all(game.pebbles[x] + len(game.out[x]) == 2 for x in range(n))
 
 
-def _inner(mask, edges):
-    return sum(1 for u, v in edges if mask >> u & 1 and mask >> v & 1)
-
-
-def _is_sparse(n, edges):
-    return all(
-        _inner(mask, edges) <= 2 * mask.bit_count() - 3
-        for mask in range(1 << n)
-        if mask.bit_count() >= 2
-    )
+def _first_witness(n, edges):
+    # By subset enumeration: the first edge of ``edges`` that breaks
+    # sparsity, and the smallest vertex set around its ends that spans
+    # 2|R| - 3 of the edges before it (it is unique); None if no edge breaks
+    # it. ``inner[mask]`` counts the edges so far inside ``mask``.
+    inner = [0] * (1 << n)
+    for u, v in edges:
+        ends = 1 << u | 1 << v
+        around = [mask for mask in range(1 << n) if mask & ends == ends]
+        tight = [mask for mask in around if inner[mask] == 2 * mask.bit_count() - 3]
+        if tight:
+            smallest = min(mask.bit_count() for mask in tight)
+            (region,) = [mask for mask in tight if mask.bit_count() == smallest]
+            return tuple(x for x in range(n) if region >> x & 1)
+        for mask in around:
+            inner[mask] += 1
+    return None
 
 
 def test_witness_is_the_minimal_tight_set_around_the_first_rejected_edge():
@@ -208,24 +216,114 @@ def test_witness_is_the_minimal_tight_set_around_the_first_rejected_edge():
         pairs = list(combinations(range(n), 2))
         chosen = rng.sample(pairs, rng.randint(2 * n - 3, len(pairs)))
         g = Graph(n, frozenset(edge(u, v) for u, v in chosen))
-        edges = g.sorted_edges
-        k = next((k for k in range(g.m) if not _is_sparse(n, edges[: k + 1])), None)
-        if k is None:
-            assert pebble_sparsity(g).is_sparse
-            continue
-        checked += 1
-        u, v = edges[k]
-        ends = 1 << u | 1 << v
-        tight = [
-            mask
-            for mask in range(1 << n)
-            if mask & ends == ends and _inner(mask, edges[:k]) == 2 * mask.bit_count() - 3
-        ]
-        smallest = min(mask.bit_count() for mask in tight)
-        (region,) = [mask for mask in tight if mask.bit_count() == smallest]
+        witness = _first_witness(n, g.sorted_edges)
         report = pebble_sparsity(g)
-        assert not report.is_sparse
-        assert report.witness == tuple(x for x in range(n) if region >> x & 1)
+        assert report.is_sparse == (witness is None)
+        assert report.witness == witness
+        checked += witness is not None
+
+
+def test_witness_within_the_edge_count_is_the_first_sorted_rejections():
+    # With m <= 2n - 3 the game decides in degree order and finds the
+    # witness on the circuit edges in sorted order. Two disjoint over-dense
+    # regions, plus vertices on no edge: the degree-ordered game often
+    # meets the other region first, and the witness must not follow it.
+    rng = random.Random(1997)
+    elsewhere = isolated = 0
+    for _ in range(120):
+        sizes = rng.choice([4, 5]), rng.choice([4, 5])
+        n = sum(sizes) + rng.randint(0, 2)
+        vertices = rng.sample(range(n), n)
+        regions = vertices[: sizes[0]], vertices[sizes[0] : sum(sizes)]
+        edges = set()
+        for region in regions:
+            pairs = [edge(u, v) for u, v in combinations(region, 2)]
+            edges |= set(rng.sample(pairs, 2 * len(region) - 2))
+        non_edges = [e for e in combinations(range(n), 2) if e not in edges]
+        edges |= set(rng.sample(non_edges, rng.randint(0, 2 * n - 3 - len(edges))))
+        g = Graph(n, frozenset(edges))
+        assert g.m <= 2 * n - 3
+        witness = _first_witness(n, g.sorted_edges)
+        report = pebble_sparsity(g)
+        assert not report.is_sparse and report.witness == witness
+
+        place = graphs._degree_order(g)
+        by_degree = sorted(g.edges, key=lambda e: sorted((place[e[0]], place[e[1]])))
+        elsewhere += _first_witness(n, by_degree) != witness
+        isolated += len({x for e in g.edges for x in e}) < n
+    assert elsewhere >= 20 and isolated >= 10
+
+
+def _plain_sorted_game(g):
+    # A plain (2,3)-pebble game over the sorted edges with depth-first
+    # searches, independent of PebbleGame: the vertices reachable from the
+    # first rejected edge's ends, or None when it accepts every edge.
+    pebbles = [2] * g.n
+    out = [[] for _ in range(g.n)]
+
+    def pull(x, ends, seen):
+        for y in out[x]:
+            if y not in seen:
+                seen.add(y)
+                if pebbles[y] and y not in ends:
+                    pebbles[y] -= 1
+                elif not pull(y, ends, seen):
+                    continue
+                out[x].remove(y)
+                out[y].append(x)
+                return True
+        return False
+
+    for u, v in g.sorted_edges:
+        while pebbles[u] + pebbles[v] < 4:
+            for x in (u, v):
+                if pebbles[x] < 2 and pull(x, (u, v), {x}):
+                    pebbles[x] += 1
+                    break
+            else:
+                region, stack = {u, v}, [u, v]
+                while stack:
+                    for y in out[stack.pop()]:
+                        if y not in region:
+                            region.add(y)
+                            stack.append(y)
+                return tuple(sorted(region))
+        pebbles[v] -= 1
+        out[v].append(u)
+    return None
+
+
+def _planted(rng, r, n):
+    # A tight graph on r vertices with three more edges inside it, grown to
+    # n vertices by hanging each new vertex on two earlier ones, with three
+    # of those edges left out: m = 2n - 3, labels shuffled.
+    inside = set(fast_tight_symgraph(rng.randrange(100), r).graph.edges)
+    non_edges = [e for e in combinations(range(r), 2) if e not in inside]
+    inside |= set(rng.sample(non_edges, 3))
+    hung = [(a, x) for x in range(r, n) for a in rng.sample(range(x), 2)]
+    for e in rng.sample(hung, 3):
+        hung.remove(e)
+    perm = rng.sample(range(n), n)
+    return Graph(n, frozenset(edge(perm[u], perm[v]) for u, v in inside | set(hung)))
+
+
+def test_witness_matches_a_plain_sorted_game_on_swapped_and_planted_graphs():
+    rng = random.Random(2024)
+    graphs = []
+    for n in (30, 90, 150, 300):
+        for seed in range(8):
+            graphs.append(perturb_edge_swap(rng, fast_tight_symgraph(seed, n)).graph)
+        for _ in range(2):
+            graphs.append(_planted(rng, 3 * rng.randint(3, n // 9), n))
+    failing = 0
+    for g in graphs:
+        assert g.m == 2 * g.n - 3
+        witness = _plain_sorted_game(g)
+        report = pebble_sparsity(g)
+        assert report.is_sparse == (witness is None)
+        assert report.witness == witness
+        failing += witness is not None
+    assert failing >= 20
 
 
 def test_gather_takes_the_nearest_free_pebble():
@@ -252,9 +350,11 @@ def test_gather_takes_the_nearest_free_pebble():
 
 def test_the_later_endpoint_pays_and_searches_stay_few(monkeypatch):
     # An accepted edge (u, v) is paid for by v, the end whose edges come
-    # later in sorted order, so the next edge at u finds its two pebbles
-    # without a search. On this graph that takes 6641 searches; paying with
-    # u took 10214. The count is exact: the game is deterministic.
+    # later in the game's order, so the next edge at u finds its two pebbles
+    # without a search. The deciding game plays this graph in degree order,
+    # where that takes 6855 searches; in sorted order it took 6641, and
+    # paying with u there took 10214. The count is exact: the game is
+    # deterministic.
     game = PebbleGame(3)
     assert game.insert_edge(0, 1) and game.out == [[], [0], []]
     assert game.pebbles == [2, 1, 2]
@@ -269,3 +369,21 @@ def test_the_later_endpoint_pays_and_searches_stay_few(monkeypatch):
     monkeypatch.setattr(PebbleGame, "_gather", counted)
     assert pebble_sparsity(fast_tight_symgraph(11, 3000).graph).is_tight
     assert calls <= 7000
+
+
+def test_degree_ordered_searches_visit_few_vertices(monkeypatch):
+    # In degree order an edge joins low-degree vertices, whose searches
+    # meet few paths: the searches of this graph's game visit 11199 vertices
+    # in all, where sorted order visited 63835.
+    visits = 0
+    gather = PebbleGame._gather
+
+    def counted(self, *args):
+        nonlocal visits
+        found = gather(self, *args)
+        visits += self._visited.count(self._stamp)
+        return found
+
+    monkeypatch.setattr(PebbleGame, "_gather", counted)
+    assert pebble_sparsity(fast_tight_symgraph(11, 960).graph).is_tight
+    assert visits <= 12500
