@@ -27,10 +27,15 @@ R: R is the unique minimal such set. It depends on the graph and the edge
 order only, not on the orientation, so neither the search order nor the
 choice of the endpoint that pays can change a witness.
 
-The witness reported is R at the first rejection in sorted order, so a
-failing graph is played in sorted order too: one with more than 2n - 3
-edges from the start, any other on just the edges that lie on a circuit,
-which the degree-ordered game found (``pebble_sparsity``).
+The witness reported is R at the first rejection in sorted order: for the
+sorted edges E, the first E[k] with E[:k + 1] dependent, and R its region
+against E[:k]. That R depends on those edges only, not on the order they
+were played in, so no game plays them in sorted order. With n' vertices on
+an edge, at most 2n' - 3 edges are independent, so E[k] lies among the
+first 2n' - 2 sorted edges: only those are played, once, in degree order.
+If the game rejects one, the same game is walked down by deleting edges
+until it holds exactly E[:k], and E[k] is offered again for R
+(``_walk_down``).
 
 ``PebbleGame`` is that game as a live state that also takes edge deletions;
 ``pebble_sparsity`` feeds fresh ones, and the extractor keeps the input's
@@ -38,11 +43,12 @@ game live for all its reduction steps.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain
 
-from .errors import TooFewVertices, TooLarge
-from .graphs import Edge, Graph, _degree_order, edge
+from .errors import InternalInvariantBroken, TooFewVertices, TooLarge
+from .graphs import Edge, Graph, _degree_order
 
 
 class PebbleGame:
@@ -152,8 +158,9 @@ class SparsityReport:
 
     ``game`` is the live state of the game that decided it, in the game's
     labels (see ``pebble_sparsity``): for a sparse graph every edge, played
-    in degree order; for any other graph the circuit edges in sorted order,
-    up to the first rejected one.
+    in degree order; for any other graph the sorted edges before the first
+    one a sorted game rejects, played in degree order and walked down to,
+    with that edge offered last and rejected.
     """
 
     is_sparse: bool
@@ -169,15 +176,11 @@ def pebble_sparsity(g: Graph) -> SparsityReport:
     order, so with the input's labels on a tight graph): a vertex on no
     edge joins no count and no witness.
 
-    A graph with at most 2n - 3 edges is played first in degree order
-    (``_circuit_edges``), whose searches stay short; if that game accepts
-    every edge, it is the report's game. A failing graph is played again in
-    sorted order for its witness, on its circuit edges alone when the first
-    game found them. That gives the full sorted game's witness: the first
-    sorted rejection f and the accepted edges inside its region R form a
-    circuit, so f is rejected among the circuit edges too, and R is still
-    the minimal tight set around f's ends, since a set tight among the
-    circuit edges before f is tight among all the edges before f.
+    With n' such vertices, one game plays the first 2n' - 2 sorted edges
+    in degree order (``_play_in_degree_order``). If it accepts them all,
+    the graph is sparse and that game is the report's. Otherwise
+    ``_walk_down`` takes the same game down to the sorted prefix before
+    the first sorted rejection, whose region is the witness.
     """
     n = g.n
     if n < 2:
@@ -190,56 +193,129 @@ def pebble_sparsity(g: Graph) -> SparsityReport:
         labels = sorted(used)
         place = {v: i for i, v in enumerate(labels)}
         played = Graph._checked(len(labels), tuple((place[u], place[v]) for u, v in g.sorted_edges))
-    edges = played.sorted_edges
+    edges = played.sorted_edges[: 2 * played.n - 2]
     game = PebbleGame(played.n)
-    if g.m <= target:
-        circuits = _circuit_edges(game, played)
-        if not circuits:
-            return SparsityReport(True, g.m == target, None, g.m, target, game)
-        game = PebbleGame(played.n)
-        edges = [e for e in edges if e in circuits]
-    insert = game.insert_edge
-    # Circuit edges, or more than 2n - 3 edges, are never all accepted.
-    for u, v in edges:
-        if not insert(u, v):
-            break
+    rejected = _play_in_degree_order(game, _degree_order(played), edges)
+    if not rejected:
+        return SparsityReport(True, g.m == target, None, g.m, target, game)
+    u, v = _walk_down(game, edges, rejected)
     witness = tuple(labels[x] for x in sorted(game.region(u, v)))
     return SparsityReport(False, False, witness, g.m, target, game)
 
 
-def _circuit_edges(game: PebbleGame, g: Graph) -> set[Edge]:
-    """Play g's edges on ``game`` in degree order and return every edge
-    that lies on a circuit of the (2,3)-sparsity matroid; none when the
-    game accepts them all.
+def _play_in_degree_order(game: PebbleGame, place: list[int], edges: tuple[Edge, ...]) -> list[int]:
+    """Play the edges on ``game`` in degree order and return the keys of the
+    ones it rejects (``_circuit_top``), none when it accepts them all.
 
-    Vertices go by ``_degree_order``; an edge goes in with its lower-placed
-    end first, in order of (lower place, higher place), so the higher end
-    pays. A rejected edge f's circuit is f plus the accepted edges inside
-    its region: those are the edges in every tight set around f's ends, the
-    ones whose removal would let f in. The accepted edges end as a basis B,
-    and an accepted edge on some circuit can be traded in B for a rejected
-    edge f, so it lies on f's circuit in B + f, the one found when f was
-    rejected. So the union is exact.
+    Vertices go by their ``place`` in ``_degree_order``; an edge goes in
+    with its lower-placed end first, in order of (lower place, higher
+    place), so the higher end pays.
     """
-    n = g.n
-    place = _degree_order(g)
+    n = len(place)
     vertex = [0] * n
     for x, i in enumerate(place):
         vertex[i] = x
     keys = []
-    for u, v in g.sorted_edges:
+    for u, v in edges:
         a, b = place[u], place[v]
         keys.append(a * n + b if a < b else b * n + a)
     keys.sort()
-    insert, region, out = game.insert_edge, game.region, game.out
-    circuits: set[Edge] = set()
+    insert = game.insert_edge
+    rejected = []
     for key in keys:
         a, b = divmod(key, n)
         u, v = vertex[a], vertex[b]
         if not insert(u, v):
-            circuits.add(edge(u, v))
-            circuits.update(edge(x, y) for x in region(u, v) for y in out[x])
-    return circuits
+            rejected.append(u * n + v if u < v else v * n + u)
+    return rejected
+
+
+def _circuit_top(game: PebbleGame, u: int, v: int) -> int:
+    """Right after ``insert_edge(u, v)`` is rejected, with u < v: the top key
+    on the edge's circuit. An edge (x, y) with x < y has key x n + y, so
+    keys go in sorted order.
+
+    The circuit is the edge plus the accepted edges inside its region R, the
+    ones whose deletion would let it in. R is closed, so those are the
+    out-edges of R's vertices.
+    """
+    n, out = len(game.out), game.out
+    return max(u * n + v, max(x * n + y if x < y else y * n + x for x in game.region(u, v) for y in out[x]))
+
+
+def _walk_down(game: PebbleGame, edges: tuple[Edge, ...], rejected: list[int]) -> Edge:
+    """Delete edges from the finished degree-ordered game on ``edges`` until
+    it holds exactly ``edges[:k]``, where ``edges[k]`` is the first edge a
+    sorted game rejects; offer ``edges[k]`` once more and return it.
+
+    At level j the game holds an independent part A of ``edges[:j]``, and
+    every other edge p of ``edges[:j]`` is pending. The circuit of p in
+    A + p is either known, by its top key t(p), or unknown. The edges up to
+    t(p) hold that circuit, so ``edges[k]`` comes no later than t(p). While
+    no circuit is known, the unknown edges are offered again in sorted
+    order until one is rejected; an accepted one joins A. Then the walk
+    goes down to the level just above the lowest t(p), or one level when
+    that is no lower: it deletes the accepted edges from there up and drops
+    the pending ones. A known p with t(p) at or above the new level lost a
+    circuit edge, so its circuit is unknown now. No other circuit changes:
+    deleting an edge off a circuit, or accepting one, leaves it, and no
+    edge inside a tight region is ever accepted. The walk stops at the
+    first level with nothing pending, j = k.
+
+    Some offers have a forced outcome, and the walk checks them. At the
+    start A is a basis, so the first offer must be rejected. A one-level
+    step past an accepted edge e, with every circuit known, comes when all
+    of them hold e: the first edge offered again must be accepted, since
+    A - e + p is a basis, and the next must be rejected. Offering
+    ``edges[k]`` against ``edges[:k]`` must be rejected. The witness needs
+    no game in sorted order: the region of ``edges[k]`` against
+    ``edges[:k]`` depends on those edges alone.
+    """
+    n = len(game.out)
+    insert, delete = game.insert_edge, game.delete_edge
+    # pending edge's key -> the top key on its circuit, None if unknown
+    tops: dict[int, int | None] = dict.fromkeys(rejected)
+    unknown = sorted(rejected, reverse=True)
+    # True until an offer must be accepted, False while each must be
+    # rejected, None while either is sound.
+    must_accept: bool | None = False
+    j = len(edges)
+    while True:
+        while unknown and len(unknown) == len(tops):
+            key = unknown.pop()
+            u, v = divmod(key, n)
+            if insert(u, v):
+                if must_accept is False:
+                    raise InternalInvariantBroken(f"edge {(u, v)} accepted though the game spans it")
+                del tops[key]
+            elif must_accept:
+                raise InternalInvariantBroken(f"no pending edge takes the place of edge {edges[j]}")
+            else:
+                tops[key] = _circuit_top(game, u, v)
+            if must_accept:
+                must_accept = False
+        if not tops:
+            break
+        top = bisect_left(edges, divmod(min(t for t in tops.values() if t is not None), n))
+        level = min(top + 1, j - 1)
+        x, y = edges[level]
+        bottom = x * n + y
+        # one level down past the top of every circuit, all of them known
+        must_accept = top == level and bottom not in tops and not unknown or None
+        for x, y in edges[level:j]:
+            key = x * n + y
+            if key in tops:
+                del tops[key]
+            else:
+                delete(x, y)
+        lost = [key for key, t in tops.items() if t is not None and t >= bottom]
+        for key in lost:
+            tops[key] = None
+        unknown = sorted([key for key in unknown if key in tops] + lost, reverse=True)
+        j = level
+    if insert(*edges[j]) or sum(map(len, game.out)) != j:
+        raise InternalInvariantBroken(f"the game does not hold the sorted prefix that edge {edges[j]} closes")
+    return edges[j]
 
 
 def laman_check(g: Graph) -> bool:

@@ -113,13 +113,35 @@ def perturb_edge_swap(rng: random.Random, sg: SymGraph) -> SymGraph:
     out_edge = g.sorted_edges[rng.randrange(g.m)]
     out_orbit = {out_edge, act.map_edge(out_edge), act.map_edge(act.map_edge(out_edge))}
     remaining = g.edges - frozenset(out_orbit)
+    return SymGraph(Graph(g.n, remaining | _non_edge_orbit(rng, sg)), act)
+
+
+def add_non_edge_orbit(rng: random.Random, sg: SymGraph) -> SymGraph:
+    """Add one random non-edge orbit: three edges over 2n - 3 on a tight graph."""
+    return SymGraph(Graph(sg.graph.n, sg.graph.edges | _non_edge_orbit(rng, sg)), sg.action)
+
+
+def _non_edge_orbit(rng: random.Random, sg: SymGraph) -> frozenset:
+    act = sg.action
+    g = sg.graph
     for _ in range(1000):
         u, v = rng.sample(range(g.n), 2)
         e = edge(u, v)
         orbit = {e, act.map_edge(e), act.map_edge(act.map_edge(e))}
         if len(orbit) == 3 and not (orbit & g.edges):
-            return SymGraph(Graph(g.n, remaining | frozenset(orbit)), act)
-    raise AssertionError("could not find a replacement orbit")
+            return frozenset(orbit)
+    raise AssertionError("could not find a non-edge orbit")
+
+
+def clique_with_tail(rng: random.Random, c: int, n: int, hung: bool) -> Graph:
+    """K_c on the labels 0 .. c - 1, then each later vertex joined to one
+    random earlier vertex (a tree tail) or to two (hung, adding two edges
+    per vertex as a tight graph does). On the lowest labels, the clique's
+    edges come early in sorted order."""
+    edges = {edge(u, v) for u, v in combinations(range(c), 2)}
+    for x in range(c, n):
+        edges.update(edge(a, x) for a in rng.sample(range(x), 2 if hung else 1))
+    return Graph(n, frozenset(edges))
 
 
 @cache

@@ -8,6 +8,7 @@ import time
 from c3rig import (
     DELTA_EXTENSION,
     EDGE_SPLIT,
+    SymGraph,
     brute_force_laman,
     build_tree_partition,
     check_c3_isostatic,
@@ -32,6 +33,8 @@ from c3rig import cli
 from c3rig.errors import NotIsostatic
 from tests.corpus import (
     acceptance_corpus as corpus,
+    add_non_edge_orbit,
+    clique_with_tail,
     fast_tight_symgraph,
     generalized_matrix,
     k13_hub,
@@ -208,10 +211,17 @@ def test_criterion_7_performance(tmp_path):
         return code, json.loads(out.getvalue()), elapsed
 
     check_code, check_report, check_elapsed = timed_check_command(big, "big.json")
-    # a failing graph with m = 2n - 3 pays the degree-ordered game and then
-    # the sorted game on its circuit edges for the witness
+    # failing graphs: the game plays the first 2n - 2 sorted edges in degree
+    # order, then walks down to the first sorted rejection for the witness;
+    # with m = 2n - 3, with one edge orbit over it, and with a 60-clique on
+    # the lowest labels, whose first sorted rejection comes within its
+    # first 140 edges
     failing = perturb_edge_swap(random.Random(3000), big)
     failing_code, failing_report, failing_elapsed = timed_check_command(failing, "failing.json")
+    over = add_non_edge_orbit(random.Random(3000), big)
+    over_code, over_report, over_elapsed = timed_check_command(over, "over.json")
+    clique = SymGraph(clique_with_tail(random.Random(3000), 60, 3000, True))
+    clique_code, clique_report, clique_elapsed = timed_check_command(clique, "clique.json")
 
     def timed_rank(sg):
         matrix = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0))
@@ -275,6 +285,13 @@ def test_criterion_7_performance(tmp_path):
         and failing_code == 1
         and failing_report["sparsity"]["witness"] is not None
         and failing_elapsed < 0.2
+        and over.graph.m == big.graph.m + 3
+        and over_code == 1
+        and over_report["sparsity"]["witness"] is not None
+        and over_elapsed < 0.2
+        and clique_code == 1
+        and clique_report["sparsity"]["witness"] == [0, 1, 2, 3]
+        and clique_elapsed < 0.2
         and rank == 117
         and rank_elapsed < 10.0
         and big_rank == 477
@@ -301,6 +318,7 @@ def test_criterion_7_performance(tmp_path):
         ok,
         f"pebble n=3000 {pebble_elapsed:.2f}s (< 0.5s), check command n=3000"
         f" {check_elapsed:.3f}s (< 0.2s), failing graph {failing_elapsed:.3f}s (< 0.2s),"
+        f" over-braced {over_elapsed:.3f}s (< 0.2s), 60-clique {clique_elapsed:.3f}s (< 0.2s),"
         f" exact rank n=60 {rank_elapsed:.2f}s (< 10s),"
         f" n=240 {big_rank_elapsed:.2f}s (< 10s), placement and rank check n=960"
         f" {placed_elapsed:.3f}s (< 0.5s), n=1920 {largest_placed_elapsed:.3f}s (< 0.5s),"

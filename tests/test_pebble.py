@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from c3rig import Graph, brute_force_laman, edge, graphs, laman_check, pebble_sparsity
-from c3rig.errors import TooFewVertices, TooLarge
+from c3rig.errors import InternalInvariantBroken, TooFewVertices, TooLarge
 from c3rig.pebble import PebbleGame
 from tests.corpus import (
+    add_non_edge_orbit,
+    clique_with_tail,
     fast_tight_symgraph,
     k33,
     perturb_edge_swap,
@@ -224,8 +226,8 @@ def test_witness_is_the_minimal_tight_set_around_the_first_rejected_edge():
 
 
 def test_witness_within_the_edge_count_is_the_first_sorted_rejections():
-    # With m <= 2n - 3 the game decides in degree order and finds the
-    # witness on the circuit edges in sorted order. Two disjoint over-dense
+    # With m <= 2n - 3 the game decides in degree order and walks down to
+    # the first sorted rejection for the witness. Two disjoint over-dense
     # regions, plus vertices on no edge: the degree-ordered game often
     # meets the other region first, and the witness must not follow it.
     rng = random.Random(1997)
@@ -326,6 +328,143 @@ def test_witness_matches_a_plain_sorted_game_on_swapped_and_planted_graphs():
     assert failing >= 20
 
 
+def _with_non_edges(rng, g, count):
+    pairs = [e for e in combinations(range(g.n), 2) if e not in g.edges]
+    return Graph(g.n, g.edges | frozenset(rng.sample(pairs, count)))
+
+
+def _spread(rng, g, extra):
+    # g relabeled onto ``extra`` more vertices, which lie on no edge
+    perm = rng.sample(range(g.n + extra), g.n)
+    return Graph(g.n + extra, frozenset(edge(perm[u], perm[v]) for u, v in g.edges))
+
+
+def test_witness_matches_a_plain_sorted_game_on_overbraced_and_clique_graphs():
+    # Beyond 2n' - 3 edges the game plays only the first 2n' - 2 sorted
+    # edges, in degree order, and walks that game down to the sorted prefix
+    # before the first rejection. A clique on the lowest labels puts that
+    # rejection within its first few edges, while the degree order plays
+    # the clique last, so the walk goes a long way down.
+    rng = random.Random(2008)
+    graphs = []
+    for n in (30, 90, 150, 300):
+        for seed in range(3):
+            sg = fast_tight_symgraph(seed, n)
+            graphs += [_with_non_edges(rng, sg.graph, count) for count in (1, 3, 10)]
+            graphs.append(add_non_edge_orbit(rng, sg).graph)
+    for c in (5, 8, 12):
+        for n in (c + 4, 45):
+            graphs += [clique_with_tail(rng, c, n, hung) for hung in (False, True)]
+    graphs += [_spread(rng, g, rng.randint(1, 4)) for g in graphs[::3]]
+    failing = 0
+    for g in graphs:
+        witness = _plain_sorted_game(g)
+        report = pebble_sparsity(g)
+        assert report.is_sparse == (witness is None)
+        assert report.witness == witness
+        failing += witness is not None
+    assert failing >= 80
+
+
+def test_one_game_on_the_first_sorted_edges(monkeypatch):
+    # A failing graph is decided by one game that is offered only the first
+    # 2n' - 2 sorted edges, and that ends holding the sorted prefix before
+    # the first rejection.
+    games = []
+    offered = set()
+    init, insert = PebbleGame.__init__, PebbleGame.insert_edge
+
+    def counted_init(self, n):
+        games.append(self)
+        init(self, n)
+
+    def recorded_insert(self, u, v):
+        offered.add(edge(u, v))
+        return insert(self, u, v)
+
+    monkeypatch.setattr(PebbleGame, "__init__", counted_init)
+    monkeypatch.setattr(PebbleGame, "insert_edge", recorded_insert)
+    rng = random.Random(11)
+    for g in (
+        add_non_edge_orbit(rng, fast_tight_symgraph(3, 90)).graph,
+        _with_non_edges(rng, fast_tight_symgraph(4, 60).graph, 10),
+        clique_with_tail(rng, 12, 60, True),
+        perturb_edge_swap(rng, fast_tight_symgraph(5, 90)).graph,
+    ):
+        games.clear()
+        offered.clear()
+        report = pebble_sparsity(g)
+        assert not report.is_sparse and len(games) == 1
+        assert offered <= set(g.sorted_edges[: 2 * g.n - 2])
+        held = {edge(x, y) for x, ys in enumerate(report.game.out) for y in ys}
+        assert held == set(g.sorted_edges[: len(held)])
+        assert _plain_sorted_game(Graph(g.n, frozenset(g.sorted_edges[: len(held) + 1]))) == report.witness
+
+
+@pytest.mark.parametrize(
+    "offer, message",
+    [
+        (1, "accepted though the game spans it"),
+        (2, "no pending edge takes the place"),
+        (3, "does not hold the sorted prefix"),
+    ],
+)
+def test_a_walk_off_its_invariant_raises(monkeypatch, offer, message):
+    # The degree-ordered game on these 8 edges rejects (1, 4), whose circuit
+    # is every edge. The walk's first offer, (1, 4) again, must be rejected,
+    # since the game holds a basis. The walk then deletes the circuit's top
+    # edge (3, 4), so its second offer, (1, 4), must be accepted in its
+    # place. Its third offer is (3, 4), the first sorted rejection, which
+    # must be rejected. A planted flip of any of them raises rather than
+    # giving a witness.
+    g = Graph(5, frozenset({(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (1, 4), (2, 4), (3, 4)}))
+    assert pebble_sparsity(g).witness == (0, 1, 2, 3, 4)
+    insert = PebbleGame.insert_edge
+    offers = []
+
+    def flipped(self, u, v):
+        offers.append((u, v))
+        accepted = insert(self, u, v)
+        return not accepted if len(offers) == 8 + offer else accepted
+
+    monkeypatch.setattr(PebbleGame, "insert_edge", flipped)
+    with pytest.raises(InternalInvariantBroken, match=message):
+        pebble_sparsity(g)
+    assert offers[8 : 8 + offer] == [(1, 4), (1, 4), (3, 4)][:offer]
+
+
+def test_every_flipped_offer_of_the_walk_is_caught(monkeypatch):
+    # An offer of the walk returning the wrong answer leaves the game off
+    # the walk's invariant; each one, planted alone, raises.
+    rng = random.Random(5)
+    graphs = [
+        clique_with_tail(rng, 8, 14, True),
+        add_non_edge_orbit(rng, fast_tight_symgraph(0, 30)).graph,
+        perturb_edge_swap(random.Random(0), fast_tight_symgraph(0, 30)).graph,
+    ]
+    insert = PebbleGame.insert_edge
+    calls = flip = 0
+
+    def flipped(self, u, v):
+        nonlocal calls
+        calls += 1
+        accepted = insert(self, u, v)
+        return not accepted if calls == flip else accepted
+
+    monkeypatch.setattr(PebbleGame, "insert_edge", flipped)
+    planted = 0
+    for g in graphs:
+        calls = flip = 0
+        pebble_sparsity(g)
+        total = calls
+        for flip in range(min(g.m, 2 * g.n - 2) + 1, total + 1):
+            calls = 0
+            with pytest.raises(InternalInvariantBroken):
+                pebble_sparsity(g)
+            planted += 1
+    assert planted >= 15
+
+
 def test_gather_takes_the_nearest_free_pebble():
     # r -> a, b; a -> p, e, each holding 2 free pebbles; b -> c, d, holding
     # none; c and d each point to two leaves with free pebbles. The search
@@ -387,3 +526,23 @@ def test_degree_ordered_searches_visit_few_vertices(monkeypatch):
     monkeypatch.setattr(PebbleGame, "_gather", counted)
     assert pebble_sparsity(fast_tight_symgraph(11, 960).graph).is_tight
     assert visits <= 12500
+
+
+def test_overbraced_searches_visit_few_vertices(monkeypatch):
+    # Three edges over 2n - 3: the game plays the first 2n - 2 sorted edges
+    # in degree order and walks down to the first sorted rejection. Its
+    # searches visit 14306 vertices in all, where the whole sorted game
+    # visited 60497.
+    g = add_non_edge_orbit(random.Random(0), fast_tight_symgraph(11, 960)).graph
+    visits = 0
+    gather = PebbleGame._gather
+
+    def counted(self, *args):
+        nonlocal visits
+        found = gather(self, *args)
+        visits += self._visited.count(self._stamp)
+        return found
+
+    monkeypatch.setattr(PebbleGame, "_gather", counted)
+    assert not pebble_sparsity(g).is_sparse
+    assert visits <= 15000
