@@ -2,8 +2,11 @@
 
 Every command reads one graph document, prints a JSON report to standard
 output (unless --no-json asks for a short text summary) and exits with
-0 when the graph is isostatic, 1 when it is not, and 2 on any error.
-Reports are deterministic for a fixed (input, flags, seed, version).
+0 when the graph is isostatic, 1 when it is not, 2 on any error, and 3
+when ``realize`` drew a placement whose rank mod P falls short of the
+graph's matroid rank, which decides nothing (an inconclusive
+``rank_verdict``). Reports are deterministic for a fixed (input, flags,
+seed, version).
 """
 from __future__ import annotations
 
@@ -267,6 +270,9 @@ def cmd_realize(args) -> int:
     report["placement"] = _placement_json(placement)
     report["rank_verdict"] = rank.as_json_dict()
     report.update(extra)
+    if rank.inconclusive:
+        _emit(report, args.json, f"inconclusive: rank mod P {rank.rank_mod_p} below {rank.ceiling}")
+        return 3
     _emit(report, args.json, f"rank {rank.rank}/{rank.target}, isostatic: {rank.isostatic}")
     return 0 if rank.isostatic else 1
 

@@ -104,9 +104,12 @@ class NoSeparableComponent(C3RigError):
 
 
 class ExhaustedT(C3RigError):
-    """No deformation parameter within the proven bound kept independence.
+    """No deformation parameter within the proven bound kept independence
+    mod P.
 
-    One of that many candidates always works, so this signals a bug."""
+    One of that many candidates always works unless P divides every
+    coefficient of a minor, which makes every one short mod P; either way
+    the route gives no verdict rather than a wrong one."""
 
 
 class CoincidentAdjacentJoints(C3RigError):

@@ -1,4 +1,4 @@
-"""Exact matrix rank over the rationals.
+"""Matrix rank mod a fixed prime, and what it proves over the rationals.
 
 Every placement and frame is held in integer (1, w) pairs: the pair (a, b)
 is the point a*1 + b*w with w = (-1/2, sqrt(3)/2), over one common scale,
@@ -8,12 +8,13 @@ Cartesian one times an invertible change of columns, so it has the
 Cartesian rank (see ``geometry._pair_matrix``).
 
 The one matrix type is ``PartialElimination``: sparse rows mod a fixed prime
-P, some of them eliminated already, plus a way to build its sparse integer
-rows. ``exact_rank`` first proves full rank through that image mod P (a ring
-homomorphism, so the rank mod P never exceeds the exact rank), full meaning
-the smaller side or a known ceiling on the rank; only a deficit mod P builds
-the integer rows, for exact fraction-free elimination. The image may also be
-two blocks mod P whose ranks bound the exact rank from below, one of them
+P, some of them eliminated already. Reduction mod P is a ring homomorphism,
+so the rank mod P never exceeds the exact rank, and ``exact_rank`` reads a
+rank mod P that reaches the smaller side, or a ceiling the caller knows,
+such as the rank of the (2,3)-sparsity matroid, as the exact rank. A rank
+mod P below that proves nothing, and ``exact_rank`` says so with None: the
+package has no elimination over the integers. The image may also be two
+blocks mod P whose ranks bound the exact rank from below, one of them
 counted twice: ``_orbit_blocks`` builds them for a rigidity matrix with a
 3-fold rotation, one row in each per edge orbit, from the pairs of one edge
 per orbit. ``_round_pivots`` eliminates a whole sequence of matrices that
@@ -28,7 +29,6 @@ inverse and no normalization.
 """
 from __future__ import annotations
 
-import math
 from collections.abc import Callable, Iterable, Iterator, KeysView, Sequence
 from dataclasses import dataclass
 
@@ -254,9 +254,8 @@ class PartialElimination:
     Ranking eliminates ``rest`` into ``pivots``, adds the new pivots to
     ``pivot_rank`` and empties ``rest``, whose rows all lie in the pivots'
     span now. That keeps the span of the rows, so ranking the matrix again
-    gives the same rank. ``integer_rows`` gives
-    its rows, each times a nonzero rational, as sparse integer rows, which
-    ``exact_rank`` asks for only on a deficit mod P.
+    gives the same rank, and ``exact_rank`` may be asked again with another
+    ceiling at no cost.
 
     With ``twice_from`` below ``cols``, ``pivots`` and ``rest`` are not the
     matrix's rows but two blocks, the second in the columns from
@@ -269,7 +268,6 @@ class PartialElimination:
     cols: int
     pivots: dict[int, dict[int, int]]
     rest: list[dict[int, int]]
-    integer_rows: Callable[[], list[dict[int, int]]]
     twice_from: int
     pivot_rank: int = 0
 
@@ -280,55 +278,20 @@ class PartialElimination:
         return self.pivot_rank
 
 
-def exact_rank(m: PartialElimination, ceiling: int | None = None) -> int:
-    """Rank over Q, with no tolerance.
+def exact_rank(m: PartialElimination, ceiling: int | None = None) -> int | None:
+    """Rank over Q, with no tolerance, where the rank mod P proves it; else
+    None.
 
-    Full rank is proven through ``modular_rank``, which never exceeds the
-    exact rank: reduction mod P is a ring homomorphism, so every minor maps
-    to the image of that minor. When it reaches min(rows, cols, ceiling)
-    that is the rank; ``ceiling`` is an upper bound on the
-    rank the caller knows from elsewhere, such as 2n - 3 for the rigidity
-    matrix of n joints that are not all coincident. A lower rank mod P
-    proves nothing, so it falls back to exact elimination.
+    ``modular_rank`` never exceeds the exact rank: reduction mod P is a ring
+    homomorphism, so every minor maps to the image of that minor. When it
+    reaches min(rows, cols, ceiling), that is the rank; ``ceiling`` is an
+    upper bound on the rank the caller knows from elsewhere, such as 2n - 3
+    for the rigidity matrix of n joints that are not all coincident, or the
+    rank of the (2,3)-sparsity matroid of its graph (Laman's theorem). A
+    lower rank mod P proves nothing: the exact rank may be anywhere from it
+    to that bound, so the answer is None.
     """
     full = min(m.rows, m.cols)
     if ceiling is not None:
         full = min(full, ceiling)
-    if m.modular_rank() == full:
-        return full
-    return _fraction_free_rank(m.integer_rows())
-
-
-def _fraction_free_rank(rows: Iterable[dict[int, int]]) -> int:
-    """Rank over Q of sparse integer rows, by fraction-free elimination.
-
-    Each row is reduced, always at its smallest column, against the pivot
-    rows so far: at a pivot p and the row's entry f there, the row becomes
-    (p/g) * row - (f/g) * pivot with g = gcd(p, f), an integer row in the
-    same span whose entry there is zero, and its integer content is then
-    divided out to keep the entries small. A row that does not reduce to
-    zero becomes the pivot row of its smallest column. The rows are consumed.
-    """
-    pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        while row:
-            col = min(row)
-            pivot = pivots.get(col)
-            if pivot is None:
-                pivots[col] = row
-                break
-            p, f = pivot[col], row[col]
-            g = math.gcd(p, f)
-            p, f = p // g, f // g
-            if p != 1:
-                row = {c: p * x for c, x in row.items()}
-            for c, y in pivot.items():
-                x = row.get(c, 0) - f * y
-                if x:
-                    row[c] = x
-                else:
-                    del row[c]
-            g = math.gcd(*row.values())
-            if g > 1:
-                row = {c: x // g for c, x in row.items()}
-    return len(pivots)
+    return full if m.modular_rank() == full else None

@@ -6,8 +6,8 @@ of pairs, and symmetry of a placement is an equation, not an approximation.
 Two realization routes are provided.
 
 * Random symmetric positions: one random integer pair per vertex orbit, the
-  rest filled in by the rotation; isostaticity is then read off the exact
-  rank of the rigidity matrix.
+  rest filled in by the rotation; isostaticity is then read off the rank
+  of the rigidity matrix.
 * The frame route: from a verified three-tree partition, park each vertex
   on one corner of a reference triangle, direct each edge along the side
   matching its tree, and then pull coincident joint classes apart along a
@@ -23,11 +23,12 @@ Two realization routes are provided.
   two orbit blocks. The last round's proof is the rank of the framework it
   ends with.
 
-Both routes rank their rows modulo a prime, with exact elimination only on a
-deficit; the rank of a placement symmetric under a rotation that fixes no
-vertex is proven through two orbit blocks mod P (``field._orbit_blocks``). A
-point reaches Cartesian coordinates only in a report or drawing, through
-``_cartesian_terms``.
+Both routes rank their rows modulo a prime only, and a shortfall mod P
+proves nothing: the frame route skips such a round as it skips a collision,
+and the placement check reports it as inconclusive. The rank of a placement
+symmetric under a rotation that fixes no vertex is proven through two orbit
+blocks mod P (``field._orbit_blocks``). A point reaches Cartesian
+coordinates only in a report or drawing, through ``_cartesian_terms``.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ import heapq
 import math
 import random
 from collections.abc import Callable, Iterable, Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import takewhile
 
 from .errors import (
@@ -59,7 +60,7 @@ from .field import (
     exact_rank,
 )
 from .graphs import C3Action, Graph, SymGraph, _degree_order
-from .pebble import SparsityReport
+from .pebble import PebbleGame, SparsityReport, _play_in_degree_order
 from .trees import TreePartition, verify_tree_partition
 
 # Coordinates. Every point and direction is a combination a*1 + b*w of
@@ -102,7 +103,7 @@ def cross(p: Pair, q: Pair) -> int:
 
 def _require_integer_pairs(pairs: Iterable[Pair], scale: int) -> None:
     """Refuse anything but int pairs over a positive int scale: images mod
-    P, exact rows and report fractions are taken of ints only."""
+    P and report fractions are taken of ints only."""
     if type(scale) is not int or scale < 1 or not all(
         type(a) is int and type(b) is int for a, b in pairs
     ):
@@ -142,10 +143,12 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
     That is as generic as the rotation allows: a rank-deciding minor of the
     rigidity matrix is a polynomial of degree at most 2n - 3 in the drawn
     integers, nonzero where the graph is isostatic, so by Schwartz-Zippel a
-    draw from 2N + 1 values per coordinate, N = ``GENERIC_BOUND``, shows a
-    false deficit with probability at most (2n - 3)/(2N + 1). Redraws (up
-    to 100 times) whenever two adjacent joints collide, so the result
-    satisfies the framework condition.
+    draw from 2N + 1 values per coordinate, N = ``GENERIC_BOUND``, makes it
+    vanish over Q with probability at most (2n - 3)/(2N + 1). That bounds
+    no rank mod P, which ``numeric_isostatic_check`` takes: P may divide
+    every coefficient of a minor. Redraws (up to 100 times) whenever two
+    adjacent joints collide, so the result satisfies the framework
+    condition.
     """
     act = sg.require_action()
     n = sg.graph.n
@@ -183,7 +186,7 @@ def rigidity_matrix(
     of a placement that is symmetric under it, with no vertex fixed, its
     rows mod P are two orbit blocks (see ``field._orbit_blocks``), one row
     in each per edge orbit, so only the edges that stand for their orbits
-    have their differences taken; all m are taken only for the exact rows.
+    have their differences taken.
 
     The differences are taken of the integer pairs, not over the scale,
     which scales every row by it and keeps the rank.
@@ -202,14 +205,19 @@ def rigidity_matrix(
 
 @dataclass(frozen=True)
 class RankVerdict:
-    """Exact-rank reading of a placement."""
+    """Rank reading of a placement. An inconclusive one has no ``rank``,
+    ``isostatic``, ``independent`` or ``flex_dim``: its rank mod P,
+    ``rank_mod_p``, fell short of ``ceiling``, the rank of the graph's
+    (2,3)-sparsity matroid, which proves nothing about the graph."""
 
-    isostatic: bool
-    independent: bool
-    rank: int
+    isostatic: bool | None
+    independent: bool | None
+    rank: int | None
     edge_count: int
     target: int
-    flex_dim: int
+    flex_dim: int | None
+    rank_mod_p: int | None = None
+    ceiling: int | None = None
 
     @classmethod
     def of(cls, g: Graph, rank: int) -> "RankVerdict":
@@ -226,24 +234,33 @@ class RankVerdict:
             flex_dim=2 * g.n - rank - 3,
         )
 
+    @property
+    def inconclusive(self) -> bool:
+        return self.rank is None
+
     def as_json_dict(self) -> dict:
-        return {
-            "isostatic": self.isostatic,
-            "independent": self.independent,
-            "rank": self.rank,
-            "edge_count": self.edge_count,
-            "target": self.target,
-            "flex_dim": self.flex_dim,
-        }
+        """Its fields, with ``inconclusive: true`` and the last two fields
+        on an inconclusive reading only."""
+        report = asdict(self)
+        if self.inconclusive:
+            report["inconclusive"] = True
+        else:
+            del report["rank_mod_p"], report["ceiling"]
+        return report
 
 
 def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
-    """Isostatic iff the edge count and the exact rank both hit 2n - 3.
+    """Isostatic iff the edge count and the rank both hit 2n - 3.
 
-    The rank is ``exact_rank`` of ``rigidity_matrix``, built once and
-    given the rotation, so a symmetric placement is ranked through its
-    orbit blocks mod P: its exact rows are built only when that bound falls
-    short of min(m, 2n - 3).
+    The rank is ``exact_rank`` of ``rigidity_matrix``, built once and given
+    the rotation, so a symmetric placement is ranked through its orbit
+    blocks mod P, against 2n - 3 first. Short of that, it is ranked again,
+    at no cost, against r, the rank of the (2,3)-sparsity matroid, which no
+    placement exceeds (Laman's theorem): m minus the edges one pebble game
+    rejects. Short of r, the verdict is inconclusive: for a tight graph
+    whose rotation fixes no vertex a generic symmetric placement reaches r
+    (the paper's theorem), so the draw was special or P divides every
+    maximal minor.
     """
     g = sg.graph
     n = g.n
@@ -258,7 +275,15 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
         raise DegenerateSpan("all joints are collinear")
     # Joints not all collinear are not all coincident, so the trivial
     # motions cap the rank at 2n - 3 even when there are more bars.
-    return RankVerdict.of(g, exact_rank(rigidity_matrix(g, placement, sg.action), 2 * n - 3))
+    matrix = rigidity_matrix(g, placement, sg.action)
+    rank = exact_rank(matrix, 2 * n - 3)
+    if rank is None:
+        rejected = _play_in_degree_order(PebbleGame(n), _degree_order(g), g.sorted_edges)
+        ceiling = g.m - len(rejected)
+        rank = exact_rank(matrix, ceiling)
+        if rank is None:
+            return RankVerdict(None, None, None, g.m, 2 * n - 3, None, matrix.pivot_rank, ceiling)
+    return RankVerdict.of(g, rank)
 
 
 @dataclass(frozen=True)
@@ -340,17 +365,17 @@ def rotate_omega(p: Pair) -> Pair:
     return (-b, a - b)
 
 
-def _row(u: int, v: int, image: tuple[int, int], modulus: int = _P) -> dict[int, int]:
-    """An edge's sparse row over F_P (or over Z with modulus 0): ``image`` at
-    u's column pair, negated at v's."""
+def _row(u: int, v: int, image: tuple[int, int]) -> dict[int, int]:
+    """An edge's sparse row over F_P: ``image`` at u's column pair, negated
+    at v's."""
     x, y = image
     row = {}
     if x:
         row[2 * u] = x
-        row[2 * v] = modulus - x
+        row[2 * v] = _P - x
     if y:
         row[2 * u + 1] = y
-        row[2 * v + 1] = modulus - y
+        row[2 * v + 1] = _P - y
     return row
 
 
@@ -359,12 +384,6 @@ def _primitive(q: Pair) -> Pair:
     a, b = q
     g = math.gcd(a, b) or 1
     return (a // g, b // g)
-
-
-def _exact_rows(ends: list[tuple[int, int]], pairs: Iterable[Pair]) -> list[dict[int, int]]:
-    """Both routes' exact fallback: ``_pair_matrix``'s rows, each times a
-    positive rational, as sparse integer rows with the column pairs ``ends``."""
-    return [_row(*e, _primitive(q), 0) for e, q in zip(ends, pairs)]
 
 
 def _pair_matrix(
@@ -383,22 +402,20 @@ def _pair_matrix(
     mod P come from ``_row``, or, given a rotation ``act`` that fixes no
     vertex and under which the pairs are those of a symmetric placement,
     from ``field._orbit_blocks``, built from the pairs of the third of the
-    edges that stand for their orbits; ``_exact_rows`` builds its rows over
-    the integers, each up to scale, from every edge's pair, only when
-    ``exact_rank`` asks for them.
+    edges that stand for their orbits.
     """
     place = _degree_order(g)
-    ends = [(place[u], place[v]) for u, v in g.sorted_edges]
     if act is None:
-        rows = [_row(*e, (x % _P, y % _P)) for e, (x, y) in zip(ends, map(pair, range(g.m)))]
+        rows = [
+            _row(place[u], place[v], (x % _P, y % _P))
+            for (u, v), (x, y) in zip(g.sorted_edges, map(pair, range(g.m)))
+        ]
         twice_from = 2 * g.n
     else:
         reps, orbit_rows = _orbit_blocks(g.sorted_edges, act.gamma, place)
         rows = [row for i in reps for row in orbit_rows(i, pair(i))]
         twice_from = 2 * g.n // 3
-    return PartialElimination(
-        g.m, 2 * g.n, {}, rows, lambda: _exact_rows(ends, map(pair, range(g.m))), twice_from
-    )
+    return PartialElimination(g.m, 2 * g.n, {}, rows, twice_from)
 
 
 # The primes found so far, kept for every later round.
@@ -482,10 +499,9 @@ class _LiveFrame:
     an integer pair X standing for X / ``scales[c]``. A point keeps the
     scale it was written at, and ``scale``, the start scale times every
     accepted p, is a multiple of all of them: only ``frame`` brings the
-    points to it. Each edge has a ``_primitive`` integer direction and its
-    ends as the column pairs of its row (by ``_degree_order``); each vertex,
-    the indices of its edges and the corner it was parked on. Also kept:
-    how many edges still have coinciding endpoints; a heap ``queue`` of
+    points to it. Each edge has a ``_primitive`` integer direction; each
+    vertex, the indices of its edges and the corner it was parked on. Also
+    kept: how many edges still have coinciding endpoints; a heap ``queue`` of
     (smallest member, class) with an entry for each class at the corner of
     tree 0, stale once the class has lost a member or holds no such edge;
     each class on its line along each tree direction; and the edges a round
@@ -499,7 +515,6 @@ class _LiveFrame:
     members: list[list[int]]
     dirs: list[Pair]
     edges: Sequence[tuple[int, int]]
-    ends: list[tuple[int, int]]
     incident: list[list[int]]
     miss: list[int]
     coincident: int
@@ -508,13 +523,10 @@ class _LiveFrame:
     turned: set[int]
 
     @classmethod
-    def read(
-        cls, sg: SymGraph, dirs: Sequence[Pair], miss: list[int], place: list[int]
-    ) -> "_LiveFrame":
+    def read(cls, sg: SymGraph, dirs: Sequence[Pair], miss: list[int]) -> "_LiveFrame":
         """The live state of the parked frame of a verified partition, whose
         classes are the three corners: each vertex on the corner of the tree
-        it misses (``miss``), each edge along its direction in ``dirs``, and
-        each vertex's column place (``_degree_order``).
+        it misses (``miss``) and each edge along its direction in ``dirs``.
 
         Nothing is checked: the verified partition makes the frame
         symmetric. Each edge lies in one tree (``partitions_edges``), so its
@@ -539,9 +551,8 @@ class _LiveFrame:
             incident[u].append(i)
             incident[v].append(i)
             coincident += miss[u] == miss[v]
-        ends = [(place[u], place[v]) for u, v in edges]
         live = cls(
-            1, list(E_POINTS), [1, 1, 1], list(miss), members, list(dirs), edges, ends,
+            1, list(E_POINTS), [1, 1, 1], list(miss), members, list(dirs), edges,
             incident, miss, coincident, [], {d: {} for d in TREE_DIRECTIONS}, set(),
         )
         for c in range(3):
@@ -696,14 +707,16 @@ def pull_apart(
     split = _plan(sg, tp, live)
     copies, steps, _ = split
     found = _collisions(live, copies, steps)
-    # A t fails only by a collision or a rank deficit. ``_collisions`` holds
-    # at most one p per class on each moving copy's line, as its step is
-    # nonzero, and one per pair of copies, as their steps differ: at most
-    # 3 * (classes + 1) values. The turned rows are affine in p, so an
-    # m x m minor that is nonzero for some p (the separation step of the
-    # symmetric Crapo theorem gives one) is a polynomial of degree at most
-    # m, vanishing for at most m values. So one of the first
-    # 3 * (classes + 1) + m + 1 candidates is good.
+    # A t fails only by a collision or a rank deficit mod P. ``_collisions``
+    # holds at most one p per class on each moving copy's line, as its step
+    # is nonzero, and one per pair of copies, as their steps differ: at most
+    # 3 * (classes + 1) values. The turned rows are affine in p, so a full
+    # minor of the orbit blocks that is nonzero for some p (the separation
+    # step of the symmetric Crapo theorem gives one) is a polynomial of
+    # degree at most m. Unless P divides all its coefficients, it vanishes
+    # mod P at no more than m of the candidate primes, all below P, and one
+    # of the first 3 * (classes + 1) + m + 1 candidates is good; if P does,
+    # every t is short mod P and ``ExhaustedT`` says so, never a verdict.
     limit = 3 * (len(live.members) + 1) + sg.graph.m + 1
     for p in _t_candidates(limit):
         if p in found:
@@ -718,26 +731,19 @@ def pull_apart(
 
 
 def _first_short_round(
-    g: Graph, ends: list[tuple[int, int]], history: list[tuple[int, Pair, int, int]],
-    lo: int, hi: int, blocks: _OrbitBlocks,
+    g: Graph, history: list[tuple[int, Pair, int, int]], lo: int, hi: int, blocks: _OrbitBlocks
 ) -> int | None:
     """The first round of lo..hi whose generalized rigidity matrix
-    ``exact_rank`` finds short of full row rank, or None. ``history`` holds
-    (edge, direction, a, b): the edge's direction in the rounds a..b. Only
-    the versions of the edges that stand for their orbits in ``blocks``
-    have rows mod P, their orbits' rows in the two orbit blocks; the exact
-    fallback ranks the plain integer rows of every edge."""
+    ``exact_rank`` does not prove at full row rank, or None. ``history``
+    holds (edge, direction, a, b): the edge's direction in the rounds a..b.
+    Only the versions of the edges that stand for their orbits in
+    ``blocks`` have rows mod P, their orbits' rows in the two orbit blocks;
+    a round short mod P is returned whatever its exact rank."""
     twice_from = 2 * g.n // 3
     reps, rows_of = blocks
     versions = [(row, a, b) for i, q, a, b in history if i in reps for row in rows_of(i, q)]
     for j, pivots, rank in _round_pivots(versions, lo, hi, twice_from):
-
-        def integer_rows() -> list[dict[int, int]]:
-            now = [(ends[i], q) for i, q, a, b in history if a <= j <= b]
-            return _exact_rows(*zip(*now))
-
-        matrix = PartialElimination(g.m, 2 * g.n, pivots, [], integer_rows, twice_from, rank)
-        if exact_rank(matrix) < g.m:
+        if exact_rank(PartialElimination(g.m, 2 * g.n, pivots, [], twice_from, rank)) != g.m:
             return j
     return None
 
@@ -752,11 +758,13 @@ def pull_apart_fully(
     The rounds are those of ``pull_apart`` on one live state, run
     speculatively: each takes its first collision-free t with no rank, and
     each edge's directions are kept with the rounds that hold them. Then
-    ``_first_short_round`` ranks every round in one offline pass, through
-    the orbit blocks of the symmetric frame (see ``_LiveFrame.read``), so
-    each t is the first collision-free one at full rank. At the first round
-    short of full rank the rounds before it are replayed on a fresh state,
-    and speculation starts again from that round at its next
+    ``_first_short_round`` ranks every round in one offline pass, mod P
+    only, through the orbit blocks of the symmetric frame (see
+    ``_LiveFrame.read``), so each t is the first collision-free one whose
+    full rank the blocks prove. A round short mod P is skipped as a
+    collision is, whatever its exact rank: only full rank needs a proof.
+    At the first such round the rounds before it are replayed on a fresh
+    state, and speculation starts again from that round at its next
     collision-free t. A speculative round that fails raises once the rounds
     before it hold.
 
@@ -768,13 +776,12 @@ def pull_apart_fully(
     frame, miss = _parked(sg, tp, sparsity)
     act = sg.require_action()
     g = sg.graph
-    place = _degree_order(g)
-    live = _LiveFrame.read(sg, frame.directions, miss, place)
-    blocks = _orbit_blocks(g.sorted_edges, act.gamma, place)
+    live = _LiveFrame.read(sg, frame.directions, miss)
+    blocks = _orbit_blocks(g.sorted_edges, act.gamma, _degree_order(g))
     if not live.coincident:
         start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
-        if _first_short_round(g, live.ends, start, 0, 0, blocks) is not None:
-            raise InternalInvariantBroken("the parked frame is short of full rank")
+        if _first_short_round(g, start, 0, 0, blocks) is not None:
+            raise InternalInvariantBroken("the parked frame is short of full rank mod P")
     taken: list[tuple[_Split, int]] = []
     skip = 0
     while live.coincident:
@@ -792,14 +799,14 @@ def pull_apart_fully(
         except C3RigError as error:
             failed = error
         history += [(i, q, a, len(taken)) for i, (q, a) in enumerate(zip(held, since))]
-        bad = _first_short_round(g, live.ends, history, lo, len(taken), blocks)
+        bad = _first_short_round(g, history, lo, len(taken), blocks)
         if bad is None:
             if failed is not None:
                 raise failed
         else:
             skip = skip + 1 if bad == lo else 1
             del taken[bad - 1 :]
-            live = _LiveFrame.read(sg, frame.directions, miss, place)
+            live = _LiveFrame.read(sg, frame.directions, miss)
             for step in taken:
                 _accept(live, *step)
     return live.frame(g), len(taken)

@@ -1,4 +1,5 @@
-"""Seeded random builders, and a rational-matrix builder, shared by the test suite."""
+"""Seeded random builders, rational and integer matrix builders, and the exact
+rank reference, shared by the test suite."""
 from __future__ import annotations
 
 import math
@@ -20,8 +21,9 @@ from c3rig import (
     edge,
     parse_graph,
 )
-from c3rig.field import PartialElimination, _P
-from c3rig.geometry import Frame, _pair_matrix
+from c3rig.field import PartialElimination, _P, exact_rank
+from c3rig.geometry import Frame, Placement, _pair_matrix, _primitive, v_sub
+from c3rig.graphs import _degree_order
 
 PRISM_DOC = {
     "vertices": 6,
@@ -212,21 +214,95 @@ def fast_tight_symgraph(seed: int, n: int) -> SymGraph:
     return SymGraph(Graph(n, frozenset(edges)), C3Action(tuple(gamma)))
 
 
+def integer_rows(rows) -> list[dict[int, int]]:
+    """Rational rows as sparse integer rows, each times the lcm of its
+    denominators."""
+    scaled = []
+    for row in rows:
+        sparse = {c: Fraction(x) for c, x in enumerate(row) if x}
+        scale = math.lcm(*(x.denominator for x in sparse.values()))
+        scaled.append({c: x.numerator * (scale // x.denominator) for c, x in sparse.items()})
+    return scaled
+
+
 def rational_matrix(rows) -> PartialElimination:
-    """Rational rows as the package's matrix type: each row times the lcm of
-    its denominators as its integer row, and that row's image mod P."""
+    """Rational rows as the package's matrix type: the images mod P of their
+    ``integer_rows``."""
     cols = len(rows[0]) if rows else 0
-    sparse = [{c: Fraction(x) for c, x in enumerate(row) if x} for row in rows]
+    rest = [{c: x % _P for c, x in row.items() if x % _P} for row in integer_rows(rows)]
+    return PartialElimination(len(rows), cols, {}, rest, cols)
 
-    def integer_rows():
-        scaled = []
-        for row in sparse:
-            scale = math.lcm(*(x.denominator for x in row.values()))
-            scaled.append({c: x.numerator * (scale // x.denominator) for c, x in row.items()})
-        return scaled
 
-    rest = [{c: x % _P for c, x in row.items() if x % _P} for row in integer_rows()]
-    return PartialElimination(len(rows), cols, {}, rest, integer_rows, cols)
+def pair_rows(g: Graph, pair) -> list[dict[int, int]]:
+    """``_pair_matrix``'s rows over the integers, each times a positive
+    rational: per sorted edge (u, v), its pair, ``pair`` of its index, with
+    the gcd of its entries divided out, at u's column pair and negated at
+    v's, the columns in ``_degree_order``."""
+    place = _degree_order(g)
+    rows = []
+    for i, (u, v) in enumerate(g.sorted_edges):
+        x, y = _primitive(pair(i))
+        a, b = 2 * place[u], 2 * place[v]
+        rows.append({c: z for c, z in ((a, x), (b, -x), (a + 1, y), (b + 1, -y)) if z})
+    return rows
+
+
+def rigidity_rows(g: Graph, placement: Placement) -> list[dict[int, int]]:
+    """``rigidity_matrix``'s rows over the integers, each times a positive
+    rational: ``pair_rows`` of the edges' position differences."""
+    pos = placement.positions
+    return pair_rows(g, lambda i: v_sub(*(pos[x] for x in g.sorted_edges[i])))
+
+
+def fraction_free_rank(rows) -> int:
+    """Rank over Q of sparse integer rows, by fraction-free elimination: the
+    exact reference for the package's ranks mod P, which has no elimination
+    over the integers.
+
+    Each row is reduced, always at its smallest column, against the pivot
+    rows so far: at a pivot p and the row's entry f there, the row becomes
+    (p/g) * row - (f/g) * pivot with g = gcd(p, f), an integer row in the
+    same span whose entry there is zero, and its integer content is then
+    divided out to keep the entries small. A row that does not reduce to
+    zero becomes the pivot row of its smallest column.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = dict(row)
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                pivots[col] = row
+                break
+            p, f = pivot[col], row[col]
+            g = math.gcd(p, f)
+            p, f = p // g, f // g
+            if p != 1:
+                row = {c: p * x for c, x in row.items()}
+            for c, y in pivot.items():
+                x = row.get(c, 0) - f * y
+                if x:
+                    row[c] = x
+                else:
+                    del row[c]
+            g = math.gcd(*row.values())
+            if g > 1:
+                row = {c: x // g for c, x in row.items()}
+    return len(pivots)
+
+
+def proven_rank(m: PartialElimination, expected: int, ceiling: int | None = None) -> int | None:
+    """``exact_rank(m, ceiling)``, checked against ``expected``, the exact
+    rank from a reference: it is that rank or None, and None exactly when
+    the rank mod P falls short of min(rows, cols, ceiling), which never
+    exceeds the exact rank."""
+    full = min(m.rows, m.cols, m.rows if ceiling is None else ceiling)
+    got = exact_rank(m, ceiling)
+    modular = m.modular_rank()
+    assert modular <= expected <= full
+    assert got == (expected if modular == full else None)
+    return got
 
 
 def generalized_matrix(g: Graph, frame: Frame) -> PartialElimination:
@@ -234,3 +310,26 @@ def generalized_matrix(g: Graph, frame: Frame) -> PartialElimination:
     edge from its direction pair, made by the package's ``_pair_matrix``. A
     frame-rank oracle: the separation proves this rank itself."""
     return _pair_matrix(g, frame.directions.__getitem__)
+
+
+def span_key(m: PartialElimination) -> tuple:
+    """The row span mod P of ``m``'s rows, or of its two orbit blocks, as
+    its reduced echelon form: the same for any rows of that span, however
+    they were built or eliminated."""
+    m.modular_rank()
+    reduced: dict[int, dict[int, int]] = {}
+    for lead in sorted(m.pivots, reverse=True):
+        # pivot rows are in echelon form: the rows reduced so far lead at
+        # later columns, and each is zero at every other one's lead
+        row = dict(m.pivots[lead])
+        for c in [c for c in row if c in reduced]:
+            f = row[c]
+            for k, x in reduced[c].items():
+                y = (row.get(k, 0) - f * x) % _P
+                if y:
+                    row[k] = y
+                else:
+                    del row[k]
+        inv = pow(row[lead], -1, _P)
+        reduced[lead] = {k: x * inv % _P for k, x in row.items()}
+    return m.twice_from, tuple(sorted(tuple(sorted(row.items())) for row in reduced.values()))

@@ -242,27 +242,34 @@ def test_criterion_7_performance(tmp_path):
     placed_rank, placed_elapsed = timed_check(placed)
     largest_placed_rank, largest_placed_elapsed = timed_check(fast_tight_symgraph(11, 1920))
 
-    # an over-dense graph: the rank falls short mod P, so the exact fallback runs
-    dense = perturb_edge_swap(random.Random(150), fast_tight_symgraph(3, 150))
-    dense_placement = symmetric_generic_positions(dense, 0)
-    start = time.perf_counter()
-    dense_rank = numeric_isostatic_check(dense, dense_placement).rank
-    dense_elapsed = time.perf_counter() - start
+    # over-dense graphs: the rank falls short of 2n - 3 mod P, so the
+    # matroid ceiling answers, from one pebble game, at n = 150 and 900
+    def timed_deficit(n):
+        dense = perturb_edge_swap(random.Random(n), fast_tight_symgraph(3, n))
+        dense_placement = symmetric_generic_positions(dense, 0)
+        start = time.perf_counter()
+        dense_rank = numeric_isostatic_check(dense, dense_placement).rank
+        return dense_rank, time.perf_counter() - start
+
+    dense_rank, dense_elapsed = timed_deficit(150)
+    big_dense_rank, big_dense_elapsed = timed_deficit(900)
 
     def timed_frame_route(sg):
         seq = extract_sequence(sg)
         tp = relabel_partition(build_tree_partition(seq), seq.relabeling)
         start = time.perf_counter()
-        separated, _ = pull_apart_fully(sg, tp)
+        separated, rounds = pull_apart_fully(sg, tp)
         framework_from_frame(sg, separated)
-        return time.perf_counter() - start
+        return rounds, time.perf_counter() - start
 
-    # the frame route at n = 240, at n = 480, where a few rounds reach the
-    # exact fallback, at n = 960 over 284 rounds and at n = 1920 over 561
-    frame_elapsed = timed_frame_route(fast_tight_symgraph(11, 240))
-    big_frame_elapsed = timed_frame_route(fast_tight_symgraph(11, 480))
-    huge_frame_elapsed = timed_frame_route(placed)
-    largest_frame_elapsed = timed_frame_route(fast_tight_symgraph(11, 1920))
+    # the frame route at n = 240, at n = 480, where a few rounds fall short
+    # mod P and are taken again, at n = 960 over 284 rounds, at n = 1920
+    # over 561 and at n = 2880 over 885
+    _, frame_elapsed = timed_frame_route(fast_tight_symgraph(11, 240))
+    _, big_frame_elapsed = timed_frame_route(fast_tight_symgraph(11, 480))
+    _, huge_frame_elapsed = timed_frame_route(placed)
+    _, largest_frame_elapsed = timed_frame_route(fast_tight_symgraph(11, 1920))
+    frame_2880_rounds, frame_2880_elapsed = timed_frame_route(fast_tight_symgraph(11, 2880))
 
     def timed_extract(sg):
         start = time.perf_counter()
@@ -302,10 +309,14 @@ def test_criterion_7_performance(tmp_path):
         and largest_placed_elapsed < 0.5
         and dense_rank == 294
         and dense_elapsed < 2.0
+        and big_dense_rank == 1794
+        and big_dense_elapsed < 0.5
         and frame_elapsed < 2.0
         and big_frame_elapsed < 10.0
         and huge_frame_elapsed < 1.5
         and largest_frame_elapsed < 2.0
+        and frame_2880_rounds == 885
+        and frame_2880_elapsed < 10.0
         and len(seq.moves) == 319
         and extract_elapsed < 3.0
         and len(big_seq.moves) == 999
@@ -323,8 +334,10 @@ def test_criterion_7_performance(tmp_path):
         f" n=240 {big_rank_elapsed:.2f}s (< 10s), placement and rank check n=960"
         f" {placed_elapsed:.3f}s (< 0.5s), n=1920 {largest_placed_elapsed:.3f}s (< 0.5s),"
         f" over-dense check n=150 {dense_elapsed:.2f}s (< 2s),"
+        f" n=900 {big_dense_elapsed:.3f}s (< 0.5s),"
         f" frame route n=240 {frame_elapsed:.2f}s (< 2s), n=480 {big_frame_elapsed:.2f}s (< 10s),"
         f" n=960 {huge_frame_elapsed:.2f}s (< 1.5s), n=1920 {largest_frame_elapsed:.2f}s (< 2s),"
+        f" n=2880 {frame_2880_rounds} rounds {frame_2880_elapsed:.2f}s (< 10s),"
         f" extraction n=960"
         f" {extract_elapsed:.2f}s (< 3s),"
         f" n=3000 {big_extract_elapsed:.2f}s (< 5s), replay n=3000 {big_replay_elapsed:.3f}s (< 0.3s)",

@@ -9,7 +9,8 @@ from hypothesis import example, given, strategies as st
 from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph, trees
 from c3rig.cli import main
 from c3rig.geometry import Frame, Placement
-from tests.corpus import PRISM_DOC, fast_tight_symgraph, generalized_matrix
+from tests.corpus import PRISM_DOC, fast_tight_symgraph, span_key
+from tests.test_geometry import _CONCURRENT
 
 K3_DOC = {"vertices": 3, "edges": [[0, 1], [1, 2], [2, 0]], "c3": [1, 2, 0]}
 K4_DOC = {
@@ -234,16 +235,15 @@ def test_realize_frame_ranks_its_finished_framework_once(write, capsys, monkeypa
     pull_apart_fully = cli.pull_apart_fully
     exact_rank = geometry.exact_rank
 
-    def rows(matrix):
-        return sorted(sorted(row.items()) for row in matrix.integer_rows())
-
     def pull_then_mark(sg, tp, sparsity):
         result = pull_apart_fully(sg, tp, sparsity)
-        finished.append(rows(generalized_matrix(sg.graph, result[0])))
+        blocks = geometry._pair_matrix(sg.graph, result[0].directions.__getitem__, sg.action)
+        finished.append(span_key(blocks))
         return result
 
     def counted_rank(matrix, *ceiling):
-        ranked.append(None if finished else rows(matrix))
+        # each matrix as the span mod P of its orbit blocks
+        ranked.append(None if finished else span_key(matrix))
         return exact_rank(matrix, *ceiling)
 
     monkeypatch.setattr(cli, "pull_apart_fully", pull_then_mark)
@@ -297,6 +297,36 @@ def test_realize_fixed_hub_fails(write, capsys):
     code, out = run(capsys, ["realize", write(HUB_DOC)])
     assert code == 2
     assert json.loads(out)["error"] == "FixedVertexPresent"
+
+
+_RANK_KEYS = {"isostatic", "independent", "rank", "edge_count", "target", "flex_dim"}
+
+
+def test_realize_special_placement_is_inconclusive(write, capsys, monkeypatch):
+    # A placement whose bars are concurrent has rank 8, short of the prism's
+    # matroid rank 9. That proves nothing about the graph: the verdict is
+    # inconclusive, exit 3, and only this path adds its three keys.
+    code, out = run(capsys, ["realize", write(PRISM_DOC)])
+    assert code == 0 and set(json.loads(out)["rank_verdict"]) == _RANK_KEYS
+    monkeypatch.setattr(cli, "symmetric_generic_positions", lambda sg, seed: _CONCURRENT)
+    code, out = run(capsys, ["realize", write(PRISM_DOC)])
+    assert code == 3
+    verdict = json.loads(out)["rank_verdict"]
+    assert set(verdict) == _RANK_KEYS | {"inconclusive", "rank_mod_p", "ceiling"}
+    assert verdict["inconclusive"] is True and verdict["isostatic"] is None
+    assert (verdict["rank_mod_p"], verdict["ceiling"], verdict["rank"]) == (8, 9, None)
+    code, out = run(capsys, ["realize", write(PRISM_DOC), "--no-json"])
+    assert code == 3 and out.startswith("inconclusive")
+
+
+def test_realize_frame_gives_up_when_every_round_is_short_mod_p(write, capsys, monkeypatch):
+    # If P divided every coefficient of every minor, every round would fall
+    # short mod P: the route runs out of parameters with ExhaustedT, exit 2,
+    # and gives no verdict.
+    monkeypatch.setattr(geometry, "exact_rank", lambda matrix: None)
+    code, out = run(capsys, ["realize", write(PRISM_DOC), "--method", "frame"])
+    assert code == 2
+    assert json.loads(out)["error"] == "ExhaustedT"
 
 
 def test_realize_overbraced_exits_one(write, capsys):

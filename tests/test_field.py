@@ -12,18 +12,29 @@ from c3rig import (
     rigidity_matrix,
     symmetric_generic_positions,
 )
-from c3rig import field
+from c3rig import field, geometry
 from c3rig.field import _P, _W, PartialElimination
 from tests.corpus import (
     acceptance_corpus,
+    fraction_free_rank,
+    integer_rows,
     k3,
     k33,
     octahedron,
+    pair_rows,
     prism,
+    proven_rank,
     random_tight_symgraph,
     rational_matrix,
 )
 from tests.test_geometry import _sympy_cartesian_rank
+
+
+def _ranked(rows, ceiling=None):
+    # the reference rank of rational rows, and exact_rank's answer, checked
+    # by ``proven_rank`` to be that rank, or None on a shortfall mod P
+    expected = fraction_free_rank(integer_rows(rows))
+    return expected, proven_rank(rational_matrix(rows), expected, ceiling)
 
 
 def test_rank_identity():
@@ -31,12 +42,14 @@ def test_rank_identity():
 
 
 def test_rank_proportional_rows():
-    m = rational_matrix([[1, Fraction(3, 2)], [2, 3]])
-    assert exact_rank(m) == 1
+    # a deficit proves nothing mod P: only the reference finds the rank
+    assert _ranked([[1, Fraction(3, 2)], [2, 3]]) == (1, None)
+    assert _ranked([[1, Fraction(3, 2)], [2, 3]], 1) == (1, 1)
 
 
 def test_rank_zero_matrix():
-    assert exact_rank(rational_matrix([[0, 0], [0, 0]])) == 0
+    assert _ranked([[0, 0], [0, 0]]) == (0, None)
+    assert _ranked([[0, 0], [0, 0]], 0) == (0, 0)
 
 
 def _bareiss_rank(rows):
@@ -86,10 +99,9 @@ def test_rank_agrees_with_integer_oracles():
         nr = rng.randint(1, 6)
         nc = rng.randint(1, 6)
         ints = [[rng.randint(-5, 5) for _ in range(nc)] for _ in range(nr)]
-        m = rational_matrix(ints)
         expected = _bareiss_rank(ints)
         assert expected == _fraction_rank(ints)
-        assert exact_rank(m) == expected
+        assert _ranked(ints)[0] == expected
 
 
 def test_rank_invariances():
@@ -100,29 +112,25 @@ def test_rank_invariances():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(nc)]
             for _ in range(nr)
         ]
-        m = rational_matrix(rows)
-        r = exact_rank(m)
-        assert exact_rank(rational_matrix([list(col) for col in zip(*rows)])) == r
+        r, proven = _ranked(rows)
+        assert _ranked([list(col) for col in zip(*rows)])[0] == r
         scale = Fraction(rng.choice([-1, 1]) * rng.randint(1, 3), rng.randint(1, 3))
-        scaled = rational_matrix([[scale * x for x in row] for row in rows])
-        assert exact_rank(scaled) == r
+        assert _ranked([[scale * x for x in row] for row in rows]) == (r, proven)
         shuffled = list(rows)
         rng.shuffle(shuffled)
-        assert exact_rank(rational_matrix(shuffled)) == r
+        assert _ranked(shuffled) == (r, proven)
 
 
 def test_rank_sees_through_tiny_perturbations():
     # a floating-point rank with any tolerance would collapse these rows
     eps = Fraction(1, 10**40)
-    nearly = rational_matrix([[1, 1], [1, 1 + eps]])
-    assert exact_rank(nearly) == 2
-    truly = rational_matrix([[1, 1], [1, 1]])
-    assert exact_rank(truly) == 1
+    assert _ranked([[1, 1], [1, 1 + eps]]) == (2, 2)
+    assert _ranked([[1, 1], [1, 1]]) == (1, None)
     # same story at the size of generic coordinates: the determinant is
     # 2^62 - (2^62 - 1) = 1, and 2^62 - 1 rounds to 2^62 as a double
     big = 2**31
-    assert exact_rank(rational_matrix([[big, big + 1], [big - 1, big]])) == 2
-    assert exact_rank(rational_matrix([[big, big + 1], [2 * big, 2 * big + 2]])) == 1
+    assert _ranked([[big, big + 1], [big - 1, big]]) == (2, 2)
+    assert _ranked([[big, big + 1], [2 * big, 2 * big + 2]]) == (1, None)
 
 
 def _is_prime(n):
@@ -179,47 +187,39 @@ def test_modular_prime(monkeypatch):
     ],
 )
 def test_exact_rank_falls_back_when_the_image_is_deficient(rows):
+    # full rank whose image mod P falls short: exact_rank gives no rank,
+    # and the reference shows the deficit is P's, not the matrix's
     m = rational_matrix(rows)
     full = len(rows)
     image_rank = m.modular_rank()
     assert image_rank < full
-    assert field._fraction_free_rank(m.integer_rows()) == full
-    assert exact_rank(m) == full
+    assert fraction_free_rank(integer_rows(rows)) == full
+    assert exact_rank(m) is None
+    assert _ranked(rows) == (full, None)
 
 
 def test_exact_rank_of_a_deficient_matrix_without_an_image():
-    m = rational_matrix([[Fraction(1, _P), Fraction(2, _P)], [1, 2]])
-    assert exact_rank(m) == 1
+    assert _ranked([[Fraction(1, _P), Fraction(2, _P)], [1, 2]]) == (1, None)
 
 
-def test_full_rank_never_runs_the_exact_elimination(monkeypatch):
+def test_full_rank_never_runs_the_exact_elimination():
+    # the rank mod P proves full rank on its own
     sg = random_tight_symgraph(7, 60)
     matrix = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0))
-
-    def forbidden(m):
-        raise AssertionError("exact elimination ran on a matrix of full rank")
-
-    monkeypatch.setattr(field, "_fraction_free_rank", forbidden)
-    assert exact_rank(matrix) == 117
+    assert exact_rank(matrix) == 117 == matrix.pivot_rank
 
 
-def test_overbraced_placement_proves_its_rank_without_exact_elimination(monkeypatch):
+def test_overbraced_placement_proves_its_rank_without_exact_elimination():
     # the octahedron has 12 bars but rank 9 = 2n - 3: only the ceiling the
     # placement check passes lets the image mod P prove that rank
     sg = octahedron()
     placement = symmetric_generic_positions(sg, 0)
-
-    def forbidden(m):
-        raise AssertionError("exact elimination ran on a matrix of full rank")
-
-    monkeypatch.setattr(field, "_fraction_free_rank", forbidden)
     verdict = numeric_isostatic_check(sg, placement)
     assert (verdict.rank, verdict.target, verdict.edge_count) == (9, 9, 12)
     assert not verdict.isostatic and verdict.flex_dim == 0
     matrix = rigidity_matrix(sg.graph, placement)
     assert exact_rank(matrix, 9) == 9
-    with pytest.raises(AssertionError):
-        exact_rank(matrix)
+    assert exact_rank(matrix) is None
 
 
 def _integer_images(rows):
@@ -229,34 +229,33 @@ def _integer_images(rows):
 
 def test_partial_elimination_ranks_like_its_matrix():
     rng = random.Random(5)
-
-    def refuse():
-        raise AssertionError("exact matrix built for a full image")
-
+    answers = set()
     for _ in range(200):
         nr, nc = rng.randint(1, 6), rng.randint(1, 6)
         rows = [[rng.randint(-2, 2) for _ in range(nc)] for _ in range(nr)]
-        m = rational_matrix(rows)
-        expected = field._fraction_free_rank(m.integer_rows())
+        expected = fraction_free_rank(integer_rows(rows))
         split = rng.randint(0, nr)
         images = _integer_images(rows)
         pivots = {}
         found = field._eliminate(images[:split], pivots, nc)
-        exact = refuse if expected == min(nr, nc) else m.integer_rows
-        partial = PartialElimination(nr, nc, pivots, images[split:], exact, nc, found)
-        assert exact_rank(partial) == expected
+        partial = PartialElimination(nr, nc, pivots, images[split:], nc, found)
+        proven = proven_rank(partial, expected)
+        # ranking again, with the largest ceiling the rank allows, proves it
+        assert exact_rank(partial, expected) == expected
+        answers.add(proven is None)
+    assert answers == {True, False}
 
 
 def test_partial_elimination_falls_back_on_a_deficit():
+    # a deficit mod P that the matrix does not have: no rank, whatever the
+    # ceiling, as the rank mod P stays below it
     rows = [[1, 2], [3, 6 + _P]]
-    m = rational_matrix(rows)
     pivots = {}
     found = field._eliminate(_integer_images(rows)[:1], pivots, 2)
-    deficient = PartialElimination(
-        2, 2, pivots, _integer_images(rows)[1:], m.integer_rows, 2, found
-    )
+    deficient = PartialElimination(2, 2, pivots, _integer_images(rows)[1:], 2, found)
     assert deficient.modular_rank() == 1
-    assert exact_rank(deficient) == 2
+    assert exact_rank(deficient) is None and exact_rank(deficient, 2) is None
+    assert fraction_free_rank(integer_rows(rows)) == 2
 
 
 def _dense_pivot_columns(rows, cols):
@@ -362,17 +361,24 @@ def test_pivots_from_twice_from_on_count_twice():
     # pivots in columns 0 and 2; the one from column 2 on counts twice, a
     # bound of 3 on the rank that proves full rank only for a matrix of 3
     rows = [{0: 1, 1: 2}, {2: 5}]
-    m = PartialElimination(3, 4, {}, [dict(r) for r in rows], lambda: [], 2)
+    m = PartialElimination(3, 4, {}, [dict(r) for r in rows], 2)
     assert m.modular_rank() == 3 and m.rest == [] and m.modular_rank() == 3
-    assert PartialElimination(2, 4, {}, [dict(r) for r in rows], lambda: [], 4).modular_rank() == 2
+    assert PartialElimination(2, 4, {}, [dict(r) for r in rows], 4).modular_rank() == 2
 
 
 def test_exact_rank_matches_exact_elimination_on_acceptance_corpus():
+    # the placement check proves every rank here, deficits included, by
+    # the matroid ceiling; exact_rank alone proves the full ones
     deficient = 0
     for sg in acceptance_corpus():
-        m = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0))
-        expected = field._fraction_free_rank(m.integer_rows())
-        assert exact_rank(m) == expected
+        g = sg.graph
+        placement = symmetric_generic_positions(sg, 0)
+        m = rigidity_matrix(g, placement)
+        pos = placement.positions
+        differences = [geometry.v_sub(pos[u], pos[v]) for u, v in g.sorted_edges]
+        expected = fraction_free_rank(pair_rows(g, differences.__getitem__))
+        proven_rank(m, expected)
+        assert numeric_isostatic_check(sg, placement).rank == expected
         deficient += expected < min(m.rows, m.cols)
     assert 0 < deficient < len(acceptance_corpus())
 
@@ -393,10 +399,8 @@ def test_exact_rank_matches_exact_elimination_with_planted_dependent_rows():
                 [sum(c * r[j] for c, r in zip(coeffs, base)) for j in range(nc)]
             )
         rng.shuffle(rows)
-        m = rational_matrix(rows)
-        expected = field._fraction_free_rank(m.integer_rows())
+        expected, _ = _ranked(rows)
         assert expected <= len(base)
-        assert exact_rank(m) == expected
 
 
 def test_exact_rank_matches_sympy_on_small_rigidity_matrices():
@@ -409,6 +413,7 @@ def test_exact_rank_matches_sympy_on_small_rigidity_matrices():
         placement = symmetric_generic_positions(sg, 0)
         m = rigidity_matrix(sg.graph, placement)
         expected = _sympy_cartesian_rank(sg.graph, placement)
-        assert exact_rank(m) == expected
+        proven_rank(m, expected)
+        assert numeric_isostatic_check(sg, placement).rank == expected
         ranks.add((expected, min(m.rows, m.cols)))
-    assert (9, 12) in ranks  # the octahedron's deficit takes the fallback
+    assert (9, 12) in ranks  # the octahedron's deficit needs a ceiling

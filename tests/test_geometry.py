@@ -27,7 +27,7 @@ from c3rig import (
     rigidity_matrix,
     symmetric_generic_positions,
 )
-from c3rig import cli, field, geometry, graphs
+from c3rig import cli, field, geometry
 from c3rig.field import _P, _W
 from c3rig.errors import (
     CoincidentAdjacentJoints,
@@ -57,15 +57,20 @@ from c3rig.trees import TreePartition
 from tests.corpus import (
     acceptance_corpus,
     fast_tight_symgraph,
+    fraction_free_rank,
     generalized_matrix,
+    integer_rows,
     k13_hub,
     k3,
     k33,
     octahedron,
+    pair_rows,
     perturb_edge_swap,
     prism,
+    proven_rank,
     random_tight_symgraph,
-    rational_matrix,
+    rigidity_rows,
+    span_key,
 )
 
 
@@ -189,17 +194,19 @@ def test_rigidity_matrix_single_edge():
     placement = Placement((pair(0, 0), pair(1, 2)))
     m = rigidity_matrix(g, placement)
     assert (m.rows, m.cols) == (1, 4)
-    assert m.integer_rows() == [{0: -1, 1: -2, 2: 1, 3: 2}]
+    assert m.rest == [{0: _P - 1, 1: _P - 2, 2: 1, 3: 2}]
+    assert rigidity_rows(g, placement) == [{0: -1, 1: -2, 2: 1, 3: 2}]
 
 
 def test_rigidity_rows_sum_to_zero():
     sg = prism()
     placement = symmetric_generic_positions(sg, 5)
     m = rigidity_matrix(sg.graph, placement)
-    for row in m.integer_rows():
+    assert len(m.rest) == sg.graph.m
+    for row in m.rest:
         assert len(row) <= 4
-        assert sum(x for c, x in row.items() if c % 2 == 0) == 0
-        assert sum(x for c, x in row.items() if c % 2 == 1) == 0
+        assert sum(x for c, x in row.items() if c % 2 == 0) % _P == 0
+        assert sum(x for c, x in row.items() if c % 2 == 1) % _P == 0
 
 
 def test_k3_at_reference_triangle_has_rank_three():
@@ -217,9 +224,12 @@ def test_rank_bounded_by_count_and_dof():
         sg = random_tight_symgraph(rng, 3 * rng.randint(2, 4))
         swapped = perturb_edge_swap(rng, sg)
         for graph in (sg, swapped):
+            g = graph.graph
             placement = symmetric_generic_positions(graph, 1)
-            rank = exact_rank(rigidity_matrix(graph.graph, placement))
-            assert rank <= min(graph.graph.m, 2 * graph.graph.n - 3)
+            rank = fraction_free_rank(rigidity_rows(g, placement))
+            assert rank <= min(g.m, 2 * g.n - 3)
+            proven_rank(rigidity_matrix(g, placement), rank, 2 * g.n - 3)
+            assert numeric_isostatic_check(graph, placement).rank == rank
 
 
 def test_prism_generic_isostatic():
@@ -260,7 +270,7 @@ def test_two_joints_are_too_few_to_check():
 def test_full_rank_placement_builds_no_exact_matrix(monkeypatch):
     # each check builds the one rigidity matrix it ranks, and builds it
     # once; the octahedron's 12 rows reach only rank 9: the 2n - 3 ceiling
-    # is what proves that rank mod P
+    # is what proves that rank mod P, with no pebble game for a finer one
     cases = [(prism(), 9, 9), (random_tight_symgraph(7, 60), 117, 117), (octahedron(), 12, 9)]
     placements = [symmetric_generic_positions(sg, 0) for sg, _, _ in cases]
     builds = []
@@ -271,11 +281,10 @@ def test_full_rank_placement_builds_no_exact_matrix(monkeypatch):
         return build(*args)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("exact rows or exact elimination reached")
+        raise AssertionError("a pebble game ran for the matroid ceiling")
 
     monkeypatch.setattr(geometry, "rigidity_matrix", counted)
-    monkeypatch.setattr(geometry, "_exact_rows", refuse)
-    monkeypatch.setattr(field, "_fraction_free_rank", refuse)
+    monkeypatch.setattr(geometry, "_play_in_degree_order", refuse)
     for (sg, m, rank), placement in zip(cases, placements):
         builds.clear()
         verdict = numeric_isostatic_check(sg, placement)
@@ -283,15 +292,16 @@ def test_full_rank_placement_builds_no_exact_matrix(monkeypatch):
         assert len(builds) == 1
 
 
-def _counted_exact_elimination(monkeypatch):
+def _counted_ceiling_games(monkeypatch):
+    # the pebble games the placement check plays for the matroid ceiling
     calls = []
-    original = field._fraction_free_rank
+    original = geometry._play_in_degree_order
 
-    def counted(m):
-        calls.append(m)
-        return original(m)
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
 
-    monkeypatch.setattr(field, "_fraction_free_rank", counted)
+    monkeypatch.setattr(geometry, "_play_in_degree_order", counted)
     return calls
 
 
@@ -313,14 +323,32 @@ _CONCURRENT = _prism_at(pair(15, -14), pair(30, -28), 35)
 _NO_IMAGE = _prism_at(pair(385, 154 * _P), pair(165 * _P, -175 * _P), 385 * _P)
 
 
+def _assert_inconclusive(verdict, g):
+    # no rank, no verdict, and never isostatic: false; the rank mod P fell
+    # short of the matroid ceiling, which is 2n - 3 for a tight graph
+    assert verdict.inconclusive and verdict.isostatic is None
+    assert (verdict.rank, verdict.independent, verdict.flex_dim) == (None, None, None)
+    assert verdict.rank_mod_p < verdict.ceiling == 2 * g.n - 3 == g.m
+    assert verdict.as_json_dict() == {
+        "isostatic": None, "independent": None, "rank": None, "edge_count": g.m,
+        "target": 2 * g.n - 3, "flex_dim": None, "inconclusive": True,
+        "rank_mod_p": verdict.rank_mod_p, "ceiling": verdict.ceiling,
+    }
+
+
 def test_concurrent_prism_bars_reach_exact_elimination(monkeypatch):
+    # The prism is isostatic, but this placement has rank 8: the bars are
+    # concurrent. Its rank mod P falls short of the ceiling 9 that one
+    # pebble game finds, which says nothing about the graph: inconclusive.
+    # The exact reference confirms the rank.
     sg = prism()
     assert placement_is_symmetric(sg, _CONCURRENT)
-    calls = _counted_exact_elimination(monkeypatch)
+    calls = _counted_ceiling_games(monkeypatch)
     verdict = numeric_isostatic_check(sg, _CONCURRENT)
-    assert (verdict.rank, verdict.flex_dim) == (8, 1)
-    assert not verdict.isostatic and not verdict.independent
+    _assert_inconclusive(verdict, sg.graph)
+    assert verdict.rank_mod_p == 8
     assert len(calls) == 1
+    assert fraction_free_rank(rigidity_rows(sg.graph, _CONCURRENT)) == 8
 
 
 def _block_ranks(sg, placement):
@@ -416,36 +444,47 @@ def test_orbit_blocks_split_the_rank_mod_p():
 
 
 def test_orbit_block_rank_matches_sympy_on_small_symmetric_placements(monkeypatch):
-    # r0 + 2 r1 is the exact rank, and some of these ranks are proven by
-    # the blocks while others fall back to exact elimination
-    calls = _counted_exact_elimination(monkeypatch)
-    proven = 0
+    # r0 + 2 r1 is the exact rank on these special placements. Some ranks
+    # reach 2n - 3 and are proven; the rest fall short of the matroid
+    # ceiling a pebble game finds for them: inconclusive, with r0 + 2 r1 as
+    # the rank mod P reported
+    calls = _counted_ceiling_games(monkeypatch)
+    outcomes = {"proven": 0, "inconclusive": 0}
     for sg, placement in _small_symmetric_placements(60):
         before = len(calls)
         try:
-            rank = numeric_isostatic_check(sg, placement).rank
+            verdict = numeric_isostatic_check(sg, placement)
         except DegenerateSpan:
             continue
-        proven += len(calls) == before
         r0, r1 = _package_block_ranks(sg, placement)
-        assert rank == r0 + 2 * r1 == _sympy_cartesian_rank(sg.graph, placement)
-    assert 0 < proven and calls
+        assert r0 + 2 * r1 == _sympy_cartesian_rank(sg.graph, placement)
+        if verdict.inconclusive:
+            assert verdict.isostatic is None and len(calls) == before + 1
+            assert verdict.rank_mod_p == r0 + 2 * r1 < verdict.ceiling
+            outcomes["inconclusive"] += 1
+        else:
+            assert verdict.rank == r0 + 2 * r1 == 2 * sg.graph.n - 3
+            outcomes["proven"] += 1
+    assert min(outcomes.values()) > 0
 
 
 def test_concurrent_prism_bars_fall_back_from_the_orbit_blocks():
-    # the blocks fall short of rank 9, and the exact fallback ranks the
-    # plain integer rows as before
+    # the blocks and the plain rows fall short of rank 9 mod P alike, so
+    # neither proves a rank against that ceiling; the reference ranks the
+    # plain integer rows at 8
     g, act = prism().graph, prism().action
     blocks = rigidity_matrix(g, _CONCURRENT, act)
     assert blocks.twice_from == 2 * g.n // 3 and blocks.modular_rank() < 9
-    assert exact_rank(blocks, 9) == exact_rank(rigidity_matrix(g, _CONCURRENT), 9) == 8
+    plain = rigidity_matrix(g, _CONCURRENT)
+    assert exact_rank(blocks, 9) is exact_rank(plain, 9) is None
+    assert proven_rank(plain, 8, 8) == 8
 
 
 def test_symmetric_rigidity_matrix_ranks_one_row_per_edge_orbit_in_each_block(monkeypatch):
     # The kernel gets 2m/3 rows, alternately B0's and B1's, built from m/3
-    # position differences; the exact rows are still one per edge. On the
-    # concurrent prism, where the blocks fall short, the exact fallback
-    # ranks those m rows as sympy ranks the Cartesian matrix.
+    # position differences. On the concurrent prism the blocks fall short
+    # of 2n - 3 and prove no rank; the reference ranks the m plain integer
+    # rows as sympy ranks the Cartesian matrix.
     handed, differences = [], []
     eliminate = field._eliminate
 
@@ -459,14 +498,13 @@ def test_symmetric_rigidity_matrix_ranks_one_row_per_edge_orbit_in_each_block(mo
 
     monkeypatch.setattr(field, "_eliminate", counted_eliminate)
     monkeypatch.setattr(geometry, "v_sub", counted_v_sub)
-    calls = _counted_exact_elimination(monkeypatch)
     cases = [(prism(), _CONCURRENT)] + [
         (sg, symmetric_generic_positions(sg, 0))
         for sg in [prism(), k33(), octahedron()] + _digest_graphs()
     ]
     for sg, placement in cases:
         g = sg.graph
-        for seen in (handed, differences, calls):
+        for seen in (handed, differences):
             seen.clear()
         matrix = rigidity_matrix(g, placement, sg.action)
         assert len(differences) == g.m // 3
@@ -475,13 +513,13 @@ def test_symmetric_rigidity_matrix_ranks_one_row_per_edge_orbit_in_each_block(mo
         assert len(rows) == 2 * g.m // 3
         assert all(c < matrix.twice_from for row in rows[::2] for c in row)
         assert all(c >= matrix.twice_from for row in rows[1::2] for c in row)
-        assert len(matrix.integer_rows()) == g.m
         if placement is _CONCURRENT:
-            [exact] = calls
+            assert rank is None
+            exact = rigidity_rows(g, placement)
             assert len(exact) == g.m
-            assert rank == _sympy_cartesian_rank(g, placement) == 8
+            assert fraction_free_rank(exact) == _sympy_cartesian_rank(g, placement) == 8
         else:
-            assert not calls and rank == min(g.m, 2 * g.n - 3)
+            assert rank == min(g.m, 2 * g.n - 3)
 
 
 def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(monkeypatch):
@@ -504,18 +542,24 @@ def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(
 
 
 def test_placement_without_an_image_reaches_exact_elimination(monkeypatch):
+    # full rank 9, but P divides every entry's image: the rank mod P falls
+    # short of the ceiling 9, so the verdict is inconclusive, not false
     sg = prism()
     assert placement_is_symmetric(sg, _NO_IMAGE)
-    calls = _counted_exact_elimination(monkeypatch)
+    calls = _counted_ceiling_games(monkeypatch)
     verdict = numeric_isostatic_check(sg, _NO_IMAGE)
-    assert verdict.isostatic and verdict.rank == 9
+    _assert_inconclusive(verdict, sg.graph)
     assert len(calls) == 1
+    assert fraction_free_rank(rigidity_rows(sg.graph, _NO_IMAGE)) == 9
 
 
 @pytest.mark.parametrize("placement, rank", [(_CONCURRENT, 8), (_NO_IMAGE, 9)])
 def test_planted_prism_ranks_match_sympy(placement, rank):
+    # sympy and the reference agree on each planted rank; the placement
+    # check proves neither and reports both as inconclusive
     assert _sympy_cartesian_rank(prism().graph, placement) == rank
-    assert numeric_isostatic_check(prism(), placement).rank == rank
+    assert fraction_free_rank(rigidity_rows(prism().graph, placement)) == rank
+    _assert_inconclusive(numeric_isostatic_check(prism(), placement), prism().graph)
 
 
 # Each example ranks one matrix in sympy; shrinking an index, a seed and a
@@ -546,10 +590,12 @@ def test_pair_placements_rank_and_rotate_like_their_cartesian_points(index, seed
 
 
 def test_placement_rank_matches_the_rigidity_matrix_on_acceptance_corpus():
+    # every rank is proven, against 2n - 3 or else the matroid ceiling, and
+    # is the reference rank of the plain integer rows
     for sg in acceptance_corpus():
         g = sg.graph
         placement = symmetric_generic_positions(sg, 0)
-        expected = exact_rank(rigidity_matrix(g, placement), 2 * g.n - 3)
+        expected = fraction_free_rank(rigidity_rows(g, placement))
         assert numeric_isostatic_check(sg, placement).rank == expected
 
 
@@ -589,7 +635,8 @@ def test_generalized_matrix_single_edge():
     g = Graph(2, frozenset({(0, 1)}))
     frame = Frame((pair(0, 0), pair(0, 0)), (pair(1, 2),))
     m = generalized_matrix(g, frame)
-    assert m.integer_rows() == [{0: 1, 1: 2, 2: -1, 3: -2}]
+    assert m.rest == [{0: 1, 1: 2, 2: _P - 1, 3: _P - 2}]
+    assert pair_rows(g, frame.directions.__getitem__) == [{0: 1, 1: 2, 2: -1, 3: -2}]
 
 
 def test_prism_pull_apart_separates_in_rounds():
@@ -622,8 +669,9 @@ def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
 
     monkeypatch.setattr(geometry, "_t_candidates", counted)
     monkeypatch.setattr(geometry, "pull_apart", last_round)
-    # every round loses rank in the offline pass, at every t
-    monkeypatch.setattr(geometry, "exact_rank", lambda matrix: matrix.rows - 1)
+    # every round falls short mod P in the offline pass, at every t, as if
+    # P divided every coefficient of every minor
+    monkeypatch.setattr(geometry, "exact_rank", lambda matrix: None)
     with pytest.raises(ExhaustedT):
         pull_apart_fully(sg, tp)
     # three corner classes and nine edges: 3 * (3 + 1) + 9 + 1 candidates
@@ -678,8 +726,8 @@ def test_scaling_rows_by_lambda_gives_rigidity_matrix():
     assert all(lams)
     # each row is built up to a positive scale, so the rows agree up to
     # the sign of their edge's scalar
-    rig = rigidity_matrix(sg.graph, Placement(frame.positions, frame.scale)).integer_rows()
-    gen = generalized_matrix(sg.graph, frame).integer_rows()
+    rig = rigidity_rows(sg.graph, Placement(frame.positions, frame.scale))
+    gen = pair_rows(sg.graph, frame.directions.__getitem__)
     for lam, rig_row, gen_row in zip(lams, rig, gen, strict=True):
         sign = 1 if lam > 0 else -1
         assert rig_row == {c: sign * x for c, x in gen_row.items()}
@@ -708,24 +756,28 @@ def test_frame_placements_match_their_pinned_digest():
 
 
 def test_digest_graphs_rarely_fall_back_to_exact_elimination(monkeypatch):
-    # A deficit mod P costs an exact elimination. The digest's graphs meet
+    # A deficit mod P costs the frame route a restart and the placement
+    # check a pebble game for the matroid ceiling. The digest's graphs meet
     # ten, all on the frame route and none at generic seeds 0-2; a prime
     # that divided many of their minors would meet more.
-    fallbacks = []
-    fraction_free_rank = field._fraction_free_rank
+    short = []
+    first_short_round = geometry._first_short_round
 
-    def counted(rows):
-        fallbacks.append(True)
-        return fraction_free_rank(rows)
+    def counted(*args):
+        bad = first_short_round(*args)
+        if bad is not None:
+            short.append(bad)
+        return bad
 
-    monkeypatch.setattr(field, "_fraction_free_rank", counted)
+    games = _counted_ceiling_games(monkeypatch)
+    monkeypatch.setattr(geometry, "_first_short_round", counted)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
         frame, _ = pull_apart_fully(sg, tp)
-        numeric_isostatic_check(sg, framework_from_frame(sg, frame))
+        assert numeric_isostatic_check(sg, framework_from_frame(sg, frame)).isostatic
         for seed in range(3):
-            numeric_isostatic_check(sg, symmetric_generic_positions(sg, seed))
-    assert len(fallbacks) <= 10
+            assert numeric_isostatic_check(sg, symmetric_generic_positions(sg, seed)).isostatic
+    assert 0 < len(short) <= 10 and not games
 
 
 def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
@@ -846,7 +898,7 @@ def test_frame_route_verdict_is_the_placement_check(monkeypatch):
 def _live_frame(sg, tp):
     # the start state pull_apart_fully reads
     frame, miss = geometry._parked(sg, tp, None)
-    return geometry._LiveFrame.read(sg, frame.directions, miss, graphs._degree_order(sg.graph))
+    return geometry._LiveFrame.read(sg, frame.directions, miss)
 
 
 def _ranked_rounds(sg, tp):
@@ -903,21 +955,21 @@ def _realize_frame_graphs(seed):
     return graphs
 
 
-def _plain_round_ranks(g, ends, history, lo, hi):
-    # each round's rows as the plain pass builds them, one ``_row`` per edge,
-    # eliminated from scratch: the round, its rank mod P, and whether its
-    # exact rank is short of full row rank
+def _plain_round_ranks(g, history, lo, hi):
+    # each round's plain rows, one ``_row`` per edge, eliminated from
+    # scratch: the round, its rank mod P, and whether its exact rank, by the
+    # reference, is short of full row rank
     for j in range(lo, hi + 1):
-        now = [(ends[i], q) for i, q, a, b in history if a <= j <= b]
-        rows = [geometry._row(*e, (x % _P, y % _P)) for e, (x, y) in now]
-        rank = field._eliminate(rows, {}, 2 * g.n)
-        short = rank < g.m and field._fraction_free_rank(geometry._exact_rows(*zip(*now))) < g.m
+        now = {i: q for i, q, a, b in history if a <= j <= b}
+        rank = geometry._pair_matrix(g, now.__getitem__).modular_rank()
+        short = rank < g.m and fraction_free_rank(pair_rows(g, now.__getitem__)) < g.m
         yield j, rank, short
 
 
-def _plain_first_short_round(g, ends, history, lo, hi, blocks):
-    # the offline pass on plain rows, for ``geometry._first_short_round``
-    return next((j for j, _, short in _plain_round_ranks(g, ends, history, lo, hi) if short), None)
+def _plain_first_short_round(g, history, lo, hi, blocks):
+    # the offline pass on plain rows, ranked by the exact reference, for
+    # ``geometry._first_short_round``
+    return next((j for j, _, short in _plain_round_ranks(g, history, lo, hi) if short), None)
 
 
 def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
@@ -930,13 +982,13 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
     first_short_round = geometry._first_short_round
     counts = {"rounds": 0, "block_short": 0, "short": 0}
 
-    def checked(g, ends, history, lo, hi, blocks):
+    def checked(g, history, lo, hi, blocks):
         twice_from = 2 * g.n // 3
         reps, rows_of = blocks
         versions = [(row, a, b) for i, q, a, b in history if i in reps for row in rows_of(i, q)]
         walked = field._round_pivots(versions, lo, hi, twice_from)
         for (j, pivots, rank), (k, plain, short) in zip(
-            walked, _plain_round_ranks(g, ends, history, lo, hi), strict=True
+            walked, _plain_round_ranks(g, history, lo, hi), strict=True
         ):
             r0 = sum(c < twice_from for c in pivots)
             assert j == k and rank == r0 + 2 * (len(pivots) - r0)
@@ -946,8 +998,8 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
                 assert plain == g.m and not short
             else:
                 counts["block_short"] += 1
-        bad = first_short_round(g, ends, history, lo, hi, blocks)
-        assert bad == _plain_first_short_round(g, ends, history, lo, hi, blocks)
+        bad = first_short_round(g, history, lo, hi, blocks)
+        assert bad == _plain_first_short_round(g, history, lo, hi, blocks)
         return bad
 
     graphs = _digest_graphs() + [sg for seed in range(3) for sg in _realize_frame_graphs(seed)]
@@ -1033,8 +1085,11 @@ def test_offline_pass_eliminates_every_round():
     assert min(outcomes.values()) >= 40
 
 
-def _rows_key(matrix):
-    return sorted(sorted(row.items()) for row in matrix.integer_rows())
+def _planted_keys(sg, dirs):
+    # the spans mod P of a round's plain rows and of its orbit blocks: the
+    # matrices ``_ranked_rounds`` and the offline pass rank for that round
+    g = sg.graph
+    return [span_key(geometry._pair_matrix(g, dirs.__getitem__, act)) for act in (None, sg.action)]
 
 
 def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
@@ -1049,14 +1104,14 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     live = _live_frame(sg, tp)
     geometry.pull_apart(sg, tp, live)
     geometry.pull_apart(sg, tp, live)
-    planted = _rows_key(geometry._pair_matrix(sg.graph, live.dirs.__getitem__))
+    planted = _planted_keys(sg, live.dirs)
     rank, offline, plan, pull_apart = (
         geometry.exact_rank, geometry._round_pivots, geometry._plan, geometry.pull_apart
     )
     asked, planned, restarted = [], [], []
 
     def planted_rank(matrix):
-        return matrix.rows - 1 if _rows_key(matrix) == planted else rank(matrix)
+        return None if span_key(matrix) in planted else rank(matrix)
 
     def counted_offline(versions, lo, hi, twice_from):
         asked.append((lo, hi))
@@ -1099,12 +1154,12 @@ def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
     for k in range(2):
         trial = copy.deepcopy(live)
         geometry.pull_apart(sg, tp, trial, k)
-        planted.append(_rows_key(geometry._pair_matrix(g, trial.dirs.__getitem__)))
+        planted += _planted_keys(sg, trial.dirs)
     rank, pull_apart = geometry.exact_rank, geometry.pull_apart
     calls, skipped = [], []
 
     def planted_rank(matrix):
-        return matrix.rows - 1 if _rows_key(matrix) in planted else rank(matrix)
+        return None if span_key(matrix) in planted else rank(matrix)
 
     def counted(sg, tp, live, skip=0):
         calls.append(skip)
@@ -1252,7 +1307,7 @@ def _cartesian_rank(g, frame):
                 top[2 * col], top[2 * col + 1] = a, 3 * b
                 bottom[2 * col], bottom[2 * col + 1] = b, a
         rows += [top, bottom]
-    doubled = field._fraction_free_rank(rational_matrix(rows).integer_rows())
+    doubled = fraction_free_rank(integer_rows(rows))
     assert doubled % 2 == 0
     return doubled // 2
 
@@ -1282,7 +1337,7 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
         drawn = tuple(rng.choice(steps) for _ in range(g.m))
         frame = Frame(tuple(E_POINTS[0] for _ in range(g.n)), drawn)
         matrix = generalized_matrix(g, frame)
-        exact = field._fraction_free_rank(matrix.integer_rows())
+        exact = fraction_free_rank(pair_rows(g, drawn.__getitem__))
         assert exact == _cartesian_rank(g, frame)
         assert _pair_rank_mod_p(g, frame) == matrix.modular_rank()
         deficient += exact < g.m
@@ -1290,14 +1345,16 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
 
 
 def test_separation_builds_no_exact_matrix(monkeypatch):
+    # the separation ranks mod P only, through the orbit blocks: no plain
+    # row is built and no pebble game runs for a ceiling
     def refuse(*args, **kwargs):
-        raise AssertionError("exact elimination reached")
+        raise AssertionError("plain rows or a ceiling game reached")
 
     for sg in (prism(), random_tight_symgraph(7, 45)):
         tp = _certified_partition(sg)
         with monkeypatch.context() as patched:
-            patched.setattr(field, "_fraction_free_rank", refuse)
-            patched.setattr(geometry, "_exact_rows", refuse)
+            patched.setattr(geometry, "_row", refuse)
+            patched.setattr(geometry, "_play_in_degree_order", refuse)
             separated, rounds = pull_apart_fully(sg, tp)
         assert rounds >= 1
         assert adjacent_coincidences(sg.graph, separated) == ()
@@ -1334,6 +1391,6 @@ def test_class_connected_in_both_trees_cannot_separate():
         pull_apart_fully(sg, tp)
     # each K4 misses the tree whose corner it is parked on
     miss = [v // 4 for v in range(12)]
-    live = geometry._LiveFrame.read(sg, frame.directions, miss, graphs._degree_order(sg.graph))
+    live = geometry._LiveFrame.read(sg, frame.directions, miss)
     with pytest.raises(NoSeparableComponent):
         geometry.pull_apart(sg, tp, live)
