@@ -134,12 +134,12 @@ def _decide(
     act = sg.require_action()
     if sparsity is None:
         sparsity = pebble_sparsity(sg.graph)
-    return _c3_verdict(act.fixed_vertices(), sparsity), sparsity
+    return _c3_verdict(act, sparsity), sparsity
 
 
-def _c3_verdict(fixed: tuple[int, ...], report: SparsityReport) -> C3Verdict:
-    """The verdict from the graph's sparsity report and the vertices its
-    rotation fixes."""
+def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
+    """The verdict from the graph's sparsity report and its rotation."""
+    fixed = act.fixed_vertices()
     reasons: list[str] = []
     witness: tuple[int, ...] | int | None = None
     if report.edge_count != report.target:
@@ -455,15 +455,19 @@ def extract_sequence(
     caller already ran ``pebble_sparsity(sg.graph)``; ``NotIsostatic``
     carries that verdict. That game and the reduced graph stay live through
     the reduction, in input labels, and the game decides every edge a
-    reduction step adds. The round trip replays the sequence, checking each
-    move, and compares the relabeled result with the input, so a returned
-    sequence rebuilds the input whatever the game said.
+    reduction step adds. The reduction leaves the game holding the last
+    triangle, so a report's game serves one extraction: a game that lost
+    edges raises ``ValueError``. The round trip replays the sequence,
+    checking each move, and compares the relabeled result with the input,
+    so a returned sequence rebuilds the input whatever the game said.
     """
     verdict, report = _decide(sg, sparsity)
     game = report.game
     if not verdict.isostatic:
         raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}", verdict)
     act, n = sg.action, sg.graph.n
+    if sum(map(len, game.out)) != sg.graph.m:
+        raise ValueError("a report's game serves one extraction, and this one was reduced already")
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, w in sg.graph.edges:
         adj[u].add(w)

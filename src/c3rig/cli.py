@@ -202,9 +202,8 @@ def cmd_check(args) -> int:
     report["m"] = sg.graph.m
     report["sparsity"] = _sparsity_json(sparsity)
     if sg.action is not None:
-        fixed = sg.action.fixed_vertices()
-        counts = count_fixed(sg, fixed)
-        verdict = _c3_verdict(fixed, sparsity)
+        counts = count_fixed(sg)
+        verdict = _c3_verdict(sg.action, sparsity)
         report["fixed_counts"] = {"j": counts.j, "b": counts.b}
         report["c3_verdict"] = _verdict_json(verdict)
         isostatic = verdict.isostatic

@@ -59,7 +59,7 @@ from .field import (
     _round_pivots,
     exact_rank,
 )
-from .graphs import C3Action, Graph, SymGraph, _degree_order
+from .graphs import C3Action, Graph, SymGraph
 from .pebble import PebbleGame, SparsityReport, _play_in_degree_order
 from .trees import TreePartition, verify_tree_partition
 
@@ -278,7 +278,7 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
     matrix = rigidity_matrix(g, placement, sg.action)
     rank = exact_rank(matrix, 2 * n - 3)
     if rank is None:
-        rejected = _play_in_degree_order(PebbleGame(n), _degree_order(g), g.sorted_edges)
+        rejected = _play_in_degree_order(PebbleGame(n), g.degree_order, g.sorted_edges)
         ceiling = g.m - len(rejected)
         rank = exact_rank(matrix, ceiling)
         if rank is None:
@@ -324,10 +324,9 @@ def _parked(
     if not report.ok:
         raise InvalidPartition(f"partition fails: {', '.join(report.failures())}")
     g = sg.graph
-    tv = [tp.tree_vertices(i) for i in range(3)]
+    tv, tree_of = tp.vertex_sets, tp.tree_of
     # a verified partition puts every vertex in exactly two trees
     miss = [next(i for i in range(3) if v not in tv[i]) for v in range(g.n)]
-    tree_of = {e: i for i in range(3) for e in tp.trees[i]}
     positions = tuple(E_POINTS[k] for k in miss)
     directions = tuple(TREE_DIRECTIONS[tree_of[e]] for e in g.sorted_edges)
     return Frame(positions, directions), miss
@@ -391,7 +390,7 @@ def _pair_matrix(
 ) -> PartialElimination:
     """The generalized rigidity matrix: one row per sorted edge (u, v), its
     pair, ``pair`` of its index, at u's column pair, negated at v's, with
-    the vertices' column pairs in ``_degree_order``. The package's one
+    the vertices' column pairs in ``Graph.degree_order``. The package's one
     matrix builder.
 
     With Cartesian directions the matrix would hold B (a, b) in those
@@ -404,7 +403,7 @@ def _pair_matrix(
     from ``field._orbit_blocks``, built from the pairs of the third of the
     edges that stand for their orbits.
     """
-    place = _degree_order(g)
+    place = g.degree_order
     if act is None:
         rows = [
             _row(place[u], place[v], (x % _P, y % _P))
@@ -777,7 +776,7 @@ def pull_apart_fully(
     act = sg.require_action()
     g = sg.graph
     live = _LiveFrame.read(sg, frame.directions, miss)
-    blocks = _orbit_blocks(g.sorted_edges, act.gamma, _degree_order(g))
+    blocks = _orbit_blocks(g.sorted_edges, act.gamma, g.degree_order)
     if not live.coincident:
         start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
         if _first_short_round(g, start, 0, 0, blocks) is not None:

@@ -78,37 +78,34 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return edge(u, v) in self.edges
 
-    def degrees(self) -> list[int]:
-        deg = [0] * self.n
+    @cached_property
+    def degree_order(self) -> tuple[int, ...]:
+        """Each vertex's place when vertices go by degree, then label.
+
+        It is the column order of every F_P row built from positions or
+        directions: eliminating the columns of low-degree vertices first keeps
+        the fill-in small, and a column order never changes a rank. It is also
+        the pebble game's deciding edge order: an edge between low-degree
+        vertices meets few paths to search.
+        """
+        degree = [0] * self.n
         for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return deg
-
-
-def _degree_order(g: Graph) -> list[int]:
-    """Each vertex's place when vertices go by degree, then label.
-
-    It is the column order of every F_P row built from positions or
-    directions: eliminating the columns of low-degree vertices first keeps
-    the fill-in small, and a column order never changes a rank. It is also
-    the pebble game's deciding edge order: an edge between low-degree
-    vertices meets few paths to search.
-    """
-    degree = g.degrees()
-    place = [0] * g.n
-    for i, v in enumerate(sorted(range(g.n), key=degree.__getitem__)):
-        place[v] = i
-    return place
+            degree[u] += 1
+            degree[v] += 1
+        place = [0] * self.n
+        for i, v in enumerate(sorted(range(self.n), key=degree.__getitem__)):
+            place[v] = i
+        return tuple(place)
 
 
 @dataclass(frozen=True)
 class C3Action:
     """An order-3 automorphism candidate: a permutation with gamma^3 = id.
 
-    ``gamma2`` (the square) is derived once and cached. The identity is
-    rejected: trivially symmetric graphs go through the plain count checks,
-    not the symmetric ones.
+    ``gamma2`` (the square) is derived once and cached, and the fixed
+    vertices are found on first use and kept. The identity is rejected:
+    trivially symmetric graphs go through the plain count checks, not the
+    symmetric ones.
     """
 
     gamma: tuple[int, ...]
@@ -134,8 +131,12 @@ class C3Action:
     def orbit(self, v: int) -> tuple[int, int, int]:
         return (v, self.gamma[v], self.gamma2[v])
 
-    def fixed_vertices(self) -> tuple[int, ...]:
+    @cached_property
+    def _fixed(self) -> tuple[int, ...]:
         return tuple(v for v in range(self.n) if self.gamma[v] == v)
+
+    def fixed_vertices(self) -> tuple[int, ...]:
+        return self._fixed
 
     def map_edge(self, e: Edge) -> Edge:
         return edge(self.gamma[e[0]], self.gamma[e[1]])
@@ -183,22 +184,16 @@ class FixedCounts:
     b: int
 
 
-def count_fixed(sg: SymGraph, fixed: tuple[int, ...] | None = None) -> FixedCounts:
+def count_fixed(sg: SymGraph) -> FixedCounts:
     """Count fixed vertices (j) and fixed edges (b) of the action.
 
     An order-3 permutation cannot swap an edge's endpoints, so a fixed edge
     has both endpoints fixed: with j < 2 there is none, and otherwise only
-    the edges among the fixed vertices are counted. A given ``fixed`` must
-    be ``fixed_vertices()`` of the action; it is used instead of finding
-    them again.
+    the edges among the fixed vertices are counted.
     """
     act = sg.require_action()
-    if fixed is None:
-        fixed = act.fixed_vertices()
-    b = 0
-    if len(fixed) >= 2:
-        gamma = act.gamma
-        b = sum(1 for u, v in sg.graph.edges if gamma[u] == u and gamma[v] == v)
+    fixed, gamma = act.fixed_vertices(), act.gamma
+    b = sum(1 for u, v in sg.graph.edges if gamma[u] == u and gamma[v] == v) if len(fixed) >= 2 else 0
     return FixedCounts(j=len(fixed), b=b)
 
 

@@ -12,7 +12,7 @@ shortest path to it.
 Edge (u, v) is paid for by v, its second endpoint, and oriented v -> u.
 With two pebbles on each end either could pay; when the edges at u come
 next, leaving u both pebbles spares them a search. The deciding game plays
-the edges in degree order (``graphs._degree_order``), each from its
+the edges in degree order (``Graph.degree_order``), each from its
 lower-placed end: an edge between low-degree vertices meets few paths, so
 the searches on ``tests.corpus.fast_tight_symgraph(11, 960)`` visit 11199
 vertices in all, against 63835 in sorted order.
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 
 from .errors import InternalInvariantBroken, TooFewVertices, TooLarge
-from .graphs import Edge, Graph, _degree_order
+from .graphs import Edge, Graph
 
 
 class PebbleGame:
@@ -195,7 +195,7 @@ def pebble_sparsity(g: Graph) -> SparsityReport:
         played = Graph._checked(len(labels), tuple((place[u], place[v]) for u, v in g.sorted_edges))
     edges = played.sorted_edges[: 2 * played.n - 2]
     game = PebbleGame(played.n)
-    rejected = _play_in_degree_order(game, _degree_order(played), edges)
+    rejected = _play_in_degree_order(game, played.degree_order, edges)
     if not rejected:
         return SparsityReport(True, g.m == target, None, g.m, target, game)
     u, v = _walk_down(game, edges, rejected)
@@ -203,11 +203,11 @@ def pebble_sparsity(g: Graph) -> SparsityReport:
     return SparsityReport(False, False, witness, g.m, target, game)
 
 
-def _play_in_degree_order(game: PebbleGame, place: list[int], edges: tuple[Edge, ...]) -> list[int]:
+def _play_in_degree_order(game: PebbleGame, place: tuple[int, ...], edges: tuple[Edge, ...]) -> list[int]:
     """Play the edges on ``game`` in degree order and return the keys of the
     ones it rejects (``_circuit_top``), none when it accepts them all.
 
-    Vertices go by their ``place`` in ``_degree_order``; an edge goes in
+    Vertices go by their ``place`` in ``Graph.degree_order``; an edge goes in
     with its lower-placed end first, in order of (lower place, higher
     place), so the higher end pays.
     """

@@ -40,11 +40,7 @@ def render_svg(
         y = VIEW * MARGIN + (max_y - p[1] + (span - (max_y - min_y)) / 2.0) / span * inner
         return x, y
 
-    tree_of = {}
-    if partition is not None:
-        for i in range(3):
-            for e in partition.trees[i]:
-                tree_of[e] = i
+    tree_of = partition.tree_of if partition is not None else {}
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',

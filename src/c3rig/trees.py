@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .certify import ConstructionSequence
 from .graphs import Edge, SymGraph, edge
@@ -19,12 +20,18 @@ from .pebble import SparsityReport, pebble_sparsity
 
 @dataclass(frozen=True)
 class TreePartition:
-    """Edge sets of the three trees, indexed so the rotation maps i to i+1."""
+    """Edge sets of the three trees, indexed so the rotation maps i to i+1.
+    Their vertex sets and each edge's tree (``tree_of``) are kept."""
 
     trees: tuple[frozenset[Edge], frozenset[Edge], frozenset[Edge]]
 
-    def tree_vertices(self, i: int) -> frozenset[int]:
-        return frozenset(v for e in self.trees[i] for v in e)
+    @cached_property
+    def vertex_sets(self) -> tuple[frozenset[int], ...]:
+        return tuple(frozenset(v for e in tree for v in e) for tree in self.trees)
+
+    @cached_property
+    def tree_of(self) -> dict[Edge, int]:
+        return {e: i for i, tree in enumerate(self.trees) for e in tree}
 
     def as_json_dict(self) -> dict:
         return {
@@ -73,10 +80,9 @@ class PartitionReport:
         }
 
 
-def _is_tree(edges: frozenset[Edge]) -> bool:
+def _is_tree(edges: frozenset[Edge], vertices: frozenset[int]) -> bool:
     if not edges:
         return False
-    vertices = {v for e in edges for v in e}
     if len(edges) != len(vertices) - 1:
         return False
     adj: dict[int, list[int]] = {v: [] for v in vertices}
@@ -111,11 +117,11 @@ def verify_tree_partition(
     total = len(t0) + len(t1) + len(t2)
     partitions_edges = union == g.edges and total == g.m
 
-    trees_are_trees = _is_tree(t0) and _is_tree(t1) and _is_tree(t2)
+    trees_are_trees = all(map(_is_tree, tp.trees, tp.vertex_sets))
 
     counts = [0] * g.n
-    for tree in tp.trees:
-        for v in {x for e in tree for x in e}:
+    for vertices in tp.vertex_sets:
+        for v in vertices:
             counts[v] += 1
     two_trees_per_vertex = all(c == 2 for c in counts)
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
 from itertools import combinations
@@ -23,7 +24,7 @@ from c3rig import (
 )
 from c3rig.field import PartialElimination, _P, exact_rank
 from c3rig.geometry import Frame, Placement, _pair_matrix, _primitive, v_sub
-from c3rig.graphs import _degree_order
+from c3rig.graphs import edge_orbit
 
 PRISM_DOC = {
     "vertices": 6,
@@ -158,6 +159,19 @@ def acceptance_corpus() -> tuple[SymGraph, ...]:
     return tuple(graphs + perturbed)
 
 
+def edge_orbit_graphs(n: int, k: int) -> Iterator[SymGraph]:
+    """Every graph of k edge orbits under the rotation that turns each
+    triple 3i, 3i + 1, 3i + 2 and fixes the last vertex when n is one more
+    than a multiple of 3: the ``combinations`` of the orbits, which come in
+    the order of their first sorted pair."""
+    free = n - n % 3
+    gamma = tuple(v - v % 3 + (v + 1) % 3 if v < free else v for v in range(n))
+    action = C3Action(gamma)
+    orbits = dict.fromkeys(frozenset(edge_orbit(e, gamma)) for e in combinations(range(n), 2))
+    for chosen in combinations(orbits, k):
+        yield SymGraph(Graph(n, frozenset().union(*chosen)), action)
+
+
 def fast_tight_symgraph(seed: int, n: int) -> SymGraph:
     """Like random_tight_symgraph but built on raw lists; for large n."""
     rng = random.Random(seed)
@@ -237,8 +251,8 @@ def pair_rows(g: Graph, pair) -> list[dict[int, int]]:
     """``_pair_matrix``'s rows over the integers, each times a positive
     rational: per sorted edge (u, v), its pair, ``pair`` of its index, with
     the gcd of its entries divided out, at u's column pair and negated at
-    v's, the columns in ``_degree_order``."""
-    place = _degree_order(g)
+    v's, the columns in ``Graph.degree_order``."""
+    place = g.degree_order
     rows = []
     for i, (u, v) in enumerate(g.sorted_edges):
         x, y = _primitive(pair(i))

@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c3rig import Graph, brute_force_laman, edge, graphs, laman_check, pebble_sparsity
+from c3rig import Graph, brute_force_laman, edge, laman_check, pebble_sparsity
 from c3rig.errors import InternalInvariantBroken, TooFewVertices, TooLarge
 from c3rig.pebble import PebbleGame
 from tests.corpus import (
@@ -249,7 +249,7 @@ def test_witness_within_the_edge_count_is_the_first_sorted_rejections():
         report = pebble_sparsity(g)
         assert not report.is_sparse and report.witness == witness
 
-        place = graphs._degree_order(g)
+        place = g.degree_order
         by_degree = sorted(g.edges, key=lambda e: sorted((place[e[0]], place[e[1]])))
         elsewhere += _first_witness(n, by_degree) != witness
         isolated += len({x for e in g.edges for x in e}) < n
@@ -510,10 +510,8 @@ def test_the_later_endpoint_pays_and_searches_stay_few(monkeypatch):
     assert calls <= 7000
 
 
-def test_degree_ordered_searches_visit_few_vertices(monkeypatch):
-    # In degree order an edge joins low-degree vertices, whose searches
-    # meet few paths: the searches of this graph's game visit 11199 vertices
-    # in all, where sorted order visited 63835.
+def _search_visits(monkeypatch, g):
+    # pebble_sparsity(g) and the vertices its searches visit in all
     visits = 0
     gather = PebbleGame._gather
 
@@ -523,8 +521,18 @@ def test_degree_ordered_searches_visit_few_vertices(monkeypatch):
         visits += self._visited.count(self._stamp)
         return found
 
-    monkeypatch.setattr(PebbleGame, "_gather", counted)
-    assert pebble_sparsity(fast_tight_symgraph(11, 960).graph).is_tight
+    with monkeypatch.context() as patched:
+        patched.setattr(PebbleGame, "_gather", counted)
+        report = pebble_sparsity(g)
+    return report, visits
+
+
+def test_degree_ordered_searches_visit_few_vertices(monkeypatch):
+    # In degree order an edge joins low-degree vertices, whose searches
+    # meet few paths: the searches of this graph's game visit 11199 vertices
+    # in all, where sorted order visited 63835.
+    report, visits = _search_visits(monkeypatch, fast_tight_symgraph(11, 960).graph)
+    assert report.is_tight
     assert visits <= 12500
 
 
@@ -534,15 +542,19 @@ def test_overbraced_searches_visit_few_vertices(monkeypatch):
     # searches visit 14306 vertices in all, where the whole sorted game
     # visited 60497.
     g = add_non_edge_orbit(random.Random(0), fast_tight_symgraph(11, 960)).graph
-    visits = 0
-    gather = PebbleGame._gather
-
-    def counted(self, *args):
-        nonlocal visits
-        found = gather(self, *args)
-        visits += self._visited.count(self._stamp)
-        return found
-
-    monkeypatch.setattr(PebbleGame, "_gather", counted)
-    assert not pebble_sparsity(g).is_sparse
+    report, visits = _search_visits(monkeypatch, g)
+    assert not report.is_sparse
     assert visits <= 15000
+
+
+@pytest.mark.parametrize("overbraced, most", [(False, 59300), (True, 75700)], ids=["tight", "overbraced"])
+def test_searches_at_the_check_size_visit_few_vertices(monkeypatch, overbraced, most):
+    # The check command's benchmark size, n = 3000: the searches visit 53886
+    # vertices on the tight graph and 68849 with one edge orbit over it. The
+    # game is deterministic, so the counts are exact; the bounds leave 10 %.
+    sg = fast_tight_symgraph(11, 3000)
+    if overbraced:
+        sg = add_non_edge_orbit(random.Random(3000), sg)
+    report, visits = _search_visits(monkeypatch, sg.graph)
+    assert report.is_sparse is not overbraced
+    assert visits <= most
