@@ -13,13 +13,14 @@ moves, each adding one full vertex orbit:
 ``extract_sequence`` inverts these moves down to the triangle and returns a
 replayable certificate. One walk of it, at most once per sequence, rebuilds
 the graph (``replay_sequence``), validating every intermediate step, and its
-tree partition (``trees.build_tree_partition``). The reduction keeps the one
-pebble game that decided the input live (``PebbleGame``) instead of starting a new game per step; the
-walk runs no game, as every row of the move table keeps a graph tight. The
-reduction also keeps one live graph, as adjacency sets and an alive mask in
-the input's labels: each step removes the orbit of the smallest live label of
-lowest valence (kept in min-heaps by valence), touches only that orbit's
-edges, and returns its anchors in input labels. They are mapped to replay
+tree partition (``trees.build_tree_partition``). The reduction plays on a
+copy of the pebble game that decided the input (``Graph.sparsity``) instead
+of starting a new game per step; the walk runs no game, as every row of the
+move table keeps a graph tight. The reduction also keeps one live graph, as
+adjacency sets and an alive mask in the input's labels: each step removes
+the orbit of the smallest live label of lowest valence (kept in min-heaps by
+valence), touches only that orbit's edges, and returns its anchors in input
+labels. They are mapped to replay
 labels once, in a backward pass from the last triangle.
 """
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .graphs import (
     edge_orbit,
     relabel_symgraph,
 )
-from .pebble import PebbleGame, SparsityReport, pebble_sparsity
+from .pebble import PebbleGame, SparsityReport
 
 VERTEX_ADDITION = "VertexAddition"
 EDGE_SPLIT = "EdgeSplit"
@@ -120,21 +121,7 @@ class C3Verdict:
 
 def check_c3_isostatic(sg: SymGraph) -> C3Verdict:
     """Tight counts plus no fixed vertex; reasons name what failed."""
-    return _decide(sg)[0]
-
-
-def _decide(
-    sg: SymGraph, sparsity: SparsityReport | None = None
-) -> tuple[C3Verdict, SparsityReport]:
-    """The verdict and the report of the one game that decided it.
-
-    A given ``sparsity`` must be ``pebble_sparsity(sg.graph)``; it is used
-    instead of running the game again.
-    """
-    act = sg.require_action()
-    if sparsity is None:
-        sparsity = pebble_sparsity(sg.graph)
-    return _c3_verdict(act, sparsity), sparsity
+    return _c3_verdict(sg.require_action(), sg.graph.sparsity)
 
 
 def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
@@ -446,28 +433,23 @@ def _reduce_step(
     return EDGE_SPLIT, (a, b, c), orbit
 
 
-def extract_sequence(
-    sg: SymGraph, sparsity: SparsityReport | None = None
-) -> ConstructionSequence:
+def extract_sequence(sg: SymGraph) -> ConstructionSequence:
     """Reduce to the triangle, reverse the moves, verify the round trip.
 
-    The input's verdict is the one pebble game on it, ``sparsity`` when the
-    caller already ran ``pebble_sparsity(sg.graph)``; ``NotIsostatic``
-    carries that verdict. That game and the reduced graph stay live through
-    the reduction, in input labels, and the game decides every edge a
-    reduction step adds. The reduction leaves the game holding the last
-    triangle, so a report's game serves one extraction: a game that lost
-    edges raises ``ValueError``. The round trip replays the sequence,
-    checking each move, and compares the relabeled result with the input,
-    so a returned sequence rebuilds the input whatever the game said.
+    The input's verdict is the one pebble game on it (``Graph.sparsity``);
+    ``NotIsostatic`` carries that verdict. A copy of that game and the
+    reduced graph stay live through the reduction, in input labels, and the
+    game decides every edge a reduction step adds; the graph's own game
+    keeps every edge, so each extraction from it starts alike. The round
+    trip replays the sequence, checking each move, and compares the
+    relabeled result with the input, so a returned sequence rebuilds the
+    input whatever the game said.
     """
-    verdict, report = _decide(sg, sparsity)
-    game = report.game
+    verdict = check_c3_isostatic(sg)
     if not verdict.isostatic:
         raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}", verdict)
     act, n = sg.action, sg.graph.n
-    if sum(map(len, game.out)) != sg.graph.m:
-        raise ValueError("a report's game serves one extraction, and this one was reduced already")
+    game = sg.graph.sparsity.game.copy()
     adj: list[set[int]] = [set() for _ in range(n)]
     for u, w in sg.graph.edges:
         adj[u].add(w)

@@ -19,7 +19,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .certify import C3Verdict, ConstructionSequence, _c3_verdict, _decide, extract_sequence
+from .certify import C3Verdict, ConstructionSequence, _c3_verdict, extract_sequence
 from .errors import C3RigError, NotIsostatic, SchemaError
 from .geometry import (
     Placement,
@@ -32,7 +32,7 @@ from .geometry import (
     symmetric_generic_positions,
 )
 from .graphs import SymGraph, count_fixed, parse_graph
-from .pebble import SparsityReport, brute_force_laman, laman_check, pebble_sparsity
+from .pebble import brute_force_laman, laman_check
 from .render import render_svg
 from .trees import (
     TreePartition,
@@ -197,7 +197,7 @@ def _verdict_json(verdict) -> dict:
 def cmd_check(args) -> int:
     data, sg = _read_graph(args.file)
     report = _base_report("check", data)
-    sparsity = pebble_sparsity(sg.graph)
+    sparsity = sg.graph.sparsity
     report["n"] = sg.graph.n
     report["m"] = sg.graph.m
     report["sparsity"] = _sparsity_json(sparsity)
@@ -217,13 +217,13 @@ def cmd_certify(args) -> int:
     data, sg = _read_graph(args.file)
     report = _base_report("certify", data)
     try:
-        seq, partition, sparsity = _certificates(sg)
+        seq, partition = _certificates(sg)
     except NotIsostatic as exc:
         report["c3_verdict"] = _verdict_json(exc.verdict)
         _emit(report, args.json, f"not isostatic: {', '.join(exc.verdict.reasons)}")
         return 1
     report["c3_verdict"] = _verdict_json(C3Verdict(True, (), None))
-    checks = verify_tree_partition(sg, partition, sparsity)
+    checks = verify_tree_partition(sg, partition)
     report["sequence"] = seq.as_json_dict()
     report["partition"] = partition.as_json_dict()
     report["partition_checks"] = checks.as_json_dict()
@@ -237,22 +237,22 @@ def cmd_certify(args) -> int:
     return 0 if checks.ok else 2
 
 
-def _certificates(sg: SymGraph) -> tuple[ConstructionSequence, TreePartition, SparsityReport]:
-    """The construction sequence, its partition in the input's labels, and
-    the input's sparsity report. That report's game is the only one run:
-    the extraction keeps it live, and the partition's properness reads it."""
-    _, sparsity = _decide(sg)
-    seq = extract_sequence(sg, sparsity)
+def _certificates(sg: SymGraph) -> tuple[ConstructionSequence, TreePartition]:
+    """The construction sequence and its partition in the input's labels.
+    The input's game (``Graph.sparsity``) is the only one run: the
+    extraction reduces a copy of it, and the partition's properness reads
+    it."""
+    seq = extract_sequence(sg)
     partition = relabel_partition(build_tree_partition(seq), seq.relabeling)
-    return seq, partition, sparsity
+    return seq, partition
 
 
 def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, RankVerdict, dict]:
     if method == "generic":
         placement = symmetric_generic_positions(sg, seed)
         return placement, numeric_isostatic_check(sg, placement), {}
-    _, partition, sparsity = _certificates(sg)
-    frame, rounds = pull_apart_fully(sg, partition, sparsity)
+    _, partition = _certificates(sg)
+    frame, rounds = pull_apart_fully(sg, partition)
     # The placement's rigidity matrix is the frame's generalized one with
     # each row times its edge's nonzero scalar, and pull_apart_fully has
     # proven that one at full row rank.
@@ -291,7 +291,7 @@ def cmd_oracle(args) -> int:
 def cmd_render(args) -> int:
     data, sg = _read_graph(args.file)
     report = _base_report("render", data)
-    _, partition, _ = _certificates(sg)
+    _, partition = _certificates(sg)
     svg = render_svg(sg, symmetric_generic_positions(sg, args.seed), partition)
     Path(args.out).write_text(svg, encoding="utf-8")
     report["out"] = args.out

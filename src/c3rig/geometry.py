@@ -60,7 +60,7 @@ from .field import (
     exact_rank,
 )
 from .graphs import C3Action, Graph, SymGraph
-from .pebble import PebbleGame, SparsityReport, _play_in_degree_order
+from .pebble import PebbleGame, _play_in_degree_order
 from .trees import TreePartition, verify_tree_partition
 
 # Coordinates. Every point and direction is a combination a*1 + b*w of
@@ -304,23 +304,13 @@ class Frame:
         _require_integer_pairs(self.directions, 1)
 
 
-def frame_from_partition(
-    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
-) -> Frame:
+def frame_from_partition(sg: SymGraph, tp: TreePartition) -> Frame:
     """Park every vertex on the corner of the one tree it misses, and direct
     every edge along the side of its tree.
 
-    The partition is verified first; ``sparsity`` is handed to
-    ``verify_tree_partition``.
+    The partition is verified first (``verify_tree_partition``).
     """
-    return _parked(sg, tp, sparsity)[0]
-
-
-def _parked(
-    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None
-) -> tuple[Frame, list[int]]:
-    """``frame_from_partition``'s frame, with the tree each vertex misses."""
-    report = verify_tree_partition(sg, tp, sparsity)
+    report = verify_tree_partition(sg, tp)
     if not report.ok:
         raise InvalidPartition(f"partition fails: {', '.join(report.failures())}")
     g = sg.graph
@@ -329,7 +319,7 @@ def _parked(
     miss = [next(i for i in range(3) if v not in tv[i]) for v in range(g.n)]
     positions = tuple(E_POINTS[k] for k in miss)
     directions = tuple(TREE_DIRECTIONS[tree_of[e]] for e in g.sorted_edges)
-    return Frame(positions, directions), miss
+    return Frame(positions, directions)
 
 
 def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]:
@@ -522,10 +512,11 @@ class _LiveFrame:
     turned: set[int]
 
     @classmethod
-    def read(cls, sg: SymGraph, dirs: Sequence[Pair], miss: list[int]) -> "_LiveFrame":
+    def read(cls, sg: SymGraph, frame: Frame) -> "_LiveFrame":
         """The live state of the parked frame of a verified partition, whose
         classes are the three corners: each vertex on the corner of the tree
-        it misses (``miss``) and each edge along its direction in ``dirs``.
+        it misses, read off its position (the corners are distinct), and
+        each edge along its direction.
 
         Nothing is checked: the verified partition makes the frame
         symmetric. Each edge lies in one tree (``partitions_edges``), so its
@@ -541,6 +532,8 @@ class _LiveFrame:
         stays symmetric and every round's rows are those of its two orbit
         blocks (``field._orbit_blocks``)."""
         edges = sg.graph.sorted_edges
+        corner = {point: k for k, point in enumerate(E_POINTS)}
+        miss = [corner[point] for point in frame.positions]
         members: list[list[int]] = [[] for _ in E_POINTS]
         for v, k in enumerate(miss):
             members[k].append(v)
@@ -551,7 +544,7 @@ class _LiveFrame:
             incident[v].append(i)
             coincident += miss[u] == miss[v]
         live = cls(
-            1, list(E_POINTS), [1, 1, 1], list(miss), members, list(dirs), edges,
+            1, list(E_POINTS), [1, 1, 1], list(miss), members, list(frame.directions), edges,
             incident, miss, coincident, [], {d: {} for d in TREE_DIRECTIONS}, set(),
         )
         for c in range(3):
@@ -747,12 +740,10 @@ def _first_short_round(
     return None
 
 
-def pull_apart_fully(
-    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
-) -> tuple[Frame, int]:
+def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
     """Separate the parked frame of ``tp`` (``frame_from_partition``, which
-    verifies it with ``sparsity``) until no adjacent joints coincide; return
-    the frame and the rounds taken.
+    verifies it) until no adjacent joints coincide; return the frame and the
+    rounds taken.
 
     The rounds are those of ``pull_apart`` on one live state, run
     speculatively: each takes its first collision-free t with no rank, and
@@ -772,10 +763,10 @@ def pull_apart_fully(
     and the last offline pass proved that round's rank. When no round runs,
     the parked frame is ranked once instead.
     """
-    frame, miss = _parked(sg, tp, sparsity)
+    frame = frame_from_partition(sg, tp)
     act = sg.require_action()
     g = sg.graph
-    live = _LiveFrame.read(sg, frame.directions, miss)
+    live = _LiveFrame.read(sg, frame)
     blocks = _orbit_blocks(g.sorted_edges, act.gamma, g.degree_order)
     if not live.coincident:
         start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
@@ -805,7 +796,7 @@ def pull_apart_fully(
         else:
             skip = skip + 1 if bad == lo else 1
             del taken[bad - 1 :]
-            live = _LiveFrame.read(sg, frame.directions, miss)
+            live = _LiveFrame.read(sg, frame)
             for step in taken:
                 _accept(live, *step)
     return live.frame(g), len(taken)

@@ -97,6 +97,14 @@ class Graph:
             place[v] = i
         return tuple(place)
 
+    @cached_property
+    def sparsity(self) -> "SparsityReport":
+        """The counts decided by one pebble game (``pebble_sparsity``),
+        played on first use and kept: every verdict on the graph reads it."""
+        from .pebble import pebble_sparsity
+
+        return pebble_sparsity(self)
+
 
 @dataclass(frozen=True)
 class C3Action:

@@ -37,9 +37,9 @@ If the game rejects one, the same game is walked down by deleting edges
 until it holds exactly E[:k], and E[k] is offered again for R
 (``_walk_down``).
 
-``PebbleGame`` is that game as a live state that also takes edge deletions;
-``pebble_sparsity`` feeds fresh ones, and the extractor keeps the input's
-game live for all its reduction steps.
+``PebbleGame`` is that game as a live state that also takes edge deletions.
+``pebble_sparsity`` always plays a fresh one; ``Graph.sparsity`` keeps its
+report on the graph, and the extractor reduces a copy of that game.
 """
 from __future__ import annotations
 
@@ -72,6 +72,13 @@ class PebbleGame:
         self._visited = [0] * n
         self._parent = [-1] * n
         self._stamp = 0
+
+    def copy(self) -> PebbleGame:
+        """A game in the same state that plays on without touching this one."""
+        game = PebbleGame(len(self.pebbles))
+        game.pebbles[:] = self.pebbles
+        game.out = [heads[:] for heads in self.out]
+        return game
 
     def insert_edge(self, u: int, v: int) -> bool:
         """Accept the edge if four pebbles reach u and v; v pays, v -> u."""
@@ -320,7 +327,7 @@ def _walk_down(game: PebbleGame, edges: tuple[Edge, ...], rejected: list[int]) -
 
 def laman_check(g: Graph) -> bool:
     """True iff the graph is (2,3)-tight."""
-    return pebble_sparsity(g).is_tight
+    return g.sparsity.is_tight
 
 
 def brute_force_laman(g: Graph) -> bool:

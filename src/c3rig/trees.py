@@ -15,7 +15,6 @@ from functools import cached_property
 
 from .certify import ConstructionSequence
 from .graphs import Edge, SymGraph, edge
-from .pebble import SparsityReport, pebble_sparsity
 
 
 @dataclass(frozen=True)
@@ -101,13 +100,12 @@ def _is_tree(edges: frozenset[Edge], vertices: frozenset[int]) -> bool:
     return len(seen) == len(vertices)
 
 
-def verify_tree_partition(
-    sg: SymGraph, tp: TreePartition, sparsity: SparsityReport | None = None
-) -> PartitionReport:
+def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
     """Check every defining property; failures are report entries, not errors.
 
-    ``sparsity``, when given, is ``pebble_sparsity(sg.graph)`` from a game
-    the caller already ran; without it the properness check runs its own.
+    A tree vertex outside 0..n-1 fails ``partitions_edges``, and the vertex
+    counts and the rotation, which are defined on the graph's vertices only,
+    fail with it.
     """
     act = sg.require_action()
     g = sg.graph
@@ -119,26 +117,23 @@ def verify_tree_partition(
 
     trees_are_trees = all(map(_is_tree, tp.trees, tp.vertex_sets))
 
+    in_range = all(0 <= v < g.n for vertices in tp.vertex_sets for v in vertices)
     counts = [0] * g.n
-    for vertices in tp.vertex_sets:
-        for v in vertices:
-            counts[v] += 1
-    two_trees_per_vertex = all(c == 2 for c in counts)
+    if in_range:
+        for vertices in tp.vertex_sets:
+            for v in vertices:
+                counts[v] += 1
+    two_trees_per_vertex = in_range and all(c == 2 for c in counts)
 
-    rotation_cycles_trees = all(
+    rotation_cycles_trees = in_range and all(
         {act.map_edge(e) for e in tp.trees[i]} == set(tp.trees[(i + 1) % 3])
         for i in range(3)
     )
 
     # Properness (no two non-trivial subtrees of distinct trees share a
     # span) is equivalent to the subgraph counts holding everywhere, which
-    # the pebble game decides.
-    if sparsity is None:
-        proper = g.n >= 2 and pebble_sparsity(g).is_sparse
-    elif (sparsity.edge_count, sparsity.target) != (g.m, 2 * g.n - 3):
-        raise ValueError("the sparsity report is not the graph's")
-    else:
-        proper = sparsity.is_sparse
+    # the graph's pebble game decides.
+    proper = g.n >= 2 and g.sparsity.is_sparse
 
     return PartitionReport(
         partitions_edges=partitions_edges,

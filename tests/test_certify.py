@@ -18,7 +18,6 @@ from c3rig import (
     extract_sequence,
     laman_check,
     parse_graph,
-    pebble_sparsity,
     relabel_symgraph,
     replay_sequence,
 )
@@ -187,17 +186,13 @@ def test_extract_handles_reversed_rotation():
     assert relabel_symgraph(replay_sequence(seq), seq.relabeling) == sg
 
 
-def test_a_reports_game_serves_one_extraction():
-    # The reduction runs on the report's game and leaves it holding the last
-    # triangle (3 of this graph's 117 edges), so a second extraction from
-    # the same report is refused; a fresh report extracts the same sequence.
+def test_two_extractions_from_one_graph_agree():
+    # each extraction reduces its own copy of the graph's game, which keeps
+    # all 117 edges of this graph
     sg = fast_tight_symgraph(11, 60)
-    report = pebble_sparsity(sg.graph)
-    seq = extract_sequence(sg, report)
-    assert sum(map(len, report.game.out)) == 3
-    with pytest.raises(ValueError, match="a report's game serves one extraction"):
-        extract_sequence(sg, report)
-    assert extract_sequence(sg, pebble_sparsity(sg.graph)) == seq
+    seq = extract_sequence(sg)
+    assert sum(map(len, sg.graph.sparsity.game.out)) == sg.graph.m
+    assert extract_sequence(sg) == seq
 
 
 def test_extract_round_trip_on_corpus():

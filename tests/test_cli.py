@@ -139,70 +139,79 @@ def test_certify_rejects_k4(write, capsys):
     assert json.loads(out)["c3_verdict"]["isostatic"] is False
 
 
-def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
-    # count the from-scratch games run on the parsed input graph itself,
-    # through every name the verdict paths look up, check that the
-    # reduction keeps that game live, and count every game constructed
-    parsed = []
-    games = []
-    parse = cli.parse_graph
+@pytest.mark.parametrize(
+    "argv, games",
+    [
+        (["check"], 1),
+        (["certify"], 1),
+        (["realize", "--method", "frame"], 1),
+        (["render"], 1),
+        (["realize", "--method", "generic", "--seed", "0"], 0),
+    ],
+    ids=["check", "certify", "realize_frame", "render", "realize_generic"],
+)
+def test_a_command_decides_the_input_with_one_game_at_most(
+    write, capsys, monkeypatch, tmp_path, argv, games
+):
+    # count the from-scratch games played on the parsed input graph itself;
+    # every verdict path reads them through Graph.sparsity
+    parsed, played = [], []
+    parse, play = cli.parse_graph, pebble.pebble_sparsity
 
     def parse_and_keep(text):
         parsed.append(parse(text))
         return parsed[-1]
 
+    def counted(g):
+        if g is parsed[0].graph:
+            played.append(g)
+        return play(g)
+
     monkeypatch.setattr(cli, "parse_graph", parse_and_keep)
-    for module in (cli, certify):
-        for name in ("pebble_sparsity", "laman_check"):
-            game = getattr(module, name, None)
-            if game is None:
-                continue
+    monkeypatch.setattr(pebble, "pebble_sparsity", counted)
+    out = ["--out", str(tmp_path / "g.svg")] if argv[0] == "render" else []
+    code, _ = run(capsys, [argv[0], write(PRISM_DOC), *argv[1:], *out])
+    assert code == 0
+    assert len(played) == games
 
-            def counted(g, game=game):
-                result = game(g)
-                if g is parsed[0].graph:
-                    games.append((game.__name__, result))
-                return result
 
-            monkeypatch.setattr(module, name, counted)
-    engines = []
+def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
+    # the reduction plays on a copy of the game that decided the input, so
+    # the graph's own game keeps every edge; the round trip's replay runs
+    # no game, and no other game is constructed
+    parsed, copies, reduced_with, engines = [], [], [], []
+    parse, copy, reduce_step = cli.parse_graph, pebble.PebbleGame.copy, certify._reduce_step
     init = pebble.PebbleGame.__init__
 
-    def counted_engine(self, *args):
-        engines.append(self)
-        init(self, *args)
+    def parse_and_keep(text):
+        parsed.append(parse(text))
+        return parsed[-1]
 
-    monkeypatch.setattr(pebble.PebbleGame, "__init__", counted_engine)
-    reduced_with = []
-    reduce_step = certify._reduce_step
+    def counted_copy(self):
+        copies.append((self, copy(self)))
+        return copies[-1][1]
 
     def step(act, adj, alive, game, low):
         reduced_with.append(game)
         return reduce_step(act, adj, alive, game, low)
 
-    monkeypatch.setattr(certify, "_reduce_step", step)
-    code, _ = run(capsys, ["certify", write(PRISM_DOC)])
-    assert code == 0
-    assert [name for name, _ in games] == ["pebble_sparsity"]
-    decided = games[0][1].game
-    assert reduced_with and all(game is decided for game in reduced_with)
-    # the input's game also carries the partition's properness, and the
-    # round trip's replay runs none
-    assert len(engines) == 1 and engines[0] is decided
-
-
-def test_realize_frame_decides_the_input_with_one_game(write, capsys, monkeypatch):
-    engines = []
-    init = pebble.PebbleGame.__init__
-
     def counted_engine(self, *args):
         engines.append(self)
         init(self, *args)
 
+    monkeypatch.setattr(cli, "parse_graph", parse_and_keep)
+    monkeypatch.setattr(pebble.PebbleGame, "copy", counted_copy)
+    monkeypatch.setattr(certify, "_reduce_step", step)
     monkeypatch.setattr(pebble.PebbleGame, "__init__", counted_engine)
-    code, _ = run(capsys, ["realize", write(PRISM_DOC), "--method", "frame"])
+    code, _ = run(capsys, ["certify", write(PRISM_DOC)])
     assert code == 0
-    assert len(engines) == 1
+    g = parsed[0].graph
+    decided = g.sparsity.game
+    assert sum(map(len, decided.out)) == g.m
+    [(source, reduced)] = copies
+    assert source is decided and reduced is not decided
+    assert reduced_with and all(game is reduced for game in reduced_with)
+    assert engines == [decided, reduced]
 
 
 @pytest.mark.parametrize(
@@ -235,8 +244,8 @@ def test_realize_frame_ranks_its_finished_framework_once(write, capsys, monkeypa
     pull_apart_fully = cli.pull_apart_fully
     exact_rank = geometry.exact_rank
 
-    def pull_then_mark(sg, tp, sparsity):
-        result = pull_apart_fully(sg, tp, sparsity)
+    def pull_then_mark(sg, tp):
+        result = pull_apart_fully(sg, tp)
         blocks = geometry._pair_matrix(sg.graph, result[0].directions.__getitem__, sg.action)
         finished.append(span_key(blocks))
         return result

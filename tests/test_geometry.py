@@ -897,8 +897,7 @@ def test_frame_route_verdict_is_the_placement_check(monkeypatch):
 
 def _live_frame(sg, tp):
     # the start state pull_apart_fully reads
-    frame, miss = geometry._parked(sg, tp, None)
-    return geometry._LiveFrame.read(sg, frame.directions, miss)
+    return geometry._LiveFrame.read(sg, frame_from_partition(sg, tp))
 
 
 def _ranked_rounds(sg, tp):
@@ -1390,7 +1389,6 @@ def test_class_connected_in_both_trees_cannot_separate():
     with pytest.raises(InvalidPartition, match="proper"):
         pull_apart_fully(sg, tp)
     # each K4 misses the tree whose corner it is parked on
-    miss = [v // 4 for v in range(12)]
-    live = geometry._LiveFrame.read(sg, frame.directions, miss)
+    live = geometry._LiveFrame.read(sg, frame)
     with pytest.raises(NoSeparableComponent):
         geometry.pull_apart(sg, tp, live)

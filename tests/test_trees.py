@@ -113,21 +113,29 @@ def test_overbraced_graph_fails_properness():
         raise AssertionError("no perturbation broke sparsity")
 
 
-def test_properness_reads_a_given_sparsity_report():
-    # the report of a game already run on the graph gives the same checks
-    # as the partition's own game, sparse or not; another graph's is refused
+def test_properness_is_the_graphs_pebble_verdict():
+    # the properness check reads the graph's own game, sparse or not
     rng = random.Random(13)
     sg = random_tight_symgraph(rng, 9)
     seq = extract_sequence(sg)
     tp = relabel_partition(build_tree_partition(seq), seq.relabeling)
     graphs = [sg] + [perturb_edge_swap(rng, sg) for _ in range(20)]
-    reports = [verify_tree_partition(g, tp, pebble_sparsity(g.graph)) for g in graphs]
-    assert reports == [verify_tree_partition(g, tp) for g in graphs]
-    assert {r.proper for r in reports} == {True, False}
-    with pytest.raises(ValueError):
-        verify_tree_partition(sg, tp, pebble_sparsity(prism().graph))
-    with pytest.raises(ValueError):
-        frame_from_partition(sg, tp, pebble_sparsity(prism().graph))
+    proper = [verify_tree_partition(g, tp).proper for g in graphs]
+    assert proper == [pebble_sparsity(g.graph).is_sparse for g in graphs]
+    assert set(proper) == {True, False}
+
+
+@pytest.mark.parametrize("bad", [(1, 6), (1, 9), (-1, 1)], ids=["n", "past_n", "negative"])
+def test_a_tree_vertex_outside_the_graph_fails_the_report(bad):
+    # the edge takes the place of (1, 2) in tree 1 of the prism's partition;
+    # vertex -1 must not stand for vertex 5
+    trees = list(PRISM_PARTITION.trees)
+    trees[1] = trees[1] - {(1, 2)} | {bad}
+    report = verify_tree_partition(prism(), TreePartition(tuple(trees)))
+    assert not report.partitions_edges and not report.ok
+    assert not report.two_trees_per_vertex and not report.rotation_cycles_trees
+    with pytest.raises(InvalidPartition, match="partitions_edges"):
+        frame_from_partition(prism(), TreePartition(tuple(trees)))
 
 
 def test_partition_implies_global_count():
