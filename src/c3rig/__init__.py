@@ -4,7 +4,9 @@ Given a graph and an order-3 automorphism, this package decides whether
 generic symmetric realizations are isostatic, and backs the verdict with
 independently checkable certificates: a construction sequence of symmetric
 moves from the triangle, a rotation-equivariant three-tree edge partition,
-and an exact-arithmetic rank verification at a symmetric placement.
+and the rank of the rigidity matrix at an exact symmetric placement. That
+rank is proven mod P against a ceiling, 2n - 3 or the graph's matroid rank,
+with no tolerance; a rank mod P short of the ceiling is inconclusive.
 """
 from .certify import (
     DELTA_EXTENSION,

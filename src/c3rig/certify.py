@@ -49,8 +49,9 @@ from .graphs import (
     edge,
     edge_orbit,
     relabel_symgraph,
+    serialize_graph,
 )
-from .pebble import PebbleGame, SparsityReport
+from .pebble import PebbleGame
 
 VERTEX_ADDITION = "VertexAddition"
 EDGE_SPLIT = "EdgeSplit"
@@ -118,15 +119,15 @@ class C3Verdict:
     reasons: tuple[str, ...]
     witness: tuple[int, ...] | int | None
 
+    def as_json_dict(self) -> dict:
+        """Its fields; the witness is passed through, not copied."""
+        return {"isostatic": self.isostatic, "reasons": self.reasons, "witness": self.witness}
+
 
 def check_c3_isostatic(sg: SymGraph) -> C3Verdict:
     """Tight counts plus no fixed vertex; reasons name what failed."""
-    return _c3_verdict(sg.require_action(), sg.graph.sparsity)
-
-
-def _c3_verdict(act: C3Action, report: SparsityReport) -> C3Verdict:
-    """The verdict from the graph's sparsity report and its rotation."""
-    fixed = act.fixed_vertices()
+    fixed = sg.require_action().fixed_vertices()
+    report = sg.graph.sparsity
     reasons: list[str] = []
     witness: tuple[int, ...] | int | None = None
     if report.edge_count != report.target:
@@ -217,8 +218,6 @@ class ConstructionSequence:
             raise InvalidAnchor("sequence base must be the canonical triangle")
 
     def as_json_dict(self) -> dict:
-        from .graphs import serialize_graph
-
         doc = {
             "base": serialize_graph(self.base),
             "moves": [m.as_json_dict() for m in self.moves],

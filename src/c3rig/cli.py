@@ -1,12 +1,16 @@
 """Command-line surface: check | certify | realize | oracle | render.
 
-Every command reads one graph document, prints a JSON report to standard
-output (unless --no-json asks for a short text summary) and exits with
-0 when the graph is isostatic, 1 when it is not, 2 on any error, and 3
-when ``realize`` drew a placement whose rank mod P falls short of the
-graph's matroid rank, which decides nothing (an inconclusive
-``rank_verdict``). Reports are deterministic for a fixed (input, flags,
-seed, version).
+Each command is a function ``cmd_x(args, sg) -> (fields, summary, exit_code)``
+of the parsed graph; it reads no file and prints nothing. ``main`` is the
+one report path: it reads the graph document, runs the command, adds the
+header keys ``command``, ``input_digest`` and ``version`` to the fields and
+prints the JSON report once (the one-line summary under --no-json). The
+exit code is 0 when the graph is isostatic, 1 when it is not, 2 on any
+error, and 3 when ``realize`` drew a placement whose rank mod P falls short
+of the graph's matroid rank, which decides nothing (an inconclusive
+``rank_verdict``); ``oracle`` exits 0 when its two checks agree and 2 when
+they do not. An error is always written as one JSON object. Reports are
+deterministic for a fixed (input, flags, seed, version).
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import __version__
-from .certify import C3Verdict, ConstructionSequence, _c3_verdict, extract_sequence
+from .certify import ConstructionSequence, check_c3_isostatic, extract_sequence
 from .errors import C3RigError, NotIsostatic, SchemaError
 from .geometry import (
     Placement,
@@ -145,14 +149,6 @@ def _read_graph(path: str) -> tuple[bytes, SymGraph]:
     return data, parse_graph(text)
 
 
-def _base_report(command: str, data: bytes) -> dict:
-    return {
-        "command": command,
-        "input_digest": hashlib.sha256(data).hexdigest(),
-        "version": __version__,
-    }
-
-
 def _placement_json(placement: Placement) -> dict:
     """Each point's Cartesian coordinates, exactly and as floats, written
     straight from its integer (1, w) pair over the scale D:
@@ -173,68 +169,33 @@ def _placement_json(placement: Placement) -> dict:
     }
 
 
-def _sparsity_json(report) -> dict:
-    return {
-        "is_sparse": report.is_sparse,
-        "is_tight": report.is_tight,
-        "edge_count": report.edge_count,
-        "target": report.target,
-        "witness": list(report.witness) if report.witness is not None else None,
-    }
-
-
-def _verdict_json(verdict) -> dict:
-    witness = verdict.witness
-    if isinstance(witness, tuple):
-        witness = list(witness)
-    return {
-        "isostatic": verdict.isostatic,
-        "reasons": list(verdict.reasons),
-        "witness": witness,
-    }
-
-
-def cmd_check(args) -> int:
-    data, sg = _read_graph(args.file)
-    report = _base_report("check", data)
+def cmd_check(args, sg: SymGraph) -> tuple[dict, str, int]:
     sparsity = sg.graph.sparsity
-    report["n"] = sg.graph.n
-    report["m"] = sg.graph.m
-    report["sparsity"] = _sparsity_json(sparsity)
+    fields = {"n": sg.graph.n, "m": sg.graph.m, "sparsity": sparsity.as_json_dict()}
+    isostatic = sparsity.is_tight
     if sg.action is not None:
         counts = count_fixed(sg)
-        verdict = _c3_verdict(sg.action, sparsity)
-        report["fixed_counts"] = {"j": counts.j, "b": counts.b}
-        report["c3_verdict"] = _verdict_json(verdict)
+        verdict = check_c3_isostatic(sg)
+        fields["fixed_counts"] = {"j": counts.j, "b": counts.b}
+        fields["c3_verdict"] = verdict.as_json_dict()
         isostatic = verdict.isostatic
-    else:
-        isostatic = sparsity.is_tight
-    _emit(report, args.json, f"isostatic: {isostatic}")
-    return 0 if isostatic else 1
+    return fields, f"isostatic: {isostatic}", 0 if isostatic else 1
 
 
-def cmd_certify(args) -> int:
-    data, sg = _read_graph(args.file)
-    report = _base_report("certify", data)
-    try:
-        seq, partition = _certificates(sg)
-    except NotIsostatic as exc:
-        report["c3_verdict"] = _verdict_json(exc.verdict)
-        _emit(report, args.json, f"not isostatic: {', '.join(exc.verdict.reasons)}")
-        return 1
-    report["c3_verdict"] = _verdict_json(C3Verdict(True, (), None))
+def cmd_certify(args, sg: SymGraph) -> tuple[dict, str, int]:
+    verdict = check_c3_isostatic(sg)
+    fields = {"c3_verdict": verdict.as_json_dict()}
+    if not verdict.isostatic:
+        return fields, f"not isostatic: {', '.join(verdict.reasons)}", 1
+    seq, partition = _certificates(sg)
     checks = verify_tree_partition(sg, partition)
-    report["sequence"] = seq.as_json_dict()
-    report["partition"] = partition.as_json_dict()
-    report["partition_checks"] = checks.as_json_dict()
+    fields["sequence"] = seq.as_json_dict()
+    fields["partition"] = partition.as_json_dict()
+    fields["partition_checks"] = checks.as_json_dict()
     # extract_sequence has verified the replay round trip or raised.
-    report["round_trip"] = True
-    _emit(
-        report,
-        args.json,
-        f"certified: {len(seq.moves)} moves, partition ok: {checks.ok}",
-    )
-    return 0 if checks.ok else 2
+    fields["round_trip"] = True
+    summary = f"certified: {len(seq.moves)} moves, partition ok: {checks.ok}"
+    return fields, summary, 0 if checks.ok else 2
 
 
 def _certificates(sg: SymGraph) -> tuple[ConstructionSequence, TreePartition]:
@@ -260,46 +221,32 @@ def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, RankVerdi
     return framework_from_frame(sg, frame), rank, {"pull_apart_rounds": rounds}
 
 
-def cmd_realize(args) -> int:
-    data, sg = _read_graph(args.file)
-    report = _base_report("realize", data)
-    placement, rank, extra = _realize(sg, args.method, args.seed)
-    report["method"] = args.method
-    report["seed"] = args.seed
-    report["placement"] = _placement_json(placement)
-    report["rank_verdict"] = rank.as_json_dict()
-    report.update(extra)
+def cmd_realize(args, sg: SymGraph) -> tuple[dict, str, int]:
+    placement, rank, fields = _realize(sg, args.method, args.seed)
+    fields["method"] = args.method
+    fields["seed"] = args.seed
+    fields["placement"] = _placement_json(placement)
+    fields["rank_verdict"] = rank.as_json_dict()
     if rank.inconclusive:
-        _emit(report, args.json, f"inconclusive: rank mod P {rank.rank_mod_p} below {rank.ceiling}")
-        return 3
-    _emit(report, args.json, f"rank {rank.rank}/{rank.target}, isostatic: {rank.isostatic}")
-    return 0 if rank.isostatic else 1
+        return fields, f"inconclusive: rank mod P {rank.rank_mod_p} below {rank.ceiling}", 3
+    summary = f"rank {rank.rank}/{rank.target}, isostatic: {rank.isostatic}"
+    return fields, summary, 0 if rank.isostatic else 1
 
 
-def cmd_oracle(args) -> int:
-    data, sg = _read_graph(args.file)
-    report = _base_report("oracle", data)
+def cmd_oracle(args, sg: SymGraph) -> tuple[dict, str, int]:
     brute = brute_force_laman(sg.graph)
     pebble = laman_check(sg.graph)
-    report["brute_force"] = brute
-    report["pebble"] = pebble
-    report["agree"] = brute == pebble
-    _emit(report, args.json, f"brute={brute} pebble={pebble} agree={brute == pebble}")
-    return 0 if brute == pebble else 2
+    agree = brute == pebble
+    fields = {"brute_force": brute, "pebble": pebble, "agree": agree}
+    return fields, f"brute={brute} pebble={pebble} agree={agree}", 0 if agree else 2
 
 
-def cmd_render(args) -> int:
-    data, sg = _read_graph(args.file)
-    report = _base_report("render", data)
+def cmd_render(args, sg: SymGraph) -> tuple[dict, str, int]:
     _, partition = _certificates(sg)
     svg = render_svg(sg, symmetric_generic_positions(sg, args.seed), partition)
     Path(args.out).write_text(svg, encoding="utf-8")
-    report["out"] = args.out
-    report["seed"] = args.seed
-    report["joints"] = sg.graph.n
-    report["bars"] = sg.graph.m
-    _emit(report, args.json, f"wrote {args.out}")
-    return 0
+    fields = {"out": args.out, "seed": args.seed, "joints": sg.graph.n, "bars": sg.graph.m}
+    return fields, f"wrote {args.out}", 0
 
 
 # One parser per process: building it costs about a millisecond, and
@@ -350,15 +297,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Read the graph, run the command on it, add the header keys and write
+    the report once. An error is reported as one JSON object whatever
+    --json says: exit 1 for ``NotIsostatic``, 2 for any other."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except NotIsostatic as exc:
+        data, sg = _read_graph(args.file)
+        report, summary, code = args.func(args, sg)
+        report["command"] = args.command
+        report["input_digest"] = hashlib.sha256(data).hexdigest()
+        report["version"] = __version__
+        _emit(report, args.json, summary)
+        return code
+    except (C3RigError, OSError) as exc:
         print(_dump({"command": args.command, "error": type(exc).__name__, "message": str(exc)}))
-        return 1
-    except (C3RigError, OSError, ZeroDivisionError) as exc:
-        print(_dump({"command": args.command, "error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        return 1 if isinstance(exc, NotIsostatic) else 2
 
 
 if __name__ == "__main__":

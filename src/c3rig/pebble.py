@@ -177,6 +177,16 @@ class SparsityReport:
     target: int
     game: PebbleGame = field(compare=False, repr=False)
 
+    def as_json_dict(self) -> dict:
+        """Its fields but the game; the witness is passed through, not copied."""
+        return {
+            "is_sparse": self.is_sparse,
+            "is_tight": self.is_tight,
+            "edge_count": self.edge_count,
+            "target": self.target,
+            "witness": self.witness,
+        }
+
 
 def pebble_sparsity(g: Graph) -> SparsityReport:
     """Decide the counts on the vertices that lie on an edge (in label

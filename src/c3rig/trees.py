@@ -10,7 +10,7 @@ and the rotation equivariance survive.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .certify import ConstructionSequence
@@ -50,33 +50,16 @@ class PartitionReport:
 
     @property
     def ok(self) -> bool:
-        return (
-            self.partitions_edges
-            and self.trees_are_trees
-            and self.two_trees_per_vertex
-            and self.rotation_cycles_trees
-            and self.proper
-        )
+        return not self.failures()
 
     def failures(self) -> tuple[str, ...]:
-        names = (
-            "partitions_edges",
-            "trees_are_trees",
-            "two_trees_per_vertex",
-            "rotation_cycles_trees",
-            "proper",
-        )
-        return tuple(name for name in names if not getattr(self, name))
+        """The names of the properties that failed, in field order."""
+        return tuple(f.name for f in fields(self) if not getattr(self, f.name))
 
     def as_json_dict(self) -> dict:
-        return {
-            "partitions_edges": self.partitions_edges,
-            "trees_are_trees": self.trees_are_trees,
-            "two_trees_per_vertex": self.two_trees_per_vertex,
-            "rotation_cycles_trees": self.rotation_cycles_trees,
-            "proper": self.proper,
-            "ok": self.ok,
-        }
+        report = {f.name: getattr(self, f.name) for f in fields(self)}
+        report["ok"] = self.ok
+        return report
 
 
 def _is_tree(edges: frozenset[Edge], vertices: frozenset[int]) -> bool:

@@ -1,12 +1,15 @@
+import dataclasses
 import gc
+import hashlib
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
-from c3rig import certify, cli, geometry, parse_graph, pebble, serialize_graph, trees
+from c3rig import __version__, certify, cli, geometry, parse_graph, pebble, serialize_graph, trees
 from c3rig.cli import main
 from c3rig.geometry import Frame, Placement
 from tests.corpus import PRISM_DOC, fast_tight_symgraph, span_key
@@ -427,6 +430,95 @@ def test_summary_mode(write, capsys):
     code, out = run(capsys, ["check", write(PRISM_DOC), "--no-json"])
     assert code == 0
     assert out.strip() == "isostatic: True"
+
+
+# Each command as the goldens run it, with "--out" added for render.
+_COMMANDS = {
+    "check": ["check"],
+    "certify": ["certify"],
+    "realize_generic": ["realize", "--method", "generic"],
+    "realize_frame": ["realize", "--method", "frame"],
+    "oracle": ["oracle"],
+    "render": ["render"],
+}
+
+
+def _argv(case, path, tmp_path):
+    command, *flags = _COMMANDS[case]
+    out = ["--out", str(tmp_path / "g.svg")] if command == "render" else []
+    return [command, path, *flags, *out]
+
+
+def _recorded_emits(monkeypatch):
+    emitted = []
+    monkeypatch.setattr(cli, "_emit", lambda *args: emitted.append(args))
+    return emitted
+
+
+@pytest.mark.parametrize("case", sorted(_COMMANDS))
+def test_a_command_writes_its_report_once(write, capsys, monkeypatch, tmp_path, case):
+    # main reads the graph, adds the header keys and writes the report once;
+    # the command itself prints nothing
+    emitted = _recorded_emits(monkeypatch)
+    path = write(PRISM_DOC)
+    assert main(_argv(case, path, tmp_path)) == 0
+    assert capsys.readouterr().out == ""
+    [(report, as_json, summary)] = emitted
+    assert report["command"] == _COMMANDS[case][0]
+    assert report["input_digest"] == hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    assert report["version"] == __version__
+    assert as_json is True and summary
+
+
+# An input on which each command raises a C3RigError, with its exit code:
+# NotIsostatic gives 1, every other error 2.
+_REFUSED = {
+    "check": ({"vertices": 1, "edges": []}, "TooFewVertices", 2),
+    "certify": ({"vertices": 6, "edges": PRISM_DOC["edges"]}, "MissingAction", 2),
+    "realize_generic": (HUB_DOC, "FixedVertexPresent", 2),
+    "realize_frame": (K4_DOC, "NotIsostatic", 1),
+    "oracle": ({"vertices": 20, "edges": [[0, 1]]}, "TooLarge", 2),
+    "render": (K4_DOC, "NotIsostatic", 1),
+}
+
+
+@pytest.mark.parametrize("as_json", [True, False], ids=["json", "no_json"])
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_an_error_is_one_json_object_and_no_report(
+    write, capsys, monkeypatch, tmp_path, case, as_json
+):
+    emitted = _recorded_emits(monkeypatch)
+    doc, error, code = _REFUSED[case]
+    flag = [] if as_json else ["--no-json"]
+    assert main([*_argv(case, write(doc), tmp_path), *flag]) == code
+    assert emitted == []
+    report = json.loads(capsys.readouterr().out)
+    assert set(report) == {"command", "error", "message"}
+    assert (report["command"], report["error"]) == (_COMMANDS[case][0], error)
+
+
+def test_verdicts_pass_their_witness_through():
+    # a JSON dict refers to the witness tuple; it does not copy it, which
+    # costs milliseconds on a witness of thousands of vertices
+    sg = parse_graph(K4_DOC)
+    verdict = certify.check_c3_isostatic(sg)
+    sparsity = sg.graph.sparsity
+    assert isinstance(verdict.witness, tuple) and isinstance(sparsity.witness, tuple)
+    assert verdict.as_json_dict()["witness"] is verdict.witness
+    assert sparsity.as_json_dict()["witness"] is sparsity.witness
+    keys = {"is_sparse", "is_tight", "edge_count", "target", "witness"}
+    assert set(sparsity.as_json_dict()) == keys
+
+
+def test_a_partition_report_follows_its_field_order():
+    names = [f.name for f in dataclasses.fields(trees.PartitionReport)]
+    assert trees.PartitionReport(*[True] * len(names)).failures() == ()
+    for failed in ([names[0], names[-1]], names[1:4], names):
+        report = trees.PartitionReport(*[name not in failed for name in names])
+        assert report.failures() == tuple(failed)
+        doc = report.as_json_dict()
+        assert list(doc) == [*names, "ok"]
+        assert doc["ok"] is report.ok is False
 
 
 _SCALARS = (

@@ -186,7 +186,7 @@ def test_modular_prime(monkeypatch):
         [[1, 2], [3, 6 + _P]],  # determinant P
     ],
 )
-def test_exact_rank_falls_back_when_the_image_is_deficient(rows):
+def test_exact_rank_gives_no_rank_when_only_the_image_is_deficient(rows):
     # full rank whose image mod P falls short: exact_rank gives no rank,
     # and the reference shows the deficit is P's, not the matrix's
     m = rational_matrix(rows)
@@ -202,14 +202,14 @@ def test_exact_rank_of_a_deficient_matrix_without_an_image():
     assert _ranked([[Fraction(1, _P), Fraction(2, _P)], [1, 2]]) == (1, None)
 
 
-def test_full_rank_never_runs_the_exact_elimination():
+def test_full_rank_is_proven_by_the_rank_mod_p():
     # the rank mod P proves full rank on its own
     sg = random_tight_symgraph(7, 60)
     matrix = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0))
     assert exact_rank(matrix) == 117 == matrix.pivot_rank
 
 
-def test_overbraced_placement_proves_its_rank_without_exact_elimination():
+def test_overbraced_placement_proves_its_rank_against_the_ceiling():
     # the octahedron has 12 bars but rank 9 = 2n - 3: only the ceiling the
     # placement check passes lets the image mod P prove that rank
     sg = octahedron()
@@ -246,7 +246,7 @@ def test_partial_elimination_ranks_like_its_matrix():
     assert answers == {True, False}
 
 
-def test_partial_elimination_falls_back_on_a_deficit():
+def test_partial_elimination_gives_no_rank_on_a_deficit_mod_p():
     # a deficit mod P that the matrix does not have: no rank, whatever the
     # ceiling, as the rank mod P stays below it
     rows = [[1, 2], [3, 6 + _P]]

@@ -267,7 +267,7 @@ def test_two_joints_are_too_few_to_check():
         numeric_isostatic_check(g, Placement((pair(0, 0), pair(1, 0))))
 
 
-def test_full_rank_placement_builds_no_exact_matrix(monkeypatch):
+def test_a_placement_check_builds_one_matrix_and_plays_no_ceiling_game(monkeypatch):
     # each check builds the one rigidity matrix it ranks, and builds it
     # once; the octahedron's 12 rows reach only rank 9: the 2n - 3 ceiling
     # is what proves that rank mod P, with no pebble game for a finer one
@@ -336,7 +336,7 @@ def _assert_inconclusive(verdict, g):
     }
 
 
-def test_concurrent_prism_bars_reach_exact_elimination(monkeypatch):
+def test_concurrent_prism_bars_are_inconclusive_after_one_ceiling_game(monkeypatch):
     # The prism is isostatic, but this placement has rank 8: the bars are
     # concurrent. Its rank mod P falls short of the ceiling 9 that one
     # pebble game finds, which says nothing about the graph: inconclusive.
@@ -468,7 +468,7 @@ def test_orbit_block_rank_matches_sympy_on_small_symmetric_placements(monkeypatc
     assert min(outcomes.values()) > 0
 
 
-def test_concurrent_prism_bars_fall_back_from_the_orbit_blocks():
+def test_concurrent_prism_bars_prove_no_rank_in_blocks_or_plain_rows():
     # the blocks and the plain rows fall short of rank 9 mod P alike, so
     # neither proves a rank against that ceiling; the reference ranks the
     # plain integer rows at 8
@@ -541,7 +541,7 @@ def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(
         assert numeric_isostatic_check(case, placement).rank == rank
 
 
-def test_placement_without_an_image_reaches_exact_elimination(monkeypatch):
+def test_placement_without_an_image_is_inconclusive(monkeypatch):
     # full rank 9, but P divides every entry's image: the rank mod P falls
     # short of the ceiling 9, so the verdict is inconclusive, not false
     sg = prism()
@@ -755,7 +755,7 @@ def test_frame_placements_match_their_pinned_digest():
     assert digest.hexdigest() == FRAME_PLACEMENT_DIGEST
 
 
-def test_digest_graphs_rarely_fall_back_to_exact_elimination(monkeypatch):
+def test_digest_graphs_rarely_meet_a_deficit_mod_p(monkeypatch):
     # A deficit mod P costs the frame route a restart and the placement
     # check a pebble game for the matroid ceiling. The digest's graphs meet
     # ten, all on the frame route and none at generic seeds 0-2; a prime

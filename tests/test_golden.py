@@ -2,7 +2,8 @@
 
 Each case runs one command on one committed input graph and compares the
 standard output bytes and the exit code with the files under
-``tests/golden/``; ``render`` also compares the SVG it writes. Refactors must
+``tests/golden/``; ``render`` also compares the SVG it writes. Run again with
+``--no-json``, each case must exit with the same code. Refactors must
 leave every report unchanged, so a golden file changes only with a
 deliberate change of the report format.
 
@@ -62,19 +63,22 @@ CASES = {
 }
 
 
-def _argv(graph: str, case: str) -> list[str]:
+def _argv(graph: str, case: str, extra: tuple[str, ...]) -> list[str]:
     command, *flags = CASES[case]
-    return [command, str(GOLDEN / f"{graph}.json"), *flags]
+    return [command, str(GOLDEN / f"{graph}.json"), *flags, *extra]
 
 
-def _run(graph: str, case: str, workdir: Path) -> tuple[bytes, int, bytes | None]:
-    """Stdout bytes, exit code and SVG bytes (None when none was written)."""
+def _run(
+    graph: str, case: str, workdir: Path, extra: tuple[str, ...] = ()
+) -> tuple[bytes, int, bytes | None]:
+    """Stdout bytes, exit code and SVG bytes (None when none was written)
+    of the case run with ``extra`` flags added."""
     out = io.StringIO()
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
         with contextlib.redirect_stdout(out):
-            code = main(_argv(graph, case))
+            code = main(_argv(graph, case, extra))
     finally:
         os.chdir(cwd)
     svg_path = workdir / SVG_NAME
@@ -95,6 +99,21 @@ def test_golden_report(graph, case, tmp_path):
     assert code == _exit_codes()[stem]
     golden_svg = GOLDEN / f"{stem}.svg"
     assert svg == (golden_svg.read_bytes() if golden_svg.exists() else None)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.parametrize("graph", sorted(INPUTS))
+def test_summary_mode_exits_with_the_golden_code(graph, case, tmp_path):
+    # --no-json changes only what a report prints: the exit code is the
+    # golden one, and an error is still written as its golden JSON object
+    stdout, code, _ = _run(graph, case, tmp_path, ("--no-json",))
+    stem = f"{graph}.{case}"
+    assert code == _exit_codes()[stem]
+    golden = (GOLDEN / f"{stem}.stdout").read_bytes()
+    if "error" in json.loads(golden):
+        assert stdout == golden
+    else:
+        assert stdout.count(b"\n") == 1 and not stdout.startswith(b"{")
 
 
 def regenerate() -> None:
