@@ -13,10 +13,12 @@ moves, each adding one full vertex orbit:
 ``extract_sequence`` inverts these moves down to the triangle and returns a
 replayable certificate. One walk of it, at most once per sequence, rebuilds
 the graph (``replay_sequence``), validating every intermediate step, and its
-tree partition (``trees.build_tree_partition``). The reduction plays on a
-copy of the pebble game that decided the input (``Graph.sparsity``) instead
-of starting a new game per step; the walk runs no game, as every row of the
-move table keeps a graph tight. The reduction also keeps one live graph, as
+tree partition (``trees.build_tree_partition``). The extraction compares that
+replay with the input through the sequence's relabeling, building no
+relabeled copy. The reduction plays on a copy of the pebble game that
+decided the input (``Graph.sparsity``) instead of starting a new game per
+step; the walk runs no game, as every row of the move table keeps a graph
+tight. The reduction also keeps one live graph, as
 adjacency sets and an alive mask in the input's labels: each step removes
 the orbit of the smallest live label of lowest valence (kept in min-heaps by
 valence), touches only that orbit's edges, and returns its anchors in input
@@ -48,7 +50,6 @@ from .graphs import (
     SymGraph,
     edge,
     edge_orbit,
-    relabel_symgraph,
     serialize_graph,
 )
 from .pebble import PebbleGame
@@ -58,6 +59,7 @@ EDGE_SPLIT = "EdgeSplit"
 DELTA_EXTENSION = "DeltaExtension"
 
 Spokes = tuple[tuple[int, tuple[int, ...]], ...]
+EdgeOrbit = tuple[Edge, Edge, Edge]
 
 
 @dataclass(frozen=True)
@@ -166,25 +168,33 @@ def move_spokes(
             raise MissingEdge(f"({anchors[0]}, {anchors[1]}) is not an edge")
     if len(set(anchors)) != len(anchors):
         raise InvalidAnchor("anchor vertices must be distinct")
-    if split is not None and edge_orbit(split, gamma)[1] == split:
+    if split is not None and edge(gamma[anchors[0]], gamma[anchors[1]]) == split:
         raise DegenerateMove("the split edge is fixed by the rotation")
     if move.kind == DELTA_EXTENSION and gamma[anchors[0]] == anchors[0]:
         raise FixedAnchor(f"vertex {anchors[0]} is fixed by the rotation")
     return MOVE_TABLE[move.kind].spokes(anchors, n), split
 
 
-def _extend(move: Move, gamma: list[int], edges: set[Edge]) -> tuple[Spokes, Edge | None]:
+def _extend(
+    move: Move, gamma: list[int], edges: set[Edge]
+) -> tuple[Spokes, EdgeOrbit | None, list[EdgeOrbit]]:
     """Apply ``move``, checked by ``move_spokes``, in place to the rotation
     ``gamma`` and the edge set ``edges``: add its vertex orbit and spoke
     orbits, and remove its split edge orbit. The one move application;
-    returns the spokes and split edge that ``move_spokes`` gave."""
+    returns the spokes that ``move_spokes`` gave, the removed split edge
+    orbit (None for a move that splits no edge) and each spoke's edge
+    orbit, in the order of the spokes."""
     spokes, split = move_spokes(move, gamma, edges.__contains__)
     n = len(gamma)
     gamma += (n + 1, n + 2, n)
+    cut = None
     if split is not None:
-        edges.difference_update(edge_orbit(split, gamma))
-    edges.update(e for x, _ in spokes for e in edge_orbit((n, x), gamma))
-    return spokes, split
+        cut = edge_orbit(split, gamma)
+        edges.difference_update(cut)
+    orbits = [edge_orbit((n, x), gamma) for x, _ in spokes]
+    for orbit in orbits:
+        edges.update(orbit)
+    return spokes, cut, orbits
 
 
 def apply_move(sg: SymGraph, move: Move) -> SymGraph:
@@ -205,8 +215,8 @@ class ConstructionSequence:
     """A replayable build recipe from the triangle base.
 
     ``relabeling`` maps each replay-side vertex to the vertex of the graph
-    the sequence was extracted from, so the round trip can be checked by a
-    direct relabel instead of an isomorphism search.
+    the sequence was extracted from, so the round trip can be checked
+    through it directly instead of by an isomorphism search.
     """
 
     base: SymGraph
@@ -243,21 +253,19 @@ class ConstructionSequence:
         # their new spokes join the same tree, so vertex sets only ever grow.
         vsets: list[set[int]] = [{0, 1}, {1, 2}, {0, 2}]
         for move in self.moves:
-            spokes, split = _extend(move, gamma, edges)
+            spokes, cut, orbits = _extend(move, gamma, edges)
             if len(edges) != 2 * len(gamma) - 3:
                 raise IntermediateNotTight(
                     f"replay produced a bad intermediate after {move.kind}"
                 )
-            v = move.new_vertices[0]
-            l, offsets = _fit(move, spokes, split, trees, vsets)
-            if split is not None:
-                images = edge_orbit(split, gamma)
-                if any(images[j] not in trees[(l + j) % 3] for j in (1, 2)):
+            l, offsets = _fit(move, spokes, cut, trees, vsets)
+            if cut is not None:
+                if cut[1] not in trees[(l + 1) % 3] or cut[2] not in trees[(l + 2) % 3]:
                     raise InternalInvariantBroken("edge orbit not spread over the trees")
                 for j in range(3):
-                    trees[(l + j) % 3].remove(images[j])
-            for (x, _), o in zip(spokes, offsets):
-                for j, e in enumerate(edge_orbit((v, x), gamma)):
+                    trees[(l + j) % 3].remove(cut[j])
+            for orbit, o in zip(orbits, offsets):
+                for j, e in enumerate(orbit):
                     t = (l + o + j) % 3
                     trees[t].add(e)
                     vsets[t].update(e)
@@ -295,24 +303,29 @@ def replay_sequence(seq: ConstructionSequence) -> SymGraph:
 def _fit(
     move: Move,
     spokes: Spokes,
-    split: Edge | None,
+    cut: EdgeOrbit | None,
     trees: list[set[Edge]],
     vsets: list[set[int]],
 ) -> tuple[int, list[int]]:
     """The first tree index l that fits the move, with each spoke's offset.
 
-    l fits when it holds the split edge (if any) and every spoke to an old
-    vertex x has an allowed offset o with x in tree l + o.
+    l fits when it holds the split edge ``cut[0]`` (if the move splits one)
+    and every spoke to an old vertex x has an allowed offset o with x in
+    tree l + o.
     """
     v = move.new_vertices[0]
     for l in range(3):
-        if split is not None and split not in trees[l]:
+        if cut is not None and cut[0] not in trees[l]:
             continue
-        offsets = [
-            next((o for o in allowed if x >= v or x in vsets[(l + o) % 3]), None)
-            for x, allowed in spokes
-        ]
-        if None not in offsets:
+        offsets = []
+        for x, allowed in spokes:
+            for o in allowed:
+                if x >= v or x in vsets[(l + o) % 3]:
+                    offsets.append(o)
+                    break
+            else:
+                break
+        else:
             return l, offsets
     raise InternalInvariantBroken(f"no tree index fits the {move.kind} anchors")
 
@@ -440,9 +453,9 @@ def extract_sequence(sg: SymGraph) -> ConstructionSequence:
     reduced graph stay live through the reduction, in input labels, and the
     game decides every edge a reduction step adds; the graph's own game
     keeps every edge, so each extraction from it starts alike. The round
-    trip replays the sequence, checking each move, and compares the
-    relabeled result with the input, so a returned sequence rebuilds the
-    input whatever the game said.
+    trip replays the sequence, checking each move, and compares the replay
+    with the input through the relabeling (``_relabels_onto``), so a
+    returned sequence rebuilds the input whatever the game said.
     """
     verdict = check_c3_isostatic(sg)
     if not verdict.isostatic:
@@ -477,9 +490,33 @@ def extract_sequence(sg: SymGraph) -> ConstructionSequence:
 
     seq = ConstructionSequence(canonical_base(), tuple(moves), tuple(psi))
     try:
-        rebuilt = relabel_symgraph(replay_sequence(seq), seq.relabeling)
+        replayed = replay_sequence(seq)
     except C3RigError as exc:
         raise InternalInvariantBroken(f"round trip fails: {exc}") from exc
-    if rebuilt != sg:
+    if not _relabels_onto(replayed, seq.relabeling, sg):
         raise InternalInvariantBroken("round trip does not reproduce the input")
     return seq
+
+
+def _relabels_onto(replayed: SymGraph, perm: Sequence[int], sg: SymGraph) -> bool:
+    """Whether renaming vertex x of ``replayed`` to perm[x] gives ``sg``.
+
+    Both graphs are validated, so no relabeled copy is built: the vertex
+    counts agree, ``perm`` is a permutation of 0..n-1, it carries the
+    replayed rotation onto the input's, the edge counts agree, and every
+    renamed edge is an input edge, which with the counts makes the edge
+    sets equal.
+    """
+    n, edges = sg.graph.n, sg.graph.edges
+    if replayed.graph.n != n or len(perm) != n or set(perm) != set(range(n)):
+        return False
+    gamma = sg.action.gamma
+    if list(map(perm.__getitem__, replayed.action.gamma)) != list(map(gamma.__getitem__, perm)):
+        return False
+    if replayed.graph.m != sg.graph.m:
+        return False
+    for u, v in replayed.graph.edges:
+        x, y = perm[u], perm[v]
+        if ((x, y) if x < y else (y, x)) not in edges:
+            return False
+    return True

@@ -31,6 +31,12 @@ def edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_permutation(perm: Sequence[int], n: int) -> None:
+    """Raise ``NotAPermutation`` unless ``perm`` lists 0..n-1 once each."""
+    if len(perm) != n or not set(map(type, perm)) <= {int} or set(perm) != set(range(n)):
+        raise NotAPermutation(f"{list(perm)} is not a permutation of 0..{n - 1}")
+
+
 def edge_orbit(e: Edge, gamma: Sequence[int]) -> tuple[Edge, Edge, Edge]:
     """The images (e, gamma e, gamma^2 e) of an edge, gamma in one-line form."""
     u, v = e
@@ -123,9 +129,8 @@ class C3Action:
         n = len(self.gamma)
         gamma = tuple(self.gamma)
         object.__setattr__(self, "gamma", gamma)
+        _check_permutation(gamma, n)
         identity = tuple(range(n))
-        if not set(map(type, gamma)) <= {int} or set(gamma) != set(identity):
-            raise NotAPermutation(f"{list(gamma)} is not a permutation of 0..{n - 1}")
         g2 = tuple(map(gamma.__getitem__, gamma))
         g3 = tuple(map(gamma.__getitem__, g2))
         if g3 != identity or gamma == identity:
@@ -206,8 +211,10 @@ def count_fixed(sg: SymGraph) -> FixedCounts:
 
 
 def relabel_symgraph(sg: SymGraph, perm: tuple[int, ...]) -> SymGraph:
-    """Rename vertex x to perm[x]; the action is conjugated along."""
+    """Rename vertex x to perm[x]; the action is conjugated along.
+    Raises ``NotAPermutation`` unless ``perm`` is a permutation of 0..n-1."""
     g = sg.graph
+    _check_permutation(perm, g.n)
     edges = frozenset(edge(perm[u], perm[v]) for u, v in g.edges)
     graph = Graph(g.n, edges)
     action = None

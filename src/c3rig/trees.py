@@ -9,12 +9,12 @@ and the rotation equivariance survive.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, fields
 from functools import cached_property
 
 from .certify import ConstructionSequence
-from .graphs import Edge, SymGraph, edge
+from .errors import NotAPermutation
+from .graphs import Edge, SymGraph, _check_permutation, edge
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,12 @@ def _is_tree(edges: frozenset[Edge], vertices: frozenset[int]) -> bool:
         adj[v].append(u)
     start = next(iter(vertices))
     seen = {start}
-    queue = deque([start])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
+    stack = [start]
+    while stack:
+        for y in adj[stack.pop()]:
             if y not in seen:
                 seen.add(y)
-                queue.append(y)
+                stack.append(y)
     return len(seen) == len(vertices)
 
 
@@ -108,8 +107,9 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
                 counts[v] += 1
     two_trees_per_vertex = in_range and all(c == 2 for c in counts)
 
+    gamma = act.gamma
     rotation_cycles_trees = in_range and all(
-        {act.map_edge(e) for e in tp.trees[i]} == set(tp.trees[(i + 1) % 3])
+        {edge(gamma[u], gamma[v]) for u, v in tp.trees[i]} == tp.trees[(i + 1) % 3]
         for i in range(3)
     )
 
@@ -137,7 +137,14 @@ def build_tree_partition(seq: ConstructionSequence) -> TreePartition:
 
 
 def relabel_partition(tp: TreePartition, perm: tuple[int, ...]) -> TreePartition:
-    """Apply a vertex renaming to every edge of every tree."""
-    return TreePartition(
-        tuple(frozenset(edge(perm[u], perm[v]) for u, v in t) for t in tp.trees)
-    )
+    """Apply a vertex renaming to every edge of every tree. Raises
+    ``NotAPermutation`` unless ``perm`` is a permutation of 0..len(perm)-1
+    that covers every tree vertex."""
+    _check_permutation(perm, len(perm))
+    rename = dict(enumerate(perm))
+    try:
+        return TreePartition(
+            tuple(frozenset(edge(rename[u], rename[v]) for u, v in t) for t in tp.trees)
+        )
+    except KeyError as exc:
+        raise NotAPermutation(f"{list(perm)} does not rename tree vertex {exc.args[0]}") from None

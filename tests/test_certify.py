@@ -9,8 +9,11 @@ from c3rig import (
     DELTA_EXTENSION,
     EDGE_SPLIT,
     VERTEX_ADDITION,
+    C3Action,
     ConstructionSequence,
+    Graph,
     Move,
+    SymGraph,
     build_tree_partition,
     canonical_base,
     check_c3_isostatic,
@@ -157,6 +160,59 @@ def test_corrupted_reduction_yields_no_certificate(monkeypatch, corrupt, n):
     monkeypatch.setattr(certify, "_reduce_step", step)
     with pytest.raises(InternalInvariantBroken):
         extract_sequence(sg)
+
+
+# Each replay below is a valid symmetric graph that fails one of the round
+# trip's comparisons with the input.
+
+
+def _add_a_vertex_orbit(sg):
+    n = sg.graph.n
+    return SymGraph(Graph(n + 3, sg.graph.edges), C3Action(sg.action.gamma + (n + 1, n + 2, n)))
+
+
+def _reverse_the_rotation(sg):
+    # the edge set is invariant under gamma^2 too
+    return SymGraph(sg.graph, C3Action(sg.action.gamma2))
+
+
+def _drop_an_edge_orbit(sg):
+    # every edge left is still an input edge: only the counts differ
+    orbit = edge_orbit(sg.graph.sorted_edges[0], sg.action.gamma)
+    return SymGraph(Graph(sg.graph.n, sg.graph.edges - frozenset(orbit)), sg.action)
+
+
+def _swap_an_edge_orbit(sg):
+    # the counts agree, but one edge orbit is not the input's
+    return perturb_edge_swap(random.Random(0), sg)
+
+
+@pytest.mark.parametrize(
+    "tamper",
+    [_add_a_vertex_orbit, _reverse_the_rotation, _drop_an_edge_orbit, _swap_an_edge_orbit],
+)
+def test_a_replay_that_differs_from_the_input_yields_no_certificate(monkeypatch, tamper):
+    sg = random_tight_symgraph(0, 15)
+    replay = certify.replay_sequence
+    monkeypatch.setattr(certify, "replay_sequence", lambda seq: tamper(replay(seq)))
+    with pytest.raises(InternalInvariantBroken, match="does not reproduce the input"):
+        extract_sequence(sg)
+
+
+def test_a_relabeling_that_repeats_a_vertex_yields_no_certificate(monkeypatch):
+    # Renamed by (3, 4, 5, 3, 4, 5), this graph agrees with the prism in its
+    # vertex and edge counts, its rotation and every renamed edge: only the
+    # repeated images tell the two apart.
+    edges = {(3, 4), (4, 5), (3, 5), (0, 4), (1, 5), (2, 3), (0, 5), (1, 3), (2, 4)}
+    folded = SymGraph(Graph(6, frozenset(edges)), C3Action((1, 2, 0, 4, 5, 3)))
+
+    def repeating(base, moves, relabeling):
+        return ConstructionSequence(base, moves, (3, 4, 5, 3, 4, 5))
+
+    monkeypatch.setattr(certify, "ConstructionSequence", repeating)
+    monkeypatch.setattr(certify, "replay_sequence", lambda seq: folded)
+    with pytest.raises(InternalInvariantBroken, match="does not reproduce the input"):
+        extract_sequence(prism())
 
 
 def test_extract_k3_is_empty():

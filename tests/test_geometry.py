@@ -1343,7 +1343,7 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
     assert deficient > 100
 
 
-def test_separation_builds_no_exact_matrix(monkeypatch):
+def test_separation_ranks_only_through_the_orbit_blocks(monkeypatch):
     # the separation ranks mod P only, through the orbit blocks: no plain
     # row is built and no pebble game runs for a ceiling
     def refuse(*args, **kwargs):

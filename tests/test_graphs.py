@@ -7,6 +7,7 @@ import pytest
 from c3rig import (
     C3Action,
     Graph,
+    SymGraph,
     count_fixed,
     parse_graph,
     relabel_symgraph,
@@ -266,3 +267,14 @@ def test_relabel_symgraph_conjugates_action():
     for x in range(6):
         assert moved.action.gamma[perm[x]] == perm[sg.action.gamma[x]]
     assert relabel_symgraph(moved, perm) == sg
+
+
+@pytest.mark.parametrize(
+    "perm", [(0, 1, 1), (0, 1), (0, 1, 2, 3)], ids=["repeated", "short", "long"]
+)
+def test_relabel_symgraph_rejects_a_perm_that_is_not_a_permutation(perm):
+    # a repeated image would merge vertices and drop an edge; a short perm
+    # would fail on a bare index
+    sg = SymGraph(Graph(3, frozenset({(0, 1), (0, 2)})))
+    with pytest.raises(NotAPermutation):
+        relabel_symgraph(sg, perm)

@@ -13,7 +13,7 @@ from c3rig import (
     replay_sequence,
     verify_tree_partition,
 )
-from c3rig.errors import InvalidPartition
+from c3rig.errors import InvalidPartition, NotAPermutation
 from tests.corpus import k3, k33, perturb_edge_swap, prism, random_tight_symgraph
 
 PRISM_PARTITION = TreePartition(
@@ -167,6 +167,14 @@ def test_relabel_partition_round_trip():
     moved = relabel_partition(PRISM_PARTITION, perm)
     assert relabel_partition(moved, inverse) == PRISM_PARTITION
     assert verify_tree_partition(relabel_symgraph(prism(), perm), moved).ok
+
+
+@pytest.mark.parametrize("perm", [(0, 0, 2), (0, 1)], ids=["repeated", "short"])
+def test_relabel_partition_rejects_a_perm_that_is_not_a_permutation(perm):
+    # (0, 0, 2) would emit the loop (0, 0); (0, 1) leaves vertex 2 unnamed
+    tp = build_tree_partition(extract_sequence(k3()))
+    with pytest.raises(NotAPermutation):
+        relabel_partition(tp, perm)
 
 
 def test_json_shape():
