@@ -94,10 +94,10 @@ def _eliminate(
 
 
 # The indices of the edges that stand for their orbits, in increasing order,
-# and a function from such an edge's index and pair to its orbit's rows mod P
-# in B0 and B1.
+# a function from such an edge's index and pair to its orbit's rows mod P in
+# B0 and B1, and the column where B1 starts.
 _OrbitBlocks = tuple[
-    KeysView[int], Callable[[int, tuple[int, int]], list[dict[int, int]]]
+    KeysView[int], Callable[[int, tuple[int, int]], list[dict[int, int]]], int
 ]
 
 
@@ -143,9 +143,11 @@ def _orbit_blocks(
     The orbits, powers and columns of ``gamma``, and the edge that stands
     for each edge orbit, are found once, here. Returned are the indices of
     those edges, a third of them, in increasing order and with a fast
-    ``in``, and a function that gives, for such an edge's index and pair,
-    its orbit's two rows, in B0 and B1: a caller takes the pairs of those
-    edges alone, and the rows of the blocks are two per edge orbit.
+    ``in``; a function that gives, for such an edge's index and pair, its
+    orbit's two rows, in B0 and B1; and the column where B1 starts, twice
+    the number of vertex orbits, which a caller counts pivots from twice. A
+    caller takes the pairs of those edges alone, and the rows of the blocks
+    are two per edge orbit.
     """
     n = len(gamma)
     w = (1, _W, _W * _W % _P)
@@ -185,7 +187,7 @@ def _orbit_blocks(
             out.append({c: x for c, x in row.items() if x} if 0 in row.values() else row)
         return out
 
-    return chosen.keys(), rows
+    return chosen.keys(), rows, 2 * count
 
 
 def _round_pivots(

@@ -17,11 +17,11 @@ Two realization routes are provided.
   was written at, so a round does no rational arithmetic and touches only
   the classes it moves. Its rounds run speculatively, taking no rank, and
   one offline pass then eliminates the rows of every round mod P, sharing
-  the rows that rounds have in common. The separation starts from the
-  partition, not from a frame: the verified partition makes the parked
-  frame symmetric, and every round keeps it so, so the rows are those of
-  two orbit blocks. The last round's proof is the rank of the framework it
-  ends with.
+  the rows that rounds have in common. The separation reads its start from
+  the partition (``frame_from_partition`` is that start's public view):
+  the verified partition makes the parked frame symmetric, and every round
+  keeps it so, so the rows are those of two orbit blocks. The last round's
+  proof is the rank of the framework it ends with.
 
 Both routes rank their rows modulo a prime only, and a shortfall mod P
 proves nothing: the frame route skips such a round as it skips a collision,
@@ -156,13 +156,8 @@ def symmetric_generic_positions(sg: SymGraph, seed: int) -> Placement:
         raise FixedVertexPresent(
             f"vertex {act.fixed_vertices()[0]} is fixed and would sit at the center"
         )
-    reps = []
-    seen = [False] * n
-    for v in range(n):
-        if not seen[v]:
-            reps.append(v)
-            for x in act.orbit(v):
-                seen[x] = True
+    # the smallest vertex of each orbit, in increasing order
+    reps = [v for v, a, b in zip(range(n), act.gamma, act.gamma2) if v < a and v < b]
     rng = random.Random(seed)
     bound = GENERIC_BOUND
     for _ in range(100):
@@ -304,22 +299,19 @@ class Frame:
         _require_integer_pairs(self.directions, 1)
 
 
-def frame_from_partition(sg: SymGraph, tp: TreePartition) -> Frame:
-    """Park every vertex on the corner of the one tree it misses, and direct
-    every edge along the side of its tree.
-
-    The partition is verified first (``verify_tree_partition``).
-    """
+def _verify(sg: SymGraph, tp: TreePartition) -> None:
+    """Raise ``InvalidPartition`` naming the properties ``tp`` fails, if any."""
     report = verify_tree_partition(sg, tp)
     if not report.ok:
         raise InvalidPartition(f"partition fails: {', '.join(report.failures())}")
-    g = sg.graph
-    tv, tree_of = tp.vertex_sets, tp.tree_of
-    # a verified partition puts every vertex in exactly two trees
-    miss = [next(i for i in range(3) if v not in tv[i]) for v in range(g.n)]
-    positions = tuple(E_POINTS[k] for k in miss)
-    directions = tuple(TREE_DIRECTIONS[tree_of[e]] for e in g.sorted_edges)
-    return Frame(positions, directions)
+
+
+def frame_from_partition(sg: SymGraph, tp: TreePartition) -> Frame:
+    """Each vertex parked on the corner of the one tree it misses and each
+    edge along its tree's side, once ``tp`` is verified: the public view of
+    the start the separation reads from ``tp`` (``_LiveFrame.read``)."""
+    _verify(sg, tp)
+    return _LiveFrame.read(sg, tp).frame(sg.graph)
 
 
 def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]:
@@ -401,9 +393,8 @@ def _pair_matrix(
         ]
         twice_from = 2 * g.n
     else:
-        reps, orbit_rows = _orbit_blocks(g.sorted_edges, act.gamma, place)
+        reps, orbit_rows, twice_from = _orbit_blocks(g.sorted_edges, act.gamma, place)
         rows = [row for i in reps for row in orbit_rows(i, pair(i))]
-        twice_from = 2 * g.n // 3
     return PartialElimination(g.m, 2 * g.n, {}, rows, twice_from)
 
 
@@ -447,12 +438,11 @@ def _class_to_split(live: "_LiveFrame") -> list[int]:
 _SPLITS = ((2, TREE_DIRECTIONS[1]), (1, TREE_DIRECTIONS[2]))
 
 
-def _separable_component(
-    part: list[int], tp: TreePartition, edges: Sequence[tuple[int, int]],
-    incident: list[list[int]],
-) -> tuple[set[int], Pair]:
+def _separable_component(part: list[int], live: "_LiveFrame") -> tuple[set[int], Pair]:
     """A proper part of the class connected in tree 2 or else in tree 1,
-    walked through the ``incident`` edges of its vertices only."""
+    walked through the incident edges of its vertices only, each edge's
+    tree as the live state read it from the partition."""
+    edges, incident, tree_of = live.edges, live.incident, live.tree
     part_set = set(part)
     for tree, direction in _SPLITS:
         stack = [part[0]]
@@ -460,9 +450,9 @@ def _separable_component(
         while stack:
             x = stack.pop()
             for i in incident[x]:
-                u, v = e = edges[i]
+                u, v = edges[i]
                 y = u + v - x
-                if y in part_set and y not in comp and e in tp.trees[tree]:
+                if y in part_set and y not in comp and tree_of[i] == tree:
                     comp.add(y)
                     stack.append(y)
         if len(comp) < len(part):
@@ -488,13 +478,13 @@ class _LiveFrame:
     an integer pair X standing for X / ``scales[c]``. A point keeps the
     scale it was written at, and ``scale``, the start scale times every
     accepted p, is a multiple of all of them: only ``frame`` brings the
-    points to it. Each edge has a ``_primitive`` integer direction; each
-    vertex, the indices of its edges and the corner it was parked on. Also
-    kept: how many edges still have coinciding endpoints; a heap ``queue`` of
-    (smallest member, class) with an entry for each class at the corner of
-    tree 0, stale once the class has lost a member or holds no such edge;
-    each class on its line along each tree direction; and the edges a round
-    has turned.
+    points to it. Each edge has a ``_primitive`` integer direction and its
+    tree; each vertex, the indices of its edges and the corner it was parked
+    on. Also kept: how many edges still have coinciding endpoints; a heap
+    ``queue`` of (smallest member, class) with an entry for each class at
+    the corner of tree 0, stale once the class has lost a member or holds
+    no such edge; each class on its line along each tree direction; and the
+    edges a round has turned.
     """
 
     scale: int
@@ -503,6 +493,7 @@ class _LiveFrame:
     joint_class: list[int]
     members: list[list[int]]
     dirs: list[Pair]
+    tree: list[int]
     edges: Sequence[tuple[int, int]]
     incident: list[list[int]]
     miss: list[int]
@@ -512,15 +503,18 @@ class _LiveFrame:
     turned: set[int]
 
     @classmethod
-    def read(cls, sg: SymGraph, frame: Frame) -> "_LiveFrame":
-        """The live state of the parked frame of a verified partition, whose
-        classes are the three corners: each vertex on the corner of the tree
-        it misses, read off its position (the corners are distinct), and
-        each edge along its direction.
+    def read(cls, sg: SymGraph, tp: TreePartition) -> "_LiveFrame":
+        """The start of the separation, read from a verified partition: the
+        parked frame as classes on the three corners, each vertex on the
+        corner of the tree it misses (``tp.vertex_sets``), and each edge in
+        its tree (``tp.tree_of``), along that tree's side.
+        ``frame_from_partition`` is this start's public view.
 
         Nothing is checked: the verified partition makes the frame
-        symmetric. Each edge lies in one tree (``partitions_edges``), so its
-        direction is that tree's side, which is primitive. Both ends of an
+        symmetric. A vertex lies in exactly two trees
+        (``two_trees_per_vertex``), so it misses one. Each edge lies in one
+        tree (``partitions_edges``), so its direction is that tree's side,
+        which is primitive. Both ends of an
         edge of tree i lie in tree i (``two_trees_per_vertex``), so they are
         parked together or on the two corners of side i. The rotation takes
         tree i to tree i + 1 (``rotation_cycles_trees``), so it takes the
@@ -532,8 +526,9 @@ class _LiveFrame:
         stays symmetric and every round's rows are those of its two orbit
         blocks (``field._orbit_blocks``)."""
         edges = sg.graph.sorted_edges
-        corner = {point: k for k, point in enumerate(E_POINTS)}
-        miss = [corner[point] for point in frame.positions]
+        tv = tp.vertex_sets
+        miss = [next(k for k in range(3) if v not in tv[k]) for v in range(sg.graph.n)]
+        tree = [tp.tree_of[e] for e in edges]
         members: list[list[int]] = [[] for _ in E_POINTS]
         for v, k in enumerate(miss):
             members[k].append(v)
@@ -544,8 +539,9 @@ class _LiveFrame:
             incident[v].append(i)
             coincident += miss[u] == miss[v]
         live = cls(
-            1, list(E_POINTS), [1, 1, 1], list(miss), members, list(frame.directions), edges,
-            incident, miss, coincident, [], {d: {} for d in TREE_DIRECTIONS}, set(),
+            1, list(E_POINTS), [1, 1, 1], list(miss), members,
+            [TREE_DIRECTIONS[t] for t in tree], tree, edges, incident, miss, coincident, [],
+            {d: {} for d in TREE_DIRECTIONS}, set(),
         )
         for c in range(3):
             live._index(c)
@@ -578,7 +574,7 @@ class _LiveFrame:
 _Split = tuple[tuple[list[int], ...], tuple[Pair, ...], dict[int, tuple[Pair, Pair]]]
 
 
-def _plan(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> _Split:
+def _plan(sg: SymGraph, live: _LiveFrame) -> _Split:
     """The split of the next round of ``live``.
 
     The class is, among the classes containing an edge, the one whose
@@ -595,7 +591,7 @@ def _plan(sg: SymGraph, tp: TreePartition, live: _LiveFrame) -> _Split:
     edges = live.edges
     points, scales, joint_class, members = live.points, live.scales, live.joint_class, live.members
     part = _class_to_split(live)
-    comp, d0 = _separable_component(part, tp, edges, live.incident)
+    comp, d0 = _separable_component(part, live)
     steps = (d0, rotate_omega(d0), rotate_omega(rotate_omega(d0)))
     first = sorted(comp)
     copies = (first, [act.gamma[x] for x in first], [act.gamma2[x] for x in first])
@@ -688,15 +684,13 @@ def _collisions(live: _LiveFrame, copies: Sequence[list[int]], steps: Sequence[P
     return found
 
 
-def pull_apart(
-    sg: SymGraph, tp: TreePartition, live: _LiveFrame, skip: int = 0
-) -> tuple[_Split, int]:
+def pull_apart(sg: SymGraph, live: _LiveFrame, skip: int = 0) -> tuple[_Split, int]:
     """One round of separation: take ``_plan``'s split of ``live`` at the
     first t = 1/p at which no moving copy lands on a class or on another
     copy, past the first ``skip`` such t. No rank is taken here;
     ``pull_apart_fully`` proves it. Returns what ``_accept`` took.
     """
-    split = _plan(sg, tp, live)
+    split = _plan(sg, live)
     copies, steps, _ = split
     found = _collisions(live, copies, steps)
     # A t fails only by a collision or a rank deficit mod P. ``_collisions``
@@ -731,8 +725,7 @@ def _first_short_round(
     Only the versions of the edges that stand for their orbits in
     ``blocks`` have rows mod P, their orbits' rows in the two orbit blocks;
     a round short mod P is returned whatever its exact rank."""
-    twice_from = 2 * g.n // 3
-    reps, rows_of = blocks
+    reps, rows_of, twice_from = blocks
     versions = [(row, a, b) for i, q, a, b in history if i in reps for row in rows_of(i, q)]
     for j, pivots, rank in _round_pivots(versions, lo, hi, twice_from):
         if exact_rank(PartialElimination(g.m, 2 * g.n, pivots, [], twice_from, rank)) != g.m:
@@ -741,11 +734,13 @@ def _first_short_round(
 
 
 def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
-    """Separate the parked frame of ``tp`` (``frame_from_partition``, which
-    verifies it) until no adjacent joints coincide; return the frame and the
+    """Separate the parked frame of ``tp`` until no adjacent joints
+    coincide; return that frame, the only ``Frame`` it builds, and the
     rounds taken.
 
-    The rounds are those of ``pull_apart`` on one live state, run
+    ``tp`` is verified once, and the start read from it on entry and at
+    each restart (``_LiveFrame.read``). The rounds are those of
+    ``pull_apart`` on one live state, run
     speculatively: each takes its first collision-free t with no rank, and
     each edge's directions are kept with the rounds that hold them. Then
     ``_first_short_round`` ranks every round in one offline pass, mod P
@@ -763,10 +758,10 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
     and the last offline pass proved that round's rank. When no round runs,
     the parked frame is ranked once instead.
     """
-    frame = frame_from_partition(sg, tp)
+    _verify(sg, tp)
     act = sg.require_action()
     g = sg.graph
-    live = _LiveFrame.read(sg, frame)
+    live = _LiveFrame.read(sg, tp)
     blocks = _orbit_blocks(g.sorted_edges, act.gamma, g.degree_order)
     if not live.coincident:
         start = [(i, q, 0, 0) for i, q in enumerate(live.dirs)]
@@ -782,7 +777,7 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
                 if len(taken) == g.n:
                     raise InternalInvariantBroken("separation failed to terminate")
                 # only round lo skips the t found short before
-                taken.append(pull_apart(sg, tp, live, skip if len(taken) + 1 == lo else 0))
+                taken.append(pull_apart(sg, live, skip if len(taken) + 1 == lo else 0))
                 for i in taken[-1][0][2]:
                     history.append((i, held[i], since[i], len(taken) - 1))
                     held[i], since[i] = live.dirs[i], len(taken)
@@ -796,7 +791,7 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
         else:
             skip = skip + 1 if bad == lo else 1
             del taken[bad - 1 :]
-            live = _LiveFrame.read(sg, frame)
+            live = _LiveFrame.read(sg, tp)
             for step in taken:
                 _accept(live, *step)
     return live.frame(g), len(taken)

@@ -1,4 +1,4 @@
-"""SVG emission for placements, with tree-class styling when certified.
+"""SVG emission for placements, with the certificate's trees styled.
 
 Purely presentational: coordinates are the float view of the exact data,
 scaled into a fixed 800x800 viewBox with a 5% margin. Output bytes are
@@ -18,12 +18,9 @@ _TREE_STYLE = {
     1: 'class="t1" stroke="#000000" stroke-width="2.5" stroke-dasharray="9,6"',
     2: 'class="t2" stroke="#000000" stroke-width="1.2"',
 }
-_PLAIN_STYLE = 'class="bar" stroke="#000000" stroke-width="2"'
 
 
-def render_svg(
-    sg: SymGraph, placement: Placement, partition: TreePartition | None = None
-) -> str:
+def render_svg(sg: SymGraph, placement: Placement, partition: TreePartition) -> str:
     """Joints as circles, bars as segments, one stroke class per tree."""
     g = sg.graph
     floats = placement.float_positions()
@@ -40,7 +37,7 @@ def render_svg(
         y = VIEW * MARGIN + (max_y - p[1] + (span - (max_y - min_y)) / 2.0) / span * inner
         return x, y
 
-    tree_of = partition.tree_of if partition is not None else {}
+    tree_of = partition.tree_of
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -49,7 +46,7 @@ def render_svg(
     for e in g.sorted_edges:
         x1, y1 = to_view(floats[e[0]])
         x2, y2 = to_view(floats[e[1]])
-        style = _TREE_STYLE[tree_of[e]] if e in tree_of else _PLAIN_STYLE
+        style = _TREE_STYLE[tree_of[e]]
         lines.append(
             f'<line x1="{x1:.4f}" y1="{y1:.4f}" x2="{x2:.4f}" y2="{y2:.4f}" {style}/>'
         )

@@ -866,11 +866,11 @@ def test_indexed_rounds_match_the_scans(monkeypatch):
     pull_apart = geometry.pull_apart
     counts = {"rounds": 0, "restarted": 0}
 
-    def checked(sg, tp, live, skip=0):
+    def checked(sg, live, skip=0):
         assert geometry._class_to_split(live) == _scanned_class(sg, live)
-        split = geometry._plan(sg, tp, live)
+        split = geometry._plan(sg, live)
         expected = _tried_parameter(sg, live, split, skip)
-        taken = pull_apart(sg, tp, live, skip)
+        taken = pull_apart(sg, live, skip)
         assert taken == (split, expected)
         counts["rounds"] += 1
         counts["restarted"] += skip > 0
@@ -897,7 +897,7 @@ def test_frame_route_verdict_is_the_placement_check(monkeypatch):
 
 def _live_frame(sg, tp):
     # the start state pull_apart_fully reads
-    return geometry._LiveFrame.read(sg, frame_from_partition(sg, tp))
+    return geometry._LiveFrame.read(sg, tp)
 
 
 def _ranked_rounds(sg, tp):
@@ -912,7 +912,7 @@ def _ranked_rounds(sg, tp):
         assert rounds <= g.n
         for k in itertools.count():
             trial = copy.deepcopy(live)
-            geometry.pull_apart(sg, tp, trial, k)
+            geometry.pull_apart(sg, trial, k)
             if geometry.exact_rank(geometry._pair_matrix(g, trial.dirs.__getitem__)) == g.m:
                 break
         live = trial
@@ -927,10 +927,10 @@ def test_speculative_separation_matches_ranking_every_round(monkeypatch):
     restarted = []
     pull_apart = geometry.pull_apart
 
-    def counted(sg, tp, live, skip=0):
+    def counted(sg, live, skip=0):
         if skip:
             restarted.append(sg.graph.n)
-        return pull_apart(sg, tp, live, skip)
+        return pull_apart(sg, live, skip)
 
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
@@ -939,6 +939,43 @@ def test_speculative_separation_matches_ranking_every_round(monkeypatch):
             speculated = pull_apart_fully(sg, tp)
         assert speculated == _ranked_rounds(sg, tp)
     assert {12, 15, 120} <= set(restarted)
+
+
+def test_separation_reads_its_partition_once_and_builds_one_frame(monkeypatch):
+    # The separation verifies the partition once and reads its start from
+    # the partition, on entry and at each restart, so the one Frame it
+    # builds is the one it returns: on the prism and on the digest's graphs,
+    # those that restart at n = 12, 15 and 120 among them.
+    counts = {"frames": 0, "verified": 0}
+    restarted = set()
+    post_init, verify, pull_apart = (
+        geometry.Frame.__post_init__, geometry.verify_tree_partition, geometry.pull_apart
+    )
+
+    def counted_frame(frame):
+        counts["frames"] += 1
+        post_init(frame)
+
+    def counted_verify(sg, tp):
+        counts["verified"] += 1
+        return verify(sg, tp)
+
+    def counted(sg, live, skip=0):
+        if skip:
+            restarted.add(sg.graph.n)
+        return pull_apart(sg, live, skip)
+
+    monkeypatch.setattr(geometry.Frame, "__post_init__", counted_frame)
+    monkeypatch.setattr(geometry, "verify_tree_partition", counted_verify)
+    monkeypatch.setattr(geometry, "pull_apart", counted)
+    for sg in [prism()] + _digest_graphs():
+        tp = _certified_partition(sg)
+        live = geometry._LiveFrame.read(sg, tp)
+        assert live.tree == [tp.tree_of[e] for e in sg.graph.sorted_edges]
+        counts.update(frames=0, verified=0)
+        pull_apart_fully(sg, tp)
+        assert counts == {"frames": 1, "verified": 1}
+    assert {12, 15, 120} <= restarted
 
 
 def _realize_frame_graphs(seed):
@@ -982,8 +1019,7 @@ def test_orbit_blocks_pick_the_short_rounds_plain_rows_pick(monkeypatch):
     counts = {"rounds": 0, "block_short": 0, "short": 0}
 
     def checked(g, history, lo, hi, blocks):
-        twice_from = 2 * g.n // 3
-        reps, rows_of = blocks
+        reps, rows_of, twice_from = blocks
         versions = [(row, a, b) for i, q, a, b in history if i in reps for row in rows_of(i, q)]
         walked = field._round_pivots(versions, lo, hi, twice_from)
         for (j, pivots, rank), (k, plain, short) in zip(
@@ -1101,8 +1137,8 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
     tp = _certified_partition(sg)
     unplanted = _ranked_rounds(sg, tp)
     live = _live_frame(sg, tp)
-    geometry.pull_apart(sg, tp, live)
-    geometry.pull_apart(sg, tp, live)
+    geometry.pull_apart(sg, live)
+    geometry.pull_apart(sg, live)
     planted = _planted_keys(sg, live.dirs)
     rank, offline, plan, pull_apart = (
         geometry.exact_rank, geometry._round_pivots, geometry._plan, geometry.pull_apart
@@ -1122,10 +1158,10 @@ def test_a_failed_speculative_round_waits_for_the_rounds_before_it(monkeypatch):
             raise InternalInvariantBroken("planted")
         return plan(*args)
 
-    def counted(sg, tp, live, skip=0):
+    def counted(sg, live, skip=0):
         if skip:
             restarted.append(len(live.members))
-        return pull_apart(sg, tp, live, skip)
+        return pull_apart(sg, live, skip)
 
     monkeypatch.setattr(geometry, "exact_rank", planted_rank)
     expected = _ranked_rounds(sg, tp)
@@ -1148,11 +1184,11 @@ def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
     g = sg.graph
     tp = _certified_partition(sg)
     live = _live_frame(sg, tp)
-    geometry.pull_apart(sg, tp, live)
+    geometry.pull_apart(sg, live)
     planted = []
     for k in range(2):
         trial = copy.deepcopy(live)
-        geometry.pull_apart(sg, tp, trial, k)
+        geometry.pull_apart(sg, trial, k)
         planted += _planted_keys(sg, trial.dirs)
     rank, pull_apart = geometry.exact_rank, geometry.pull_apart
     calls, skipped = [], []
@@ -1160,12 +1196,12 @@ def test_a_round_short_at_two_successive_parameters_skips_both(monkeypatch):
     def planted_rank(matrix):
         return None if span_key(matrix) in planted else rank(matrix)
 
-    def counted(sg, tp, live, skip=0):
+    def counted(sg, live, skip=0):
         calls.append(skip)
         assert len(calls) <= 4 * g.n, "the skip did not advance"
         if skip:
             skipped.append((len(live.members), skip))
-        return pull_apart(sg, tp, live, skip)
+        return pull_apart(sg, live, skip)
 
     monkeypatch.setattr(geometry, "exact_rank", planted_rank)
     expected = _ranked_rounds(sg, tp)
@@ -1188,10 +1224,10 @@ def test_a_failed_speculative_round_raises_as_the_ranked_round(monkeypatch):
         asked.append((lo, hi))
         return offline(versions, lo, hi, twice_from)
 
-    def failing_plan(sg, tp, live):
+    def failing_plan(sg, live):
         if len(live.members) == 12:
             raise NoSeparableComponent("planted in round 4")
-        return plan(sg, tp, live)
+        return plan(sg, live)
 
     monkeypatch.setattr(geometry, "_round_pivots", counted_offline)
     monkeypatch.setattr(geometry, "_plan", failing_plan)
@@ -1236,7 +1272,7 @@ def test_integer_collision_rule_matches_the_rational_points():
             states += 1
             if not live.coincident:
                 break
-            geometry.pull_apart(sg, tp, live)
+            geometry.pull_apart(sg, live)
     assert states >= 10 and hits > 0
 
 
@@ -1389,6 +1425,6 @@ def test_class_connected_in_both_trees_cannot_separate():
     with pytest.raises(InvalidPartition, match="proper"):
         pull_apart_fully(sg, tp)
     # each K4 misses the tree whose corner it is parked on
-    live = geometry._LiveFrame.read(sg, frame)
+    live = geometry._LiveFrame.read(sg, tp)
     with pytest.raises(NoSeparableComponent):
-        geometry.pull_apart(sg, tp, live)
+        geometry.pull_apart(sg, live)

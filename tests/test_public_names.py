@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 import c3rig
@@ -10,15 +11,21 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "c3rig"
 
 
-def _traced_names() -> set[str]:
-    # the public names the benchmark's tracer wraps, read from its source
+def _boundaries() -> tuple[tuple[str, str, str], ...]:
+    # the benchmark tracer's (module, public name, span) boundaries, read
+    # from its source
     tree = ast.parse((ROOT / "bench" / "spans.py").read_text(encoding="utf-8"))
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(t, ast.Name) and t.id == "BOUNDARIES" for t in node.targets
         ):
-            return {name for _, name, _ in ast.literal_eval(node.value)}
+            return ast.literal_eval(node.value)
     raise AssertionError("bench/spans.py has no BOUNDARIES")
+
+
+def _traced_names() -> set[str]:
+    # the public names the benchmark's tracer wraps
+    return {name for _, name, _ in _boundaries()}
 
 
 def _definitions_and_uses() -> tuple[dict[str, str], dict[str, set[tuple[str, str | None]]]]:
@@ -56,6 +63,36 @@ def test_every_public_definition_is_used_exported_or_traced():
         and not _used_outside_itself(name, module, uses)
     )
     assert not unused, f"public definitions nothing uses: {unused}"
+
+
+# The tracer's boundaries that name nothing in their module any more: the
+# calls they wrapped were moved or removed, and the tracer skips them.
+_KNOWN_MISSING_BOUNDARIES = {
+    "cli.relabel_symgraph",
+    "certify.relabel_symgraph",
+    "certify.count_fixed",
+    "cli.pebble_sparsity",
+    "certify.pebble_sparsity",
+    "certify.laman_check",
+    "trees.pebble_sparsity",
+    "cli.replay_sequence",
+    "trees.apply_move",
+    "cli.frame_from_partition",
+    "geometry.generalized_rigidity_matrix",
+}
+
+
+def test_every_traced_boundary_resolves_but_the_known_missing():
+    # The tracer wraps each boundary in the module whose code calls it, and
+    # skips one that is not there without failing: a refactor that moves
+    # such a call loses its span silently, unless this test fails. 18 of
+    # the 29 boundaries resolve.
+    missing = {
+        f"{module}.{name}"
+        for module, name, _ in _boundaries()
+        if not hasattr(importlib.import_module(f"c3rig.{module}"), name)
+    }
+    assert missing == _KNOWN_MISSING_BOUNDARIES
 
 
 def test_every_private_definition_is_used_in_the_package():
