@@ -27,7 +27,6 @@ from .geometry import (
     Placement,
     RankVerdict,
     frame_from_partition,
-    framework_from_frame,
     numeric_isostatic_check,
     pull_apart_fully,
     rigidity_matrix,
@@ -82,7 +81,6 @@ __all__ = [
     "exact_rank",
     "extract_sequence",
     "frame_from_partition",
-    "framework_from_frame",
     "laman_check",
     "numeric_isostatic_check",
     "parse_graph",

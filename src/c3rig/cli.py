@@ -30,7 +30,6 @@ from .geometry import (
     RankVerdict,
     _cartesian_terms,
     _float_point,
-    framework_from_frame,
     numeric_isostatic_check,
     pull_apart_fully,
     symmetric_generic_positions,
@@ -213,12 +212,12 @@ def _realize(sg: SymGraph, method: str, seed: int) -> tuple[Placement, RankVerdi
         placement = symmetric_generic_positions(sg, seed)
         return placement, numeric_isostatic_check(sg, placement), {}
     _, partition = _certificates(sg)
-    frame, rounds = pull_apart_fully(sg, partition)
-    # The placement's rigidity matrix is the frame's generalized one with
-    # each row times its edge's nonzero scalar, and pull_apart_fully has
-    # proven that one at full row rank.
+    placement, rounds = pull_apart_fully(sg, partition)
+    # The placement's rigidity matrix is the last round's generalized one
+    # with each row times its edge's nonzero scalar, and pull_apart_fully
+    # has proven that one at full row rank: nothing ranks it again.
     rank = RankVerdict.of(sg.graph, sg.graph.m)
-    return framework_from_frame(sg, frame), rank, {"pull_apart_rounds": rounds}
+    return placement, rank, {"pull_apart_rounds": rounds}
 
 
 def cmd_realize(args, sg: SymGraph) -> tuple[dict, str, int]:

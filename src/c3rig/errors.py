@@ -110,7 +110,3 @@ class ExhaustedT(C3RigError):
     One of that many candidates always works unless P divides every
     coefficient of a minor, which makes every one short mod P; either way
     the route gives no verdict rather than a wrong one."""
-
-
-class CoincidentAdjacentJoints(C3RigError):
-    """Adjacent joints still share a position; the frame is not a framework."""

@@ -20,8 +20,9 @@ Two realization routes are provided.
   the rows that rounds have in common. The separation reads its start from
   the partition (``frame_from_partition`` is that start's public view):
   the verified partition makes the parked frame symmetric, and every round
-  keeps it so, so the rows are those of two orbit blocks. The last round's
-  proof is the rank of the framework it ends with.
+  keeps it so, so the rows are those of two orbit blocks. It returns the
+  framework it ends with, recentred on the rotation axis, whose rank is
+  the last round's proof; the parked frame is never built along the way.
 
 Both routes rank their rows modulo a prime only, and a shortfall mod P
 proves nothing: the frame route skips such a round as it skips a collision,
@@ -41,7 +42,6 @@ from itertools import takewhile
 
 from .errors import (
     C3RigError,
-    CoincidentAdjacentJoints,
     DegenerateSpan,
     ExhaustedRetries,
     ExhaustedT,
@@ -82,16 +82,8 @@ E_POINTS: tuple[Pair, Pair, Pair] = (_PAIR_ZERO, (1, 0), (1, 1))
 TREE_DIRECTIONS: tuple[Pair, Pair, Pair] = ((0, 1), (-1, -1), (1, 0))
 
 
-def v_add(p, q):
-    return (p[0] + q[0], p[1] + q[1])
-
-
 def v_sub(p, q):
     return (p[0] - q[0], p[1] - q[1])
-
-
-def v_scale(c, p):
-    return (c * p[0], c * p[1])
 
 
 def cross(p: Pair, q: Pair) -> int:
@@ -122,11 +114,6 @@ class Placement:
 
     def float_positions(self) -> list[tuple[float, float]]:
         return [_float_point(_cartesian_terms(p, self.scale)) for p in self.positions]
-
-
-def placement_is_symmetric(sg: SymGraph, placement: Placement) -> bool:
-    """Positions of rotated vertices equal rotated positions, exactly."""
-    return _rotates_with(sg.require_action(), placement.positions)
 
 
 def _rotates_with(act: C3Action, pos: Sequence[Pair]) -> bool:
@@ -285,17 +272,16 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
 class Frame:
     """Positions plus one direction per edge (aligned with sorted edges).
 
-    Both are integer (1, w) pairs, the positions over ``scale``. Adjacent
-    joints may coincide; each edge's position difference is some rational
-    multiple (possibly zero) of its direction.
+    Both are integer (1, w) pairs, at scale 1. Adjacent joints may
+    coincide; each edge's position difference is some rational multiple
+    (possibly zero) of its direction.
     """
 
     positions: tuple[Pair, ...]
     directions: tuple[Pair, ...]
-    scale: int = 1
 
     def __post_init__(self):
-        _require_integer_pairs(self.positions, self.scale)
+        _require_integer_pairs(self.positions, 1)
         _require_integer_pairs(self.directions, 1)
 
 
@@ -309,14 +295,11 @@ def _verify(sg: SymGraph, tp: TreePartition) -> None:
 def frame_from_partition(sg: SymGraph, tp: TreePartition) -> Frame:
     """Each vertex parked on the corner of the one tree it misses and each
     edge along its tree's side, once ``tp`` is verified: the public view of
-    the start the separation reads from ``tp`` (``_LiveFrame.read``)."""
+    the start the separation reads from ``tp`` (``_LiveFrame.read``), and
+    the one ``Frame`` the package builds."""
     _verify(sg, tp)
-    return _LiveFrame.read(sg, tp).frame(sg.graph)
-
-
-def adjacent_coincidences(g: Graph, frame: Frame) -> tuple[tuple[int, int], ...]:
-    pos = frame.positions
-    return tuple(e for e in g.sorted_edges if pos[e[0]] == pos[e[1]])
+    live = _LiveFrame.read(sg, tp)
+    return Frame(tuple(E_POINTS[k] for k in live.miss), tuple(live.dirs))
 
 
 def _cartesian_terms(p: Pair, scale: int = 1) -> tuple[int, int, int, int]:
@@ -398,20 +381,24 @@ def _pair_matrix(
     return PartialElimination(g.m, 2 * g.n, {}, rows, twice_from)
 
 
-# The primes found so far, kept for every later round.
-_PRIMES = [2]
+# The primes found so far, kept for every later round. A tuple, never
+# changed in place: each extension is published by rebinding, so a caller
+# that extends it while another does, in another thread or inside the
+# other's trial division, may find a prime again but never yields one twice.
+_PRIMES = (2,)
 
 
 def _t_candidates(limit: int) -> Iterator[int]:
     """The parameters t = 1/2, 1/3, 1/5, ... as the primes p = 1/t: the first
     ``limit``, lazily, each found by trial division only the first time."""
+    global _PRIMES
     primes = _PRIMES
     for k in range(limit):
         if k == len(primes):
             x = primes[-1] + 1
             while not all(x % p for p in takewhile(lambda p: p * p <= x, primes)):
                 x += 1
-            primes.append(x)
+            _PRIMES = primes = primes + (x,)
         yield primes[k]
 
 
@@ -477,14 +464,13 @@ class _LiveFrame:
     the members, in increasing order, the point and the scale of each class,
     an integer pair X standing for X / ``scales[c]``. A point keeps the
     scale it was written at, and ``scale``, the start scale times every
-    accepted p, is a multiple of all of them: only ``frame`` brings the
+    accepted p, is a multiple of all of them: only ``placement`` brings the
     points to it. Each edge has a ``_primitive`` integer direction and its
     tree; each vertex, the indices of its edges and the corner it was parked
     on. Also kept: how many edges still have coinciding endpoints; a heap
     ``queue`` of (smallest member, class) with an entry for each class at
     the corner of tree 0, stale once the class has lost a member or holds
-    no such edge; each class on its line along each tree direction; and the
-    edges a round has turned.
+    no such edge; and each class on its line along each tree direction.
     """
 
     scale: int
@@ -500,7 +486,6 @@ class _LiveFrame:
     coincident: int
     queue: list[tuple[int, int]]
     lines: dict[Pair, dict[tuple[int, int], list[int]]]
-    turned: set[int]
 
     @classmethod
     def read(cls, sg: SymGraph, tp: TreePartition) -> "_LiveFrame":
@@ -541,7 +526,7 @@ class _LiveFrame:
         live = cls(
             1, list(E_POINTS), [1, 1, 1], list(miss), members,
             [TREE_DIRECTIONS[t] for t in tree], tree, edges, incident, miss, coincident, [],
-            {d: {} for d in TREE_DIRECTIONS}, set(),
+            {d: {} for d in TREE_DIRECTIONS},
         )
         for c in range(3):
             live._index(c)
@@ -556,17 +541,25 @@ class _LiveFrame:
         if not self.miss[first]:
             heapq.heappush(self.queue, (first, c))
 
-    def frame(self, g: Graph) -> Frame:
-        """The frame over ``scale``: each vertex at its class point brought
-        to that scale, and each turned edge's direction its position
-        difference; an unturned edge keeps its parked direction."""
+    def placement(self, act: C3Action) -> Placement:
+        """Each vertex at its class point brought to ``scale`` and
+        recentred on the rotation axis, the centroid of vertex 0's orbit,
+        as 3 X - S over 3 ``scale``, S the sum of that orbit's points. Each
+        edge's position difference is parallel to its direction (``_plan``),
+        so the placement's rigidity matrix has the rank of the state's rows.
+        Raises ``InternalInvariantBroken`` if adjacent joints coincide or
+        ``act`` does not map the placement to itself (see ``read``)."""
         scale, joint_class = self.scale, self.joint_class
-        points = [v_scale(scale // s, q) for q, s in zip(self.points, self.scales)]
-        directions = list(self.dirs)
-        for i in self.turned:
-            u, v = g.sorted_edges[i]
-            directions[i] = v_sub(points[joint_class[u]], points[joint_class[v]])
-        return Frame(tuple(points[c] for c in joint_class), tuple(directions), scale)
+        points = [(scale // s * x, scale // s * y) for (x, y), s in zip(self.points, self.scales)]
+        orbit = [points[joint_class[v]] for v in (0, act.gamma[0], act.gamma2[0])]
+        sx, sy = sum(x for x, _ in orbit), sum(y for _, y in orbit)
+        centred = [(3 * x - sx, 3 * y - sy) for x, y in points]
+        pos = tuple(centred[c] for c in joint_class)
+        if any(pos[u] == pos[v] for u, v in self.edges):
+            raise InternalInvariantBroken("adjacent joints still share a position")
+        if not _rotates_with(act, pos):
+            raise InternalInvariantBroken("the recentred framework is not symmetric")
+        return Placement(pos, 3 * scale)
 
 
 # A round's split: the three moving copies, their steps, and each turning
@@ -624,7 +617,6 @@ def _accept(live: _LiveFrame, split: _Split, p: int) -> None:
         u, v = live.edges[i]
         live.coincident -= joint_class[u] == joint_class[v]
         live.dirs[i] = _primitive((p * x + a, p * y + b))
-    live.turned.update(turning)
     for copy, (a, b) in zip(copies, steps):
         c, new = joint_class[copy[0]], len(members)
         gone = set(copy)
@@ -733,10 +725,10 @@ def _first_short_round(
     return None
 
 
-def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
+def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Placement, int]:
     """Separate the parked frame of ``tp`` until no adjacent joints
-    coincide; return that frame, the only ``Frame`` it builds, and the
-    rounds taken.
+    coincide; return the symmetric framework it ends as, recentred on the
+    rotation axis (``_LiveFrame.placement``), and the rounds taken.
 
     ``tp`` is verified once, and the start read from it on entry and at
     each restart (``_LiveFrame.read``). The rounds are those of
@@ -753,10 +745,10 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
     collision-free t. A speculative round that fails raises once the rounds
     before it hold.
 
-    The generalized rigidity matrix of the frame returned has full row rank
-    m: its rows are those of the last round, each times a positive scalar,
-    and the last offline pass proved that round's rank. When no round runs,
-    the parked frame is ranked once instead.
+    The rigidity matrix of the placement returned has full row rank m: its
+    rows are those of the last round, each times a nonzero scalar, and the
+    last offline pass proved that round's rank. When no round runs, the
+    parked frame is ranked once instead.
     """
     _verify(sg, tp)
     act = sg.require_action()
@@ -794,31 +786,4 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Frame, int]:
             live = _LiveFrame.read(sg, tp)
             for step in taken:
                 _accept(live, *step)
-    return live.frame(g), len(taken)
-
-
-def _centred(act: C3Action, pos: Sequence[Pair]) -> list[Pair]:
-    """The points ``pos`` about the centroid of vertex 0's orbit, at three
-    times their scale: 3 X - S, S the sum of that orbit's points."""
-    s = v_add(v_add(pos[0], pos[act.gamma[0]]), pos[act.gamma2[0]])
-    return [(3 * x - s[0], 3 * y - s[1]) for x, y in pos]
-
-
-def framework_from_frame(sg: SymGraph, frame: Frame) -> Placement:
-    """Read positions off a separated frame and recenter on the rotation axis.
-
-    The frame's rotation center is the centroid of any vertex orbit; after
-    translating it to the origin, at three times the frame's scale, the
-    placement satisfies the symmetry equation exactly. No rank is taken
-    here: the rigidity matrix is the generalized one with each row scaled by
-    its edge's nonzero frame scalar, so it has the full row rank
-    ``pull_apart_fully`` proved.
-    """
-    act = sg.require_action()
-    g = sg.graph
-    if adjacent_coincidences(g, frame):
-        raise CoincidentAdjacentJoints("adjacent joints still share a position")
-    placement = Placement(tuple(_centred(act, frame.positions)), 3 * frame.scale)
-    if not placement_is_symmetric(sg, placement):
-        raise InternalInvariantBroken("recentered frame is not symmetric")
-    return placement
+    return live.placement(act), len(taken)

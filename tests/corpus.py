@@ -7,7 +7,7 @@ import random
 from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
+from itertools import combinations, product
 
 from c3rig import (
     DELTA_EXTENSION,
@@ -170,6 +170,56 @@ def edge_orbit_graphs(n: int, k: int) -> Iterator[SymGraph]:
     orbits = dict.fromkeys(frozenset(edge_orbit(e, gamma)) for e in combinations(range(n), 2))
     for chosen in combinations(orbits, k):
         yield SymGraph(Graph(n, frozenset().union(*chosen)), action)
+
+
+def quotient_gain_graph(sg: SymGraph) -> tuple[int, list[tuple[int, int, int]]]:
+    """The quotient gain graph of a rotation that fixes no vertex: the
+    number of vertex orbits, numbered by their smallest vertex, and one edge
+    (o, o', g) per edge orbit. It runs from the orbit o of one end
+    u = gamma^a r to the orbit o' of the other, v = gamma^b r', where r, r'
+    are the orbits' smallest vertices, with the gain g = b - a in Z/3. The
+    edge's rotated copies give the same gain, and a loop, o = o', a nonzero
+    one."""
+    act = sg.require_action()
+    assert not act.fixed_vertices()
+    orbit: dict[int, int] = {}
+    power: dict[int, int] = {}
+    for v in range(sg.graph.n):
+        if v not in orbit:
+            o = len(orbit) // 3
+            for a, x in enumerate((v, act.gamma[v], act.gamma2[v])):
+                orbit[x], power[x] = o, a
+    quotient: dict[frozenset, tuple[int, int, int]] = {}
+    for u, v in sg.graph.sorted_edges:
+        key = frozenset(edge_orbit((u, v), act.gamma))
+        quotient.setdefault(key, (orbit[u], orbit[v], (power[v] - power[u]) % 3))
+    return len(orbit) // 3, list(quotient.values())
+
+
+def cone_laman_counts(vertices: int, edges: list[tuple[int, int, int]]) -> tuple[bool, bool]:
+    """Whether a gain graph over Z/3 meets each of the cone-Laman counts of
+    Malestein and Theran: |F| <= 2|V(F)| - 1 for every nonempty edge set F,
+    and |F| <= 2|V(F)| - 3 for every nonempty balanced one, each of whose
+    cycles has gain sum 0.
+
+    By brute force over vertex sets S. The largest F with V(F) in S is the
+    set of edges within S. An edge set is balanced exactly when a potential
+    phi on its vertices has g = phi(o') - phi(o) on each of its edges, so
+    the largest balanced F with V(F) in S are, one per phi: S -> Z/3, the
+    edges within S that phi makes 0. An F on fewer vertices than S is held
+    to its own count at its own vertex set."""
+    plain = balanced = True
+    for size in range(1, vertices + 1):
+        for subset in combinations(range(vertices), size):
+            inside = [e for e in edges if e[0] in subset and e[1] in subset]
+            plain = plain and len(inside) <= 2 * size - 1
+            # adding a constant to phi changes no edge, so phi(first) = 0
+            for phi in product(range(3), repeat=size - 1):
+                at = dict(zip(subset, (0, *phi)))
+                count = sum((at[o2] - at[o1] - g) % 3 == 0 for o1, o2, g in inside)
+                # an empty F is not held to the balanced count
+                balanced = balanced and count <= max(0, 2 * size - 3)
+    return plain, balanced
 
 
 def fast_tight_symgraph(seed: int, n: int) -> SymGraph:

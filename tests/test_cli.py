@@ -240,17 +240,16 @@ def test_a_command_checks_each_move_of_its_sequence_once(write, capsys, monkeypa
 
 
 def test_realize_frame_ranks_its_finished_framework_once(write, capsys, monkeypatch):
-    # The separation's last offline pass proves the finished framework's
-    # rows, and nothing ranks them again once it returns: the report's rank
-    # is that proof.
+    # The separation's last offline pass proves the rows of its last round,
+    # which span the finished framework's rows, and nothing ranks them
+    # again once it returns: the report's rank is that proof.
     ranked, finished = [], []
     pull_apart_fully = cli.pull_apart_fully
     exact_rank = geometry.exact_rank
 
     def pull_then_mark(sg, tp):
         result = pull_apart_fully(sg, tp)
-        blocks = geometry._pair_matrix(sg.graph, result[0].directions.__getitem__, sg.action)
-        finished.append(span_key(blocks))
+        finished.append(span_key(geometry.rigidity_matrix(sg.graph, result[0], sg.action)))
         return result
 
     def counted_rank(matrix, *ceiling):

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -16,6 +17,8 @@ from c3rig import field, geometry
 from c3rig.field import _P, _W, PartialElimination
 from tests.corpus import (
     acceptance_corpus,
+    cone_laman_counts,
+    edge_orbit_graphs,
     fraction_free_rank,
     integer_rows,
     k3,
@@ -24,6 +27,7 @@ from tests.corpus import (
     pair_rows,
     prism,
     proven_rank,
+    quotient_gain_graph,
     random_tight_symgraph,
     rational_matrix,
 )
@@ -417,3 +421,34 @@ def test_exact_rank_matches_sympy_on_small_rigidity_matrices():
         assert numeric_isostatic_check(sg, placement).rank == expected
         ranks.add((expected, min(m.rows, m.cols)))
     assert (9, 12) in ranks  # the octahedron's deficit needs a ceiling
+
+
+def test_orbit_blocks_have_full_row_rank_exactly_under_the_cone_laman_counts():
+    # Every graph of at least one edge orbit at n = 6 and n = 9, and every
+    # 97th of seven edge orbits at n = 12: each of the orbit blocks B0 and
+    # B1 at the seed-0 generic placement has full row rank mod P, one per
+    # edge orbit, exactly when the quotient gain graph meets both cone-Laman
+    # counts (Schulze and Tanigawa's phase-twisted orbit matrices; Malestein
+    # and Theran's counts). The frame route proves its placement's rank
+    # through these blocks alone. Up to n = 9 no balanced edge set can
+    # exceed its count; at n = 12 four graphs fail that count alone.
+    held = {}
+    cases = [(n, k, 1) for n in (6, 9) for k in range(1, n * (n - 1) // 6 + 1)]
+    for n, k, stride in cases + [(12, 7, 97)]:
+        for sg in itertools.islice(edge_orbit_graphs(n, k), 0, None, stride):
+            matrix = rigidity_matrix(sg.graph, symmetric_generic_positions(sg, 0), sg.action)
+            assert matrix.twice_from < matrix.cols
+            matrix.modular_rank()
+            r0 = sum(c < matrix.twice_from for c in matrix.pivots)
+            r1 = len(matrix.pivots) - r0
+            counts = cone_laman_counts(*quotient_gain_graph(sg))
+            assert (r0 == r1 == k) if all(counts) else (r0 < k and r1 < k)
+            key = (n < 12, *counts)
+            held[key] = held.get(key, 0) + 1
+    assert held == {
+        (True, True, True): 1487,
+        (True, False, True): 2639,
+        (False, True, True): 1304,
+        (False, False, True): 451,
+        (False, True, False): 4,
+    }

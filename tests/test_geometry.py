@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import json
 import random
+import sys
+import threading
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -19,7 +21,6 @@ from c3rig import (
     exact_rank,
     extract_sequence,
     frame_from_partition,
-    framework_from_frame,
     numeric_isostatic_check,
     parse_graph,
     pull_apart_fully,
@@ -30,7 +31,6 @@ from c3rig import (
 from c3rig import cli, field, geometry
 from c3rig.field import _P, _W
 from c3rig.errors import (
-    CoincidentAdjacentJoints,
     DegenerateSpan,
     ExhaustedRetries,
     ExhaustedT,
@@ -44,12 +44,8 @@ from c3rig.geometry import (
     E_POINTS,
     TREE_DIRECTIONS,
     Placement,
-    adjacent_coincidences,
     cross,
-    placement_is_symmetric,
     rotate_omega,
-    v_add,
-    v_scale,
     v_sub,
 )
 from c3rig.graphs import edge_orbit
@@ -94,14 +90,23 @@ def _report_point(p, scale=1):
     return Fraction(xn, xd), Fraction(yn, yd)
 
 
-def _frame_lambdas(g, frame):
+def _frame_lambdas(g, positions, directions):
     # each edge's scalar lam with position difference = lam * direction
     lams = []
-    for (u, v), q in zip(g.sorted_edges, frame.directions):
-        delta = v_sub(frame.positions[u], frame.positions[v])
+    for (u, v), q in zip(g.sorted_edges, directions):
+        delta = v_sub(positions[u], positions[v])
         assert q != (0, 0) and cross(delta, q) == 0
         lams.append(Fraction(delta[0], q[0]) if q[0] else Fraction(delta[1], q[1]))
     return lams
+
+
+def _symmetric(sg, placement):
+    # the package's symmetry equation: rotated vertices at rotated positions
+    return geometry._rotates_with(sg.require_action(), placement.positions)
+
+
+def _coincident_edges(g, positions):
+    return [(u, v) for u, v in g.sorted_edges if positions[u] == positions[v]]
 
 
 def _sympy_point(p):
@@ -153,7 +158,7 @@ def test_symmetric_positions_satisfy_rotation_equation():
     placement = symmetric_generic_positions(sg, 7)
     pos = placement.positions
     assert all(pos[u] != pos[v] for u, v in sg.graph.edges)
-    assert placement_is_symmetric(sg, placement)
+    assert _symmetric(sg, placement)
 
 
 def test_symmetric_positions_deterministic():
@@ -342,7 +347,7 @@ def test_concurrent_prism_bars_are_inconclusive_after_one_ceiling_game(monkeypat
     # pebble game finds, which says nothing about the graph: inconclusive.
     # The exact reference confirms the rank.
     sg = prism()
-    assert placement_is_symmetric(sg, _CONCURRENT)
+    assert _symmetric(sg, _CONCURRENT)
     calls = _counted_ceiling_games(monkeypatch)
     verdict = numeric_isostatic_check(sg, _CONCURRENT)
     _assert_inconclusive(verdict, sg.graph)
@@ -533,7 +538,7 @@ def test_orbit_blocks_need_the_rotation_a_free_action_and_a_symmetric_placement(
     nudged = Placement(((a + 1, b),) + tuple(rest))
     p = pair(3, -7)
     hub = Placement((p, rotate_omega(p), rotate_omega(rotate_omega(p)), pair(0, 0)))
-    assert placement_is_symmetric(k13_hub(), hub)
+    assert _symmetric(k13_hub(), hub)
     for case, placement, rank in (
         (SymGraph(sg.graph), symmetric, 9), (sg, nudged, 9), (k13_hub(), hub, 3)
     ):
@@ -545,7 +550,7 @@ def test_placement_without_an_image_is_inconclusive(monkeypatch):
     # full rank 9, but P divides every entry's image: the rank mod P falls
     # short of the ceiling 9, so the verdict is inconclusive, not false
     sg = prism()
-    assert placement_is_symmetric(sg, _NO_IMAGE)
+    assert _symmetric(sg, _NO_IMAGE)
     calls = _counted_ceiling_games(monkeypatch)
     verdict = numeric_isostatic_check(sg, _NO_IMAGE)
     _assert_inconclusive(verdict, sg.graph)
@@ -583,7 +588,7 @@ def test_pair_placements_rank_and_rotate_like_their_cartesian_points(index, seed
         _same_sympy_point(cart[sg.action.gamma[v]], _sympy_rotate(cart[v]))
         for v in range(sg.graph.n)
     )
-    assert placement_is_symmetric(sg, placement) == rotates == (not nudge)
+    assert _symmetric(sg, placement) == rotates == (not nudge)
     assert numeric_isostatic_check(sg, placement).rank == _sympy_cartesian_rank(
         sg.graph, placement
     )
@@ -617,15 +622,18 @@ def test_k3_frame_positions():
     # each vertex sits at the corner of the one tree it misses
     assert frame.positions == (E_POINTS[1], E_POINTS[2], E_POINTS[0])
     assert exact_rank(generalized_matrix(sg.graph, frame)) == 3
-    assert adjacent_coincidences(sg.graph, frame) == ()
-    assert pull_apart_fully(sg, _certified_partition(sg)) == (frame, 0)
+    assert _coincident_edges(sg.graph, frame.positions) == []
+    # no round runs: the parked frame recentred on the triangle's centre,
+    # (0 + 1 + (1 + w)) / 3, at three times its scale
+    centred = tuple((3 * x - 2, 3 * y - 1) for x, y in frame.positions)
+    assert pull_apart_fully(sg, _certified_partition(sg)) == (Placement(centred, 3), 0)
 
 
 def test_prism_frame_parks_two_joints_per_corner():
     sg = prism()
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    _frame_lambdas(sg.graph, frame)  # the defining scalar exists per edge
+    _frame_lambdas(sg.graph, frame.positions, frame.directions)  # a scalar per edge
     for corner in E_POINTS:
         assert sum(1 for p in frame.positions if p == corner) == 2
     assert exact_rank(generalized_matrix(sg.graph, frame)) == 9
@@ -643,12 +651,12 @@ def test_prism_pull_apart_separates_in_rounds():
     sg = prism()
     tp = _certified_partition(sg)
     frame = frame_from_partition(sg, tp)
-    assert len(adjacent_coincidences(sg.graph, frame)) == 3
-    separated, rounds = pull_apart_fully(sg, tp)
+    assert len(_coincident_edges(sg.graph, frame.positions)) == 3
+    placement, rounds = pull_apart_fully(sg, tp)
     assert rounds >= 1
-    assert adjacent_coincidences(sg.graph, separated) == ()
-    assert separated.positions != frame.positions
-    assert exact_rank(generalized_matrix(sg.graph, separated)) == 9
+    assert _coincident_edges(sg.graph, placement.positions) == []
+    rank = fraction_free_rank(rigidity_rows(sg.graph, placement))
+    assert exact_rank(rigidity_matrix(sg.graph, placement)) == rank == 9
 
 
 def test_pull_apart_gives_up_when_every_parameter_loses_rank(monkeypatch):
@@ -693,41 +701,105 @@ def test_candidate_parameters_are_found_once():
     # The primes are kept across calls: asking again for as many as are
     # known gives them back and finds no new one.
     list(geometry._t_candidates(30))
-    known = list(geometry._PRIMES)
+    known = geometry._PRIMES
     assert len(known) >= 30
-    assert list(geometry._t_candidates(len(known))) == known
-    assert geometry._PRIMES == known
+    assert list(geometry._t_candidates(len(known))) == list(known)
+    assert geometry._PRIMES is known
 
 
-def test_framework_from_frame_requires_separation():
+def test_candidate_cache_survives_an_extension_inside_another(monkeypatch):
+    # A second caller extends the cache in the middle of the first one's
+    # trial division, as another thread might: the first still yields each
+    # prime once, and the cache holds each once.
+    monkeypatch.setattr(geometry, "_PRIMES", geometry._PRIMES[:1])
+    takewhile = geometry.takewhile
+    inner = []
+
+    def interleaved(predicate, iterable):
+        monkeypatch.setattr(geometry, "takewhile", takewhile)
+        inner.extend(geometry._t_candidates(2))
+        return takewhile(predicate, iterable)
+
+    monkeypatch.setattr(geometry, "takewhile", interleaved)
+    assert list(geometry._t_candidates(3)) == [2, 3, 5]
+    assert inner == [2, 3]
+    assert tuple(geometry._PRIMES) == (2, 3, 5)
+    assert list(geometry._t_candidates(4)) == [2, 3, 5, 7]
+
+
+def test_candidate_cache_holds_under_threads(monkeypatch):
+    # More threads than cores extend one cache at once, switching every
+    # microsecond: each still gets the primes in order, each once.
+    primes = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+    got = []
+
+    def extend():
+        for _ in range(5):
+            got.append(list(geometry._t_candidates(len(primes))))
+
+    monkeypatch.setattr(geometry, "_PRIMES", geometry._PRIMES[:1])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=extend) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == [primes] * 20
+    assert list(geometry._PRIMES) == primes[: len(geometry._PRIMES)]
+
+
+def test_separated_state_refuses_a_coincident_edge_or_a_broken_symmetry():
+    # The live state's placement checks the two invariants every round
+    # keeps: the prism's parked state still has coincident edges, and a
+    # separated state with one class point moved is no longer symmetric.
     sg = prism()
-    tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    with pytest.raises(CoincidentAdjacentJoints):
-        framework_from_frame(sg, frame)
+    act = sg.require_action()
+    live = _live_frame(sg, _certified_partition(sg))
+    with pytest.raises(InternalInvariantBroken, match="share a position"):
+        live.placement(act)
+    while live.coincident:
+        geometry.pull_apart(sg, live)
+    assert _symmetric(sg, live.placement(act))
+    c = live.joint_class[0]
+    x, y = live.points[c]
+    live.points[c] = (x + 1000 * live.scales[c], y)
+    with pytest.raises(InternalInvariantBroken, match="not symmetric"):
+        live.placement(act)
 
 
 def test_frame_route_yields_symmetric_isostatic_framework():
     sg = prism()
     tp = _certified_partition(sg)
-    frame, _ = pull_apart_fully(sg, tp)
-    placement = framework_from_frame(sg, frame)
+    placement, _ = pull_apart_fully(sg, tp)
     pos = placement.positions
     assert all(pos[u] != pos[v] for u, v in sg.graph.edges)
-    assert placement_is_symmetric(sg, placement)
+    assert _symmetric(sg, placement)
     assert numeric_isostatic_check(sg, placement).isostatic
 
 
 def test_scaling_rows_by_lambda_gives_rigidity_matrix():
+    # the directions the separation ends with, read off a live state
+    # separated here as the route separates it
     sg = prism()
     tp = _certified_partition(sg)
-    frame, _ = pull_apart_fully(sg, tp)
-    lams = _frame_lambdas(sg.graph, frame)
+    live = _live_frame(sg, tp)
+    rounds = 0
+    while live.coincident:
+        geometry.pull_apart(sg, live)
+        rounds += 1
+    placement = live.placement(sg.require_action())
+    assert pull_apart_fully(sg, tp) == (placement, rounds)
+    lams = _frame_lambdas(sg.graph, placement.positions, live.dirs)
     assert all(lams)
     # each row is built up to a positive scale, so the rows agree up to
     # the sign of their edge's scalar
-    rig = rigidity_rows(sg.graph, Placement(frame.positions, frame.scale))
-    gen = pair_rows(sg.graph, frame.directions.__getitem__)
+    rig = rigidity_rows(sg.graph, placement)
+    gen = pair_rows(sg.graph, live.dirs.__getitem__)
     for lam, rig_row, gen_row in zip(lams, rig, gen, strict=True):
         sign = 1 if lam > 0 else -1
         assert rig_row == {c: sign * x for c, x in gen_row.items()}
@@ -748,8 +820,7 @@ def test_frame_placements_match_their_pinned_digest():
     digest = hashlib.sha256()
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
-        frame, rounds = pull_apart_fully(sg, tp)
-        placement = framework_from_frame(sg, frame)
+        placement, rounds = pull_apart_fully(sg, tp)
         exact = [[e["x"], e["y"]] for e in cli._placement_json(placement)["exact"]]
         digest.update(json.dumps({"rounds": rounds, "exact": exact}, sort_keys=True).encode())
     assert digest.hexdigest() == FRAME_PLACEMENT_DIGEST
@@ -773,8 +844,8 @@ def test_digest_graphs_rarely_meet_a_deficit_mod_p(monkeypatch):
     monkeypatch.setattr(geometry, "_first_short_round", counted)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
-        frame, _ = pull_apart_fully(sg, tp)
-        assert numeric_isostatic_check(sg, framework_from_frame(sg, frame)).isostatic
+        placement, _ = pull_apart_fully(sg, tp)
+        assert numeric_isostatic_check(sg, placement).isostatic
         for seed in range(3):
             assert numeric_isostatic_check(sg, symmetric_generic_positions(sg, seed)).isostatic
     assert 0 < len(short) <= 10 and not games
@@ -842,7 +913,7 @@ def _tried_parameter(sg, live, split, skip):
     # scale p D against every class point times p
     copies, steps, _ = split
     scale = live.scale
-    points = [v_scale(scale // s, q) for q, s in zip(live.points, live.scales)]
+    points = [(scale // s * x, scale // s * y) for (x, y), s in zip(live.points, live.scales)]
     occupied = set(points)
     starts = [points[live.joint_class[copy[0]]] for copy in copies]
     limit = 3 * (len(live.members) + 1) + sg.graph.m + 1
@@ -916,7 +987,7 @@ def _ranked_rounds(sg, tp):
             if geometry.exact_rank(geometry._pair_matrix(g, trial.dirs.__getitem__)) == g.m:
                 break
         live = trial
-    return live.frame(g), rounds
+    return live.placement(sg.require_action()), rounds
 
 
 def test_speculative_separation_matches_ranking_every_round(monkeypatch):
@@ -941,20 +1012,27 @@ def test_speculative_separation_matches_ranking_every_round(monkeypatch):
     assert {12, 15, 120} <= set(restarted)
 
 
-def test_separation_reads_its_partition_once_and_builds_one_frame(monkeypatch):
+def test_separation_reads_its_partition_once_and_builds_one_placement(monkeypatch):
     # The separation verifies the partition once and reads its start from
-    # the partition, on entry and at each restart, so the one Frame it
-    # builds is the one it returns: on the prism and on the digest's graphs,
-    # those that restart at n = 12, 15 and 120 among them.
-    counts = {"frames": 0, "verified": 0}
+    # the partition, on entry and at each restart, so it builds no Frame and
+    # one Placement, the one it returns: on the prism and on the digest's
+    # graphs, those that restart at n = 12, 15 and 120 among them.
+    counts = {"frames": 0, "placements": 0, "verified": 0}
     restarted = set()
-    post_init, verify, pull_apart = (
-        geometry.Frame.__post_init__, geometry.verify_tree_partition, geometry.pull_apart
+    frame_init, placement_init, verify, pull_apart = (
+        geometry.Frame.__post_init__,
+        geometry.Placement.__post_init__,
+        geometry.verify_tree_partition,
+        geometry.pull_apart,
     )
 
     def counted_frame(frame):
         counts["frames"] += 1
-        post_init(frame)
+        frame_init(frame)
+
+    def counted_placement(placement):
+        counts["placements"] += 1
+        placement_init(placement)
 
     def counted_verify(sg, tp):
         counts["verified"] += 1
@@ -966,15 +1044,16 @@ def test_separation_reads_its_partition_once_and_builds_one_frame(monkeypatch):
         return pull_apart(sg, live, skip)
 
     monkeypatch.setattr(geometry.Frame, "__post_init__", counted_frame)
+    monkeypatch.setattr(geometry.Placement, "__post_init__", counted_placement)
     monkeypatch.setattr(geometry, "verify_tree_partition", counted_verify)
     monkeypatch.setattr(geometry, "pull_apart", counted)
     for sg in [prism()] + _digest_graphs():
         tp = _certified_partition(sg)
         live = geometry._LiveFrame.read(sg, tp)
         assert live.tree == [tp.tree_of[e] for e in sg.graph.sorted_edges]
-        counts.update(frames=0, verified=0)
+        counts.update(frames=0, placements=0, verified=0)
         pull_apart_fully(sg, tp)
-        assert counts == {"frames": 1, "verified": 1}
+        assert counts == {"frames": 0, "placements": 1, "verified": 1}
     assert {12, 15, 120} <= restarted
 
 
@@ -1282,10 +1361,9 @@ def test_frame_route_on_corpus():
         sg = random_tight_symgraph(rng, n)
         tp = _certified_partition(sg)
         assert exact_rank(generalized_matrix(sg.graph, frame_from_partition(sg, tp))) == sg.graph.m
-        frame, _ = pull_apart_fully(sg, tp)
-        placement = framework_from_frame(sg, frame)
+        placement, _ = pull_apart_fully(sg, tp)
         assert numeric_isostatic_check(sg, placement).isostatic
-        assert placement_is_symmetric(sg, placement)
+        assert _symmetric(sg, placement)
 
 
 def test_generic_and_combinatorial_verdicts_agree():
@@ -1322,7 +1400,7 @@ def test_omega_pairs_commute_with_the_rotation():
         assert rotate_omega(rotate_omega(rotate_omega(a))) == a
         # linear, so a placement may be recentred before or after converting
         c, d = rng.randint(-9, 9), rng.randint(1, 9)
-        assert _report_point(v_add(a, v_scale(c, b)), d) == tuple(
+        assert _report_point((a[0] + c * b[0], a[1] + c * b[1]), d) == tuple(
             (x + c * y) / d for x, y in zip(_report_point(a), _report_point(b))
         )
         assert _report_point(a, d) == ((a[0] - Fraction(a[1], 2)) / d, Fraction(a[1], 2 * d))
@@ -1330,12 +1408,12 @@ def test_omega_pairs_commute_with_the_rotation():
     assert _report_point((6, -10), 2) == _report_point((3, -5)) == (Fraction(11, 2), Fraction(-5, 2))
 
 
-def _cartesian_rank(g, frame):
+def _cartesian_rank(g, directions):
     # exact rank over Q(sqrt 3) of the generalized rigidity matrix with
     # Cartesian directions, through the regular representation
     # a + b*sqrt(3) -> [[a, 3b], [b, a]], a rational matrix of twice that rank
     rows = []
-    for (u, v), d in zip(g.sorted_edges, map(_cartesian, frame.directions)):
+    for (u, v), d in zip(g.sorted_edges, map(_cartesian, directions)):
         top, bottom = [0] * (4 * g.n), [0] * (4 * g.n)
         for k, (xa, xb) in enumerate(d):
             for col, a, b in ((2 * u + k, xa, xb), (2 * v + k, -xa, -xb)):
@@ -1347,11 +1425,11 @@ def _cartesian_rank(g, frame):
     return doubled // 2
 
 
-def _pair_rank_mod_p(g, frame):
+def _pair_rank_mod_p(g, directions):
     # rank mod P of the rows of direction pairs
     rows = [
         geometry._row(u, v, (d[0] % _P, d[1] % _P))
-        for (u, v), d in zip(g.sorted_edges, frame.directions)
+        for (u, v), d in zip(g.sorted_edges, directions)
     ]
     return field._eliminate(rows, {}, 2 * g.n)
 
@@ -1364,17 +1442,20 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
         g = sg.graph
         if check_c3_isostatic(sg).isostatic:
             # full rank mod P on both sides proves both exact ranks full
+            # the parked frame's directions, and the position differences
+            # of the placement the separation returns
             tp = _certified_partition(sg)
-            parked = frame_from_partition(sg, tp)
-            for frame in (parked, pull_apart_fully(sg, tp)[0]):
-                assert _pair_rank_mod_p(g, frame) == _cartesian_rank(g, frame) == g.m
+            pos = pull_apart_fully(sg, tp)[0].positions
+            differences = [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges]
+            for directions in (frame_from_partition(sg, tp).directions, differences):
+                assert _pair_rank_mod_p(g, directions) == _cartesian_rank(g, directions) == g.m
         # directions drawn from few values, so many of these lose rank
         drawn = tuple(rng.choice(steps) for _ in range(g.m))
         frame = Frame(tuple(E_POINTS[0] for _ in range(g.n)), drawn)
         matrix = generalized_matrix(g, frame)
         exact = fraction_free_rank(pair_rows(g, drawn.__getitem__))
-        assert exact == _cartesian_rank(g, frame)
-        assert _pair_rank_mod_p(g, frame) == matrix.modular_rank()
+        assert exact == _cartesian_rank(g, drawn)
+        assert _pair_rank_mod_p(g, drawn) == matrix.modular_rank()
         deficient += exact < g.m
     assert deficient > 100
 
@@ -1390,10 +1471,10 @@ def test_separation_ranks_only_through_the_orbit_blocks(monkeypatch):
         with monkeypatch.context() as patched:
             patched.setattr(geometry, "_row", refuse)
             patched.setattr(geometry, "_play_in_degree_order", refuse)
-            separated, rounds = pull_apart_fully(sg, tp)
+            placement, rounds = pull_apart_fully(sg, tp)
         assert rounds >= 1
-        assert adjacent_coincidences(sg.graph, separated) == ()
-        assert exact_rank(generalized_matrix(sg.graph, separated)) == sg.graph.m
+        assert _coincident_edges(sg.graph, placement.positions) == []
+        assert numeric_isostatic_check(sg, placement).isostatic
 
 
 def test_class_connected_in_both_trees_cannot_separate():
@@ -1421,7 +1502,7 @@ def test_class_connected_in_both_trees_cannot_separate():
         tuple(E_POINTS[v // 4] for v in range(12)),
         tuple(TREE_DIRECTIONS[tree_of[e]] for e in sg.graph.sorted_edges),
     )
-    assert len(adjacent_coincidences(sg.graph, frame)) == 18
+    assert len(_coincident_edges(sg.graph, frame.positions)) == 18
     with pytest.raises(InvalidPartition, match="proper"):
         pull_apart_fully(sg, tp)
     # each K4 misses the tree whose corner it is parked on

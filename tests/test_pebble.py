@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from c3rig import Graph, brute_force_laman, edge, laman_check, pebble_sparsity
+from c3rig import Graph, brute_force_laman, edge, extract_sequence, laman_check, pebble_sparsity
 from c3rig.errors import InternalInvariantBroken, TooFewVertices, TooLarge
 from c3rig.pebble import PebbleGame
 from tests.corpus import (
@@ -510,20 +510,28 @@ def test_the_later_endpoint_pays_and_searches_stay_few(monkeypatch):
     assert calls <= 7000
 
 
-def _search_visits(monkeypatch, g):
-    # pebble_sparsity(g) and the vertices its searches visit in all
-    visits = 0
+def _searches(monkeypatch, run, *args):
+    # run(*args), the pebble searches it makes and the vertices they visit
+    # in all
+    searches = visits = 0
     gather = PebbleGame._gather
 
     def counted(self, *args):
-        nonlocal visits
+        nonlocal searches, visits
         found = gather(self, *args)
+        searches += 1
         visits += self._visited.count(self._stamp)
         return found
 
     with monkeypatch.context() as patched:
         patched.setattr(PebbleGame, "_gather", counted)
-        report = pebble_sparsity(g)
+        result = run(*args)
+    return result, searches, visits
+
+
+def _search_visits(monkeypatch, g):
+    # pebble_sparsity(g) and the vertices its searches visit in all
+    report, _, visits = _searches(monkeypatch, pebble_sparsity, g)
     return report, visits
 
 
@@ -558,3 +566,16 @@ def test_searches_at_the_check_size_visit_few_vertices(monkeypatch, overbraced, 
     report, visits = _search_visits(monkeypatch, sg.graph)
     assert report.is_sparse is not overbraced
     assert visits <= most
+
+
+def test_extraction_searches_at_the_check_size_visit_few_vertices(monkeypatch):
+    # Extraction at n = 3000, its graph's deciding game played first: the
+    # reduction's own games make 3816 searches, which visit 372007 vertices.
+    # Both counts are exact, as the games are deterministic; the bounds
+    # leave 10 %, so extraction cannot come to search more unseen.
+    sg = fast_tight_symgraph(11, 3000)
+    assert sg.graph.sparsity.is_tight
+    seq, searches, visits = _searches(monkeypatch, extract_sequence, sg)
+    assert len(seq.moves) == 999
+    assert searches <= 4200
+    assert visits <= 409200
