@@ -11,19 +11,19 @@ moves, each adding one full vertex orbit:
 * delta extension: a new triangle orbit attached by one spoke per vertex.
 
 ``extract_sequence`` inverts these moves down to the triangle and returns a
-replayable certificate. One walk of it, at most once per sequence, rebuilds
-the graph (``replay_sequence``), validating every intermediate step, and its
-tree partition (``trees.build_tree_partition``). The extraction compares that
-replay with the input through the sequence's relabeling, building no
-relabeled copy. The reduction plays on a copy of the pebble game that
-decided the input (``Graph.sparsity``) instead of starting a new game per
-step; the walk runs no game, as every row of the move table keeps a graph
-tight. The reduction also keeps one live graph, as
-adjacency sets and an alive mask in the input's labels: each step removes
-the orbit of the smallest live label of lowest valence (kept in min-heaps by
-valence), touches only that orbit's edges, and returns its anchors in input
-labels. They are mapped to replay
-labels once, in a backward pass from the last triangle.
+replayable certificate. One walk of it, at most once per sequence, checks every
+move and rebuilds the graph's rotation and edge set and its tree partition
+(``trees.build_tree_partition``). The extraction compares that rotation and
+edge set with the input through the sequence's relabeling, building neither a
+replayed nor a relabeled graph; ``replay_sequence`` builds the validated
+replayed graph for its callers. The reduction plays on a copy of the pebble
+game that decided the input (``Graph.sparsity``) instead of starting a new game
+per step; the walk runs no game, as every row of the move table keeps a graph
+tight. The reduction also keeps one live graph, as adjacency sets and an alive
+mask in the input's labels: each step removes the orbit of the smallest live
+label of lowest valence (kept in min-heaps by valence), touches only that
+orbit's edges, and returns its anchors in input labels. They are mapped to
+replay labels once, in a backward pass from the last triangle.
 """
 from __future__ import annotations
 
@@ -237,14 +237,20 @@ class ConstructionSequence:
         return doc
 
     @cached_property
-    def _walked(self) -> tuple[SymGraph, tuple[frozenset[Edge], ...]]:
-        """The replayed graph and its trees, from one walk, kept on the
-        sequence (a walk that raises keeps nothing). Each move is applied by
-        ``_extend`` and its count checked before any tree changes, so a short
-        move raises ``IntermediateNotTight`` for both certificates. Then, for
-        the first tree index l that fits (``_fit``), tree l + o + j receives
-        the j-th rotation image of each spoke with tree offset o, and an
-        edge split takes the j-th image of its split edge out of tree l + j.
+    def _walked(
+        self,
+    ) -> tuple[tuple[int, ...], frozenset[Edge], tuple[frozenset[Edge], ...]]:
+        """The replayed rotation in one-line form, edge set and trees, from
+        one walk, kept on the sequence (a walk that raises keeps nothing).
+        The rotation and edges are raw data, checked by no constructor:
+        ``extract_sequence`` compares them with its validated input and
+        ``replay_sequence`` builds a validated graph of them. Each move is
+        applied by ``_extend`` and its count checked before any tree
+        changes, so a short move raises ``IntermediateNotTight`` for both
+        certificates. Then, for the first tree index l that fits (``_fit``),
+        tree l + o + j receives the j-th rotation image of each spoke with
+        tree offset o, and an edge split takes the j-th image of its split
+        edge out of tree l + j.
         """
         gamma = list(self.base.action.gamma)
         edges = set(self.base.graph.edges)
@@ -269,18 +275,19 @@ class ConstructionSequence:
                     t = (l + o + j) % 3
                     trees[t].add(e)
                     vsets[t].update(e)
-        graph = SymGraph(Graph(len(gamma), frozenset(edges)), C3Action(tuple(gamma)))
-        return graph, (frozenset(trees[0]), frozenset(trees[1]), frozenset(trees[2]))
+        return tuple(gamma), frozenset(edges), tuple(map(frozenset, trees))
 
 
 def replay_sequence(seq: ConstructionSequence) -> SymGraph:
     """Rebuild the graph from the triangle, validating every move.
 
-    It is the graph of the sequence's one walk, which also builds its trees
-    (``ConstructionSequence._walked``). Each move is checked by
-    ``move_spokes``, and the edge count must be 2n - 3 after it, or
-    ``IntermediateNotTight`` is raised. Given those checks, every row of ``MOVE_TABLE`` keeps a tight graph tight, so no
-    pebble game is run:
+    It is built of the rotation and edges of the sequence's one walk, which
+    also builds its trees (``ConstructionSequence._walked``), and the
+    ``Graph``, ``C3Action`` and ``SymGraph`` constructors validate it on
+    every call. Each move is checked by ``move_spokes``, and the edge count
+    must be 2n - 3 after it, or ``IntermediateNotTight`` is raised. Given
+    those checks, every row of ``MOVE_TABLE`` keeps a tight graph tight, so
+    no pebble game is run:
 
     * a vertex addition is three 0-extensions, each new vertex joined to
       two distinct old vertices;
@@ -297,7 +304,8 @@ def replay_sequence(seq: ConstructionSequence) -> SymGraph:
     The rotation never fixes a new vertex, so every intermediate graph is
     symmetrically isostatic.
     """
-    return seq._walked[0]
+    gamma, edges, _ = seq._walked
+    return SymGraph(Graph(len(gamma), edges), C3Action(gamma))
 
 
 def _fit(
@@ -449,17 +457,32 @@ def extract_sequence(sg: SymGraph) -> ConstructionSequence:
     """Reduce to the triangle, reverse the moves, verify the round trip.
 
     The input's verdict is the one pebble game on it (``Graph.sparsity``);
-    ``NotIsostatic`` carries that verdict. A copy of that game and the
-    reduced graph stay live through the reduction, in input labels, and the
-    game decides every edge a reduction step adds; the graph's own game
-    keeps every edge, so each extraction from it starts alike. The round
-    trip replays the sequence, checking each move, and compares the replay
-    with the input through the relabeling (``_relabels_onto``), so a
+    ``NotIsostatic`` carries that verdict. The round trip walks the
+    sequence, checking each move, and compares the walk's rotation and
+    edges with the input through the relabeling (``_relabels_onto``), so a
     returned sequence rebuilds the input whatever the game said.
     """
     verdict = check_c3_isostatic(sg)
     if not verdict.isostatic:
         raise NotIsostatic(f"failed conditions: {', '.join(verdict.reasons)}", verdict)
+    seq = _reduce(sg)
+    try:
+        gamma, edges, _ = seq._walked
+    except C3RigError as exc:
+        raise InternalInvariantBroken(f"round trip fails: {exc}") from exc
+    if not _relabels_onto(gamma, edges, seq.relabeling, sg):
+        raise InternalInvariantBroken("round trip does not reproduce the input")
+    return seq
+
+
+def _reduce(sg: SymGraph) -> ConstructionSequence:
+    """The sequence that reducing the isostatic ``sg`` reads off, unchecked.
+
+    A copy of the graph's deciding game and the reduced graph stay live
+    through the reduction, in input labels, and the game decides every edge
+    a reduction step adds; the graph's own game keeps every edge, so each
+    extraction from it starts alike.
+    """
     act, n = sg.action, sg.graph.n
     game = sg.graph.sparsity.game.copy()
     adj: list[set[int]] = [set() for _ in range(n)]
@@ -488,35 +511,35 @@ def extract_sequence(sg: SymGraph) -> ConstructionSequence:
             inv[x] = len(psi)
             psi.append(x)
 
-    seq = ConstructionSequence(canonical_base(), tuple(moves), tuple(psi))
-    try:
-        replayed = replay_sequence(seq)
-    except C3RigError as exc:
-        raise InternalInvariantBroken(f"round trip fails: {exc}") from exc
-    if not _relabels_onto(replayed, seq.relabeling, sg):
-        raise InternalInvariantBroken("round trip does not reproduce the input")
-    return seq
+    return ConstructionSequence(canonical_base(), tuple(moves), tuple(psi))
 
 
-def _relabels_onto(replayed: SymGraph, perm: Sequence[int], sg: SymGraph) -> bool:
-    """Whether renaming vertex x of ``replayed`` to perm[x] gives ``sg``.
+def _relabels_onto(
+    gamma: Sequence[int], edges: frozenset[Edge], perm: Sequence[int], sg: SymGraph
+) -> bool:
+    """Whether renaming vertex x to perm[x] carries a walk's rotation
+    ``gamma`` and edge set ``edges`` onto ``sg``.
 
-    Both graphs are validated, so no relabeled copy is built: the vertex
-    counts agree, ``perm`` is a permutation of 0..n-1, it carries the
-    replayed rotation onto the input's, the edge counts agree, and every
-    renamed edge is an input edge, which with the counts makes the edge
-    sets equal.
+    The walk writes each rotation entry in 0..n-1 and each edge sorted
+    (``_extend``), and ``sg`` is validated, so five comparisons settle it
+    with no graph built: the vertex counts agree, ``perm`` is a permutation
+    of 0..n-1, it conjugates ``gamma`` into the input's rotation, the edge
+    counts agree, and every renamed edge is an input edge, which with the
+    counts makes the renamed edge set the input's. They imply all that the
+    ``Graph``, ``C3Action`` and ``SymGraph`` constructors check of the
+    walk: ``gamma`` is conjugate to the input's order-3 rotation, and
+    ``edges`` is a loop-free edge set that ``gamma`` maps onto itself.
     """
-    n, edges = sg.graph.n, sg.graph.edges
-    if replayed.graph.n != n or len(perm) != n or set(perm) != set(range(n)):
+    n, input_edges = sg.graph.n, sg.graph.edges
+    if len(gamma) != n or len(perm) != n or set(perm) != set(range(n)):
         return False
-    gamma = sg.action.gamma
-    if list(map(perm.__getitem__, replayed.action.gamma)) != list(map(gamma.__getitem__, perm)):
+    input_gamma = sg.action.gamma
+    if list(map(perm.__getitem__, gamma)) != list(map(input_gamma.__getitem__, perm)):
         return False
-    if replayed.graph.m != sg.graph.m:
+    if len(edges) != sg.graph.m:
         return False
-    for u, v in replayed.graph.edges:
+    for u, v in edges:
         x, y = perm[u], perm[v]
-        if ((x, y) if x < y else (y, x)) not in edges:
+        if ((x, y) if x < y else (y, x)) not in input_edges:
             return False
     return True

@@ -83,7 +83,9 @@ _SCALAR_TEXT = {
 
 def _write(value, emit, newline: str) -> None:
     """Emit ``value`` as ``json`` does with indent 2, its items on lines that
-    start with ``newline`` plus two spaces. A module-level function, not a
+    start with ``newline`` plus two spaces. An item that is a list or tuple
+    of exactly two ``int`` (not bool), as every edge of a report is, is
+    written in one piece, with no call. A module-level function, not a
     closure calling itself: that would be a reference cycle, keeping every
     report's fragments alive until the next cyclic garbage collection."""
     if isinstance(value, (list, tuple)):
@@ -94,11 +96,18 @@ def _write(value, emit, newline: str) -> None:
         separator = "[" + inner
         for item in value:
             text = _SCALAR_TEXT.get(type(item))
-            if text is None:
+            if text is not None:
+                emit(separator + text(item))
+            elif (
+                isinstance(item, (list, tuple))
+                and len(item) == 2
+                and type(item[0]) is int
+                and type(item[1]) is int
+            ):
+                emit(f"{separator}[{inner}  {item[0]},{inner}  {item[1]}{inner}]")
+            else:
                 emit(separator)
                 _write(item, emit, inner)
-            else:
-                emit(separator + text(item))
             separator = "," + inner
         emit(newline + "]")
     elif isinstance(value, dict):

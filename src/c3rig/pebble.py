@@ -145,7 +145,7 @@ class PebbleGame:
                     continue
                 visited[y] = stamp
                 parent[y] = x
-                if y != u and y != v and pebbles[y] > 0:
+                if pebbles[y] > 0 and y != u and y != v:
                     pebbles[y] -= 1
                     pebbles[root] += 1
                     node = y

@@ -87,7 +87,9 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
 
     A tree vertex outside 0..n-1 fails ``partitions_edges``, and the vertex
     counts and the rotation, which are defined on the graph's vertices only,
-    fail with it.
+    fail with it. Once the rotation carries tree 0 onto tree 1 and tree 1
+    onto tree 2, the three are isomorphic, so only tree 0 is searched; when
+    it does not, all three are.
     """
     act = sg.require_action()
     g = sg.graph
@@ -96,8 +98,6 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
     union = t0 | t1 | t2
     total = len(t0) + len(t1) + len(t2)
     partitions_edges = union == g.edges and total == g.m
-
-    trees_are_trees = all(map(_is_tree, tp.trees, tp.vertex_sets))
 
     in_range = all(0 <= v < g.n for vertices in tp.vertex_sets for v in vertices)
     counts = [0] * g.n
@@ -112,6 +112,10 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
         {edge(gamma[u], gamma[v]) for u, v in tp.trees[i]} == tp.trees[(i + 1) % 3]
         for i in range(3)
     )
+    if rotation_cycles_trees:
+        trees_are_trees = _is_tree(t0, tp.vertex_sets[0])
+    else:
+        trees_are_trees = all(map(_is_tree, tp.trees, tp.vertex_sets))
 
     # Properness (no two non-trivial subtrees of distinct trees share a
     # span) is equivalent to the subgraph counts holding everywhere, which
@@ -133,7 +137,7 @@ def build_tree_partition(seq: ConstructionSequence) -> TreePartition:
     it raises. They partition the replayed graph; compose with the sequence's
     relabeling to certify the graph the sequence was extracted from.
     """
-    return TreePartition(seq._walked[1])
+    return TreePartition(seq._walked[2])
 
 
 def relabel_partition(tp: TreePartition, perm: tuple[int, ...]) -> TreePartition:

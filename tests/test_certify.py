@@ -162,8 +162,21 @@ def test_corrupted_reduction_yields_no_certificate(monkeypatch, corrupt, n):
         extract_sequence(sg)
 
 
-# Each replay below is a valid symmetric graph that fails one of the round
-# trip's comparisons with the input.
+# Each tamper below turns the walk's replay into a valid symmetric graph that
+# fails one of the round trip's comparisons with the input.
+
+
+def _tamper_the_walk(monkeypatch, tamper):
+    # The extraction compares the walk's rotation and edges with the input,
+    # with no graph built: make them those of tamper(replayed graph).
+    walk = ConstructionSequence._walked.func
+
+    def walked(seq):
+        gamma, edges, trees = walk(seq)
+        replayed = tamper(SymGraph(Graph(len(gamma), edges), C3Action(gamma)))
+        return replayed.action.gamma, replayed.graph.edges, trees
+
+    monkeypatch.setattr(ConstructionSequence, "_walked", property(walked))
 
 
 def _add_a_vertex_orbit(sg):
@@ -193,8 +206,7 @@ def _swap_an_edge_orbit(sg):
 )
 def test_a_replay_that_differs_from_the_input_yields_no_certificate(monkeypatch, tamper):
     sg = random_tight_symgraph(0, 15)
-    replay = certify.replay_sequence
-    monkeypatch.setattr(certify, "replay_sequence", lambda seq: tamper(replay(seq)))
+    _tamper_the_walk(monkeypatch, tamper)
     with pytest.raises(InternalInvariantBroken, match="does not reproduce the input"):
         extract_sequence(sg)
 
@@ -210,7 +222,7 @@ def test_a_relabeling_that_repeats_a_vertex_yields_no_certificate(monkeypatch):
         return ConstructionSequence(base, moves, (3, 4, 5, 3, 4, 5))
 
     monkeypatch.setattr(certify, "ConstructionSequence", repeating)
-    monkeypatch.setattr(certify, "replay_sequence", lambda seq: folded)
+    _tamper_the_walk(monkeypatch, lambda replayed: folded)
     with pytest.raises(InternalInvariantBroken, match="does not reproduce the input"):
         extract_sequence(prism())
 

@@ -541,6 +541,15 @@ _JSON_VALUES = st.recursive(
 
 @given(_JSON_VALUES)
 @example({"": [], "b": {}, "a": ((), [{}], "\u00e9\"\\\x01"), "z": [2**70, -(2**64)]})
+# a list or tuple of two ints is written in one piece, only as an item
+@example([[0, 1], (2, 3), [-4, 5]])
+@example(((0, 1), [2, 3]))
+@example([[True, 1], [1, False], [None, 1]])
+@example([[1, 2.0], [1.0, 2], [1, "2"]])
+@example([[2**70, -1], (-(2**64), 0)])
+@example([[[1, 2]], [[1, 2], [3, 4]]])
+@example({"edge": [1, 2], "tuple": (3, 4), "in": {"pair": [5, 6]}})
+@example([[1], [1, 2, 3], (4,), (5, 6, 7)])
 def test_dump_writes_the_bytes_of_json_dumps(value):
     assert cli._dump(value) == json.dumps(value, indent=2, sort_keys=True)
 

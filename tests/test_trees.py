@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -14,7 +15,16 @@ from c3rig import (
     verify_tree_partition,
 )
 from c3rig.errors import InvalidPartition, NotAPermutation
-from tests.corpus import k3, k33, perturb_edge_swap, prism, random_tight_symgraph
+from c3rig.graphs import edge_orbit
+from c3rig.trees import _is_tree
+from tests.corpus import (
+    acceptance_corpus,
+    k3,
+    k33,
+    perturb_edge_swap,
+    prism,
+    random_tight_symgraph,
+)
 
 PRISM_PARTITION = TreePartition(
     (
@@ -136,6 +146,105 @@ def test_a_tree_vertex_outside_the_graph_fails_the_report(bad):
     assert not report.two_trees_per_vertex and not report.rotation_cycles_trees
     with pytest.raises(InvalidPartition, match="partitions_edges"):
         frame_from_partition(prism(), TreePartition(tuple(trees)))
+
+
+def _reference_report(sg, tp):
+    # the report with every tree searched, whatever the rotation check says
+    report = verify_tree_partition(sg, tp)
+    return dataclasses.replace(
+        report, trees_are_trees=all(map(_is_tree, tp.trees, tp.vertex_sets))
+    )
+
+
+def _orbitwise_partition(sg, rng):
+    # each edge orbit spread over the three trees in rotation order from a
+    # random first tree, so the rotation always cycles the trees
+    parts = ([], [], [])
+    placed = set()
+    for e in sg.graph.sorted_edges:
+        if e not in placed:
+            k = rng.randrange(3)
+            for j, f in enumerate(edge_orbit(e, sg.action.gamma)):
+                parts[(k + j) % 3].append(f)
+                placed.add(f)
+    return TreePartition(tuple(map(frozenset, parts)))
+
+
+def _has_cycle(edges):
+    root = {}
+
+    def find(x):
+        while root.get(x, x) != x:
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        a, b = find(u), find(v)
+        if a == b:
+            return True
+        root[a] = b
+    return False
+
+
+def _cyclic_rotated_partition():
+    # a seeded search for trees that the rotation cycles but hold a cycle
+    for seed in range(50):
+        sg = random_tight_symgraph(seed % 5, 9)
+        tp = _orbitwise_partition(sg, random.Random(seed))
+        if any(map(_has_cycle, tp.trees)):
+            return sg, tp
+    raise AssertionError("no orbitwise partition with a cycle")
+
+
+def _tampers(sg, tp, rng):
+    # two trees swapped, one edge moved to another tree, one dropped, and
+    # one with an end past the last vertex
+    t0, t1, t2 = tp.trees
+    e = rng.choice(sorted(t0))
+    return [
+        (t0, t2, t1),
+        (t0 - {e}, t1 | {e}, t2),
+        (t0 - {e}, t1, t2),
+        (t0 - {e} | {(e[0], sg.graph.n)}, t1, t2),
+    ]
+
+
+def test_verify_agrees_with_searching_every_tree():
+    rng = random.Random(35)
+    cases = [(prism(), SWAPPED_SPOKES), _cyclic_rotated_partition()]
+    for sg in acceptance_corpus()[:200]:
+        seq = extract_sequence(sg)
+        tp = relabel_partition(build_tree_partition(seq), seq.relabeling)
+        cases.append((sg, tp))
+        cases.extend((sg, TreePartition(parts)) for parts in _tampers(sg, tp, rng))
+    seen = set()
+    for sg, tp in cases:
+        report = verify_tree_partition(sg, tp)
+        assert report == _reference_report(sg, tp)
+        seen.add((report.rotation_cycles_trees, report.trees_are_trees))
+    # both branches are taken, each with trees that pass and that fail
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_verify_searches_one_tree_once_the_rotation_cycles_them(monkeypatch):
+    sg = random_tight_symgraph(0, 15)
+    seq = extract_sequence(sg)
+    tp = relabel_partition(build_tree_partition(seq), seq.relabeling)
+    searched = []
+
+    def counted(edges, vertices):
+        searched.append(edges)
+        return _is_tree(edges, vertices)
+
+    monkeypatch.setattr("c3rig.trees._is_tree", counted)
+    assert verify_tree_partition(sg, tp).ok
+    assert searched == [tp.trees[0]]
+    # swapped trees are each a tree, but the rotation no longer cycles them
+    searched.clear()
+    t0, t1, t2 = tp.trees
+    report = verify_tree_partition(sg, TreePartition((t0, t2, t1)))
+    assert report.trees_are_trees and not report.rotation_cycles_trees
+    assert searched == [t0, t2, t1]
 
 
 def test_partition_implies_global_count():
