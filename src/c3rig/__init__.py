@@ -23,10 +23,8 @@ from .certify import (
 )
 from .field import exact_rank
 from .geometry import (
-    Frame,
     Placement,
     RankVerdict,
-    frame_from_partition,
     numeric_isostatic_check,
     pull_apart_fully,
     rigidity_matrix,
@@ -60,7 +58,6 @@ __all__ = [
     "ConstructionSequence",
     "DELTA_EXTENSION",
     "EDGE_SPLIT",
-    "Frame",
     "Graph",
     "Move",
     "PartitionReport",
@@ -80,7 +77,6 @@ __all__ = [
     "errors",
     "exact_rank",
     "extract_sequence",
-    "frame_from_partition",
     "laman_check",
     "numeric_isostatic_check",
     "parse_graph",

@@ -17,9 +17,9 @@ Two realization routes are provided.
   was written at, so a round does no rational arithmetic and touches only
   the classes it moves. Its rounds run speculatively, taking no rank, and
   one offline pass then eliminates the rows of every round mod P, sharing
-  the rows that rounds have in common. The separation reads its start from
-  the partition (``frame_from_partition`` is that start's public view):
-  the verified partition makes the parked frame symmetric, and every round
+  the rows that rounds have in common. The separation verifies the
+  partition and reads its start from it (``_LiveFrame.read``): the
+  verified partition makes the parked frame symmetric, and every round
   keeps it so, so the rows are those of two orbit blocks. It returns the
   framework it ends with, recentred on the rotation axis, whose rank is
   the last round's proof; the parked frame is never built along the way.
@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import asdict, dataclass
 from itertools import takewhile
 
@@ -93,15 +93,6 @@ def cross(p: Pair, q: Pair) -> int:
     return p[0] * q[1] - p[1] * q[0]
 
 
-def _require_integer_pairs(pairs: Iterable[Pair], scale: int) -> None:
-    """Refuse anything but int pairs over a positive int scale: images mod
-    P and report fractions are taken of ints only."""
-    if type(scale) is not int or scale < 1 or not all(
-        type(a) is int and type(b) is int for a, b in pairs
-    ):
-        raise TypeError("expected integer pairs over a positive integer scale")
-
-
 @dataclass(frozen=True)
 class Placement:
     """Exact joint positions: integer (1, w) pairs over ``scale``."""
@@ -110,7 +101,12 @@ class Placement:
     scale: int = 1
 
     def __post_init__(self):
-        _require_integer_pairs(self.positions, self.scale)
+        # images mod P and report fractions are taken of ints only
+        scale = self.scale
+        if type(scale) is not int or scale < 1 or not all(
+            type(a) is int and type(b) is int for a, b in self.positions
+        ):
+            raise TypeError("expected integer pairs over a positive integer scale")
 
     def float_positions(self) -> list[tuple[float, float]]:
         return [_float_point(_cartesian_terms(p, self.scale)) for p in self.positions]
@@ -266,40 +262,6 @@ def numeric_isostatic_check(sg: SymGraph, placement: Placement) -> RankVerdict:
         if rank is None:
             return RankVerdict(None, None, None, g.m, 2 * n - 3, None, matrix.pivot_rank, ceiling)
     return RankVerdict.of(g, rank)
-
-
-@dataclass(frozen=True)
-class Frame:
-    """Positions plus one direction per edge (aligned with sorted edges).
-
-    Both are integer (1, w) pairs, at scale 1. Adjacent joints may
-    coincide; each edge's position difference is some rational multiple
-    (possibly zero) of its direction.
-    """
-
-    positions: tuple[Pair, ...]
-    directions: tuple[Pair, ...]
-
-    def __post_init__(self):
-        _require_integer_pairs(self.positions, 1)
-        _require_integer_pairs(self.directions, 1)
-
-
-def _verify(sg: SymGraph, tp: TreePartition) -> None:
-    """Raise ``InvalidPartition`` naming the properties ``tp`` fails, if any."""
-    report = verify_tree_partition(sg, tp)
-    if not report.ok:
-        raise InvalidPartition(f"partition fails: {', '.join(report.failures())}")
-
-
-def frame_from_partition(sg: SymGraph, tp: TreePartition) -> Frame:
-    """Each vertex parked on the corner of the one tree it misses and each
-    edge along its tree's side, once ``tp`` is verified: the public view of
-    the start the separation reads from ``tp`` (``_LiveFrame.read``), and
-    the one ``Frame`` the package builds."""
-    _verify(sg, tp)
-    live = _LiveFrame.read(sg, tp)
-    return Frame(tuple(E_POINTS[k] for k in live.miss), tuple(live.dirs))
 
 
 def _cartesian_terms(p: Pair, scale: int = 1) -> tuple[int, int, int, int]:
@@ -489,13 +451,13 @@ class _LiveFrame:
 
     @classmethod
     def read(cls, sg: SymGraph, tp: TreePartition) -> "_LiveFrame":
-        """The start of the separation, read from a verified partition: the
-        parked frame as classes on the three corners, each vertex on the
-        corner of the tree it misses (``tp.vertex_sets``), and each edge in
-        its tree (``tp.tree_of``), along that tree's side.
-        ``frame_from_partition`` is this start's public view.
+        """The start of the separation, read from a partition that
+        ``pull_apart_fully`` has verified: the parked frame as classes on
+        the three corners, each vertex on the corner of the tree it misses
+        (``tp.vertex_sets``), and each edge in its tree (``tp.tree_of``),
+        along that tree's side, at scale 1.
 
-        Nothing is checked: the verified partition makes the frame
+        Nothing is checked here: the verified partition makes the frame
         symmetric. A vertex lies in exactly two trees
         (``two_trees_per_vertex``), so it misses one. Each edge lies in one
         tree (``partitions_edges``), so its direction is that tree's side,
@@ -730,8 +692,9 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Placement, int]:
     coincide; return the symmetric framework it ends as, recentred on the
     rotation axis (``_LiveFrame.placement``), and the rounds taken.
 
-    ``tp`` is verified once, and the start read from it on entry and at
-    each restart (``_LiveFrame.read``). The rounds are those of
+    ``tp`` is verified once, raising ``InvalidPartition`` naming each
+    property it fails, and the start read from it on entry and at each
+    restart (``_LiveFrame.read``). The rounds are those of
     ``pull_apart`` on one live state, run
     speculatively: each takes its first collision-free t with no rank, and
     each edge's directions are kept with the rounds that hold them. Then
@@ -750,7 +713,9 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Placement, int]:
     last offline pass proved that round's rank. When no round runs, the
     parked frame is ranked once instead.
     """
-    _verify(sg, tp)
+    report = verify_tree_partition(sg, tp)
+    if not report.ok:
+        raise InvalidPartition(f"partition fails: {', '.join(report.failures())}")
     act = sg.require_action()
     g = sg.graph
     live = _LiveFrame.read(sg, tp)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, product
@@ -23,7 +23,7 @@ from c3rig import (
     parse_graph,
 )
 from c3rig.field import PartialElimination, _P, exact_rank
-from c3rig.geometry import Frame, Placement, _pair_matrix, _primitive, v_sub
+from c3rig.geometry import Pair, Placement, _pair_matrix, _primitive, v_sub
 from c3rig.graphs import edge_orbit
 
 PRISM_DOC = {
@@ -369,11 +369,12 @@ def proven_rank(m: PartialElimination, expected: int, ceiling: int | None = None
     return got
 
 
-def generalized_matrix(g: Graph, frame: Frame) -> PartialElimination:
-    """The generalized rigidity matrix of ``frame``: one row per sorted
-    edge from its direction pair, made by the package's ``_pair_matrix``. A
-    frame-rank oracle: the separation proves this rank itself."""
-    return _pair_matrix(g, frame.directions.__getitem__)
+def generalized_matrix(g: Graph, directions: Sequence[Pair]) -> PartialElimination:
+    """The generalized rigidity matrix of a frame's ``directions``, one per
+    sorted edge: a row per edge from its direction pair, made by the
+    package's ``_pair_matrix``. A frame-rank oracle: the separation proves
+    this rank itself."""
+    return _pair_matrix(g, directions.__getitem__)
 
 
 def span_key(m: PartialElimination) -> tuple:

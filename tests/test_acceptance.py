@@ -15,7 +15,6 @@ from c3rig import (
     count_fixed,
     exact_rank,
     extract_sequence,
-    frame_from_partition,
     laman_check,
     numeric_isostatic_check,
     pebble_sparsity,
@@ -31,6 +30,7 @@ from c3rig import (
 from c3rig import cli
 from c3rig.certify import ConstructionSequence
 from c3rig.errors import FixedVertexPresent, NotIsostatic
+from c3rig.geometry import _LiveFrame
 from tests.corpus import (
     acceptance_corpus as corpus,
     add_non_edge_orbit,
@@ -147,7 +147,7 @@ def test_criterion_5_frame_pipeline():
         passing += 1
         seq = extract_sequence(sg)
         partition = relabel_partition(build_tree_partition(seq), seq.relabeling)
-        parked = frame_from_partition(sg, partition)
+        parked = _LiveFrame.read(sg, partition).dirs
         if exact_rank(generalized_matrix(sg.graph, parked)) != sg.graph.m:
             failures += 1
             continue

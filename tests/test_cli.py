@@ -11,7 +11,7 @@ from hypothesis import example, given, strategies as st
 
 from c3rig import __version__, certify, cli, geometry, parse_graph, pebble, serialize_graph, trees
 from c3rig.cli import main
-from c3rig.geometry import Frame, Placement
+from c3rig.geometry import Placement
 from tests.corpus import PRISM_DOC, fast_tight_symgraph, span_key
 from tests.test_geometry import _CONCURRENT
 
@@ -625,7 +625,7 @@ def test_points_are_integer_pairs_over_a_positive_scale():
     with pytest.raises(TypeError):
         Placement(((1, 0),), 0)
     with pytest.raises(TypeError):
-        Frame(((0, 0), (0, 0)), ((True, 0),))
+        Placement(((0, 0), (True, 0)))
 
 
 def test_dump_of_a_realize_report_leaves_no_garbage_cycles(write, capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from c3rig import (
     exact_rank,
+    laman_check,
     numeric_isostatic_check,
     rigidity_matrix,
     symmetric_generic_positions,
@@ -432,7 +433,11 @@ def test_orbit_blocks_have_full_row_rank_exactly_under_the_cone_laman_counts():
     # and Theran's counts). The frame route proves its placement's rank
     # through these blocks alone. Up to n = 9 no balanced edge set can
     # exceed its count; at n = 12 four graphs fail that count alone.
+    # The paper's theorem in quotient form, on the same graphs: the graph is
+    # (2,3)-tight exactly when its quotient gain graph has 2|V0| - 1 edges
+    # and meets both counts.
     held = {}
+    tight = {n: [0, 0] for n in (6, 9, 12)}
     cases = [(n, k, 1) for n in (6, 9) for k in range(1, n * (n - 1) // 6 + 1)]
     for n, k, stride in cases + [(12, 7, 97)]:
         for sg in itertools.islice(edge_orbit_graphs(n, k), 0, None, stride):
@@ -441,10 +446,14 @@ def test_orbit_blocks_have_full_row_rank_exactly_under_the_cone_laman_counts():
             matrix.modular_rank()
             r0 = sum(c < matrix.twice_from for c in matrix.pivots)
             r1 = len(matrix.pivots) - r0
-            counts = cone_laman_counts(*quotient_gain_graph(sg))
+            v0, edges = quotient_gain_graph(sg)
+            counts = cone_laman_counts(v0, edges)
             assert (r0 == r1 == k) if all(counts) else (r0 < k and r1 < k)
             key = (n < 12, *counts)
             held[key] = held.get(key, 0) + 1
+            is_tight = laman_check(sg.graph)
+            assert is_tight == (len(edges) == 2 * v0 - 1 and all(counts))
+            tight[n][not is_tight] += 1
     assert held == {
         (True, True, True): 1487,
         (True, False, True): 2639,
@@ -452,3 +461,4 @@ def test_orbit_blocks_have_full_row_rank_exactly_under_the_cone_laman_counts():
         (False, False, True): 451,
         (False, True, False): 4,
     }
+    assert tight == {6: [10, 21], 9: [684, 3411], 12: [1304, 455]}

@@ -13,14 +13,12 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from c3rig import (
     C3Action,
-    Frame,
     Graph,
     SymGraph,
     build_tree_partition,
     check_c3_isostatic,
     exact_rank,
     extract_sequence,
-    frame_from_partition,
     numeric_isostatic_check,
     parse_graph,
     pull_apart_fully,
@@ -616,42 +614,48 @@ def _certified_partition(sg):
     return relabel_partition(build_tree_partition(seq), seq.relabeling)
 
 
+def _positions(live):
+    # each vertex's point in a live frame, over its class's scale
+    return tuple(live.points[c] for c in live.joint_class)
+
+
 def test_k3_frame_positions():
     sg = k3()
-    frame = frame_from_partition(sg, _certified_partition(sg))
+    live = geometry._LiveFrame.read(sg, _certified_partition(sg))
+    parked = _positions(live)
     # each vertex sits at the corner of the one tree it misses
-    assert frame.positions == (E_POINTS[1], E_POINTS[2], E_POINTS[0])
-    assert exact_rank(generalized_matrix(sg.graph, frame)) == 3
-    assert _coincident_edges(sg.graph, frame.positions) == []
+    assert parked == (E_POINTS[1], E_POINTS[2], E_POINTS[0])
+    assert exact_rank(generalized_matrix(sg.graph, live.dirs)) == 3
+    assert _coincident_edges(sg.graph, parked) == []
     # no round runs: the parked frame recentred on the triangle's centre,
     # (0 + 1 + (1 + w)) / 3, at three times its scale
-    centred = tuple((3 * x - 2, 3 * y - 1) for x, y in frame.positions)
+    centred = tuple((3 * x - 2, 3 * y - 1) for x, y in parked)
     assert pull_apart_fully(sg, _certified_partition(sg)) == (Placement(centred, 3), 0)
 
 
 def test_prism_frame_parks_two_joints_per_corner():
     sg = prism()
-    tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    _frame_lambdas(sg.graph, frame.positions, frame.directions)  # a scalar per edge
+    live = geometry._LiveFrame.read(sg, _certified_partition(sg))
+    parked = _positions(live)
+    _frame_lambdas(sg.graph, parked, live.dirs)  # a scalar per edge
     for corner in E_POINTS:
-        assert sum(1 for p in frame.positions if p == corner) == 2
-    assert exact_rank(generalized_matrix(sg.graph, frame)) == 9
+        assert sum(1 for p in parked if p == corner) == 2
+    assert exact_rank(generalized_matrix(sg.graph, live.dirs)) == 9
 
 
 def test_generalized_matrix_single_edge():
     g = Graph(2, frozenset({(0, 1)}))
-    frame = Frame((pair(0, 0), pair(0, 0)), (pair(1, 2),))
-    m = generalized_matrix(g, frame)
+    directions = (pair(1, 2),)
+    m = generalized_matrix(g, directions)
     assert m.rest == [{0: 1, 1: 2, 2: _P - 1, 3: _P - 2}]
-    assert pair_rows(g, frame.directions.__getitem__) == [{0: 1, 1: 2, 2: -1, 3: -2}]
+    assert pair_rows(g, directions.__getitem__) == [{0: 1, 1: 2, 2: -1, 3: -2}]
 
 
 def test_prism_pull_apart_separates_in_rounds():
     sg = prism()
     tp = _certified_partition(sg)
-    frame = frame_from_partition(sg, tp)
-    assert len(_coincident_edges(sg.graph, frame.positions)) == 3
+    parked = _positions(geometry._LiveFrame.read(sg, tp))
+    assert len(_coincident_edges(sg.graph, parked)) == 3
     placement, rounds = pull_apart_fully(sg, tp)
     assert rounds >= 1
     assert _coincident_edges(sg.graph, placement.positions) == []
@@ -1014,21 +1018,16 @@ def test_speculative_separation_matches_ranking_every_round(monkeypatch):
 
 def test_separation_reads_its_partition_once_and_builds_one_placement(monkeypatch):
     # The separation verifies the partition once and reads its start from
-    # the partition, on entry and at each restart, so it builds no Frame and
-    # one Placement, the one it returns: on the prism and on the digest's
+    # the partition, on entry and at each restart, so it builds one
+    # Placement, the one it returns: on the prism and on the digest's
     # graphs, those that restart at n = 12, 15 and 120 among them.
-    counts = {"frames": 0, "placements": 0, "verified": 0}
+    counts = {"placements": 0, "verified": 0}
     restarted = set()
-    frame_init, placement_init, verify, pull_apart = (
-        geometry.Frame.__post_init__,
+    placement_init, verify, pull_apart = (
         geometry.Placement.__post_init__,
         geometry.verify_tree_partition,
         geometry.pull_apart,
     )
-
-    def counted_frame(frame):
-        counts["frames"] += 1
-        frame_init(frame)
 
     def counted_placement(placement):
         counts["placements"] += 1
@@ -1043,7 +1042,6 @@ def test_separation_reads_its_partition_once_and_builds_one_placement(monkeypatc
             restarted.add(sg.graph.n)
         return pull_apart(sg, live, skip)
 
-    monkeypatch.setattr(geometry.Frame, "__post_init__", counted_frame)
     monkeypatch.setattr(geometry.Placement, "__post_init__", counted_placement)
     monkeypatch.setattr(geometry, "verify_tree_partition", counted_verify)
     monkeypatch.setattr(geometry, "pull_apart", counted)
@@ -1051,9 +1049,9 @@ def test_separation_reads_its_partition_once_and_builds_one_placement(monkeypatc
         tp = _certified_partition(sg)
         live = geometry._LiveFrame.read(sg, tp)
         assert live.tree == [tp.tree_of[e] for e in sg.graph.sorted_edges]
-        counts.update(frames=0, placements=0, verified=0)
+        counts.update(placements=0, verified=0)
         pull_apart_fully(sg, tp)
-        assert counts == {"frames": 0, "placements": 1, "verified": 1}
+        assert counts == {"placements": 1, "verified": 1}
     assert {12, 15, 120} <= restarted
 
 
@@ -1360,7 +1358,8 @@ def test_frame_route_on_corpus():
     for n in (6, 9, 12):
         sg = random_tight_symgraph(rng, n)
         tp = _certified_partition(sg)
-        assert exact_rank(generalized_matrix(sg.graph, frame_from_partition(sg, tp))) == sg.graph.m
+        parked = geometry._LiveFrame.read(sg, tp).dirs
+        assert exact_rank(generalized_matrix(sg.graph, parked)) == sg.graph.m
         placement, _ = pull_apart_fully(sg, tp)
         assert numeric_isostatic_check(sg, placement).isostatic
         assert _symmetric(sg, placement)
@@ -1447,12 +1446,11 @@ def test_rational_rows_rank_like_the_generalized_rigidity_matrix():
             tp = _certified_partition(sg)
             pos = pull_apart_fully(sg, tp)[0].positions
             differences = [v_sub(pos[u], pos[v]) for u, v in g.sorted_edges]
-            for directions in (frame_from_partition(sg, tp).directions, differences):
+            for directions in (geometry._LiveFrame.read(sg, tp).dirs, differences):
                 assert _pair_rank_mod_p(g, directions) == _cartesian_rank(g, directions) == g.m
         # directions drawn from few values, so many of these lose rank
         drawn = tuple(rng.choice(steps) for _ in range(g.m))
-        frame = Frame(tuple(E_POINTS[0] for _ in range(g.n)), drawn)
-        matrix = generalized_matrix(g, frame)
+        matrix = generalized_matrix(g, drawn)
         exact = fraction_free_rank(pair_rows(g, drawn.__getitem__))
         assert exact == _cartesian_rank(g, drawn)
         assert _pair_rank_mod_p(g, drawn) == matrix.modular_rank()
@@ -1497,12 +1495,8 @@ def test_class_connected_in_both_trees_cannot_separate():
     edges = frozenset().union(*trees)
     sg = SymGraph(Graph(12, edges), C3Action(tuple((v + 4) % 12 for v in range(12))))
     tp = TreePartition(trees)
-    tree_of = {e: i for i in range(3) for e in trees[i]}
-    frame = Frame(
-        tuple(E_POINTS[v // 4] for v in range(12)),
-        tuple(TREE_DIRECTIONS[tree_of[e]] for e in sg.graph.sorted_edges),
-    )
-    assert len(_coincident_edges(sg.graph, frame.positions)) == 18
+    parked = tuple(E_POINTS[v // 4] for v in range(12))
+    assert len(_coincident_edges(sg.graph, parked)) == 18
     with pytest.raises(InvalidPartition, match="proper"):
         pull_apart_fully(sg, tp)
     # each K4 misses the tree whose corner it is parked on

@@ -579,3 +579,16 @@ def test_extraction_searches_at_the_check_size_visit_few_vertices(monkeypatch):
     assert len(seq.moves) == 999
     assert searches <= 4200
     assert visits <= 409200
+
+
+def test_extraction_searches_where_their_growth_shows(monkeypatch):
+    # Extraction at n = 12000, where each search visits more vertices than
+    # at n = 3000 (334 against 97 on average): the reduction's games make
+    # 16358 searches, which visit 5469978 vertices. The counts are exact;
+    # the bounds leave 10 %, so the growth cannot come to be worse unseen.
+    sg = fast_tight_symgraph(11, 12000)
+    assert sg.graph.sparsity.is_tight
+    seq, searches, visits = _searches(monkeypatch, extract_sequence, sg)
+    assert len(seq.moves) == 3999
+    assert searches <= 18000
+    assert visits <= 6017000

@@ -7,8 +7,8 @@ from c3rig import (
     TreePartition,
     build_tree_partition,
     extract_sequence,
-    frame_from_partition,
     pebble_sparsity,
+    pull_apart_fully,
     relabel_partition,
     relabel_symgraph,
     replay_sequence,
@@ -83,7 +83,7 @@ def test_swapped_spokes_break_equivariance():
 
 def test_frame_rejects_swapped_spokes():
     with pytest.raises(InvalidPartition, match="rotation_cycles_trees"):
-        frame_from_partition(prism(), SWAPPED_SPOKES)
+        pull_apart_fully(prism(), SWAPPED_SPOKES)
 
 
 def test_missing_edge_breaks_partition():
@@ -145,7 +145,7 @@ def test_a_tree_vertex_outside_the_graph_fails_the_report(bad):
     assert not report.partitions_edges and not report.ok
     assert not report.two_trees_per_vertex and not report.rotation_cycles_trees
     with pytest.raises(InvalidPartition, match="partitions_edges"):
-        frame_from_partition(prism(), TreePartition(tuple(trees)))
+        pull_apart_fully(prism(), TreePartition(tuple(trees)))
 
 
 def _reference_report(sg, tp):
