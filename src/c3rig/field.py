@@ -17,8 +17,8 @@ package has no elimination over the integers. The image may also be two
 blocks mod P whose ranks bound the exact rank from below, one of them
 counted twice: ``_orbit_blocks`` builds them for a rigidity matrix with a
 3-fold rotation, one row in each per edge orbit, from the pairs of one edge
-per orbit. ``_round_pivots`` eliminates a whole sequence of matrices that
-share most of their rows.
+per orbit. ``_round_pivots`` ranks a whole sequence of matrices that
+share most of their rows in one forward sweep, each row eliminated once.
 
 Elimination mod P (``_eliminate``) keeps each pivot row as it stands, not
 normalized, inverts a pivot's leading entry only when a row first reduces
@@ -44,10 +44,11 @@ _W = next(w for w in (pow(g, (_P - 1) // 3, _P) for g in range(2, _P)) if w != 1
 
 
 def _eliminate(
-    rows: Iterable[dict[int, int]],
+    rows: Iterable[dict[int, int] | tuple[dict[int, int], int]],
     pivots: dict[int, dict[int, int]],
     twice_from: int,
     inverses: dict[int, int] | None = None,
+    lasts: tuple[dict[int, int], dict[int, list[int]]] | None = None,
 ) -> int:
     """Reduce sparse rows mod P against ``pivots``; return how many were
     independent, counting twice those whose pivot column is ``twice_from``
@@ -62,13 +63,20 @@ def _eliminate(
     that meets no pivot is stored itself, so its caller leaves it as it is
     while the pivots are in use. ``inverses`` memoizes the inverses mod P
     of leading entries; calls may share one, as ``_round_pivots``'s do.
-    Pivot rows are never changed once stored and new ones go at the end of
-    the dict, so the pivots a call added can be popped off again.
+
+    With ``lasts``, each row comes as (row, b), b its last round, and
+    ``lasts`` holds each pivot's last round by column and its columns by
+    last round: a row that outlasts the pivot of its column takes the
+    column, and the pivot goes on in its place, reduced on a copy.
     """
     if inverses is None:
         inverses = {}
+    if lasts is not None:
+        last_of, ending = lasts
     found = 0
     for row in rows:
+        if lasts is not None:
+            row, last = row
         given = row
         while row:
             col = min(row)
@@ -76,7 +84,15 @@ def _eliminate(
             if pivot is None:
                 pivots[col] = row
                 found += 1 if col < twice_from else 2
+                if lasts is not None:
+                    last_of[col] = last
+                    ending.setdefault(last, []).append(col)
                 break
+            if lasts is not None and last_of[col] < last:
+                pivots[col], row, pivot = row, pivot, row
+                last_of[col], last = last, last_of[col]
+                ending.setdefault(last_of[col], []).append(col)
+                given = row
             if row is given:
                 row = dict(row)
             lead = pivot[col]
@@ -200,51 +216,30 @@ def _round_pivots(
     their rank, counting the pivots from the column ``twice_from`` on twice.
 
     ``versions`` are (row, a, b): a sparse row mod P, left unchanged, of
-    the rounds a..b. Each goes into the O(log R) nodes of a segment tree
-    over the rounds that cover a..b, the same dict in each. A depth-first
-    walk eliminates a node's rows into one shared pivot dict on entry and
-    pops the pivots they added on exit, which undoes the node, as
-    ``_eliminate`` adds new pivots at the end of the dict. It hands the rows
-    over as they are: ``_eliminate`` copies a row only where it reduces and
-    stores an unreduced one itself, never to be changed, so no version
-    changes and none is copied for nothing; the pivots' inverses are shared
-    by the whole walk. At a leaf the dict holds its round's rows eliminated;
-    the rank goes down the walk with it, so no leaf counts its pivots.
+    the rounds a..b, none before lo. A forward sweep hands each with a
+    round to ``_eliminate`` once, at round a, into one pivot dict where
+    each column keeps the row that lasts longest, and drops at round j the
+    pivots that last only to j - 1. Each pivot is a combination of rows
+    that last at least as long, so the pivots are a basis of greatest
+    weight by last round (the matroid greedy), and those left at round j
+    are a basis of exactly round j's rows, with their rank kept along.
     """
-    if lo > hi:
-        return
-    size = 1 << (hi - lo).bit_length()
-    nodes: list[list[dict[int, int]]] = [[] for _ in range(2 * size)]
+    starting: dict[int, list[tuple[dict[int, int], int]]] = {}
     for row, a, b in versions:
-        a, b = a - lo + size, b - lo + size + 1
-        while a < b:
-            if a & 1:
-                nodes[a].append(row)
-                a += 1
-            if b & 1:
-                b -= 1
-                nodes[b].append(row)
-            a >>= 1
-            b >>= 1
+        if a <= b:
+            starting.setdefault(a, []).append((row, b))
     pivots: dict[int, dict[int, int]] = {}
+    last: dict[int, int] = {}
+    ending: dict[int, list[int]] = {}
     inverses: dict[int, int] = {}
-
-    def walk(
-        k: int, first: int, width: int, rank: int
-    ) -> Iterator[tuple[int, dict[int, dict[int, int]], int]]:
-        before = len(pivots)
-        rank += _eliminate(nodes[k], pivots, twice_from, inverses)
-        if width == 1:
-            yield first, pivots, rank
-        else:
-            half = width // 2
-            yield from walk(2 * k, first, half, rank)
-            if first + half <= hi:
-                yield from walk(2 * k + 1, first + half, half, rank)
-        for _ in range(len(pivots) - before):
-            pivots.popitem()
-
-    yield from walk(1, lo, size, 0)
+    rank = 0
+    for j in range(lo, hi + 1):
+        for col in ending.pop(j - 1, ()):
+            if last.get(col) == j - 1:
+                del pivots[col], last[col]
+                rank -= 1 if col < twice_from else 2
+        rank += _eliminate(starting.get(j, ()), pivots, twice_from, inverses, (last, ending))
+        yield j, pivots, rank
 
 
 @dataclass

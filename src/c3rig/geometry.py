@@ -16,8 +16,8 @@ Two realization routes are provided.
   whole way. The separation runs on integer pairs, each over the scale it
   was written at, so a round does no rational arithmetic and touches only
   the classes it moves. Its rounds run speculatively, taking no rank, and
-  one offline pass then eliminates the rows of every round mod P, sharing
-  the rows that rounds have in common. The separation verifies the
+  one offline pass then ranks every round mod P in a forward sweep that
+  eliminates each row once for all its rounds. The separation verifies the
   partition and reads its start from it (``_LiveFrame.read``): the
   verified partition makes the parked frame symmetric, and every round
   keeps it so, so the rows are those of two orbit blocks. It returns the
@@ -700,8 +700,9 @@ def pull_apart_fully(sg: SymGraph, tp: TreePartition) -> tuple[Placement, int]:
     each edge's directions are kept with the rounds that hold them. Then
     ``_first_short_round`` ranks every round in one offline pass, mod P
     only, through the orbit blocks of the symmetric frame (see
-    ``_LiveFrame.read``), so each t is the first collision-free one whose
-    full rank the blocks prove. A round short mod P is skipped as a
+    ``_LiveFrame.read``), in a forward sweep that eliminates each row once
+    (``field._round_pivots``), so each t is the first collision-free one
+    whose full rank the blocks prove. A round short mod P is skipped as a
     collision is, whatever its exact rank: only full rank needs a proof.
     At the first such round the rounds before it are replayed on a fresh
     state, and speculation starts again from that round at its next

@@ -341,12 +341,13 @@ def test_eliminate_ranks_like_dense_elimination_and_changes_no_row(case):
     assert [row for _, row in kept] == kept_rows
 
 
-def test_round_pivots_share_a_row_across_nodes_and_change_none():
-    # Over the rounds 1..7, R's versions 2..6 and 7..7 put the one dict in
-    # the tree nodes of round 2, rounds 3-4, rounds 5-6 and round 7. Under
-    # S (rounds 1-4) it reduces, on a copy; from round 5 on it is a pivot,
-    # stored itself, and 2R (round 5) reduces to zero against it. Each
-    # round ranks as its rows alone, and no version changes on the walk.
+def test_round_pivots_keep_the_row_that_lasts_longest_and_change_none():
+    # Over the rounds 1..7 the sweep stores S (rounds 1-4) at column 0 in
+    # round 1. R (rounds 2-6) lasts longer, so in round 2 it takes column 0,
+    # stored itself, and S goes on, reduced on a copy, to column 2 until it
+    # ends; 2R (round 5) reduces to zero against R, and R's second version
+    # (round 7) is stored again once the first has ended. Each round ranks
+    # as its rows alone, and no version changes on the sweep.
     s, r, u = {0: 1, 1: 2}, {0: 3, 2: 5}, {1: 1, 3: 1}
     versions = [(s, 1, 4), (r, 2, 6), (r, 7, 7), ({0: 6, 2: 10}, 5, 5), (u, 1, 7)]
     given = [dict(row) for row, _, _ in versions]
@@ -356,8 +357,10 @@ def test_round_pivots_share_a_row_across_nodes_and_change_none():
             assert [dict(row) for row, _, _ in versions] == given
             rows = [dict(row) for row, a, b in versions if a <= j <= b]
             alone = field._eliminate(rows, {}, twice_from)
-            assert rank == alone == _counted_rank(_dense_pivot_columns(rows, 4), twice_from)
-            assert (pivots[0] is r) == (j >= 5) and (pivots[0] is s) == (j <= 4)
+            columns = _dense_pivot_columns(rows, 4)
+            assert rank == alone == _counted_rank(columns, twice_from)
+            assert sorted(pivots) == columns and all(min(p) == c for c, p in pivots.items())
+            assert (pivots[0] is r) == (j >= 2) and (pivots[0] is s) == (j == 1)
             walked.append(j)
         assert walked == list(range(1, 8))
 

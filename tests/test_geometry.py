@@ -1,3 +1,4 @@
+import collections
 import copy
 import hashlib
 import itertools
@@ -1180,21 +1181,59 @@ def test_offline_pass_eliminates_every_round():
     for _ in range(400):
         versions, lo, hi = _offline_case(rng)
         rounds = [[row for row, a, b in versions if a <= j <= b] for j in range(lo, hi + 1)]
-        # no pivot reaches column 12, as the cases have at most six vertices
+        # no pivot reaches column 12, as the cases have at most six vertices;
+        # then the pivots from a random column on count twice
+        for twice_from in (12, rng.randrange(12)):
+            walked = []
+            for j, pivots, rank in field._round_pivots(versions, lo, hi, twice_from):
+                rows = rounds[j - lo]
+                copies = [dict(row) for row in rows]
+                alone = field.PartialElimination(len(rows), 12, {}, copies, twice_from)
+                # the pivots are keyed by their leading columns, count the
+                # rank the sweep carries and span the round's rows: those
+                # ``span_key`` and the planted deficits read
+                assert all(min(row) == c for c, row in pivots.items())
+                r0 = sum(c < twice_from for c in pivots)
+                assert rank == r0 + 2 * (len(pivots) - r0) == alone.modular_rank()
+                swept = field.PartialElimination(len(rows), 12, pivots, [], twice_from, rank)
+                assert span_key(swept) == span_key(alone)
+                walked.append(j)
+            assert walked == list(range(lo, hi + 1))
         ranks = [field._eliminate(map(dict, rows), {}, 12) for rows in rounds]
-        walked = [
-            (j, len(pivots), r) for j, pivots, r in field._round_pivots(versions, lo, hi, 12)
-        ]
-        assert walked == [(j, r, r) for j, r in enumerate(ranks, lo)]
-        # with the pivots from a column on counted twice, the rank the walk
-        # carries down is the one each round's own elimination counts
-        twice_from = rng.randrange(12)
-        doubled = [field._eliminate(map(dict, rows), {}, twice_from) for rows in rounds]
-        walked = [(j, r) for j, _, r in field._round_pivots(versions, lo, hi, twice_from)]
-        assert walked == list(enumerate(doubled, lo))
         short = [j for j, rows, r in zip(range(lo, hi + 1), rounds, ranks) if r < len(rows)]
         outcomes["none" if not short else "first" if short[0] == lo else "later"] += 1
     assert min(outcomes.values()) >= 40
+
+
+def test_offline_pass_hands_each_row_version_to_the_elimination_once(monkeypatch):
+    # The separation of this graph takes one offline pass over 284 rounds.
+    # The sweep hands each row version with a nonempty round range to
+    # ``_eliminate`` once, 4272 rows in all, where a segment tree over the
+    # rounds handed each one to every node that covered its range, 19326
+    # rows. The count is exact: the separation is deterministic.
+    sg = fast_tight_symgraph(11, 960)
+    tp = _certified_partition(sg)
+    offline, eliminate = geometry._round_pivots, field._eliminate
+    passes, handed = [], []
+
+    def kept_offline(versions, lo, hi, twice_from):
+        passes.append((versions, lo, hi))
+        return offline(versions, lo, hi, twice_from)
+
+    def counted(rows, pivots, twice_from, inverses=None, lasts=None):
+        rows = list(rows)
+        handed.extend(row if lasts is None else row[0] for row in rows)
+        return eliminate(rows, pivots, twice_from, inverses, lasts)
+
+    monkeypatch.setattr(geometry, "_round_pivots", kept_offline)
+    monkeypatch.setattr(field, "_eliminate", counted)
+    assert pull_apart_fully(sg, tp)[1] == 284
+    [(versions, lo, hi)] = passes
+    assert (lo, hi) == (1, 284)
+    nonempty = [row for row, a, b in versions if a <= b]
+    assert len(nonempty) < len(versions)
+    assert collections.Counter(map(id, handed)) == collections.Counter(map(id, nonempty))
+    assert len(handed) == 4272
 
 
 def _planted_keys(sg, dirs):

@@ -1,3 +1,4 @@
+import collections
 import random
 from itertools import combinations
 
@@ -512,15 +513,19 @@ def test_the_later_endpoint_pays_and_searches_stay_few(monkeypatch):
 
 def _searches(monkeypatch, run, *args):
     # run(*args), the pebble searches it makes and the vertices they visit
-    # in all
+    # in all. Each search stamps the vertices it visits on a fresh map that
+    # starts every vertex at 0, which no stamp is, so the map holds just
+    # the vertices it visited: a search reads a vertex only to visit it or
+    # to find it visited.
     searches = visits = 0
     gather = PebbleGame._gather
 
     def counted(self, *args):
         nonlocal searches, visits
+        self._visited = collections.defaultdict(int)
         found = gather(self, *args)
         searches += 1
-        visits += self._visited.count(self._stamp)
+        visits += len(self._visited)
         return found
 
     with monkeypatch.context() as patched:
