@@ -19,11 +19,12 @@ replayed nor a relabeled graph; ``replay_sequence`` builds the validated
 replayed graph for its callers. The reduction plays on a copy of the pebble
 game that decided the input (``Graph.sparsity``) instead of starting a new game
 per step; the walk runs no game, as every row of the move table keeps a graph
-tight. The reduction also keeps one live graph, as adjacency sets and an alive
-mask in the input's labels: each step removes the orbit of the smallest live
-label of lowest valence (kept in min-heaps by valence), touches only that
-orbit's edges, and returns its anchors in input labels. They are mapped to
-replay labels once, in a backward pass from the last triangle.
+tight. The reduction also keeps one live graph, as adjacency sets in the
+input's labels, a removed vertex with no neighbours: each step removes the
+orbit of the smallest live label of lowest valence (kept in min-heaps by
+valence), touches only that orbit's edges, and returns its anchors in input
+labels. They are mapped to replay labels once, in a backward pass from the
+last triangle.
 """
 from __future__ import annotations
 
@@ -341,22 +342,21 @@ def _fit(
 def _reduce_step(
     act: C3Action,
     adj: list[set[int]],
-    alive: list[bool],
     game: PebbleGame,
     low: dict[int, list[int]],
 ) -> tuple[str, tuple[int, ...], tuple[int, int, int]]:
     """One inverse move on the live reduced graph, chosen deterministically.
 
-    ``adj`` and ``alive`` hold the reduced graph in the input's labels and
-    ``game`` holds its edges; ``low`` maps valences 2 and 3 to min-heaps of
-    labels that hold every live vertex of that valence, plus stale entries
-    that are dropped when they reach the top. All four are brought to the
-    graph one orbit smaller. Returns the move's kind, its anchors and the
-    removed orbit in rotation order, all in input labels. The removed vertex
-    is the smallest live label of valence 2, else of valence 3. The
-    vertex-addition and delta reductions only delete edges, so they stay
-    tight by counting; every edge the edge split reductions add must be
-    accepted, or ``InternalInvariantBroken`` is raised.
+    ``adj`` holds the reduced graph in the input's labels, where a removed
+    vertex has no neighbours, and ``game`` its edges; ``low`` maps valences
+    2 and 3 to min-heaps of labels that hold every live vertex of that
+    valence, plus stale entries that are dropped when they reach the top.
+    All three are brought to the graph one orbit smaller. Returns the move's
+    kind, its anchors and the removed orbit in rotation order, all in input
+    labels. The removed vertex is the smallest live label of valence 2,
+    else of valence 3. The vertex-addition and delta reductions only delete
+    edges, so they stay tight by counting; every edge the edge split
+    reductions add must be accepted, or ``InternalInvariantBroken`` is raised.
     """
     gamma, gamma2 = act.gamma, act.gamma2
 
@@ -378,7 +378,6 @@ def _reduce_step(
                 game.delete_edge(x, y)
                 touch(y)
             adj[x].clear()
-            alive[x] = False
 
     def knit(edges):
         for u, w in edges:
@@ -388,7 +387,8 @@ def _reduce_step(
 
     def lowest(valence):
         heap = low[valence]
-        while heap and not (alive[heap[0]] and len(adj[heap[0]]) == valence):
+        # a removed vertex has valence 0, a live one of a tight graph 2 or more
+        while heap and len(adj[heap[0]]) != valence:
             heappop(heap)
         return heap[0] if heap else None
 
@@ -489,16 +489,18 @@ def _reduce(sg: SymGraph) -> ConstructionSequence:
     for u, w in sg.graph.edges:
         adj[u].add(w)
         adj[w].add(u)
-    alive = [True] * n
     # Sorted lists, so already heaps.
     low = {k: [x for x in range(n) if len(adj[x]) == k] for k in (2, 3)}
     # No vertex is fixed, so every orbit has three vertices.
-    steps = [_reduce_step(act, adj, alive, game, low) for _ in range(n // 3 - 1)]
+    steps = [_reduce_step(act, adj, game, low) for _ in range(n // 3 - 1)]
 
-    # Replay labels, backward from the last triangle ordered as the canonical
-    # base; each removed orbit then takes the next three labels. ``inv`` maps
-    # input labels to replay labels, -1 for a vertex not yet placed.
-    s0 = alive.index(True)
+    # Replay labels, backward from the last triangle, the vertices left with
+    # neighbours, ordered as the canonical base; each removed orbit then
+    # takes the next three labels. ``inv`` maps input labels to replay
+    # labels, -1 for a vertex not yet placed.
+    s0 = next((x for x in range(n) if adj[x]), None)
+    if s0 is None:
+        raise InternalInvariantBroken("the reduction left no edge")
     psi = [s0, act.gamma[s0], act.gamma2[s0]]
     inv = [-1] * n
     for k, x in enumerate(psi):

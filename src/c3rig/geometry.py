@@ -80,6 +80,9 @@ _PAIR_ZERO: Pair = (0, 0)
 # corner i to corner i + 1, and w times direction i is direction i + 1.
 E_POINTS: tuple[Pair, Pair, Pair] = (_PAIR_ZERO, (1, 0), (1, 1))
 TREE_DIRECTIONS: tuple[Pair, Pair, Pair] = ((0, 1), (-1, -1), (1, 0))
+# The triangle's centre (2 + w)/3, the centroid of its corners, as a pair
+# over its scale: the one point the frame route's rotation fixes.
+_CENTRE: tuple[Pair, int] = ((2, 1), 3)
 
 
 def v_sub(p, q):
@@ -432,7 +435,8 @@ class _LiveFrame:
     on. Also kept: how many edges still have coinciding endpoints; a heap
     ``queue`` of (smallest member, class) with an entry for each class at
     the corner of tree 0, stale once the class has lost a member or holds
-    no such edge; and each class on its line along each tree direction.
+    no such edge; and each class on its line along both directions of
+    ``_SPLITS``, the steps of the one copy ``_collisions`` reads.
     """
 
     scale: int
@@ -461,17 +465,17 @@ class _LiveFrame:
         symmetric. A vertex lies in exactly two trees
         (``two_trees_per_vertex``), so it misses one. Each edge lies in one
         tree (``partitions_edges``), so its direction is that tree's side,
-        which is primitive. Both ends of an
-        edge of tree i lie in tree i (``two_trees_per_vertex``), so they are
-        parked together or on the two corners of side i. The rotation takes
-        tree i to tree i + 1 (``rotation_cycles_trees``), so it takes the
-        vertices missing tree i to those missing tree i + 1: it fixes no
-        vertex, turns the triangle about its centre, and turns an edge
-        along side i to one along side i + 1, w times it. Each round moves
-        the three rotated copies of a part by rotated steps and turns the
-        rotated edges to their rotated position differences, so the frame
-        stays symmetric and every round's rows are those of its two orbit
-        blocks (``field._orbit_blocks``)."""
+        which is primitive. Both ends of an edge of tree i lie in tree i
+        (``two_trees_per_vertex``), so they are parked together or on the
+        two corners of side i. The rotation takes tree i to tree i + 1
+        (``rotation_cycles_trees``), so it takes the vertices missing tree
+        i to those missing tree i + 1: it fixes no vertex, turns the
+        triangle about its centre, ``_CENTRE``, and turns an edge along side
+        i to one along side i + 1, w times it. Each round moves the three
+        rotated copies of a part by rotated steps and turns the rotated
+        edges to their rotated position differences, so the frame stays
+        symmetric about ``_CENTRE`` and every round's rows are those of its
+        two orbit blocks (``field._orbit_blocks``)."""
         edges = sg.graph.sorted_edges
         tv = tp.vertex_sets
         miss = [next(k for k in range(3) if v not in tv[k]) for v in range(sg.graph.n)]
@@ -488,15 +492,15 @@ class _LiveFrame:
         live = cls(
             1, list(E_POINTS), [1, 1, 1], list(miss), members,
             [TREE_DIRECTIONS[t] for t in tree], tree, edges, incident, miss, coincident, [],
-            {d: {} for d in TREE_DIRECTIONS},
+            {d: {} for _, d in _SPLITS},
         )
         for c in range(3):
             live._index(c)
         return live
 
     def _index(self, c: int) -> None:
-        """Put class c on its line along each tree direction and, at the
-        corner of tree 0, on the queue."""
+        """Put class c on its line along each direction a first copy moves
+        in (``_SPLITS``) and, at the corner of tree 0, on the queue."""
         point, scale, first = self.points[c], self.scales[c], self.members[c][0]
         for d, lines in self.lines.items():
             lines.setdefault(_line(point, scale, d), []).append(c)
@@ -504,24 +508,25 @@ class _LiveFrame:
             heapq.heappush(self.queue, (first, c))
 
     def placement(self, act: C3Action) -> Placement:
-        """Each vertex at its class point brought to ``scale`` and
-        recentred on the rotation axis, the centroid of vertex 0's orbit,
-        as 3 X - S over 3 ``scale``, S the sum of that orbit's points. Each
-        edge's position difference is parallel to its direction (``_plan``),
-        so the placement's rigidity matrix has the rank of the state's rows.
-        Raises ``InternalInvariantBroken`` if adjacent joints coincide or
-        ``act`` does not map the placement to itself (see ``read``)."""
+        """Each vertex at its class point brought to ``scale``, D, and
+        recentred on ``_CENTRE`` as 3 X - (2 D, D) over 3 D. Each edge's
+        position difference is parallel to its direction (``_plan``), so the
+        placement's rigidity matrix has the rank of the state's rows. Raises
+        ``InternalInvariantBroken`` if adjacent joints coincide or ``act``
+        does not map the placement to itself, which also proves that the
+        frame turned about ``_CENTRE`` (see ``read``)."""
         scale, joint_class = self.scale, self.joint_class
-        points = [(scale // s * x, scale // s * y) for (x, y), s in zip(self.points, self.scales)]
-        orbit = [points[joint_class[v]] for v in (0, act.gamma[0], act.gamma2[0])]
-        sx, sy = sum(x for x, _ in orbit), sum(y for _, y in orbit)
-        centred = [(3 * x - sx, 3 * y - sy) for x, y in points]
+        (cx, cy), r = _CENTRE
+        centred = [
+            (r * (scale // s) * x - scale * cx, r * (scale // s) * y - scale * cy)
+            for (x, y), s in zip(self.points, self.scales)
+        ]
         pos = tuple(centred[c] for c in joint_class)
         if any(pos[u] == pos[v] for u, v in self.edges):
             raise InternalInvariantBroken("adjacent joints still share a position")
         if not _rotates_with(act, pos):
             raise InternalInvariantBroken("the recentred framework is not symmetric")
-        return Placement(pos, 3 * scale)
+        return Placement(pos, r * scale)
 
 
 # A round's split: the three moving copies, their steps, and each turning
@@ -594,47 +599,33 @@ def _accept(live: _LiveFrame, split: _Split, p: int) -> None:
         live._index(new)
 
 
-def _meeting(delta: Pair, step: Pair, scale: int) -> int | None:
-    """The p > 0 with p * delta = scale * step, if it is an integer: the
-    t = 1/p at which a point moving by ``step`` covers delta / scale."""
-    if cross(delta, step):
-        return None
-    k = 0 if step[0] else 1
-    if not delta[k]:
-        return None
-    p, r = divmod(scale * step[k], delta[k])
-    return p if p > 0 and not r else None
+def _collisions(live: _LiveFrame, first: list[int], d: Pair) -> set[int]:
+    """The p at which the first copy of a split, moving by ``d``, would land
+    on a class point or on ``_CENTRE``.
 
-
-def _collisions(live: _LiveFrame, copies: Sequence[list[int]], steps: Sequence[Pair]) -> set[int]:
-    """The p at which a copy would land on a class point or on another copy.
-
-    A copy at X / s moving by d lands on the class point Y / r only if Y
-    lies on X's line along d, and then at the one p with
-    p (s Y - r X) = r s d; one coordinate k with d_k = +-1 gives it. Copies
-    j and k meet at the one p with p (s_k X_j - s_j X_k) = s_j s_k (d_k - d_j),
-    if any.
+    The copy at X / s lands on the point Y / r only if Y lies on X's line
+    along d, and then at the one p with p (s Y - r X) = r s d; one
+    coordinate k with d_k = +-1 gives it. The frame is symmetric about
+    ``_CENTRE``, so copy j, the j-fold rotation of the first, lands on a
+    class point exactly when the first lands on that point's preimage, at
+    the same p, and two copies meet only at the centre, all three at once.
     """
     points, scales = live.points, live.scales
-    moving = []
-    for copy, d in zip(copies, steps):
-        c = live.joint_class[copy[0]]
-        moving.append((points[c], scales[c], d))
-    found: set[int | None] = set()
-    for x, s, d in moving:
-        k = 0 if d[0] else 1
-        xk, sd = x[k], s * d[k]
-        for c in live.lines[d][_line(x, s, d)]:
-            r = scales[c]
-            gap = s * points[c][k] - r * xk
-            if gap:
-                p, rest = divmod(r * sd, gap)
-                if p > 0 and not rest:
-                    found.add(p)
-    for j, ((x0, x1), s, (a, b)) in enumerate(moving):
-        for (y0, y1), r, (e, f) in moving[j + 1 :]:
-            found.add(_meeting((r * x0 - s * y0, r * x1 - s * y1), (e - a, f - b), r * s))
-    found.discard(None)
+    c = live.joint_class[first[0]]
+    x, s = points[c], scales[c]
+    line = _line(x, s, d)
+    targets = [(points[b], scales[b]) for b in live.lines[d][line]]
+    if _line(*_CENTRE, d) == line:
+        targets.append(_CENTRE)
+    k = 0 if d[0] else 1
+    xk, sd = x[k], s * d[k]
+    found = set()
+    for y, r in targets:
+        gap = s * y[k] - r * xk
+        if gap:
+            p, rest = divmod(r * sd, gap)
+            if p > 0 and not rest:
+                found.add(p)
     return found
 
 
@@ -646,18 +637,18 @@ def pull_apart(sg: SymGraph, live: _LiveFrame, skip: int = 0) -> tuple[_Split, i
     """
     split = _plan(sg, live)
     copies, steps, _ = split
-    found = _collisions(live, copies, steps)
+    found = _collisions(live, copies[0], steps[0])
     # A t fails only by a collision or a rank deficit mod P. ``_collisions``
-    # holds at most one p per class on each moving copy's line, as its step
-    # is nonzero, and one per pair of copies, as their steps differ: at most
-    # 3 * (classes + 1) values. The turned rows are affine in p, so a full
-    # minor of the orbit blocks that is nonzero for some p (the separation
-    # step of the symmetric Crapo theorem gives one) is a polynomial of
-    # degree at most m. Unless P divides all its coefficients, it vanishes
-    # mod P at no more than m of the candidate primes, all below P, and one
-    # of the first 3 * (classes + 1) + m + 1 candidates is good; if P does,
-    # every t is short mod P and ``ExhaustedT`` says so, never a verdict.
-    limit = 3 * (len(live.members) + 1) + sg.graph.m + 1
+    # holds at most one p per class on the first copy's line, as its step
+    # is nonzero, and one for the centre: at most classes + 1 values. The
+    # turned rows are affine in p, so a full minor of the orbit blocks that
+    # is nonzero for some p (the separation step of the symmetric Crapo
+    # theorem gives one) is a polynomial of degree at most m. Unless P
+    # divides all its coefficients, it vanishes mod P at no more than m of
+    # the candidate primes, all below P, and one of the first
+    # classes + m + 2 candidates is good; if P does, every t is short mod P
+    # and ``ExhaustedT`` says so, never a verdict.
+    limit = len(live.members) + sg.graph.m + 2
     for p in _t_candidates(limit):
         if p in found:
             continue

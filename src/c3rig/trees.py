@@ -85,21 +85,21 @@ def _is_tree(edges: frozenset[Edge], vertices: frozenset[int]) -> bool:
 def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
     """Check every defining property; failures are report entries, not errors.
 
-    A tree vertex outside 0..n-1 fails ``partitions_edges``, and the vertex
-    counts and the rotation, which are defined on the graph's vertices only,
-    fail with it. Once the rotation carries tree 0 onto tree 1 and tree 1
-    onto tree 2, the three are isomorphic, so only tree 0 is searched; when
-    it does not, all three are.
+    A tree vertex that is not an ``int`` in 0..n-1 (``True`` and ``1.0`` are
+    not) fails ``partitions_edges``, and the vertex counts and the rotation,
+    defined on the graph's vertices only, fail with it. Once the rotation
+    carries tree 0 onto tree 1 and tree 1 onto tree 2, the three are
+    isomorphic, so only tree 0 is searched; when it does not, all three are.
     """
     act = sg.require_action()
     g = sg.graph
     t0, t1, t2 = tp.trees
 
+    in_range = all(type(v) is int and 0 <= v < g.n for vs in tp.vertex_sets for v in vs)
     union = t0 | t1 | t2
     total = len(t0) + len(t1) + len(t2)
-    partitions_edges = union == g.edges and total == g.m
+    partitions_edges = in_range and union == g.edges and total == g.m
 
-    in_range = all(0 <= v < g.n for vertices in tp.vertex_sets for v in vertices)
     counts = [0] * g.n
     if in_range:
         for vertices in tp.vertex_sets:

@@ -121,7 +121,7 @@ def test_extract_rejects_non_isostatic_graphs():
     assert hub.value.verdict.witness == 3
 
 
-def _drop_edge_orbit(act, adj, alive, game, low, result):
+def _drop_edge_orbit(act, adj, game, low, result):
     # the smallest edge's orbit leaves the live reduced graph, not the game;
     # its ends are indexed under their new valences, as the reduction does
     u = next(x for x in range(len(adj)) if adj[x])
@@ -134,11 +134,12 @@ def _drop_edge_orbit(act, adj, alive, game, low, result):
     return result
 
 
-def _swap_last_anchor(act, adj, alive, game, low, result):
+def _swap_last_anchor(act, adj, game, low, result):
     # the last anchor is never part of a split edge, and the reduced graph
-    # fixes no vertex, so the swapped move still applies
+    # fixes no vertex, so the swapped move still applies; a live vertex of
+    # the reduced graph is one with neighbours
     kind, anchors, orbit = result
-    other = next(x for x, on in enumerate(alive) if on and x not in anchors)
+    other = next(x for x, near in enumerate(adj) if near and x not in anchors)
     return kind, anchors[:-1] + (other,), orbit
 
 

@@ -194,9 +194,9 @@ def test_certify_decides_the_input_with_one_game(write, capsys, monkeypatch):
         copies.append((self, copy(self)))
         return copies[-1][1]
 
-    def step(act, adj, alive, game, low):
+    def step(act, adj, game, low):
         reduced_with.append(game)
-        return reduce_step(act, adj, alive, game, low)
+        return reduce_step(act, adj, game, low)
 
     def counted_engine(self, *args):
         engines.append(self)
