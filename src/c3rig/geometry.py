@@ -412,13 +412,13 @@ def _separable_component(part: list[int], live: "_LiveFrame") -> tuple[set[int],
     raise NoSeparableComponent("class restricted to both trees is connected")
 
 
-def _line(point: Pair, scale: int, d: Pair) -> tuple[int, int]:
-    """The line through ``point`` over ``scale`` along ``d``, as the reduced
-    fraction cross(point, d) / scale, which is the same for every point on
-    it, whatever its scale."""
-    k = point[0] * d[1] - point[1] * d[0]
-    g = math.gcd(k, scale)
-    return k // g, scale // g
+def _key(point: Pair, scale: int) -> tuple[int, int, int]:
+    """``point`` over ``scale`` in lowest terms, (a, b, D) over their gcd:
+    1 and w are independent over Q, so each rational point has exactly one
+    key, whatever scale it was written at."""
+    a, b = point
+    g = math.gcd(a, b, scale)
+    return a // g, b // g, scale // g
 
 
 @dataclass
@@ -435,8 +435,10 @@ class _LiveFrame:
     on. Also kept: how many edges still have coinciding endpoints; a heap
     ``queue`` of (smallest member, class) with an entry for each class at
     the corner of tree 0, stale once the class has lost a member or holds
-    no such edge; and each class on its line along both directions of
-    ``_SPLITS``, the steps of the one copy ``_collisions`` reads.
+    no such edge; and the ``_key`` of every class point and of ``_CENTRE``,
+    the points ``occupied``. No key is ever removed: a class point never
+    moves, and a class never loses its last member (``_plan`` raises
+    first).
     """
 
     scale: int
@@ -451,7 +453,7 @@ class _LiveFrame:
     miss: list[int]
     coincident: int
     queue: list[tuple[int, int]]
-    lines: dict[Pair, dict[tuple[int, int], list[int]]]
+    occupied: set[tuple[int, int, int]]
 
     @classmethod
     def read(cls, sg: SymGraph, tp: TreePartition) -> "_LiveFrame":
@@ -492,18 +494,17 @@ class _LiveFrame:
         live = cls(
             1, list(E_POINTS), [1, 1, 1], list(miss), members,
             [TREE_DIRECTIONS[t] for t in tree], tree, edges, incident, miss, coincident, [],
-            {d: {} for _, d in _SPLITS},
+            {_key(*_CENTRE)},
         )
         for c in range(3):
             live._index(c)
         return live
 
     def _index(self, c: int) -> None:
-        """Put class c on its line along each direction a first copy moves
-        in (``_SPLITS``) and, at the corner of tree 0, on the queue."""
-        point, scale, first = self.points[c], self.scales[c], self.members[c][0]
-        for d, lines in self.lines.items():
-            lines.setdefault(_line(point, scale, d), []).append(c)
+        """Mark class c's point occupied and, at the corner of tree 0, put
+        the class on the queue."""
+        first = self.members[c][0]
+        self.occupied.add(_key(self.points[c], self.scales[c]))
         if not self.miss[first]:
             heapq.heappush(self.queue, (first, c))
 
@@ -599,36 +600,6 @@ def _accept(live: _LiveFrame, split: _Split, p: int) -> None:
         live._index(new)
 
 
-def _collisions(live: _LiveFrame, first: list[int], d: Pair) -> set[int]:
-    """The p at which the first copy of a split, moving by ``d``, would land
-    on a class point or on ``_CENTRE``.
-
-    The copy at X / s lands on the point Y / r only if Y lies on X's line
-    along d, and then at the one p with p (s Y - r X) = r s d; one
-    coordinate k with d_k = +-1 gives it. The frame is symmetric about
-    ``_CENTRE``, so copy j, the j-fold rotation of the first, lands on a
-    class point exactly when the first lands on that point's preimage, at
-    the same p, and two copies meet only at the centre, all three at once.
-    """
-    points, scales = live.points, live.scales
-    c = live.joint_class[first[0]]
-    x, s = points[c], scales[c]
-    line = _line(x, s, d)
-    targets = [(points[b], scales[b]) for b in live.lines[d][line]]
-    if _line(*_CENTRE, d) == line:
-        targets.append(_CENTRE)
-    k = 0 if d[0] else 1
-    xk, sd = x[k], s * d[k]
-    found = set()
-    for y, r in targets:
-        gap = s * y[k] - r * xk
-        if gap:
-            p, rest = divmod(r * sd, gap)
-            if p > 0 and not rest:
-                found.add(p)
-    return found
-
-
 def pull_apart(sg: SymGraph, live: _LiveFrame, skip: int = 0) -> tuple[_Split, int]:
     """One round of separation: take ``_plan``'s split of ``live`` at the
     first t = 1/p at which no moving copy lands on a class or on another
@@ -637,20 +608,26 @@ def pull_apart(sg: SymGraph, live: _LiveFrame, skip: int = 0) -> tuple[_Split, i
     """
     split = _plan(sg, live)
     copies, steps, _ = split
-    found = _collisions(live, copies[0], steps[0])
-    # A t fails only by a collision or a rank deficit mod P. ``_collisions``
-    # holds at most one p per class on the first copy's line, as its step
-    # is nonzero, and one for the centre: at most classes + 1 values. The
-    # turned rows are affine in p, so a full minor of the orbit blocks that
-    # is nonzero for some p (the separation step of the symmetric Crapo
-    # theorem gives one) is a polynomial of degree at most m. Unless P
-    # divides all its coefficients, it vanishes mod P at no more than m of
-    # the candidate primes, all below P, and one of the first
-    # classes + m + 2 candidates is good; if P does, every t is short mod P
-    # and ``ExhaustedT`` says so, never a verdict.
+    c = live.joint_class[copies[0][0]]
+    (x, y), s = live.points[c], live.scales[c]
+    a, b = steps[0]
+    # At t = 1/p the first copy, X / s, lands on (p X + s d) / (p s). The
+    # frame is symmetric about ``_CENTRE``, so copy j, the j-fold rotation
+    # of the first, lands on a class point exactly when the first lands on
+    # that point's preimage, and copies meet only at the centre, which is
+    # occupied: p collides exactly when the first copy lands on an occupied
+    # point. As d is nonzero, each point is hit at one p at most, so at most
+    # classes + 1 candidates collide; any other t fails only by a rank
+    # deficit mod P. The turned rows are affine in p, so a full minor of
+    # the orbit blocks that is nonzero for some p (the separation step of
+    # the symmetric Crapo theorem gives one) is a polynomial of degree at
+    # most m. Unless P divides all its coefficients, it vanishes mod P at
+    # no more than m of the candidate primes, all below P, and one of the
+    # first classes + m + 2 candidates is good; if P does, every t is short
+    # mod P and ``ExhaustedT`` says so, never a verdict.
     limit = len(live.members) + sg.graph.m + 2
     for p in _t_candidates(limit):
-        if p in found:
+        if _key((p * x + s * a, p * y + s * b), p * s) in live.occupied:
             continue
         if not skip:
             break

@@ -85,9 +85,11 @@ def _is_tree(edges: frozenset[Edge], vertices: frozenset[int]) -> bool:
 def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
     """Check every defining property; failures are report entries, not errors.
 
-    A tree vertex that is not an ``int`` in 0..n-1 (``True`` and ``1.0`` are
-    not) fails ``partitions_edges``, and the vertex counts and the rotation,
-    defined on the graph's vertices only, fail with it. Once the rotation
+    A tree edge that is not a ``tuple`` of two items, or a tree vertex that
+    is not an ``int`` in 0..n-1 (``True`` and ``1.0`` are not), fails
+    ``partitions_edges``, and the vertex counts and the rotation, defined on
+    the graph's vertices only, fail with it; such an edge, checked before
+    any edge is unpacked, fails ``trees_are_trees`` too. Once the rotation
     carries tree 0 onto tree 1 and tree 1 onto tree 2, the three are
     isomorphic, so only tree 0 is searched; when it does not, all three are.
     """
@@ -95,7 +97,10 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
     g = sg.graph
     t0, t1, t2 = tp.trees
 
-    in_range = all(type(v) is int and 0 <= v < g.n for vs in tp.vertex_sets for v in vs)
+    pairs = all(type(e) is tuple and len(e) == 2 for tree in tp.trees for e in tree)
+    in_range = pairs and all(
+        type(v) is int and 0 <= v < g.n for vs in tp.vertex_sets for v in vs
+    )
     union = t0 | t1 | t2
     total = len(t0) + len(t1) + len(t2)
     partitions_edges = in_range and union == g.edges and total == g.m
@@ -115,7 +120,7 @@ def verify_tree_partition(sg: SymGraph, tp: TreePartition) -> PartitionReport:
     if rotation_cycles_trees:
         trees_are_trees = _is_tree(t0, tp.vertex_sets[0])
     else:
-        trees_are_trees = all(map(_is_tree, tp.trees, tp.vertex_sets))
+        trees_are_trees = pairs and all(map(_is_tree, tp.trees, tp.vertex_sets))
 
     # Properness (no two non-trivial subtrees of distinct trees share a
     # span) is equivalent to the subgraph counts holding everywhere, which

@@ -10,7 +10,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import Phase, given, settings, strategies as st
+from hypothesis import Phase, example, given, settings, strategies as st
 
 from c3rig import (
     C3Action,
@@ -856,24 +856,35 @@ def test_digest_graphs_rarely_meet_a_deficit_mod_p(monkeypatch):
     assert 0 < len(short) <= 10 and not games
 
 
+def _landing_key(live, split, p):
+    # the key of the point the split's first copy lands on at t = 1/p
+    copies, steps, _ = split
+    c = live.joint_class[copies[0][0]]
+    (x, y), s = live.points[c], live.scales[c]
+    a, b = steps[0]
+    return geometry._key((p * x + s * a, p * y + s * b), p * s)
+
+
 def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
     # The digest's graphs reach the collision rule: some candidates are
     # skipped, with no rank taken, because a copy would land on a class or
     # on another copy at them.
     counts = dict.fromkeys(("rounds", "calls", "tried", "ranked", "skipped"), 0)
-    candidates, rank, collisions, pull_apart = (
-        geometry._t_candidates, geometry.exact_rank, geometry._collisions, geometry.pull_apart
+    candidates, rank, plan, pull_apart = (
+        geometry._t_candidates, geometry.exact_rank, geometry._plan, geometry.pull_apart
     )
-    latest = [set()]
+    latest = [None]
 
-    def counted_collisions(*args):
-        latest[0] = collisions(*args)
-        return latest[0]
+    def counted_plan(sg, live):
+        split = plan(sg, live)
+        latest[0] = live, split
+        return split
 
     def counted_candidates(limit):
+        live, split = latest[0]
         for p in candidates(limit):
             counts["tried"] += 1
-            counts["skipped"] += p in latest[0]
+            counts["skipped"] += _landing_key(live, split, p) in live.occupied
             yield p
 
     def counted_rank(matrix):
@@ -886,7 +897,7 @@ def test_separation_skips_parameters_that_land_on_a_class(monkeypatch):
 
     monkeypatch.setattr(geometry, "_t_candidates", counted_candidates)
     monkeypatch.setattr(geometry, "exact_rank", counted_rank)
-    monkeypatch.setattr(geometry, "_collisions", counted_collisions)
+    monkeypatch.setattr(geometry, "_plan", counted_plan)
     monkeypatch.setattr(geometry, "pull_apart", counted)
     for sg in _digest_graphs():
         tp = _certified_partition(sg)
@@ -1384,10 +1395,9 @@ def _rational_copies(sg, live, c, d):
 def test_integer_collision_rule_matches_the_rational_points():
     # A split's first copy, class c's members, moved by a direction d of
     # ``_SPLITS`` at t = 1/p, and its two rotated copies land on an
-    # occupied class point, or on each other, exactly when
-    # ``_collisions(live, members[c], d)`` holds p, for every p up to 60,
-    # before and after each round of two separations; each p it holds is
-    # such a t.
+    # occupied class point, or on each other, exactly when the first copy's
+    # landing point is in ``live.occupied``, for every p up to 60, before
+    # and after each round of two separations.
     rng = random.Random(5)
     directions = [d for _, d in geometry._SPLITS]
     hits = states = 0
@@ -1398,11 +1408,12 @@ def test_integer_collision_rule_matches_the_rational_points():
             for _ in range(20):
                 c = rng.randrange(len(live.members))
                 d = rng.choice(directions)
-                found = geometry._collisions(live, live.members[c], d)
+                split = ([live.members[c]], [d], {})
                 collide, _ = _rational_copies(sg, live, c, d)
-                assert {p for p in range(1, 61) if collide(p)} == {p for p in found if p <= 60}
-                assert all(collide(p) for p in found)
-                hits += len(found)
+                for p in range(1, 61):
+                    occupied = _landing_key(live, split, p) in live.occupied
+                    assert occupied == collide(p)
+                    hits += occupied
             states += 1
             if not live.coincident:
                 break
@@ -1412,8 +1423,8 @@ def test_integer_collision_rule_matches_the_rational_points():
 
 @pytest.mark.parametrize("d", [d for _, d in geometry._SPLITS])
 def test_copies_that_meet_at_the_centre_collide(d):
-    # No separation of the corpus puts the centre on a first copy's line at
-    # a positive integer p, so this state is placed by hand: the prism's
+    # No separation of the corpus lands a first copy on the centre at a
+    # positive integer p, so this state is placed by hand: the prism's
     # corner classes moved so that the class at the corner of tree 0 and its
     # two rotated images, moved by d and its rotations at t = 1/7, all land
     # on ``_CENTRE``. The frame stays symmetric about it.
@@ -1426,8 +1437,7 @@ def test_copies_that_meet_at_the_centre_collide(d):
     offset = (-r * d[0], -r * d[1])  # the point C - d/p over the scale r p
     for x in (live.members[c][0], act.gamma[live.members[c][0]], act.gamma2[live.members[c][0]]):
         k = live.joint_class[x]
-        for step, lines in live.lines.items():
-            lines[geometry._line(live.points[k], live.scales[k], step)].remove(k)
+        live.occupied.discard(geometry._key(live.points[k], live.scales[k]))
         live.points[k] = (p * cx + offset[0], p * cy + offset[1])
         live.scales[k] = r * p
         live._index(k)
@@ -1439,31 +1449,53 @@ def test_copies_that_meet_at_the_centre_collide(d):
         return (Fraction(x, s) - centre[0], Fraction(y, s) - centre[1])
 
     assert all(from_centre(act.gamma[v]) == rotate_omega(from_centre(v)) for v in range(sg.graph.n))
-    found = geometry._collisions(live, live.members[c], d)
+    split = ([live.members[c]], [d], {})
     collide, landed = _rational_copies(sg, live, c, d)
-    assert p in found
-    assert {q for q in range(1, 61) if collide(q)} == {q for q in found if q <= 60}
+    assert _landing_key(live, split, p) == geometry._key(*geometry._CENTRE)
+    assert all(
+        (_landing_key(live, split, q) in live.occupied) == collide(q) for q in range(1, 61)
+    )
     assert set(landed(p)) == {centre}
 
 
-def test_collisions_read_one_line_per_round(monkeypatch):
-    # The rotated copies are never scanned: over this separation the first
-    # copies' lines hold 16090 classes in all, where the lines of all three
-    # copies hold 48270. The count is exact: the separation is
-    # deterministic.
-    collisions = geometry._collisions
-    scanned = 0
+def test_separation_tests_a_pinned_number_of_candidates(monkeypatch):
+    # Each round looks up one landing point per candidate it tests: over
+    # this separation, 12907 candidates in 284 rounds. The counts are
+    # exact: the separation is deterministic.
+    candidates = geometry._t_candidates
+    tested = 0
 
-    def counted(live, first, d):
-        nonlocal scanned
-        c = live.joint_class[first[0]]
-        scanned += len(live.lines[d][geometry._line(live.points[c], live.scales[c], d)])
-        return collisions(live, first, d)
+    def counted(limit):
+        nonlocal tested
+        for p in candidates(limit):
+            tested += 1
+            yield p
 
-    monkeypatch.setattr(geometry, "_collisions", counted)
+    monkeypatch.setattr(geometry, "_t_candidates", counted)
     sg = fast_tight_symgraph(11, 960)
-    pull_apart_fully(sg, _certified_partition(sg))
-    assert scanned == 16090
+    assert pull_apart_fully(sg, _certified_partition(sg))[1] == 284
+    assert tested == 12907
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(), st.integers(), st.integers(min_value=1), st.integers(min_value=1, max_value=10**6)
+)
+def test_a_point_has_one_key_whatever_its_scale(a, b, s, k):
+    assert geometry._key((k * a, k * b), k * s) == geometry._key((a, b), s)
+
+
+small_ints = st.integers(min_value=-12, max_value=12)
+small_scales = st.integers(min_value=1, max_value=12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(small_ints, small_ints, small_scales, small_ints, small_ints, small_scales)
+@example(1, -2, 3, 4, -8, 12)
+@example(0, 0, 5, 0, 0, 1)
+def test_two_keys_are_equal_exactly_when_their_points_are(a, b, s, c, d, r):
+    same = (Fraction(a, s), Fraction(b, s)) == (Fraction(c, r), Fraction(d, r))
+    assert (geometry._key((a, b), s) == geometry._key((c, d), r)) == same
 
 
 def test_frame_route_on_corpus():

@@ -137,19 +137,28 @@ def test_properness_is_the_graphs_pebble_verdict():
 
 @pytest.mark.parametrize(
     "bad",
-    [(1, 6), (1, 9), (-1, 1), (1, 2.0), (1, "x"), (1, None), (True, 2), (1, 10**6)],
-    ids=["n", "past_n", "negative", "float", "str", "none", "bool", "huge"],
+    [
+        (1, 6), (1, 9), (-1, 1), (1, 2.0), (1, "x"), (1, None), (True, 2), (1, 10**6),
+        (0, 1, 2), (0,), 5,
+    ],
+    ids=[
+        "n", "past_n", "negative", "float", "str", "none", "bool", "huge",
+        "triple", "single", "not_a_tuple",
+    ],
 )
 def test_a_tree_vertex_outside_the_graph_fails_the_report(bad):
     # the edge takes the place of (1, 2) in tree 1 of the prism's partition;
     # vertex -1 must not stand for vertex 5, nor 2.0 or True for 2 or 1:
     # (1, 2.0) and (True, 2) compare and hash equal to (1, 2), so with them
-    # every tree equals the true one, and only the vertex's type tells
+    # every tree equals the true one, and only the vertex's type tells. An
+    # edge that is not a pair is reported too, not raised on.
     trees = list(PRISM_PARTITION.trees)
     trees[1] = trees[1] - {(1, 2)} | {bad}
     report = verify_tree_partition(prism(), TreePartition(tuple(trees)))
     assert not report.partitions_edges and not report.ok
     assert not report.two_trees_per_vertex and not report.rotation_cycles_trees
+    if type(bad) is not tuple or len(bad) != 2:
+        assert not report.trees_are_trees
     with pytest.raises(InvalidPartition, match="partitions_edges"):
         pull_apart_fully(prism(), TreePartition(tuple(trees)))
 
